@@ -1,55 +1,32 @@
 #!/usr/bin/env python
-"""CI smoke: the fan-in fast paths stay fast, at full scale.
+"""CI smoke: the full-scale fan-in sweep keeps its knee and its rows.
 
-Three checks, all machine-independent:
+Two checks, both machine-independent (speed is the ledger's job:
+``sets_per_s`` / ``setup_s`` @ ``fanin_knee``, ``benchmarks/ledger``):
 
-1. **Relative regression bound.**  The at-capacity sock sweep point
-   (9,216 samplers) is timed with the toggleable fast paths enabled
-   (timer wheel + coalesced batch flush + GC pause + columnar arena +
-   sharded runner) and disabled (``REPRO_TIMER_WHEEL=0`` /
-   ``REPRO_BATCH_FLUSH=0`` / ``REPRO_GC_PAUSE=0`` / ``REPRO_ARENA=0`` /
-   ``REPRO_SHARDS=0``), in strict alternation so both variants see the
-   same interference.  The speedup must stay above ``MIN_SPEEDUP``;
-   external noise can only shrink the measured ratio, never inflate it,
-   so a pass is trustworthy on shared runners.  The fast-path gains are
-   superlinear in fan-in (the GC pause and the wheel matter most when
-   millions of events are live), so the bound is checked at full scale
-   where the signal is strongest — measured ~1.6x on a quiet machine
-   before the arena landed, floor 1.3x.  The unconditional
-   micro-optimisations (block descriptor unpack, meta memcpy mirroring,
-   inline pool grants) have no off switch and are deliberately present
-   in *both* variants.
-
-   ``REPRO_SHARDS`` is a worker count, not a boolean: the fast variant
-   sets ``2`` (the point runs inside a forked shard worker, so the
-   fork + result-pickle overhead is charged to the fast side) and the
-   slow variant ``0`` (inline).  Both variants also hash every stored
-   row (sha256 over (timestamp, producer, set_name, values)); the
-   digests must be *identical* across all toggles — the byte-identity
-   contract of the arena and of the sharded runner, enforced in CI on
-   every run.
+1. **Full-scale knee.**  The complete full-scale sock sweep (up to
+   10,229 samplers) runs once, inline; the knee must land exactly at the
+   profile's 9,216-connection capacity, and the aggregator's live
+   freshness tracker must report the ground-truth delivered/expected
+   completeness *exactly* at the knee and at the over-capacity point
+   (~0.901).  Each point records its build/ramp-up/steady wall split —
+   the headline events/s drop toward the knee is a one-off-cost
+   artifact, see ``phase_note`` in the artifact — and hashes every
+   stored row (sha256 over (timestamp, producer, set_name, values)).
+   Every point's digest must equal the one committed in
+   ``BENCH_fanin.json``: the simulated history is a function of the
+   cost model alone, so a digest that moves is a behaviour change.  A
+   change that means to move it commits the regenerated file.
 
    Event counts are *logical* events: heap-processed events plus the
    per-member events the sampler cohorts materialize inside vectorized
-   sweeps (``engine.vectorized_events``).  The sum is invariant across
-   the arena toggle — a cohort sweep does the same logical work the
-   scalar timers and pool tasks did — so events/s stays comparable
-   across variants and across releases.
+   sweeps (``engine.vectorized_events``), so events/s stays comparable
+   across releases however much work a sweep vectorizes.
 
-2. **Full-scale knee.**  The complete full-scale sock sweep (up to
-   10,229 samplers) runs once, inline, with the fast paths on; the knee
-   must land exactly at the profile's 9,216-connection capacity, and
-   the aggregator's live freshness tracker must report the ground-truth
-   delivered/expected completeness *exactly* at the knee and at the
-   over-capacity point (~0.901).  Each point also records its
-   build/ramp-up/steady wall split — the headline events/s drop toward
-   the knee is a one-off-cost artifact, see ``phase_note`` in the
-   artifact — and its row digest, which check 3 replays against.
-
-3. **Sharded full-scale sweep.**  The same sweep runs again with the
+2. **Sharded full-scale sweep.**  The same sweep runs again with the
    points fanned out across ``SHARD_WORKERS`` forked shard workers
    (``repro.sim.shard.run_parallel``).  Per-point digests must match
-   check 2 byte-for-byte, the sharded knee must still equal the profile
+   check 1 byte-for-byte, the sharded knee must still equal the profile
    capacity, and the freshness tracker must stay exact.  Aggregate and
    per-worker rates land in the ``sharded`` block of
    ``BENCH_fanin.json`` together with ``host_cpus`` — on a single-core
@@ -67,20 +44,18 @@ import os
 import sys
 import time
 
-MIN_SPEEDUP = 1.3
-TRIALS = 3
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: The committed artifact: its per-point digests are the identity oracle.
+COMMITTED_PATH = os.path.join(_ROOT, "BENCH_fanin.json")
 OUT_PATH = os.environ.get("BENCH_FANIN_OUT", "BENCH_fanin.json")
 
 INTERVAL = 5.0
 METRICS = 10
 DURATION = 30.0
 
-#: Fan-out of the sharded sweep (check 3).  Workers are forked
+#: Fan-out of the sharded sweep (check 2).  Workers are forked
 #: processes; on a host with fewer cores they serialize harmlessly.
 SHARD_WORKERS = 4
-
-_FAST_VARS = ("REPRO_TIMER_WHEEL", "REPRO_BATCH_FLUSH", "REPRO_GC_PAUSE",
-              "REPRO_ARENA")
 
 #: Full sweep measured on the reference dev box before the fast-path
 #: work landed (plain binary-heap scheduler, per-record flush, per-set
@@ -94,35 +69,21 @@ _PRE_FASTPATH_BASELINE = {
 }
 
 
-def _set_fastpath(enabled: bool) -> None:
-    for var in _FAST_VARS:
-        os.environ[var] = "1" if enabled else "0"
-    # Not a boolean: worker count.  Fast = point inside a forked shard
-    # worker (fork overhead charged to the fast side), slow = inline.
-    os.environ["REPRO_SHARDS"] = "2" if enabled else "0"
-
-
-def _measure(n: int, scale: int, pause_build: bool = False) -> dict:
+def _measure(n: int) -> dict:
     """Build+run one sweep point in *this* process; returns a dict with
-    the wall split (build / ramp-up / steady), logical event counts,
-    completeness, and the row digest.
-
-    ``events`` is the logical event count — heap-processed plus
-    cohort-vectorized member events — so it is invariant across the
-    ``REPRO_ARENA`` toggle.  ``pause_build`` reproduces
-    ``sweep_transport``'s unconditional GC pause around build+run (the
-    shipped sweep path); the relative A/B leaves it off so
-    ``REPRO_GC_PAUSE`` is the only GC difference.
+    the wall split (build / ramp-up / steady), logical event counts
+    (heap-processed plus cohort-vectorized member events),
+    completeness, and the row digest.  The cyclic GC is paused around
+    build+run, as ``sweep_transport`` (the shipped sweep path) does.
     """
     from repro.experiments.fanin import _build, _rows_digest
 
     gc.collect()
-    if pause_build:
-        gc.disable()
+    gc.disable()
     try:
         t0 = time.perf_counter()
         eng, env, agg, agg_x, store = _build(n, "sock", INTERVAL, METRICS,
-                                             DURATION, scale=scale)
+                                             DURATION, scale=1)
         t1 = time.perf_counter()
         eng.run(until=min(INTERVAL, DURATION))
         ramp_events = eng.events_processed + eng.vectorized_events
@@ -130,8 +91,7 @@ def _measure(n: int, scale: int, pause_build: bool = False) -> dict:
         eng.run(until=DURATION)
         t3 = time.perf_counter()
     finally:
-        if pause_build:
-            gc.enable()
+        gc.enable()
     expected = n * (DURATION / INTERVAL - 1)
     completeness = min(len(store.rows) / expected, 1.0)
     tracker = agg.freshness.fleet(env.now())["completeness"]
@@ -153,48 +113,6 @@ def _measure(n: int, scale: int, pause_build: bool = False) -> dict:
     }
 
 
-def _run_point(n: int, scale: int, pause_build: bool = False) -> dict:
-    """One sweep point, honouring ``REPRO_SHARDS``: inline when off,
-    inside a forked shard worker when >= 2 (the wall then includes the
-    fork and result pickling — the full cost of the sharded path)."""
-    from repro.sim.shard import run_parallel, shards_default
-
-    if shards_default() < 2:
-        return _measure(n, scale, pause_build)
-    t0 = time.perf_counter()
-    (res,) = run_parallel(lambda m: _measure(m, scale, pause_build), [n], 1)
-    res["wall"] = time.perf_counter() - t0
-    return res
-
-
-def check_relative() -> tuple[float, bool]:
-    from repro.transport.base import get_transport_profile
-
-    n = get_transport_profile("sock").max_connections
-    best = 0.0
-    identical = True
-    for trial in range(TRIALS):
-        _set_fastpath(True)
-        fast = _run_point(n, 1)
-        _set_fastpath(False)
-        slow = _run_point(n, 1)
-        _set_fastpath(True)
-        speedup = slow["wall"] / fast["wall"]
-        match = fast["digest"] == slow["digest"]
-        identical = identical and match
-        print(f"trial {trial}: "
-              f"fast {fast['wall']:6.2f}s "
-              f"({int(fast['events'] / fast['wall'])} ev/s)  "
-              f"slow {slow['wall']:6.2f}s "
-              f"({int(slow['events'] / slow['wall'])} ev/s)  "
-              f"speedup {speedup:.2f}x  "
-              f"rows {'identical' if match else 'DIVERGED'}")
-        best = max(best, speedup)
-        if best >= MIN_SPEEDUP and identical:
-            break  # already demonstrably fast enough
-    return best, identical
-
-
 def _point_row(n: int, res: dict) -> dict:
     return {"n_samplers": n, "wall_s": round(res["wall"], 3),
             "build_s": round(res["build_s"], 3),
@@ -214,15 +132,13 @@ def check_full_scale() -> dict:
     from repro.experiments.fanin import default_sizes
     from repro.transport.base import get_transport_profile
 
-    _set_fastpath(True)
-    os.environ["REPRO_SHARDS"] = "0"  # inline: the sharded A/B reference
     sizes = default_sizes("sock")
     cap = get_transport_profile("sock").max_connections
     per_point = []
     total_wall = 0.0
     total_events = 0
     for n in sizes:
-        res = _run_point(n, scale=1, pause_build=True)
+        res = _measure(n)
         per_point.append(_point_row(n, res))
         total_wall += res["wall"]
         total_events += res["events"]
@@ -247,7 +163,7 @@ def check_full_scale() -> dict:
         "total_wall_s": round(total_wall, 2),
         "total_events": total_events,
         "events_note": ("events = heap-processed + cohort-vectorized "
-                        "member events (invariant across REPRO_ARENA)"),
+                        "member events"),
         "phase_note": ("headline events_per_s divides by the whole "
                        "point wall; build (topology + daemon "
                        "construction) and ramp-up (the n-producer "
@@ -264,7 +180,7 @@ def check_full_scale() -> dict:
 
 
 def check_sharded(inline: dict) -> dict:
-    """Check 3: the full sweep fanned out across forked shard workers.
+    """Check 2: the full sweep fanned out across forked shard workers.
 
     Byte-identity is the gate: every point's row digest must equal the
     inline sweep's digest for the same point.  Rates are reported
@@ -275,13 +191,10 @@ def check_sharded(inline: dict) -> dict:
     from repro.experiments.fanin import default_sizes
     from repro.sim.shard import run_parallel
 
-    _set_fastpath(True)
-    os.environ["REPRO_SHARDS"] = "0"  # workers run their points inline
     sizes = default_sizes("sock")
     nworkers = max(1, min(SHARD_WORKERS, len(sizes)))
     t0 = time.perf_counter()
-    results = run_parallel(lambda n: _measure(n, 1, pause_build=True),
-                           sizes, nworkers)
+    results = run_parallel(_measure, sizes, nworkers)
     wall = time.perf_counter() - t0
     per_point = [_point_row(n, res) for n, res in zip(sizes, results)]
     inline_digests = {p["n_samplers"]: p["rows_sha256"]
@@ -332,18 +245,11 @@ def check_sharded(inline: dict) -> dict:
 
 
 def main() -> int:
-    print("== relative fast-path check (sock @ full capacity) ==")
-    best, identical = check_relative()
-    print(f"best speedup: {best:.2f}x  (required >= {MIN_SPEEDUP}x)")
-    if best < MIN_SPEEDUP:
-        print("FAIL: fast paths no longer deliver the required speedup")
-        return 1
-    if not identical:
-        print("FAIL: fast/slow variants produced different stored rows — "
-              "the arena/shard byte-identity contract is broken")
-        return 1
+    with open(COMMITTED_PATH) as f:
+        committed = {p["n_samplers"]: p["rows_sha256"]
+                     for p in json.load(f)["points"]}
 
-    print("\n== full-scale sock sweep (inline) ==")
+    print("== full-scale sock sweep (inline) ==")
     report = check_full_scale()
     print(f"knee {report['knee']} (capacity {report['profile_capacity']}), "
           f"{report['total_wall_s']}s, {report['events_per_s']} events/s")
@@ -372,6 +278,13 @@ def main() -> int:
     with open(OUT_PATH, "w") as f:
         json.dump(report, f, indent=2)
     print(f"wrote {OUT_PATH}")
+    moved = [p["n_samplers"] for p in report["points"]
+             if p["rows_sha256"] != committed.get(p["n_samplers"])]
+    if moved:
+        print(f"FAIL: stored rows at n={moved} differ from the digests "
+              f"committed in {COMMITTED_PATH} — the simulated history "
+              "changed; if that is intended, commit the regenerated file")
+        return 1
     if not sharded["digests_match_inline"]:
         print("FAIL: sharded sweep rows diverged from the inline sweep — "
               "the shard byte-identity contract is broken")
@@ -389,6 +302,5 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, os.path.join(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))), "src"))
+    sys.path.insert(0, os.path.join(_ROOT, "src"))
     sys.exit(main())

@@ -61,7 +61,7 @@ def build_unit(outdir, instrumented: bool, n: int = N_METRICS,
     # The PR-7 observability plane: freshness tracking per stored
     # update, a flight-recorder event per flush, and span recording for
     # the exemplar-sampled traces — same call shape as the daemon's
-    # _complete_update/_flush_record paths.
+    # _complete_update/_flush_rows paths.
     flight = FlightRecorder("bench", enabled=instrumented)
     spans = SpanRecorder("bench", enabled=instrumented)
     freshness = FreshnessTracker(enabled=instrumented)
@@ -95,7 +95,7 @@ def build_unit(outdir, instrumented: bool, n: int = N_METRICS,
             trace.t_fetched = now
             trace.t_validated = now
         h_update.observe(now - t_issue)
-        # store delivery (Ldmsd._deliver_to_stores / _flush_record)
+        # store delivery (Ldmsd._deliver_to_stores / _flush_rows)
         rec = StoreRecord.from_set(mirror, "n0")
         t_submit = clock()
         if trace is not None:
@@ -109,7 +109,7 @@ def build_unit(outdir, instrumented: bool, n: int = N_METRICS,
         if trace is not None:
             trace.t_store_done = t_done
         tracer.finish(trace, "stored")
-        # observability plane (aggregator _complete_update/_flush_record)
+        # observability plane (aggregator _complete_update/_flush_rows)
         if fresh is not None:
             fresh.observe(mirror.timestamp, 0)
         flight_record(t_done, "store", "flush", 1, 0)

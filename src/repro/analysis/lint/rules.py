@@ -494,7 +494,7 @@ class ObsHotpathDisciplineRule(Rule):
         "do_sample", "store", "store_many",
         "_finish_sample", "_complete_update", "_multi_data",
         "_issue_update", "_issue_update_multi",
-        "_flush_record", "_flush_rows", "_deliver", "_deliver_staged",
+        "_flush_rows", "_deliver", "_deliver_staged",
         "_on_traced_read",
     )
     #: Instrument entry points: ``<recv>.record/observe/start/finish``

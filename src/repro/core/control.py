@@ -307,7 +307,7 @@ class ControlChannel:
                     "fallback_sets":
                         d.obs.counter("arena.fallback_sets").value,
                     # Schema-stable: zeroed, not None/omitted, when the
-                    # columnar plane is off (REPRO_ARENA=0).
+                    # columnar plane is off (no arena in this env).
                     "pool": (d.set_pool.stats()
                              if d.set_pool is not None
                              else {"arenas": 0, "blocks": 0, "rows": 0}),

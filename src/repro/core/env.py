@@ -410,15 +410,16 @@ class _SimPool(WorkerPool):
 class SimEnv(Env):
     """Environment bound to a simulation engine."""
 
-    def __init__(self, engine: Engine, arena: bool | None = None):
+    def __init__(self, engine: Engine, arena: bool = True):
         self.engine = engine
         self.pools: list[_SimPool] = []
-        # Columnar data plane (REPRO_ARENA): one shared set-arena pool
-        # and sampler-cohort scheduler per environment.  None when
-        # reverted, which every consumer treats as "scalar path".
-        from repro.core.set_arena import CohortScheduler, SetArenaPool, arena_default
+        # Columnar data plane: one shared set-arena pool and
+        # sampler-cohort scheduler per environment.  ``arena=False``
+        # leaves both None, which every consumer treats as "scalar
+        # path" — the reference the identity tests compare against.
+        from repro.core.set_arena import CohortScheduler, SetArenaPool
 
-        if arena_default() if arena is None else bool(arena):
+        if arena:
             self.set_arena_pool: Optional[SetArenaPool] = SetArenaPool()
             self.cohort_scheduler: Optional[CohortScheduler] = CohortScheduler(engine)
         else:

@@ -23,7 +23,6 @@ examples over real TCP) and inside the discrete-event simulator
 from __future__ import annotations
 
 import dataclasses
-import os
 from functools import partial
 from typing import Optional
 
@@ -47,7 +46,7 @@ from repro.obs.spans import HOP_SAMPLE, HOP_STORE
 from repro.sim.resources import CpuCore
 from repro.sim.shard import runtime_snapshot as shard_runtime_snapshot
 from repro.transport.base import Endpoint, Listener, Transport
-from repro.util.errors import ConfigError, OutOfMemory, StoreError
+from repro.util.errors import ConfigError, OutOfMemory
 from repro.util.rngtools import stable_seed
 from repro.util.units import parse_size
 
@@ -61,6 +60,9 @@ CONNECT_CPU_COST = 50e-6
 #: Simulated store cost: per record base + per metric formatting cost.
 STORE_BASE_COST = 10e-6
 STORE_PER_METRIC_COST = 4e-6
+#: Upper bound on rows drained per flush-task wakeup (bounds the
+#: in-memory batch buffer).
+FLUSH_BATCH_MAX = 256
 #: Simulated query-serving cost: per request base (parse + index
 #: bisect) + per returned row (record decode + serialization).  The
 #: query runs on the worker pool, so p95/p99 under load reflect pool
@@ -74,10 +76,6 @@ class _SamplerSchedule:
         self.plugin = plugin
         self.interval = interval
         self.handle = handle
-
-
-def _batch_flush_default() -> bool:
-    return os.environ.get("REPRO_BATCH_FLUSH", "1") not in ("0", "false", "off")
 
 
 class _StagedRow:
@@ -109,17 +107,17 @@ class _FlushBatch:
     """Pending rows for one store, drained in bulk by a flush task.
 
     ``seal()`` runs when a flush worker is acquired: it claims up to
-    ``maxrows`` pending rows and returns their summed simulated cost
-    (identical to what the per-record path would have charged, so pool
-    busy-time accounting — the §IV-D utilization numbers — is
-    unchanged; only the heap-event count per row collapses).
+    ``FLUSH_BATCH_MAX`` pending rows and returns their summed simulated
+    cost (base + per-metric for every row, so pool busy-time accounting
+    — the §IV-D utilization numbers — is per record while the
+    heap-event count is per batch).  The split is two steps, so under
+    real threads the caller holds the daemon lock against appends.
     """
 
-    __slots__ = ("store", "maxrows", "rows", "sealed", "scheduled")
+    __slots__ = ("store", "rows", "sealed", "scheduled")
 
-    def __init__(self, store: StorePlugin, maxrows: int):
+    def __init__(self, store: StorePlugin):
         self.store = store
-        self.maxrows = maxrows
         #: pending (record, t_submit, trace) rows, append order
         self.rows: list[tuple] = []
         self.sealed: Optional[list[tuple]] = None
@@ -127,12 +125,12 @@ class _FlushBatch:
 
     def seal(self) -> float:
         rows = self.rows
-        if len(rows) <= self.maxrows:
+        if len(rows) <= FLUSH_BATCH_MAX:
             self.sealed = rows
             self.rows = []
         else:
-            self.sealed = rows[: self.maxrows]
-            self.rows = rows[self.maxrows:]
+            self.sealed = rows[:FLUSH_BATCH_MAX]
+            self.rows = rows[FLUSH_BATCH_MAX:]
         cost = STORE_BASE_COST * len(self.sealed)
         for record, _t, _tr in self.sealed:
             vals = record.values
@@ -170,14 +168,6 @@ class Ldmsd:
         (:class:`repro.obs.Telemetry`) and pipeline tracer are live.
         Disabled, every hook degrades to a shared no-op instrument and
         the update path allocates no trace objects.
-    batch_flush:
-        Coalesce store deliveries into per-store batches drained whole
-        by one flush-pool task (the vectorized flush path).  Default is
-        on; ``REPRO_BATCH_FLUSH=0`` turns it off process-wide (for
-        A/B determinism and regression benchmarks).
-    flush_batch_max:
-        Upper bound on rows drained per flush-task wakeup (bounds the
-        in-memory batch buffer).
     """
 
     def __init__(
@@ -192,8 +182,6 @@ class Ldmsd:
         core: Optional[CpuCore] = None,
         fs=None,
         obs_enabled: bool = True,
-        batch_flush: Optional[bool] = None,
-        flush_batch_max: int = 256,
     ):
         self.name = name
         self._own_env = env is None
@@ -256,9 +244,9 @@ class Ldmsd:
         self._c_arena_rows = self.obs.counter("arena.rows_vectorized")
         self._c_arena_fallback = self.obs.counter("arena.fallback_sets")
 
-        #: Columnar data plane (REPRO_ARENA): the environment-wide
-        #: set-arena pool and sampler-cohort scheduler, or None when
-        #: reverted / under RealEnv.  All sets this daemon creates or
+        #: Columnar data plane: the environment-wide set-arena pool
+        #: and sampler-cohort scheduler, or None under RealEnv and
+        #: ``SimEnv(arena=False)``.  All sets this daemon creates or
         #: mirrors are arena-row-backed when the pool is present.
         self.set_pool = getattr(env, "set_arena_pool", None)
         self._cohort_scheduler = getattr(env, "cohort_scheduler", None)
@@ -269,9 +257,6 @@ class Ldmsd:
 
         self.update_cpu_cost = UPDATE_CPU_COST
         self.connect_cpu_cost = CONNECT_CPU_COST
-        self.batch_flush = (_batch_flush_default() if batch_flush is None
-                            else bool(batch_flush))
-        self.flush_batch_max = int(flush_batch_max)
         self._flush_batches: dict[StorePlugin, _FlushBatch] = {}
 
         self._sets: dict[str, MetricSet] = {}
@@ -397,8 +382,8 @@ class Ldmsd:
             # Columnar fast path: same-phase, same-pattern samplers ride
             # one cohort sweep (one timer + one finish event for the
             # whole node class) instead of per-instance events.  The
-            # scalar path below is the REPRO_ARENA=0 behavior and the
-            # fallback for anything the sweep cannot vectorize.
+            # scalar path below serves environments without an arena
+            # and anything the sweep cannot vectorize.
             sched = self._cohort_scheduler
             if sched is not None:
                 veckey = plugin.cohort_key()
@@ -953,8 +938,7 @@ class Ldmsd:
     ) -> None:
         if not self.stores:
             return
-        if (self.batch_flush and self.set_pool is not None
-                and mirror._ab is not None):
+        if self.set_pool is not None and mirror._ab is not None:
             self._deliver_staged(producer, mirror, trace)
             return
         record = StoreRecord.from_set(mirror, producer.cfg.name)
@@ -967,30 +951,10 @@ class Ldmsd:
         # timestamp carried in the data chunk) -> store hand-off here.
         self._h_sample_to_store.observe(max(now - record.timestamp, 0.0))
         matched = False
-        if self.batch_flush:
-            for store in self.stores:
-                if store.wants(record):
-                    matched = True
-                    batch = self._flush_batches.get(store)
-                    if batch is None:
-                        batch = _FlushBatch(store, self.flush_batch_max)
-                        self._flush_batches[store] = batch
-                    batch.rows.append((record, now, trace))
-                    if not batch.scheduled:
-                        batch.scheduled = True
-                        self.flush_pool.submit(
-                            partial(self._flush_batched, batch),
-                            cost=batch.seal, core=self.core, tag="store",
-                        )
-        else:
-            cost = STORE_BASE_COST + STORE_PER_METRIC_COST * len(record.values)
-            for store in self.stores:
-                if store.wants(record):
-                    matched = True
-                    self.flush_pool.submit(
-                        lambda s=store: self._flush_record(s, record, now, trace),
-                        cost=cost, core=self.core, tag="store",
-                    )
+        for store in self.stores:
+            if store.wants(record):
+                matched = True
+                self._enqueue_flush(store, record, now, trace)
         if not matched:
             self._c_store_no_match.inc()
 
@@ -1000,7 +964,7 @@ class Ldmsd:
         """Columnar delivery: stage a raw arena-row snapshot per store.
 
         Accounting (delivery count, sample->store latency, no-match
-        counter, trace stamps) matches the per-record path exactly;
+        counter, trace stamps) matches the scalar delivery exactly;
         only :class:`StoreRecord` construction moves into the flush
         drain, where every staged row of one layout decodes as a single
         2-D numpy sweep.  The snapshot pins the delivered bytes, so a
@@ -1022,35 +986,28 @@ class Ldmsd:
             return
         staged = _StagedRow(bytes(mirror._data), ts, producer.cfg.name, mirror)
         for store in stores:
-            batch = self._flush_batches.get(store)
-            if batch is None:
-                batch = _FlushBatch(store, self.flush_batch_max)
-                self._flush_batches[store] = batch
-            batch.rows.append((staged, now, trace))
-            if not batch.scheduled:
-                batch.scheduled = True
-                self.flush_pool.submit(
-                    partial(self._flush_batched, batch),
-                    cost=batch.seal, core=self.core, tag="store",
-                )
+            self._enqueue_flush(store, staged, now, trace)
 
-    def _flush_record(self, store: StorePlugin, record: StoreRecord,
-                      t_submit: float, trace) -> None:
-        """Flush-pool task: write one record, time it, survive failures."""
-        try:
-            store.submit(record)
-        except StoreError:
-            # submit() wraps any backend failure in StoreError after
-            # counting it (records_failed); keep the flush worker alive
-            # and surface it in telemetry.
-            self._c_store_errors.inc()
-            return
-        end = self.env.now()
-        self._h_store_flush.observe(end - t_submit)
-        self.flight.record(end, "store", "flush", 1)
-        if trace is not None:
-            trace.t_store_done = end
-            self._record_store_span(trace, t_submit, end)
+    def _enqueue_flush(self, store: StorePlugin, row, now: float,
+                       trace) -> None:
+        """Append one delivery to ``store``'s pending batch and make
+        sure a flush task is on its way (caller holds the daemon lock).
+
+        ``scheduled`` is true whenever rows are pending: the flush task
+        clears it under the same lock, only after finding none."""
+        batch = self._flush_batches.get(store)
+        if batch is None:
+            batch = self._flush_batches[store] = _FlushBatch(store)
+        batch.rows.append((row, now, trace))
+        if not batch.scheduled:
+            batch.scheduled = True
+            self._submit_flush(batch)
+
+    def _submit_flush(self, batch: _FlushBatch) -> None:
+        self.flush_pool.submit(
+            partial(self._flush_batched, batch),
+            cost=batch.seal, core=self.core, tag="store",
+        )
 
     def _record_store_span(self, trace, t_submit: float, end: float) -> None:
         """Store-flush span of one traced transaction (exemplar path)."""
@@ -1064,21 +1021,20 @@ class Ldmsd:
         """Flush-pool task: drain one sealed batch through the store's
         vectorized write, then reschedule if rows accumulated while the
         worker was busy (a loaded flush thread runs back-to-back)."""
-        rows = batch.sealed
-        if rows is None:
-            # RealEnv pools never evaluate the cost callable; seal here.
-            batch.seal()
-            rows = batch.sealed
-        batch.sealed = None
+        with self.lock:
+            if batch.sealed is None:
+                # RealEnv pools never evaluate the cost callable; seal here.
+                batch.seal()
+            rows, batch.sealed = batch.sealed, None
+        # The store write stays outside the daemon lock: deliveries keep
+        # appending to batch.rows while this worker is in the backend.
         if rows and not self._shutdown:
             self._flush_rows(batch.store, rows)
-        if batch.rows and not self._shutdown:
-            self.flush_pool.submit(
-                partial(self._flush_batched, batch),
-                cost=batch.seal, core=self.core, tag="store",
-            )
-        else:
-            batch.scheduled = False
+        with self.lock:
+            if batch.rows and not self._shutdown:
+                self._submit_flush(batch)
+            else:
+                batch.scheduled = False
 
     #: Staged groups below this size decode row-by-row: reshaping a
     #: couple of rows through numpy costs more than two struct unpacks.
@@ -1183,7 +1139,7 @@ class Ldmsd:
                 "records_delivered": self.records_delivered,
                 # Schema-stable for pollers: the arena keys are always
                 # present — zeroed, not dropped, when the columnar plane
-                # is off (REPRO_ARENA=0 or mid-run disablement).
+                # is off (no arena in this environment).
                 "set_pool": (self.set_pool.stats()
                              if self.set_pool is not None
                              else {"arenas": 0, "blocks": 0, "rows": 0}),

@@ -244,7 +244,7 @@ class MetricSet:
             raise
         self._meta = arena.view(self._meta_off, self.meta_size)
         if pool is not None:
-            # Columnar backing (REPRO_ARENA): the data chunk is a row of
+            # Columnar backing (set arena): the data chunk is a row of
             # a shared per-layout numpy block, so population-wide sweeps
             # can touch every same-schema set in one vectorized op.  The
             # daemon Arena reservation above still stands — footprint

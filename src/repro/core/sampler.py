@@ -128,7 +128,7 @@ class SamplerPlugin:
     def do_sample(self, now: float) -> None:
         raise NotImplementedError
 
-    # -- columnar cohort protocol (REPRO_ARENA) --------------------------------
+    # -- columnar cohort protocol (set arena) ---------------------------------
     def cohort_key(self):
         """Vectorization key for arena sampler cohorts, or None.
 

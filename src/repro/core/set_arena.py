@@ -20,13 +20,13 @@ arena row — but the hot loops gain whole-population sweeps:
 
 Everything is DES-pure: cohort members replicate the exact per-member
 accounting (worker-pool grants, busy time, transaction flags, sanitizer
-commits) of the scalar path, so same-seed runs are byte-identical with
-``REPRO_ARENA=0`` (the revert switch, mirroring ``REPRO_TIMER_WHEEL``).
+commits) of the scalar path, so same-seed runs are byte-identical to
+the scalar reference the tier-1 identity tests build with
+``SimEnv(engine, arena=False)``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -38,8 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ldmsd import Ldmsd
     from repro.core.sampler import SamplerPlugin
 
-__all__ = ["SetArenaPool", "ArenaBlock", "SampleCohort", "CohortScheduler",
-           "arena_default"]
+__all__ = ["SetArenaPool", "ArenaBlock", "SampleCohort", "CohortScheduler"]
 
 # Data-chunk header geometry (mirrors repro.core.metric_set).
 _MGN_OFF = 0
@@ -53,11 +52,6 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 #: reallocated (live memoryviews alias their rows); growth chains new
 #: blocks, so a 9,216-set population lands in four allocations.
 _BLOCK_CAPS = (256, 1024, 4096, 8192)
-
-
-def arena_default() -> bool:
-    """Whether the columnar arena data plane is enabled (REPRO_ARENA)."""
-    return os.environ.get("REPRO_ARENA", "1") not in ("0", "false", "off")
 
 
 class ArenaBlock:

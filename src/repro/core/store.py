@@ -139,8 +139,8 @@ class StorePlugin:
 
         A record the policy rejects counts as *dropped*; a ``store()``
         that raises counts as *failed* and re-raises as
-        :class:`~repro.util.errors.StoreError` so the flush worker has
-        one narrow type to catch.  Both counters surface in
+        :class:`~repro.util.errors.StoreError` so the caller has one
+        narrow type to catch.  Both counters surface in
         ``Ldmsd.stats()`` next to ``records_stored``.
         """
         if not self.wants(record):

@@ -79,7 +79,7 @@ class SyntheticSampler(SamplerPlugin):
             vals = [int(v) for v in self.rng.integers(0, 2**32, size=n)]
         self.set.set_values(vals)
 
-    # -- columnar cohort protocol (REPRO_ARENA) ----------------------------
+    # -- columnar cohort protocol (set arena) -----------------------------
     def cohort_key(self):
         # Deterministic patterns produce the same row for every instance
         # at the same tick; "random" draws per-instance and must stay on

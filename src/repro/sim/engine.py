@@ -25,10 +25,8 @@ mechanisms exploit that shape without changing observable order:
   O(log n) heap push, and the run loop drains a whole equal-time batch
   per heap pop.  A bucket stays registered while it drains, so an item
   scheduled at ``now`` from inside a callback joins the live batch —
-  exactly where a plain heap would have popped it.  FIFO tie-break
-  order is therefore identical with the wheel on or off (toggle with
-  ``timer_wheel=`` or ``REPRO_TIMER_WHEEL=0``; off = one singleton
-  bucket per push, same drain path).
+  exactly where a plain heap would have popped it, so FIFO tie-break
+  order is that of a plain binary heap.
 * **Bare timers.**  :meth:`Engine.call_later` returns a slotted
   :class:`_Timer` (a callback + args, no Event state machine, no
   per-tick lambda), and :meth:`Engine.schedule_periodic` reschedules a
@@ -43,7 +41,6 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
-import os
 from typing import Any, Callable
 
 from repro.util.errors import SimulationError
@@ -273,14 +270,6 @@ class AnyOf(_Condition):
         self.succeed(ev)
 
 
-def _wheel_default() -> bool:
-    return os.environ.get("REPRO_TIMER_WHEEL", "1") not in ("0", "false", "off")
-
-
-def _gc_pause_default() -> bool:
-    return os.environ.get("REPRO_GC_PAUSE", "1") not in ("0", "false", "off")
-
-
 class Engine:
     """The simulation event loop.
 
@@ -292,7 +281,7 @@ class Engine:
     [2.5]
     """
 
-    def __init__(self, start: float = 0.0, timer_wheel: bool | None = None):
+    def __init__(self, start: float = 0.0):
         self._now = float(start)
         # One heap entry per distinct pending timestamp; the payload is
         # the bucket (list of items) for that instant.
@@ -300,14 +289,6 @@ class Engine:
         self._buckets: dict[float, list] = {}
         self._seq = itertools.count()
         self._nprocessed = 0
-        self._wheel = _wheel_default() if timer_wheel is None else bool(timer_wheel)
-        # Pause the cyclic collector while draining (REPRO_GC_PAUSE=0
-        # disables).  The drain loop allocates millions of short-lived
-        # acyclic objects (frames, timers, tuples); generational GC
-        # rescans them repeatedly without ever freeing a cycle, costing
-        # ~40% of wall time at 9,000-sampler fan-in.  Refcounting still
-        # frees everything promptly; collection resumes on return.
-        self._gc_pause = _gc_pause_default()
         # Partially drained batch left behind by step(); run() resumes it.
         self._cur_batch: list | None = None
         self._cur_idx = 0
@@ -336,11 +317,6 @@ class Engine:
     @property
     def events_processed(self) -> int:
         return self._nprocessed
-
-    @property
-    def timer_wheel(self) -> bool:
-        """Whether the bucketed calendar queue is active."""
-        return self._wheel
 
     # -- event construction ----------------------------------------------
     def event(self) -> Event:
@@ -390,14 +366,11 @@ class Engine:
     def _push(self, item, delay: float) -> None:
         """Schedule ``item`` (anything with ``_fire()``) after ``delay``."""
         when = self._now + delay
-        if self._wheel:
-            bucket = self._buckets.get(when)
-            if bucket is not None:
-                bucket.append(item)
-                return
-            self._buckets[when] = bucket = [item]
-        else:
-            bucket = [item]
+        bucket = self._buckets.get(when)
+        if bucket is not None:
+            bucket.append(item)
+            return
+        self._buckets[when] = bucket = [item]
         heapq.heappush(self._heap, (when, next(self._seq), bucket))
 
     # -- running -----------------------------------------------------------
@@ -424,8 +397,7 @@ class Engine:
             # live batch; only retire it once fully drained.
             if self._cur_batch is batch and self._cur_idx >= len(batch):
                 self._cur_batch = None
-                if self._buckets.get(self._now) is batch:
-                    del self._buckets[self._now]
+                del self._buckets[self._now]
 
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if none."""
@@ -442,7 +414,13 @@ class Engine:
         * ``until=<Event>`` — run until that event has been processed and
           return its value (raising if it failed).
         """
-        paused = self._gc_pause and gc.isenabled()
+        # Pause the cyclic collector while draining.  The drain loop
+        # allocates millions of short-lived acyclic objects (frames,
+        # timers, tuples); generational GC rescans them repeatedly
+        # without ever freeing a cycle, costing ~40% of wall time at
+        # 9,000-sampler fan-in.  Refcounting still frees everything
+        # promptly; collection resumes on return.
+        paused = gc.isenabled()
         if paused:
             gc.disable()
         try:
@@ -511,12 +489,11 @@ class Engine:
                 del batch[:i]
                 if batch:
                     heapq.heappush(heap, (when, next(self._seq), batch))
-                elif buckets.get(when) is batch:
+                else:
                     del buckets[when]
                 raise
             nproc += i
-            if buckets.get(when) is batch:
-                del buckets[when]
+            del buckets[when]
         self._nprocessed = nproc
         if deadline != float("inf"):
             self._now = deadline

@@ -2,78 +2,20 @@
 
 The bucketed calendar queue, the zero-allocation periodic timers, the
 inline pool-grant fast path, and the GC pause are pure performance
-mechanisms: with the wheel on or off, a same-seed run must produce the
-same simulated history — byte-for-byte identical stored output — and
-equal-time events must fire in FIFO scheduling order, including work
-appended to the live batch from inside a firing callback.
+mechanisms: equal-time events must fire in the FIFO scheduling order of
+a plain binary heap, including work appended to the live batch from
+inside a firing callback.
 """
 
 import gc
-import os
+import pathlib
+import re
 
 import pytest
 
-import repro.plugins  # noqa: F401
-from repro.core import Ldmsd, SimEnv
+from repro.core import SimEnv
 from repro.core.env import RealEnv
 from repro.sim.engine import Engine
-from repro.transport.simfabric import SimFabric, SimTransport
-
-
-def _read_csv_dir(path: str) -> bytes:
-    """Concatenate every CSV file the store wrote, in sorted order."""
-    blobs = []
-    for name in sorted(os.listdir(path)):
-        with open(os.path.join(path, name), "rb") as f:
-            blobs.append(f.read())
-    return b"".join(blobs)
-
-
-def _fanin_world(timer_wheel: bool, csv_path: str, n: int = 16):
-    """A small sock fan-in: n samplers, one aggregator, CSV storage."""
-    eng = Engine(timer_wheel=timer_wheel)
-    env = SimEnv(eng)
-    fabric = SimFabric(eng)
-    samplers = []
-    for i in range(n):
-        x = SimTransport(fabric, "sock", node_id=i)
-        d = Ldmsd(f"n{i}", env=env, transports={"sock": x}, mem="8kB")
-        d.load_sampler("synthetic", instance=f"n{i}/syn", component_id=i + 1,
-                       num_metrics=4)
-        d.start_sampler(f"n{i}/syn", interval=1.0)
-        d.listen("sock", f"n{i}:411")
-        samplers.append(d)
-    agg = Ldmsd("agg", env=env,
-                transports={"sock": SimTransport(fabric, "sock", node_id="agg")})
-    store = agg.add_store("store_csv", path=csv_path)
-    for i in range(n):
-        agg.add_producer(f"n{i}", "sock", f"n{i}:411", interval=1.0,
-                         sets=(f"n{i}/syn",))
-    return eng, agg, store
-
-
-class TestWheelTransparency:
-    """Acceptance: wheel on/off runs are byte-identical."""
-
-    def test_fanin_csv_identical_with_wheel_on_and_off(self, tmp_path):
-        outputs = {}
-        for wheel in (True, False):
-            path = tmp_path / f"wheel_{wheel}"
-            path.mkdir()
-            eng, agg, store = _fanin_world(wheel, str(path))
-            eng.run(until=10.0)
-            store.close()
-            outputs[wheel] = _read_csv_dir(str(path))
-        assert outputs[True] == outputs[False]
-        assert outputs[True]  # non-empty: rows actually flushed
-
-    def test_event_counts_identical_with_wheel_on_and_off(self, tmp_path):
-        counts = {}
-        for wheel in (True, False):
-            eng, agg, _ = _fanin_world(wheel, str(tmp_path / f"c{wheel}.csv"))
-            eng.run(until=5.0)
-            counts[wheel] = eng.events_processed
-        assert counts[True] == counts[False]
 
 
 class TestEqualTimeFifo:
@@ -105,7 +47,7 @@ class TestEqualTimeFifo:
         assert eng.now == 2.0
 
     def test_mid_batch_append_chain_preserves_fifo(self):
-        eng = Engine(timer_wheel=True)
+        eng = Engine()
         hits = []
 
         def chain(depth):
@@ -233,14 +175,6 @@ class TestGcPause:
         eng.run()
         assert seen == [False]
 
-    def test_env_toggle_disables_pause(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GC_PAUSE", "0")
-        eng = Engine()
-        seen = []
-        eng.call_later(1.0, lambda: seen.append(gc.isenabled()))
-        eng.run()
-        assert seen == [True]
-
     def test_disabled_collector_stays_disabled(self):
         eng = Engine()
         eng.call_later(1.0, lambda: None)
@@ -250,6 +184,20 @@ class TestGcPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+def test_repro_env_switches_are_exactly_the_documented_three():
+    """One implementation per hot path: the only ``REPRO_*`` variables
+    the source reads are modes (sanitizer, shard count, postmortem
+    directory), each named in the README — a revert switch cannot come
+    back undocumented."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    found = set()
+    for path in (root / "src").rglob("*.py"):
+        found.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+    assert found == {"REPRO_SANITIZE", "REPRO_SHARDS", "REPRO_POSTMORTEM_DIR"}
+    readme = (root / "README.md").read_text()
+    assert all(name in readme for name in found)
 
 
 class TestRealEnvTimerCompaction:

@@ -6,12 +6,17 @@ for the stores — the configuration a user deploys on a workstation.
 """
 
 import os
+import sys
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 import repro.plugins  # noqa: F401
 from repro.core import Ldmsd
+from repro.core import ldmsd as ldmsd_mod
+from repro.core.metric import MetricType
 from repro.nodefs.fs import RealFS
 from repro.nodefs.host import HostModel
 
@@ -164,3 +169,67 @@ class TestRealPipeline:
             assert mset.get("MemTotal") == actual
         finally:
             daemon.shutdown()
+
+
+class TestFlushHandOff:
+    """Deliveries append to a store's pending batch under the daemon
+    lock while flush-pool threads seal it and decide whether to
+    reschedule; a hand-off that loses the race strands or drops rows."""
+
+    THREADS = 6  # more deliverers than cores
+    PER_THREAD = 400
+
+    def test_every_row_stored_and_pending_rows_always_scheduled(
+            self, monkeypatch):
+        # A tiny drain bound makes seal() split the pending list on
+        # nearly every wakeup and keeps the flush task rescheduling.
+        monkeypatch.setattr(ldmsd_mod, "FLUSH_BATCH_MAX", 3)
+        total = self.THREADS * self.PER_THREAD
+        unscheduled = []
+        sealed_unlocked = []
+        agg = Ldmsd("agg", transports={}, flush_threads=3)
+        seal = ldmsd_mod._FlushBatch.seal
+
+        def checked_seal(batch):
+            # seal() splits batch.rows in two steps; an append between
+            # them is lost unless the flush thread holds the lock.
+            if not agg.lock._is_owned():
+                sealed_unlocked.append(len(batch.rows))
+            return seal(batch)
+
+        monkeypatch.setattr(ldmsd_mod._FlushBatch, "seal", checked_seal)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            store = agg.add_store("memory")
+            mset = agg.create_set("p/s", "s", [("v", MetricType.U64, 1)])
+            prod = SimpleNamespace(cfg=SimpleNamespace(name="p"))
+
+            def deliver(k):
+                for i in range(self.PER_THREAD):
+                    with agg.lock:  # as Producer._complete_update holds it
+                        mset.set_all([k * self.PER_THREAD + i], float(i))
+                        agg._deliver_to_stores(prod, mset)
+                        for batch in agg._flush_batches.values():
+                            if batch.rows and not batch.scheduled:
+                                unscheduled.append((k, i))
+                    if i % 5 == 0:
+                        time.sleep(0)  # let the flush task drain and idle
+
+            threads = [threading.Thread(target=deliver, args=(k,))
+                       for k in range(self.THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+            # No trailing delivery: whatever is pending must drain on
+            # the flush task already scheduled for it.
+            assert wait_for(lambda: store.records_stored == total), (
+                f"stranded: {store.records_stored}/{total} stored")
+            assert unscheduled == []
+            assert sealed_unlocked == []
+            assert sorted(r.values[0] for r in store.rows) == list(range(total))
+        finally:
+            sys.setswitchinterval(switch)
+            agg.shutdown()

@@ -343,10 +343,7 @@ class TestLdmsdSelfEndToEnd:
 
     def test_arena_metrics_exported_and_surfaced(self, tmp_path):
         from repro.core.control import ControlChannel
-        from repro.core.set_arena import arena_default
 
-        if not arena_default():
-            pytest.skip("columnar arena reverted (REPRO_ARENA=0)")
         _, samp, agg = self._run(tmp_path)
         vals = samp.get_set("s0/self").as_dict()
         for name in ("arena_sweeps", "arena_rows_vectorized",

@@ -3,8 +3,8 @@
 Wire-level trace context, span recording + Chrome export, the
 freshness/completeness tracker, the always-on flight recorder with
 postmortem dumps, and the exemplar-sampling determinism contract
-(same seed => same traced transactions, regardless of sanitizer or
-arena toggles).
+(same seed => same traced transactions, sanitized or not, columnar or
+scalar reference).
 """
 
 import json
@@ -319,7 +319,8 @@ class TestEndToEndChain:
 
 # ---------------------------------------------------------------------------
 # exemplar-sampling determinism (satellite): same seed => identical
-# traced transactions across plain / sanitized / arena-off runs.
+# traced transactions across plain / sanitized / arena-off runs
+# (argv[1] is SimEnv's arena= handle: "1" columnar, "0" scalar reference).
 # ---------------------------------------------------------------------------
 _DETERMINISM_SCRIPT = """
 import json, sys
@@ -328,7 +329,8 @@ from repro.core import Ldmsd, SimEnv
 from repro.sim.engine import Engine
 from repro.transport.simfabric import SimFabric, SimTransport
 
-eng = Engine(); env = SimEnv(eng); fabric = SimFabric(eng)
+eng = Engine(); env = SimEnv(eng, arena=sys.argv[1] == "1")
+fabric = SimFabric(eng)
 samp = Ldmsd("s0", env=env,
              transports={"rdma": SimTransport(fabric, "rdma", node_id="s0")})
 agg = Ldmsd("agg", env=env,
@@ -351,20 +353,19 @@ class TestExemplarDeterminism:
         plain = self._run({})
         assert plain["traced"], "exemplar sampling traced nothing"
         sanitized = self._run({"REPRO_SANITIZE": "1"})
-        arena_off = self._run({"REPRO_ARENA": "0"})
+        arena_off = self._run({}, arena="0")
         assert sanitized == plain
         assert arena_off == plain
 
     @staticmethod
-    def _run(env_overrides):
+    def _run(env_overrides, arena="1"):
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC
         env.pop("REPRO_SANITIZE", None)
-        env["REPRO_ARENA"] = "1"
         env.update(env_overrides)
-        out = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT],
-                             env=env, capture_output=True, text=True,
-                             timeout=120)
+        out = subprocess.run(
+            [sys.executable, "-c", _DETERMINISM_SCRIPT, arena],
+            env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         return json.loads(out.stdout)
 

@@ -1,11 +1,11 @@
 """Determinism and mechanics of the columnar set-arena data plane.
 
-The arena (``REPRO_ARENA``) is a pure performance mechanism: cohort
-sweeps, staged flush materialization, and serve-side gathers must
-produce byte-for-byte the same stored output as the scalar path, with
-and without the runtime sanitizer, and regardless of the PR-5 timer
-wheel — and the cohort's single sweep event must slot into the engine's
-equal-time FIFO exactly where the per-member timers used to fire.
+The arena is a pure performance mechanism: cohort sweeps, staged flush
+materialization, and serve-side gathers must produce byte-for-byte the
+same stored output as the scalar reference (``SimEnv(eng,
+arena=False)``), with and without the runtime sanitizer — and the
+cohort's single sweep event must slot into the engine's equal-time FIFO
+exactly where the per-member timers fire.
 """
 
 import os
@@ -27,10 +27,9 @@ def _read_csv_dir(path: str) -> bytes:
     return b"".join(blobs)
 
 
-def _fanin_world(arena: bool, csv_path: str, n: int = 16,
-                 timer_wheel: bool = True):
+def _fanin_world(arena: bool, csv_path: str, n: int = 16):
     """A small sock fan-in with the arena explicitly on or off."""
-    eng = Engine(timer_wheel=timer_wheel)
+    eng = Engine()
     env = SimEnv(eng, arena=arena)
     fabric = SimFabric(eng)
     samplers = []
@@ -84,23 +83,6 @@ class TestArenaTransparency:
             sanitize.configure(prev)
         assert outputs[True] == outputs[False]
         assert outputs[True]
-
-    def test_csv_identical_across_arena_and_timer_wheel(self, tmp_path):
-        """4-way interaction with the PR-5 wheel: every combination of
-        (arena, wheel) replays the same history."""
-        outputs = {}
-        for arena in (True, False):
-            for wheel in (True, False):
-                path = tmp_path / f"w_{arena}_{wheel}"
-                path.mkdir()
-                eng, _, _, _, store = _fanin_world(
-                    arena, str(path), timer_wheel=wheel)
-                eng.run(until=10.0)
-                store.close()
-                outputs[(arena, wheel)] = _read_csv_dir(str(path))
-        blobs = set(outputs.values())
-        assert len(blobs) == 1
-        assert outputs[(True, True)]
 
     def test_logical_event_count_invariant(self, tmp_path):
         """processed + vectorized is the arena-invariant logical event
@@ -163,7 +145,7 @@ class TestEqualTimeFifoWithCohort:
         state at the shared instant; one scheduled after sees the open
         transaction — the cohort timer occupies exactly the FIFO slot
         the per-member timers had."""
-        eng = Engine(timer_wheel=True)
+        eng = Engine()
         env = SimEnv(eng, arena=True)
         d = Ldmsd("n0", env=env, transports={})
         seen = {}

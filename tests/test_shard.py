@@ -57,10 +57,9 @@ def _reset_shard_runtime():
 
 
 class World:
-    def __init__(self, shard_id=None, nshards=2, lookahead=None, arena=None):
+    def __init__(self, shard_id=None, nshards=2, lookahead=None, arena=True):
         self.engine = Engine()
-        self.env = (SimEnv(self.engine) if arena is None
-                    else SimEnv(self.engine, arena=arena))
+        self.env = SimEnv(self.engine, arena=arena)
         self.fabric = SimFabric(self.engine)
         self.gateway = None
         if shard_id is not None:
@@ -100,7 +99,7 @@ def _rows(store):
             for r in store.rows]
 
 
-def _unsharded(n, duration, profile=PROFILE, arena=None, **store_kwargs):
+def _unsharded(n, duration, profile=PROFILE, arena=True, **store_kwargs):
     w = World(arena=arena)
     _build_samplers(w, n, profile)
     agg, store = _build_agg(w, n, profile, **store_kwargs)
@@ -108,7 +107,7 @@ def _unsharded(n, duration, profile=PROFILE, arena=None, **store_kwargs):
     return w, agg, store
 
 
-def _sharded(n, duration, profile=PROFILE, arena=None, **store_kwargs):
+def _sharded(n, duration, profile=PROFILE, arena=True, **store_kwargs):
     """Samplers on shard 0, aggregator on shard 1, windowed in-process."""
     w0 = World(shard_id=0, arena=arena,
                lookahead=lookahead_of(profile))
@@ -290,11 +289,9 @@ class TestShardsToggle:
         with pytest.raises(ConfigError):
             shards_default()
 
-    @pytest.mark.parametrize("arena_env", ["0", "1"])
-    def test_sweep_identical_across_shard_counts(self, monkeypatch, arena_env):
-        """REPRO_SHARDS=0/2/4 × REPRO_ARENA × sanitizer: same points,
-        same per-point row digests (forked workers inherit the toggles)."""
-        monkeypatch.setenv("REPRO_ARENA", arena_env)
+    def test_sweep_identical_across_shard_counts(self):
+        """REPRO_SHARDS=0/2/4 under the sanitizer: same points, same
+        per-point row digests (forked workers inherit the mode)."""
         prev = sanitize.configure("raise")
         try:
             sizes = [4, 6, 9]
