@@ -19,9 +19,16 @@ machine-independent:
 4. **Determinism.**  The same-seed replay fingerprint — every counter,
    every quantile, and the SHA-256 of the SOS container bytes — must
    match exactly.
+5. **Identity with the committed artifact.**  Every counter, quantile
+   and ``container_sha256`` of the run must equal the committed
+   ``BENCH_query.json`` (read before the run; only ``wall_s`` may
+   differ): the simulated history is a function of the cost model
+   alone, so a host-speed change to the read path moves nothing here,
+   and a number that moves is a behaviour change.  A change that means
+   to move one commits the regenerated file.
 
 Writes the full trajectory to ``BENCH_query.json`` for the CI
-artifact.
+artifact (``BENCH_QUERY_OUT=...`` to leave the committed file alone).
 
     PYTHONPATH=src python benchmarks/check_query.py
 """
@@ -34,6 +41,9 @@ import sys
 import time
 
 MIN_HIT_PERMILLE = 600
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: The committed artifact: the identity oracle.
+COMMITTED_PATH = os.path.join(_ROOT, "BENCH_query.json")
 OUT_PATH = os.environ.get("BENCH_QUERY_OUT", "BENCH_query.json")
 
 N_SAMPLERS = 8
@@ -42,8 +52,21 @@ INTERVAL = 1.0
 DURATION = 120.0
 
 
+def _leaves(doc, prefix: str = "") -> dict:
+    """``{"a.b.c": value}`` for every leaf of a nested JSON object."""
+    if not isinstance(doc, dict):
+        return {prefix: doc}
+    out = {}
+    for key, value in doc.items():
+        out.update(_leaves(value, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
 def main() -> int:
     from repro.experiments import query_load
+
+    with open(COMMITTED_PATH, "r", encoding="utf-8") as f:
+        committed = _leaves(json.load(f))
 
     t0 = time.perf_counter()
     out = query_load.main([
@@ -81,6 +104,14 @@ def main() -> int:
     with open(OUT_PATH, "r", encoding="utf-8") as f:
         doc = json.load(f)
     doc["wall_s"] = round(wall, 3)
+    measured = _leaves(doc)
+    for key in sorted(set(committed) | set(measured)):
+        if key != "wall_s" and committed.get(key) != measured.get(key):
+            failures.append(
+                f"{key} = {measured.get(key)!r} differs from the "
+                f"{committed.get(key)!r} committed in {COMMITTED_PATH} — "
+                "the simulated history changed; if that is intended, "
+                "commit the regenerated file")
     with open(OUT_PATH, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
 
@@ -95,4 +126,5 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(_ROOT, "src"))
     sys.exit(main())

@@ -8,7 +8,12 @@ cross-checks, purely statically:
 * **pack/unpack pairs** — for every ``pack_X``/``unpack_X`` pair in the
   wire module(s), the flattened struct format streams must agree
   (byte order, field codes, widths, loop-repeated groups, and
-  variable-count ``f"<{n}Q"`` segments);
+  variable-count ``f"<{n}Q"`` segments).  Formats are read off
+  ``struct.pack/unpack[_from]`` calls and off ``Struct`` objects —
+  module constants, ``Struct(...)`` built in the function, or handed
+  out by a module-level factory (a cached per-width row Struct); a
+  ``Struct``'s ``iter_unpack``, and a ``pack``/``unpack_from`` bound for
+  reuse rather than called on the spot, count as a repeated group;
 * **slice offsets** — a decoder that reads a fixed header format and
   then slices the payload at a literal offset must slice at exactly
   ``calcsize(header)``;
@@ -38,6 +43,7 @@ from repro.analysis.flow.config import FlowConfig
 from repro.analysis.flow.report import ChainFrame, FlowViolation
 
 _VAR_MARKER = "\x01"
+_STRUCT_METHODS = ("pack", "pack_into", "unpack", "unpack_from", "iter_unpack")
 
 # A stream element is either ("code", count_str) for a scalar field or
 # ("loop", inner_tuple) for a group packed/unpacked once per entry.
@@ -175,8 +181,21 @@ class _WireVisitor(ast.NodeVisitor):
         self.config = config
         self.str_consts: dict[str, str] = {}
         self.struct_consts: set[str] = set()
+        #: module-level function -> format of the Struct it hands out
+        self.struct_factories: dict[str, str] = {}
+
+    def _struct_call_fmt(self, node: ast.expr) -> str | None:
+        """Format of a ``Struct(...)`` construction or a call to a
+        Struct factory; None for anything else."""
+        if not isinstance(node, ast.Call):
+            return None
+        callee = _dotted(node.func)
+        if callee in ("struct.Struct", "Struct") and node.args:
+            return _fmt_skeleton(node.args[0], self.str_consts)
+        return self.struct_factories.get(callee or "")
 
     def collect(self, tree: ast.Module) -> None:
+        functions: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
         for stmt in tree.body:
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(
                 stmt.targets[0], ast.Name
@@ -191,13 +210,9 @@ class _WireVisitor(ast.NodeVisitor):
                             self.facts.flags[name] = value.value
                         elif name.endswith("_MASK"):
                             self.facts.masks[name] = value.value
-                elif isinstance(value, ast.Call):
-                    callee = _dotted(value.func)
-                    if callee in ("struct.Struct", "Struct") and value.args:
-                        fmt = _fmt_skeleton(value.args[0], self.str_consts)
-                        if fmt is not None:
-                            self.str_consts[name] = fmt
-                            self.struct_consts.add(name)
+                elif (fmt := self._struct_call_fmt(value)) is not None:
+                    self.str_consts[name] = fmt
+                    self.struct_consts.add(name)
             elif isinstance(stmt, ast.ClassDef) and stmt.name == self.config.msg_type_class:
                 for cstmt in stmt.body:
                     if isinstance(cstmt, ast.Assign) and len(cstmt.targets) == 1 and isinstance(
@@ -208,12 +223,37 @@ class _WireVisitor(ast.NodeVisitor):
                         self.facts.msg_types[cstmt.targets[0].id] = cstmt.value.value
                         self.facts.msg_type_lines[cstmt.targets[0].id] = cstmt.lineno
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._collect_function(stmt)
+                functions.append(stmt)
+        # A helper (neither pack_* nor unpack_*) that builds exactly one
+        # Struct is a factory: its callers use that Struct's layout.
+        for fn in functions:
+            if not fn.name.startswith(("pack_", "unpack_")):
+                built = [
+                    fmt
+                    for node in ast.walk(fn)
+                    if (fmt := self._struct_call_fmt(node)) is not None
+                ]
+                if len(built) == 1:
+                    self.struct_factories[fn.name] = built[0]
+        for fn in functions:
+            self._collect_function(fn)
 
     def _collect_function(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         events: list[_FmtEvent] = []
         first_param = fn.args.args[0].arg if fn.args.args else None
         slices: list[tuple[int, int]] = []
+        # Struct objects by name: the module constants plus locals bound
+        # to a Struct(...) construction or a factory call.
+        structs = {name: self.str_consts[name] for name in self.struct_consts}
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and (fmt := self._struct_call_fmt(node.value)) is not None
+            ):
+                structs[node.targets[0].id] = fmt
+        called: set[int] = set()  # ids of the expressions being called
 
         def walk(node: ast.AST, loop_depth: int) -> None:
             bump = int(
@@ -223,7 +263,22 @@ class _WireVisitor(ast.NodeVisitor):
                 )
             )
             if isinstance(node, ast.Call):
-                self._note_event(node, events, loop_depth > 0)
+                called.add(id(node.func))
+                self._note_call(node, events, loop_depth > 0)
+            elif isinstance(node, ast.Attribute) and node.attr in _STRUCT_METHODS:
+                owner = node.value
+                fmt = (
+                    structs.get(owner.id)
+                    if isinstance(owner, ast.Name)
+                    else self._struct_call_fmt(owner)
+                )
+                if fmt is not None:
+                    repeated = (
+                        loop_depth > 0
+                        or node.attr == "iter_unpack"
+                        or id(node) not in called  # bound once, called per entry
+                    )
+                    events.append(self._event(fmt, node.lineno, repeated))
             if (
                 isinstance(node, ast.Subscript)
                 and isinstance(node.slice, ast.Slice)
@@ -245,26 +300,15 @@ class _WireVisitor(ast.NodeVisitor):
             if slices:
                 self.facts.unpack_slices[fn.name[7:]] = slices
 
-    def _note_event(self, node: ast.Call, events: list[_FmtEvent], repeated: bool) -> None:
-        callee = _dotted(node.func)
-        if callee is None:
+    def _note_call(self, node: ast.Call, events: list[_FmtEvent], repeated: bool) -> None:
+        """A module-level ``struct.pack(fmt, ...)``-style call."""
+        if _dotted(node.func) not in (
+            "struct.pack", "struct.pack_into", "struct.unpack", "struct.unpack_from"
+        ) or not node.args:
             return
-        fmt_node: ast.expr | None = None
-        if callee in ("struct.pack", "struct.pack_into", "struct.unpack", "struct.unpack_from"):
-            if node.args:
-                fmt_node = node.args[0]
-        else:
-            head, _, method = callee.rpartition(".")
-            if method in ("pack", "pack_into", "unpack", "unpack_from") and head in self.struct_consts:
-                fmt = self.str_consts[head]
-                events.append(self._event(fmt, node.lineno, repeated))
-                return
-        if fmt_node is None:
-            return
-        fmt = _fmt_skeleton(fmt_node, self.str_consts)
-        if fmt is None:
-            return
-        events.append(self._event(fmt, node.lineno, repeated))
+        fmt = _fmt_skeleton(node.args[0], self.str_consts)
+        if fmt is not None:
+            events.append(self._event(fmt, node.lineno, repeated))
 
     @staticmethod
     def _event(fmt: str, line: int, repeated: bool) -> _FmtEvent:

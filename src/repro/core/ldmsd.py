@@ -46,7 +46,7 @@ from repro.obs.spans import HOP_SAMPLE, HOP_STORE
 from repro.sim.resources import CpuCore
 from repro.sim.shard import runtime_snapshot as shard_runtime_snapshot
 from repro.transport.base import Endpoint, Listener, Transport
-from repro.util.errors import ConfigError, OutOfMemory
+from repro.util.errors import ConfigError, OutOfMemory, ReproError
 from repro.util.rngtools import stable_seed
 from repro.util.units import parse_size
 
@@ -617,8 +617,14 @@ class Ldmsd:
                 wire.MsgType.QUERY_REPLY, rid,
                 wire.pack_query_reply(wire.E_NOENT)))
             return
-        schema, t0, t1, level, comp_id, max_records = wire.unpack_query_req(
-            frame.payload)
+        try:
+            schema, t0, t1, level, comp_id, max_records = (
+                wire.unpack_query_req(frame.payload))
+        except ReproError:
+            endpoint.send(wire.encode_frame(
+                wire.MsgType.QUERY_REPLY, rid,
+                wire.pack_query_reply(wire.E_INVAL)))
+            return
         t_start = self.env.now()
         holder: list = []
 
@@ -640,7 +646,8 @@ class Ldmsd:
                     endpoint.send(wire.encode_frame(
                         wire.MsgType.QUERY_REPLY, rid,
                         wire.pack_query_reply(res.status, res.names,
-                                              res.rows, res.flags())))
+                                              res.rows, res.flags(),
+                                              res.encoded)))
 
         self.worker_pool.submit(reply, cost=run_query, core=self.core,
                                 tag="query")

@@ -36,6 +36,7 @@ gated the same way behind the ``query`` feature.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -66,6 +67,7 @@ __all__ = [
     "unpack_query_req",
     "pack_query_reply",
     "unpack_query_reply",
+    "query_row_struct",
     "QUERY_TRUNCATED",
     "QUERY_CACHE_HIT",
     "TRACE_FLAG",
@@ -83,6 +85,7 @@ _LEN_STRUCT = struct.Struct("<I")
 E_OK = 0
 E_NOENT = 2  # set not found
 E_AGAIN = 11  # try later
+E_INVAL = 22  # malformed request
 
 
 class MsgType:
@@ -386,6 +389,13 @@ def unpack_read_multi_reply(payload: bytes) -> list[bytes | None]:
 #           max_records 0 means unbounded.
 # Reply:    i32 status | u8 flags | u32 ncols | ncols x (u16 len | name)
 #           | u32 nrows | nrows x (f64 ts | u32 comp_id | ncols x f64)
+#
+# A reply row is one fixed-width ``<dI{ncols}d`` group, packed by the
+# cached Struct :func:`query_row_struct` hands out.  The query engine's
+# sorted hot window packs each stored row with it *once, at ingest*, and
+# serves the same bytes to every poller (``encoded=``); scan/LRU results
+# are packed here, one ``pack`` per row; the decoder reads the whole row
+# block with one bounds check and one ``iter_unpack``.
 # ---------------------------------------------------------------------------
 
 #: Reply flag bits: the row set was cut at ``max_records``; the reply
@@ -401,43 +411,71 @@ def pack_query_req(schema: str, t0: float, t1: float, level: int = 0,
 
 
 def unpack_query_req(payload: bytes) -> tuple[str, float, float, int, int, int]:
+    if len(payload) < 30:
+        raise ReproError(
+            f"QUERY_REQ: {len(payload)}-byte payload is shorter than the "
+            "30-byte header")
     t0, t1, level, comp_id, max_records, n = struct.unpack_from("<ddIIIH", payload, 0)
-    schema = payload[30 : 30 + n].decode("utf-8")
+    if 30 + n > len(payload):
+        raise ReproError(
+            f"QUERY_REQ: schema_len {n} runs past the {len(payload)}-byte payload")
+    try:
+        schema = payload[30 : 30 + n].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReproError(f"QUERY_REQ: schema name is not UTF-8: {exc}") from None
     return schema, t0, t1, level, comp_id, max_records
 
 
+@functools.lru_cache(maxsize=64)
+def query_row_struct(ncols: int) -> struct.Struct:
+    """The (cached) Struct of one reply row: ``f64 ts | u32 comp_id |
+    ncols x f64``.  Callers that encode many rows bind its ``pack``
+    once."""
+    return struct.Struct(f"<dI{ncols}d")
+
+
 def pack_query_reply(status: int, names: tuple[str, ...] = (),
-                     rows: list | tuple = (), flags: int = 0) -> bytes:
+                     rows: list | tuple = (), flags: int = 0,
+                     encoded: list | None = None) -> bytes:
+    """``encoded`` is ``rows`` already packed, one ``query_row_struct``
+    blob per row (the hot window's ingest-time encoding)."""
     out = [struct.pack("<iBI", status, flags, len(names))]
     for name in names:
         b = name.encode("utf-8")
         out.append(struct.pack("<H", len(b)))
         out.append(b)
     out.append(struct.pack("<I", len(rows)))
-    for ts, comp_id, values in rows:
-        out.append(struct.pack("<dI", ts, comp_id))
-        out.append(struct.pack(f"<{len(names)}d", *values))
+    if encoded is None:
+        pack = query_row_struct(len(names)).pack
+        encoded = [pack(ts, comp_id, *values) for ts, comp_id, values in rows]
+    out.extend(encoded)
     return b"".join(out)
 
 
 def unpack_query_reply(payload: bytes) -> tuple[int, int, tuple[str, ...], list]:
-    status, flags, ncols = struct.unpack_from("<iBI", payload, 0)
-    pos = 9
-    names = []
-    for _ in range(ncols):
-        (n,) = struct.unpack_from("<H", payload, pos)
-        pos += 2
-        names.append(payload[pos : pos + n].decode("utf-8"))
-        pos += n
-    (nrows,) = struct.unpack_from("<I", payload, pos)
+    size = len(payload)
+    try:
+        status, flags, ncols = struct.unpack_from("<iBI", payload, 0)
+        pos = 9
+        names = []
+        for _ in range(ncols):
+            (n,) = struct.unpack_from("<H", payload, pos)
+            pos += 2
+            if pos + n > size:
+                raise ReproError("QUERY_REPLY: column name runs past the payload")
+            names.append(payload[pos : pos + n].decode("utf-8"))
+            pos += n
+        (nrows,) = struct.unpack_from("<I", payload, pos)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ReproError(f"QUERY_REPLY: malformed header: {exc}") from None
     pos += 4
-    rows = []
-    for _ in range(nrows):
-        ts, comp_id = struct.unpack_from("<dI", payload, pos)
-        pos += 12
-        values = struct.unpack_from(f"<{ncols}d", payload, pos)
-        pos += 8 * ncols
-        rows.append((ts, comp_id, values))
+    row = query_row_struct(ncols)
+    end = pos + nrows * row.size
+    if end > size:
+        raise ReproError(
+            f"QUERY_REPLY: {nrows} rows of {row.size} bytes run past the "
+            f"{size}-byte payload")
+    rows = [(r[0], r[1], r[2:]) for r in row.iter_unpack(payload[pos:end])]
     return status, flags, tuple(names), rows
 
 

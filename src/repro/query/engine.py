@@ -5,9 +5,12 @@ Serving structure (the CMS monitoring workload, PAPERS.md):
 * **Hot window** — dashboard pollers overwhelmingly ask for the last
   few seconds of data.  Every record the attached
   :class:`~repro.plugins.stores.sos.SosStore` appends (base and
-  rollup) is also pushed into a bounded per-container deque; a query
-  whose window lies entirely inside the covered span is answered from
-  memory without touching the container files.
+  rollup) also lands in a bounded per-container window kept *sorted by
+  timestamp* and *already wire-encoded*: the row's ``QUERY_REPLY`` bytes
+  are packed once, at ingest, and every poller that asks is handed the
+  same bytes.  A query whose window lies entirely inside the covered
+  span is two bisects and two list slices — no container file, no
+  filter pass, no sort, no per-reply packing.
 * **LRU result cache** — repeated identical queries (alert evaluators
   re-checking a rollup window, several dashboards showing one panel)
   return the cached row set.  Validity is by append-version: the store
@@ -26,9 +29,10 @@ same-seed byte-identical replay the experiments assert.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from repro.core import wire
 from repro.plugins.stores.sos import SosReader, SosStore, rollup_schema
@@ -45,11 +49,15 @@ class QueryResult:
 
     status: int
     names: tuple[str, ...]
-    rows: tuple = field(default=())
+    rows: Sequence[tuple] = ()
     cache_hit: bool = False
     truncated: bool = False
     #: Which path answered: "hot", "lru", "scan", or "noent".
     source: str = "scan"
+    #: ``rows`` as wire bytes, one blob per row — hot-window answers
+    #: only (the window owns the blobs; results the LRU retains never
+    #: carry a second copy of their rows).
+    encoded: Optional[list] = None
 
     def flags(self) -> int:
         f = 0
@@ -58,6 +66,24 @@ class QueryResult:
         if self.cache_hit:
             f |= wire.QUERY_CACHE_HIT
         return f
+
+
+class _HotWindow:
+    """One container's recent appends: three parallel lists sorted by
+    timestamp (equal timestamps in append order)."""
+
+    __slots__ = ("times", "rows", "encoded", "pack", "floor")
+
+    def __init__(self, ncols: int, floor: float):
+        self.times: list[float] = []
+        self.rows: list[tuple] = []  # (ts, comp_id, values)
+        self.encoded: list[bytes] = []  # the same rows as QUERY_REPLY bytes
+        self.pack = wire.query_row_struct(ncols).pack
+        #: Oldest timestamp the window still fully covers.  -inf while
+        #: it has seen every row the container ever held (it was empty
+        #: when the store opened it); +inf while a pre-existing
+        #: container may hold rows that were never ingested here.
+        self.floor = floor
 
 
 class QueryEngine:
@@ -74,13 +100,7 @@ class QueryEngine:
         self.clock = clock
         self.hot_window = float(hot_window)
         self.cache_entries = int(cache_entries)
-        #: container -> deque[(ts, comp_id, values)] of recent appends.
-        self._hot: dict[str, deque] = {}
-        #: container -> oldest timestamp the hot deque still fully
-        #: covers.  -inf once we have seen every row the container ever
-        #: held (it was empty when the store opened it); +inf while a
-        #: pre-existing container may hold rows we never saw ingested.
-        self._floor: dict[str, float] = {}
+        self._hot: dict[str, _HotWindow] = {}
         #: query key -> (container append-version, QueryResult).
         self._lru: "OrderedDict[tuple, tuple[int, QueryResult]]" = OrderedDict()
         self._readers: dict[str, SosReader] = {}
@@ -93,20 +113,36 @@ class QueryEngine:
     # -- ingest side --------------------------------------------------------
     def _ingest(self, container: str, ts: float, comp_id: int,
                 values: tuple) -> None:
-        dq = self._hot.get(container)
-        if dq is None:
-            dq = self._hot[container] = deque()
-            self._floor[container] = (
+        hot = self._hot.get(container)
+        if hot is None:
+            hot = self._hot[container] = _HotWindow(
+                len(values),
                 _INF if container in self.store.preexisting else -_INF)
-        dq.append((ts, comp_id, values))
+        times = hot.times
+        row = (ts, comp_id, values)
+        blob = hot.pack(ts, comp_id, *values)
+        if not times or ts >= times[-1]:
+            times.append(ts)
+            hot.rows.append(row)
+            hot.encoded.append(blob)
+        else:
+            # Out-of-order straggler: after every row of the same
+            # timestamp, which is where a stable sort would leave it.
+            i = bisect_right(times, ts)
+            times.insert(i, ts)
+            hot.rows.insert(i, row)
+            hot.encoded.insert(i, blob)
         cutoff = ts - self.hot_window
-        if dq[0][0] < cutoff:
-            while dq and dq[0][0] < cutoff:
-                dq.popleft()
+        if times[0] < cutoff:
+            n = bisect_left(times, cutoff)
+            del times[:n], hot.rows[:n], hot.encoded[:n]
             # Everything at or above the cutoff arrived after attach
-            # (nothing older ever sat in the deque), so from here the
-            # hot window is authoritative for [cutoff, now].
-            self._floor[container] = cutoff
+            # (nothing older ever sat in the window), so from here the
+            # window is authoritative for [cutoff, now].  The floor only
+            # rises: a straggler that sorts below it must not pull it
+            # back over a span whose rows are already gone.
+            if hot.floor == _INF or cutoff > hot.floor:
+                hot.floor = cutoff
 
     # -- query side ---------------------------------------------------------
     def query(self, schema: str, t0: float, t1: float, level: int = 0,
@@ -128,20 +164,26 @@ class QueryEngine:
                 self._lru[key] = (version, res)
             return res
 
-        dq = self._hot.get(container)
-        if dq is not None and t0 >= self._floor.get(container, _INF):
-            rows = [r for r in dq
-                    if t0 <= r[0] < t1 and (not comp_id or r[1] == comp_id)]
-            rows.sort(key=lambda r: r[0])  # stable: append order ties
+        hot = self._hot.get(container)
+        if hot is not None and t0 >= hot.floor:
+            times = hot.times
+            lo = bisect_left(times, t0)
+            hi = bisect_left(times, t1)
+            rows = hot.rows[lo:hi]
+            encoded = hot.encoded[lo:hi]
+            if comp_id:
+                keep = [i for i, r in enumerate(rows) if r[1] == comp_id]
+                rows = [rows[i] for i in keep]
+                encoded = [encoded[i] for i in keep]
             truncated = bool(max_records) and len(rows) > max_records
             if truncated:
-                rows = rows[:max_records]
+                del rows[max_records:], encoded[max_records:]
             names = self.store._names.get(container, ())
             self._c_hits.inc()
             self._c_rows.inc(len(rows))
-            return QueryResult(wire.E_OK, tuple(names), tuple(rows),
+            return QueryResult(wire.E_OK, tuple(names), rows,
                                cache_hit=True, truncated=truncated,
-                               source="hot")
+                               source="hot", encoded=encoded)
 
         self._c_misses.inc()
         res = self._scan(container, t0, t1, comp_id, max_records)
@@ -164,15 +206,13 @@ class QueryEngine:
             self._readers[container] = reader
         else:
             reader.refresh()
-        rows = []
-        truncated = False
-        for rec in reader.range(t0, t1):
-            if comp_id and rec.component_id != comp_id:
-                continue
-            if max_records and len(rows) >= max_records:
-                truncated = True
-                break
-            rows.append((rec.timestamp, rec.component_id, rec.values))
+        # A SosRecord *is* a (timestamp, comp_id, values) row.
+        rows = reader.range(t0, t1)
+        if comp_id:
+            rows = [r for r in rows if r.component_id == comp_id]
+        truncated = bool(max_records) and len(rows) > max_records
+        if truncated:
+            del rows[max_records:]
         return QueryResult(wire.E_OK, tuple(reader.metric_names),
                            tuple(rows), truncated=truncated, source="scan")
 

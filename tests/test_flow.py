@@ -392,6 +392,29 @@ class TestWireConformance:
         offsets = [v for v in wire if "slices the payload" in v.message]
         assert offsets and "16 bytes" in offsets[0].message
 
+    def test_row_group_of_a_cached_struct_is_in_the_symmetry_check(self):
+        # The real wire module: QUERY_REPLY's rows go through a cached
+        # per-width Struct (bound ``pack`` on one side, ``iter_unpack``
+        # on the other).  The gate must read that layout — a decoder
+        # that narrows comp_id is an error, not an unresolvable format.
+        path = Path(__file__).parent.parent / "src/repro/core/wire.py"
+        src = path.read_text()
+        report = analyze_sources({"w": src}, self.wire_config())
+        assert not [v for v in report.violations
+                    if v.rule_id == "flow-wire-conformance"
+                    and v.severity == "error"]
+        anchor = "    row = query_row_struct(ncols)\n"
+        assert src.count(anchor) == 1
+        drifted = src.replace(
+            anchor, '    row = struct.Struct(f"<dH{ncols}d")\n')
+        report = analyze_sources({"w": drifted}, self.wire_config())
+        (v,) = [v for v in report.violations
+                if v.rule_id == "flow-wire-conformance"
+                and v.severity == "error"]
+        assert "unpack_query_reply" in v.message
+        assert ("decoder reads [i B I loop[H] I loop[d H {n}d]] but encoder "
+                "writes [i B I loop[H] I loop[d I {n}d]]") in v.message
+
 
 class TestSummaryCache:
     def write_project(self, root: Path) -> Path:
@@ -475,6 +498,8 @@ class TestCliFixtures:
         assert code == 1
         assert "flow-wire-conformance" in out
         assert "decoder reads [I I] but encoder writes [I Q]" in out
+        assert ("decoder reads [I loop[d H {n}d]] but encoder writes "
+                "[I loop[d I {n}d]]") in out
         assert "slices the payload at byte 12" in out
         assert "'<iQI' is 16 bytes" in out
 

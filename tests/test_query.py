@@ -14,7 +14,7 @@ from repro.query.engine import QueryEngine
 from repro.sim.engine import Engine
 from repro.transport.base import BASE_FEATURES, Endpoint
 from repro.transport.simfabric import SimFabric, SimTransport
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, ReproError
 
 
 def rec(t=1.0, comp=1, values=(10.0, 20.0), schema="mem"):
@@ -51,6 +51,20 @@ class TestQueryWire:
         assert flags == 0
         assert names == ()
         assert rows == []
+
+    def test_req_shorter_than_header_is_rejected(self):
+        good = wire.pack_query_req("meminfo", 0.0, 1.0)
+        for cut in (0, 2, 29):
+            with pytest.raises(ReproError):
+                wire.unpack_query_req(good[:cut])
+
+    def test_req_schema_len_past_payload_is_rejected(self):
+        # was: silently truncated to whatever bytes were there
+        good = wire.pack_query_req("meminfo", 0.0, 1.0)
+        with pytest.raises(ReproError):
+            wire.unpack_query_req(good[:-1])
+        with pytest.raises(ReproError):
+            wire.unpack_query_req(good[:30])
 
     def test_msg_types_survive_flag_mask(self):
         # QUERY frames must round-trip through encode/decode like every
@@ -100,14 +114,50 @@ class TestQueryEngine:
         store.close()
 
     def test_hot_floor_guards_unseen_rows(self, tmp_path):
-        # A window reaching below what the hot deque covers must scan,
-        # even though some of its rows sit in the deque.
+        # A window reaching below what the hot window covers must scan,
+        # even though some of its rows sit in the window.
         store, eng = self._engine(tmp_path)
         for k in range(100):
             store.submit(rec(t=float(k)))
         res = eng.query("mem", 0.0, 100.0)
         assert res.source == "scan"
         assert len(res.rows) == 100
+        store.close()
+
+    def test_hot_window_is_sorted_and_carries_its_wire_bytes(self, tmp_path):
+        # Out-of-order arrivals land in timestamp order, ties in append
+        # order (what the container scan's stable sort yields), and the
+        # answer carries each row's reply bytes, packed once at ingest.
+        store, eng = self._engine(tmp_path)
+        for k, t in enumerate((5.0, 1.0, 5.0, 3.0, 1.0)):
+            store.submit(rec(t=t, values=(k, 0)))
+        res = eng.query("mem", 0.0, 10.0)
+        assert res.source == "hot"
+        assert [(r[0], r[2][0]) for r in res.rows] == [
+            (1.0, 1.0), (1.0, 4.0), (3.0, 3.0), (5.0, 0.0), (5.0, 2.0)]
+        assert wire.pack_query_reply(
+            res.status, res.names, res.rows, res.flags(),
+            res.encoded) == wire.pack_query_reply(
+                res.status, res.names, res.rows, res.flags())
+        # the very same bytes objects serve the next poller
+        again = eng.query("mem", 0.0, 10.0)
+        assert all(a is b for a, b in zip(again.encoded, res.encoded))
+        scan = eng._scan("mem", 0.0, 10.0, 0, 0)
+        assert list(res.rows) == list(scan.rows)
+        assert scan.encoded is None  # only the window holds blobs
+        store.close()
+
+    def test_straggler_below_the_floor_does_not_lower_it(self, tmp_path):
+        store, eng = self._engine(tmp_path)
+        for t in (0.0, 18.0, 50.0):   # t=50 trims rows 0 and 18: floor 20
+            store.submit(rec(t=t))
+        assert eng._hot["mem"].floor == 20.0
+        store.submit(rec(t=15.0))     # straggler below the floor
+        store.submit(rec(t=46.0))     # trims it again, at cutoff 16 < 20
+        assert eng._hot["mem"].floor == 20.0
+        res = eng.query("mem", 16.0, 100.0)   # row 18 left the window
+        assert res.source == "scan"
+        assert [r[0] for r in res.rows] == [18.0, 46.0, 50.0]
         store.close()
 
     def test_preexisting_container_never_hot_served(self, tmp_path):
@@ -317,6 +367,42 @@ class TestServeEndToEnd:
         (c,) = clients
         assert c.replies > 0
         assert c.errors == c.replies  # every reply was E_NOENT
+        agg.shutdown()
+
+    def test_malformed_query_req_gets_einval_and_serving_continues(
+            self, tmp_path):
+        # A 2-byte QUERY_REQ payload used to raise struct.error out of
+        # the daemon's message handler and abort Engine.run.
+        eng = Engine()
+        env = SimEnv(eng)
+        fabric = SimFabric(eng)
+        agg = Ldmsd("agg", env=env,
+                    transports={"sock": SimTransport(fabric, "sock",
+                                                     node_id="agg")})
+        store = agg.add_store("sos", path=str(tmp_path))
+        agg.enable_query(hot_window=15.0)
+        agg.listen("sock", "agg:412")
+        store.submit(rec(t=1.0))
+        replies = []
+        ends = []
+        SimTransport(fabric, "sock", node_id="c").connect("agg:412",
+                                                          ends.append)
+        eng.run(until=1.0)
+        (ep,) = ends
+        ep.on_message = lambda raw: replies.append(wire.decode_frame(raw))
+        good = wire.pack_query_req("mem", 0.0, 10.0)
+        ep.send(wire.encode_frame(wire.MsgType.QUERY_REQ, 1, b"\x00\x01"))
+        ep.send(wire.encode_frame(wire.MsgType.QUERY_REQ, 2, good[:-2]))
+        ep.send(wire.encode_frame(wire.MsgType.QUERY_REQ, 3, good))
+        eng.run(until=2.0)
+        got = {f.request_id: wire.unpack_query_reply(f.payload)
+               for f in replies}
+        assert got[1] == (wire.E_INVAL, 0, (), [])
+        assert got[2] == (wire.E_INVAL, 0, (), [])
+        status, _flags, names, rows = got[3]
+        assert status == wire.E_OK
+        assert names == ("a", "b")
+        assert rows == [(1.0, 1, (10.0, 20.0))]
         agg.shutdown()
 
     def test_enable_query_requires_sos_store(self, tmp_path):

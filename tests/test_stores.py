@@ -1,6 +1,7 @@
 """Tests for the store plugins: CSV, flat file, SOS, memory."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -246,6 +247,45 @@ class TestSosStore:
         reader = SosReader(str(tmp_path), "mem")
         # sort is stable on (timestamp, offset): ties stay in append order
         assert [r.values[0] for r in reader.range(1.0, 2.0)] == [10.0, 20.0]
+
+    def test_range_one_read_and_per_record_paths_agree(self, tmp_path):
+        # range() reads an ascending gap-free run of the data file with
+        # one read; a window whose sorted index permutes a gap-free run
+        # (rows 1 and 2 swap in time order) or skips records must take
+        # the per-record path.  Either way: what iteration yields.
+        s = SosStore()
+        s.config(path=str(tmp_path))
+        for k, t in enumerate((0.0, 2.0, 1.0, 3.0, 4.0, 5.0, 4.5, 6.0)):
+            s.submit(rec(t=t, values=(k, t)))
+        s.close()
+        reader = SosReader(str(tmp_path), "mem")
+        everything = list(reader)
+        reads = []
+        per_record = reader._read_at
+        reader._read_at = lambda f, off: reads.append(off) or per_record(f, off)
+        for t0, t1, one_read in ((3.0, 4.5, True),    # rows 3,4: in file order
+                                 (0.0, 2.5, False),   # rows 0,2,1: permuted
+                                 (4.0, 6.5, False),   # rows 4,6,5,7
+                                 (0.0, 9.0, False), (7.0, 9.0, True)):
+            del reads[:]
+            assert reader.range(t0, t1) == [
+                r for r in everything if t0 <= r.timestamp < t1]
+            assert (not reads) == one_read
+
+    def test_range_torn_tail_is_not_papered_over(self, tmp_path):
+        # The index names a record the data file does not (yet) hold in
+        # full: the one-read path must not return a short answer.
+        s = SosStore()
+        s.config(path=str(tmp_path))
+        for k in range(4):
+            s.submit(rec(t=float(k)))
+        s.close()
+        data = tmp_path / "mem.sos"
+        data.write_bytes(data.read_bytes()[:-5])
+        reader = SosReader(str(tmp_path), "mem")
+        assert len(reader.range(0.0, 3.0)) == 3
+        with pytest.raises(struct.error):
+            reader.range(0.0, 4.0)
 
     def test_refresh_folds_in_new_appends(self, tmp_path):
         s = SosStore()
