@@ -1,7 +1,8 @@
 """One sample→transport→store traversal of a BW-sized set.
 
-Shared by the micro-benches (``bench_core_ops.py``) and the CI overhead
-smoke (``check_obs_overhead.py``).  ``build_unit`` returns a closure
+Used by the CI overhead smoke (``check_obs_overhead.py``); the
+per-stage ns/op live in the ledger (``benchmarks/ledger/run.py
+--micro``).  ``build_unit`` returns a closure
 performing exactly the per-stored-sample work of the PR-1 fast path —
 sampling transaction, one-sided read service + mirror install, store
 record build, compiled CSV row render — optionally wrapped in the same

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.cluster.node import Node
 from repro.core.env import SimEnv
@@ -28,12 +28,10 @@ from repro.nodefs.gpcdr import GpcdrModel
 from repro.nodefs.host import HostModel, HostProfile
 from repro.sim.engine import Engine
 from repro.sim.resources import CpuCore
-from repro.transport.base import get_transport_profile
-from repro.transport.simfabric import SimFabric, SimTransport, ShardGateway, lookahead_of
+from repro.transport.simfabric import SimFabric, SimTransport
 from repro.util.errors import ConfigError
 
-__all__ = ["Machine", "blue_waters", "chama", "LdmsDeployment",
-           "ShardPlan", "plan_shards", "shard_deploy"]
+__all__ = ["Machine", "blue_waters", "chama", "LdmsDeployment"]
 
 
 @dataclass
@@ -100,7 +98,6 @@ class Machine:
         network: GeminiTorus | FatTree | None = None,
         host_profile: HostProfile = HostProfile(),
         seed: int = 0,
-        node_indices: Optional[Sequence[int]] = None,
     ):
         self.name = name
         self.engine = engine if engine is not None else Engine()
@@ -128,28 +125,9 @@ class Machine:
         if isinstance(network, FatTree) and n_nodes > network.n_nodes:
             raise ConfigError(f"{n_nodes} nodes exceed fat tree capacity")
 
-        if node_indices is None:
-            node_indices = range(n_nodes)
-        else:
-            # One shard of a partitioned machine: nodes keep their
-            # absolute indices (names, component ids, seeds) so the
-            # shard's output is byte-identical to the unsharded run
-            # restricted to these nodes.
-            if isinstance(network, GeminiTorus):
-                raise ConfigError(
-                    "a torus machine cannot be node-subset: the shared "
-                    "flow engine couples every link's latency, which is "
-                    "a zero-lookahead partition")
-            node_indices = sorted(int(i) for i in node_indices)
-            if node_indices and not (0 <= node_indices[0]
-                                     and node_indices[-1] < n_nodes):
-                raise ConfigError(f"node_indices outside 0..{n_nodes - 1}")
-        #: full machine size (capacity checks; shard subsets keep it)
-        self.n_nodes = n_nodes
-
         clock = lambda: self.engine.now  # noqa: E731
         self.nodes: list[Node] = []
-        for i in node_indices:
+        for i in range(n_nodes):
             fs = SynthFS()
             host = HostModel(f"{name}-n{i}", clock, host_profile, seed=seed + i, fs=fs)
             cores = [CpuCore(c) for c in range(host_profile.ncpus)]
@@ -192,7 +170,7 @@ class Machine:
                 k = int(node_id[3:])
             except ValueError:
                 return None  # diskfull/storage hosts sit off the HSN
-            return (k * 7919) % max(self.n_nodes, 1)
+            return (k * 7919) % max(len(self.nodes), 1)
         return None
 
     def _latency(self, src, dst, nbytes: int) -> float:
@@ -226,7 +204,6 @@ class Machine:
         sync_offset: Optional[float] = None,
         standby: bool = False,
         mem: str = "2MB",
-        l2_groups: Optional[Sequence[int]] = None,
     ) -> LdmsDeployment:
         """Stand up monitoring across the machine.
 
@@ -253,19 +230,6 @@ class Machine:
         standby:
             Give each sampler a standby connection from the *next*
             aggregator (Blue Waters' fast-failover config, Fig. 3).
-        l2_groups:
-            First-level group numbers the second-level aggregator pulls
-            from; defaults to the groups deployed on this machine.  A
-            sharded deployment passes the *full* plan's groups so the
-            one L2 also reaches the aggregators hosted by other shards
-            (their ``svc{g}:411`` addresses resolve through the shard
-            gateway).
-
-        Aggregators are numbered by the *absolute* node subtree they
-        own (``node.index // fanin``), and any ``{agg}`` placeholder in
-        a string ``store_kwargs`` value is substituted with that group
-        number — so per-aggregator store paths land in the same place
-        whether the machine is whole or one shard of a partition.
         """
         if plugins is None:
             plugins = self.default_plugins()
@@ -291,36 +255,26 @@ class Machine:
             dep.samplers.append(d)
 
         # --- first-level aggregators ---------------------------------------
-        # Group by absolute subtree (node.index // fanin): identical to
-        # the old contiguous [a*fanin, (a+1)*fanin) arithmetic on a
-        # whole machine, and shard-stable on a node subset.
-        groups: dict[int, list[Node]] = {}
-        for node in self.nodes:
-            groups.setdefault(node.index // fanin, []).append(node)
-        group_ids = sorted(groups)
-        whole = len(self.nodes) == self.n_nodes
+        n_agg = max(1, math.ceil(len(self.nodes) / fanin))
         agg_mem_bytes = max(64 * 1024 * 1024, 1024 * 1024)
-        if standby and not whole:
-            raise ConfigError(
-                "standby failover pairs neighbouring aggregator groups "
-                "and cannot be deployed on one shard of a partition")
-        for a in group_ids:
+        for a in range(n_agg):
             xa = SimTransport(self.fabric, xprt, node_id=f"svc{a}")
             xs = SimTransport(self.fabric, "sock", node_id=f"svc{a}")
             agg = Ldmsd(f"{self.name}-agg{a}", env=self.env,
                         transports={xprt: xa, "sock": xs}, mem=agg_mem_bytes,
                         workers=4, conn_threads=2, flush_threads=2)
-            for node in groups[a]:
-                agg.add_producer(f"n{node.index}", xprt, f"n{node.index}:411",
+            lo, hi = a * fanin, min((a + 1) * fanin, len(self.nodes))
+            for i in range(lo, hi):
+                agg.add_producer(f"n{i}", xprt, f"n{i}:411",
                                  interval=collect_interval)
-            if standby and len(group_ids) > 1:
-                nxt = group_ids[(group_ids.index(a) + 1) % len(group_ids)]
+            if standby and n_agg > 1:
+                nxt = (a + 1) % n_agg
+                lo2, hi2 = nxt * fanin, min((nxt + 1) * fanin, len(self.nodes))
                 names = []
-                for node in groups[nxt]:
-                    agg.add_producer(f"standby-n{node.index}", xprt,
-                                     f"n{node.index}:411",
+                for i in range(lo2, hi2):
+                    agg.add_producer(f"standby-n{i}", xprt, f"n{i}:411",
                                      interval=collect_interval, standby=True)
-                    names.append(f"standby-n{node.index}")
+                    names.append(f"standby-n{i}")
                 # agg `a` covers for agg `nxt`: record the wiring so a
                 # watchdog can be attached without re-deriving the
                 # group arithmetic.
@@ -329,25 +283,20 @@ class Machine:
             agg.listen("sock", f"svc{a}:411")
             dep.level1.append(agg)
 
-        def agg_store_kwargs(a: int) -> dict:
-            return {k: v.replace("{agg}", str(a)) if isinstance(v, str) else v
-                    for k, v in store_kwargs.items()}
-
         # --- storage level ----------------------------------------------------
         if second_level:
             xs = SimTransport(self.fabric, "sock", node_id="svc-l2")
             l2 = Ldmsd(f"{self.name}-l2", env=self.env,
                        transports={"sock": xs}, mem=4 * agg_mem_bytes,
                        workers=4, conn_threads=2, flush_threads=2)
-            for a in (group_ids if l2_groups is None else sorted(l2_groups)):
+            for a in range(n_agg):
                 l2.add_producer(f"agg{a}", "sock", f"svc{a}:411",
                                 interval=collect_interval)
             dep.level2 = l2
-            if store is not None:
-                dep.stores.append(l2.add_store(store, **store_kwargs))
-        elif store is not None:
-            for a, agg in zip(group_ids, dep.level1):
-                dep.stores.append(agg.add_store(store, **agg_store_kwargs(a)))
+            dep.stores.append(l2.add_store(store, **store_kwargs))
+        else:
+            for agg in dep.level1:
+                dep.stores.append(agg.add_store(store, **store_kwargs))
         return dep
 
     # ------------------------------------------------------------------
@@ -407,117 +356,10 @@ class Machine:
     def run(self, until: float) -> None:
         self.engine.run(until=until)
 
-    @property
-    def gateway(self) -> Optional[ShardGateway]:
-        """This machine's shard gateway (``None`` when not partitioned).
-
-        Exposing it here makes a shard :class:`Machine` directly usable
-        as a ``world`` for :func:`repro.sim.shard.run_windowed`."""
-        return self.fabric.gateway
-
 
 # ---------------------------------------------------------------------------
-# cluster partitioning (sharded-parallel DES, ROADMAP 3b)
+# builders for the paper's machines
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """A conservative partition of a machine by producer subtree.
-
-    ``groups[s]`` are the first-level aggregator group numbers owned by
-    shard ``s`` (whole fan-in subtrees, contiguous so aggregator
-    numbering matches the unsharded deployment); ``nodes[s]`` the
-    absolute node indices behind them.  ``lookahead`` is the window
-    width every cross-shard link supports — the only links that cross
-    are second-level ``sock`` pulls of remote ``svc{g}:411`` listeners,
-    so it is :func:`~repro.transport.simfabric.lookahead_of` of the
-    ``sock`` profile.
-    """
-
-    nshards: int
-    fanin: int
-    groups: tuple[tuple[int, ...], ...]
-    nodes: tuple[tuple[int, ...], ...]
-    lookahead: float
-
-    def shard_of_group(self, g: int) -> int:
-        for s, gs in enumerate(self.groups):
-            if g in gs:
-                return s
-        raise ConfigError(f"group {g} not in plan")
-
-
-def plan_shards(n_nodes: int, nshards: int, fanin: int,
-                network: GeminiTorus | FatTree | None = None,
-                l2_xprt: str = "sock") -> ShardPlan:
-    """Partition ``n_nodes`` into at most ``nshards`` shards of whole
-    fan-in subtrees, balanced by node count.
-
-    Rejected loudly at partition time (:class:`ConfigError`):
-
-    * a :class:`GeminiTorus` network — its shared flow engine makes
-      every link's latency a function of every shard's state, i.e. a
-      zero-lookahead partition;
-    * a cross-shard transport profile with zero lookahead (the
-      ``local`` profile).
-    """
-    if nshards < 1:
-        raise ConfigError("plan_shards needs nshards >= 1")
-    if isinstance(network, GeminiTorus):
-        raise ConfigError(
-            "cannot shard a torus machine: the shared flow-engine "
-            "latency model couples all subtrees (zero lookahead)")
-    la = lookahead_of(get_transport_profile(l2_xprt))
-    if la <= 0.0:
-        raise ConfigError(
-            f"transport {l2_xprt!r} has zero lookahead and cannot carry "
-            f"cross-shard links")
-    n_groups = max(1, math.ceil(n_nodes / fanin))
-    nshards = min(nshards, n_groups)
-    groups = []
-    nodes = []
-    for s in range(nshards):
-        lo = s * n_groups // nshards
-        hi = (s + 1) * n_groups // nshards
-        gs = tuple(range(lo, hi))
-        groups.append(gs)
-        nodes.append(tuple(i for g in gs
-                           for i in range(g * fanin,
-                                          min((g + 1) * fanin, n_nodes))))
-    return ShardPlan(nshards=nshards, fanin=fanin, groups=tuple(groups),
-                     nodes=tuple(nodes), lookahead=la)
-
-
-def shard_deploy(machine: Machine, plan: ShardPlan, shard_id: int,
-                 **deploy_kwargs) -> LdmsDeployment:
-    """Deploy shard ``shard_id``'s slice of the hierarchy.
-
-    ``machine`` must have been built with
-    ``node_indices=plan.nodes[shard_id]``.  Installs the shard gateway,
-    routes every remote aggregator listener, and puts the (single)
-    second level on shard 0, pulling all groups — local ones directly,
-    remote ones through window-batched cross-shard ``sock`` links.
-    """
-    if machine.fabric.gateway is None and plan.nshards > 1:
-        ShardGateway(machine.fabric, shard_id, plan.nshards, plan.lookahead)
-    gateway = machine.fabric.gateway
-    second_level = deploy_kwargs.pop("second_level", True)
-    if second_level and shard_id == 0 and gateway is not None:
-        for s, gs in enumerate(plan.groups):
-            if s == shard_id:
-                continue
-            for g in gs:
-                gateway.add_route(f"svc{g}:411", s)
-    all_groups = tuple(g for gs in plan.groups for g in gs)
-    if second_level and shard_id != 0:
-        # The store lives with the L2 on shard 0; this shard's L1
-        # aggregators only serve.
-        deploy_kwargs["store"] = None
-    return machine.deploy_ldms(
-        second_level=second_level and shard_id == 0,
-        l2_groups=all_groups if second_level and shard_id == 0 else None,
-        **deploy_kwargs)
 
 
 def blue_waters(

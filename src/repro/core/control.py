@@ -49,7 +49,6 @@ import socket
 import threading
 from typing import TYPE_CHECKING
 
-from repro.sim.shard import runtime_snapshot as shard_runtime_snapshot
 from repro.util.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -322,10 +321,7 @@ class ControlChannel:
                     "total": d.spans.total,
                     "retained": len(d.spans.spans),
                 },
-                # Schema-stable shard-plane block (zeros when
-                # REPRO_SHARDS is off); process-wide counters from the
-                # conservative-window runner.
-                "shard": shard_runtime_snapshot(),
+                "xprt_refused_connections": d.refused_connections(),
             }
         )
 

@@ -44,7 +44,6 @@ from repro.obs import (
 from repro.obs import flight as flightmod
 from repro.obs.spans import HOP_SAMPLE, HOP_STORE
 from repro.sim.resources import CpuCore
-from repro.sim.shard import runtime_snapshot as shard_runtime_snapshot
 from repro.transport.base import Endpoint, Listener, Transport
 from repro.util.errors import ConfigError, OutOfMemory, ReproError
 from repro.util.rngtools import stable_seed
@@ -1158,10 +1157,7 @@ class Ldmsd:
                           else {"requests": 0, "cache_hits": 0,
                                 "cache_misses": 0, "rows_served": 0,
                                 "lru_entries": 0, "hot_containers": 0}),
-                # Schema-stable shard-plane counters: process-wide (the
-                # conservative-window runner's accounting), zeros when
-                # REPRO_SHARDS is off.
-                "shard": shard_runtime_snapshot(),
+                "xprt_refused_connections": self.refused_connections(),
                 "stores": [
                     {
                         "plugin": s.plugin_name,
@@ -1174,6 +1170,12 @@ class Ldmsd:
                 ],
                 "obs": self.obs.snapshot(),
             }
+
+    def refused_connections(self) -> int:
+        """Connections refused at a transport's ``max_connections`` wall,
+        summed over the transports that count them."""
+        return sum(getattr(x, "refused_connections", 0)
+                   for x in self.transports.values())
 
     def total_set_bytes(self) -> int:
         """Total metric-set memory (metadata + data) held by the daemon."""

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.sim.shard import runtime_snapshot as shard_runtime_snapshot
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ldmsd import Ldmsd
 
@@ -97,16 +95,10 @@ _COUNTER_NAMES = (
     "query_cache_misses",
     "query_rows_served",
     "store_multi_component_rejected",
-    # Shard plane (PR 10): conservative time-windows run, cumulative
-    # barrier wait (host ns, through the sanctioned timeutil boundary),
-    # cross-shard frames emitted by this process's gateway, and the
-    # window lookahead in ns.  Process-wide plane metrics — every
-    # daemon in a shard reports the same row; schema-stable zeros when
-    # ``REPRO_SHARDS`` is off.
-    "shard_windows",
-    "shard_barrier_wait_ns",
-    "cross_shard_frames",
-    "shard_lookahead_ns",
+    # Connections refused at the transport's ``max_connections`` wall
+    # (§IV-A fan-in bound), summed over this daemon's transports:
+    # producers past capacity are dark, not slow.
+    "xprt_refused_connections",
 )
 
 
@@ -192,13 +184,7 @@ def collect(daemon: "Ldmsd") -> list[int]:
         daemon.obs.counter("query.cache_misses").value,
         daemon.obs.counter("query.rows_served").value,
         sum(getattr(s, "multi_component_rejected", 0) for s in daemon.stores),
-    ))
-    shard = shard_runtime_snapshot()
-    values.extend((
-        shard["shard_windows"],
-        shard["shard_barrier_wait_ns"],
-        shard["cross_shard_frames"],
-        shard["shard_lookahead_ns"],
+        daemon.refused_connections(),
     ))
     for _, hname in _HISTOGRAMS:
         h = daemon.obs.histogram(hname)
@@ -253,10 +239,7 @@ def render(values: dict[str, int | float], indent: str = "    ") -> str:
         f"max_stale={v['max_staleness_ms']}ms",
         f"flight   : events={v['flight_events']} "
         f"spans={v['spans_recorded']}",
-        f"shard    : windows={v['shard_windows']} "
-        f"barrier_wait={v['shard_barrier_wait_ns']}ns "
-        f"cross_frames={v['cross_shard_frames']} "
-        f"lookahead={v['shard_lookahead_ns']}ns",
+        f"xprt     : refused_connections={v['xprt_refused_connections']}",
         f"query    : requests={v['query_requests']} "
         f"hits={v['query_cache_hits']} misses={v['query_cache_misses']} "
         f"rows={v['query_rows_served']} "

@@ -301,13 +301,6 @@ class Engine:
         #: benchmarks may report processed + vectorized as the logical
         #: event total.
         self.vectorized_events = 0
-        #: conservative time-windows stepped through :meth:`run_window`
-        #: (the sharded-parallel driver, ``repro.sim.shard``)
-        self.windows_run = 0
-        #: committed event horizon: every event with ``when`` at or
-        #: below this time has been processed (the end of the last
-        #: completed window; plain ``run(until=...)`` advances it too)
-        self.horizon = float(start)
 
     @property
     def now(self) -> float:
@@ -429,22 +422,6 @@ class Engine:
             if paused:
                 gc.enable()
 
-    def run_window(self, until: float) -> int:
-        """Run one conservative time-window ending at ``until``.
-
-        Exactly ``run(until=until)`` — events *at* the window edge are
-        processed, the clock lands on ``until`` — plus event-horizon
-        accounting: after the call every event at or below ``until`` is
-        committed, so a sharded driver may safely inject cross-shard
-        frames with ``call_at`` strictly above the horizon before the
-        next window.  Returns the number of heap events processed in
-        the window.
-        """
-        before = self._nprocessed
-        self.run(until=until)
-        self.windows_run += 1
-        return self._nprocessed - before
-
     def _run(self, until: float | Event | None) -> Any:
         if isinstance(until, Event):
             sentinel = until
@@ -497,5 +474,4 @@ class Engine:
         self._nprocessed = nproc
         if deadline != float("inf"):
             self._now = deadline
-            self.horizon = deadline
         return None

@@ -1,54 +1,18 @@
-"""Sharded-parallel DES: conservative time-window synchronization.
+"""Disjoint-shard fan-out: independent DES worlds across forked workers.
 
-ROADMAP item 3(b).  A single calendar-queue :class:`~repro.sim.engine.
-Engine` tops out around 10^5 logical events/s in CPython, Amdahl-bound
-by per-producer update machinery whose phase-stagger byte-identity
-forbids cross-producer batching *within one process* (PR 6).  The way
-out is the classic conservative PDES construction: partition the
-cluster by producer subtree across worker processes, give each shard
-its own engine over its own :class:`~repro.transport.simfabric.
-SimFabric`, and synchronize shards only at the fabric boundary — the
-one place shards interact, and the one boundary that is already
-latency-modelled.
+A single calendar-queue :class:`~repro.sim.engine.Engine` tops out
+around 10^5 logical events/s in CPython.  Work that splits into
+*self-contained worlds* — the fan-in sweep's independent points, the
+fleet trace's time slices — runs one world per job across forked worker
+processes; each job builds its own engine, fabric, daemons and seeds,
+so its output is byte-identical to the inline run of the same job.
 
-Correctness argument (the conservative window invariant)
---------------------------------------------------------
-Let ``L`` be the *lookahead*: the minimum latency any cross-shard
-interaction can experience (``min`` over cross links of
-``min(base_latency, connect_latency / 2)`` — see
-:func:`repro.transport.simfabric.lookahead_of`).  Shards advance in
-lock-step windows ``(W_{k-1}, W_k]`` with ``W_k = W_{k-1} + L``.  A
-cross-shard message emitted at local time ``t`` in window ``k``
-(``W_{k-1} < t <= W_k``) carries an absolute ``deliver_at >= t + L >
-W_{k-1} + L = W_k`` — strictly after the window being run.  Exchanging
-all buffered messages at each barrier and scheduling them with
-``call_at(deliver_at)`` before running the next window therefore never
-delivers into the past, with no null messages and no rollback.  A
-message landing *exactly* on a window edge ``W_k`` is ingested at the
-barrier before window ``k`` and processed by ``run_window(W_k)``
-(deadlines are inclusive), so edge arrivals are not lost or late.  A
-zero-lookahead link (the ``local`` profile, or any globally-coupled
-latency model such as a shared torus flow engine) makes the window
-width zero and must be rejected loudly at partition time
-(:class:`~repro.util.errors.ConfigError`).
+There is one engine per world and no cross-worker synchronization: a
+world that does not fit one engine is not split (DESIGN.md, "Why
+coupled windows were removed").
 
-Two drivers share the window loop:
-
-* :func:`run_windowed` — in-process, N engines stepped round-robin.
-  Deterministic and debuggable; what the unit tests use.
-* :func:`run_windowed_mp` — ``fork``-based worker processes meshed
-  with pipes, one barrier (send-to-all, then receive-from-all) per
-  window.  Barrier wait is host time and goes through the sanctioned
-  ``repro.util.timeutil`` boundary.
-
-Disjoint shards (no cross links — the fan-in sweep's independent
-points, the fleet trace's time slices) skip windows entirely and
-free-run through :func:`run_parallel`.
-
-Toggle: ``REPRO_SHARDS=N`` (default off).  Self-metrics (exported via
-``ldmsd_self`` and the ``stats``/``prof`` verbs, zeros when off):
-``shard_windows``, ``shard_barrier_wait_ns``, ``cross_shard_frames``,
-``shard_lookahead_ns``.
+Toggle: ``REPRO_SHARDS=N`` (default off) is the worker count
+:func:`maybe_parallel` uses.
 """
 
 from __future__ import annotations
@@ -58,16 +22,10 @@ import os
 import traceback
 from typing import Any, Callable, Sequence
 
-from repro.util import timeutil
 from repro.util.errors import ConfigError, SimulationError
 
 __all__ = [
-    "RUNTIME",
-    "ShardRuntime",
     "shards_default",
-    "runtime_snapshot",
-    "run_windowed",
-    "run_windowed_mp",
     "run_parallel",
     "maybe_parallel",
 ]
@@ -85,203 +43,16 @@ def shards_default() -> int:
     return 0 if n < 2 else n
 
 
-class ShardRuntime:
-    """Per-process shard-plane counters (the ``shard_*`` self-metrics).
-
-    One instance per OS process: the parent keeps barrier/fan-out
-    accounting for the runners it drives, each forked worker resets its
-    inherited copy to its own shard identity at startup.  Every daemon
-    in a process reports the same row — these are plane metrics, not
-    per-daemon ones — and all four counters are schema-stable zeros
-    when ``REPRO_SHARDS`` is off (PR-7/PR-9 convention).
-    """
-
-    __slots__ = ("shards", "shard_id", "windows", "barrier_wait_ns",
-                 "cross_frames", "lookahead_ns")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self, shards: int = 0, shard_id: int = 0,
-              lookahead_ns: int = 0) -> None:
-        self.shards = shards
-        self.shard_id = shard_id
-        self.windows = 0
-        self.barrier_wait_ns = 0
-        self.cross_frames = 0
-        self.lookahead_ns = lookahead_ns
-
-    def snapshot(self) -> dict:
-        return {
-            "shards": self.shards,
-            "shard_id": self.shard_id,
-            "shard_windows": self.windows,
-            "shard_barrier_wait_ns": self.barrier_wait_ns,
-            "cross_shard_frames": self.cross_frames,
-            "shard_lookahead_ns": self.lookahead_ns,
-        }
-
-
-RUNTIME = ShardRuntime()
-
-
-def runtime_snapshot() -> dict:
-    """The process's shard-plane counters (zeros when sharding is off)."""
-    return RUNTIME.snapshot()
-
-
-# ---------------------------------------------------------------------------
-# Windowed drivers (coupled shards)
-# ---------------------------------------------------------------------------
-
-def _window_lookahead(worlds, lookahead: float | None) -> float:
-    if lookahead is None:
-        las = [w.gateway.lookahead for w in worlds]
-        lookahead = min(las) if las else 0.0
-    if lookahead <= 0.0:
-        raise ConfigError(
-            "sharded run has zero lookahead: every cross-shard link must "
-            "have positive base_latency and connect_latency (the 'local' "
-            "profile and globally-coupled latency models cannot cross "
-            "shard boundaries)")
-    return float(lookahead)
-
-
-def run_windowed(worlds: Sequence, until: float,
-                 lookahead: float | None = None) -> int:
-    """Drive coupled shard worlds through conservative windows, in
-    process.
-
-    ``worlds`` are duck-typed bundles with ``.engine`` (an
-    :class:`~repro.sim.engine.Engine`) and ``.gateway`` (a
-    :class:`~repro.transport.simfabric.ShardGateway`); all engines must
-    sit at the same simulated time.  Returns the number of windows run.
-    """
-    if not worlds:
-        raise ConfigError("run_windowed needs at least one shard world")
-    la = _window_lookahead(worlds, lookahead)
-    engines = [w.engine for w in worlds]
-    w_prev = engines[0].now
-    for e in engines:
-        if e.now != w_prev:
-            raise SimulationError("shard engines out of sync at window start")
-    if until < w_prev:
-        raise SimulationError(f"run_windowed(until={until}) is in the past")
-    RUNTIME.shards = max(RUNTIME.shards, len(worlds))
-    RUNTIME.lookahead_ns = int(la * 1e9)
-    nwin = 0
-    while True:
-        w_end = min(w_prev + la, until)
-        by_shard: dict[int, list] = {}
-        for w in worlds:
-            for dst, msgs in w.gateway.take_outgoing():
-                by_shard.setdefault(dst, []).extend(msgs)
-        for w in worlds:
-            w.gateway.ingest(by_shard.pop(w.gateway.shard_id, []))
-        if by_shard:
-            raise SimulationError(
-                f"cross-shard messages addressed to unknown shards "
-                f"{sorted(by_shard)}")
-        for e in engines:
-            e.run_window(w_end)
-        nwin += 1
-        RUNTIME.windows += 1
-        if w_end >= until:
-            return nwin
-        w_prev = w_end
-
-
-def _mp_windowed_worker(shard_id: int, nshards: int, until: float,
-                        lookahead: float | None, build, finish,
-                        conns: dict, out) -> None:
-    """One forked shard worker: build the world, run the window loop
-    against the pipe mesh, ship ``finish(world)`` back to the parent."""
+def _parallel_worker(fn, shard_id: int, payloads: Sequence, cursor, tx) -> None:
     try:
-        RUNTIME.reset(shards=nshards, shard_id=shard_id)
-        world = build(shard_id)
-        la = _window_lookahead((world,), lookahead)
-        RUNTIME.lookahead_ns = int(la * 1e9)
-        eng = world.engine
-        gateway = world.gateway
-        peers = sorted(conns)
-        w_prev = eng.now
-        while True:
-            w_end = min(w_prev + la, until)
-            outgoing = dict(gateway.take_outgoing())
-            t0 = timeutil.perf_counter()
-            for peer in peers:
-                conns[peer].send(outgoing.pop(peer, []))
-            if outgoing:
-                raise SimulationError(
-                    f"shard {shard_id} addressed unknown shards "
-                    f"{sorted(outgoing)}")
-            incoming: list = []
-            for peer in peers:
-                incoming.extend(conns[peer].recv())
-            RUNTIME.barrier_wait_ns += int(
-                (timeutil.perf_counter() - t0) * 1e9)
-            gateway.ingest(incoming)
-            eng.run_window(w_end)
-            RUNTIME.windows += 1
-            if w_end >= until:
-                break
-            w_prev = w_end
-        out.send(("ok", finish(world)))
-    except BaseException:
-        out.send(("err", traceback.format_exc()))
-    finally:
-        out.close()
-
-
-def run_windowed_mp(build: Callable[[int], Any], finish: Callable[[Any], Any],
-                    nshards: int, until: float,
-                    lookahead: float | None = None) -> list:
-    """Fork ``nshards`` workers; worker ``s`` builds its world with
-    ``build(s)``, runs the conservative window loop against a full pipe
-    mesh, and returns ``finish(world)`` (which must be picklable).
-
-    Every worker computes the identical window schedule
-    ``W_k = min(W_{k-1} + L, until)`` from the shared lookahead, so the
-    per-window barrier is just send-to-all followed by
-    receive-from-all — no coordinator, no null messages.
-    """
-    if nshards < 1:
-        raise ConfigError("run_windowed_mp needs nshards >= 1")
-    ctx = multiprocessing.get_context("fork")
-    # Full mesh: conns[i][j] is shard i's duplex pipe end toward shard j.
-    conns: dict[int, dict] = {i: {} for i in range(nshards)}
-    for i in range(nshards):
-        for j in range(i + 1, nshards):
-            a, b = ctx.Pipe(True)
-            conns[i][j] = a
-            conns[j][i] = b
-    outs = []
-    procs = []
-    for s in range(nshards):
-        rx, tx = ctx.Pipe(False)
-        outs.append(rx)
-        procs.append(ctx.Process(
-            target=_mp_windowed_worker,
-            args=(s, nshards, until, lookahead, build, finish, conns[s], tx),
-            daemon=True))
-    for p in procs:
-        p.start()
-    # The children own the mesh now; drop the parent's copies so EOF
-    # propagates if a worker dies.
-    for s in range(nshards):
-        for c in conns[s].values():
-            c.close()
-    return _collect(procs, outs)
-
-
-# ---------------------------------------------------------------------------
-# Disjoint-shard fan-out (no cross links, no windows)
-# ---------------------------------------------------------------------------
-
-def _parallel_worker(fn, shard_id: int, nshards: int, jobs: list, tx) -> None:
-    try:
-        RUNTIME.reset(shards=nshards, shard_id=shard_id)
-        tx.send(("ok", [fn(job) for job in jobs]))
+        done = []
+        i = shard_id
+        while i < len(payloads):
+            done.append((i, fn(payloads[i])))
+            with cursor.get_lock():
+                i = cursor.value
+                cursor.value = i + 1
+        tx.send(("ok", done))
     except BaseException:
         tx.send(("err", traceback.format_exc()))
     finally:
@@ -289,7 +60,6 @@ def _parallel_worker(fn, shard_id: int, nshards: int, jobs: list, tx) -> None:
 
 
 def _collect(procs, outs) -> list:
-    t0 = timeutil.perf_counter()
     results = []
     try:
         for rx in outs:
@@ -300,15 +70,20 @@ def _collect(procs, outs) -> list:
     finally:
         for p in procs:
             p.join()
-        RUNTIME.barrier_wait_ns += int((timeutil.perf_counter() - t0) * 1e9)
     return results
 
 
 def run_parallel(fn: Callable[[Any], Any], payloads: Sequence,
                  nshards: int) -> list:
     """Run ``fn(payload)`` for every payload across ``nshards`` forked
-    workers (round-robin assignment); results come back in payload
-    order.
+    workers; results come back in payload order.
+
+    Payloads are handed out in the order given: worker ``s`` starts on
+    payload ``s`` and each worker takes the next unclaimed payload as it
+    finishes one — greedy packing onto the least-loaded worker.  A
+    caller that passes payloads largest-first therefore gets
+    longest-job-first scheduling, and its two biggest jobs never share
+    a worker.
 
     For *disjoint* shards only: each call must be a self-contained
     world (its own engine, fabric, daemons, seeds), which is exactly
@@ -321,7 +96,7 @@ def run_parallel(fn: Callable[[Any], Any], payloads: Sequence,
         return []
     nshards = max(1, min(nshards, len(payloads)))
     ctx = multiprocessing.get_context("fork")
-    RUNTIME.shards = max(RUNTIME.shards, nshards)
+    cursor = ctx.Value("l", nshards)
     procs = []
     outs = []
     for s in range(nshards):
@@ -329,16 +104,14 @@ def run_parallel(fn: Callable[[Any], Any], payloads: Sequence,
         outs.append(rx)
         procs.append(ctx.Process(
             target=_parallel_worker,
-            args=(fn, s, nshards, [payloads[i] for i in
-                                   range(s, len(payloads), nshards)], tx),
+            args=(fn, s, payloads, cursor, tx),
             daemon=True))
     for p in procs:
         p.start()
-    per_shard = _collect(procs, outs)
     results: list = [None] * len(payloads)
-    for s, chunk in enumerate(per_shard):
-        for k, i in enumerate(range(s, len(payloads), nshards)):
-            results[i] = chunk[k]
+    for done in _collect(procs, outs):
+        for i, res in done:
+            results[i] = res
     return results
 
 

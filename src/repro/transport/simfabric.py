@@ -19,12 +19,10 @@ Cost semantics (see :data:`repro.transport.base.PROFILES`):
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional
 
 from repro.sim.engine import Engine
 from repro.sim.resources import CpuCore
-from repro.sim.shard import RUNTIME as _SHARD_RUNTIME
 from repro.transport.base import (
     Endpoint,
     Listener,
@@ -32,10 +30,9 @@ from repro.transport.base import (
     TransportProfile,
     get_transport_profile,
 )
-from repro.util.errors import ConfigError, TransportError
+from repro.util.errors import TransportError
 
-__all__ = ["SimFabric", "SimTransport", "FabricFaults", "ShardGateway",
-           "lookahead_of"]
+__all__ = ["SimFabric", "SimTransport", "FabricFaults"]
 
 #: latency_fn(src_node_id, dst_node_id, nbytes) -> extra seconds
 LatencyFn = Callable[[object, object, int], float]
@@ -125,9 +122,6 @@ class SimFabric:
         #: Fault-injection state; endpoints consult it only while a
         #: fault is live (one attribute check on the no-fault path).
         self.faults = FabricFaults()
-        #: Cross-shard routing, installed by :class:`ShardGateway` when
-        #: this fabric is one shard of a partitioned cluster.
-        self.gateway: Optional["ShardGateway"] = None
 
     def _account(self, src, dst, nbytes: int) -> float:
         """Record traffic and return the model's extra latency."""
@@ -395,10 +389,6 @@ class SimTransport(Transport):
         eng = self.fabric.engine
         lst = self.fabric._listeners.get(addr)
         if lst is None:
-            gateway = self.fabric.gateway
-            if gateway is not None and gateway.route(addr) is not None:
-                gateway.connect(self, addr, on_connected)
-                return
             eng.call_later(self.profile.connect_latency, lambda: on_connected(None))
             return
         target = lst.transport
@@ -430,359 +420,3 @@ class SimTransport(Transport):
 
         eng.call_later(self.profile.connect_latency, establish)
 
-
-# ---------------------------------------------------------------------------
-# Sharded-parallel support: cross-shard frame queues + lookahead
-# ---------------------------------------------------------------------------
-
-def lookahead_of(profile: TransportProfile) -> float:
-    """Conservative lookahead one cross-shard link type contributes.
-
-    Frames, reads, and read replies each take at least one
-    ``base_latency`` leg; connection establishment is modelled as two
-    half-``connect_latency`` legs (request over, verdict back) so both
-    sides still finalize exactly ``connect_latency`` after the
-    ``connect()`` call.  The window width must clear the shortest leg.
-    """
-    return min(profile.base_latency, profile.connect_latency / 2.0)
-
-
-class _RemoteEndpoint(Endpoint):
-    """One side of a shard-crossing connection.
-
-    Mirrors :class:`_SimEndpoint` delay-for-delay — every message or
-    read leg is stamped with the absolute ``deliver_at`` the unsharded
-    endpoint pair would have used, and the gateway replays it on the
-    remote engine at exactly that time.  Two deliberate divergences,
-    both invisible to stored output: the initiator's read-byte counters
-    are bumped when the reply lands (not at target-execution time), and
-    equal-timestamp interleaving between cross-shard and local events
-    follows each shard's own FIFO order rather than the global one a
-    single engine would have produced.
-    """
-
-    def __init__(self, transport: "SimTransport", node_id, gateway:
-                 "ShardGateway", conn_id, peer_shard: int, peer_node):
-        super().__init__()
-        self.transport = transport
-        self.node_id = node_id
-        self.gateway = gateway
-        self.conn_id = conn_id
-        self.peer_shard = peer_shard
-        self.peer_node = peer_node
-
-    fabric = _SimEndpoint.fabric
-    engine = _SimEndpoint.engine
-    _wire_delay = _SimEndpoint._wire_delay
-    _deliver_if_open = _SimEndpoint._deliver_if_open
-
-    def send(self, frame: bytes) -> None:
-        if self.closed:
-            raise TransportError("send on closed sim endpoint")
-        self.bytes_sent += len(frame)
-        faults = self.fabric.faults
-        if faults.active and faults.drops_frame(self.node_id, self.peer_node,
-                                                frame):
-            faults.frames_dropped += 1
-            return
-        delay = self._wire_delay(len(frame), self.peer_node)
-        self.gateway.emit(self.peer_shard, "frame",
-                          self.engine.now + delay, (self.conn_id, frame))
-
-    def rdma_read(self, region_id: int, on_complete, trace=None) -> None:
-        if self.closed:
-            on_complete(None)
-            return
-        p = self.transport.profile
-        faults = self.fabric.faults
-        if faults.active and faults.blocked(self.node_id, self.peer_node):
-            faults.reads_failed += 1
-            self.engine.call_later(p.base_latency, on_complete, None)
-            return
-        nreq = 64 if trace is None else 64 + 1 + 15 * len(trace)
-        self._issue_read(nreq, region_id, on_complete, trace, multi=False)
-
-    def rdma_read_multi(self, region_ids, on_complete, trace=None) -> None:
-        n = len(region_ids)
-        if self.closed:
-            on_complete([None] * n)
-            return
-        p = self.transport.profile
-        faults = self.fabric.faults
-        if faults.active and faults.blocked(self.node_id, self.peer_node):
-            faults.reads_failed += 1
-            self.engine.call_later(p.base_latency, on_complete, [None] * n)
-            return
-        nreq = 64 + 8 * n
-        if trace is not None:
-            nreq += 1 + 15 * len(trace)
-        self._issue_read(nreq, tuple(region_ids), on_complete, trace,
-                         multi=True)
-
-    def _issue_read(self, nreq: int, spec, on_complete, trace,
-                    multi: bool) -> None:
-        req_delay = self._wire_delay(nreq, self.peer_node)
-        read_id = self.gateway.register_read(on_complete, multi,
-                                             len(spec) if multi else 1)
-        self.gateway.emit(self.peer_shard, "read",
-                          self.engine.now + req_delay,
-                          (self.conn_id, read_id, spec, trace, multi))
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self._closed()
-        self.transport._conn_count -= 1
-        self.gateway.emit(self.peer_shard, "close",
-                          self.engine.now + self.transport.profile.base_latency,
-                          (self.conn_id,))
-
-
-class ShardGateway:
-    """One shard's half of the cross-shard fabric boundary.
-
-    Owns the remote-listener routing table, the per-peer outgoing
-    message queues flushed at each window barrier, and the connection /
-    in-flight-read state for every link that crosses this shard's
-    boundary.  Messages are ``(deliver_at, src_shard, seq, kind,
-    payload)`` tuples: the absolute delivery timestamp is computed on
-    the sending side from the same profile arithmetic the unsharded
-    endpoints use, and :meth:`ingest` replays the batch in
-    ``(deliver_at, src_shard, seq)`` order via ``call_at`` — a total,
-    deterministic order regardless of arrival interleaving.
-
-    The constructor validates the window lookahead (rejecting
-    zero-lookahead partitions loudly), and :meth:`emit` enforces the
-    conservative invariant at runtime: no message may be emitted with
-    ``deliver_at`` closer than one lookahead from now.
-    """
-
-    def __init__(self, fabric: SimFabric, shard_id: int, nshards: int,
-                 lookahead: float):
-        if lookahead <= 0.0:
-            raise ConfigError(
-                "shard partition has zero lookahead: a cross-shard link "
-                "with no minimum latency (e.g. the 'local' profile, or a "
-                "shared flow-engine latency model) cannot be windowed")
-        if fabric.gateway is not None:
-            raise ConfigError("fabric already has a shard gateway")
-        self.fabric = fabric
-        self.shard_id = shard_id
-        self.nshards = nshards
-        self.lookahead = float(lookahead)
-        self._routes: dict[object, int] = {}
-        self._outgoing: dict[int, list] = {}
-        self._conns: dict[object, _RemoteEndpoint] = {}
-        self._pending_connects: dict[object, Callable] = {}
-        self._pending_reads: dict[int, tuple] = {}
-        self._mseq = itertools.count()
-        self._cseq = itertools.count()
-        self._rseq = itertools.count()
-        self.frames_sent = 0
-        fabric.gateway = self
-        _SHARD_RUNTIME.shards = max(_SHARD_RUNTIME.shards, nshards)
-        _SHARD_RUNTIME.lookahead_ns = int(self.lookahead * 1e9)
-
-    # -- routing ---------------------------------------------------------
-    def add_route(self, addr, shard: int) -> None:
-        """Declare that ``addr`` listens in ``shard`` (a remote one)."""
-        if shard == self.shard_id:
-            raise ConfigError(f"route for {addr!r} points at this shard")
-        self._routes[addr] = shard
-
-    def route(self, addr) -> Optional[int]:
-        return self._routes.get(addr)
-
-    # -- window barrier interface ---------------------------------------
-    def emit(self, dst_shard: int, kind: str, deliver_at: float,
-             payload: tuple) -> None:
-        now = self.fabric.engine.now
-        if deliver_at < now + self.lookahead - 1e-15:
-            raise TransportError(
-                f"cross-shard {kind} violates lookahead: deliver_at="
-                f"{deliver_at} < now={now} + L={self.lookahead}")
-        self._outgoing.setdefault(dst_shard, []).append(
-            (deliver_at, self.shard_id, next(self._mseq), kind, payload))
-        self.frames_sent += 1
-        _SHARD_RUNTIME.cross_frames += 1
-
-    def take_outgoing(self) -> list[tuple[int, list]]:
-        """Drain the per-peer queues: sorted ``(dst_shard, messages)``."""
-        out = [(dst, self._outgoing[dst]) for dst in sorted(self._outgoing)]
-        self._outgoing = {}
-        return out
-
-    def ingest(self, messages: list) -> None:
-        """Schedule a barrier batch onto this shard's engine."""
-        eng = self.fabric.engine
-        for msg in sorted(messages):
-            deliver_at, _src, _seq, kind, payload = msg
-            eng.call_at(deliver_at, self._dispatch, kind, payload)
-
-    # -- initiator side --------------------------------------------------
-    def connect(self, transport: "SimTransport", addr, on_connected) -> None:
-        eng = self.fabric.engine
-        p = transport.profile
-        dst_shard = self._routes[addr]
-        if transport._conn_count >= p.max_connections:
-            transport.refused_connections += 1
-            eng.call_later(p.connect_latency, lambda: on_connected(None))
-            return
-        conn_id = (self.shard_id, next(self._cseq))
-        ep = _RemoteEndpoint(transport, transport.node_id, self, conn_id,
-                             dst_shard, peer_node=addr)
-        transport._conn_count += 1
-        self._conns[conn_id] = ep
-        self._pending_connects[conn_id] = on_connected
-        half = p.connect_latency / 2.0
-        self.emit(dst_shard, "connreq", eng.now + half,
-                  (conn_id, addr, p.name, transport.node_id,
-                   tuple(sorted(ep.features)), half))
-
-    def register_read(self, on_complete, multi: bool, n: int) -> int:
-        read_id = next(self._rseq)
-        self._pending_reads[read_id] = (on_complete, multi, n)
-        return read_id
-
-    # -- message dispatch (runs at deliver_at on this shard's engine) ----
-    def _dispatch(self, kind: str, payload: tuple) -> None:
-        if kind == "frame":
-            conn_id, frame = payload
-            ep = self._conns.get(conn_id)
-            if ep is not None:
-                ep._deliver_if_open(frame)
-        elif kind == "read":
-            self._on_read(payload)
-        elif kind == "readreply":
-            self._on_readreply(payload)
-        elif kind == "connreq":
-            self._on_connreq(payload)
-        elif kind == "connok":
-            self._on_connok(payload)
-        elif kind == "connrefused":
-            self._on_connrefused(payload)
-        elif kind == "close":
-            (conn_id,) = payload
-            ep = self._conns.get(conn_id)
-            if ep is not None and not ep.closed:
-                ep.transport._conn_count -= 1
-                ep._closed()
-        else:  # pragma: no cover - protocol versioning guard
-            raise TransportError(f"unknown cross-shard message {kind!r}")
-
-    def _on_connreq(self, payload: tuple) -> None:
-        conn_id, addr, profile_name, src_node, feats, half = payload
-        eng = self.fabric.engine
-        src_shard = conn_id[0]
-        lst = self.fabric._listeners.get(addr)
-        if lst is None:
-            self.emit(src_shard, "connrefused", eng.now + half,
-                      (conn_id, False))
-            return
-        target = lst.transport
-        if target.profile.name != profile_name:
-            raise ConfigError(
-                f"cross-shard link {addr!r} mixes transport profiles "
-                f"({profile_name!r} -> {target.profile.name!r}); shards "
-                f"must agree on the link's cost model")
-        if target._conn_count >= target.profile.max_connections:
-            target.refused_connections += 1
-            self.emit(src_shard, "connrefused", eng.now + half,
-                      (conn_id, True))
-            return
-        b = _RemoteEndpoint(target, target.node_id, self, conn_id,
-                            src_shard, peer_node=src_node)
-        b._negotiate(frozenset(feats))
-        b._peer_clock = (0.0, 0.0)
-        target._conn_count += 1
-        self._conns[conn_id] = b
-        # The accept fires one half-latency later — exactly
-        # connect_latency after the remote connect() call, matching the
-        # unsharded establish instant.
-        eng.call_at(eng.now + half, self._accept, lst, b)
-        self.emit(src_shard, "connok", eng.now + half,
-                  (conn_id, target.node_id, tuple(sorted(b.features))))
-
-    @staticmethod
-    def _accept(lst: "_SimListener", b: "_RemoteEndpoint") -> None:
-        lst.on_connect(b)
-
-    def _on_connok(self, payload: tuple) -> None:
-        conn_id, target_node, feats = payload
-        a = self._conns[conn_id]
-        on_connected = self._pending_connects.pop(conn_id)
-        a.peer_node = target_node
-        a._negotiate(frozenset(feats))
-        a._peer_clock = (0.0, 0.0)
-        on_connected(a)
-
-    def _on_connrefused(self, payload: tuple) -> None:
-        conn_id, _at_capacity = payload
-        a = self._conns.pop(conn_id)
-        on_connected = self._pending_connects.pop(conn_id)
-        a.transport._conn_count -= 1
-        on_connected(None)
-
-    def _on_read(self, payload: tuple) -> None:
-        conn_id, read_id, spec, trace, multi = payload
-        eng = self.fabric.engine
-        b = self._conns.get(conn_id)
-        if b is None:
-            raise TransportError(f"cross-shard read on unknown conn {conn_id}")
-        p = b.transport.profile
-        n = len(spec) if multi else 1
-        faults = self.fabric.faults
-        failed = faults.active and faults.blocked(b.node_id, b.peer_node)
-        if failed:
-            faults.reads_failed += 1
-        if failed or b.closed:
-            # Mirror of the unsharded mid-flight failure branches: the
-            # initiator's completion errors out one detection latency
-            # later, with no CPU charges on either side.
-            self.emit(b.peer_shard, "readreply",
-                      eng.now + p.base_latency,
-                      (conn_id, read_id, None, 0, False))
-            return
-        if trace is not None and b.on_traced_read is not None:
-            if multi:
-                for idx, tid, sid, hop in trace:
-                    if idx < n:
-                        b.on_traced_read(tid, sid, hop, spec[idx])
-            else:
-                for _idx, tid, sid, hop in trace:
-                    b.on_traced_read(tid, sid, hop, spec)
-        if multi:
-            result = b.read_regions(spec)
-            nbytes = sum(len(d) for d in result if d is not None)
-            cost = n * p.target_cpu_per_read + nbytes * p.target_cpu_per_byte
-            reply_bytes = nbytes + 8 * n
-        else:
-            reader = b._regions.get(spec)
-            result = bytes(reader()) if reader is not None else None
-            nbytes = len(result) if result is not None else 0
-            cost = p.target_cpu_per_read + nbytes * p.target_cpu_per_byte
-            reply_bytes = nbytes
-        if cost > 0.0 and b.transport.core is not None:
-            b.transport.core.add_noise(eng.now, cost, tag="netmon")
-        reply_delay = cost + b._wire_delay(reply_bytes, b.peer_node)
-        self.emit(b.peer_shard, "readreply", eng.now + reply_delay,
-                  (conn_id, read_id, result, nbytes, True))
-
-    def _on_readreply(self, payload: tuple) -> None:
-        conn_id, read_id, result, nbytes, charge = payload
-        on_complete, multi, n = self._pending_reads.pop(read_id)
-        if result is None and multi:
-            result = [None] * n
-        a = self._conns.get(conn_id)
-        if charge and a is not None:
-            p = a.transport.profile
-            if multi:
-                if nbytes:
-                    a._account_read(nbytes)
-            elif result is not None:
-                a._account_read(nbytes)
-            if a.transport.core is not None and p.initiator_cpu_per_read > 0:
-                a.transport.core.add_noise(
-                    self.fabric.engine.now,
-                    (n if multi else 1) * p.initiator_cpu_per_read, tag="agg")
-        on_complete(result)

@@ -150,14 +150,10 @@ class TestControlVerbs:
         eng.run(until=2.5)
         prof = json.loads(ch.handle("prof")[2:])
         assert set(prof) == {"name", "histograms", "traces", "arena",
-                             "freshness", "flight", "spans", "shard"}
+                             "freshness", "flight", "spans",
+                             "xprt_refused_connections"}
         assert prof["name"] == "n0"
-        # Schema-stable shard block: present and zeroed when sharding
-        # is off.
-        assert prof["shard"] == {
-            "shards": 0, "shard_id": 0, "shard_windows": 0,
-            "shard_barrier_wait_ns": 0, "cross_shard_frames": 0,
-            "shard_lookahead_ns": 0}
+        assert prof["xprt_refused_connections"] == 0
         assert isinstance(prof["traces"], list)
         assert set(prof["arena"]) == {"sweeps", "rows_vectorized",
                                       "fallback_sets", "pool"}

@@ -376,3 +376,72 @@ class TestLdmsdSelfEndToEnd:
         for name, v in vals.items():
             if "_us_" in name or name.endswith("_count"):
                 assert v == 0, name
+
+
+class TestRefusedConnectionsSurface:
+    """ROADMAP 5a (surfacing half): producers refused at the transport's
+    ``max_connections`` wall show up in the aggregator's own health."""
+
+    def test_refused_producers_visible_in_self_row_stats_and_prof(self):
+        from dataclasses import replace
+
+        from repro.core.control import ControlChannel
+        from repro.transport.base import get_transport_profile
+
+        tight = replace(get_transport_profile("sock"), max_connections=3)
+        eng = Engine()
+        env = SimEnv(eng)
+        fabric = SimFabric(eng)
+        n = 5
+        for i in range(n):
+            d = Ldmsd(f"n{i}", env=env, mem="64kB", transports={
+                "sock": SimTransport(fabric, tight, node_id=i)})
+            d.load_sampler("synthetic", instance=f"n{i}/syn",
+                           component_id=i + 1, num_metrics=4)
+            d.start_sampler(f"n{i}/syn", interval=1.0)
+            d.listen("sock", f"n{i}:411")
+        agg = Ldmsd("agg", env=env, transports={
+            "sock": SimTransport(fabric, tight, node_id="agg")})
+        agg.add_store("memory")
+        agg.load_sampler("ldmsd_self", instance="agg/self", component_id=99)
+        agg.start_sampler("agg/self", interval=1.0)
+        for i in range(n):
+            # One connect attempt each inside the run: the counter is
+            # refusals, and a retry would be refused again.
+            agg.add_producer(f"n{i}", "sock", f"n{i}:411", interval=1.0,
+                             sets=(f"n{i}/syn",), reconnect_interval=60.0)
+        eng.run(until=10.0)
+
+        assert sum(1 for p in agg.producers.values() if p.connected) == 3
+        assert agg.transports["sock"].refused_connections == 2
+        row = dict(zip(obs.SELF_METRIC_NAMES, obs.collect(agg)))
+        assert row["xprt_refused_connections"] == 2
+        assert agg.get_set("agg/self").as_dict()[
+            "xprt_refused_connections"] == 2
+        assert agg.stats()["xprt_refused_connections"] == 2
+        prof = json.loads(ControlChannel(agg).handle("prof")[2:])
+        assert prof["xprt_refused_connections"] == 2
+        assert "refused_connections=2" in obs.render(row)
+
+
+def test_ldmsd_self_schema_is_79_metrics():
+    assert len(obs.SELF_METRIC_NAMES) == 79
+    assert len(set(obs.SELF_METRIC_NAMES)) == 79
+
+
+def test_daemon_layers_do_not_import_the_process_pool():
+    """A real-TCP daemon must not pull in the DES fan-out module (or
+    ``multiprocessing``) by importing core, the sim fabric or obs."""
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, repro.core, repro.transport.simfabric, repro.obs\n"
+            "bad = [m for m in ('repro.sim.shard', 'multiprocessing') "
+            "if m in sys.modules]\n"
+            "assert not bad, bad\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   timeout=60)
