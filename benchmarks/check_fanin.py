@@ -9,28 +9,28 @@ Two checks, both machine-independent (speed is the ledger's job:
    profile's 9,216-connection capacity, and the aggregator's live
    freshness tracker must report the ground-truth delivered/expected
    completeness *exactly* at the knee and at the over-capacity point
-   (~0.901).  Each point records its build/ramp-up/steady wall split —
-   the headline events/s drop toward the knee is a one-off-cost
-   artifact, see ``phase_note`` in the artifact — and hashes every
-   stored row (sha256 over (timestamp, producer, set_name, values)).
-   Every point's digest must equal the one committed in
+   (~0.901).  Each point hashes every stored row (sha256 over
+   (timestamp, producer, set_name, values)) and counts its events.
+   Every field of the regenerated artifact — digests, event counts,
+   completeness, knee — must equal the one committed in
    ``BENCH_fanin.json``: the simulated history is a function of the
-   cost model alone, so a digest that moves is a behaviour change.  A
-   change that means to move it commits the regenerated file.
+   cost model alone, so a number that moves is a behaviour change.  A
+   change that means to move one commits the regenerated file.  The
+   artifact therefore carries no wall-clock numbers at all.
 
    Event counts are *logical* events: heap-processed events plus the
    per-member events the sampler cohorts materialize inside vectorized
-   sweeps (``engine.vectorized_events``), so events/s stays comparable
+   sweeps (``engine.vectorized_events``), so the count stays comparable
    across releases however much work a sweep vectorizes.
 
 2. **Sharded full-scale sweep.**  The same sweep runs again with the
    points fanned out, largest first, across one forked worker per host
-   core (``repro.sim.shard.run_parallel``).  Per-point digests must
-   match check 1 byte-for-byte, the sharded knee must still equal the
-   profile capacity, and the freshness tracker must stay exact.  The
-   ``sharded`` block of ``BENCH_fanin.json`` records ``workers``,
-   ``host_cpus``, both walls and ``speedup_vs_inline`` — reported, not
-   gated: on a single-core runner there is one worker and no speedup.
+   core (``repro.sim.shard.run_parallel``).  Every point's row —
+   digest, event counts, completeness, tracker — must equal check 1's
+   (so the knee and the tracker's exactness carry over).  The
+   ``sharded`` block of ``BENCH_fanin.json`` records ``workers`` and
+   ``host_cpus`` — the two fields that describe the host, not the
+   simulation, and so the only two the identity check skips.
 
     PYTHONPATH=src python benchmarks/check_fanin.py
 """
@@ -41,10 +41,9 @@ import gc
 import json
 import os
 import sys
-import time
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-#: The committed artifact: its per-point digests are the identity oracle.
+#: The committed artifact: the identity oracle.
 COMMITTED_PATH = os.path.join(_ROOT, "BENCH_fanin.json")
 OUT_PATH = os.environ.get("BENCH_FANIN_OUT", "BENCH_fanin.json")
 
@@ -52,75 +51,38 @@ INTERVAL = 5.0
 METRICS = 10
 DURATION = 30.0
 
-#: Full sweep measured on the reference dev box before the fast-path
-#: work landed (plain binary-heap scheduler, per-record flush, per-set
-#: updates, GC always on).  Kept in the artifact so the headline
-#: speedup survives alongside the current numbers.
-_PRE_FASTPATH_BASELINE = {
-    "total_wall_s": 80.01,
-    "events_per_s": 34857,
-    "wall_s_by_point": {"3225": 4.483, "6451": 12.997, "8294": 17.642,
-                        "9216": 21.328, "10229": 23.556},
-}
+#: The fields that describe the host the artifact was generated on;
+#: everything else is compared with the committed file.
+HOST_FIELDS = ("sharded.workers", "sharded.host_cpus")
 
 
 def _measure(n: int) -> dict:
-    """Build+run one sweep point in *this* process; returns a dict with
-    the wall split (build / ramp-up / steady), logical event counts
-    (heap-processed plus cohort-vectorized member events),
-    completeness, and the row digest.  The cyclic GC is paused around
-    build+run, as ``sweep_transport`` (the shipped sweep path) does.
+    """Build+run one sweep point in *this* process; returns its artifact
+    row: logical event counts (heap-processed plus cohort-vectorized
+    member events), completeness, tracker and the row digest.  The
+    cyclic GC is paused around build+run, as ``sweep_transport`` (the
+    shipped sweep path) does.
     """
     from repro.experiments.fanin import _build, _rows_digest
 
     gc.collect()
     gc.disable()
     try:
-        t0 = time.perf_counter()
         eng, env, agg, agg_x, store = _build(n, "sock", INTERVAL, METRICS,
                                              DURATION, scale=1)
-        t1 = time.perf_counter()
-        eng.run(until=min(INTERVAL, DURATION))
-        ramp_events = eng.events_processed + eng.vectorized_events
-        t2 = time.perf_counter()
         eng.run(until=DURATION)
-        t3 = time.perf_counter()
     finally:
         gc.enable()
     expected = n * (DURATION / INTERVAL - 1)
     completeness = min(len(store.rows) / expected, 1.0)
     tracker = agg.freshness.fleet(env.now())["completeness"]
-    events = eng.events_processed + eng.vectorized_events
-    steady_s = t3 - t2
-    return {
-        "wall": t3 - t0,
-        "build_s": t1 - t0,
-        "rampup_s": t2 - t1,
-        "steady_s": steady_s,
-        "events": events,
-        "steady_events": events - ramp_events,
-        "steady_events_per_s": int((events - ramp_events) / steady_s)
-        if steady_s > 0 else 0,
-        "vectorized": eng.vectorized_events,
-        "completeness": completeness,
-        "tracker": tracker,
-        "digest": _rows_digest(store),
-    }
-
-
-def _point_row(n: int, res: dict) -> dict:
-    return {"n_samplers": n, "wall_s": round(res["wall"], 3),
-            "build_s": round(res["build_s"], 3),
-            "rampup_s": round(res["rampup_s"], 3),
-            "steady_s": round(res["steady_s"], 3),
-            "events": res["events"],
-            "vectorized_events": res["vectorized"],
-            "events_per_s": int(res["events"] / res["wall"]),
-            "steady_events_per_s": res["steady_events_per_s"],
-            "completeness": round(res["completeness"], 4),
-            "tracker_completeness": round(res["tracker"], 4),
-            "tracker_exact": res["tracker"] == res["completeness"],
-            "rows_sha256": res["digest"]}
+    return {"n_samplers": n,
+            "events": eng.events_processed + eng.vectorized_events,
+            "vectorized_events": eng.vectorized_events,
+            "completeness": round(completeness, 4),
+            "tracker_completeness": round(tracker, 4),
+            "tracker_exact": tracker == completeness,
+            "rows_sha256": _rows_digest(store)}
 
 
 def check_full_scale() -> dict:
@@ -130,20 +92,12 @@ def check_full_scale() -> dict:
     sizes = default_sizes("sock")
     cap = get_transport_profile("sock").max_connections
     per_point = []
-    total_wall = 0.0
-    total_events = 0
     for n in sizes:
-        res = _measure(n)
-        per_point.append(_point_row(n, res))
-        total_wall += res["wall"]
-        total_events += res["events"]
-        print(f"  n={n:6d}  wall {res['wall']:6.2f}s "
-              f"(build {res['build_s']:.2f} ramp {res['rampup_s']:.2f} "
-              f"steady {res['steady_s']:.2f})  events {res['events']:8d}  "
-              f"({int(res['events'] / res['wall']):7d} ev/s, "
-              f"{res['steady_events_per_s']} steady)  "
-              f"completeness {res['completeness']:.4f}  "
-              f"tracker {res['tracker']:.4f}")
+        row = _measure(n)
+        per_point.append(row)
+        print(f"  n={n:6d}  events {row['events']:8d}  "
+              f"completeness {row['completeness']:.4f}  "
+              f"tracker {row['tracker_completeness']:.4f}")
     knee = max(p["n_samplers"] for p in per_point
                if p["completeness"] >= 0.99)
     return {
@@ -155,82 +109,61 @@ def check_full_scale() -> dict:
         "knee": knee,
         "profile_capacity": cap,
         "points": per_point,
-        "total_wall_s": round(total_wall, 2),
-        "total_events": total_events,
-        "events_note": ("events = heap-processed + cohort-vectorized "
-                        "member events"),
-        "phase_note": ("headline events_per_s divides by the whole "
-                       "point wall; build (topology + daemon "
-                       "construction) and ramp-up (the n-producer "
-                       "connect storm and first-sample set creation) "
-                       "are one-off costs that grow with n but "
-                       "amortize over only 30 simulated seconds, which "
-                       "is why the rate falls toward the 9,216 knee "
-                       "while steady_events_per_s stays flat"),
-        "events_per_s": int(total_events / total_wall),
-        "pre_fastpath_baseline": _PRE_FASTPATH_BASELINE,
-        "speedup_vs_baseline": round(
-            _PRE_FASTPATH_BASELINE["total_wall_s"] / total_wall, 2),
+        "total_events": sum(p["events"] for p in per_point),
     }
 
 
-def check_sharded(inline: dict, inline_wall: float) -> dict:
+def check_sharded(inline: dict) -> dict:
     """Check 2: the full sweep fanned out across forked shard workers.
 
-    Byte-identity is the gate: every point's row digest must equal the
-    inline sweep's digest for the same point.  One worker per host core
-    (oversubscribed workers only serialize), points handed out largest
-    first so the two biggest never share a worker.  ``inline_wall`` is
-    the inline sweep's elapsed wall — unlike its ``total_wall_s`` (the
-    sum of the point walls) it includes tearing each world down, as the
-    sharded wall does.
+    Byte-identity is the gate: every point's row must equal the inline
+    sweep's row for the same point, digest and counts alike.  One
+    worker per host core (oversubscribed workers only serialize),
+    points handed out largest first so the two biggest never share a
+    worker.
     """
     from repro.sim.shard import run_parallel
 
     sizes = sorted((p["n_samplers"] for p in inline["points"]), reverse=True)
     host_cpus = os.cpu_count() or 1
     nworkers = min(host_cpus, len(sizes))
-    t0 = time.perf_counter()
-    results = run_parallel(_measure, sizes, nworkers)
-    wall = time.perf_counter() - t0
-    per_point = sorted((_point_row(n, res) for n, res in zip(sizes, results)),
+    per_point = sorted(run_parallel(_measure, sizes, nworkers),
                        key=lambda p: p["n_samplers"])
-    inline_digests = {p["n_samplers"]: p["rows_sha256"]
-                      for p in inline["points"]}
-    digests_match = all(p["rows_sha256"] == inline_digests[p["n_samplers"]]
-                        for p in per_point)
-    knee = max(p["n_samplers"] for p in per_point
-               if p["completeness"] >= 0.99)
-    speedup = round(inline_wall / wall, 2)
+    digests_match = per_point == inline["points"]
     print(f"  sharded sweep: {nworkers} workers on {host_cpus} cpu(s), "
-          f"{wall:.2f}s wall vs {inline_wall:.2f}s inline ({speedup}x), "
-          f"digests {'identical' if digests_match else 'DIVERGED'}")
+          f"rows {'identical' if digests_match else 'DIVERGED'}")
     return {
         "workers": nworkers,
         "host_cpus": host_cpus,
-        "inline_wall_s": round(inline_wall, 2),
-        "wall_s": round(wall, 2),
-        "speedup_vs_inline": speedup,
-        "points": per_point,
-        "knee": knee,
         "digests_match_inline": digests_match,
     }
 
 
+def _leaves(doc, prefix: str = "") -> dict:
+    """``{"a.0.b": value}`` for every leaf of a nested JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return {prefix: doc}
+    out = {}
+    for key, value in items:
+        out.update(_leaves(value, f"{prefix}.{key}" if prefix else str(key)))
+    return out
+
+
 def main() -> int:
     with open(COMMITTED_PATH) as f:
-        committed = {p["n_samplers"]: p["rows_sha256"]
-                     for p in json.load(f)["points"]}
+        committed = _leaves(json.load(f))
 
     print("== full-scale sock sweep (inline) ==")
-    t0 = time.perf_counter()
     report = check_full_scale()
-    # Drop the last world before timing stops and before forking, so
-    # the workers do not each inherit and collect it.
+    # Drop the last world before forking, so the workers do not each
+    # inherit and collect it.
     gc.collect()
-    inline_wall = time.perf_counter() - t0
     print(f"knee {report['knee']} (capacity {report['profile_capacity']}), "
-          f"{report['total_wall_s']}s, {report['events_per_s']} events/s")
+          f"{report['total_events']} events")
     if report["knee"] != report["profile_capacity"]:
         print("FAIL: full-scale knee moved off the profile capacity")
         return 1
@@ -251,30 +184,23 @@ def main() -> int:
     print(f"freshness tracker exact at {[p['n_samplers'] for p in checked]}")
 
     print("\n== full-scale sock sweep (sharded, one worker per core) ==")
-    sharded = check_sharded(report, inline_wall)
-    report["sharded"] = sharded
+    report["sharded"] = check_sharded(report)
     with open(OUT_PATH, "w") as f:
         json.dump(report, f, indent=2)
     print(f"wrote {OUT_PATH}")
-    moved = [p["n_samplers"] for p in report["points"]
-             if p["rows_sha256"] != committed.get(p["n_samplers"])]
+    measured = _leaves(report)
+    moved = [key for key in sorted(set(committed) | set(measured))
+             if key not in HOST_FIELDS
+             and committed.get(key) != measured.get(key)]
     if moved:
-        print(f"FAIL: stored rows at n={moved} differ from the digests "
-              f"committed in {COMMITTED_PATH} — the simulated history "
-              "changed; if that is intended, commit the regenerated file")
+        print(f"FAIL: {moved} differ from the values committed in "
+              f"{COMMITTED_PATH} — the simulated history changed; if that "
+              "is intended, commit the regenerated file")
         return 1
-    if not sharded["digests_match_inline"]:
+    if not report["sharded"]["digests_match_inline"]:
         print("FAIL: sharded sweep rows diverged from the inline sweep — "
               "the shard byte-identity contract is broken")
         return 1
-    if sharded["knee"] != report["profile_capacity"]:
-        print("FAIL: sharded knee moved off the profile capacity")
-        return 1
-    for p in sharded["points"]:
-        if p["n_samplers"] >= cap and not p["tracker_exact"]:
-            print(f"FAIL: sharded freshness tracker diverged at "
-                  f"n={p['n_samplers']}")
-            return 1
     print("OK")
     return 0
 

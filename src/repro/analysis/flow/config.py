@@ -1,22 +1,16 @@
-"""Configuration for the flow analyzer (``[tool.reprolint.flow]``).
+"""Scope of the whole-program passes (``[tool.reprolint.flow]``).
 
-Lives under the ``reprolint`` table because the two tools share the
-suppression syntax, exit codes, and src-roots mapping; ``repro-flow``
-reads the ``flow`` sub-table, ``repro-lint`` ignores it.
+The ``flow`` sub-table of ``[tool.reprolint]``:
+:class:`repro.analysis.lint.engine.LintConfig` loads it and hands the
+result to the call-graph contracts and the wire check.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any
 
-try:  # py311+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover
-    tomllib = None  # type: ignore[assignment]
+from repro.analysis.findings import LintConfigError
 
 
 DEFAULT_DES_PURE_PACKAGES = (
@@ -70,22 +64,17 @@ DEFAULT_SHARD_ENTRY_POINTS: tuple[str, ...] = ()
 DEFAULT_SHARD_ALLOWED_MODULES: tuple[str, ...] = ()
 
 
-class FlowConfigError(ValueError):
-    pass
-
-
 def _str_list(table: dict[str, Any], key: str, default: tuple[str, ...]) -> tuple[str, ...]:
     value = table.pop(key, None)
     if value is None:
         return default
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise FlowConfigError(f"[tool.reprolint.flow] {key} must be a list of strings")
+        raise LintConfigError(f"[tool.reprolint.flow] {key} must be a list of strings")
     return tuple(value)
 
 
 @dataclass
 class FlowConfig:
-    src_roots: tuple[str, ...] = ("src",)
     des_pure_packages: tuple[str, ...] = DEFAULT_DES_PURE_PACKAGES
     forbidden_effects: tuple[str, ...] = DEFAULT_FORBIDDEN_EFFECTS
     boundary_modules: tuple[str, ...] = DEFAULT_BOUNDARY_MODULES
@@ -97,27 +86,11 @@ class FlowConfig:
     shard_allowed_modules: tuple[str, ...] = DEFAULT_SHARD_ALLOWED_MODULES
     features_const: str = "BASE_FEATURES"
     msg_type_class: str = "MsgType"
-    extra: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
-    def from_pyproject(cls, path: str | Path) -> "FlowConfig":
-        path = Path(path)
-        if tomllib is None or not path.exists():
-            return cls()
-        with path.open("rb") as fh:
-            data = tomllib.load(fh)
-        lint_table = data.get("tool", {}).get("reprolint", {})
-        src_roots = tuple(lint_table.get("src-roots", ("src",)))
-        table = dict(lint_table.get("flow", {}))
-        return cls.from_table(table, src_roots=src_roots)
-
-    @classmethod
-    def from_table(
-        cls, table: dict[str, Any], src_roots: tuple[str, ...] = ("src",)
-    ) -> "FlowConfig":
+    def from_table(cls, table: dict[str, Any]) -> "FlowConfig":
         table = dict(table)
         cfg = cls(
-            src_roots=src_roots,
             des_pure_packages=_str_list(
                 table, "des-pure-packages", DEFAULT_DES_PURE_PACKAGES
             ),
@@ -145,37 +118,17 @@ class FlowConfig:
         features = table.pop("features-const", None)
         if features is not None:
             if not isinstance(features, str):
-                raise FlowConfigError("[tool.reprolint.flow] features-const must be a string")
+                raise LintConfigError("[tool.reprolint.flow] features-const must be a string")
             cfg.features_const = features
         msg_cls = table.pop("msg-type-class", None)
         if msg_cls is not None:
             if not isinstance(msg_cls, str):
-                raise FlowConfigError("[tool.reprolint.flow] msg-type-class must be a string")
+                raise LintConfigError("[tool.reprolint.flow] msg-type-class must be a string")
             cfg.msg_type_class = msg_cls
         if table:
             unknown = ", ".join(sorted(table))
-            raise FlowConfigError(f"unknown [tool.reprolint.flow] key(s): {unknown}")
+            raise LintConfigError(f"unknown [tool.reprolint.flow] key(s): {unknown}")
         return cfg
-
-    def digest(self) -> str:
-        blob = json.dumps(
-            {
-                "des_pure": self.des_pure_packages,
-                "forbidden": self.forbidden_effects,
-                "boundary": self.boundary_modules,
-                "ordered": self.ordered_packages,
-                "wire": self.wire_modules,
-                "transport": self.transport_modules,
-                "roots": self.dispatch_roots,
-                "shard_entry": self.shard_entry_points,
-                "shard_allowed": self.shard_allowed_modules,
-                "features": self.features_const,
-                "msgcls": self.msg_type_class,
-            },
-            sort_keys=True,
-            default=list,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def in_des_pure(self, module: str) -> bool:
         return any(module == p or module.startswith(p + ".") for p in self.des_pure_packages)

@@ -1,7 +1,7 @@
 """Call-graph construction, effect propagation, and determinism contracts.
 
-Takes the per-module :class:`ModuleSummary` set (possibly replayed from
-the hash-keyed cache) and builds the whole-program view:
+Takes the per-module :class:`ModuleSummary` set and builds the
+whole-program view:
 
 * **symbol resolution** — dotted names resolved against the module
   table, following package ``__init__`` re-export chains;
@@ -18,7 +18,8 @@ the hash-keyed cache) and builds the whole-program view:
   with per-(function, effect) provenance so violations carry the full
   call chain down to the intrinsic source;
 * **contracts** — DES-purity (transitive, frontier-reported), clock
-  boundary, and unordered-iteration checks.
+  boundary, direct ambient RNG, unordered-iteration and shard-isolation
+  checks.
 
 Boundary modules (``repro.util.timeutil``) are effect-stripped: they
 *are* the sanctioned crossing between simulated and host time, so
@@ -29,11 +30,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
 
+from repro.analysis.findings import ChainFrame, Violation
 from repro.analysis.flow.catalog import PROPAGATED_EFFECTS, effect_of
 from repro.analysis.flow.config import FlowConfig
-from repro.analysis.flow.report import ChainFrame, FlowViolation
 from repro.analysis.flow.summary import (
     MODULE_BODY,
     EffectSite,
@@ -383,55 +383,45 @@ class Program:
     def _in_scope(self, module: str) -> bool:
         return self.config.in_des_pure(module) and not self.config.is_boundary(module)
 
-    def contract_violations(self) -> list[FlowViolation]:
-        out: list[FlowViolation] = []
+    def contract_violations(self) -> list[Violation]:
+        out: list[Violation] = []
         forbidden = set(self.config.forbidden_effects)
+        boundary = ", ".join(self.config.boundary_modules) or "a configured boundary module"
         for fq in sorted(self.nodes):
             node = self.nodes[fq]
             path = self.summaries[node.module].path
-            in_des = self._in_scope(node.module)
             intrinsics = list(node.info.effects) + node.intrinsics
-
-            if in_des:
+            if self._in_scope(node.module):
                 out.extend(self._des_purity_for(fq, node, path, forbidden, intrinsics))
-            else:
-                if not self.config.is_boundary(node.module):
-                    for site in intrinsics:
-                        if site.effect == "wall_clock" and site.detail.startswith(
-                            ("calls ", "passes ")
-                        ):
-                            out.append(
-                                FlowViolation(
-                                    rule_id="flow-clock-boundary",
-                                    path=path,
-                                    line=site.line,
-                                    col=0,
-                                    message=(
-                                        f"{_display_name(node)} {site.detail}; wall-clock "
-                                        f"reads must route through "
-                                        + (
-                                            ", ".join(self.config.boundary_modules)
-                                            or "a configured boundary module"
-                                        )
-                                    ),
-                                )
-                            )
-                if self.config.in_ordered(node.module):
-                    for site in intrinsics:
-                        if site.effect == "unordered_iteration":
-                            out.append(
-                                FlowViolation(
-                                    rule_id="flow-unordered-iteration",
-                                    path=path,
-                                    line=site.line,
-                                    col=0,
-                                    message=f"{_display_name(node)} {site.detail}",
-                                )
-                            )
+                continue
+            name = _display_name(node)
+            if not self.config.is_boundary(node.module):
+                # Direct host-clock / ambient-RNG calls outside the
+                # DES-pure packages, where no transitive contract looks.
+                for site in intrinsics:
+                    if site.effect == "wall_clock":
+                        out.append(Violation(
+                            path, site.line, 0, "flow-clock-boundary",
+                            f"{name} {site.detail}; wall-clock reads must route "
+                            f"through {boundary}",
+                        ))
+                    elif site.effect == "ambient_rng":
+                        out.append(Violation(
+                            path, site.line, 0, "flow-ambient-rng",
+                            f"{name} {site.detail}; draw from an injected "
+                            f"numpy.random.Generator (repro.util.spawn_rng)",
+                        ))
+            if self.config.in_ordered(node.module):
+                for site in intrinsics:
+                    if site.effect == "unordered_iteration":
+                        out.append(Violation(
+                            path, site.line, 0, "flow-unordered-iteration",
+                            f"{name} {site.detail}",
+                        ))
         out.extend(self.shard_isolation_violations())
         return out
 
-    def shard_isolation_violations(self) -> list[FlowViolation]:
+    def shard_isolation_violations(self) -> list[Violation]:
         """The shard-isolation contract: nothing reachable from a shard
         worker entry point may mutate module-level state outside the
         shard-allowed modules.
@@ -444,7 +434,7 @@ class Program:
         reproduce under ``REPRO_SHARDS``.  Reported with the call chain
         from the entry point down to the mutation site.
         """
-        out: list[FlowViolation] = []
+        out: list[Violation] = []
         flagged: set[tuple[str, int]] = set()
         for entry in self.config.shard_entry_points:
             fq = entry if entry in self.nodes else None
@@ -467,21 +457,14 @@ class Program:
                             continue
                         flagged.add((cur, site.line))
                         path = self.summaries[node.module].path
-                        out.append(
-                            FlowViolation(
-                                rule_id="flow-shard-isolation",
-                                path=path,
-                                line=site.line,
-                                col=0,
-                                message=(
-                                    f"{_display_name(node)} is reachable from "
-                                    f"shard entry point {entry} and mutates "
-                                    f"module-level state outside the "
-                                    f"shard-allowed modules"
-                                ),
-                                chain=self._shard_chain(parents, cur, site),
-                            )
-                        )
+                        out.append(Violation(
+                            path, site.line, 0, "flow-shard-isolation",
+                            f"{_display_name(node)} is reachable from "
+                            f"shard entry point {entry} and mutates "
+                            f"module-level state outside the "
+                            f"shard-allowed modules",
+                            chain=self._shard_chain(parents, cur, site),
+                        ))
                 for callee in sorted(self.edges.get(cur, {})):
                     if callee in parents or callee not in self.nodes:
                         continue
@@ -531,14 +514,14 @@ class Program:
         path: str,
         forbidden: set[str],
         intrinsics: list[EffectSite],
-    ) -> list[FlowViolation]:
+    ) -> list[Violation]:
         """Frontier-only reporting: flag ``fq`` only for effect
         contributions that *enter* DES-pure scope here — either an
         intrinsic site in this body, or a call edge whose callee is
         outside the scope.  Purely-inherited effects from in-scope
         callees are reported at the deeper frontier instead, so a dirty
-        leaf produces one traced violation, not one per caller."""
-        out: list[FlowViolation] = []
+        leaf produces one traced violation per site, not one per caller."""
+        out: list[Violation] = []
         my_effects = self.effects.get(fq, {})
         for eff in sorted(forbidden & set(my_effects)):
             contributions: list[tuple[int, list[ChainFrame]]] = []
@@ -563,25 +546,18 @@ class Program:
                 contributions.append((line, chain))
             if not contributions:
                 continue  # inherited via in-scope callees; reported deeper
-            line, chain = min(contributions, key=lambda c: c[0])
             pkg = next(
                 p
                 for p in self.config.des_pure_packages
                 if node.module == p or node.module.startswith(p + ".")
             )
-            out.append(
-                FlowViolation(
-                    rule_id="flow-des-purity",
-                    path=path,
-                    line=line,
-                    col=0,
-                    message=(
-                        f"{_display_name(node)} (in DES-pure package {pkg}) "
-                        f"transitively reaches forbidden effect '{eff}'"
-                    ),
+            for line, chain in sorted(contributions, key=lambda c: c[0]):
+                out.append(Violation(
+                    path, line, 0, "flow-des-purity",
+                    f"{_display_name(node)} (in DES-pure package {pkg}) "
+                    f"transitively reaches forbidden effect '{eff}'",
                     chain=chain,
-                )
-            )
+                ))
         return out
 
 
@@ -591,13 +567,3 @@ def _display_name(node: _Node | None) -> str:
     if node.info.name == MODULE_BODY:
         return f"{node.module} (module body)"
     return f"{node.module}.{node.info.name}"
-
-
-def build_program(
-    summaries: Iterable[ModuleSummary], config: FlowConfig
-) -> Program:
-    table = {s.module: s for s in summaries}
-    program = Program(table, config)
-    program.build()
-    program.propagate()
-    return program

@@ -1,14 +1,13 @@
 """Per-module summary extraction for the whole-program flow pass.
 
-One parse per module produces a :class:`ModuleSummary`: the import
-alias map, every function/method with its outgoing call sites, local
-variable types we can prove (constructor calls, annotations, ``x =
-self.attr`` aliases), intrinsic effect sites (set iteration, ``global``
-mutation, container allocation), and every class with its bases,
-attribute types, and methods.  Summaries are pure syntax — no
-cross-module knowledge — which is what makes them safe to cache by
-file hash and replay on warm runs; all resolution happens later in
-:mod:`repro.analysis.flow.graph`.
+One walk over a module's (already parsed) tree produces a
+:class:`ModuleSummary`: the import alias map, every function/method
+with its outgoing call sites, local variable types we can prove
+(constructor calls, annotations, ``x = self.attr`` aliases), intrinsic
+effect sites (set iteration, ``global`` mutation, container
+allocation), and every class with its bases, attribute types, and
+methods.  Summaries are pure syntax — no cross-module knowledge; all
+resolution happens later in :mod:`repro.analysis.flow.graph`.
 
 Naming conventions used throughout:
 
@@ -25,11 +24,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.analysis.flow.catalog import ORDER_INDEPENDENT_CONSUMERS
-
-SUMMARY_VERSION = 4
 
 MODULE_BODY = "<module>"
 
@@ -48,13 +45,6 @@ class CallSite:
     sanctioned: bool = False  # wrapped directly in an order-independent consumer
     is_ref: bool = False  # passed as an argument, not called here
 
-    def to_obj(self) -> list[Any]:
-        return [self.name, self.line, self.col, int(self.sanctioned), int(self.is_ref)]
-
-    @classmethod
-    def from_obj(cls, obj: list[Any]) -> "CallSite":
-        return cls(obj[0], obj[1], obj[2], bool(obj[3]), bool(obj[4]))
-
 
 @dataclass
 class EffectSite:
@@ -63,13 +53,6 @@ class EffectSite:
     effect: str
     line: int
     detail: str
-
-    def to_obj(self) -> list[Any]:
-        return [self.effect, self.line, self.detail]
-
-    @classmethod
-    def from_obj(cls, obj: list[Any]) -> "EffectSite":
-        return cls(obj[0], obj[1], obj[2])
 
 
 @dataclass
@@ -80,27 +63,6 @@ class FunctionInfo:
     calls: list[CallSite] = field(default_factory=list)
     effects: list[EffectSite] = field(default_factory=list)
     local_types: dict[str, str] = field(default_factory=dict)
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "cls": self.cls,
-            "calls": [c.to_obj() for c in self.calls],
-            "effects": [e.to_obj() for e in self.effects],
-            "local_types": self.local_types,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            name=obj["name"],
-            line=obj["line"],
-            cls=obj["cls"],
-            calls=[CallSite.from_obj(c) for c in obj["calls"]],
-            effects=[EffectSite.from_obj(e) for e in obj["effects"]],
-            local_types=dict(obj["local_types"]),
-        )
 
 
 @dataclass
@@ -114,27 +76,6 @@ class ClassInfo:
     # control plane's getattr(self, f"_cmd_{verb}") -> ("handle", "_cmd_")
     prefix_dispatch: list[list[str]] = field(default_factory=list)
 
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": self.bases,
-            "methods": self.methods,
-            "attr_types": self.attr_types,
-            "prefix_dispatch": self.prefix_dispatch,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "ClassInfo":
-        return cls(
-            name=obj["name"],
-            line=obj["line"],
-            bases=list(obj["bases"]),
-            methods=list(obj["methods"]),
-            attr_types=dict(obj["attr_types"]),
-            prefix_dispatch=[list(p) for p in obj["prefix_dispatch"]],
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -144,32 +85,12 @@ class ModuleSummary:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
 
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "version": SUMMARY_VERSION,
-            "module": self.module,
-            "path": self.path,
-            "imports": self.imports,
-            "functions": {k: v.to_obj() for k, v in self.functions.items()},
-            "classes": {k: v.to_obj() for k, v in self.classes.items()},
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=obj["module"],
-            path=obj["path"],
-            imports=dict(obj["imports"]),
-            functions={k: FunctionInfo.from_obj(v) for k, v in obj["functions"].items()},
-            classes={k: ClassInfo.from_obj(v) for k, v in obj["classes"].items()},
-        )
-
 
 # ---------------------------------------------------------------------------
 # helpers
 
 
-def _build_import_map(tree: ast.Module, module: str) -> dict[str, str]:
+def build_import_map(tree: ast.Module, module: str) -> dict[str, str]:
     imports: dict[str, str] = {}
     pkg_parts = module.split(".")
     for node in ast.walk(tree):
@@ -195,7 +116,7 @@ def _build_import_map(tree: ast.Module, module: str) -> dict[str, str]:
     return imports
 
 
-def _dotted(node: ast.expr) -> str | None:
+def dotted_name(node: ast.expr) -> str | None:
     """Flatten Name/Attribute chains; ``super().m`` becomes ``super.m``."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -210,7 +131,7 @@ def _dotted(node: ast.expr) -> str | None:
     return ".".join(reversed(parts))
 
 
-def _expand_head(dotted: str, imports: dict[str, str]) -> str:
+def expand_head(dotted: str, imports: dict[str, str]) -> str:
     head, _, rest = dotted.partition(".")
     if head in ("self", "cls", "super"):
         return dotted
@@ -233,9 +154,9 @@ def _ann_type(node: ast.expr | None) -> str | None:
     if isinstance(node, ast.Name):
         return _builtin_container(node.id) or node.id
     if isinstance(node, ast.Attribute):
-        return _dotted(node)
+        return dotted_name(node)
     if isinstance(node, ast.Subscript):
-        base = _dotted(node.value)
+        base = dotted_name(node.value)
         if base is None:
             return None
         tail = base.split(".")[-1]
@@ -319,7 +240,7 @@ class _BodyScanner:
         if isinstance(value, (ast.List, ast.ListComp)):
             return _BUILTIN_LIST
         if isinstance(value, ast.Call):
-            name = _dotted(value.func)
+            name = dotted_name(value.func)
             if name is not None:
                 builtin = _builtin_container(name) if "." not in name else None
                 if builtin == _BUILTIN_SET:
@@ -330,7 +251,7 @@ class _BodyScanner:
                     return _BUILTIN_DICT
                 if name == "list":
                     return _BUILTIN_LIST
-                expanded = _expand_head(name, self.imports)
+                expanded = expand_head(name, self.imports)
                 head = expanded.split(".")[0]
                 if head not in ("self", "cls", "super"):
                     # constructor call: leave class-ness for the graph
@@ -342,7 +263,7 @@ class _BodyScanner:
             if _BUILTIN_SET in (lt, rt):
                 return _BUILTIN_SET
             return None
-        name = _dotted(value)
+        name = dotted_name(value)
         if name is not None and name.startswith("self.") and name.count(".") == 1:
             return name  # "self.attr" marker, resolved by the graph
         return None
@@ -353,11 +274,11 @@ class _BodyScanner:
         if isinstance(node, (ast.Set, ast.SetComp)):
             return _BUILTIN_SET
         if isinstance(node, ast.Call):
-            name = _dotted(node.func)
+            name = dotted_name(node.func)
             if name in ("set", "frozenset"):
                 return _BUILTIN_SET
             return None
-        name = _dotted(node)
+        name = dotted_name(node)
         if name is not None and name.startswith("self.") and name.count(".") == 1:
             if self.cls is not None:
                 return self.cls.attr_types.get(name.split(".")[1])
@@ -394,12 +315,12 @@ class _BodyScanner:
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
         if isinstance(node, ast.Call):
-            name = _dotted(node.func)
+            name = dotted_name(node.func)
             return name in ("set", "frozenset")
         if isinstance(node, ast.Name):
             return self.local_types.get(node.id) == _BUILTIN_SET
         if isinstance(node, ast.Attribute):
-            name = _dotted(node)
+            name = dotted_name(node)
             if name is not None and name.startswith("self.") and name.count(".") == 1:
                 if self.cls is not None:
                     return self.cls.attr_types.get(name.split(".")[1]) == _BUILTIN_SET
@@ -419,19 +340,19 @@ class _BodyScanner:
         if isinstance(iter_owner, ast.GeneratorExp):
             parent = self.parents.get(iter_owner)
             if isinstance(parent, ast.Call):
-                fname = _dotted(parent.func)
+                fname = dotted_name(parent.func)
                 if fname in ORDER_INDEPENDENT_CONSUMERS:
                     return True
         return False
 
     def _describe_iter(self, node: ast.expr) -> str:
-        name = _dotted(node)
+        name = dotted_name(node)
         if name is not None:
             return name
         if isinstance(node, (ast.Set, ast.SetComp)):
             return "a set literal"
         if isinstance(node, ast.Call):
-            fname = _dotted(node.func)
+            fname = dotted_name(node.func)
             return f"{fname}(...)" if fname else "a set expression"
         return "a set expression"
 
@@ -487,9 +408,9 @@ class _BodyScanner:
             self._visit(child)
 
     def _visit_call(self, node: ast.Call) -> None:
-        name = _dotted(node.func)
+        name = dotted_name(node.func)
         if name is not None:
-            expanded = _expand_head(name, self.imports)
+            expanded = expand_head(name, self.imports)
             sanctioned = self._call_sanctioned(node)
             self.calls.append(
                 CallSite(expanded, node.lineno, node.col_offset, sanctioned=sanctioned)
@@ -511,11 +432,11 @@ class _BodyScanner:
         # resolve to project functions.
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
             if isinstance(arg, (ast.Name, ast.Attribute)):
-                ref = _dotted(arg)
+                ref = dotted_name(arg)
                 if ref is not None:
                     self.calls.append(
                         CallSite(
-                            _expand_head(ref, self.imports),
+                            expand_head(ref, self.imports),
                             node.lineno,
                             node.col_offset,
                             is_ref=True,
@@ -525,7 +446,7 @@ class _BodyScanner:
     def _call_sanctioned(self, node: ast.Call) -> bool:
         parent = self.parents.get(node)
         if isinstance(parent, ast.Call):
-            fname = _dotted(parent.func)
+            fname = dotted_name(parent.func)
             if fname in ORDER_INDEPENDENT_CONSUMERS:
                 return True
         return False
@@ -533,7 +454,7 @@ class _BodyScanner:
     def _note_getattr_dispatch(self, node: ast.Call) -> None:
         if len(node.args) < 2:
             return
-        recv = _dotted(node.args[0])
+        recv = dotted_name(node.args[0])
         prefix = _fstring_prefix(node.args[1])
         if recv == "self" and prefix and self.cls is not None and self.method_name:
             self.cls.prefix_dispatch.append([self.method_name, prefix])
@@ -576,7 +497,7 @@ def _subscript_stores(body: list[ast.stmt], module_globals: set[str]) -> list[Ef
     for stmt in body:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
-                name = _dotted(node.value)
+                name = dotted_name(node.value)
                 if name is not None and name.split(".")[0] in module_globals:
                     out.append(
                         EffectSite(
@@ -592,14 +513,14 @@ def _subscript_stores(body: list[ast.stmt], module_globals: set[str]) -> list[Ef
 # extraction driver
 
 
-def extract_module(source: str, module: str, path: str) -> ModuleSummary:
-    """Parse ``source`` and produce its flow summary.
+def extract_module(source: str | ast.Module, module: str, path: str) -> ModuleSummary:
+    """Produce the flow summary of one module.
 
-    Raises :class:`SyntaxError` on unparsable input (callers surface it
-    as a ``parse-error`` violation, mirroring the lint engine).
+    The engine hands over the tree it already parsed for the per-file
+    rules; source text is parsed here (raising :class:`SyntaxError`).
     """
-    tree = ast.parse(source, filename=path)
-    imports = _build_import_map(tree, module)
+    tree = ast.parse(source, filename=path) if isinstance(source, str) else source
+    imports = build_import_map(tree, module)
     summary = ModuleSummary(module=module, path=path, imports=imports)
 
     parents: dict[ast.AST, ast.AST] = {}
@@ -645,9 +566,9 @@ def extract_module(source: str, module: str, path: str) -> ModuleSummary:
         cname = f"{outer}.{node.name}" if outer else node.name
         cls_info = ClassInfo(name=cname, line=node.lineno)
         for base in node.bases:
-            b = _dotted(base)
+            b = dotted_name(base)
             if b is not None:
-                cls_info.bases.append(_expand_head(b, imports))
+                cls_info.bases.append(expand_head(b, imports))
         # class-level annotations become attribute types
         for stmt in node.body:
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
@@ -707,8 +628,8 @@ def _note_decorator(
     scanner: _BodyScanner, deco: ast.expr, imports: dict[str, str]
 ) -> None:
     target = deco.func if isinstance(deco, ast.Call) else deco
-    name = _dotted(target)
+    name = dotted_name(target)
     if name is not None:
         scanner.calls.append(
-            CallSite(_expand_head(name, imports), deco.lineno, deco.col_offset)
+            CallSite(expand_head(name, imports), deco.lineno, deco.col_offset)
         )

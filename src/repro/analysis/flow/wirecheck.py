@@ -39,8 +39,8 @@ import ast
 import struct
 from dataclasses import dataclass, field
 
+from repro.analysis.findings import ChainFrame, Violation
 from repro.analysis.flow.config import FlowConfig
-from repro.analysis.flow.report import ChainFrame, FlowViolation
 
 _VAR_MARKER = "\x01"
 _STRUCT_METHODS = ("pack", "pack_into", "unpack", "unpack_from", "iter_unpack")
@@ -363,43 +363,32 @@ class _ParticipantVisitor(ast.NodeVisitor):
 
 
 def check_wire(
-    sources: dict[str, tuple[str, str]], config: FlowConfig
-) -> list[FlowViolation]:
+    trees: dict[str, tuple[str, ast.Module]], config: FlowConfig
+) -> list[Violation]:
     """Run the conformance pass.
 
-    ``sources`` maps module name -> (path, source) and should contain
+    ``trees`` maps module name -> (path, parsed tree) and should contain
     at least the configured wire module(s); participant modules that
-    are absent (e.g. a partial-tree run) are skipped silently.
+    are absent (a partial-tree run, or a file that failed to parse and
+    was reported as ``parse-error``) are skipped silently.
     """
-    out: list[FlowViolation] = []
+    out: list[Violation] = []
     wire_facts: list[_WireFacts] = []
     participants: list[_ParticipantFacts] = []
 
     for module in config.wire_modules:
-        entry = sources.get(module)
-        if entry is None:
-            continue
-        path, source = entry
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue  # surfaced as parse-error by the effect pass
-        facts = _WireFacts(module=module, path=path)
-        _WireVisitor(facts, config).collect(tree)
-        wire_facts.append(facts)
+        if module in trees:
+            path, tree = trees[module]
+            facts = _WireFacts(module=module, path=path)
+            _WireVisitor(facts, config).collect(tree)
+            wire_facts.append(facts)
 
     for module in config.transport_modules:
-        entry = sources.get(module)
-        if entry is None:
-            continue
-        path, source = entry
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue
-        facts = _ParticipantFacts(module=module, path=path)
-        _ParticipantVisitor(facts, config).collect(tree)
-        participants.append(facts)
+        if module in trees:
+            path, tree = trees[module]
+            pfacts = _ParticipantFacts(module=module, path=path)
+            _ParticipantVisitor(pfacts, config).collect(tree)
+            participants.append(pfacts)
 
     for facts in wire_facts:
         out.extend(_check_pairs(facts))
@@ -410,14 +399,14 @@ def check_wire(
     return out
 
 
-def _check_pairs(facts: _WireFacts) -> list[FlowViolation]:
-    out: list[FlowViolation] = []
+def _check_pairs(facts: _WireFacts) -> list[Violation]:
+    out: list[Violation] = []
     for stem, (pline, pevents) in sorted(facts.pack_fns.items()):
         if stem not in facts.unpack_fns:
             if pevents:
                 out.append(
-                    FlowViolation(
-                        rule_id="flow-wire-conformance",
+                    Violation(
+                        rule="flow-wire-conformance",
                         path=facts.path,
                         line=pline,
                         col=0,
@@ -444,8 +433,8 @@ def _check_pairs(facts: _WireFacts) -> list[FlowViolation]:
         ]
         if len(porders | uorders) > 1:
             out.append(
-                FlowViolation(
-                    rule_id="flow-wire-conformance",
+                Violation(
+                    rule="flow-wire-conformance",
                     path=facts.path,
                     line=uline,
                     col=0,
@@ -459,8 +448,8 @@ def _check_pairs(facts: _WireFacts) -> list[FlowViolation]:
             continue
         if pstream != ustream:
             out.append(
-                FlowViolation(
-                    rule_id="flow-wire-conformance",
+                Violation(
+                    rule="flow-wire-conformance",
                     path=facts.path,
                     line=uline,
                     col=0,
@@ -475,8 +464,8 @@ def _check_pairs(facts: _WireFacts) -> list[FlowViolation]:
     return out
 
 
-def _check_offsets(facts: _WireFacts) -> list[FlowViolation]:
-    out: list[FlowViolation] = []
+def _check_offsets(facts: _WireFacts) -> list[Violation]:
+    out: list[Violation] = []
     for stem, slices in sorted(facts.unpack_slices.items()):
         uline, uevents = facts.unpack_fns[stem]
         static = [e for e in uevents if not e.repeated and e.fixed_size is not None]
@@ -486,8 +475,8 @@ def _check_offsets(facts: _WireFacts) -> list[FlowViolation]:
         for line, offset in slices:
             if offset != header.fixed_size:
                 out.append(
-                    FlowViolation(
-                        rule_id="flow-wire-conformance",
+                    Violation(
+                        rule="flow-wire-conformance",
                         path=facts.path,
                         line=line,
                         col=0,
@@ -514,16 +503,16 @@ def _check_offsets(facts: _WireFacts) -> list[FlowViolation]:
     return out
 
 
-def _check_flags(facts: _WireFacts) -> list[FlowViolation]:
-    out: list[FlowViolation] = []
+def _check_flags(facts: _WireFacts) -> list[Violation]:
+    out: list[Violation] = []
     if len(facts.masks) != 1:
         return out
     (mask_name, mask_value), = facts.masks.items()
     for flag_name, flag_value in sorted(facts.flags.items()):
         if flag_value & mask_value:
             out.append(
-                FlowViolation(
-                    rule_id="flow-wire-conformance",
+                Violation(
+                    rule="flow-wire-conformance",
                     path=facts.path,
                     line=1,
                     col=0,
@@ -538,8 +527,8 @@ def _check_flags(facts: _WireFacts) -> list[FlowViolation]:
         line = facts.msg_type_lines.get(name, 1)
         if value & mask_value != value:
             out.append(
-                FlowViolation(
-                    rule_id="flow-wire-conformance",
+                Violation(
+                    rule="flow-wire-conformance",
                     path=facts.path,
                     line=line,
                     col=0,
@@ -551,8 +540,8 @@ def _check_flags(facts: _WireFacts) -> list[FlowViolation]:
             )
         if value in seen_values:
             out.append(
-                FlowViolation(
-                    rule_id="flow-wire-conformance",
+                Violation(
+                    rule="flow-wire-conformance",
                     path=facts.path,
                     line=line,
                     col=0,
@@ -584,8 +573,8 @@ def _helper_matches(stem: str, msg_type: str) -> bool:
 
 def _check_coverage(
     facts: _WireFacts, participants: list[_ParticipantFacts]
-) -> list[FlowViolation]:
-    out: list[FlowViolation] = []
+) -> list[Violation]:
+    out: list[Violation] = []
     for name, value in sorted(facts.msg_types.items()):
         line = facts.msg_type_lines.get(name, 1)
         producible = any(_helper_matches(stem, name) for stem in facts.pack_fns)
@@ -597,8 +586,8 @@ def _check_coverage(
                 consumable = True
         if not producible:
             out.append(
-                FlowViolation(
-                    rule_id="flow-msgtype-coverage",
+                Violation(
+                    rule="flow-msgtype-coverage",
                     path=facts.path,
                     line=line,
                     col=0,
@@ -611,8 +600,8 @@ def _check_coverage(
             )
         if not consumable:
             out.append(
-                FlowViolation(
-                    rule_id="flow-msgtype-coverage",
+                Violation(
+                    rule="flow-msgtype-coverage",
                     path=facts.path,
                     line=line,
                     col=0,
@@ -627,8 +616,8 @@ def _check_coverage(
             sibling = name[: -len("_REQ")] + "_REPLY"
             if sibling not in facts.msg_types:
                 out.append(
-                    FlowViolation(
-                        rule_id="flow-msgtype-coverage",
+                    Violation(
+                        rule="flow-msgtype-coverage",
                         path=facts.path,
                         line=line,
                         col=0,
@@ -639,8 +628,8 @@ def _check_coverage(
     return out
 
 
-def _check_hello(participants: list[_ParticipantFacts]) -> list[FlowViolation]:
-    out: list[FlowViolation] = []
+def _check_hello(participants: list[_ParticipantFacts]) -> list[Violation]:
+    out: list[Violation] = []
     advertised: dict[str, tuple[str, int]] = {}
     consumed: dict[str, tuple[str, int]] = {}
     for p in participants:
@@ -653,8 +642,8 @@ def _check_hello(participants: list[_ParticipantFacts]) -> list[FlowViolation]:
     for feat in sorted(set(consumed) - set(advertised)):
         path, line = consumed[feat]
         out.append(
-            FlowViolation(
-                rule_id="flow-hello-symmetry",
+            Violation(
+                rule="flow-hello-symmetry",
                 path=path,
                 line=line,
                 col=0,
@@ -671,8 +660,8 @@ def _check_hello(participants: list[_ParticipantFacts]) -> list[FlowViolation]:
     for feat in sorted(set(advertised) - set(consumed)):
         path, line = advertised[feat]
         out.append(
-            FlowViolation(
-                rule_id="flow-hello-symmetry",
+            Violation(
+                rule="flow-hello-symmetry",
                 path=path,
                 line=line,
                 col=0,

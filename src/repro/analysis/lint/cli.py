@@ -4,17 +4,14 @@ Usage::
 
     repro-lint [paths...] [--format text|json|sarif] [--config pyproject.toml]
                [--select rule-a,rule-b] [--list-rules]
-               [--changed-only] [--cache PATH] [--sarif-out FILE]
+               [--sarif-out FILE] [--show-suppressed]
 
-Paths default to ``src``.  Configuration is read from the
-``[tool.reprolint]`` table of the given ``pyproject.toml`` (default:
-``./pyproject.toml``; silently empty if the file does not exist so the
-tool works from any checkout subdirectory with explicit paths).
-
-``--changed-only`` enables the incremental mode: per-file verdicts are
-cached (keyed by content hash + rule config) in the same summary store
-``repro-flow`` uses, and unchanged files replay their cached result
-instead of being re-parsed.
+Paths default to ``src`` and are analyzed as one program: the per-file
+rules and the whole-program ``flow-*`` contracts run in the same pass.
+Configuration is read from the ``[tool.reprolint]`` table of the given
+``pyproject.toml`` (default: ``./pyproject.toml``; silently empty if
+the file does not exist so the tool works from any checkout
+subdirectory with explicit paths).
 
 Exit codes: 0 clean or warnings only, 1 error-severity violations,
 2 usage/configuration error.
@@ -24,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis.lint.engine import (
@@ -43,7 +41,9 @@ __all__ = ["main"]
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro-lint",
-        description="AST lint pass enforcing the paper's pipeline invariants",
+        description="static analysis enforcing the paper's pipeline "
+                    "invariants: per-file AST rules, whole-program "
+                    "determinism contracts and wire-protocol conformance",
     )
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to lint (default: src)")
@@ -56,14 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rule ids to run (default: all)")
     p.add_argument("--list-rules", action="store_true",
                    help="print the registered rules and exit")
-    p.add_argument("--changed-only", action="store_true",
-                   help="replay cached verdicts for files whose content "
-                        "hash is unchanged (incremental mode)")
-    p.add_argument("--cache", default=None, metavar="PATH",
-                   help="summary-store path for --changed-only "
-                        "(default: .repro_flow_cache.json)")
     p.add_argument("--sarif-out", default=None, metavar="FILE",
                    help="additionally write a SARIF report to FILE")
+    p.add_argument("--show-suppressed", action="store_true",
+                   help="include suppressed violations in the text report")
     return p
 
 
@@ -87,31 +83,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config.select = tuple(
                 s.strip() for s in args.select.split(",") if s.strip()
             )
-        engine = Engine(config)
-        store = None
-        if args.changed_only or args.cache is not None:
-            from repro.analysis.flow.cache import DEFAULT_STORE_PATH, SummaryStore
-
-            store = SummaryStore(args.cache or DEFAULT_STORE_PATH)
-        report = engine.lint_paths(args.paths, store=store)
-        if store is not None:
-            store.save()
+        report = Engine(config).lint_paths(args.paths)
     except LintConfigError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
     if args.sarif_out:
-        from pathlib import Path
-
         out = Path(args.sarif_out)
-        if out.parent and not out.parent.exists():
-            out.parent.mkdir(parents=True, exist_ok=True)
+        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(report.render_sarif(), encoding="utf-8")
     if args.format == "json":
         print(report.render_json())
     elif args.format == "sarif":
         print(report.render_sarif())
     else:
-        print(report.render_text())
+        print(report.render_text(show_suppressed=args.show_suppressed))
     return report.exit_code
 
 

@@ -1,22 +1,29 @@
-"""The reprolint rule engine: one AST pass per file, many rules.
+"""The reprolint engine: one parse per file, every rule in one pass.
 
 Design (mirrors how ruff/flake8 organize checks, scaled down):
 
-* Rules subclass :class:`Rule`, declare which AST node types they want
-  (:attr:`Rule.interests`), and are registered once in a module-level
-  registry.  The engine walks each file's AST exactly once and
-  dispatches every node to the rules interested in its type, so adding
-  a rule never adds a traversal.
-* Scope is module-based, not path-based: each rule carries a tuple of
-  package prefixes it applies to plus an ``allowed-modules`` whitelist,
-  both overridable from ``[tool.reprolint]`` in ``pyproject.toml``.
-  That keeps exemptions explicit (``repro.util.timeutil`` may touch the
-  wall clock because it *is* the sanctioned clock boundary) rather than
-  hidden in path carve-outs.
+* Each file is read, tokenized (for suppression comments) and
+  ``ast.parse``d exactly once.  The per-file rules run on that tree,
+  the whole-program passes (:mod:`repro.analysis.flow`) extract their
+  module summary from the *same* tree, and once every file is in, the
+  call-graph contracts and the wire check are evaluated — so the run is
+  per-file rules → summaries → program → contracts → wire check.
+* Rules subclass :class:`Rule` and are registered once in a
+  module-level registry that holds per-file and whole-program
+  (``flow-*``) rules alike.  Per-file rules declare which AST node
+  types they want (:attr:`Rule.interests`); the engine walks each tree
+  once and dispatches every node to the rules interested in its type,
+  so adding a rule never adds a traversal.
+* Scope is module-based, not path-based: each per-file rule carries a
+  tuple of package prefixes it applies to plus an ``allowed-modules``
+  whitelist, both overridable from ``[tool.reprolint]`` in
+  ``pyproject.toml``; the whole-program rules are scoped by the
+  ``[tool.reprolint.flow]`` sub-table.
 * Suppression is per line: ``# reprolint: ignore[rule-a,rule-b] -- why``
-  on the offending line.  The justification text after ``--`` is
-  mandatory; an ignore without one is itself a violation (rule id
-  ``suppression``), so the tree can never accumulate bare mutes.
+  on the offending line.  Every id must name a registered rule and the
+  justification text after ``--`` is mandatory; a comment failing
+  either is itself a violation (rule id ``suppression``), so the tree
+  can never accumulate bare or misspelled mutes.
 
 Exit codes are stable API: 0 = clean or warnings only, 1 = at least one
 error-severity violation, 2 = usage/config error (raised as
@@ -31,9 +38,22 @@ import json
 import re
 import tokenize
 import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
+
+from repro.analysis.findings import LintConfigError, Violation
+from repro.analysis.flow.config import FlowConfig
+from repro.analysis.flow.graph import Program
+from repro.analysis.flow.summary import (
+    ModuleSummary,
+    build_import_map,
+    dotted_name,
+    expand_head,
+    extract_module,
+)
+from repro.analysis.flow.wirecheck import check_wire
+from repro.analysis.sarif import sarif_document
 
 __all__ = [
     "Engine",
@@ -51,53 +71,21 @@ __all__ = [
 
 SEVERITIES = ("error", "warning", "off")
 
-#: JSON reporter schema version (bump on breaking change).
-JSON_SCHEMA_VERSION = 1
+#: JSON reporter schema version (bump on breaking change).  2: one
+#: report for per-file and ``flow-*`` findings — violations may carry
+#: a ``chain``, ``summary`` gained ``by_rule`` and lost
+#: ``files_replayed_from_cache``, ``stats`` holds the call-graph sizes.
+JSON_SCHEMA_VERSION = 2
 
-#: Cache-entry version for ``--changed-only`` replays (bump when the
-#: violation payload shape changes).
-LINT_CACHE_VERSION = 1
-
-#: Rule-id prefixes owned by sibling tools that share the suppression
-#: syntax.  ``# reprolint: ignore[flow-...]`` comments belong to
-#: ``repro-flow``; the lint engine must treat them as known (not
-#: malformed) while never matching them to its own rules.
-_EXTERNAL_ID_PREFIXES = ("flow-",)
+#: Ids the engine itself reports under (not in the rule registry).
+_ENGINE_RULES = {
+    "parse-error": "file failed to parse",
+    "suppression": "reprolint ignore comments must name known rules and justify",
+}
 
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*ignore\[([A-Za-z0-9_\-,\s]+)\]\s*(?:--\s*(\S.*))?"
 )
-
-
-class LintConfigError(Exception):
-    """Bad configuration or usage; the CLI maps this to exit code 2."""
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One finding, pinned to a physical source location."""
-
-    path: str
-    line: int
-    col: int
-    rule: str
-    severity: str
-    message: str
-    suppressed: bool = False
-    justification: str = ""
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
-
-    def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +108,10 @@ class Rule:
     description: str = ""
     #: The paper invariant this rule guards (shown by ``--list-rules``).
     paper_ref: str = ""
+    #: True for a contract the whole-program passes evaluate once over
+    #: the call graph / wire facts; the class is then only the registry
+    #: entry (id, description) and none of the per-file hooks run.
+    whole_program: bool = False
     default_severity: str = "error"
     #: Module prefixes the rule applies to; None = every linted module.
     default_packages: Optional[tuple[str, ...]] = None
@@ -196,15 +188,18 @@ def all_rules() -> dict[str, type[Rule]]:
 class LintConfig:
     """Engine configuration, normally read from ``[tool.reprolint]``.
 
-    ``select`` limits the run to specific rule ids; ``rules`` maps rule
-    id -> option table (``severity``, ``packages``, ``allowed-modules``,
-    plus rule-specific keys).  ``src_roots`` tells the path->module
-    mapper which directory components begin a package tree.
+    ``select`` limits the run to specific rule ids; ``rules`` maps
+    per-file rule id -> option table (``severity``, ``packages``,
+    ``allowed-modules``, plus rule-specific keys); ``flow`` is the
+    ``[tool.reprolint.flow]`` sub-table scoping the whole-program
+    rules.  ``src_roots`` tells the path->module mapper which directory
+    components begin a package tree.
     """
 
     select: Optional[tuple[str, ...]] = None
     rules: dict[str, dict] = field(default_factory=dict)
     src_roots: tuple[str, ...] = ("src",)
+    flow: FlowConfig = field(default_factory=FlowConfig)
 
     @classmethod
     def from_pyproject(cls, path: str | Path) -> "LintConfig":
@@ -222,8 +217,7 @@ class LintConfig:
         select = table.pop("select", None)
         src_roots = tuple(table.pop("src-roots", ("src",)))
         rules = {str(k): dict(v) for k, v in table.pop("rules", {}).items()}
-        # [tool.reprolint.flow] belongs to repro-flow; not ours to validate.
-        table.pop("flow", None)
+        flow = FlowConfig.from_table(table.pop("flow", {}))
         if table:
             raise LintConfigError(
                 f"[tool.reprolint]: unknown keys {sorted(table)}"
@@ -233,28 +227,18 @@ class LintConfig:
             raise LintConfigError(
                 f"[tool.reprolint.rules]: unknown rule ids {sorted(unknown)}"
             )
+        program = sorted(r for r in rules if _RULE_REGISTRY[r].whole_program)
+        if program:
+            raise LintConfigError(
+                f"[tool.reprolint.rules]: {program} are whole-program rules; "
+                f"scope them in [tool.reprolint.flow]"
+            )
         return cls(
             select=tuple(select) if select is not None else None,
             rules=rules,
             src_roots=src_roots,
+            flow=flow,
         )
-
-    def digest(self) -> str:
-        """Stable fingerprint for ``--changed-only`` cache keys: a cached
-        verdict is only replayable under the exact same rule config."""
-        import hashlib
-
-        blob = json.dumps(
-            {
-                "select": self.select,
-                "rules": self.rules,
-                "src_roots": self.src_roots,
-                "cache_version": LINT_CACHE_VERSION,
-            },
-            sort_keys=True,
-            default=list,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +250,11 @@ class ModuleContext:
     """What rules see while one file is being linted."""
 
     def __init__(self, engine: "Engine", path: str, module: str,
-                 tree: ast.Module, lines: list[str]):
+                 tree: ast.Module):
         self.engine = engine
         self.path = path
         self.module = module
         self.tree = tree
-        self.lines = lines
         self._import_map: Optional[dict[str, str]] = None
 
     @property
@@ -283,33 +266,13 @@ class ModuleContext:
         it to resolve call targets to canonical dotted names.
         """
         if self._import_map is None:
-            m: dict[str, str] = {}
-            for node in ast.walk(self.tree):
-                if isinstance(node, ast.Import):
-                    for a in node.names:
-                        m[a.asname or a.name.split(".")[0]] = (
-                            a.name if a.asname else a.name.split(".")[0]
-                        )
-                elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                    for a in node.names:
-                        if a.name != "*":
-                            m[a.asname or a.name] = f"{node.module}.{a.name}"
-            self._import_map = m
+            self._import_map = build_import_map(self.tree, self.module)
         return self._import_map
 
     def resolve_call(self, func: ast.AST) -> Optional[str]:
         """Dotted name of a call target with import aliases expanded."""
-        parts: list[str] = []
-        node = func
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        parts.append(node.id)
-        parts.reverse()
-        head = self.import_map.get(parts[0], parts[0])
-        return ".".join([head] + parts[1:])
+        name = dotted_name(func)
+        return None if name is None else expand_head(name, self.import_map)
 
     def report(self, rule: Rule, node: ast.AST | int, message: str,
                col: Optional[int] = None) -> None:
@@ -318,7 +281,8 @@ class ModuleContext:
         else:
             line = getattr(node, "lineno", 0)
             col = getattr(node, "col_offset", 0)
-        self.engine._record(self, rule, line, col, message)
+        self.engine._record(Violation(
+            self.path, line, col, rule.rule_id, message, rule.severity))
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +297,13 @@ class Report:
     files: list[str] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
     suppressed: list[Violation] = field(default_factory=list)
-    #: files whose results were replayed from the summary cache
-    replayed: int = 0
+    #: call-graph sizes, when a whole-program rule ran
+    stats: dict[str, Any] = field(default_factory=dict)
+
+    def sort(self) -> None:
+        key = lambda v: (v.path, v.line, v.col, v.rule)  # noqa: E731
+        self.violations.sort(key=key)
+        self.suppressed.sort(key=key)
 
     @property
     def errors(self) -> list[Violation]:
@@ -348,63 +317,48 @@ class Report:
     def exit_code(self) -> int:
         return 1 if self.errors else 0
 
-    def render_text(self) -> str:
-        lines = [v.format() for v in sorted(
-            self.violations, key=lambda v: (v.path, v.line, v.col, v.rule))]
-        cached = f", {self.replayed} cached" if self.replayed else ""
+    def render_text(self, show_suppressed: bool = False) -> str:
+        lines = [v.format() for v in self.violations]
+        if show_suppressed and self.suppressed:
+            lines += ["", "suppressed:"]
+            lines += [
+                f"{v.path}:{v.line}:{v.col}: [{v.rule}] {v.message} -- "
+                f"{v.justification or '(no justification)'}"
+                for v in self.suppressed
+            ]
         lines.append(
-            f"reprolint: {len(self.files)} files{cached}, "
+            f"reprolint: {len(self.files)} files, "
             f"{len(self.errors)} errors, "
             f"{len(self.warnings)} warnings, {len(self.suppressed)} suppressed"
         )
         return "\n".join(lines)
 
     def render_json(self) -> str:
+        by_rule: dict[str, int] = {}
+        for v in self.violations:
+            by_rule[v.rule] = by_rule.get(v.rule, 0) + 1
         return json.dumps(
             {
                 "tool": "reprolint",
                 "version": JSON_SCHEMA_VERSION,
                 "files_scanned": len(self.files),
                 "violations": [v.as_dict() for v in self.violations],
-                "suppressed": [
-                    dict(v.as_dict(), justification=v.justification)
-                    for v in self.suppressed
-                ],
+                "suppressed": [v.as_dict() for v in self.suppressed],
                 "summary": {
                     "errors": len(self.errors),
                     "warnings": len(self.warnings),
                     "suppressed": len(self.suppressed),
-                    "files_replayed_from_cache": self.replayed,
+                    "by_rule": dict(sorted(by_rule.items())),
                 },
+                "stats": self.stats,
                 "exit_code": self.exit_code,
             },
             indent=2,
         )
 
     def render_sarif(self) -> str:
-        from repro.analysis.sarif import sarif_from_violations
-
-        rules = [
-            {"id": rule_id, "description": cls.description}
-            for rule_id, cls in _RULE_REGISTRY.items()
-        ]
-        rules.append({"id": "parse-error", "description": "file failed to parse"})
-        rules.append({
-            "id": "suppression",
-            "description": _SuppressionRule.description,
-        })
-        results = [
-            {
-                "rule_id": v.rule,
-                "level": "error" if v.severity == "error" else "warning",
-                "message": v.message,
-                "path": v.path,
-                "line": v.line,
-                "col": v.col,
-            }
-            for v in self.violations
-        ]
-        return sarif_from_violations("repro-lint", rules, results)
+        rules = {rid: cls.description for rid, cls in _RULE_REGISTRY.items()}
+        return sarif_document({**rules, **_ENGINE_RULES}, self.violations)
 
 
 # ---------------------------------------------------------------------------
@@ -412,33 +366,35 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-class _SuppressionRule(Rule):
-    """Synthetic rule id for malformed suppression comments."""
-
-    rule_id = "suppression"
-    description = "reprolint ignore comments must name known rules and justify"
-
-
 class Engine:
-    """Instantiates configured rules and lints files in one AST pass each."""
+    """Instantiates the configured rules and runs them over a set of
+    modules: per-file rules on each tree, then the whole-program
+    contracts over all of them."""
 
     def __init__(self, config: Optional[LintConfig] = None):
         self.config = config or LintConfig()
-        self.rules: list[Rule] = []
         selected = self.config.select
-        for rule_id, cls in _RULE_REGISTRY.items():
-            if selected is not None and rule_id not in selected:
-                continue
-            rule = cls(self.config.rules.get(rule_id))
-            if rule.severity != "off":
-                self.rules.append(rule)
         if selected is not None:
             missing = set(selected) - set(_RULE_REGISTRY)
             if missing:
                 raise LintConfigError(f"--select: unknown rules {sorted(missing)}")
-        self._suppression_rule = _SuppressionRule()
-        self._report: Optional[Report] = None
-        self._suppressions: dict[int, tuple[set[str], str]] = {}
+        #: per-file rule instances
+        self.rules: list[Rule] = []
+        #: ids of the enabled whole-program rules
+        self.program_rules: set[str] = set()
+        for rule_id, cls in _RULE_REGISTRY.items():
+            if selected is not None and rule_id not in selected:
+                continue
+            if cls.whole_program:
+                self.program_rules.add(rule_id)
+                continue
+            rule = cls(self.config.rules.get(rule_id))
+            if rule.severity != "off":
+                self.rules.append(rule)
+        self._report = Report()
+        self._known_ids = set(_RULE_REGISTRY) | {"parse-error"}
+        #: path -> line -> (rule ids, justification)
+        self._suppressions: dict[str, dict[int, tuple[set[str], str]]] = {}
 
     # -- path handling -------------------------------------------------------
     def module_name(self, path: Path) -> str:
@@ -459,75 +415,58 @@ class Engine:
         return files
 
     # -- linting -------------------------------------------------------------
-    def lint_paths(self, paths: Iterable[str | Path], store=None) -> Report:
-        """Lint files, optionally replaying unchanged ones from ``store``.
+    def lint_paths(self, paths: Iterable[str | Path]) -> Report:
+        """Lint files and directories as one program."""
+        return self._run(
+            (str(f), self.module_name(f), f.read_text(encoding="utf-8"))
+            for f in self.iter_python_files(paths)
+        )
 
-        ``store`` is a :class:`repro.analysis.flow.cache.SummaryStore`
-        (duck-typed: ``get``/``put``).  A file whose content digest
-        matches the cached entry has its violations replayed verbatim
-        instead of being re-parsed — the ``--changed-only`` mode.
-        """
-        report = Report()
-        config_digest = self.config.digest() if store is not None else ""
-        for f in self.iter_python_files(paths):
-            source = f.read_text(encoding="utf-8")
-            if store is not None:
-                from repro.analysis.flow.cache import digest_source
+    def lint_sources(self, sources: dict[str, str]) -> Report:
+        """Lint in-memory ``{module: source}`` as one program (tests,
+        fixtures); each module's path is the synthetic ``<module>``."""
+        return self._run(
+            (f"<{module}>", module, source) for module, source in sources.items()
+        )
 
-                digest = digest_source(source, config_digest)
-                cached = store.get("lint", str(f), digest)
-                if cached is not None:
-                    report.files.append(str(f))
-                    report.replayed += 1
-                    for obj in cached["violations"]:
-                        report.violations.append(_violation_from_cache(obj))
-                    for obj in cached["suppressed"]:
-                        report.suppressed.append(_violation_from_cache(obj))
-                    continue
-            before_v, before_s = len(report.violations), len(report.suppressed)
-            self._lint_one(source, str(f), self.module_name(f), report)
-            if store is not None:
-                store.put(
-                    "lint",
-                    str(f),
-                    digest,
-                    {
-                        "violations": [
-                            _violation_to_cache(v)
-                            for v in report.violations[before_v:]
-                        ],
-                        "suppressed": [
-                            _violation_to_cache(v)
-                            for v in report.suppressed[before_s:]
-                        ],
-                    },
-                )
+    def _run(self, items: Iterable[tuple[str, str, str]]) -> Report:
+        """``items`` yields ``(path, module, source)``."""
+        report = self._report = Report()
+        self._suppressions = {}
+        flow = self.config.flow
+        wire_scope = {*flow.wire_modules, *flow.transport_modules}
+        summaries: dict[str, ModuleSummary] = {}
+        wire_trees: dict[str, tuple[str, ast.Module]] = {}
+        for path, module, source in items:
+            report.files.append(path)
+            self._scan_suppressions(path, source)
+            try:
+                tree = ast.parse(source, filename=path)
+            except SyntaxError as exc:
+                self._record(Violation(
+                    path, exc.lineno or 0, exc.offset or 0,
+                    "parse-error", f"syntax error: {exc.msg}",
+                ))
+                continue
+            self._lint_tree(ModuleContext(self, path, module, tree))
+            if self.program_rules:
+                summaries[module] = extract_module(tree, module, path)
+                if module in wire_scope:
+                    wire_trees[module] = (path, tree)
+        if self.program_rules:
+            program = Program(summaries, flow)
+            program.build()
+            program.propagate()
+            for v in program.contract_violations() + check_wire(wire_trees, flow):
+                if v.rule in self.program_rules:
+                    self._record(v)
+            report.stats = {
+                "flow_modules_analyzed": len(summaries), **program.stats}
+        report.sort()
         return report
 
-    def lint_source(self, source: str, module: str,
-                    path: str = "<string>",
-                    report: Optional[Report] = None) -> Report:
-        """Lint a source string as if it were module ``module`` (tests)."""
-        report = report if report is not None else Report()
-        self._lint_one(source, path, module, report)
-        return report
-
-    def _lint_one(self, source: str, path: str, module: str,
-                  report: Report) -> None:
-        report.files.append(path)
-        self._report = report
-        lines = source.splitlines()
-        self._suppressions = self._scan_suppressions(path, source, report)
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            report.violations.append(Violation(
-                path, exc.lineno or 0, exc.offset or 0,
-                "parse-error", "error", f"syntax error: {exc.msg}",
-            ))
-            return
-        ctx = ModuleContext(self, path, module, tree, lines)
-        active = [r for r in self.rules if r.applies_to(module)]
+    def _lint_tree(self, ctx: ModuleContext) -> None:
+        active = [r for r in self.rules if r.applies_to(ctx.module)]
         if not active:
             return
         dispatch: dict[type, list[Rule]] = {}
@@ -535,58 +474,32 @@ class Engine:
             rule.begin_module(ctx)
             for t in rule.interests:
                 dispatch.setdefault(t, []).append(rule)
-        for node in ast.walk(tree):
+        for node in ast.walk(ctx.tree):
             for rule in dispatch.get(type(node), ()):
                 rule.visit(node, ctx)
         for rule in active:
             rule.end_module(ctx)
 
-    @staticmethod
-    def _iter_comments(source: str) -> list[tuple[int, int, str]]:
-        """(line, col, text) for every real comment token.
-
-        Tokenizing (rather than regexing raw lines) keeps suppression
-        syntax mentioned inside strings/docstrings from being parsed as
-        live suppressions.  Returns nothing on tokenize failure; the
-        parse-error path reports the syntax problem.
-        """
-        out: list[tuple[int, int, str]] = []
-        try:
-            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-                if tok.type == tokenize.COMMENT:
-                    out.append((tok.start[0], tok.start[1], tok.string))
-        except (tokenize.TokenError, IndentationError, SyntaxError):
-            return []
-        return out
-
-    def _scan_suppressions(self, path: str, source: str,
-                           report: Report) -> dict[int, tuple[set[str], str]]:
-        known = set(_RULE_REGISTRY) | {"parse-error"}
-        out, problems = scan_suppression_comments(source, known)
+    def _scan_suppressions(self, path: str, source: str) -> None:
+        self._suppressions[path], problems = scan_suppression_comments(
+            source, self._known_ids)
         for line, col, message in problems:
-            report.violations.append(Violation(
-                path, line, col,
-                self._suppression_rule.rule_id, "error", message,
-            ))
-        return out
+            self._report.violations.append(
+                Violation(path, line, col, "suppression", message))
 
-    def _record(self, ctx: ModuleContext, rule: Rule, line: int, col: int,
-                message: str) -> None:
-        assert self._report is not None
-        ids_just = self._suppressions.get(line)
-        if ids_just is not None and rule.rule_id in ids_just[0]:
-            self._report.suppressed.append(Violation(
-                ctx.path, line, col, rule.rule_id, rule.severity, message,
-                suppressed=True, justification=ids_just[1],
-            ))
-            return
-        self._report.violations.append(Violation(
-            ctx.path, line, col, rule.rule_id, rule.severity, message,
-        ))
+    def _record(self, v: Violation) -> None:
+        """The one way a finding enters the report: suppressed when its
+        line carries an ignore comment naming its rule."""
+        ids_just = self._suppressions.get(v.path, {}).get(v.line)
+        if ids_just is not None and v.rule in ids_just[0]:
+            self._report.suppressed.append(
+                replace(v, suppressed=True, justification=ids_just[1]))
+        else:
+            self._report.violations.append(v)
 
 
 # ---------------------------------------------------------------------------
-# shared helpers (also used by repro-flow)
+# helpers
 # ---------------------------------------------------------------------------
 
 
@@ -605,6 +518,24 @@ def path_to_module(path: Path, src_roots: tuple[str, ...] = ("src",)) -> str:
     return Path(path).stem
 
 
+def _iter_comments(source: str) -> list[tuple[int, int, str]]:
+    """(line, col, text) for every real comment token.
+
+    Tokenizing (rather than regexing raw lines) keeps suppression
+    syntax mentioned inside strings/docstrings from being parsed as
+    live suppressions.  Returns nothing on tokenize failure; the
+    parse-error path reports the syntax problem.
+    """
+    out: list[tuple[int, int, str]] = []
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.COMMENT:
+                out.append((tok.start[0], tok.start[1], tok.string))
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        return []
+    return out
+
+
 def scan_suppression_comments(
     source: str, known_ids: set[str]
 ) -> tuple[dict[int, tuple[set[str], str]], list[tuple[int, int, str]]]:
@@ -612,23 +543,18 @@ def scan_suppression_comments(
 
     Returns ``(suppressions, problems)``: a line -> (rule ids,
     justification) map, and a list of (line, col, message) problems for
-    malformed comments (unknown rule ids, missing justification).  Rule
-    ids starting with an external prefix (``flow-``) are always treated
-    as known — the owning tool validates them against its own registry.
+    malformed comments (an id not in ``known_ids``, missing
+    justification).
     """
     out: dict[int, tuple[set[str], str]] = {}
     problems: list[tuple[int, int, str]] = []
-    for i, col, comment in Engine._iter_comments(source):
+    for i, col, comment in _iter_comments(source):
         m = _SUPPRESS_RE.search(comment)
         if not m:
             continue
         ids = {s.strip() for s in m.group(1).split(",") if s.strip()}
         justification = (m.group(2) or "").strip()
-        unknown = {
-            rid
-            for rid in ids - known_ids
-            if not rid.startswith(_EXTERNAL_ID_PREFIXES)
-        }
+        unknown = ids - known_ids
         if unknown:
             problems.append((
                 i, col,
@@ -642,13 +568,3 @@ def scan_suppression_comments(
             ))
         out[i] = (ids, justification)
     return out, problems
-
-
-def _violation_to_cache(v: Violation) -> list:
-    return [v.path, v.line, v.col, v.rule, v.severity, v.message,
-            int(v.suppressed), v.justification]
-
-
-def _violation_from_cache(obj: list) -> Violation:
-    return Violation(obj[0], obj[1], obj[2], obj[3], obj[4], obj[5],
-                     suppressed=bool(obj[6]), justification=obj[7])

@@ -1,9 +1,13 @@
 """The project-specific reprolint rules.
 
 Each rule guards one invariant the paper states in prose (DESIGN.md
-"Static analysis" maps every rule to its section reference).  Rules are
+"Static enforcement" maps every rule to its section reference).  Rules are
 deliberately narrow: they encode *this* codebase's contracts, not
 general Python style — ruff handles style in CI alongside this linter.
+
+The per-file rules come first; the ``flow-*`` entries at the end
+register the whole-program contracts, whose logic lives in
+:mod:`repro.analysis.flow.graph` and :mod:`repro.analysis.flow.wirecheck`.
 """
 
 from __future__ import annotations
@@ -13,80 +17,10 @@ from typing import Optional
 
 from repro.analysis.lint.engine import Rule, register_rule
 
-__all__ = ["DES_PACKAGES"]
-
-#: The deterministic world: everything that runs under the DES clock.
-DES_PACKAGES = (
-    "repro.sim",
-    "repro.core",
-    "repro.plugins",
-    "repro.transport",
-    "repro.experiments",
-    "repro.faults",
-    "repro.util",
-)
-
 
 def _is_self_attr_call(node: ast.Call, attr: str) -> bool:
     f = node.func
     return isinstance(f, ast.Attribute) and f.attr == attr
-
-
-@register_rule
-class DesPurityRule(Rule):
-    """No wall clock or global RNG inside the deterministic world.
-
-    The DES replays cluster-scale schedules deterministically (same
-    seed, same trace); one ``time.time()`` or ``random.random()`` in a
-    sampler breaks replay silently.  Time comes from the engine clock
-    (``env.now()``), randomness from an injected
-    ``numpy.random.Generator`` (:mod:`repro.util.rngtools`).  The
-    sanctioned wall-clock boundary is :mod:`repro.util.timeutil`
-    (whitelisted below); ``RealEnv`` reads its clock through it.
-    """
-
-    rule_id = "des-purity"
-    description = "no wall-clock/global-RNG calls under the DES"
-    paper_ref = "§IV-C synchronous sampling; DESIGN 'Scale realism'"
-    default_packages = DES_PACKAGES
-    default_allowed_modules = ("repro.util.timeutil",)
-    interests = (ast.Call,)
-
-    #: Wall-clock entry points (time.monotonic included: only the
-    #: timeutil boundary module may read any host clock).
-    BANNED_TIME = frozenset({
-        "time.time", "time.time_ns",
-        "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-    })
-    #: numpy.random module-level (global-state or convenience) entry
-    #: points.  Generator construction (default_rng / SeedSequence) is
-    #: legal — that is how generators get injected.
-    BANNED_NP_RANDOM = frozenset({
-        "seed", "random", "rand", "randn", "randint", "random_sample",
-        "uniform", "normal", "standard_normal", "choice", "shuffle",
-        "permutation", "exponential", "poisson", "binomial",
-    })
-
-    def visit(self, node: ast.Call, ctx) -> None:
-        name = ctx.resolve_call(node.func)
-        if name is None:
-            return
-        if name in self.BANNED_TIME:
-            ctx.report(self, node,
-                       f"wall-clock call {name}() under the DES — use the "
-                       f"engine clock (env.now()) or repro.util.timeutil")
-        elif name.startswith("random."):
-            ctx.report(self, node,
-                       f"global-RNG call {name}() — inject a "
-                       f"numpy.random.Generator (repro.util.spawn_rng)")
-        elif (name.startswith("numpy.random.")
-              and name.rsplit(".", 1)[1] in self.BANNED_NP_RANDOM):
-            ctx.report(self, node,
-                       f"global numpy RNG call {name}() — inject a "
-                       f"Generator (repro.util.spawn_rng)")
 
 
 def _class_has_decorator(node: ast.ClassDef, name: str, ctx) -> bool:
@@ -633,3 +567,95 @@ class MutableDefaultArgRule(Rule):
                 ctx.report(self, default,
                            f"mutable default argument in {fname}() — "
                            f"default to None and build per call")
+
+
+# ---------------------------------------------------------------------------
+# whole-program contracts (evaluated by repro.analysis.flow)
+# ---------------------------------------------------------------------------
+
+
+class ProgramRule(Rule):
+    """Registry entry of a contract the whole-program passes evaluate."""
+
+    whole_program = True
+
+
+@register_rule
+class DesPurityContract(ProgramRule):
+    rule_id = "flow-des-purity"
+    description = (
+        "DES-pure packages must not transitively reach wall-clock, ambient "
+        "RNG, or unordered iteration (whole-program, call-chain traced)"
+    )
+    paper_ref = "§IV-C synchronous sampling; DESIGN 'Scale realism'"
+
+
+@register_rule
+class ClockBoundaryContract(ProgramRule):
+    rule_id = "flow-clock-boundary"
+    description = (
+        "wall-clock reads outside the sanctioned repro.util.timeutil "
+        "boundary module"
+    )
+    paper_ref = "§IV-C synchronous sampling; DESIGN 'Scale realism'"
+
+
+@register_rule
+class AmbientRngContract(ProgramRule):
+    rule_id = "flow-ambient-rng"
+    description = (
+        "direct global-RNG draws (random.*, numpy.random module level, "
+        "os.urandom, uuid4) outside the DES-pure packages"
+    )
+    paper_ref = "§IV-C synchronous sampling; DESIGN 'Scale realism'"
+
+
+@register_rule
+class UnorderedIterationContract(ProgramRule):
+    rule_id = "flow-unordered-iteration"
+    description = (
+        "hash-ordered (set) or OS-ordered (listdir) iteration feeding "
+        "ordering in replay-sensitive packages"
+    )
+    paper_ref = "§IV same-seed byte-identical replay"
+
+
+@register_rule
+class WireConformanceContract(ProgramRule):
+    rule_id = "flow-wire-conformance"
+    description = (
+        "encoder/decoder struct formats, field widths, and flag masks must "
+        "agree for every wire message"
+    )
+    paper_ref = "§IV-B wire protocol"
+
+
+@register_rule
+class MsgtypeCoverageContract(ProgramRule):
+    rule_id = "flow-msgtype-coverage"
+    description = (
+        "every MsgType must be producible and consumable, with REQ/REPLY "
+        "pairing intact"
+    )
+    paper_ref = "§IV-B wire protocol"
+
+
+@register_rule
+class HelloSymmetryContract(ProgramRule):
+    rule_id = "flow-hello-symmetry"
+    description = (
+        "HELLO feature gates must be advertised and consumed symmetrically "
+        "across transports"
+    )
+    paper_ref = "§IV-B transport negotiation"
+
+
+@register_rule
+class ShardIsolationContract(ProgramRule):
+    rule_id = "flow-shard-isolation"
+    description = (
+        "code reachable from a shard worker entry point must not mutate "
+        "module-level state outside the shard-allowed modules (a worker "
+        "scribbling on shared globals diverges from fork-inherited state)"
+    )
+    paper_ref = "DESIGN 'Sharded-parallel DES' (fork-inherited state)"

@@ -1,4 +1,4 @@
-"""Minimal SARIF 2.1.0 emission shared by ``repro-lint`` and ``repro-flow``.
+"""Minimal SARIF 2.1.0 emission for ``repro-lint``.
 
 Produces just enough of the schema for GitHub code-scanning to render
 annotations: one run, one tool driver with rule metadata, and one
@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
+
+from repro.analysis.findings import Violation
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
@@ -24,50 +26,40 @@ def _relative_uri(path: str) -> str:
     return p.as_posix()
 
 
-def sarif_from_violations(
-    tool_name: str,
-    rules: list[dict[str, str]],
-    results: list[dict[str, Any]],
-    *,
-    tool_version: str = "1.0.0",
-) -> str:
-    """Build a SARIF document string.
+def _message(v: Violation) -> str:
+    if not v.chain:
+        return v.message
+    trail = " -> ".join(f"{f.func} ({f.path}:{f.line})" for f in v.chain)
+    return f"{v.message} | chain: {trail}"
 
-    ``rules``: ``[{"id": ..., "description": ...}, ...]``
-    ``results``: ``[{"rule_id", "level", "message", "path", "line", "col"}, ...]``
-    """
-    rule_index = {r["id"]: i for i, r in enumerate(rules)}
-    sarif_rules = [
-        {
-            "id": r["id"],
-            "shortDescription": {"text": r["description"]},
-            "helpUri": "",
-        }
-        for r in rules
-    ]
+
+def sarif_document(rules: dict[str, str], violations: Iterable[Violation]) -> str:
+    """Build a SARIF document string from ``rules`` (id -> description)
+    and the unsuppressed ``violations``."""
+    rule_index = {rule_id: i for i, rule_id in enumerate(rules)}
     sarif_results = []
-    for res in results:
+    for v in violations:
         entry: dict[str, Any] = {
-            "ruleId": res["rule_id"],
-            "level": res.get("level", "error"),
-            "message": {"text": res["message"]},
+            "ruleId": v.rule,
+            "level": "error" if v.severity == "error" else "warning",
+            "message": {"text": _message(v)},
             "locations": [
                 {
                     "physicalLocation": {
                         "artifactLocation": {
-                            "uri": _relative_uri(res["path"]),
+                            "uri": _relative_uri(v.path),
                             "uriBaseId": "%SRCROOT%",
                         },
                         "region": {
-                            "startLine": max(1, int(res.get("line", 1))),
-                            "startColumn": max(1, int(res.get("col", 0)) + 1),
+                            "startLine": max(1, v.line),
+                            "startColumn": max(1, v.col + 1),
                         },
                     }
                 }
             ],
         }
-        if res["rule_id"] in rule_index:
-            entry["ruleIndex"] = rule_index[res["rule_id"]]
+        if v.rule in rule_index:
+            entry["ruleIndex"] = rule_index[v.rule]
         sarif_results.append(entry)
     doc = {
         "$schema": SARIF_SCHEMA,
@@ -76,10 +68,17 @@ def sarif_from_violations(
             {
                 "tool": {
                     "driver": {
-                        "name": tool_name,
-                        "version": tool_version,
+                        "name": "repro-lint",
+                        "version": "1.0.0",
                         "informationUri": "",
-                        "rules": sarif_rules,
+                        "rules": [
+                            {
+                                "id": rule_id,
+                                "shortDescription": {"text": description},
+                                "helpUri": "",
+                            }
+                            for rule_id, description in rules.items()
+                        ],
                     }
                 },
                 "results": sarif_results,

@@ -3,11 +3,11 @@
 Everything under the DES takes time from the engine clock
 (``env.now()``); the handful of places that legitimately need the host
 clock — ``RealEnv``'s scheduler and the experiment drivers' elapsed-time
-reporting — go through this module.  The ``des-purity`` lint rule bans
-``time.*`` clock calls across the tree and whitelists exactly this
-module (``allowed-modules = ["repro.util.timeutil"]`` in
-``[tool.reprolint.rules.des-purity]``), so every wall-clock dependency
-is findable from one import site.
+reporting — go through this module.  The ``flow-clock-boundary`` and
+``flow-des-purity`` lint rules ban ``time.*`` clock calls across the tree
+and exempt exactly this module (``boundary-modules =
+["repro.util.timeutil"]`` in ``[tool.reprolint.flow]``), so every
+wall-clock dependency is findable from one import site.
 """
 
 from __future__ import annotations

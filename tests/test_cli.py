@@ -111,7 +111,7 @@ class TestFullCliPipeline:
 
 class TestReproTopClockBoundary:
     def test_repro_top_routes_clock_through_timeutil(self):
-        # Regression (found by repro-flow): the poll loop read
+        # Regression (found by flow-clock-boundary): the poll loop read
         # time.monotonic()/time.sleep() directly instead of going
         # through the sanctioned repro.util.timeutil boundary.
         import inspect

@@ -1,11 +1,12 @@
-"""Tests for the whole-program flow analyzer (repro.analysis.flow).
+"""Tests for reprolint's whole-program passes (repro.analysis.flow).
 
-Coverage follows the analyzer's layers: module summary extraction,
-call-graph resolution + effect propagation (via ``analyze_sources``),
-wire-protocol conformance, the digest-guarded summary cache, the
-``repro-flow`` CLI against the deliberately-broken fixture projects
-under ``tests/flow_fixtures/``, and a self-host pass asserting the
-shipped tree is clean under the repo's own ``pyproject.toml``.
+Coverage follows the layers: module summary extraction, call-graph
+resolution + effect propagation (multi-module ``Engine.lint_sources``
+runs), wire-protocol conformance, the ``repro-lint`` CLI against the
+deliberately-broken fixture projects under ``tests/flow_fixtures/``,
+and a self-host pass asserting the shipped tree is clean under the
+repo's own ``pyproject.toml``.  The engine itself (suppressions,
+config, reporters, per-file rules) is covered by ``test_reprolint.py``.
 """
 
 from __future__ import annotations
@@ -16,18 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow import (
-    EFFECTS,
-    FlowConfig,
-    SummaryStore,
-    analyze,
-    analyze_sources,
-    effect_of,
-    extract_module,
-)
-from repro.analysis.flow.cli import main as flow_main
-from repro.analysis.flow.config import FlowConfigError
-from repro.analysis.flow.report import FLOW_RULE_IDS
+from repro.analysis.flow import EFFECTS, FlowConfig, effect_of, extract_module
+from repro.analysis.lint import Engine, LintConfig, LintConfigError, all_rules
+from repro.analysis.lint.cli import main as lint_main
 
 FIXTURES = Path(__file__).parent / "flow_fixtures"
 REPO_ROOT = Path(__file__).parent.parent
@@ -47,8 +39,16 @@ def des_config(**overrides) -> FlowConfig:
     return FlowConfig(**base)
 
 
+def analyze_sources(sources, flow: FlowConfig):
+    """Lint in-memory modules as one program under flow scope ``flow``."""
+    return Engine(LintConfig(flow=flow)).lint_sources(sources)
+
+
 def rule_ids(report):
-    return [v.rule_id for v in report.violations if not v.suppressed]
+    return [v.rule for v in report.violations]
+
+
+FLOW_RULE_IDS = [r for r, cls in all_rules().items() if cls.whole_program]
 
 
 class TestCatalog:
@@ -136,12 +136,6 @@ class TestSummaryExtraction:
             list(p) for p in summary.classes["Control"].prefix_dispatch
         ]
 
-    def test_summary_json_round_trip(self):
-        src = "import time\n\nclass C:\n    def m(self):\n        return time.time()\n"
-        summary = extract_module(src, "m", "<m>")
-        clone = type(summary).from_obj(summary.to_obj())
-        assert clone.to_obj() == summary.to_obj()
-
     def test_syntax_error_raises(self):
         with pytest.raises(SyntaxError):
             extract_module("def f(:\n", "m", "<m>")
@@ -158,7 +152,7 @@ class TestPropagation:
             },
             des_config(),
         )
-        purity = [v for v in report.violations if v.rule_id == "flow-des-purity"]
+        purity = [v for v in report.violations if v.rule == "flow-des-purity"]
         assert len(purity) == 1
         v = purity[0]
         assert "p.helper.stamp" in v.message and "wall_clock" in v.message
@@ -177,7 +171,7 @@ class TestPropagation:
             },
             des_config(),
         )
-        purity = [v for v in report.violations if v.rule_id == "flow-des-purity"]
+        purity = [v for v in report.violations if v.rule == "flow-des-purity"]
         assert len(purity) == 1
         assert "p.b.inner" in purity[0].message
 
@@ -226,7 +220,7 @@ class TestPropagation:
             },
             des_config(),
         )
-        purity = [v for v in report.violations if v.rule_id == "flow-des-purity"]
+        purity = [v for v in report.violations if v.rule == "flow-des-purity"]
         assert any("Sub.hook" in v.message for v in purity)
 
     def test_ambient_numpy_flagged_seeded_generator_clean(self):
@@ -243,7 +237,7 @@ class TestPropagation:
             },
             des_config(),
         )
-        purity = [v for v in report.violations if v.rule_id == "flow-des-purity"]
+        purity = [v for v in report.violations if v.rule == "flow-des-purity"]
         assert any("p.bad" in v.path or "p.bad" in v.message for v in purity)
         assert not any("p.good" in v.path or "p.good" in v.message for v in purity)
 
@@ -255,11 +249,13 @@ class TestPropagation:
         )
         report = analyze_sources({"p": "", "p.x": src}, des_config())
         assert "flow-des-purity" not in rule_ids(report)
-        assert any(v.rule_id == "flow-des-purity" for v in report.suppressed)
+        assert any(v.rule == "flow-des-purity" for v in report.suppressed)
 
+        # a bare ignore is itself the error, reported exactly once
         bare = src.replace(" -- sim boot only", "")
         report2 = analyze_sources({"p": "", "p.x": bare}, des_config())
-        assert "flow-des-purity" in rule_ids(report2)
+        assert rule_ids(report2) == ["suppression"]
+        assert report2.exit_code == 1
 
 
 class TestShardIsolation:
@@ -381,12 +377,12 @@ class TestWireConformance:
         )
         report = analyze_sources({"w": src}, self.wire_config())
         assert not [v for v in report.violations
-                    if v.rule_id == "flow-wire-conformance" and v.severity == "error"]
+                    if v.rule == "flow-wire-conformance" and v.severity == "error"]
 
     def test_format_mismatch_reports_frame_layout(self):
         src = (FIXTURES / "bad_wire" / "src" / "badwire.py").read_text()
         report = analyze_sources({"w": src}, self.wire_config())
-        wire = [v for v in report.violations if v.rule_id == "flow-wire-conformance"]
+        wire = [v for v in report.violations if v.rule == "flow-wire-conformance"]
         mismatch = [v for v in wire if "disagrees" in v.message]
         assert mismatch and mismatch[0].chain  # both frame layouts in the trace
         offsets = [v for v in wire if "slices the payload" in v.message]
@@ -401,7 +397,7 @@ class TestWireConformance:
         src = path.read_text()
         report = analyze_sources({"w": src}, self.wire_config())
         assert not [v for v in report.violations
-                    if v.rule_id == "flow-wire-conformance"
+                    if v.rule == "flow-wire-conformance"
                     and v.severity == "error"]
         anchor = "    row = query_row_struct(ncols)\n"
         assert src.count(anchor) == 1
@@ -409,78 +405,19 @@ class TestWireConformance:
             anchor, '    row = struct.Struct(f"<dH{ncols}d")\n')
         report = analyze_sources({"w": drifted}, self.wire_config())
         (v,) = [v for v in report.violations
-                if v.rule_id == "flow-wire-conformance"
+                if v.rule == "flow-wire-conformance"
                 and v.severity == "error"]
         assert "unpack_query_reply" in v.message
         assert ("decoder reads [i B I loop[H] I loop[d H {n}d]] but encoder "
                 "writes [i B I loop[H] I loop[d I {n}d]]") in v.message
 
 
-class TestSummaryCache:
-    def write_project(self, root: Path) -> Path:
-        src = root / "src"
-        (src / "pkg").mkdir(parents=True)
-        (src / "pkg" / "__init__.py").write_text("")
-        (src / "pkg" / "a.py").write_text("def f():\n    return 1\n")
-        (src / "pkg" / "b.py").write_text("def g():\n    return 2\n")
-        return src
-
-    def quiet_config(self):
-        return FlowConfig(
-            des_pure_packages=(), boundary_modules=(), ordered_packages=(),
-            wire_modules=(), transport_modules=(), dispatch_roots=(),
-        )
-
-    def test_warm_run_hits_and_edit_invalidates(self, tmp_path):
-        src = self.write_project(tmp_path)
-        cache = tmp_path / "cache.json"
-        cfg = self.quiet_config()
-
-        r1 = analyze([src], cfg, store=SummaryStore(cache))
-        assert r1.stats["flow_cache_hits"] == 0
-        assert r1.stats["flow_modules_analyzed"] == 3
-        assert cache.exists()
-
-        r2 = analyze([src], cfg, store=SummaryStore(cache))
-        assert r2.stats["flow_cache_hits"] == 3
-        assert r2.stats["flow_cache_misses"] == 0
-
-        (src / "pkg" / "a.py").write_text("def f():\n    return 3\n")
-        r3 = analyze([src], cfg, store=SummaryStore(cache))
-        assert r3.stats["flow_cache_hits"] == 2
-        assert r3.stats["flow_cache_misses"] == 1
-
-    def test_store_prunes_untouched_entries(self, tmp_path):
-        path = tmp_path / "store.json"
-        s = SummaryStore(path)
-        s.put("ns", "keep", "d1", {"v": 1})
-        s.put("ns", "drop", "d2", {"v": 2})
-        s.save()
-
-        s2 = SummaryStore(path)
-        assert s2.get("ns", "keep", "d1") == {"v": 1}
-        s2.save()
-
-        s3 = SummaryStore(path)
-        assert s3.get("ns", "drop", "d2") is None
-        assert s3.get("ns", "keep", "d1") == {"v": 1}
-
-    def test_corrupt_store_is_tolerated(self, tmp_path):
-        path = tmp_path / "store.json"
-        path.write_text("{not json")
-        s = SummaryStore(path)
-        assert s.get("ns", "k", "d") is None
-        s.put("ns", "k", "d", [1])
-        s.save()
-        assert SummaryStore(path).get("ns", "k", "d") == [1]
-
-
 class TestCliFixtures:
     def run_fixture(self, name, capsys, extra=()):
         fixture = FIXTURES / name
-        code = flow_main(
+        code = lint_main(
             [str(fixture / "src"), "--config", str(fixture / "pyproject.toml"),
-             "--no-cache", *extra]
+             *extra]
         )
         return code, capsys.readouterr().out
 
@@ -525,11 +462,14 @@ class TestCliFixtures:
         code, out = self.run_fixture("bad_des", capsys, extra=("--format", "json"))
         assert code == 1
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
-        assert doc["tool"] == "repro-flow"
-        assert doc["counts"]["by_rule"]["flow-des-purity"] >= 1
+        assert doc["version"] == 2
+        assert doc["tool"] == "reprolint"
+        assert doc["summary"]["by_rule"] == {
+            "flow-clock-boundary": 1, "flow-des-purity": 1}
         assert doc["stats"]["flow_modules_analyzed"] == 4
-        assert set(FLOW_RULE_IDS) == set(doc["stats"]["rules"])
+        (v,) = [v for v in doc["violations"] if v["rule"] == "flow-des-purity"]
+        assert [f["func"] for f in v["chain"]] == [
+            "despkg.helper.stamp", "extutil.wallclock"]
 
     def test_sarif_output(self, capsys, tmp_path):
         sarif_file = tmp_path / "flow.sarif"
@@ -541,13 +481,14 @@ class TestCliFixtures:
         doc = json.loads(out)
         assert doc["version"] == "2.1.0"
         driver = doc["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "repro-flow"
+        assert driver["name"] == "repro-lint"
         assert any(r["id"] == "flow-wire-conformance" for r in driver["rules"])
         assert doc == json.loads(sarif_file.read_text())
 
     def test_list_rules(self, capsys):
-        assert flow_main(["--list-rules"]) == 0
+        assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
+        assert len(FLOW_RULE_IDS) == 8
         for rule_id in FLOW_RULE_IDS:
             assert rule_id in out
 
@@ -555,20 +496,17 @@ class TestCliFixtures:
         bad = tmp_path / "pyproject.toml"
         bad.write_text("[tool.reprolint.flow]\nno-such-key = []\n")
         (tmp_path / "src").mkdir()
-        code = flow_main([str(tmp_path / "src"), "--config", str(bad)])
+        code = lint_main([str(tmp_path / "src"), "--config", str(bad)])
         assert code == 2
         assert "no-such-key" in capsys.readouterr().err
 
 
 class TestConfig:
     def test_from_table_rejects_unknown_keys(self):
-        with pytest.raises(FlowConfigError):
+        with pytest.raises(LintConfigError):
             FlowConfig.from_table({"wat": []})
-
-    def test_digest_changes_with_scope(self):
-        a = FlowConfig()
-        b = FlowConfig(des_pure_packages=("other",))
-        assert a.digest() != b.digest()
+        with pytest.raises(LintConfigError):
+            LintConfig.from_table({"flow": {"wat": []}})
 
     def test_package_scoping(self):
         cfg = FlowConfig(des_pure_packages=("repro.sim",))
@@ -580,20 +518,12 @@ class TestConfig:
 class TestSelfHost:
     def test_tree_is_flow_clean(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        cfg = FlowConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-        report = analyze(["src"], cfg)
+        cfg = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
+        cfg.select = tuple(FLOW_RULE_IDS)
+        report = Engine(cfg).lint_paths(["src"])
         assert report.errors == []
         assert report.warnings == []
-        assert report.exit_code() == 0
+        assert report.suppressed == []
+        assert report.exit_code == 0
         assert report.stats["flow_modules_analyzed"] > 100
         assert report.stats["flow_edges"] > 0
-        assert report.stats["elapsed_s"] < 30  # cold-pass budget
-
-    def test_warm_self_host_within_budget(self, monkeypatch, tmp_path):
-        monkeypatch.chdir(REPO_ROOT)
-        cfg = FlowConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-        cache = tmp_path / "cache.json"
-        analyze(["src"], cfg, store=SummaryStore(cache))
-        warm = analyze(["src"], cfg, store=SummaryStore(cache))
-        assert warm.stats["flow_cache_hits"] == warm.stats["flow_modules_analyzed"]
-        assert warm.stats["elapsed_s"] < 5  # warm-pass budget

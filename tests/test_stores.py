@@ -117,7 +117,7 @@ class TestCsvStore:
             CsvStore().config()
 
     def test_store_many_drain_order_is_sorted(self, tmp_path, monkeypatch):
-        # Regression (found by repro-flow): the batched path collected
+        # Regression (found by flow-des-purity): the batched path collected
         # touched schemas in a set and drained in set-iteration order,
         # which varies with PYTHONHASHSEED.  Drain order must be sorted
         # regardless of record arrival order.
