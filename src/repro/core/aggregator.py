@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ProducerConfig", "Producer", "UpdaterState", "SetState", "UpdateStats"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProducerConfig:
     """Configuration of one collection target.
 
@@ -89,7 +89,7 @@ class SetState(enum.Enum):
     READY = "ready"
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateStats:
     lookups_sent: int = 0
     lookups_failed: int = 0
@@ -114,7 +114,7 @@ class UpdateStats:
     update_time_total: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdaterState:
     """Per-(producer, set) collection state."""
 
@@ -139,6 +139,13 @@ class UpdaterState:
 
 class Producer:
     """Runtime state of one collection target inside an aggregator."""
+
+    __slots__ = (
+        "daemon", "cfg", "endpoint", "connecting", "active", "updaters",
+        "stats", "_timer", "_reconnect_handle", "_reconnect_attempts",
+        "_ticks_since_dir", "_next_req_id", "_pending_lookups", "stopped",
+        "_fresh", "_h_lookup_rtt", "_h_update_rtt", "_c_stale", "_c_torn",
+        "_c_busy", "_c_failed")
 
     def __init__(self, daemon: "Ldmsd", cfg: ProducerConfig):
         self.daemon = daemon
@@ -565,15 +572,7 @@ class Producer:
         trace = self.daemon.tracer.start(self.cfg.name, upd.set_name)
         t_issue = trace.t_issue if trace is not None else self.daemon.env.now()
 
-        def on_data(data: Optional[bytes]) -> None:
-            # Completion runs on an update worker.
-            self.daemon.worker_pool.submit(
-                lambda: self._complete_update(upd, data, t_issue, trace),
-                cost=self.daemon.update_cpu_cost,
-                core=self.daemon.core,
-                tag="agg-update",
-            )
-
+        on_data = partial(self._on_data, upd, t_issue, trace)
         if trace is not None and endpoint.trace_ok:
             # Exemplar transaction: propagate a wire trace context so the
             # serving daemon can attribute its hop to the same trace.
@@ -583,6 +582,16 @@ class Producer:
                 trace=((0, trace.trace_id, trace.span_id, HOP_UPDATE),))
         else:
             endpoint.rdma_read(upd.region_id, on_data)
+
+    def _on_data(self, upd: UpdaterState, t_issue: float, trace,
+                 data: Optional[bytes]) -> None:
+        # Completion runs on an update worker.
+        self.daemon.worker_pool.submit(
+            partial(self._complete_update, upd, data, t_issue, trace),
+            cost=self.daemon.update_cpu_cost,
+            core=self.daemon.core,
+            tag="agg-update",
+        )
 
     def _issue_update_multi(self, upds: list[UpdaterState]) -> None:
         """Issue one coalesced fetch covering every updater in ``upds``.
@@ -670,8 +679,7 @@ class Producer:
         want = np.fromiter((batch[i][0].mirror.mgn for i in idxs),
                            dtype=np.uint32, count=len(idxs))
         ok = (mgns == want).tolist()
-        self.daemon._c_arena_sweeps.inc()
-        self.daemon._c_arena_rows.inc(len(idxs))
+        self.daemon._count_sweep(len(idxs))
         for j, i in enumerate(idxs):
             if ok[j]:
                 peeks[i] = (dgns[j], flags[j] == 1)
@@ -745,15 +753,17 @@ class Producer:
             prev_dgn = upd.last_dgn
             upd.mirror._install(data, dgn, consistent)
             upd.last_dgn = dgn
+            # Decoded once for trace, store hand-off and freshness.
+            ts_new = upd.mirror.timestamp
             if trace is not None:
-                trace.sample_ts = upd.mirror.timestamp
+                trace.sample_ts = ts_new
             # `stored` counts records actually handed to the store
             # layer; incrementing before delivery over-reported when
             # the hand-off itself failed.
             try:
-                self.daemon._deliver_to_stores(self, upd.mirror, trace)
+                self.daemon._deliver_to_stores(self, upd.mirror, trace, ts_new)
             except StoreError:
-                self.daemon._c_store_errors.inc()
+                self.daemon.obs.counter("store.errors").inc()
                 tracer.finish(trace, "store_error")
                 return
             self.stats.stored += 1
@@ -764,7 +774,6 @@ class Producer:
                 # learned per-transaction strides) and the transaction-
                 # timestamp gap is larger — both per-set evidence already
                 # in hand, no extra wire bytes.
-                ts_new = upd.mirror.timestamp
                 missed = 0
                 if prev_dgn is not None and dgn > prev_dgn:
                     delta = dgn - prev_dgn

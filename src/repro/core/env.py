@@ -48,6 +48,8 @@ class TaskHandle:
 class WorkerPool:
     """Abstract worker pool (ldmsd worker / connection / flush threads)."""
 
+    __slots__ = ()
+
     name: str
     size: int
 
@@ -369,6 +371,9 @@ class _SimPool(WorkerPool):
     simulated seconds, records the busy time as noise on the given core,
     then runs its callback.
     """
+
+    __slots__ = ("engine", "name", "size", "resource", "busy_time",
+                 "tasks_run")
 
     def __init__(self, engine: Engine, name: str, size: int):
         self.engine = engine

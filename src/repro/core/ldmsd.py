@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 from functools import partial
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.core import sanitize, wire
 from repro.core.aggregator import Producer, ProducerConfig
-from repro.core.env import Env, RealEnv, SimEnv
+from repro.core.env import Env, RealEnv, SimEnv, WorkerPool
 from repro.core.memory import Arena
 from repro.core.metric import MetricType
 from repro.core.metric_set import MetricSet, SetInfo
@@ -69,12 +69,19 @@ FLUSH_BATCH_MAX = 256
 QUERY_BASE_COST = 20e-6
 QUERY_PER_ROW_COST = 0.2e-6
 
-
-class _SamplerSchedule:
-    def __init__(self, plugin: SamplerPlugin, interval: float, handle):
-        self.plugin = plugin
-        self.interval = interval
-        self.handle = handle
+#: Every instrument a daemon binds by role (``start_sampler`` /
+#: ``add_store`` / ``enable_query``) or looks up by name on a cold path.
+#: Declared to the registry at birth, so ``stats()`` / ``prof`` list all
+#: of them, zeroed, whatever roles the daemon has taken — schema-stable
+#: for pollers without an object per name on every sampler.
+_OBS_COUNTERS = (
+    "arena.fallback_sets", "arena.rows_vectorized", "arena.sweeps",
+    "sampler.samples", "serve.dir_req", "serve.lookup_req",
+    "serve.query_req", "serve.update_req", "set.create_failed",
+    "store.errors", "store.flush_rows_batched", "store.no_match")
+_OBS_HISTOGRAMS = (
+    "pipeline.sample_to_store", "sample.duration", "serve.query",
+    "store.flush", "store.flush_batch_rows")
 
 
 class _StagedRow:
@@ -100,6 +107,31 @@ class _StagedRow:
         self.schema = mirror.schema
         self.card = mirror.card
         self.mirror = mirror
+
+
+class _ServedEndpoint(NamedTuple):
+    """Serve-side callbacks of one accepted connection."""
+
+    daemon: "Ldmsd"
+    endpoint: Endpoint
+
+    def on_message(self, raw: bytes) -> None:
+        self.daemon._serve(self.endpoint, raw)
+
+    def on_close(self) -> None:
+        self.daemon._drop_served(self.endpoint)
+
+
+class _RegionReader(NamedTuple):
+    """One-sided-read source of a published set, resolved by *name* at
+    fetch time: the registration outlives the set (then reads empty)."""
+
+    sets: dict[str, MetricSet]
+    name: str
+
+    def __call__(self) -> bytes:
+        mset = self.sets.get(self.name)
+        return mset.data_bytes() if mset is not None else b""
 
 
 class _FlushBatch:
@@ -169,6 +201,23 @@ class Ldmsd:
         the update path allocates no trace objects.
     """
 
+    __slots__ = (
+        "name", "_own_env", "env", "transports", "core", "fs", "arena", "lock",
+        "obs", "tracer", "spans", "freshness", "flight", "set_pool",
+        "_cohort_scheduler", "worker_pool", "_conn_pool", "_flush_pool",
+        "_conn_threads", "_flush_threads", "update_cpu_cost",
+        "connect_cpu_cost", "_flush_batches", "_sets", "_region_ids",
+        "_region_names", "_next_region", "_plugins", "_schedules",
+        "producers", "stores", "_stores_version", "_listeners",
+        "_served_endpoints", "_advertisements", "records_delivered",
+        "query_engine", "_shutdown", "__weakref__",
+        # Hot-path instruments, bound by start_sampler / add_store /
+        # enable_query when the daemon takes that role.
+        "_h_sample", "_c_samples", "_h_store_flush", "_h_flush_batch_rows",
+        "_h_sample_to_store", "_c_flush_rows_batched", "_c_store_no_match",
+        "_h_query", "_c_query_req",
+    )
+
     def __init__(
         self,
         name: str,
@@ -193,7 +242,7 @@ class Ldmsd:
             from repro.transport.sock import SockTransport
 
             transports = {"sock": SockTransport()}
-        self.transports = dict(transports)
+        self.transports = transports
         self.core = core
         if fs is None:
             from repro.nodefs.fs import RealFS
@@ -207,9 +256,11 @@ class Ldmsd:
 
         #: Self-instrumentation: the telemetry registry and the
         #: per-update-transaction tracer.  Hot-path instruments are
-        #: bound once here so sampling/update/store code pays one
-        #: attribute access per event, not a registry lookup.
+        #: bound once, when the daemon takes the role that uses them,
+        #: so sampling/update/store code pays one attribute access per
+        #: event, not a registry lookup.
         self.obs = Telemetry(enabled=obs_enabled)
+        self.obs.declare(_OBS_COUNTERS, _OBS_HISTOGRAMS)
         self.tracer = Tracer(env.now, enabled=obs_enabled)
         #: Observability plane (PR 7): the per-hop span ring feeding
         #: Chrome trace export, the per-producer freshness tracker (only
@@ -225,23 +276,6 @@ class Ldmsd:
             # REPRO_SANITIZE=count routes discipline violations into
             # this registry (ldmsd_self exports the aggregate).
             sanitize.register_registry(self.obs)
-        self._h_sample = self.obs.histogram("sample.duration")
-        self._h_store_flush = self.obs.histogram("store.flush")
-        self._h_flush_batch_rows = self.obs.histogram("store.flush_batch_rows")
-        self._h_sample_to_store = self.obs.histogram("pipeline.sample_to_store")
-        self._c_flush_rows_batched = self.obs.counter("store.flush_rows_batched")
-        self._c_samples = self.obs.counter("sampler.samples")
-        self._c_set_create_failed = self.obs.counter("set.create_failed")
-        self._c_store_errors = self.obs.counter("store.errors")
-        self._c_store_no_match = self.obs.counter("store.no_match")
-        self._c_dir_req = self.obs.counter("serve.dir_req")
-        self._c_lookup_req = self.obs.counter("serve.lookup_req")
-        self._c_update_req = self.obs.counter("serve.update_req")
-        self._c_query_req = self.obs.counter("serve.query_req")
-        self._h_query = self.obs.histogram("serve.query")
-        self._c_arena_sweeps = self.obs.counter("arena.sweeps")
-        self._c_arena_rows = self.obs.counter("arena.rows_vectorized")
-        self._c_arena_fallback = self.obs.counter("arena.fallback_sets")
 
         #: Columnar data plane: the environment-wide set-arena pool
         #: and sampler-cohort scheduler, or None under RealEnv and
@@ -251,8 +285,11 @@ class Ldmsd:
         self._cohort_scheduler = getattr(env, "cohort_scheduler", None)
 
         self.worker_pool = env.make_pool(f"{name}/worker", workers)
-        self.conn_pool = env.make_pool(f"{name}/conn", conn_threads)
-        self.flush_pool = env.make_pool(f"{name}/flush", flush_threads)
+        # Aggregator / store roles: made by the first connect / flush.
+        self._conn_pool: Optional[WorkerPool] = None
+        self._flush_pool: Optional[WorkerPool] = None
+        self._conn_threads = conn_threads
+        self._flush_threads = flush_threads
 
         self.update_cpu_cost = UPDATE_CPU_COST
         self.connect_cpu_cost = CONNECT_CPU_COST
@@ -263,7 +300,8 @@ class Ldmsd:
         self._region_names: dict[int, str] = {}
         self._next_region = 1
         self._plugins: dict[str, SamplerPlugin] = {}
-        self._schedules: dict[str, _SamplerSchedule] = {}
+        #: sampler instance -> cancellable handle of its periodic firing
+        self._schedules: dict[str, Any] = {}
         self.producers: dict[str, Producer] = {}
         self.stores: list[StorePlugin] = []
         #: Bumped by add_store; invalidates per-mirror store-match caches.
@@ -278,6 +316,29 @@ class Ldmsd:
         #: store, or None until :meth:`enable_query`.
         self.query_engine = None
         self._shutdown = False
+
+    @property
+    def conn_pool(self) -> WorkerPool:
+        """Connection-setup pool (§IV-B), created by the first connect."""
+        with self.lock:  # reconnect timers dial outside the daemon lock
+            if self._conn_pool is None:
+                self._conn_pool = self.env.make_pool(
+                    f"{self.name}/conn", self._conn_threads)
+            return self._conn_pool
+
+    @property
+    def flush_pool(self) -> WorkerPool:
+        """Store-flush pool, created by the first delivery to a store."""
+        with self.lock:
+            if self._flush_pool is None:
+                self._flush_pool = self.env.make_pool(
+                    f"{self.name}/flush", self._flush_threads)
+            return self._flush_pool
+
+    def _count_sweep(self, nrows: int) -> None:
+        """One vectorized sweep of ``nrows`` rows: per batch, so by name."""
+        self.obs.counter("arena.sweeps").inc()
+        self.obs.counter("arena.rows_vectorized").inc(nrows)
 
     # ------------------------------------------------------------------
     # set registry
@@ -296,7 +357,7 @@ class Ldmsd:
                 # Arena exhaustion is an operator-visible event (the
                 # paper sizes set memory up front, §IV-B): count it so
                 # ldmsd_self exposes it, then re-raise for the caller.
-                self._c_set_create_failed.inc()
+                self.obs.counter("set.create_failed").inc()
                 raise
             self._sets[name] = mset
             return mset
@@ -377,6 +438,8 @@ class Ldmsd:
             # and the begin/finish callables need not be rebuilt per
             # firing.
             sample_cost = plugin.sample_cost
+            self._h_sample = self.obs.histogram("sample.duration")
+            self._c_samples = self.obs.counter("sampler.samples")
 
             # Columnar fast path: same-phase, same-pattern samplers ride
             # one cohort sweep (one timer + one finish event for the
@@ -391,20 +454,17 @@ class Ldmsd:
                         and mset._ab is not None
                         and mset._ab.values_mat is not None
                         and sample_cost < interval):
-                    handle = sched.register(
+                    self._schedules[instance] = sched.register(
                         self, plugin, interval,
                         synchronous=offset is not None,
                         offset=offset or 0.0,
                         cost=sample_cost, veckey=veckey,
                     )
-                    self._schedules[instance] = _SamplerSchedule(
-                        plugin, interval, handle
-                    )
                     return
                 # Arena on but this sampler can't ride a cohort sweep
                 # (no vectorization key, multi-set, mixed layout, or
                 # cost >= interval): it stays on the scalar path.
-                self._c_arena_fallback.inc()
+                self.obs.counter("arena.fallback_sets").inc()
 
             begin = partial(self._begin_sample, plugin)
             finish = partial(self._finish_sample, plugin)
@@ -415,17 +475,16 @@ class Ldmsd:
                 submit(finish, cost=sample_cost, core=core, tag="sampler",
                        on_start=begin)
 
-            handle = self.env.call_every(
+            self._schedules[instance] = self.env.call_every(
                 interval, fire, synchronous=offset is not None, offset=offset or 0.0
             )
-            self._schedules[instance] = _SamplerSchedule(plugin, interval, handle)
 
     def stop_sampler(self, instance: str) -> None:
         with self.lock:
-            sched = self._schedules.pop(instance, None)
-            if sched is None:
+            handle = self._schedules.pop(instance, None)
+            if handle is None:
                 raise ConfigError(f"sampler {instance!r} is not started")
-            sched.handle.cancel()
+            handle.cancel()
 
     def sampler_plugins(self) -> dict[str, SamplerPlugin]:
         return dict(self._plugins)
@@ -476,7 +535,8 @@ class Ldmsd:
 
     def _on_peer_connect(self, endpoint: Endpoint) -> None:
         endpoint.obs = self.obs
-        endpoint.on_message = lambda raw: self._serve(endpoint, raw)
+        served = _ServedEndpoint(self, endpoint)
+        endpoint.on_message = served.on_message
         # Observability plane: daemon clock for the transport HELLO /
         # peer-age anchor, and the serve-side traced-read hook.  Both
         # must be installed before the transport starts reading.
@@ -490,7 +550,7 @@ class Ldmsd:
             endpoint.set_multi_reader(self._read_regions)
         # Prune on close, or served endpoints accumulate forever on a
         # long-lived daemon whose peers churn.
-        endpoint.on_close = lambda: self._drop_served(endpoint)
+        endpoint.on_close = served.on_close
         self._served_endpoints.append(endpoint)
 
     def _drop_served(self, endpoint: Endpoint) -> None:
@@ -546,7 +606,7 @@ class Ldmsd:
                     prod.attach(endpoint)
                 return
             if frame.msg_type == wire.MsgType.DIR_REQ:
-                self._c_dir_req.inc()
+                self.obs.counter("serve.dir_req").inc()
                 endpoint.send(
                     wire.encode_frame(
                         wire.MsgType.DIR_REPLY,
@@ -555,7 +615,7 @@ class Ldmsd:
                     )
                 )
             elif frame.msg_type == wire.MsgType.LOOKUP_REQ:
-                self._c_lookup_req.inc()
+                self.obs.counter("serve.lookup_req").inc()
                 set_name = wire.unpack_lookup_req(frame.payload)
                 if frame.trace is not None and self.spans.enabled:
                     now = self.env.now()
@@ -570,8 +630,7 @@ class Ldmsd:
                     region_id = self._region_id_for(set_name)
                     if region_id not in getattr(endpoint, "_regions"):
                         endpoint.register_region(
-                            region_id, lambda n=set_name: self._read_region(n)
-                        )
+                            region_id, _RegionReader(self._sets, set_name))
                     reply = wire.pack_lookup_reply(
                         wire.E_OK, region_id, mset.meta_bytes()
                     )
@@ -581,7 +640,7 @@ class Ldmsd:
             elif frame.msg_type == wire.MsgType.UPDATE_REQ:
                 # Message-based pull path (kept for completeness; the
                 # aggregator normally uses one-sided reads).
-                self._c_update_req.inc()
+                self.obs.counter("serve.update_req").inc()
                 region_id = wire.unpack_update_req(frame.payload)
                 name = next(
                     (n for n, r in self._region_ids.items() if r == region_id), None
@@ -595,7 +654,6 @@ class Ldmsd:
                     wire.encode_frame(wire.MsgType.UPDATE_REPLY, frame.request_id, reply)
                 )
             elif frame.msg_type == wire.MsgType.QUERY_REQ:
-                self._c_query_req.inc()
                 self._serve_query(endpoint, frame)
 
     def _serve_query(self, endpoint: Endpoint, frame: wire.Frame) -> None:
@@ -612,10 +670,12 @@ class Ldmsd:
         eng = self.query_engine
         rid = frame.request_id
         if eng is None:
+            self.obs.counter("serve.query_req").inc()
             endpoint.send(wire.encode_frame(
                 wire.MsgType.QUERY_REPLY, rid,
                 wire.pack_query_reply(wire.E_NOENT)))
             return
+        self._c_query_req.inc()
         try:
             schema, t0, t1, level, comp_id, max_records = (
                 wire.unpack_query_req(frame.payload))
@@ -670,6 +730,8 @@ class Ldmsd:
             if store is None:
                 raise ConfigError(
                     f"{self.name}: enable_query needs a configured sos store")
+            self._h_query = self.obs.histogram("serve.query")
+            self._c_query_req = self.obs.counter("serve.query_req")
             self.query_engine = QueryEngine(
                 store, self.env.now, obs=self.obs,
                 hot_window=hot_window, cache_entries=cache_entries)
@@ -682,15 +744,11 @@ class Ldmsd:
             self._next_region += 1
             self._region_ids[set_name] = rid
             # Append-only reverse map: an endpoint's registered reader
-            # closure survives set deletion (it reads by name), so the
+            # survives set deletion (it reads by name), so the
             # batch reader must keep resolving old region ids the same
             # way for as long as the daemon lives.
             self._region_names[rid] = set_name
         return rid
-
-    def _read_region(self, set_name: str) -> bytes:
-        mset = self._sets.get(set_name)
-        return mset.data_bytes() if mset is not None else b""
 
     def _read_regions(self, region_ids, registered) -> list:
         """Batch serve: serialize coalesced-read regions in one sweep.
@@ -732,8 +790,7 @@ class Ldmsd:
             size = ab.data_size
             for j, i in enumerate(idxs):
                 out[i] = blob[j * size:(j + 1) * size]
-            self._c_arena_sweeps.inc()
-            self._c_arena_rows.inc(len(idxs))
+            self._count_sweep(len(idxs))
         return out
 
     # ------------------------------------------------------------------
@@ -918,6 +975,12 @@ class Ldmsd:
                 producers=frozenset(producers) if producers else None,
                 metrics=tuple(metrics) if metrics else None,
             )
+            obs = self.obs
+            self._h_store_flush = obs.histogram("store.flush")
+            self._h_flush_batch_rows = obs.histogram("store.flush_batch_rows")
+            self._h_sample_to_store = obs.histogram("pipeline.sample_to_store")
+            self._c_flush_rows_batched = obs.counter("store.flush_rows_batched")
+            self._c_store_no_match = obs.counter("store.no_match")
             self.stores.append(store)
             self._stores_version += 1
             return store
@@ -929,7 +992,7 @@ class Ldmsd:
         producer) pair, so the filter runs once per mirror lifetime
         rather than once per delivered record; the cache invalidates
         when a store is added (``_stores_version``)."""
-        cached = getattr(mirror, "_store_match", None)
+        cached = mirror._store_match
         if cached is not None and cached[0] == self._stores_version:
             return cached[1]
         matched = tuple(
@@ -940,12 +1003,15 @@ class Ldmsd:
         return matched
 
     def _deliver_to_stores(
-        self, producer: Producer, mirror: MetricSet, trace=None
+        self, producer: Producer, mirror: MetricSet, trace=None,
+        ts: Optional[float] = None,
     ) -> None:
+        """``ts``: the mirror's transaction timestamp, if already decoded."""
         if not self.stores:
             return
         if self.set_pool is not None and mirror._ab is not None:
-            self._deliver_staged(producer, mirror, trace)
+            self._deliver_staged(producer, mirror, trace,
+                                 mirror.timestamp if ts is None else ts)
             return
         record = StoreRecord.from_set(mirror, producer.cfg.name)
         self.records_delivered += 1
@@ -965,7 +1031,7 @@ class Ldmsd:
             self._c_store_no_match.inc()
 
     def _deliver_staged(
-        self, producer: Producer, mirror: MetricSet, trace=None
+        self, producer: Producer, mirror: MetricSet, trace, ts: float
     ) -> None:
         """Columnar delivery: stage a raw arena-row snapshot per store.
 
@@ -981,7 +1047,6 @@ class Ldmsd:
             sanitize.check_read(mirror)
         self.records_delivered += 1
         now = self.env.now()
-        ts = mirror.timestamp
         if trace is not None:
             trace.t_store_submit = now
             trace.sample_ts = ts
@@ -1076,8 +1141,7 @@ class Ldmsd:
                 ).reshape(len(idxs), len(first.data))
                 vals = (mat[:, cs.first_offset:cs.first_offset + width]
                         .view(dtype).tolist())
-                self._c_arena_sweeps.inc()
-                self._c_arena_rows.inc(len(idxs))
+                self._count_sweep(len(idxs))
                 for j, i in enumerate(idxs):
                     sr = rows[i][0]
                     m = sr.mirror
@@ -1107,7 +1171,7 @@ class Ldmsd:
         self._c_flush_rows_batched.inc(n)
         self._h_flush_batch_rows.observe(n)
         if failed:
-            self._c_store_errors.inc(failed)
+            self.obs.counter("store.errors").inc(failed)
             return
         end = self.env.now()
         self.flight.record(end, "store", "flush", n)
@@ -1137,6 +1201,8 @@ class Ldmsd:
                 "arena_used": self.arena.used,
                 "arena_peak": self.arena.peak_used,
                 "arena_size": self.arena.size,
+                # Bytes of arena backing actually allocated (<= used).
+                "arena_committed": self.arena.committed,
                 "plugins": len(self._plugins),
                 "producers": {
                     name: dataclasses.asdict(p.stats)
@@ -1188,8 +1254,8 @@ class Ldmsd:
         self._shutdown = True
         self.flight.record(self.env.now(), "daemon", "shutdown")
         with self.lock:
-            for sched in list(self._schedules.values()):
-                sched.handle.cancel()
+            for handle in list(self._schedules.values()):
+                handle.cancel()
             self._schedules.clear()
             for prod in list(self.producers.values()):
                 prod.stop()

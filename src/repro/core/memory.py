@@ -5,13 +5,20 @@ allocation."  ldmsd pre-allocates a fixed region at start (the ``-m``
 option) and carves metric-set metadata and data chunks out of it; an
 aggregator sizes its region for every set it collects.
 
-This implementation is a first-fit free-list allocator over a single
-``bytearray``.  It exists for behavioural fidelity — daemon memory
-footprint is a *measured quantity* in the reproduction, and set creation
-must fail when the configured region is exhausted, as it does in ldmsd.
+This implementation is a first-fit free-list allocator that *reserves
+by arithmetic and commits on touch*, as ``ldmsd -m`` does on a real
+host (``malloc`` reserves; a page is resident once written).  Offsets,
+``used``/``peak`` accounting and the exhaustion point are those of one
+contiguous ``size``-byte region; backing bytes exist only for live
+allocations that have been viewed.  It exists for behavioural fidelity:
+daemon memory footprint is a *measured quantity* in the reproduction, and
+set creation must fail when the configured region is exhausted, as it
+does in ldmsd.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from repro.util.errors import OutOfMemory
 
@@ -25,7 +32,7 @@ def _align(n: int) -> int:
 
 
 class Arena:
-    """First-fit allocator over a contiguous preallocated buffer.
+    """First-fit allocator over a reserved region, committed on touch.
 
     >>> a = Arena(1024)
     >>> off = a.alloc(100)
@@ -33,21 +40,21 @@ class Arena:
     >>> a.free(off)
     """
 
+    __slots__ = ("size", "_free", "_live", "used", "peak_used", "committed")
+
     def __init__(self, size: int):
         if size <= 0:
             raise ValueError("arena size must be positive")
         self.size = _align(size)
-        self.buf = bytearray(self.size)
         # Free list: sorted list of (offset, length) holes.
         self._free: list[tuple[int, int]] = [(0, self.size)]
-        # Live allocations: offset -> length (aligned).
-        self._live: dict[int, int] = {}
-        self._used = 0  # incremental live-byte total (alloc is hot)
+        # Live allocations: offset -> aligned length while only reserved;
+        # the first view() replaces it by the zero-filled backing.
+        self._live: dict[int, int | bytearray] = {}
+        self.used = 0  # incremental live-byte total (alloc is hot)
         self.peak_used = 0
-
-    @property
-    def used(self) -> int:
-        return self._used
+        #: Bytes of backing currently allocated (<= ``used``).
+        self.committed = 0
 
     @property
     def available(self) -> int:
@@ -69,9 +76,9 @@ class Arena:
                 else:
                     self._free[i] = (off + need, length - need)
                 self._live[off] = need
-                self._used += need
-                if self._used > self.peak_used:
-                    self.peak_used = self._used
+                self.used += need
+                if self.used > self.peak_used:
+                    self.peak_used = self.used
                 return off
         raise OutOfMemory(
             f"arena exhausted: need {need}B, {self.available}B free "
@@ -81,29 +88,40 @@ class Arena:
     def free(self, offset: int) -> None:
         """Return an allocation to the free list, coalescing neighbours."""
         try:
-            length = self._live.pop(offset)
+            entry = self._live.pop(offset)
         except KeyError:
             raise ValueError(f"free of unallocated offset {offset}") from None
-        self._used -= length
-        # Insert hole keeping the list sorted by offset, then coalesce.
-        self._free.append((offset, length))
-        self._free.sort()
-        merged: list[tuple[int, int]] = []
-        for off, ln in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == off:
-                prev_off, prev_ln = merged[-1]
-                merged[-1] = (prev_off, prev_ln + ln)
-            else:
-                merged.append((off, ln))
-        self._free = merged
-        # Hygiene: zero the region so stale data never leaks into new sets.
-        self.buf[offset : offset + length] = bytes(length)
+        if type(entry) is int:
+            length = entry
+        else:
+            # Hygiene: whatever is allocated here next commits fresh zeros.
+            length = len(entry)
+            self.committed -= length
+        self.used -= length
+        # Sorted and fully coalesced: only the two neighbours can merge.
+        holes = self._free
+        i = bisect_left(holes, (offset, length))
+        end = offset + length
+        if i < len(holes) and holes[i][0] == end:
+            end += holes.pop(i)[1]
+        if i:
+            prev_off, prev_len = holes[i - 1]
+            if prev_off + prev_len == offset:
+                offset = prev_off
+                i -= 1
+                del holes[i]
+        holes.insert(i, (offset, end - offset))
 
     def view(self, offset: int, nbytes: int) -> memoryview:
         """A writable view of an allocated region."""
-        length = self._live.get(offset)
-        if length is None:
+        entry = self._live.get(offset)
+        if entry is None:
             raise ValueError(f"view of unallocated offset {offset}")
+        reserved = type(entry) is int
+        length = entry if reserved else len(entry)
         if nbytes > length:
             raise ValueError(f"view of {nbytes}B exceeds allocation of {length}B")
-        return memoryview(self.buf)[offset : offset + nbytes]
+        if reserved:
+            entry = self._live[offset] = bytearray(length)
+            self.committed += length
+        return memoryview(entry)[:nbytes]

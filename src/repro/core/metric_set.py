@@ -27,7 +27,11 @@ time — that is the whole point of the MGN.  The constructor therefore
 compiles the layout once into a :class:`_CompiledSchema` (cached by
 layout, shared across sets): a single whole-row :class:`struct.Struct`
 with explicit pad bytes matching the natural-alignment layout, cached
-per-metric ``Struct`` objects, and the per-metric clamp callables.  The
+per-metric ``Struct`` objects, and the per-metric clamp callables.
+Around it the per-layout flyweight :class:`_Layout` adds what depends on
+the metric *names* too (decoded name tuple, name -> index map) —
+"metadata once, then data-only" applied to our own bookkeeping: a set or
+mirror of a known layout keeps only its name, component ids and chunks.  The
 hot producer path (:meth:`set_all` / :meth:`set_values`) is then one
 ``pack_into`` plus one DGN write, and the hot consumer path
 (:meth:`values` / :meth:`values_tuple` / :meth:`values_array`) is one
@@ -38,12 +42,13 @@ depends on exactly this "pay layout cost once" property.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.core import sanitize
 from repro.core.memory import Arena, OutOfMemory
-from repro.core.metric import MetricDesc, MetricType
+from repro.core.metric import METRIC_NAME_LEN, TYPE_BY_TAG, MetricDesc, MetricType
 from repro.util.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,17 +122,19 @@ _SCHEMA_CACHE: dict[tuple, _CompiledSchema] = {}
 _SCHEMA_CACHE_MAX = 1024
 
 
-def _compile_schema(descs: list[MetricDesc], data_size: int) -> _CompiledSchema:
-    key = (data_size, tuple((int(d.mtype), d.data_offset) for d in descs))
+def _compile_schema(
+    tags: tuple[int, ...], offsets: tuple[int, ...], data_size: int
+) -> _CompiledSchema:
+    key = (data_size, tuple(zip(tags, offsets)))
     cs = _SCHEMA_CACHE.get(key)
     if cs is not None:
         return cs
     cs = _CompiledSchema()
-    cs.offsets = tuple(d.data_offset for d in descs)
-    cs.mtypes = tuple(d.mtype for d in descs)
-    cs.clamps = tuple(d.mtype.clamp for d in descs)
-    cs.metric_structs = tuple(_SCALAR_STRUCTS[d.mtype.struct_code] for d in descs)
-    cs.first_offset = cs.offsets[0] if descs else _DATA_HDR_SIZE
+    cs.offsets = offsets
+    cs.mtypes = mtypes = tuple(TYPE_BY_TAG[t] for t in tags)
+    cs.clamps = tuple(t.clamp for t in mtypes)
+    cs.metric_structs = tuple(_SCALAR_STRUCTS[t.struct_code] for t in mtypes)
+    cs.first_offset = offsets[0] if offsets else _DATA_HDR_SIZE
 
     # Whole-row Struct with explicit pad bytes ("4x") for the alignment
     # holes.  Only well-formed layouts compile: offsets strictly
@@ -137,15 +144,15 @@ def _compile_schema(descs: list[MetricDesc], data_size: int) -> _CompiledSchema:
     fmt = ["<"]
     cur = _DATA_HDR_SIZE
     ok = True
-    for d in descs:
-        gap = d.data_offset - cur
+    for mtype, off in zip(mtypes, offsets):
+        gap = off - cur
         if gap < 0:
             ok = False
             break
         if gap:
             fmt.append(f"{gap}x")
-        fmt.append(d.mtype.struct_code)
-        cur = d.data_offset + d.mtype.size
+        fmt.append(mtype.struct_code)
+        cur = off + mtype.size
     cs.row_struct = struct.Struct("".join(fmt)) if ok and cur <= data_size else None
 
     # Mixed-layout values_array target dtype, resolved lazily on first
@@ -155,8 +162,8 @@ def _compile_schema(descs: list[MetricDesc], data_size: int) -> _CompiledSchema:
     # Homogeneous contiguous layouts additionally decode as one numpy
     # frombuffer (the common all-U64 case: meminfo, lustre, bw, ...).
     cs.array_dtype = None
-    if cs.row_struct is not None and descs:
-        t0 = descs[0].mtype
+    if cs.row_struct is not None and mtypes:
+        t0 = mtypes[0]
         if all(t is t0 for t in cs.mtypes) and all(
             off == cs.first_offset + i * t0.size for i, off in enumerate(cs.offsets)
         ):
@@ -166,6 +173,51 @@ def _compile_schema(descs: list[MetricDesc], data_size: int) -> _CompiledSchema:
         _SCHEMA_CACHE.clear()
     _SCHEMA_CACHE[key] = cs
     return cs
+
+
+class _Layout(NamedTuple):
+    """Per-layout flyweight: everything that depends only on (names,
+    types, offsets, data size), built by the first set or mirror of the
+    layout and shared by every later one."""
+
+    wire_names: tuple[bytes, ...]
+    tags: tuple[int, ...]
+    names: tuple[str, ...]
+    index: dict[str, int]
+    compiled: _CompiledSchema
+
+
+#: (data_size, NUL-padded wire names, tags, offsets) -> _Layout, capped
+#: like _SCHEMA_CACHE: a mirror finds its layout without decoding a name.
+_LAYOUT_CACHE: dict[tuple, _Layout] = {}
+
+
+def _layout_for(
+    wire_names: tuple[bytes, ...], tags: tuple[int, ...],
+    offsets: tuple[int, ...], data_size: int, set_name: str,
+) -> _Layout:
+    key = (data_size, wire_names, tags, offsets)
+    layout = _LAYOUT_CACHE.get(key)
+    if layout is not None:
+        return layout
+    # First sight of this layout: the checks that guard against garbage
+    # descriptor blocks run here, once (other wire fields are range safe).
+    names = tuple(sys.intern(nb.rstrip(b"\x00").decode("utf-8"))
+                  for nb in wire_names)
+    if "" in names:
+        raise ValueError("metric name must be non-empty")
+    for tag in tags:
+        if tag not in TYPE_BY_TAG:
+            raise ValueError(f"{tag} is not a valid MetricType")
+    index = {n: i for i, n in enumerate(names)}
+    if len(index) != len(names):
+        raise ValueError(f"duplicate metric names in set {set_name!r}")
+    if len(_LAYOUT_CACHE) >= _SCHEMA_CACHE_MAX:
+        _LAYOUT_CACHE.clear()
+    layout = _LAYOUT_CACHE[key] = _Layout(
+        wire_names, tags, names, index,
+        _compile_schema(tags, offsets, data_size))
+    return layout
 
 
 @dataclass(frozen=True)
@@ -202,6 +254,13 @@ class MetricSet:
         mirror.get("Active")
     """
 
+    __slots__ = (
+        "name", "schema", "arena", "mgn", "meta_size", "data_size",
+        "_compiled", "_names", "_index", "_comp_ids", "_dgn",
+        "_meta_off", "_data_off", "_ab", "_arow", "_data",
+        "_in_transaction", "_deleted", "_shadow", "_store_match",
+    )
+
     def __init__(
         self,
         name: str,
@@ -210,28 +269,42 @@ class MetricSet:
         arena: Arena,
         mgn: int,
         data_size: int,
-        meta_src: Optional[bytes] = None,
         pool: Optional["SetArenaPool"] = None,
     ):
+        layout = _layout_for(
+            tuple(d.name.encode("utf-8").ljust(METRIC_NAME_LEN, b"\x00")
+                  for d in descs),
+            tuple(int(d.mtype) for d in descs),
+            tuple(d.data_offset for d in descs),
+            data_size, name,
+        )
+        self._build(name, schema, layout,
+                    tuple(d.component_id for d in descs),
+                    arena, mgn, data_size, None, pool)
+
+    def _build(
+        self, name: str, schema: str, layout: _Layout,
+        comp_ids: tuple[int, ...], arena: Arena, mgn: int, data_size: int,
+        meta_src: Optional[bytes], pool: Optional["SetArenaPool"],
+    ) -> None:
         self.name = name
         self.schema = schema
-        self.descs = descs
         self.arena = arena
         self.mgn = mgn
-        self._index = {d.name: i for i, d in enumerate(descs)}
-        if len(self._index) != len(descs):
-            raise ValueError(f"duplicate metric names in set {name!r}")
-
-        self.meta_size = _META_HDR_SIZE + len(descs) * MetricDesc.WIRE_SIZE
+        card = len(comp_ids)
+        self.meta_size = _META_HDR_SIZE + card * MetricDesc.WIRE_SIZE
         self.data_size = data_size
 
-        self._compiled = _compile_schema(descs, data_size)
-        # Record-field tuples the store pipeline reuses on every sample.
-        self._names = tuple(d.name for d in descs)
-        self._comp_ids = tuple(d.component_id for d in descs)
+        # Shared per layout (structs, record-field names, name index).
+        self._compiled = layout.compiled
+        self._names = layout.names
+        self._index = layout.index
+        self._comp_ids = comp_ids
         # Python-int DGN shadow: producers bump this instead of
         # unpack/repacking 8 bytes from the data chunk per update.
         self._dgn = 0
+        #: (stores version, matching stores) cached by the owning daemon.
+        self._store_match: Optional[tuple] = None
 
         self._meta_off = arena.alloc(self.meta_size)
         try:
@@ -242,16 +315,19 @@ class MetricSet:
             # leaks arena space, then let the caller count the failure.
             arena.free(self._meta_off)
             raise
-        self._meta = arena.view(self._meta_off, self.meta_size)
         if pool is not None:
             # Columnar backing (set arena): the data chunk is a row of
             # a shared per-layout numpy block, so population-wide sweeps
             # can touch every same-schema set in one vectorized op.  The
             # daemon Arena reservation above still stands — footprint
             # accounting (used/peak/OOM) is identical either way — but
-            # the reserved region goes unused while the row backs _data.
-            self._ab, self._arow = pool.acquire_row(self._compiled, data_size)
-            self._data = memoryview(self._ab.block[self._arow])
+            # is never viewed, so never committed, while the row backs _data.
+            self._ab, row = pool.acquire_row(self._compiled, data_size)
+            self._arow = row
+            flat = self._ab.flat
+            if flat is None:
+                flat = self._ab.flat = memoryview(self._ab.block).cast("B")
+            self._data = flat[row * data_size:(row + 1) * data_size]
         else:
             self._ab = None
             self._arow = -1
@@ -263,31 +339,47 @@ class MetricSet:
         # holds the wire-format chunk it was built from, so copying it
         # wholesale beats re-packing the header + every descriptor (the
         # aggregator builds one mirror per connected sampler).
+        meta = self._meta
         if meta_src is not None:
-            self._meta[:] = meta_src
+            meta[:] = meta_src
         else:
             struct.pack_into(
                 _META_HDR_FMT,
-                self._meta,
+                meta,
                 0,
                 _META_MAGIC,
                 self.meta_size,
                 self.data_size,
-                len(descs),
+                card,
                 mgn,
                 name.encode("utf-8"),
                 schema.encode("utf-8"),
             )
             pos = _META_HDR_SIZE
-            for d in descs:
-                self._meta[pos : pos + MetricDesc.WIRE_SIZE] = d.pack()
+            for desc in zip(layout.wire_names, comp_ids, layout.tags,
+                            layout.compiled.offsets):
+                struct.pack_into(MetricDesc.WIRE_FMT, meta, pos, *desc)
                 pos += MetricDesc.WIRE_SIZE
+        meta.release()
         # Data header: MGN mirrored, DGN 0, consistent 0, ts 0
         _STRUCT_DATA_HDR.pack_into(self._data, 0, mgn, 0, 0, 0.0)
 
         # Shadow state for REPRO_SANITIZE runs; None when disabled, so
         # the hot paths pay a single is-None branch.
         self._shadow = sanitize.attach(self)
+
+    @property
+    def _meta(self) -> memoryview:
+        """The metadata chunk, viewed on demand: written at construction
+        and read per lookup, so not worth a held view."""
+        return self.arena.view(self._meta_off, self.meta_size)
+
+    @property
+    def descs(self) -> list[MetricDesc]:
+        """Per-metric descriptors, materialised for callers that ask."""
+        cs = self._compiled
+        return list(map(MetricDesc, self._names, cs.mtypes, self._comp_ids,
+                        cs.offsets))
 
     # ------------------------------------------------------------------
     # construction
@@ -337,16 +429,18 @@ class MetricSet:
         end = _META_HDR_SIZE + card * MetricDesc.WIRE_SIZE
         if len(meta) < end:
             raise ValueError("truncated descriptor block")
-        descs = MetricDesc.unpack_block(meta[_META_HDR_SIZE:end])
-        mset = cls(
-            name_b.rstrip(b"\x00").decode("utf-8"),
-            schema_b.rstrip(b"\x00").decode("utf-8"),
-            descs,
-            arena,
-            mgn=mgn,
-            data_size=data_size,
-            meta_src=meta,
-            pool=pool,
+        wire_names, comp_ids, tags, offsets = MetricDesc.unpack_columns(
+            meta[_META_HDR_SIZE:end])
+        if card and comp_ids.count(comp_ids[0]) == card:
+            # One component per set (the usual case): share one int.
+            comp_ids = comp_ids[:1] * card
+        name = name_b.rstrip(b"\x00").decode("utf-8")
+        mset = cls.__new__(cls)
+        mset._build(
+            name,
+            sys.intern(schema_b.rstrip(b"\x00").decode("utf-8")),
+            _layout_for(wire_names, tags, offsets, data_size, name),
+            comp_ids, arena, mgn, data_size, meta, pool,
         )
         if mset._shadow is not None:
             # Mirrors get the consumer-side checks: decoding values
@@ -358,7 +452,6 @@ class MetricSet:
         """Release the set's arena memory (and its columnar row)."""
         if not self._deleted:
             self._deleted = True
-            self._meta.release()
             self._data.release()
             if self._ab is not None:
                 self._ab.free_row(self._arow)
@@ -372,7 +465,7 @@ class MetricSet:
     @property
     def card(self) -> int:
         """Number of metrics in the set."""
-        return len(self.descs)
+        return len(self._names)
 
     @property
     def total_size(self) -> int:
@@ -387,7 +480,7 @@ class MetricSet:
         return SetInfo(self.name, self.schema, self.card, self.meta_size, self.data_size)
 
     def metric_names(self) -> list[str]:
-        return [d.name for d in self.descs]
+        return list(self._names)
 
     def metric_types(self) -> tuple[MetricType, ...]:
         return self._compiled.mtypes
@@ -474,7 +567,7 @@ class MetricSet:
         transaction-scoped DGN bump of ``card`` — the same final DGN the
         per-metric path produces.
         """
-        card = len(self.descs)
+        card = len(self._names)
         if len(values) != card:
             raise ValueError(f"expected {card} values, got {len(values)}")
         cs = self._compiled

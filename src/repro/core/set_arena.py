@@ -27,6 +27,7 @@ the scalar reference the tier-1 identity tests build with
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -64,13 +65,17 @@ class ArenaBlock:
     """
 
     __slots__ = ("arena", "block", "capacity", "data_size", "mgn", "dgn",
-                 "flags", "ts", "values_mat", "n_values", "_free", "_next")
+                 "flags", "ts", "values_mat", "n_values", "_free", "_next",
+                 "flat")
 
     def __init__(self, arena: "_SetArena", capacity: int):
         self.arena = arena
         self.capacity = capacity
         self.data_size = ds = arena.data_size
         self.block = block = np.zeros((capacity, ds), dtype=np.uint8)
+        #: Flat view of ``block`` made by the first MetricSet backed here
+        #: (raw views belong to the set layer); data chunks are its slices.
+        self.flat: Optional[memoryview] = None
         self.mgn = block[:, _MGN_OFF:_MGN_OFF + 4].view("<u4")[:, 0]
         self.dgn = block[:, _DGN_OFF:_DGN_OFF + 8].view("<u8")[:, 0]
         self.flags = block[:, _CONSISTENT_OFF]
@@ -174,12 +179,9 @@ class _CohortMember:
     """
 
     __slots__ = ("daemon", "plugin", "mset", "pool", "core", "cost",
-                 "h_sample", "c_samples", "c_rows", "begin", "finish",
-                 "removed")
+                 "h_sample", "c_samples", "c_rows", "removed")
 
     def __init__(self, daemon: "Ldmsd", plugin: "SamplerPlugin", cost: float):
-        from functools import partial
-
         self.daemon = daemon
         self.plugin = plugin
         self.mset = plugin._sets[0]
@@ -188,10 +190,7 @@ class _CohortMember:
         self.cost = cost
         self.h_sample = daemon._h_sample
         self.c_samples = daemon._c_samples
-        self.c_rows = daemon._c_arena_rows
-        # Scalar-path callables for the contention fallback.
-        self.begin = partial(daemon._begin_sample, plugin)
-        self.finish = partial(daemon._finish_sample, plugin)
+        self.c_rows = daemon.obs.counter("arena.rows_vectorized")
         self.removed = False
 
 
@@ -299,9 +298,11 @@ class SampleCohort:
             if not pool.resource.try_acquire():
                 # Worker busy: this member rides the scalar queue for
                 # this tick (identical to a queued _PoolTask grant).
-                m.daemon._c_arena_fallback.inc()
-                pool.submit(m.finish, cost=cost, core=m.core, tag="sampler",
-                            on_start=m.begin)
+                d = m.daemon
+                d.obs.counter("arena.fallback_sets").inc()
+                pool.submit(partial(d._finish_sample, m.plugin), cost=cost,
+                            core=m.core, tag="sampler",
+                            on_start=partial(d._begin_sample, m.plugin))
                 continue
             # Inline-grant accounting, replicated from _SimPool.submit.
             if m.core is not None:
@@ -379,7 +380,7 @@ class SampleCohort:
             for m in pending:
                 flags_by_block.setdefault(m.mset._ab, []).append(m.mset._arow)
             flag_groups = list(flags_by_block.items())
-        pending[0].daemon._c_arena_sweeps.inc(ngroups)
+        pending[0].daemon.obs.counter("arena.sweeps").inc(ngroups)
         card = pending[0].mset._ab.n_values
         for m in pending:
             mset = m.mset

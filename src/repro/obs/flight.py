@@ -5,7 +5,7 @@ now" but "what was it doing just before".  Every daemon owns a
 :class:`FlightRecorder` — a fixed-size ring of recent events (connection
 state changes, updater FSM transitions, store submits, watchdog checks,
 fault injections) recorded as flat scalar tuples, so the steady-state
-cost is one deque append per *event of interest* (never per update) and
+cost is one list append per *event of interest* (never per update) and
 memory is strictly bounded.
 
 A *postmortem* (:func:`postmortem`) freezes the rings of the involved
@@ -43,11 +43,14 @@ class FlightRecorder:
 
     Events are ``(t, category, event, a, b)`` tuples of scalars
     (floats/ints/short strings) — no dicts, no formatting — so a
-    ``record`` call is one tuple build and one deque append.  When
-    disabled it is a single attribute test.
+    ``record`` call is one tuple build and one list append; the list
+    runs to twice the ring size and is then cut back in one slice, so
+    trimming is amortised.  A list, not a ``deque``: every daemon
+    records its own start, and a deque's first block is 0.7 kB however
+    few events it holds.  When disabled it is a single attribute test.
     """
 
-    __slots__ = ("daemon", "enabled", "events", "total")
+    __slots__ = ("daemon", "enabled", "_events", "total", "_ring")
 
     #: Event categories in use (documentation, not enforcement).
     CATEGORIES = ("daemon", "conn", "updater", "store",
@@ -56,15 +59,24 @@ class FlightRecorder:
     def __init__(self, daemon: str, enabled: bool = True, ring: int = 512):
         self.daemon = daemon
         self.enabled = enabled
-        self.events: deque[tuple] = deque(maxlen=ring)
+        self._ring = ring
+        self._events: list[tuple] = []  # oldest first, < 2 * ring
         self.total = 0  # events ever recorded (ring overwrites don't hide rate)
 
     def record(self, t: float, category: str, event: str,
                a=0, b=0) -> None:
         if not self.enabled:
             return
-        self.events.append((t, category, event, a, b))
+        events = self._events
+        events.append((t, category, event, a, b))
+        if len(events) >= 2 * self._ring:
+            del events[:-self._ring]
         self.total += 1
+
+    @property
+    def events(self) -> list[tuple]:
+        """The last ``ring`` events, oldest first."""
+        return self._events[-self._ring:]
 
     def snapshot(self) -> list[dict]:
         return [
@@ -74,9 +86,10 @@ class FlightRecorder:
 
     def window(self) -> tuple[float, float]:
         """(oldest, newest) event times; (0, 0) when empty."""
-        if not self.events:
+        events = self.events
+        if not events:
             return (0.0, 0.0)
-        return (self.events[0][0], self.events[-1][0])
+        return (events[0][0], events[-1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,8 @@ class FreshnessTracker:
     #: older than this many sampling intervals.
     STALE_AFTER = 2.0
 
+    __slots__ = ("enabled", "states")
+
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.states: dict[str, ProducerFreshness] = {}

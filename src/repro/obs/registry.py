@@ -52,6 +52,7 @@ def _log_ladder(decades: tuple[int, int]) -> tuple[float, ...]:
 #: 1-2-5 step of the true quantile.
 DEFAULT_LATENCY_EDGES = _log_ladder((-6, 2))
 _DEFAULT_EDGES_ARR = np.asarray(DEFAULT_LATENCY_EDGES)
+_INF = float("inf")
 
 
 class Counter:
@@ -94,7 +95,8 @@ class Histogram:
     ``_FOLD_AT`` or lazily on any read (``count``/``quantile``/
     ``summary``/...).  Folding swaps the staging list out first, so a
     concurrent ``observe`` under the GIL lands in the fresh list rather
-    than being double-counted.
+    than being double-counted.  The bucket vector is allocated by the
+    first fold: a histogram nothing was observed on is five scalars.
 
     Quantiles are computed on demand by walking the cumulative bucket
     counts and interpolating linearly inside the landing bucket (clamped
@@ -102,7 +104,7 @@ class Histogram:
     sample for every quantile).
     """
 
-    __slots__ = ("name", "edges", "buckets", "_edges_arr",
+    __slots__ = ("name", "edges", "_buckets", "_edges_arr",
                  "_count", "_sum", "_min", "_max", "_pending")
 
     _FOLD_AT = 512
@@ -122,12 +124,17 @@ class Histogram:
             ):
                 raise ValueError("histogram edges must be strictly increasing")
             self._edges_arr = np.asarray(self.edges)
-        self.buckets = [0] * (len(self.edges) + 1)
+        self._buckets: Optional[list[int]] = None
         self._count = 0
         self._sum = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
+        self._min = _INF
+        self._max = -_INF
         self._pending: list[float] = []
+
+    @property
+    def buckets(self) -> list[int]:
+        """Per-bucket counts as of the last fold (all zero before it)."""
+        return self._buckets or [0] * (len(self.edges) + 1)
 
     def observe(self, value: float) -> None:
         pending = self._pending
@@ -141,13 +148,16 @@ class Histogram:
             return
         self._pending = []
         n = len(pending)
-        arr = np.asarray(pending)
+        arr = np.fromiter(pending, np.float64, n)
         # vectorized bisect_right over the whole batch
-        idx = np.searchsorted(self._edges_arr, arr, side="right")
-        counts = np.bincount(idx, minlength=len(self.buckets))
-        buckets = self.buckets
-        for i in np.flatnonzero(counts):
-            buckets[i] += int(counts[i])
+        idx = self._edges_arr.searchsorted(arr, "right")
+        buckets = self._buckets
+        if buckets is None:
+            buckets = self._buckets = [0] * (len(self.edges) + 1)
+        counts = np.bincount(idx, minlength=len(buckets)).tolist()
+        for i, c in enumerate(counts):
+            if c:
+                buckets[i] += c
         self._count += n
         self._sum += float(arr.sum())
         lo = float(arr.min())
@@ -270,7 +280,14 @@ class Telemetry:
 
     Instruments are created lazily and cached by name; repeated lookups
     return the same object, so callers bind them once at setup time.
+    An owner that binds instruments by role passes :meth:`declare` its
+    name table: read surfaces list each declared name, zeroed until
+    bound — one schema for pollers, no object per name.
     """
+
+    __slots__ = ("enabled", "_counters", "_gauges", "_histograms",
+                 "_endpoint_incs", "_declared_counters",
+                 "_declared_histograms", "__weakref__")
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
@@ -278,6 +295,16 @@ class Telemetry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._endpoint_incs: Optional[tuple] = None
+        self._declared_counters: tuple[str, ...] = ()
+        self._declared_histograms: tuple[str, ...] = ()
+
+    def declare(self, counters: tuple[str, ...],
+                histograms: tuple[str, ...]) -> None:
+        """Name the counters / default-ladder histograms the read
+        surfaces always list (kept by reference: one static table)."""
+        if self.enabled:
+            self._declared_counters = counters
+            self._declared_histograms = histograms
 
     def endpoint_incs(self) -> tuple:
         """The four transport-accounting ``inc`` methods, bound once.
@@ -327,15 +354,23 @@ class Telemetry:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Deep, detached, JSON-serializable registry snapshot."""
+        cvals = dict.fromkeys(self._declared_counters, 0)
+        cvals.update((n, c.value) for n, c in self._counters.items())
         return {
             "enabled": self.enabled,
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
+            "counters": dict(sorted(cvals.items())),
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
             "histograms": {
-                n: h.summary() for n, h in sorted(self._histograms.items())
-            },
+                n: h.summary() for n, h in self._listed_histograms()},
         }
+
+    def _listed_histograms(self) -> list[tuple[str, Histogram]]:
+        """Bound histograms, plus a transient empty one under each
+        declared name nothing is bound to yet, sorted by name."""
+        hs = {n: Histogram(n) for n in self._declared_histograms}
+        hs.update(self._histograms)
+        return sorted(hs.items())
 
     def dump_histograms(self) -> dict:
         """Full histogram dumps (bucket vectors included) for ``prof``."""
-        return {n: h.dump() for n, h in sorted(self._histograms.items())}
+        return {n: h.dump() for n, h in self._listed_histograms()}

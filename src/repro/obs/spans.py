@@ -23,7 +23,6 @@ immediately, so the per-update hot path stays allocation-free.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional
 
 __all__ = [
@@ -88,12 +87,16 @@ class SpanRecorder:
     """
 
     __slots__ = ("daemon", "enabled", "spans", "total",
-                 "_next_span", "_next_aux")
+                 "_next_span", "_next_aux", "_ring")
 
     def __init__(self, daemon: str, enabled: bool = True, ring: int = 512):
         self.daemon = daemon
         self.enabled = enabled
-        self.spans: deque[Span] = deque(maxlen=ring)
+        self._ring = ring
+        #: Recorded spans, oldest first, at most ``ring`` (a front-
+        #: trimmed list like the flight recorder's: every sampler holds
+        #: one ``serve_lookup`` span).
+        self.spans: list[Span] = []
         self.total = 0  # spans ever recorded (the ring overwrites)
         self._next_span = 1
         # Auxiliary trace ids (lookup RTT traces) live far above the
@@ -116,8 +119,10 @@ class SpanRecorder:
                hop: int, name: str, t0: float, t1: float) -> None:
         if not self.enabled:
             return
-        self.spans.append(
-            Span(trace_id, span_id, parent_span, hop, name, t0, t1))
+        spans = self.spans
+        spans.append(Span(trace_id, span_id, parent_span, hop, name, t0, t1))
+        if len(spans) > self._ring:
+            del spans[0]
         self.total += 1
 
     def snapshot(self) -> list[dict]:

@@ -21,7 +21,6 @@ tests; the histograms derived from them live in the daemon's
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional
 
 __all__ = ["PipelineTrace", "Tracer"]
@@ -95,8 +94,12 @@ class Tracer:
 
     Created disabled-aware by the daemon: when telemetry is off,
     ``start`` returns ``None`` and the update path carries no trace
-    object at all (zero allocation per transaction).
+    object at all (zero allocation per transaction).  The ring is a
+    front-trimmed list, like :class:`~repro.obs.flight.FlightRecorder`'s.
     """
+
+    __slots__ = ("clock", "enabled", "sample_every", "_next_id", "_ring",
+                 "completed")
 
     def __init__(self, clock: Callable[[], float], enabled: bool = True,
                  ring: int = 256, sample_every: int = 16):
@@ -106,7 +109,9 @@ class Tracer:
         self.enabled = enabled
         self.sample_every = sample_every
         self._next_id = 1
-        self.completed: deque[PipelineTrace] = deque(maxlen=ring)
+        self._ring = ring
+        #: Completed exemplars, oldest first, at most ``ring``.
+        self.completed: list[PipelineTrace] = []
 
     def start(self, producer: str, set_name: str) -> Optional[PipelineTrace]:
         if not self.enabled:
@@ -123,7 +128,10 @@ class Tracer:
         if status not in TRACE_STATUSES:
             raise ValueError(f"unknown trace status {status!r}")
         trace.status = status
-        self.completed.append(trace)
+        completed = self.completed
+        completed.append(trace)
+        if len(completed) > self._ring:
+            del completed[0]
 
     def last(self, status: Optional[str] = None) -> list[PipelineTrace]:
         """Completed traces, optionally filtered by terminal status."""

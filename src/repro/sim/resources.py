@@ -36,6 +36,9 @@ class Resource:
             pool.release(req)
     """
 
+    __slots__ = ("engine", "capacity", "_in_use", "_queue", "max_in_use",
+                 "total_grants")
+
     def __init__(self, engine: Engine, capacity: int):
         if capacity < 1:
             raise SimulationError("resource capacity must be >= 1")

@@ -60,10 +60,13 @@ class FabricFaults:
         self._filters: list = []
         self.frames_dropped = 0
         self.reads_failed = 0
+        #: Whether any fault is live.  Endpoints test this on every
+        #: frame and read, so it is a plain attribute the mutators keep
+        #: current, not a property recomputed per hop.
+        self.active = False
 
-    @property
-    def active(self) -> bool:
-        return bool(self._down or self._slow or self._filters)
+    def _refresh(self) -> None:
+        self.active = bool(self._down or self._slow or self._filters)
 
     @staticmethod
     def _key(a, b) -> frozenset:
@@ -71,28 +74,34 @@ class FabricFaults:
 
     def block(self, a, b) -> None:
         self._down.add(self._key(a, b))
+        self._refresh()
 
     def unblock(self, a, b) -> None:
         self._down.discard(self._key(a, b))
+        self._refresh()
 
     def blocked(self, a, b) -> bool:
         return self._key(a, b) in self._down
 
     def set_latency(self, a, b, extra: float) -> None:
         self._slow[self._key(a, b)] = max(extra, 0.0)
+        self._refresh()
 
     def clear_latency(self, a, b) -> None:
         self._slow.pop(self._key(a, b), None)
+        self._refresh()
 
     def extra_latency(self, a, b) -> float:
         return self._slow.get(self._key(a, b), 0.0)
 
     def add_filter(self, fn) -> None:
         self._filters.append(fn)
+        self._refresh()
 
     def remove_filter(self, fn) -> None:
         if fn in self._filters:
             self._filters.remove(fn)
+        self._refresh()
 
     def drops_frame(self, src, dst, frame: bytes) -> bool:
         """Whether the fault state eats this frame on the wire."""
@@ -140,14 +149,9 @@ class _SimEndpoint(Endpoint):
         self.transport = transport
         self.node_id = node_id
         self.peer: Optional["_SimEndpoint"] = None
-
-    @property
-    def fabric(self) -> SimFabric:
-        return self.transport.fabric
-
-    @property
-    def engine(self) -> Engine:
-        return self.transport.fabric.engine
+        # Bound once: every hop reads both.
+        self.fabric: SimFabric = transport.fabric
+        self.engine: Engine = transport.fabric.engine
 
     def _wire_delay(self, nbytes: int, dst) -> float:
         p = self.transport.profile

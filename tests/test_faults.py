@@ -250,14 +250,15 @@ class TestDirPruning:
 class TestStoredCounter:
     """Satellite 4: ``stored`` counts only records the store layer took."""
 
-    def test_store_failure_not_counted_as_stored(self, world):
+    def test_store_failure_not_counted_as_stored(self, world, monkeypatch):
         eng, _, _ = world
         samp, agg, st = sampler_agg_pair(world, interval=1.0)
 
-        def boom(producer, mirror, trace=None):
+        def boom(daemon, producer, mirror, trace=None, ts=None):
             raise StoreError("backend down")
 
-        agg._deliver_to_stores = boom
+        # Class-level patch: a daemon is a fixed-slot record.
+        monkeypatch.setattr(type(agg), "_deliver_to_stores", boom)
         eng.run(until=10.0)
         prod = agg.producers["s0"]
         assert prod.stats.updates_completed > 0

@@ -324,6 +324,24 @@ class TestFootprint:
         eng.run(until=2.0)
         assert d.arena.used < 2 * 1024 * 1024
 
+    def test_stats_report_reserved_and_committed_arena(self, world):
+        """§IV-D "how light am I": the -m region is reserved, a set's
+        accounting is what it always was, and only touched bytes are
+        backed — under SimEnv the data chunk lives in the set pool, so
+        the 10-metric set commits its 984-byte metadata chunk alone."""
+        eng, env, fabric = world
+        d = Ldmsd("n0", env=env, mem="2MB",
+                  transports={"sock": SimTransport(fabric, "sock", node_id=0)})
+        assert d.stats()["arena_committed"] == 0
+        d.load_sampler("synthetic", instance="n0/syn", component_id=1,
+                       num_metrics=10)
+        st = d.stats()
+        assert st["arena_size"] == 2 * 1024 * 1024
+        assert st["arena_used"] == st["arena_peak"] == 1088  # 984 + 104
+        assert 0 < st["arena_committed"] <= 4096
+        d.delete_set("n0/syn")
+        assert d.stats()["arena_committed"] == d.stats()["arena_used"] == 0
+
     def test_update_pulls_only_data_chunk(self, world):
         eng, env, fabric = world
         d = make_sampler(world)
