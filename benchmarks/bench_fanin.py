@@ -2,7 +2,7 @@
 
 Two tiers: a scaled (capacities / 64) three-transport smoke that keeps
 the paper's cross-transport ordering cheap to check, and a full-scale
-sock sweep — the engine fast paths (timer wheel, coalesced updates,
+sock sweep — the engine fast paths (bare timers, coalesced updates,
 batched flush, GC pause) make a 9,216-sampler sweep tractable in one
 process, so the knee is found at the real profile constant rather than
 projected from scaled units.

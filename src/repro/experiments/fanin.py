@@ -12,7 +12,7 @@ profiles, exercised here with a DES sweep: N sampler daemons against
 one aggregator; collection completeness collapses once N exceeds the
 transport's connection capacity.
 
-The sweep runs at **full scale by default**: the engine's timer wheel
+The sweep runs at **full scale by default**: the engine's bare timers
 and the coalesced update/flush paths make a ≥9,000-sampler sock sweep
 tractable in one process, so no capacity down-scaling is needed to find
 the knee at the real profile constant.  Pass ``scale > 1`` (CLI:

@@ -11,29 +11,24 @@ Design notes
 * The engine itself knows nothing about processes; ``repro.sim.process``
   layers generator coroutines on top of callbacks.
 
-Fast path
----------
-Large fan-in sweeps schedule hundreds of thousands of timers, most of
-them at a handful of distinct timestamps (every sampler ticking on the
-same interval, every zero-delay completion landing at "now").  Two
-mechanisms exploit that shape without changing observable order:
+Queue
+-----
+``_heap`` is a plain binary heap of ``(when, seq, item)``; ``seq`` is a
+global scheduling counter, so equal-time items pop in the order they
+were scheduled and an item scheduled at ``now`` from inside a callback
+fires after everything already pending for ``now``.  There is no
+per-timestamp bucketing: in every DES workload the ledger runs, pending
+timestamps are distinct (each producer ticks on its own phase; mean
+occupancy of an instant is 1.01 at the 9,216-producer knee), so a
+bucket would hold one item and cost a dict insert and delete per event.
 
-* **Bucketed calendar queue.**  The heap holds one entry per *distinct*
-  timestamp; each entry carries a list (bucket) of items scheduled for
-  that instant, appended in scheduling order.  Scheduling onto an
-  already-pending timestamp is a dict lookup + list append instead of an
-  O(log n) heap push, and the run loop drains a whole equal-time batch
-  per heap pop.  A bucket stays registered while it drains, so an item
-  scheduled at ``now`` from inside a callback joins the live batch —
-  exactly where a plain heap would have popped it, so FIFO tie-break
-  order is that of a plain binary heap.
-* **Bare timers.**  :meth:`Engine.call_later` returns a slotted
-  :class:`_Timer` (a callback + args, no Event state machine, no
-  per-tick lambda), and :meth:`Engine.schedule_periodic` reschedules a
-  single :class:`_PeriodicTimer` object forever — the zero-allocation
-  periodic path that dominates sampler/updater scheduling.  Both expose
-  ``_fire()`` so the drain loop dispatches them and real Events
-  uniformly.
+**Bare timers.**  :meth:`Engine.call_later` returns a slotted
+:class:`_Timer` (a callback + args, no Event state machine, no
+per-tick lambda), and :meth:`Engine.schedule_periodic` reschedules a
+single :class:`_PeriodicTimer` object forever — the zero-allocation
+periodic path that dominates sampler/updater scheduling.  Both expose
+``_fire()`` so the drain loop dispatches them and real Events
+uniformly.
 """
 
 from __future__ import annotations
@@ -283,15 +278,11 @@ class Engine:
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        # One heap entry per distinct pending timestamp; the payload is
-        # the bucket (list of items) for that instant.
-        self._heap: list[tuple[float, int, list]] = []
-        self._buckets: dict[float, list] = {}
+        # (when, seq, item): seq breaks equal-time ties in scheduling
+        # order and keeps the comparison from ever reaching ``item``.
+        self._heap: list[tuple[float, int, Any]] = []
         self._seq = itertools.count()
         self._nprocessed = 0
-        # Partially drained batch left behind by step(); run() resumes it.
-        self._cur_batch: list | None = None
-        self._cur_idx = 0
         #: ticks delivered through the zero-allocation periodic path
         self.timer_fastpath_ticks = 0
         #: logical events materialized inside vectorized batch sweeps
@@ -358,44 +349,22 @@ class Engine:
     # -- heap management ---------------------------------------------------
     def _push(self, item, delay: float) -> None:
         """Schedule ``item`` (anything with ``_fire()``) after ``delay``."""
-        when = self._now + delay
-        bucket = self._buckets.get(when)
-        if bucket is not None:
-            bucket.append(item)
-            return
-        self._buckets[when] = bucket = [item]
-        heapq.heappush(self._heap, (when, next(self._seq), bucket))
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), item))
 
     # -- running -----------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event."""
-        batch = self._cur_batch
-        if batch is None:
-            if not self._heap:
-                raise SimulationError("step() on empty event heap")
-            when, _seq, batch = heapq.heappop(self._heap)
-            if when < self._now:
-                raise SimulationError("event heap time went backwards")
-            self._now = when
-            self._cur_batch = batch
-            self._cur_idx = 0
-        i = self._cur_idx
-        item = batch[i]
-        self._cur_idx = i + 1
+        if not self._heap:
+            raise SimulationError("step() on empty event heap")
+        when, _seq, item = heapq.heappop(self._heap)
+        if when < self._now:
+            raise SimulationError("event heap time went backwards")
+        self._now = when
         self._nprocessed += 1
-        try:
-            item._fire()
-        finally:
-            # The fired item may have appended same-time work to the
-            # live batch; only retire it once fully drained.
-            if self._cur_batch is batch and self._cur_idx >= len(batch):
-                self._cur_batch = None
-                del self._buckets[self._now]
+        item._fire()
 
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if none."""
-        if self._cur_batch is not None:
-            return self._now
         return self._heap[0][0] if self._heap else float("inf")
 
     def run(self, until: float | Event | None = None) -> Any:
@@ -406,6 +375,10 @@ class Engine:
           the clock is advanced to exactly that time.
         * ``until=<Event>`` — run until that event has been processed and
           return its value (raising if it failed).
+
+        A callback that raises propagates out with the clock at its own
+        time, itself counted in ``events_processed`` and every other
+        pending item still scheduled, so the caller can resume.
         """
         # Pause the cyclic collector while draining.  The drain loop
         # allocates millions of short-lived acyclic objects (frames,
@@ -426,7 +399,7 @@ class Engine:
         if isinstance(until, Event):
             sentinel = until
             while not sentinel.processed:
-                if self._cur_batch is None and not self._heap:
+                if not self._heap:
                     raise SimulationError("simulation ended before awaited event fired")
                 self.step()
             if not sentinel.ok:
@@ -436,42 +409,21 @@ class Engine:
         deadline = float("inf") if until is None else float(until)
         if deadline < self._now:
             raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
-        while self._cur_batch is not None:  # resume a step()-interrupted batch
-            self.step()
 
-        # Hot drain loop: everything in locals, one heap pop per
-        # distinct timestamp, whole equal-time batch per iteration.
+        # Hot drain loop: everything in locals.  The count is kept in a
+        # local and written back in ``finally`` so a raising callback is
+        # still counted.
         heap = self._heap
-        buckets = self._buckets
         pop = heapq.heappop
         nproc = self._nprocessed
-        while heap:
-            top = heap[0]
-            when = top[0]
-            if when > deadline:
-                break
-            pop(heap)
-            self._now = when
-            batch = top[2]
-            i = 0
-            try:
-                while i < len(batch):
-                    item = batch[i]
-                    i += 1
-                    item._fire()
-            except BaseException:
-                # Leave the un-fired remainder scheduled so the caller
-                # can resume after handling the error.
-                self._nprocessed = nproc + i
-                del batch[:i]
-                if batch:
-                    heapq.heappush(heap, (when, next(self._seq), batch))
-                else:
-                    del buckets[when]
-                raise
-            nproc += i
-            del buckets[when]
-        self._nprocessed = nproc
+        try:
+            while heap and heap[0][0] <= deadline:
+                when, _seq, item = pop(heap)
+                self._now = when
+                nproc += 1
+                item._fire()
+        finally:
+            self._nprocessed = nproc
         if deadline != float("inf"):
             self._now = deadline
         return None

@@ -1,6 +1,6 @@
 """Disjoint-shard fan-out: independent DES worlds across forked workers.
 
-A single calendar-queue :class:`~repro.sim.engine.Engine` tops out
+A single heap-driven :class:`~repro.sim.engine.Engine` tops out
 around 10^5 logical events/s in CPython.  Work that splits into
 *self-contained worlds* — the fan-in sweep's independent points, the
 fleet trace's time slices — runs one world per job across forked worker
@@ -67,6 +67,14 @@ def _collect(procs, outs) -> list:
             if status != "ok":
                 raise SimulationError(f"shard worker failed:\n{payload}")
             results.append(payload)
+    except BaseException:
+        # Nobody reads the remaining pipes now, so a sibling blocked
+        # sending a result larger than the pipe buffer would never exit
+        # and the join below would never return.  SIGKILL, not SIGTERM:
+        # a worker inherits whatever handler the parent installed.
+        for p in procs:
+            p.kill()
+        raise
     finally:
         for p in procs:
             p.join()

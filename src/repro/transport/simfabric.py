@@ -184,8 +184,8 @@ class _SimEndpoint(Endpoint):
         delay = self._wire_delay(len(frame), peer.node_id)
         # Bound method + timer args instead of a per-frame closure: the
         # fan-in hot path sends tens of thousands of frames per simulated
-        # second, and each closure cell is an allocation the timer wheel
-        # otherwise avoids.
+        # second, and each closure cell is an allocation the engine's
+        # bare ``_Timer`` otherwise avoids.
         self.engine.call_later(delay, peer._deliver_if_open, frame)
 
     def _deliver_if_open(self, frame: bytes) -> None:

@@ -1,10 +1,10 @@
-"""Determinism tests for the engine fast paths.
+"""Determinism tests for the engine queue and its fast paths.
 
-The bucketed calendar queue, the zero-allocation periodic timers, the
-inline pool-grant fast path, and the GC pause are pure performance
-mechanisms: equal-time events must fire in the FIFO scheduling order of
-a plain binary heap, including work appended to the live batch from
-inside a firing callback.
+The queue is a plain ``(when, seq)`` binary heap: equal-time events
+fire in FIFO scheduling order, including work scheduled at ``now`` from
+inside a firing callback.  The zero-allocation periodic timers, the
+inline pool-grant fast path and the GC pause are pure performance
+mechanisms layered on it and must not change that order.
 """
 
 import gc
@@ -31,7 +31,7 @@ class TestEqualTimeFifo:
 
     def test_zero_delay_append_joins_live_batch(self):
         """Work scheduled at ``now`` from inside a firing callback runs
-        at the same instant, after the already-scheduled batch items —
+        at the same instant, after the items already pending for it —
         exactly where a plain heap would pop it."""
         eng = Engine()
         hits = []
@@ -61,7 +61,7 @@ class TestEqualTimeFifo:
         assert hits == [0, "peer", 1, 2, 3]
 
     def test_step_matches_run_order(self):
-        """step()-driven execution drains batches in the same order as
+        """step()-driven execution drains an instant in the same order as
         the run() fast loop."""
         order_run, order_step = [], []
         for mode in ("run", "step"):

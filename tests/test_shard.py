@@ -8,6 +8,7 @@ results come back in payload order however the workers were packed.
 """
 
 import os
+import signal
 import time
 
 import numpy as np
@@ -118,6 +119,30 @@ class TestParallelRunner:
 
         with pytest.raises(SimulationError, match="shard job exploded"):
             run_parallel(boom, [1, 2, 3], 2)
+
+    def test_worker_error_beside_large_result_does_not_hang(self):
+        """One worker fails while its sibling is blocked sending a result
+        far larger than the pipe buffer: nobody will read that pipe, so
+        joining the sibling as it stands would never return."""
+        def job(x):
+            if x == 0:
+                raise ValueError("shard job exploded")
+            return b"x" * (4 << 20)
+
+        def on_alarm(signum, frame):
+            # Not an OSError: Process.join() swallows those around waitpid.
+            pytest.fail("run_parallel still joining after 20 s")
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(20)
+        try:
+            with pytest.raises(SimulationError) as err:
+                run_parallel(job, [0, 1], 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert "Traceback" in str(err.value)
+        assert "ValueError: shard job exploded" in str(err.value)
 
     def test_maybe_parallel_inline_when_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARDS", "0")
