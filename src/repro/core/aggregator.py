@@ -33,7 +33,7 @@ from repro.core import wire
 from repro.core.metric_set import MetricSet, SchemaMismatch, SetInfo
 from repro.obs.spans import HOP_UPDATE
 from repro.transport.base import Endpoint
-from repro.util.errors import OutOfMemory, StoreError
+from repro.util.errors import OutOfMemory, StoreError, WireError
 from repro.util.rngtools import stable_seed
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -395,7 +395,10 @@ class Producer:
 
     def _on_message_locked(self, raw: bytes) -> None:
         with self.daemon.lock:
-            self._on_message(raw)
+            try:
+                self._on_message(raw)
+            except WireError:
+                self.daemon.obs.counter("wire.malformed_frames").inc()
 
     def _on_message(self, raw: bytes) -> None:
         frame = wire.decode_frame(raw)
@@ -420,6 +423,9 @@ class Producer:
                 for name in [n for n in self.updaters if n not in listed]:
                     self._drop_updater(name)
         elif frame.msg_type == wire.MsgType.LOOKUP_REPLY:
+            # Decoded before the pending entry is consumed: a malformed
+            # reply leaves the lookup to its timeout and retry.
+            status, region_id, meta = wire.unpack_lookup_reply(frame.payload)
             pending = self._pending_lookups.pop(frame.request_id, None)
             if pending is None:
                 return
@@ -429,7 +435,6 @@ class Producer:
             if span is not None:
                 self.daemon.spans.record(
                     span[0], span[1], 0, HOP_UPDATE, "lookup", t_sent, now)
-            status, region_id, meta = wire.unpack_lookup_reply(frame.payload)
             upd = self.updaters.get(set_name)
             if upd is None:
                 return

@@ -45,7 +45,7 @@ from repro.obs import flight as flightmod
 from repro.obs.spans import HOP_SAMPLE, HOP_STORE
 from repro.sim.resources import CpuCore
 from repro.transport.base import Endpoint, Listener, Transport
-from repro.util.errors import ConfigError, OutOfMemory, ReproError
+from repro.util.errors import ConfigError, OutOfMemory, WireError
 from repro.util.rngtools import stable_seed
 from repro.util.units import parse_size
 
@@ -78,7 +78,8 @@ _OBS_COUNTERS = (
     "arena.fallback_sets", "arena.rows_vectorized", "arena.sweeps",
     "sampler.samples", "serve.dir_req", "serve.lookup_req",
     "serve.query_req", "serve.update_req", "set.create_failed",
-    "store.errors", "store.flush_rows_batched", "store.no_match")
+    "store.errors", "store.flush_rows_batched", "store.no_match",
+    "wire.malformed_frames")
 _OBS_HISTOGRAMS = (
     "pipeline.sample_to_store", "sample.duration", "serve.query",
     "store.flush", "store.flush_batch_rows")
@@ -594,67 +595,74 @@ class Ldmsd:
 
     def _serve(self, endpoint: Endpoint, raw: bytes) -> None:
         with self.lock:
-            frame = wire.decode_frame(raw)
-            if frame.msg_type == wire.MsgType.ADVERTISE:
-                # A sampler initiated this connection (passive mode);
-                # hand the endpoint to the matching producer.
-                peer_name = wire.unpack_advertise(frame.payload)
-                prod = self.producers.get(peer_name)
-                if prod is not None and prod.cfg.passive:
-                    if endpoint in self._served_endpoints:
-                        self._served_endpoints.remove(endpoint)
-                    prod.attach(endpoint)
-                return
-            if frame.msg_type == wire.MsgType.DIR_REQ:
-                self.obs.counter("serve.dir_req").inc()
-                endpoint.send(
-                    wire.encode_frame(
-                        wire.MsgType.DIR_REPLY,
-                        frame.request_id,
-                        wire.pack_dir_reply(self.dir_info()),
-                    )
+            try:
+                self._serve_frame(endpoint, wire.decode_frame(raw))
+            except WireError:
+                # A peer's malformed frame is dropped and counted; it
+                # must not abort Engine.run or a transport's reader.
+                self.obs.counter("wire.malformed_frames").inc()
+
+    def _serve_frame(self, endpoint: Endpoint, frame: wire.Frame) -> None:
+        if frame.msg_type == wire.MsgType.ADVERTISE:
+            # A sampler initiated this connection (passive mode);
+            # hand the endpoint to the matching producer.
+            peer_name = wire.unpack_advertise(frame.payload)
+            prod = self.producers.get(peer_name)
+            if prod is not None and prod.cfg.passive:
+                if endpoint in self._served_endpoints:
+                    self._served_endpoints.remove(endpoint)
+                prod.attach(endpoint)
+            return
+        if frame.msg_type == wire.MsgType.DIR_REQ:
+            self.obs.counter("serve.dir_req").inc()
+            endpoint.send(
+                wire.encode_frame(
+                    wire.MsgType.DIR_REPLY,
+                    frame.request_id,
+                    wire.pack_dir_reply(self.dir_info()),
                 )
-            elif frame.msg_type == wire.MsgType.LOOKUP_REQ:
-                self.obs.counter("serve.lookup_req").inc()
-                set_name = wire.unpack_lookup_req(frame.payload)
-                if frame.trace is not None and self.spans.enabled:
-                    now = self.env.now()
-                    for _idx, tid, sid, hop in frame.trace:
-                        self.spans.record(tid, self.spans.alloc(), sid,
-                                          hop - 1 if hop > 1 else 1,
-                                          "serve_lookup", now, now)
-                mset = self._sets.get(set_name)
-                if mset is None:
-                    reply = wire.pack_lookup_reply(wire.E_NOENT)
-                else:
-                    region_id = self._region_id_for(set_name)
-                    if region_id not in getattr(endpoint, "_regions"):
-                        endpoint.register_region(
-                            region_id, _RegionReader(self._sets, set_name))
-                    reply = wire.pack_lookup_reply(
-                        wire.E_OK, region_id, mset.meta_bytes()
-                    )
-                endpoint.send(
-                    wire.encode_frame(wire.MsgType.LOOKUP_REPLY, frame.request_id, reply)
+            )
+        elif frame.msg_type == wire.MsgType.LOOKUP_REQ:
+            self.obs.counter("serve.lookup_req").inc()
+            set_name = wire.unpack_lookup_req(frame.payload)
+            if frame.trace is not None and self.spans.enabled:
+                now = self.env.now()
+                for _idx, tid, sid, hop in frame.trace:
+                    self.spans.record(tid, self.spans.alloc(), sid,
+                                      hop - 1 if hop > 1 else 1,
+                                      "serve_lookup", now, now)
+            mset = self._sets.get(set_name)
+            if mset is None:
+                reply = wire.pack_lookup_reply(wire.E_NOENT)
+            else:
+                region_id = self._region_id_for(set_name)
+                if region_id not in getattr(endpoint, "_regions"):
+                    endpoint.register_region(
+                        region_id, _RegionReader(self._sets, set_name))
+                reply = wire.pack_lookup_reply(
+                    wire.E_OK, region_id, mset.meta_bytes()
                 )
-            elif frame.msg_type == wire.MsgType.UPDATE_REQ:
-                # Message-based pull path (kept for completeness; the
-                # aggregator normally uses one-sided reads).
-                self.obs.counter("serve.update_req").inc()
-                region_id = wire.unpack_update_req(frame.payload)
-                name = next(
-                    (n for n, r in self._region_ids.items() if r == region_id), None
-                )
-                mset = self._sets.get(name) if name is not None else None
-                if mset is None:
-                    reply = wire.pack_update_reply(wire.E_NOENT)
-                else:
-                    reply = wire.pack_update_reply(wire.E_OK, mset.data_bytes())
-                endpoint.send(
-                    wire.encode_frame(wire.MsgType.UPDATE_REPLY, frame.request_id, reply)
-                )
-            elif frame.msg_type == wire.MsgType.QUERY_REQ:
-                self._serve_query(endpoint, frame)
+            endpoint.send(
+                wire.encode_frame(wire.MsgType.LOOKUP_REPLY, frame.request_id, reply)
+            )
+        elif frame.msg_type == wire.MsgType.UPDATE_REQ:
+            # Message-based pull path (kept for completeness; the
+            # aggregator normally uses one-sided reads).
+            self.obs.counter("serve.update_req").inc()
+            region_id = wire.unpack_update_req(frame.payload)
+            name = next(
+                (n for n, r in self._region_ids.items() if r == region_id), None
+            )
+            mset = self._sets.get(name) if name is not None else None
+            if mset is None:
+                reply = wire.pack_update_reply(wire.E_NOENT)
+            else:
+                reply = wire.pack_update_reply(wire.E_OK, mset.data_bytes())
+            endpoint.send(
+                wire.encode_frame(wire.MsgType.UPDATE_REPLY, frame.request_id, reply)
+            )
+        elif frame.msg_type == wire.MsgType.QUERY_REQ:
+            self._serve_query(endpoint, frame)
 
     def _serve_query(self, endpoint: Endpoint, frame: wire.Frame) -> None:
         """Answer a QUERY_REQ on the worker pool.
@@ -679,7 +687,7 @@ class Ldmsd:
         try:
             schema, t0, t1, level, comp_id, max_records = (
                 wire.unpack_query_req(frame.payload))
-        except ReproError:
+        except WireError:
             endpoint.send(wire.encode_frame(
                 wire.MsgType.QUERY_REPLY, rid,
                 wire.pack_query_reply(wire.E_INVAL)))
@@ -705,8 +713,7 @@ class Ldmsd:
                     endpoint.send(wire.encode_frame(
                         wire.MsgType.QUERY_REPLY, rid,
                         wire.pack_query_reply(res.status, res.names,
-                                              res.rows, res.flags(),
-                                              res.encoded)))
+                                              res.rows, res.flags())))
 
         self.worker_pool.submit(reply, cost=run_query, core=self.core,
                                 tag="query")

@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import functools
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.metric_set import SetInfo
-from repro.util.errors import ReproError
+from repro.util.errors import WireError
 
 __all__ = [
     "MsgType",
@@ -68,6 +69,7 @@ __all__ = [
     "pack_query_reply",
     "unpack_query_reply",
     "query_row_struct",
+    "RowBlock",
     "QUERY_TRUNCATED",
     "QUERY_CACHE_HIT",
     "TRACE_FLAG",
@@ -86,6 +88,20 @@ E_OK = 0
 E_NOENT = 2  # set not found
 E_AGAIN = 11  # try later
 E_INVAL = 22  # malformed request
+
+
+def _need(what: str, payload, n: int) -> None:
+    """Every decoder's bounds check: ``payload`` holds ``n`` bytes."""
+    if len(payload) < n:
+        raise WireError(
+            f"{what}: needs {n} bytes, the payload has {len(payload)}")
+
+
+def _text(what: str, raw) -> str:
+    try:
+        return bytes(raw).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireError(f"{what}: not UTF-8: {exc}") from None
 
 
 class MsgType:
@@ -122,9 +138,17 @@ def pack_trace_ctx(entries: tuple) -> bytes:
     return b"".join(out)
 
 
-def unpack_trace_ctx(buf, pos: int = 0) -> tuple[tuple, int]:
-    """Decode a trace blob at ``pos``; returns (entries, bytes consumed)."""
+def unpack_trace_ctx(buf, pos: int = 0, end: int | None = None) -> tuple[tuple, int]:
+    """Decode a trace blob at ``pos`` of a frame that stops at ``end``
+    (default: the buffer's); returns (entries, bytes consumed)."""
+    if end is None:
+        end = len(buf)
+    if pos >= end:
+        raise WireError("trace flag set on a frame with no trace context")
     (n,) = struct.unpack_from("<B", buf, pos)
+    if pos + 1 + n * _TRACE_ENTRY_SIZE > end:
+        raise WireError(
+            f"trace context of {n} entries runs past the {end - pos}-byte frame body")
     entries = tuple(
         _TRACE_ENTRY.unpack_from(buf, pos + 1 + i * _TRACE_ENTRY_SIZE)
         for i in range(n)
@@ -187,12 +211,13 @@ class FrameDecoder:
             while end - pos >= 4:
                 (flen,) = _LEN_STRUCT.unpack_from(buf, pos)
                 if flen < _HDR_SIZE - 4:
-                    raise ReproError(f"corrupt frame length {flen}")
+                    raise WireError(f"corrupt frame length {flen}")
                 if end - pos < 4 + flen:
                     break
                 _, mtype, rid = _HDR_STRUCT.unpack_from(buf, pos)
                 if mtype & TRACE_FLAG:
-                    trace, used = unpack_trace_ctx(buf, pos + _HDR_SIZE)
+                    trace, used = unpack_trace_ctx(
+                        buf, pos + _HDR_SIZE, pos + 4 + flen)
                     payload = bytes(mv[pos + _HDR_SIZE + used : pos + 4 + flen])
                     frames.append(Frame(mtype & _MSG_TYPE_MASK, rid,
                                         payload, trace))
@@ -218,16 +243,16 @@ def decode_frame(raw: bytes) -> Frame:
     Decodes directly from the buffer — no intermediate decoder state.
     """
     if len(raw) < _HDR_SIZE:
-        raise ReproError(f"expected exactly one frame, got a {len(raw)}-byte fragment")
+        raise WireError(f"expected exactly one frame, got a {len(raw)}-byte fragment")
     flen, mtype, rid = _HDR_STRUCT.unpack_from(raw, 0)
     if flen < _HDR_SIZE - 4:
-        raise ReproError(f"corrupt frame length {flen}")
+        raise WireError(f"corrupt frame length {flen}")
     if 4 + flen != len(raw):
-        raise ReproError(
+        raise WireError(
             f"expected exactly one {4 + flen}-byte frame, got {len(raw)} bytes"
         )
     if mtype & TRACE_FLAG:
-        trace, used = unpack_trace_ctx(raw, _HDR_SIZE)
+        trace, used = unpack_trace_ctx(raw, _HDR_SIZE, len(raw))
         return Frame(mtype & _MSG_TYPE_MASK, rid,
                      bytes(raw[_HDR_SIZE + used:]), trace)
     return Frame(mtype, rid, bytes(raw[_HDR_SIZE:]))
@@ -262,7 +287,9 @@ def pack_dir_reply(infos: list[SetInfo]) -> bytes:
 
 
 def unpack_dir_reply(payload: bytes) -> list[SetInfo]:
+    _need("DIR_REPLY", payload, 4)
     (n,) = struct.unpack_from("<I", payload, 0)
+    _need("DIR_REPLY", payload, 4 + n * _SETINFO_SIZE)
     infos = []
     pos = 4
     for _ in range(n):
@@ -270,8 +297,8 @@ def unpack_dir_reply(payload: bytes) -> list[SetInfo]:
         pos += _SETINFO_SIZE
         infos.append(
             SetInfo(
-                name=name_b.rstrip(b"\x00").decode(),
-                schema=schema_b.rstrip(b"\x00").decode(),
+                name=_text("DIR_REPLY", name_b.rstrip(b"\x00")),
+                schema=_text("DIR_REPLY", schema_b.rstrip(b"\x00")),
                 card=card,
                 meta_size=msz,
                 data_size=dsz,
@@ -291,8 +318,10 @@ def pack_lookup_req(set_name: str) -> bytes:
 
 
 def unpack_lookup_req(payload: bytes) -> str:
+    _need("LOOKUP_REQ", payload, 2)
     (n,) = struct.unpack_from("<H", payload, 0)
-    return payload[2 : 2 + n].decode("utf-8")
+    _need("LOOKUP_REQ", payload, 2 + n)
+    return _text("LOOKUP_REQ", payload[2 : 2 + n])
 
 
 def pack_lookup_reply(status: int, region_id: int = 0, meta: bytes = b"") -> bytes:
@@ -300,7 +329,9 @@ def pack_lookup_reply(status: int, region_id: int = 0, meta: bytes = b"") -> byt
 
 
 def unpack_lookup_reply(payload: bytes) -> tuple[int, int, bytes]:
+    _need("LOOKUP_REPLY", payload, 16)
     status, region_id, mlen = struct.unpack_from("<iQI", payload, 0)
+    _need("LOOKUP_REPLY", payload, 16 + mlen)
     return status, region_id, payload[16 : 16 + mlen]
 
 
@@ -316,8 +347,10 @@ def pack_advertise(name: str) -> bytes:
 
 
 def unpack_advertise(payload: bytes) -> str:
+    _need("ADVERTISE", payload, 2)
     (n,) = struct.unpack_from("<H", payload, 0)
-    return payload[2 : 2 + n].decode("utf-8")
+    _need("ADVERTISE", payload, 2 + n)
+    return _text("ADVERTISE", payload[2 : 2 + n])
 
 
 def pack_update_req(region_id: int) -> bytes:
@@ -325,6 +358,7 @@ def pack_update_req(region_id: int) -> bytes:
 
 
 def unpack_update_req(payload: bytes) -> int:
+    _need("UPDATE_REQ", payload, 8)
     return struct.unpack_from("<Q", payload, 0)[0]
 
 
@@ -333,7 +367,9 @@ def pack_update_reply(status: int, data: bytes = b"") -> bytes:
 
 
 def unpack_update_reply(payload: bytes) -> tuple[int, bytes]:
+    _need("UPDATE_REPLY", payload, 8)
     status, dlen = struct.unpack_from("<iI", payload, 0)
+    _need("UPDATE_REPLY", payload, 8 + dlen)
     return status, payload[8 : 8 + dlen]
 
 
@@ -350,7 +386,9 @@ def pack_read_multi_req(region_ids: list[int]) -> bytes:
 
 
 def unpack_read_multi_req(payload: bytes) -> list[int]:
+    _need("READ_MULTI_REQ", payload, 4)
     (n,) = struct.unpack_from("<I", payload, 0)
+    _need("READ_MULTI_REQ", payload, 4 + 8 * n)
     return list(struct.unpack_from(f"<{n}Q", payload, 4))
 
 
@@ -366,14 +404,22 @@ def pack_read_multi_reply(parts: list[bytes | None]) -> bytes:
 
 
 def unpack_read_multi_reply(payload: bytes) -> list[bytes | None]:
+    _need("READ_MULTI_REPLY", payload, 4)
     (n,) = struct.unpack_from("<I", payload, 0)
     pos = 4
     parts: list[bytes | None] = []
+    size = len(payload)
     for _ in range(n):
+        # Compared inline, not through _need: sock's per-tick decoder.
+        if pos + 8 > size:
+            raise WireError(f"READ_MULTI_REPLY: part header at byte {pos} "
+                            f"runs past the {size}-byte payload")
         status, dlen = struct.unpack_from("<iI", payload, pos)
-        pos += 8
-        parts.append(bytes(payload[pos : pos + dlen]) if status == E_OK else None)
-        pos += dlen
+        pos += 8 + dlen
+        if pos > size:
+            raise WireError(f"READ_MULTI_REPLY: {dlen}-byte part runs past "
+                            f"the {size}-byte payload")
+        parts.append(bytes(payload[pos - dlen : pos]) if status == E_OK else None)
     return parts
 
 
@@ -391,11 +437,13 @@ def unpack_read_multi_reply(payload: bytes) -> list[bytes | None]:
 #           | u32 nrows | nrows x (f64 ts | u32 comp_id | ncols x f64)
 #
 # A reply row is one fixed-width ``<dI{ncols}d`` group, packed by the
-# cached Struct :func:`query_row_struct` hands out.  The query engine's
-# sorted hot window packs each stored row with it *once, at ingest*, and
-# serves the same bytes to every poller (``encoded=``); scan/LRU results
-# are packed here, one ``pack`` per row; the decoder reads the whole row
-# block with one bounds check and one ``iter_unpack``.
+# cached Struct :func:`query_row_struct` hands out, and a reply's rows
+# have one representation end to end: a :class:`RowBlock` over the packed
+# bytes.  The query engine packs each stored row *once, at ingest* (hot
+# window) or once per scan (LRU entries), the server appends ``.raw`` to
+# the header, and the decoder validates the whole payload up front and
+# returns a block over it — a row becomes a tuple only where a client
+# indexes or iterates.
 # ---------------------------------------------------------------------------
 
 #: Reply flag bits: the row set was cut at ``max_records``; the reply
@@ -411,18 +459,10 @@ def pack_query_req(schema: str, t0: float, t1: float, level: int = 0,
 
 
 def unpack_query_req(payload: bytes) -> tuple[str, float, float, int, int, int]:
-    if len(payload) < 30:
-        raise ReproError(
-            f"QUERY_REQ: {len(payload)}-byte payload is shorter than the "
-            "30-byte header")
+    _need("QUERY_REQ", payload, 30)
     t0, t1, level, comp_id, max_records, n = struct.unpack_from("<ddIIIH", payload, 0)
-    if 30 + n > len(payload):
-        raise ReproError(
-            f"QUERY_REQ: schema_len {n} runs past the {len(payload)}-byte payload")
-    try:
-        schema = payload[30 : 30 + n].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ReproError(f"QUERY_REQ: schema name is not UTF-8: {exc}") from None
+    _need("QUERY_REQ", payload, 30 + n)
+    schema = _text("QUERY_REQ", payload[30 : 30 + n])
     return schema, t0, t1, level, comp_id, max_records
 
 
@@ -434,49 +474,102 @@ def query_row_struct(ncols: int) -> struct.Struct:
     return struct.Struct(f"<dI{ncols}d")
 
 
+class RowBlock(Sequence):
+    """Reply rows as the wire carries them: ``raw`` holds whole
+    :func:`query_row_struct` groups, and a row is decoded to ``(ts,
+    comp_id, values)`` only where a caller indexes or iterates.  Equal
+    to any sequence of the same row tuples."""
+
+    __slots__ = ("raw", "_size", "_iter_unpack")
+
+    def __init__(self, raw: bytes, size: int, iter_unpack):
+        self.raw = raw
+        self._size = size
+        self._iter_unpack = iter_unpack
+
+    @classmethod
+    def of(cls, ncols: int, raw: bytes = b"") -> "RowBlock":
+        """A block over already-packed rows (the engine's buffers)."""
+        st = query_row_struct(ncols)
+        if len(raw) % st.size:
+            raise WireError(
+                f"{len(raw)} bytes are not whole {st.size}-byte rows")
+        return cls(raw, st.size, st.iter_unpack)
+
+    def _like(self, raw: bytes) -> "RowBlock":
+        return RowBlock(raw, self._size, self._iter_unpack)
+
+    def take(self, indices) -> "RowBlock":
+        """The block of the rows at ``indices``, in that order."""
+        raw, sz = self.raw, self._size
+        if isinstance(indices, range) and indices.step == 1:
+            return self._like(raw[indices.start * sz : indices.stop * sz])
+        return self._like(b"".join([raw[i * sz : (i + 1) * sz] for i in indices]))
+
+    def __len__(self) -> int:
+        return len(self.raw) // self._size
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]  # a row number, or the rows a slice selects
+        if isinstance(at, range):
+            return self.take(at)
+        (r,) = self._iter_unpack(self.raw[at * self._size : (at + 1) * self._size])
+        return r[0], r[1], r[2:]
+
+    def __iter__(self):
+        return ((r[0], r[1], r[2:]) for r in self._iter_unpack(self.raw))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    def column(self, i: int) -> list[float]:
+        """Metric column ``i`` in row order."""
+        return [r[2 + i] for r in self._iter_unpack(self.raw)]
+
+    def comp_ids(self) -> list[int]:
+        return [r[1] for r in self._iter_unpack(self.raw)]
+
+
 def pack_query_reply(status: int, names: tuple[str, ...] = (),
-                     rows: list | tuple = (), flags: int = 0,
-                     encoded: list | None = None) -> bytes:
-    """``encoded`` is ``rows`` already packed, one ``query_row_struct``
-    blob per row (the hot window's ingest-time encoding)."""
+                     rows: Sequence = (), flags: int = 0) -> bytes:
     out = [struct.pack("<iBI", status, flags, len(names))]
     for name in names:
         b = name.encode("utf-8")
         out.append(struct.pack("<H", len(b)))
         out.append(b)
     out.append(struct.pack("<I", len(rows)))
-    if encoded is None:
+    if isinstance(rows, RowBlock):
+        out.append(rows.raw)
+    else:
         pack = query_row_struct(len(names)).pack
-        encoded = [pack(ts, comp_id, *values) for ts, comp_id, values in rows]
-    out.extend(encoded)
+        out.extend([pack(ts, comp_id, *values) for ts, comp_id, values in rows])
     return b"".join(out)
 
 
-def unpack_query_reply(payload: bytes) -> tuple[int, int, tuple[str, ...], list]:
-    size = len(payload)
-    try:
-        status, flags, ncols = struct.unpack_from("<iBI", payload, 0)
-        pos = 9
-        names = []
-        for _ in range(ncols):
-            (n,) = struct.unpack_from("<H", payload, pos)
-            pos += 2
-            if pos + n > size:
-                raise ReproError("QUERY_REPLY: column name runs past the payload")
-            names.append(payload[pos : pos + n].decode("utf-8"))
-            pos += n
-        (nrows,) = struct.unpack_from("<I", payload, pos)
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise ReproError(f"QUERY_REPLY: malformed header: {exc}") from None
+def unpack_query_reply(payload: bytes) -> tuple[int, int, tuple[str, ...], RowBlock]:
+    """Every check is made here, up front: reading the returned block
+    cannot fail."""
+    _need("QUERY_REPLY", payload, 9)
+    status, flags, ncols = struct.unpack_from("<iBI", payload, 0)
+    pos = 9
+    names = []
+    for _ in range(ncols):
+        _need("QUERY_REPLY", payload, pos + 2)
+        (n,) = struct.unpack_from("<H", payload, pos)
+        pos += 2 + n
+        _need("QUERY_REPLY", payload, pos)
+        names.append(_text("QUERY_REPLY", payload[pos - n : pos]))
+    _need("QUERY_REPLY", payload, pos + 4)
+    (nrows,) = struct.unpack_from("<I", payload, pos)
     pos += 4
     row = query_row_struct(ncols)
     end = pos + nrows * row.size
-    if end > size:
-        raise ReproError(
-            f"QUERY_REPLY: {nrows} rows of {row.size} bytes run past the "
-            f"{size}-byte payload")
-    rows = [(r[0], r[1], r[2:]) for r in row.iter_unpack(payload[pos:end])]
-    return status, flags, tuple(names), rows
+    _need("QUERY_REPLY rows", payload, end)
+    return status, flags, tuple(names), RowBlock(
+        payload[pos:end], row.size, row.iter_unpack)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +588,8 @@ def pack_hello(now: float, features: frozenset[str] | set[str]) -> bytes:
 
 
 def unpack_hello(payload: bytes) -> tuple[float, frozenset[str]]:
+    _need("HELLO", payload, 10)
     now, n = struct.unpack_from("<dH", payload, 0)
-    raw = payload[10 : 10 + n].decode("utf-8")
+    _need("HELLO", payload, 10 + n)
+    raw = _text("HELLO", payload[10 : 10 + n])
     return now, (frozenset(raw.split(",")) if raw else frozenset())

@@ -192,7 +192,8 @@ class AlertEvaluator(QueryClient):
     def on_rows(self, names, rows) -> None:
         if not rows:
             return
-        mean = sum(r[2][0] for r in rows) / len(rows)
+        # Python ``sum`` in row order: ``alerts`` is in the fingerprint.
+        mean = sum(rows.column(0)) / len(rows)
         if mean > self.threshold:
             self.alerts += 1
 

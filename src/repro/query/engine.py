@@ -6,14 +6,16 @@ Serving structure (the CMS monitoring workload, PAPERS.md):
   few seconds of data.  Every record the attached
   :class:`~repro.plugins.stores.sos.SosStore` appends (base and
   rollup) also lands in a bounded per-container window kept *sorted by
-  timestamp* and *already wire-encoded*: the row's ``QUERY_REPLY`` bytes
-  are packed once, at ingest, and every poller that asks is handed the
-  same bytes.  A query whose window lies entirely inside the covered
-  span is two bisects and two list slices — no container file, no
-  filter pass, no sort, no per-reply packing.
+  timestamp* and *already wire-encoded*: a list of timestamps beside
+  one ``bytearray`` of ``QUERY_REPLY`` rows, each packed once, at
+  ingest.  A query whose window lies entirely inside the covered span
+  is two bisects and one buffer slice — no container file, no filter
+  pass, no sort, no per-row object, no per-reply packing.
 * **LRU result cache** — repeated identical queries (alert evaluators
   re-checking a rollup window, several dashboards showing one panel)
-  return the cached row set.  Validity is by append-version: the store
+  return the cached row set: the scan's rows packed once into a
+  :class:`~repro.core.wire.RowBlock`, so a hit packs nothing and an
+  entry holds one ``bytes``.  Validity is by append-version: the store
   counts appends per container, and a cached entry is good only while
   its container's count is unchanged, so a cache hit can never serve a
   stale row set.
@@ -32,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from repro.core import wire
 from repro.plugins.stores.sos import SosReader, SosStore, rollup_schema
@@ -44,20 +46,17 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class QueryResult:
-    """One answered query: wire status, column names, and rows of
-    ``(timestamp, comp_id, values)`` in ``(timestamp, append)`` order."""
+    """One answered query: wire status, column names, and the packed
+    rows of ``(timestamp, comp_id, values)`` in ``(timestamp, append)``
+    order."""
 
     status: int
     names: tuple[str, ...]
-    rows: Sequence[tuple] = ()
+    rows: wire.RowBlock
     cache_hit: bool = False
     truncated: bool = False
     #: Which path answered: "hot", "lru", "scan", or "noent".
     source: str = "scan"
-    #: ``rows`` as wire bytes, one blob per row — hot-window answers
-    #: only (the window owns the blobs; results the LRU retains never
-    #: carry a second copy of their rows).
-    encoded: Optional[list] = None
 
     def flags(self) -> int:
         f = 0
@@ -69,16 +68,16 @@ class QueryResult:
 
 
 class _HotWindow:
-    """One container's recent appends: three parallel lists sorted by
-    timestamp (equal timestamps in append order)."""
+    """One container's recent appends sorted by timestamp (equal
+    timestamps in append order): ``times[i]`` stamps the ``row``-sized
+    ``QUERY_REPLY`` group at ``buf[i * row.size]``."""
 
-    __slots__ = ("times", "rows", "encoded", "pack", "floor")
+    __slots__ = ("times", "buf", "row", "floor")
 
     def __init__(self, ncols: int, floor: float):
         self.times: list[float] = []
-        self.rows: list[tuple] = []  # (ts, comp_id, values)
-        self.encoded: list[bytes] = []  # the same rows as QUERY_REPLY bytes
-        self.pack = wire.query_row_struct(ncols).pack
+        self.buf = bytearray()
+        self.row = wire.query_row_struct(ncols)
         #: Oldest timestamp the window still fully covers.  -inf while
         #: it has seen every row the container ever held (it was empty
         #: when the store opened it); +inf while a pre-existing
@@ -119,23 +118,21 @@ class QueryEngine:
                 len(values),
                 _INF if container in self.store.preexisting else -_INF)
         times = hot.times
-        row = (ts, comp_id, values)
-        blob = hot.pack(ts, comp_id, *values)
+        blob = hot.row.pack(ts, comp_id, *values)
         if not times or ts >= times[-1]:
             times.append(ts)
-            hot.rows.append(row)
-            hot.encoded.append(blob)
+            hot.buf += blob
         else:
             # Out-of-order straggler: after every row of the same
             # timestamp, which is where a stable sort would leave it.
             i = bisect_right(times, ts)
             times.insert(i, ts)
-            hot.rows.insert(i, row)
-            hot.encoded.insert(i, blob)
+            at = i * len(blob)
+            hot.buf[at:at] = blob
         cutoff = ts - self.hot_window
         if times[0] < cutoff:
             n = bisect_left(times, cutoff)
-            del times[:n], hot.rows[:n], hot.encoded[:n]
+            del times[:n], hot.buf[: n * len(blob)]
             # Everything at or above the cutoff arrived after attach
             # (nothing older ever sat in the window), so from here the
             # window is authoritative for [cutoff, now].  The floor only
@@ -166,24 +163,21 @@ class QueryEngine:
 
         hot = self._hot.get(container)
         if hot is not None and t0 >= hot.floor:
-            times = hot.times
-            lo = bisect_left(times, t0)
-            hi = bisect_left(times, t1)
-            rows = hot.rows[lo:hi]
-            encoded = hot.encoded[lo:hi]
+            sz = hot.row.size
+            lo = bisect_left(hot.times, t0) * sz
+            hi = bisect_left(hot.times, t1) * sz
+            names = tuple(self.store._names.get(container, ()))
+            rows = wire.RowBlock.of(len(names), bytes(hot.buf[lo:hi]))
             if comp_id:
-                keep = [i for i, r in enumerate(rows) if r[1] == comp_id]
-                rows = [rows[i] for i in keep]
-                encoded = [encoded[i] for i in keep]
+                rows = rows.take([i for i, c in enumerate(rows.comp_ids())
+                                  if c == comp_id])
             truncated = bool(max_records) and len(rows) > max_records
             if truncated:
-                del rows[max_records:], encoded[max_records:]
-            names = self.store._names.get(container, ())
+                rows = rows[:max_records]
             self._c_hits.inc()
             self._c_rows.inc(len(rows))
-            return QueryResult(wire.E_OK, tuple(names), rows,
-                               cache_hit=True, truncated=truncated,
-                               source="hot", encoded=encoded)
+            return QueryResult(wire.E_OK, names, rows, cache_hit=True,
+                               truncated=truncated, source="hot")
 
         self._c_misses.inc()
         res = self._scan(container, t0, t1, comp_id, max_records)
@@ -202,19 +196,23 @@ class QueryEngine:
             try:
                 reader = SosReader(self.store.path, container)
             except OSError:
-                return QueryResult(wire.E_NOENT, (), source="noent")
+                return QueryResult(wire.E_NOENT, (), wire.RowBlock.of(0),
+                                   source="noent")
             self._readers[container] = reader
         else:
             reader.refresh()
-        # A SosRecord *is* a (timestamp, comp_id, values) row.
         rows = reader.range(t0, t1)
         if comp_id:
             rows = [r for r in rows if r.component_id == comp_id]
         truncated = bool(max_records) and len(rows) > max_records
         if truncated:
             del rows[max_records:]
-        return QueryResult(wire.E_OK, tuple(reader.metric_names),
-                           tuple(rows), truncated=truncated, source="scan")
+        # Packed once here: the LRU keeps the block and a hit packs nothing.
+        names = tuple(reader.metric_names)
+        pack = wire.query_row_struct(len(names)).pack
+        raw = b"".join([pack(ts, comp, *values) for ts, comp, values in rows])
+        return QueryResult(wire.E_OK, names, wire.RowBlock.of(len(names), raw),
+                           truncated=truncated, source="scan")
 
     # -- introspection ------------------------------------------------------
     def stats(self) -> dict:

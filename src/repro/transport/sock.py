@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from repro.core import wire
 from repro.transport.base import Endpoint, Listener, Transport, register_transport
-from repro.util.errors import TransportError
+from repro.util.errors import TransportError, WireError
 from repro.util.timeutil import monotonic as _monotonic
 
 __all__ = ["SockTransport"]
@@ -151,12 +151,22 @@ class _SockEndpoint(Endpoint):
                 if not chunk:
                     break
                 for frame in self._decoder.feed(chunk):
-                    self._dispatch(frame)
+                    try:
+                        self._dispatch(frame)
+                    except WireError:
+                        self._count_malformed()  # dropped; the stream is intact
+        except WireError:
+            self._count_malformed()  # framing lost: nothing to resync on
+            self.close()
         except OSError:
             pass
         finally:
             self._fail_pending()
             self._closed()
+
+    def _count_malformed(self) -> None:
+        if self._obs is not None:
+            self._obs.counter("wire.malformed_frames").inc()
 
     def _dispatch(self, frame: wire.Frame) -> None:
         if frame.msg_type == wire.MsgType.HELLO:
@@ -168,6 +178,8 @@ class _SockEndpoint(Endpoint):
             self._anchor_peer_clock(peer_now)
             return
         if frame.msg_type == wire.MsgType.RDMA_READ_REQ:
+            if len(frame.payload) != 8:
+                raise WireError("RDMA_READ_REQ: payload is not one u64 region id")
             (region_id,) = struct.unpack("<Q", frame.payload)
             if frame.trace is not None and self.on_traced_read is not None:
                 for _idx, tid, sid, hop in frame.trace:
@@ -189,6 +201,9 @@ class _SockEndpoint(Endpoint):
         if frame.msg_type == wire.MsgType.RDMA_READ_REPLY:
             cb = self._pending_reads.pop(frame.request_id, None)
             if cb is not None:
+                if len(frame.payload) < 4:
+                    cb(None)  # the read this answers fails, not hangs
+                    raise WireError("RDMA_READ_REPLY: payload has no status")
                 (status,) = struct.unpack_from("<i", frame.payload, 0)
                 data = frame.payload[4:]
                 self._account_read(len(data))
@@ -215,7 +230,15 @@ class _SockEndpoint(Endpoint):
         if frame.msg_type == wire.MsgType.RDMA_READ_MULTI_REPLY:
             mr = self._pending_reads.pop(frame.request_id, None)
             if mr is not None:
-                parts = wire.unpack_read_multi_reply(frame.payload)
+                try:
+                    parts = wire.unpack_read_multi_reply(frame.payload)
+                    if len(parts) != mr.n:
+                        raise WireError(
+                            f"RDMA_READ_MULTI_REPLY: {len(parts)} parts "
+                            f"answer a {mr.n}-region read")
+                except WireError:
+                    mr(None)  # the read this answers fails, not hangs
+                    raise
                 self._account_read(sum(len(p) for p in parts if p is not None))
                 mr.on_complete(parts)
             return

@@ -22,6 +22,12 @@ class TransportError(ReproError):
     """A transport operation failed (connect, send, fetch, listen)."""
 
 
+class WireError(ReproError):
+    """A peer's frame or payload is malformed (short, overrunning, not
+    UTF-8).  Raised by every :mod:`repro.core.wire` decoder up front;
+    message handlers drop and count the frame."""
+
+
 class ConnectionLost(TransportError):
     """The peer endpoint went away mid-operation."""
 

@@ -35,6 +35,7 @@ IDLE_COUNTERS = [
     "sampler.samples", "serve.dir_req", "serve.lookup_req",
     "serve.query_req", "serve.update_req", "set.create_failed",
     "store.errors", "store.flush_rows_batched", "store.no_match",
+    "wire.malformed_frames",
 ]
 IDLE_HISTOGRAMS = [
     "pipeline.sample_to_store", "sample.duration", "serve.query",

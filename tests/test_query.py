@@ -127,24 +127,27 @@ class TestQueryEngine:
     def test_hot_window_is_sorted_and_carries_its_wire_bytes(self, tmp_path):
         # Out-of-order arrivals land in timestamp order, ties in append
         # order (what the container scan's stable sort yields), and the
-        # answer carries each row's reply bytes, packed once at ingest.
+        # answer is a slice of the window's one packed buffer: the bytes
+        # served equal a fresh pack of the same rows.
         store, eng = self._engine(tmp_path)
         for k, t in enumerate((5.0, 1.0, 5.0, 3.0, 1.0)):
             store.submit(rec(t=t, values=(k, 0)))
         res = eng.query("mem", 0.0, 10.0)
         assert res.source == "hot"
-        assert [(r[0], r[2][0]) for r in res.rows] == [
-            (1.0, 1.0), (1.0, 4.0), (3.0, 3.0), (5.0, 0.0), (5.0, 2.0)]
+        want = [(1.0, 1, (1.0, 0.0)), (1.0, 1, (4.0, 0.0)),
+                (3.0, 1, (3.0, 0.0)), (5.0, 1, (0.0, 0.0)),
+                (5.0, 1, (2.0, 0.0))]
+        assert isinstance(res.rows, wire.RowBlock)
+        assert res.rows == want
         assert wire.pack_query_reply(
-            res.status, res.names, res.rows, res.flags(),
-            res.encoded) == wire.pack_query_reply(
-                res.status, res.names, res.rows, res.flags())
-        # the very same bytes objects serve the next poller
-        again = eng.query("mem", 0.0, 10.0)
-        assert all(a is b for a, b in zip(again.encoded, res.encoded))
+            res.status, res.names, res.rows, res.flags()
+        ) == wire.pack_query_reply(res.status, res.names, want, res.flags())
+        hot = eng._hot["mem"]
+        assert hot.times == [1.0, 1.0, 3.0, 5.0, 5.0]
+        assert bytes(hot.buf) == res.rows.raw  # no per-row object kept
         scan = eng._scan("mem", 0.0, 10.0, 0, 0)
-        assert list(res.rows) == list(scan.rows)
-        assert scan.encoded is None  # only the window holds blobs
+        assert isinstance(scan.rows, wire.RowBlock)
+        assert scan.rows.raw == res.rows.raw
         store.close()
 
     def test_straggler_below_the_floor_does_not_lower_it(self, tmp_path):

@@ -3,7 +3,8 @@
 Three oracles, all deterministic (``derandomize=True``):
 
 * the per-field ``QUERY_REPLY`` codec this tree shipped before the
-  encode-once row Struct — kept here, as the byte-level reference;
+  encode-once row Struct — kept here, as the byte-level reference and
+  as the eager row decoder ``wire.RowBlock`` is model-checked against;
 * the codec's own grammar: no strict prefix of a reply is a reply, and
   a count field cannot make the decoder allocate ahead of the bytes;
 * a fresh :class:`SosReader` scan of the container files — what the
@@ -91,15 +92,68 @@ class TestReplyCodecAgainstReference:
         rows = make_rows(seed, ncols, nrows)
         want = ref_pack_query_reply(status, names, rows, flags)
         assert wire.pack_query_reply(status, names, rows, flags) == want
-        # Pre-encoded rows (the hot window's ingest-time blobs): same bytes.
-        pack = wire.query_row_struct(ncols).pack
-        encoded = [pack(ts, comp, *values) for ts, comp, values in rows]
-        assert wire.pack_query_reply(status, names, rows, flags,
-                                     encoded) == want
-        got = wire.unpack_query_reply(want)
+        *head, block = wire.unpack_query_reply(want)
+        *ref_head, ref_rows = ref_unpack_query_reply(want)
+        assert tuple(head) == tuple(ref_head) == (status, flags, names)
         # repr, not ==: NaN is not equal to itself, -0.0 is equal to 0.0.
-        assert repr(got) == repr(ref_unpack_query_reply(want))
-        assert repr(got) == repr((status, flags, names, rows))
+        assert repr(list(block)) == repr(ref_rows) == repr(rows)
+        # A decoded block (what the engine serves) re-packs to the reply.
+        assert wire.pack_query_reply(status, names, block, flags) == want
+
+    @settings(max_examples=80, **SETTINGS)
+    @given(seed=st.integers(0, 2**32), ncols=st.integers(0, 16),
+           nrows=st.integers(0, 40), picks=st.data())
+    def test_block_is_the_eager_decode_of_its_bytes(self, seed, ncols,
+                                                    nrows, picks):
+        names = tuple(f"m{i}" for i in range(ncols))
+        payload = ref_pack_query_reply(wire.E_OK, names,
+                                       make_rows(seed, ncols, nrows))
+        block = wire.unpack_query_reply(payload)[3]
+        ref = ref_unpack_query_reply(payload)[3]
+        assert isinstance(block, wire.RowBlock)
+        assert len(block) == len(ref) == nrows
+        assert bool(block) == bool(ref)
+        assert repr(list(block)) == repr(ref)
+        assert repr(block.comp_ids()) == repr([r[1] for r in ref])
+        for c in range(ncols):
+            assert repr(block.column(c)) == repr([r[2][c] for r in ref])
+        for i in picks.draw(st.lists(st.integers(-nrows - 2, nrows + 1),
+                                     max_size=6)):
+            if -nrows <= i < nrows:
+                assert repr(block[i]) == repr(ref[i])
+            else:
+                with pytest.raises(IndexError):
+                    block[i]
+        if nrows:
+            assert repr(block[-1]) == repr(ref[-1])
+        bound = st.one_of(st.none(), st.integers(-nrows - 2, nrows + 2))
+        step = st.sampled_from((None, 1, 2, 3, -1, -2))
+        for _ in range(4):
+            sl = slice(picks.draw(bound), picks.draw(bound), picks.draw(step))
+            part = block[sl]
+            assert isinstance(part, wire.RowBlock)
+            assert repr(list(part)) == repr(ref[sl])
+            assert wire.pack_query_reply(0, names, part) == (
+                ref_pack_query_reply(0, names, ref[sl]))
+        keep = picks.draw(st.lists(st.integers(0, max(nrows - 1, 0)),
+                                   max_size=5)) if nrows else []
+        assert repr(list(block.take(keep))) == repr([ref[i] for i in keep])
+        # == is row-tuple equality against any sequence (so NaN rows
+        # differ from themselves, exactly as in a list of tuples).
+        finite = [(float(i), i, (1.5,) * ncols) for i in range(nrows)]
+        fblock = wire.unpack_query_reply(
+            ref_pack_query_reply(0, names, finite))[3]
+        assert fblock == finite and fblock == tuple(finite)
+        assert fblock == wire.RowBlock.of(ncols, fblock.raw)
+        assert fblock != finite + [(0.0, 0, (0.0,) * ncols)]
+        if nrows:
+            assert fblock != finite[:-1] and fblock != finite[::-1]
+
+    def test_of_rejects_a_partial_row(self):
+        size = wire.query_row_struct(2).size
+        assert len(wire.RowBlock.of(2, bytes(3 * size))) == 3
+        with pytest.raises(ReproError):
+            wire.RowBlock.of(2, bytes(3 * size - 1))
 
 
 class TestReplyDecoderRejectsMalformed:
@@ -134,6 +188,35 @@ class TestReplyDecoderRejectsMalformed:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024
+
+    @settings(max_examples=300, **SETTINGS)
+    @given(payload=st.one_of(
+        st.binary(max_size=96),
+        st.builds(lambda ncols, body: struct.pack("<iBI", 0, 0, ncols) + body,
+                  st.integers(0, 3), st.binary(max_size=96))))
+    def test_a_payload_is_rejected_up_front_or_never(self, payload):
+        # Validation is not deferred: whatever unpack_query_reply
+        # returns, every way of reading the block works and agrees with
+        # the eager reference.  (Bad UTF-8, short rows and the like
+        # raise here, from the call itself.)
+        try:
+            _status, _flags, names, block = wire.unpack_query_reply(payload)
+        except ReproError:
+            return
+        ref = ref_unpack_query_reply(payload)[3]
+        assert repr(list(block)) == repr(ref)
+        assert len(block) == len(ref)
+        assert block.comp_ids() == [r[1] for r in ref]
+        for c in range(len(names)):
+            assert repr(block.column(c)) == repr([r[2][c] for r in ref])
+        assert repr([block[i] for i in range(len(block))]) == repr(ref)
+
+    def test_bad_utf8_in_a_column_name_raises_from_unpack(self):
+        good = wire.pack_query_reply(wire.E_OK, ("ab",), [(1.0, 1, (2.0,))])
+        bad = good.replace(b"ab", b"\xff\xfe")
+        assert len(bad) == len(good)
+        with pytest.raises(ReproError):
+            wire.unpack_query_reply(bad)
 
 
 # -- differential: sorted hot window vs container scan ------------------------
@@ -190,15 +273,26 @@ class TestHotWindowAgainstScan:
                                     comp_id=comp_id, max_records=max_records)
                     rows, truncated = scan_answer(
                         path, float(t0), float(t1), comp_id, max_records)
-                    assert list(res.rows) == rows
+                    assert isinstance(res.rows, wire.RowBlock)
+                    assert res.rows == rows
                     assert res.truncated == truncated
+                    # Whatever path answered, the bytes served are the
+                    # reference pack of the scan's rows.
+                    assert (wire.pack_query_reply(
+                        res.status, res.names, res.rows, res.flags())
+                        == ref_pack_query_reply(
+                            wire.E_OK, NAMES, rows, res.flags()))
                     if res.source != "hot":
                         continue
                     hot_seen += 1
-                    assert len(res.encoded) == len(rows)
-                    assert (wire.pack_query_reply(
-                        res.status, res.names, res.rows, res.flags(),
-                        res.encoded) == ref_pack_query_reply(
-                            wire.E_OK, NAMES, rows, res.flags()))
+                    assert res.rows.raw == eng._scan(
+                        "mem", float(t0), float(t1), comp_id,
+                        max_records).rows.raw
+                # The window itself: sorted times beside one buffer of
+                # whole rows carrying exactly those timestamps.
+                hot = eng._hot["mem"]
+                assert hot.times == sorted(hot.times)
+                assert [r[0] for r in wire.RowBlock.of(
+                    len(NAMES), bytes(hot.buf))] == hot.times
             assert hot_seen  # the floor query alone guarantees one
             store.close()
