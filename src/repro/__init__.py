@@ -14,8 +14,8 @@ It provides:
   pipeline.
 * ``repro.plugins`` — sampler plugins (meminfo, procstat, lustre, gpcdr,
   ...) and store plugins (CSV, flat file, SOS).
-* ``repro.transport`` — transport plugins: real TCP sockets, in-process
-  loopback, and simulated RDMA (IB and Gemini/uGNI) for the simulator.
+* ``repro.transport`` — transport plugins: real TCP sockets, and
+  simulated sock / RDMA (IB and Gemini/uGNI) for the simulator.
 * ``repro.sim`` — a discrete-event simulation kernel used to run the same
   daemon code at cluster scale in simulated time.
 * ``repro.nodefs`` — a synthetic /proc + /sys tree driven by workload

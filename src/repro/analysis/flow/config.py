@@ -45,7 +45,6 @@ DEFAULT_TRANSPORT_MODULES = (
     "repro.transport.base",
     "repro.transport.sock",
     "repro.transport.simfabric",
-    "repro.transport.local",
     "repro.core.ldmsd",
     "repro.core.aggregator",
 )

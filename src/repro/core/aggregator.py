@@ -39,7 +39,23 @@ from repro.util.rngtools import stable_seed
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ldmsd import Ldmsd
 
-__all__ = ["ProducerConfig", "Producer", "UpdaterState", "SetState", "UpdateStats"]
+__all__ = ["ProducerConfig", "Producer", "UpdaterState", "SetState", "UpdateStats",
+           "backoff_delay"]
+
+
+def backoff_delay(label: str, name: str, attempts: int, base: float,
+                  cap: float) -> float:
+    """Delay before redial number ``attempts`` (0-based) of peer ``name``.
+
+    Capped exponential backoff with deterministic decorrelating jitter:
+    attempt ``n`` waits up to ``base * 2**n`` (capped at ``cap``), shaved
+    by up to 25% by a jitter derived from ``label``, the name and the
+    attempt number — stable across runs (DES determinism) yet different
+    across peers, so a mass disconnect does not retry in lockstep.
+    """
+    raw = min(base * (2.0 ** min(attempts, 20)), cap)
+    j = (stable_seed(label, name, attempts) % 1000) / 1000.0
+    return raw * (1.0 - 0.25 * j)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,6 +213,11 @@ class Producer:
         """Bind an incoming (advertised) connection to this producer."""
         if self.endpoint is not None and not self.endpoint.closed:
             self.endpoint.close()
+        self._bind(endpoint)
+
+    def _bind(self, endpoint: Endpoint) -> None:
+        """Make ``endpoint`` this producer's connection and start the
+        protocol on it (caller holds the daemon lock)."""
         self.endpoint = endpoint
         endpoint.obs = self.daemon.obs
         endpoint.on_message = self._on_message_locked
@@ -204,6 +225,7 @@ class Producer:
         self._start_timer()
         self._arm_freshness()
         if not self.updaters:
+            # Discover the target's sets first.
             endpoint.send(wire.encode_frame(wire.MsgType.DIR_REQ, 0))
         else:
             for name in self.updaters:
@@ -307,18 +329,7 @@ class Producer:
                 self._schedule_reconnect()
                 return
             self._reconnect_attempts = 0
-            self.endpoint = endpoint
-            endpoint.obs = self.daemon.obs
-            endpoint.on_message = self._on_message_locked
-            endpoint.on_close = self._on_close
-            self._start_timer()
-            self._arm_freshness()
-            if not self.updaters:
-                # Discover the target's sets first.
-                endpoint.send(wire.encode_frame(wire.MsgType.DIR_REQ, 0))
-            else:
-                for name in self.updaters:
-                    self._send_lookup(name)
+            self._bind(endpoint)
 
     def _on_close(self) -> None:
         with self.daemon.lock:
@@ -330,20 +341,10 @@ class Producer:
                 self._schedule_reconnect()
 
     def _reconnect_delay(self) -> float:
-        """Delay before the next connect attempt.
-
-        Capped exponential backoff with deterministic decorrelating
-        jitter: attempt ``n`` waits up to ``base * 2**n`` (capped at
-        ``reconnect_max``), shaved by up to 25% by a jitter derived from
-        the producer name and attempt number — stable across runs (DES
-        determinism) yet different across producers, so a mass
-        disconnect does not retry in lockstep.
-        """
+        """Delay before the next connect attempt (:func:`backoff_delay`)."""
         cfg = self.cfg
-        raw = min(cfg.reconnect_interval * (2.0 ** min(self._reconnect_attempts, 20)),
-                  cfg.reconnect_max)
-        j = (stable_seed("reconnect", cfg.name, self._reconnect_attempts) % 1000) / 1000.0
-        return raw * (1.0 - 0.25 * j)
+        return backoff_delay("reconnect", cfg.name, self._reconnect_attempts,
+                             cfg.reconnect_interval, cfg.reconnect_max)
 
     def _schedule_reconnect(self) -> None:
         if self.stopped or self._reconnect_handle is not None:
@@ -423,42 +424,47 @@ class Producer:
                 for name in [n for n in self.updaters if n not in listed]:
                     self._drop_updater(name)
         elif frame.msg_type == wire.MsgType.LOOKUP_REPLY:
-            # Decoded before the pending entry is consumed: a malformed
-            # reply leaves the lookup to its timeout and retry.
+            # Header and metadata chunk are both decoded before the
+            # pending entry is consumed: a malformed reply leaves the
+            # lookup to its timeout and retry.
             status, region_id, meta = wire.unpack_lookup_reply(frame.payload)
-            pending = self._pending_lookups.pop(frame.request_id, None)
+            pending = self._pending_lookups.get(frame.request_id)
             if pending is None:
                 return
             set_name, t_sent, span = pending
+            upd = self.updaters.get(set_name)
+            mirror = None
+            if upd is not None and status == wire.E_OK:
+                if upd.mirror is not None:
+                    self.daemon._unregister_mirror(upd.mirror)
+                    upd.mirror.delete()
+                    upd.mirror = None
+                try:
+                    mirror = MetricSet.from_meta(meta, self.daemon.arena,
+                                                 pool=self.daemon.set_pool)
+                except OutOfMemory:
+                    # The aggregator's metric-set memory (-m) is
+                    # exhausted; behave like ldmsd: the set cannot be
+                    # mirrored until memory frees up.
+                    pass
+                except ValueError as exc:
+                    raise WireError(f"LOOKUP_REPLY: {exc}") from None
+            del self._pending_lookups[frame.request_id]
             now = self.daemon.env.now()
             self._h_lookup_rtt.observe(now - t_sent)
             if span is not None:
                 self.daemon.spans.record(
                     span[0], span[1], 0, HOP_UPDATE, "lookup", t_sent, now)
-            upd = self.updaters.get(set_name)
             if upd is None:
                 return
-            if status != wire.E_OK:
-                # Set not there yet: retry lookup on the next update loop
-                # (paper Fig. 2: "keep performing lookup in the next
-                # update loop").
+            if mirror is None:
+                # Set not there yet, or no memory for it: retry lookup
+                # on the next update loop (paper Fig. 2: "keep
+                # performing lookup in the next update loop").
                 self.stats.lookups_failed += 1
                 upd.state = SetState.NEW
                 return
-            if upd.mirror is not None:
-                self.daemon._unregister_mirror(upd.mirror)
-                upd.mirror.delete()
-                upd.mirror = None
-            try:
-                upd.mirror = MetricSet.from_meta(meta, self.daemon.arena,
-                                                 pool=self.daemon.set_pool)
-            except OutOfMemory:
-                # The aggregator's metric-set memory (-m) is exhausted;
-                # behave like ldmsd: the set cannot be mirrored until
-                # memory frees up, so retry the lookup on later loops.
-                self.stats.lookups_failed += 1
-                upd.state = SetState.NEW
-                return
+            upd.mirror = mirror
             upd.region_id = region_id
             upd.state = SetState.READY
             upd.last_dgn = None
@@ -640,66 +646,13 @@ class Producer:
             tag="agg-update",
         )
 
-    #: Coalesced batches below this size peek per-set; the numpy
-    #: column views cost more than a few struct unpacks.
-    _VEC_MIN_PEEK = 4
-
-    def _peek_batch(self, batch, datas) -> list:
-        """Vectorized header peek over one coalesced completion batch.
-
-        On the columnar plane every fetched chunk in a coalesced reply
-        shares one layout, so MGN validation and the DGN/consistent
-        reads collapse into three strided column views over a single
-        (n, data_size) matrix — the aggregator-side half of the §IV-D
-        skip-on-stale fast path.  Returns one ``(dgn, consistent)`` per
-        batch slot, or None where the slot needs the scalar peek (short
-        batch, size/MGN mismatch, failed fetch) — the scalar path then
-        raises exactly what it always raised.
-        """
-        n = len(batch)
-        peeks: list = [None] * n
-        if self.daemon.set_pool is None or n < self._VEC_MIN_PEEK:
-            return peeks
-        size = None
-        idxs = []
-        for i, ((upd, _t, _tr), data) in enumerate(zip(batch, datas)):
-            mirror = upd.mirror
-            if mirror is None or data is None:
-                continue
-            if size is None:
-                size = mirror.data_size
-            if mirror.data_size != size or len(data) != size:
-                continue
-            idxs.append(i)
-        if len(idxs) < self._VEC_MIN_PEEK:
-            return peeks
-        import numpy as np
-
-        mat = np.frombuffer(
-            b"".join(datas[i] for i in idxs), dtype=np.uint8
-        ).reshape(len(idxs), size)
-        mgns = mat[:, 0:4].view("<u4")[:, 0]
-        dgns = mat[:, 4:12].view("<u8")[:, 0].tolist()
-        flags = mat[:, 12].tolist()
-        want = np.fromiter((batch[i][0].mirror.mgn for i in idxs),
-                           dtype=np.uint32, count=len(idxs))
-        ok = (mgns == want).tolist()
-        self.daemon._count_sweep(len(idxs))
-        for j, i in enumerate(idxs):
-            if ok[j]:
-                peeks[i] = (dgns[j], flags[j] == 1)
-        return peeks
-
     def _complete_update_multi(self, batch, datas) -> None:
-        if datas is None:
-            datas = [None] * len(batch)
-        peeks = self._peek_batch(batch, datas)
-        for (upd, t_issue, trace), data, peek in zip(batch, datas, peeks):
-            self._complete_update(upd, data, t_issue, trace, peek)
+        for (upd, t_issue, trace), data in zip(batch, datas):
+            self._complete_update(upd, data, t_issue, trace)
 
     def _complete_update(
         self, upd: UpdaterState, data: Optional[bytes], t_issue: float,
-        trace=None, peek: Optional[tuple[int, bool]] = None,
+        trace=None,
     ) -> None:
         with self.daemon.lock:
             tracer = self.daemon.tracer
@@ -724,10 +677,7 @@ class Producer:
             # are dropped before any data copy (paper §IV-A: neither
             # results in a write).
             try:
-                if peek is not None:
-                    dgn, consistent = peek
-                else:
-                    dgn, consistent = upd.mirror.peek_data_header(data)
+                dgn, consistent = upd.mirror.peek_data_header(data)
             except SchemaMismatch:
                 # Metadata changed on the producer; refresh it.
                 self.stats.schema_refreshes += 1

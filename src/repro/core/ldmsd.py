@@ -27,7 +27,7 @@ from functools import partial
 from typing import Any, NamedTuple, Optional
 
 from repro.core import sanitize, wire
-from repro.core.aggregator import Producer, ProducerConfig
+from repro.core.aggregator import Producer, ProducerConfig, backoff_delay
 from repro.core.env import Env, RealEnv, SimEnv, WorkerPool
 from repro.core.memory import Arena
 from repro.core.metric import MetricType
@@ -46,7 +46,6 @@ from repro.obs.spans import HOP_SAMPLE, HOP_STORE
 from repro.sim.resources import CpuCore
 from repro.transport.base import Endpoint, Listener, Transport
 from repro.util.errors import ConfigError, OutOfMemory, WireError
-from repro.util.rngtools import stable_seed
 from repro.util.units import parse_size
 
 __all__ = ["Ldmsd"]
@@ -77,9 +76,8 @@ QUERY_PER_ROW_COST = 0.2e-6
 _OBS_COUNTERS = (
     "arena.fallback_sets", "arena.rows_vectorized", "arena.sweeps",
     "sampler.samples", "serve.dir_req", "serve.lookup_req",
-    "serve.query_req", "serve.update_req", "set.create_failed",
-    "store.errors", "store.flush_rows_batched", "store.no_match",
-    "wire.malformed_frames")
+    "serve.query_req", "set.create_failed", "store.errors",
+    "store.flush_rows_batched", "store.no_match", "wire.malformed_frames")
 _OBS_HISTOGRAMS = (
     "pipeline.sample_to_store", "sample.duration", "serve.query",
     "store.flush", "store.flush_batch_rows")
@@ -336,11 +334,6 @@ class Ldmsd:
                     f"{self.name}/flush", self._flush_threads)
             return self._flush_pool
 
-    def _count_sweep(self, nrows: int) -> None:
-        """One vectorized sweep of ``nrows`` rows: per batch, so by name."""
-        self.obs.counter("arena.sweeps").inc()
-        self.obs.counter("arena.rows_vectorized").inc(nrows)
-
     # ------------------------------------------------------------------
     # set registry
     # ------------------------------------------------------------------
@@ -545,10 +538,6 @@ class Ldmsd:
         endpoint.on_traced_read = self._on_traced_read
         self.flight.record(self.env.now(), "conn", "peer_connect",
                            len(self._served_endpoints))
-        if self.set_pool is not None:
-            # Columnar serve path: coalesced reads gather every
-            # same-layout region with one tobytes() sweep.
-            endpoint.set_multi_reader(self._read_regions)
         # Prune on close, or served endpoints accumulate forever on a
         # long-lived daemon whose peers churn.
         endpoint.on_close = served.on_close
@@ -645,22 +634,6 @@ class Ldmsd:
             endpoint.send(
                 wire.encode_frame(wire.MsgType.LOOKUP_REPLY, frame.request_id, reply)
             )
-        elif frame.msg_type == wire.MsgType.UPDATE_REQ:
-            # Message-based pull path (kept for completeness; the
-            # aggregator normally uses one-sided reads).
-            self.obs.counter("serve.update_req").inc()
-            region_id = wire.unpack_update_req(frame.payload)
-            name = next(
-                (n for n, r in self._region_ids.items() if r == region_id), None
-            )
-            mset = self._sets.get(name) if name is not None else None
-            if mset is None:
-                reply = wire.pack_update_reply(wire.E_NOENT)
-            else:
-                reply = wire.pack_update_reply(wire.E_OK, mset.data_bytes())
-            endpoint.send(
-                wire.encode_frame(wire.MsgType.UPDATE_REPLY, frame.request_id, reply)
-            )
         elif frame.msg_type == wire.MsgType.QUERY_REQ:
             self._serve_query(endpoint, frame)
 
@@ -751,54 +724,11 @@ class Ldmsd:
             self._next_region += 1
             self._region_ids[set_name] = rid
             # Append-only reverse map: an endpoint's registered reader
-            # survives set deletion (it reads by name), so the
-            # batch reader must keep resolving old region ids the same
-            # way for as long as the daemon lives.
+            # survives set deletion (it reads by name), so a traced read
+            # must keep resolving old region ids the same way for as
+            # long as the daemon lives.
             self._region_names[rid] = set_name
         return rid
-
-    def _read_regions(self, region_ids, registered) -> list:
-        """Batch serve: serialize coalesced-read regions in one sweep.
-
-        Same-schema sets on this daemon are rows of one columnar block,
-        so the reply frames of an ``rdma_read_multi`` gather as a single
-        fancy-index + ``tobytes()`` over the block instead of one
-        ``bytes(view)`` copy per set.  Output is byte-identical to
-        calling each region's registered reader: regions not registered
-        on this endpoint come back None, deleted sets come back ``b""``.
-        """
-        out: list = [None] * len(region_ids)
-        names = self._region_names
-        sets = self._sets
-        groups: dict = {}
-        for i, rid in enumerate(region_ids):
-            if rid not in registered:
-                continue
-            mset = sets.get(names.get(rid))
-            if mset is None:
-                out[i] = b""
-                continue
-            ab = mset._ab
-            if ab is None:
-                out[i] = mset.data_bytes()
-                continue
-            if mset._shadow is not None:
-                sanitize.check(mset, "data_bytes")
-            entry = groups.get(ab)
-            if entry is None:
-                entry = groups[ab] = ([], [])
-            entry[0].append(i)
-            entry[1].append(mset._arow)
-        for ab, (idxs, arows) in groups.items():
-            if len(idxs) == 1:
-                out[idxs[0]] = ab.block[arows[0]].tobytes()
-                continue
-            blob = ab.block[arows].tobytes()
-            size = ab.data_size
-            for j, i in enumerate(idxs):
-                out[i] = blob[j * size:(j + 1) * size]
-            self._count_sweep(len(idxs))
-        return out
 
     # ------------------------------------------------------------------
     # aggregator side
@@ -877,14 +807,10 @@ class Ldmsd:
             self._advertisements[adv_name] = state
 
         def retry() -> None:
-            # Same backoff shape as Producer._reconnect_delay, keyed to
-            # the advertised name so a fleet of samplers that lost one
-            # aggregator does not redial in lockstep.
-            raw = min(reconnect_interval * (2.0 ** min(state["attempts"], 20)),
-                      reconnect_max)
-            j = (stable_seed("advertise", adv_name, state["attempts"]) % 1000) / 1000.0
+            delay = backoff_delay("advertise", adv_name, state["attempts"],
+                                  reconnect_interval, reconnect_max)
             state["attempts"] += 1
-            self.env.call_later(raw * (1.0 - 0.25 * j), schedule)
+            self.env.call_later(delay, schedule)
 
         def on_closed(endpoint: Endpoint) -> None:
             with self.lock:
@@ -1148,7 +1074,9 @@ class Ldmsd:
                 ).reshape(len(idxs), len(first.data))
                 vals = (mat[:, cs.first_offset:cs.first_offset + width]
                         .view(dtype).tolist())
-                self._count_sweep(len(idxs))
+                # One vectorized sweep: per batch, so looked up by name.
+                self.obs.counter("arena.sweeps").inc()
+                self.obs.counter("arena.rows_vectorized").inc(len(idxs))
                 for j, i in enumerate(idxs):
                     sr = rows[i][0]
                     m = sr.mirror

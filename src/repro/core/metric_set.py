@@ -206,9 +206,13 @@ def _layout_for(
                   for nb in wire_names)
     if "" in names:
         raise ValueError("metric name must be non-empty")
-    for tag in tags:
-        if tag not in TYPE_BY_TAG:
+    for tag, off in zip(tags, offsets):
+        mtype = TYPE_BY_TAG.get(tag)
+        if mtype is None:
             raise ValueError(f"{tag} is not a valid MetricType")
+        if off + mtype.size > data_size:
+            raise ValueError(
+                f"descriptor at offset {off} runs past the {data_size}-byte data chunk")
     index = {n: i for i, n in enumerate(names)}
     if len(index) != len(names):
         raise ValueError(f"duplicate metric names in set {set_name!r}")

@@ -7,9 +7,10 @@ The protocol has three operations an aggregator performs against a peer
 * **LOOKUP** — fetch a set's metadata chunk once; the reply also carries
   a *region id* under which the peer has registered the set's data
   chunk for direct fetch.
-* **UPDATE** — fetch the current data chunk.  Over RDMA transports this
-  is a one-sided read of the registered region (no peer CPU); over the
-  socket transport the peer's protocol handler services it.
+* **UPDATE** — fetch the current data chunk: a one-sided read of the
+  registered region (``Endpoint.rdma_read`` / ``rdma_read_multi``).
+  RDMA transports serve it with no peer CPU; the socket transport
+  emulates it with the transport-internal ``RDMA_READ*`` frames.
 
 Frames are length-prefixed little-endian:
 
@@ -49,17 +50,12 @@ __all__ = [
     "Frame",
     "encode_frame",
     "FrameDecoder",
-    "pack_dir_req",
     "unpack_dir_reply",
     "pack_dir_reply",
     "pack_lookup_req",
     "unpack_lookup_req",
     "pack_lookup_reply",
     "unpack_lookup_reply",
-    "pack_update_req",
-    "unpack_update_req",
-    "pack_update_reply",
-    "unpack_update_reply",
     "pack_read_multi_req",
     "unpack_read_multi_req",
     "pack_read_multi_reply",
@@ -109,8 +105,11 @@ class MsgType:
     DIR_REPLY = 2
     LOOKUP_REQ = 3
     LOOKUP_REPLY = 4
-    UPDATE_REQ = 5
-    UPDATE_REPLY = 6
+    # 5/6 are reserved: no codec, no sender (an update is a one-sided
+    # read).  The names stay so no later message reuses the numbers; the
+    # ledger's frame microbench stamps its frames with UPDATE_REPLY.
+    UPDATE_REQ = 5  # reprolint: ignore[flow-msgtype-coverage] -- reserved number, no codec by design
+    UPDATE_REPLY = 6  # reprolint: ignore[flow-msgtype-coverage] -- reserved number, no codec by design
     RDMA_READ_REQ = 7  # transport-internal: sock emulation of a read
     RDMA_READ_REPLY = 8
     ADVERTISE = 9  # passive mode: a sampler announces itself to an
@@ -266,10 +265,6 @@ _SETINFO_FMT = "<III128s64s"
 _SETINFO_SIZE = struct.calcsize(_SETINFO_FMT)
 
 
-def pack_dir_req() -> bytes:
-    return b""
-
-
 def pack_dir_reply(infos: list[SetInfo]) -> bytes:
     out = [struct.pack("<I", len(infos))]
     for i in infos:
@@ -336,8 +331,7 @@ def unpack_lookup_reply(payload: bytes) -> tuple[int, int, bytes]:
 
 
 # ---------------------------------------------------------------------------
-# UPDATE (socket-transport path; RDMA transports bypass this and read the
-# registered region directly)
+# ADVERTISE
 # ---------------------------------------------------------------------------
 
 
@@ -351,26 +345,6 @@ def unpack_advertise(payload: bytes) -> str:
     (n,) = struct.unpack_from("<H", payload, 0)
     _need("ADVERTISE", payload, 2 + n)
     return _text("ADVERTISE", payload[2 : 2 + n])
-
-
-def pack_update_req(region_id: int) -> bytes:
-    return struct.pack("<Q", region_id)
-
-
-def unpack_update_req(payload: bytes) -> int:
-    _need("UPDATE_REQ", payload, 8)
-    return struct.unpack_from("<Q", payload, 0)[0]
-
-
-def pack_update_reply(status: int, data: bytes = b"") -> bytes:
-    return struct.pack("<iI", status, len(data)) + data
-
-
-def unpack_update_reply(payload: bytes) -> tuple[int, bytes]:
-    _need("UPDATE_REPLY", payload, 8)
-    status, dlen = struct.unpack_from("<iI", payload, 0)
-    _need("UPDATE_REPLY", payload, 8 + dlen)
-    return status, payload[8 : 8 + dlen]
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ class FaultInjector:
                 for b in group_b:
                     faults.unblock(a, b)
         elif ev.kind == "drop_frames":
-            faults.add_filter(self._make_drop_filter(ev, faults))
+            faults.add_filter(self._make_frame_eater(ev, faults))
         elif ev.kind == "store_fail":
             name = ev.target[0]
             self._count_on(name)
@@ -164,7 +164,7 @@ class FaultInjector:
                     store.fail_writes = False
 
     @staticmethod
-    def _make_drop_filter(ev: FaultEvent, faults):
+    def _make_frame_eater(ev: FaultEvent, faults):
         """Filter eating the next ``ev.count`` matching frames on the
         directed link ``ev.target``; retires itself when spent."""
         want_src, want_dst = ev.target

@@ -4,8 +4,6 @@ LDMS supports multiple interconnect types behind one plugin interface
 (paper §IV-B): TCP sockets (``sock``), Infiniband/iWARP RDMA (``rdma``),
 and Gemini RDMA (``ugni``).  This package provides:
 
-* ``local`` — in-process loopback (zero copy, for tests and single-node
-  compositions).
 * ``sock`` — a real TCP implementation usable across processes/hosts.
 * ``sim.*`` — simulated transports for the DES: ``simsock``, ``rdma``
   and ``ugni`` profiles differing in latency, per-byte cost, target-CPU
@@ -23,7 +21,6 @@ from repro.transport.base import (
     get_transport_profile,
     PROFILES,
 )
-from repro.transport.local import LocalTransport
 from repro.transport.sock import SockTransport
 from repro.transport.simfabric import SimFabric, SimTransport
 
@@ -36,7 +33,6 @@ __all__ = [
     "register_transport",
     "get_transport_profile",
     "PROFILES",
-    "LocalTransport",
     "SockTransport",
     "SimFabric",
     "SimTransport",

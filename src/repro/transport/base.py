@@ -38,7 +38,7 @@ class TransportProfile:
     """Cost/capacity model of a transport type.
 
     The numbers matter only for the simulated fabric; the real ``sock``
-    and ``local`` transports have whatever cost the machine gives them.
+    transport has whatever cost the machine gives it.
     Values are calibrated in DESIGN.md §"Numbers we calibrate".
 
     Attributes
@@ -109,16 +109,6 @@ PROFILES: dict[str, TransportProfile] = {
         initiator_cpu_per_read=10e-6,
         max_connections=16_384,  # >15,000:1 (paper §IV-A)
     ),
-    "local": TransportProfile(
-        name="local",
-        connect_latency=0.0,
-        base_latency=0.0,
-        per_byte=0.0,
-        target_cpu_per_read=0.0,
-        target_cpu_per_byte=0.0,
-        initiator_cpu_per_read=0.0,
-        max_connections=1 << 20,
-    ),
 }
 
 
@@ -147,12 +137,6 @@ class Endpoint:
     def __init__(self) -> None:
         self.on_message: Optional[Callable[[bytes], None]] = None
         self.on_close: Optional[Callable[[], None]] = None
-        #: Receiver-side fault hook: when set, each inbound frame is
-        #: offered to the filter before delivery and silently discarded
-        #: if it returns True — a transport-agnostic injection point
-        #: (the simulated fabric additionally models link-level faults).
-        self.drop_filter: Optional[Callable[[bytes], bool]] = None
-        self.frames_dropped = 0
         self.bytes_sent = 0
         self.bytes_received = 0
         self.rdma_bytes_read = 0
@@ -184,12 +168,6 @@ class Endpoint:
         self._peer_clock: Optional[tuple[float, float]] = None
         #: region_id -> zero-argument callable returning the region bytes
         self._regions: dict[int, Callable[[], bytes]] = {}
-        #: Optional batch reader installed by the serving daemon
-        #: (``fn(region_ids, registered) -> list[bytes | None]``).  When
-        #: present, coalesced reads serialize every requested region in
-        #: one call — the columnar plane gathers same-layout rows with a
-        #: single ``tobytes()`` — instead of one reader() per region.
-        self._multi_reader = None
 
     @property
     def obs(self):
@@ -264,23 +242,10 @@ class Endpoint:
     def unregister_region(self, region_id: int) -> None:
         self._regions.pop(region_id, None)
 
-    def set_multi_reader(self, fn) -> None:
-        """Install a serve-side batch reader for coalesced reads.
-
-        ``fn(region_ids, registered)`` must return one ``bytes | None``
-        per requested region, in request order, byte-identical to
-        calling each registered reader — it exists purely so the daemon
-        can serialize many same-layout regions in one vectorized sweep.
-        Regions absent from ``registered`` must come back ``None``,
-        preserving per-endpoint region visibility.
-        """
-        self._multi_reader = fn
-
     def read_regions(self, region_ids) -> list:
-        """Serve-side materialization of a coalesced read request."""
-        multi = self._multi_reader
-        if multi is not None:
-            return multi(region_ids, self._regions)
+        """Serve-side materialization of a coalesced read request: one
+        entry per region in request order, ``None`` where the region is
+        not registered on this endpoint."""
         regions = self._regions
         out = []
         for rid in region_ids:
@@ -314,48 +279,18 @@ class Endpoint:
         """Fetch several registered regions in one logical operation.
 
         ``on_complete`` receives one entry per requested region, in
-        request order (``None`` per region that is gone / failed).  The
-        base implementation gathers N independent :meth:`rdma_read`
-        completions; transports with a native batch override this to
-        amortise framing and wire hops over the whole batch (§IV-D
-        update coalescing).  ``trace`` entries are routed to the single
-        read matching their region index.
+        request order (``None`` per region that is gone / failed).  One
+        request and one reply amortise framing and wire hops over the
+        whole batch (§IV-D update coalescing).  ``trace`` entries carry
+        the index of the region they belong to.
         """
-        n = len(region_ids)
-        if n == 0:
-            on_complete([])
-            return
-        by_idx = None
-        if trace is not None:
-            by_idx = {}
-            for entry in trace:
-                by_idx.setdefault(entry[0], []).append(entry)
-        results: list[Optional[bytes]] = [None] * n
-        remaining = [n]
-
-        def _gather(i: int):
-            def cb(data: Optional[bytes]) -> None:
-                results[i] = data
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    on_complete(results)
-
-            return cb
-
-        for i, rid in enumerate(region_ids):
-            ctx = tuple(by_idx[i]) if by_idx is not None and i in by_idx else None
-            self.rdma_read(rid, _gather(i), trace=ctx)
+        raise NotImplementedError
 
     def close(self) -> None:
         raise NotImplementedError
 
     # -- plumbing ----------------------------------------------------------
     def _deliver(self, frame: bytes) -> None:
-        if self.drop_filter is not None and self.drop_filter(frame):
-            # Dropped before delivery: the frame vanished on the wire,
-            # so receive-side accounting never sees it.
-            self.frames_dropped += 1
-            return
         self.bytes_received += len(frame)
         self._inc_frames_rx()
         self._inc_bytes_rx(len(frame))

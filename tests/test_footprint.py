@@ -33,9 +33,8 @@ SLOPE_BUDGET = 17_000
 IDLE_COUNTERS = [
     "arena.fallback_sets", "arena.rows_vectorized", "arena.sweeps",
     "sampler.samples", "serve.dir_req", "serve.lookup_req",
-    "serve.query_req", "serve.update_req", "set.create_failed",
-    "store.errors", "store.flush_rows_batched", "store.no_match",
-    "wire.malformed_frames",
+    "serve.query_req", "set.create_failed", "store.errors",
+    "store.flush_rows_batched", "store.no_match", "wire.malformed_frames",
 ]
 IDLE_HISTOGRAMS = [
     "pipeline.sample_to_store", "sample.duration", "serve.query",

@@ -481,8 +481,9 @@ class TestOnePass:
 
 class TestSelfHost:
     def test_shipped_tree_is_clean(self, monkeypatch):
-        """`repro-lint src/` exits 0 on the repo: no errors, no warnings
-        and not one suppression, per-file and whole-program rules alike."""
+        """`repro-lint src/` exits 0 on the repo: no errors, no warnings,
+        per-file and whole-program rules alike, and two suppressions —
+        the reserved wire numbers 5/6, each with its reason."""
         monkeypatch.chdir(REPO_ROOT)
         cfg = LintConfig.from_pyproject("pyproject.toml")
         engine = Engine(cfg)
@@ -491,7 +492,10 @@ class TestSelfHost:
         report = engine.lint_paths(["src"])
         assert len(report.files) > 100, "no files linted — wrong repo root?"
         assert [v.format() for v in report.violations] == []
-        assert report.suppressed == []
+        assert {(v.rule, v.message.split()[0], bool(v.justification))
+                for v in report.suppressed} == {
+            ("flow-msgtype-coverage", "MsgType.UPDATE_REQ", True),
+            ("flow-msgtype-coverage", "MsgType.UPDATE_REPLY", True)}
         assert report.exit_code == 0
 
 

@@ -1,11 +1,11 @@
 """Determinism and mechanics of the columnar set-arena data plane.
 
-The arena is a pure performance mechanism: cohort sweeps, staged flush
-materialization, and serve-side gathers must produce byte-for-byte the
-same stored output as the scalar reference (``SimEnv(eng,
-arena=False)``), with and without the runtime sanitizer — and the
-cohort's single sweep event must slot into the engine's equal-time FIFO
-exactly where the per-member timers fire.
+The arena is a pure performance mechanism: cohort sweeps and staged
+flush materialization must produce byte-for-byte the same stored output
+as the scalar reference (``SimEnv(eng, arena=False)``), with and
+without the runtime sanitizer — and the cohort's single sweep event
+must slot into the engine's equal-time FIFO exactly where the
+per-member timers fire.
 """
 
 import os
@@ -27,18 +27,22 @@ def _read_csv_dir(path: str) -> bytes:
     return b"".join(blobs)
 
 
-def _fanin_world(arena: bool, csv_path: str, n: int = 16):
-    """A small sock fan-in with the arena explicitly on or off."""
+def _fanin_world(arena: bool, csv_path: str, n: int = 16, per: int = 1):
+    """A small sock fan-in with the arena explicitly on or off: ``n``
+    sampler daemons of ``per`` same-layout sets each (``per > 1`` makes
+    the aggregator's fetch a coalesced read)."""
     eng = Engine()
     env = SimEnv(eng, arena=arena)
     fabric = SimFabric(eng)
     samplers = []
+    sets = [[f"n{i}/syn{k or ''}" for k in range(per)] for i in range(n)]
     for i in range(n):
         x = SimTransport(fabric, "sock", node_id=i)
         d = Ldmsd(f"n{i}", env=env, transports={"sock": x}, mem="8kB")
-        d.load_sampler("synthetic", instance=f"n{i}/syn", component_id=i + 1,
-                       num_metrics=4)
-        d.start_sampler(f"n{i}/syn", interval=1.0)
+        for inst in sets[i]:
+            d.load_sampler("synthetic", instance=inst, component_id=i + 1,
+                           num_metrics=4)
+            d.start_sampler(inst, interval=1.0)
         d.listen("sock", f"n{i}:411")
         samplers.append(d)
     agg = Ldmsd("agg", env=env,
@@ -47,42 +51,44 @@ def _fanin_world(arena: bool, csv_path: str, n: int = 16):
     store = agg.add_store("store_csv", path=csv_path)
     for i in range(n):
         agg.add_producer(f"n{i}", "sock", f"n{i}:411", interval=1.0,
-                         sets=(f"n{i}/syn",))
+                         sets=tuple(sets[i]))
     return eng, env, samplers, agg, store
+
+
+def _assert_arena_transparent(tmp_path) -> None:
+    """CSV bytes equal arena on vs off, for both fetch routes: 16
+    one-set producers (single reads) and one producer holding eight
+    same-layout sets (coalesced read)."""
+    for n, per in ((16, 1), (1, 8)):
+        outputs = {}
+        for arena in (True, False):
+            path = tmp_path / f"{n}x{per}_{arena}"
+            path.mkdir()
+            eng, _, _, agg, store = _fanin_world(arena, str(path), n, per)
+            eng.run(until=10.0)
+            store.close()
+            coalesced = sum(p.stats.updates_coalesced
+                            for p in agg.producers.values())
+            assert (coalesced > 0) == (per > 1)
+            outputs[arena] = _read_csv_dir(str(path))
+        assert outputs[True] == outputs[False]
+        assert outputs[True]  # non-empty: rows actually flushed
 
 
 class TestArenaTransparency:
     """Acceptance: arena on/off runs are byte-identical."""
 
     def test_fanin_csv_identical_arena_on_and_off(self, tmp_path):
-        outputs = {}
-        for arena in (True, False):
-            path = tmp_path / f"arena_{arena}"
-            path.mkdir()
-            eng, _, _, _, store = _fanin_world(arena, str(path))
-            eng.run(until=10.0)
-            store.close()
-            outputs[arena] = _read_csv_dir(str(path))
-        assert outputs[True] == outputs[False]
-        assert outputs[True]  # non-empty: rows actually flushed
+        _assert_arena_transparent(tmp_path)
 
     def test_fanin_csv_identical_under_sanitizer(self, tmp_path):
         """Cohort commits keep the shadow CRC discipline: same bytes,
         zero violations, with REPRO_SANITIZE=1."""
         prev = sanitize.configure("raise")
         try:
-            outputs = {}
-            for arena in (True, False):
-                path = tmp_path / f"san_{arena}"
-                path.mkdir()
-                eng, _, _, _, store = _fanin_world(arena, str(path))
-                eng.run(until=10.0)
-                store.close()
-                outputs[arena] = _read_csv_dir(str(path))
+            _assert_arena_transparent(tmp_path)
         finally:
             sanitize.configure(prev)
-        assert outputs[True] == outputs[False]
-        assert outputs[True]
 
     def test_logical_event_count_invariant(self, tmp_path):
         """processed + vectorized is the arena-invariant logical event

@@ -1,4 +1,4 @@
-"""Tests for the transport layer: local, real TCP, simulated fabric."""
+"""Tests for the transport layer: real TCP, simulated fabric."""
 
 import threading
 
@@ -8,7 +8,6 @@ from repro.core import wire
 from repro.sim.engine import Engine
 from repro.sim.resources import CpuCore
 from repro.transport import (
-    LocalTransport,
     PROFILES,
     SimFabric,
     SimTransport,
@@ -24,7 +23,7 @@ def frame(payload=b"x"):
 
 class TestProfiles:
     def test_known_transports(self):
-        assert set(PROFILES) >= {"sock", "rdma", "ugni", "local"}
+        assert set(PROFILES) >= {"sock", "rdma", "ugni"}
 
     def test_rdma_zero_target_cpu(self):
         assert get_transport_profile("rdma").target_cpu_per_read == 0.0
@@ -39,81 +38,6 @@ class TestProfiles:
     def test_unknown_transport(self):
         with pytest.raises(ConfigError):
             get_transport_profile("carrier-pigeon")
-
-
-class TestLocalTransport:
-    def test_connect_and_send(self):
-        x = LocalTransport()
-        got = []
-        server_eps = []
-        x.listen("a", lambda ep: server_eps.append(ep))
-        client = {}
-        x.connect("a", lambda ep: client.update(ep=ep))
-        server_eps[0].on_message = got.append
-        client["ep"].send(frame(b"hello"))
-        assert len(got) == 1
-        assert wire.decode_frame(got[0]).payload == b"hello"
-
-    def test_connect_unknown_address(self):
-        x = LocalTransport()
-        result = {}
-        x.connect("missing", lambda ep: result.update(ep=ep))
-        assert result["ep"] is None
-
-    def test_duplicate_listen_rejected(self):
-        x = LocalTransport()
-        x.listen("a", lambda ep: None)
-        with pytest.raises(TransportError):
-            x.listen("a", lambda ep: None)
-
-    def test_listener_close_frees_address(self):
-        x = LocalTransport()
-        lst = x.listen("a", lambda ep: None)
-        lst.close()
-        x.listen("a", lambda ep: None)  # no error
-
-    def test_rdma_read_roundtrip(self):
-        x = LocalTransport()
-        eps = []
-        x.listen("a", eps.append)
-        client = {}
-        x.connect("a", lambda ep: client.update(ep=ep))
-        eps[0].register_region(7, lambda: b"region-bytes")
-        out = []
-        client["ep"].rdma_read(7, out.append)
-        assert out == [b"region-bytes"]
-
-    def test_rdma_read_missing_region(self):
-        x = LocalTransport()
-        eps = []
-        x.listen("a", eps.append)
-        client = {}
-        x.connect("a", lambda ep: client.update(ep=ep))
-        out = []
-        client["ep"].rdma_read(99, out.append)
-        assert out == [None]
-
-    def test_close_notifies_peer(self):
-        x = LocalTransport()
-        eps = []
-        x.listen("a", eps.append)
-        client = {}
-        x.connect("a", lambda ep: client.update(ep=ep))
-        closed = []
-        eps[0].on_close = lambda: closed.append(True)
-        client["ep"].close()
-        assert closed == [True]
-        with pytest.raises(TransportError):
-            client["ep"].send(frame())
-
-    def test_duplicate_region_rejected(self):
-        x = LocalTransport()
-        eps = []
-        x.listen("a", eps.append)
-        x.connect("a", lambda ep: None)
-        eps[0].register_region(1, lambda: b"")
-        with pytest.raises(TransportError):
-            eps[0].register_region(1, lambda: b"")
 
 
 class TestSockTransport:
@@ -227,6 +151,64 @@ class TestSimFabric:
         eng = Engine()
         fabric = SimFabric(eng)
         return eng, fabric
+
+    def _pair(self, eng, fabric):
+        """An established connection: (server endpoint, client endpoint)."""
+        eps = []
+        SimTransport(fabric, "rdma", node_id="s").listen("s:1", eps.append)
+        cl = {}
+        SimTransport(fabric, "rdma", node_id="c").connect(
+            "s:1", lambda ep: cl.update(ep=ep))
+        eng.run()
+        return eps[0], cl["ep"]
+
+    def test_connect_unknown_address(self):
+        eng, fabric = self._world()
+        result = {}
+        SimTransport(fabric, "rdma", node_id="c").connect(
+            "missing:1", lambda ep: result.update(ep=ep))
+        eng.run()
+        assert result["ep"] is None
+
+    def test_duplicate_listen_rejected(self):
+        _eng, fabric = self._world()
+        SimTransport(fabric, "rdma", node_id="s").listen("s:1", lambda ep: None)
+        with pytest.raises(TransportError):
+            SimTransport(fabric, "rdma", node_id="t").listen(
+                "s:1", lambda ep: None)
+
+    def test_listener_close_frees_address(self):
+        _eng, fabric = self._world()
+        x = SimTransport(fabric, "rdma", node_id="s")
+        x.listen("s:1", lambda ep: None).close()
+        x.listen("s:1", lambda ep: None)  # no error
+
+    def test_rdma_read_missing_region(self):
+        eng, fabric = self._world()
+        _server, client = self._pair(eng, fabric)
+        out = []
+        client.rdma_read(99, out.append)
+        client.rdma_read_multi([98, 99], out.append)
+        eng.run()
+        assert out == [None, [None, None]]
+
+    def test_close_notifies_peer(self):
+        eng, fabric = self._world()
+        server, client = self._pair(eng, fabric)
+        closed = []
+        server.on_close = lambda: closed.append(True)
+        client.close()
+        eng.run()
+        assert closed == [True]
+        with pytest.raises(TransportError):
+            client.send(frame())
+
+    def test_duplicate_region_rejected(self):
+        eng, fabric = self._world()
+        server, _client = self._pair(eng, fabric)
+        server.register_region(1, lambda: b"")
+        with pytest.raises(TransportError):
+            server.register_region(1, lambda: b"")
 
     def test_message_latency(self):
         eng, fabric = self._world()

@@ -98,15 +98,3 @@ class TestLookupCodec:
         )
         assert status == wire.E_NOENT
         assert meta == b""
-
-
-class TestUpdateCodec:
-    def test_req_roundtrip(self):
-        assert wire.unpack_update_req(wire.pack_update_req(1234)) == 1234
-
-    def test_reply_roundtrip(self):
-        status, data = wire.unpack_update_reply(
-            wire.pack_update_reply(wire.E_OK, b"\x00\x01\x02")
-        )
-        assert status == wire.E_OK
-        assert data == b"\x00\x01\x02"

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.plugins  # noqa: F401
-from repro.core import Ldmsd, SimEnv, wire
+from repro.core import Ldmsd, SimEnv, metric_set, wire
+from repro.core.metric import MetricDesc
 from repro.core.metric_set import SetInfo
 from repro.sim.engine import Engine
 from repro.transport.simfabric import SimFabric, SimTransport
@@ -39,9 +40,6 @@ VALID = {
     wire.unpack_lookup_reply: [wire.pack_lookup_reply(wire.E_NOENT),
                                wire.pack_lookup_reply(0, 9, b"m" * 40)],
     wire.unpack_advertise: [wire.pack_advertise("node-7")],
-    wire.unpack_update_req: [wire.pack_update_req(2**63)],
-    wire.unpack_update_reply: [wire.pack_update_reply(wire.E_NOENT),
-                               wire.pack_update_reply(0, b"d" * 33)],
     wire.unpack_read_multi_req: [wire.pack_read_multi_req([]),
                                  wire.pack_read_multi_req([1, 2**64 - 1, 3])],
     wire.unpack_read_multi_reply: [
@@ -86,8 +84,6 @@ class TestDecodersValidateUpFront:
              wire.pack_dir_reply(INFOS[:1]).replace(b"meminfo", b"\xff" * 7)),
             (wire.unpack_lookup_reply,          # mlen past the end
              struct.pack("<iQI", 0, 1, 100) + b"short"),
-            (wire.unpack_update_reply,          # dlen past the end
-             struct.pack("<iI", 0, 100) + b"short"),
             (wire.unpack_read_multi_reply,      # second part's dlen too
              struct.pack("<I", 2) + struct.pack("<iI", 0, 2) + b"ok"
              + struct.pack("<iI", 0, 9) + b"short"),
@@ -178,7 +174,6 @@ class TestHandlersDropAndCount:
             wire.encode_frame(T.LOOKUP_REQ, 1, b"\x05"),
             wire.encode_frame(T.LOOKUP_REQ, 2, struct.pack("<H", 2) + b"\xff\xfe"),
             wire.encode_frame(T.ADVERTISE, 3, b""),
-            wire.encode_frame(T.UPDATE_REQ, 4, b"\0\0\0"),
             struct.pack("<IBQ", 10, T.LOOKUP_REQ | wire.TRACE_FLAG, 5) + b"\x09",
             b"\x00",
         ]
@@ -214,24 +209,60 @@ class TestHandlersDropAndCount:
         agg.shutdown()
         node.shutdown()
 
+    @staticmethod
+    def _garbled_metas(meta: bytes) -> dict[str, bytes]:
+        """One hostile metadata chunk per ``from_meta`` / first-sight
+        layout check, each a small patch of a valid chunk."""
+        hdr, dsz = metric_set._META_HDR_SIZE, MetricDesc.WIRE_SIZE
+        data_size, card = struct.unpack_from("<II", meta, 8)
+        tag_at = hdr + 64 + 8
+
+        def patch(at: int, raw: bytes) -> bytes:
+            return meta[:at] + raw + meta[at + len(raw):]
+
+        return {
+            "truncated chunk": b"x" * 10,
+            "bad magic": patch(0, b"XXXX"),
+            "size mismatch": meta + b"\0",
+            "truncated descriptors": patch(12, struct.pack("<I", card + 1)),
+            "name not UTF-8": patch(hdr, b"\xff\xfe"),
+            "unknown type tag": patch(tag_at, b"\xee"),
+            "empty name": patch(hdr, bytes(64)),
+            "duplicate names": patch(hdr + dsz, meta[hdr:hdr + 64]),
+            "descriptor past data_size": patch(
+                tag_at + 1, struct.pack("<I", data_size - 1)),
+        }
+
     def test_malformed_lookup_reply_leaves_the_lookup_to_time_out(self):
-        # The reply is validated before its pending entry is consumed:
-        # a garbled answer must not strand the set in LOOKUP_PENDING
-        # with nothing left to expire.
-        eng, _fabric, node, agg, store = self._world()
-        prod = agg.add_producer("n0", "sock", "n0:411", interval=1.0,
-                                sets=("n0/syn",))
-        eng.run(until=0.5)
-        prod._send_lookup("n0/syn")
-        (rid,) = prod._pending_lookups
-        prod._on_message_locked(wire.encode_frame(
-            wire.MsgType.LOOKUP_REPLY, rid, b"\0\0"))
-        assert rid in prod._pending_lookups
-        assert malformed(agg) == 1
-        eng.run(until=6.0)
-        assert len(store.rows) >= 3
+        # The reply — header and metadata chunk — is validated before
+        # its pending entry is consumed: a garbled answer must not
+        # escape the handler, nor strand the set in LOOKUP_PENDING with
+        # nothing left to expire.
+        _eng, _fabric, node, agg, _store = self._world()
+        meta = node.get_set("n0/syn").meta_bytes()
         agg.shutdown()
         node.shutdown()
+        payloads = {"short header": b"\0\0"}
+        for why, bad in self._garbled_metas(meta).items():
+            payloads[why] = wire.pack_lookup_reply(wire.E_OK, 1, bad)
+        for why, payload in payloads.items():
+            eng, _fabric, node, agg, store = self._world()
+            prod = agg.add_producer("n0", "sock", "n0:411", interval=1.0,
+                                    sets=("n0/syn",))
+            eng.run(until=0.5)
+            prod._send_lookup("n0/syn")
+            (rid,) = prod._pending_lookups
+            layouts = set(metric_set._LAYOUT_CACHE)
+            prod._on_message_locked(wire.encode_frame(
+                wire.MsgType.LOOKUP_REPLY, rid, payload))
+            assert rid in prod._pending_lookups, why
+            assert malformed(agg) == 1, why
+            # A hostile block must not enter the shared flyweight cache.
+            assert set(metric_set._LAYOUT_CACHE) == layouts, why
+            eng.run(until=6.0)
+            assert len(store.rows) >= 3, why
+            agg.shutdown()
+            node.shutdown()
 
 
 def _recv_frames(sock, n, timeout=5.0):
