@@ -32,9 +32,11 @@ class StoreRecord:
     names: tuple[str, ...]
     component_ids: tuple[int, ...]
     values: tuple[float | int, ...]
-    #: Per-column value types (None for hand-built records).  Stores use
-    #: these to compile per-schema row formatters once instead of
-    #: type-dispatching on every value.
+    #: Per-column value types (None for hand-built records).  A store
+    #: compiles one row codec per distinct tuple — keyed by the tuple,
+    #: never by schema name: a set re-created with new types keeps its
+    #: metric names — instead of type-dispatching on every value.
+    #: Every record of one compiled layout carries the same object.
     mtypes: Optional[tuple[MetricType, ...]] = None
 
     @classmethod

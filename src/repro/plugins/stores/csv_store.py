@@ -21,16 +21,29 @@ from repro.util.errors import ConfigError, StoreError
 
 __all__ = ["CsvStore"]
 
-# "%.6g" % v renders identically to f"{v:.6g}" (same C 'g' conversion);
-# binding __mod__ once gives a per-column callable with no per-value
-# type dispatch.
-_FLOAT_FMT: Callable[[float], str] = "%.6g".__mod__
-_FLOAT_TYPES = (MetricType.F32, MetricType.F64)
+def _render_untyped(cells: tuple) -> str:
+    """A hand-built record's line (``mtypes`` None): dispatch per value."""
+    ts, producer, comp_id, *values = cells
+    body = ",".join([f"{v:.6g}" if isinstance(v, float) else str(v)
+                     for v in values])
+    return f"{ts:.6f},{producer},{comp_id},{body}\n"
 
 
-def _compile_formatters(mtypes: tuple[MetricType, ...]) -> tuple[Callable, ...]:
-    """One formatter per column, chosen once from the schema's types."""
-    return tuple(_FLOAT_FMT if t in _FLOAT_TYPES else str for t in mtypes)
+def _compile_row(mtypes: Optional[tuple[MetricType, ...]]) -> Callable[[tuple], str]:
+    """The row codec of one layout: ``codec((ts, producer, comp_id) +
+    values)`` renders the whole line in one C call.
+
+    The format is built from literals only (names travel as arguments:
+    a ``%`` in a producer name must not reach it).  Float columns get
+    ``%.6g`` — the same C conversion as ``f"{v:.6g}"`` — and integer
+    columns ``%s``, which *is* ``str(v)`` for whatever the value turns
+    out to be, where ``%d`` would render ``0.5`` as ``0`` and ``True``
+    as ``1``.
+    """
+    if mtypes is None:
+        return _render_untyped
+    cols = ",".join(["%.6g" if t.is_float else "%s" for t in mtypes])
+    return ("%.6f,%s,%s," + cols + "\n").__mod__
 
 
 @register_store("store_csv")
@@ -68,7 +81,8 @@ class CsvStore(StorePlugin):
         self._files: dict[str, TextIO] = {}
         self._headers: dict[str, tuple[str, ...]] = {}
         self._buffers: dict[str, list[str]] = {}
-        self._formatters: dict[str, Optional[tuple[Callable, ...]]] = {}
+        #: schema -> (mtypes, row codec) of the layout last rendered.
+        self._codecs: dict[str, tuple[Optional[tuple], Callable]] = {}
         self._roll_counts: dict[str, int] = {}
         self._bytes = 0
 
@@ -79,15 +93,12 @@ class CsvStore(StorePlugin):
             self._files[schema] = open(fpath, "a", encoding="utf-8")
             self._headers[schema] = record.names
             self._buffers[schema] = []
-            self._formatters[schema] = (
-                _compile_formatters(record.mtypes)
-                if record.mtypes is not None else None
-            )
+            self._codecs[schema] = (record.mtypes, _compile_row(record.mtypes))
             header = "Time,Producer,CompId," + ",".join(record.names) + "\n"
             if self.altheader:
                 with open(os.path.join(self.path, f"{schema}.HEADER"), "w",
                           encoding="utf-8") as hf:
-                    hf.write(header)
+                    self._write(hf, header)
             elif self._files[schema].tell() == 0:
                 self._buffers[schema].append(header)
         elif self._headers[schema] != record.names:
@@ -97,40 +108,46 @@ class CsvStore(StorePlugin):
             )
         return schema
 
+    def _row(self, schema: str, record: StoreRecord) -> str:
+        """Render one line with the codec of the record's layout.
+
+        The codec is keyed by the ``mtypes`` tuple, not by schema name:
+        a set re-created with new value types keeps its metric names.
+        Identity first — every record of one compiled layout carries
+        the same tuple object.
+        """
+        mtypes = record.mtypes
+        known, codec = self._codecs[schema]
+        if mtypes is not known and mtypes != known:
+            codec = _compile_row(mtypes)
+            self._codecs[schema] = (mtypes, codec)
+        comp_id = record.component_ids[0] if record.component_ids else 0
+        return codec((record.timestamp, record.producer, comp_id)
+                     + record.values)
+
+    def _write(self, f: TextIO, text: str) -> None:
+        """Every write goes through here, so ``bytes_written()`` is the
+        bytes on disk: encoded size, not ``len(str)``."""
+        f.write(text)
+        self._bytes += len(text) if text.isascii() else len(text.encode())
+
     def store(self, record: StoreRecord) -> None:
         schema = self._handle(record)
-        comp_id = record.component_ids[0] if record.component_ids else 0
-        fmts = self._formatters[schema] if record.mtypes is not None else None
-        if fmts is not None:
-            body = ",".join([f(v) for f, v in zip(fmts, record.values)])
-        else:
-            body = ",".join([self._fmt(v) for v in record.values])
-        row = f"{record.timestamp:.6f},{record.producer},{comp_id},{body}\n"
         buf = self._buffers[schema]
-        buf.append(row)
+        buf.append(self._row(schema, record))
         if len(buf) >= self.buffer_lines:
             self._drain(schema)
 
     def store_many(self, records: list[StoreRecord]) -> None:
-        """Vectorized batch write: format every row with the compiled
-        per-schema formatters, then run the buffer-drain check once per
-        schema instead of once per row.  Emitted bytes are identical to
-        per-record ``store`` calls in the same order.
+        """Batch write: render every row, then run the buffer-drain
+        check once per schema instead of once per row.  Emitted bytes
+        are identical to per-record ``store`` calls in the same order.
         """
         touched = set()
         buffers = self._buffers
-        formatters = self._formatters
         for record in records:
             schema = self._handle(record)
-            comp_id = record.component_ids[0] if record.component_ids else 0
-            fmts = formatters[schema] if record.mtypes is not None else None
-            if fmts is not None:
-                body = ",".join([f(v) for f, v in zip(fmts, record.values)])
-            else:
-                body = ",".join([self._fmt(v) for v in record.values])
-            buffers[schema].append(
-                f"{record.timestamp:.6f},{record.producer},{comp_id},{body}\n"
-            )
+            buffers[schema].append(self._row(schema, record))
             touched.add(schema)
         # sorted: drain order must not depend on PYTHONHASHSEED, or the
         # flush sequence (and thus file write order) varies across runs
@@ -138,16 +155,10 @@ class CsvStore(StorePlugin):
             if len(buffers[schema]) >= self.buffer_lines:
                 self._drain(schema)
 
-    @staticmethod
-    def _fmt(v: float | int) -> str:
-        return f"{v:.6g}" if isinstance(v, float) else str(v)
-
     def _drain(self, schema: str) -> None:
         buf = self._buffers[schema]
         if buf:
-            text = "".join(buf)
-            self._files[schema].write(text)
-            self._bytes += len(text)
+            self._write(self._files[schema], "".join(buf))
             buf.clear()
             if self.roll_bytes > 0 and self._files[schema].tell() >= self.roll_bytes:
                 self._roll(schema)
@@ -163,7 +174,7 @@ class CsvStore(StorePlugin):
         if not self.altheader:
             header = ("Time,Producer,CompId,"
                       + ",".join(self._headers[schema]) + "\n")
-            self._files[schema].write(header)
+            self._write(self._files[schema], header)
 
     def flush(self) -> None:
         for schema in list(self._files):

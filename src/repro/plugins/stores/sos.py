@@ -41,6 +41,7 @@ binary-searchable.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import os
 import struct
@@ -53,6 +54,14 @@ __all__ = ["SosStore", "SosReader", "rollup_schema"]
 
 _REC_HDR = struct.Struct("<dII")
 _IDX_ENT = struct.Struct("<dQ")
+
+
+@functools.lru_cache(maxsize=64)
+def _rec_struct(card: int) -> struct.Struct:
+    """The whole record of a ``card``-column container — header and
+    values — as one Struct: one pack per append, one ``iter_unpack``
+    per bulk range read."""
+    return struct.Struct(f"<dII{card}d")
 
 
 def rollup_schema(schema: str, level: int) -> str:
@@ -99,6 +108,10 @@ class SosStore(StorePlugin):
         os.makedirs(path, exist_ok=True)
         self._data: dict[str, BinaryIO] = {}
         self._index: dict[str, BinaryIO] = {}
+        #: Container -> size of its data file: the next record's offset,
+        #: carried from the size at open (a buffered file's ``tell()``
+        #: is an ``lseek`` per row).
+        self._ends: dict[str, int] = {}
         self._names: dict[str, tuple[str, ...]] = {}
         self._bytes = 0
         self.rollups: tuple[int, ...] = self._parse_rollups(rollups)
@@ -159,8 +172,13 @@ class SosStore(StorePlugin):
         else:
             with open(meta_path, "w", encoding="utf-8") as f:
                 json.dump({"schema": schema, "metrics": list(names)}, f)
-        self._data[schema] = open(base + ".sos", "ab")
+        self._open(schema, names)
+
+    def _open(self, schema: str, names: tuple[str, ...]) -> None:
+        base = os.path.join(self.path, schema)
+        df = self._data[schema] = open(base + ".sos", "ab")
         self._index[schema] = open(base + ".sidx", "ab")
+        self._ends[schema] = df.tell()
         self._names[schema] = names
 
     def _handle(self, record: StoreRecord) -> str:
@@ -170,13 +188,13 @@ class SosStore(StorePlugin):
     # -- write path ---------------------------------------------------------
     def _append(self, schema: str, ts: float, comp_id: int,
                 values: list[float]) -> None:
-        df, xf = self._data[schema], self._index[schema]
-        offset = df.tell()
-        payload = _REC_HDR.pack(ts, comp_id, len(values))
-        payload += struct.pack(f"<{len(values)}d", *values)
-        df.write(payload)
-        xf.write(_IDX_ENT.pack(ts, offset))
-        self._bytes += len(payload) + _IDX_ENT.size
+        card = len(values)
+        rec = _rec_struct(card)
+        offset = self._ends[schema]
+        self._data[schema].write(rec.pack(ts, comp_id, card, *values))
+        self._index[schema].write(_IDX_ENT.pack(ts, offset))
+        self._ends[schema] = offset + rec.size
+        self._bytes += rec.size + _IDX_ENT.size
         self.rows_written[schema] = self.rows_written.get(schema, 0) + 1
         if self._observer is not None:
             self._observer(schema, ts, comp_id, tuple(values))
@@ -229,9 +247,7 @@ class SosStore(StorePlugin):
                     json.dump({"schema": target, "metrics": list(names),
                                "base": schema, "level": level,
                                "agg": "mean"}, f)
-            self._data[target] = open(base + ".sos", "ab")
-            self._index[target] = open(base + ".sidx", "ab")
-            self._names[target] = names
+            self._open(target, names)
         mean = [s / bucket.count for s in bucket.sums]
         self._append(target, bucket.start, comp_id, mean)
 
@@ -293,7 +309,7 @@ class SosReader:
             meta = json.load(f)
         self.schema = schema
         self.metric_names: list[str] = meta["metrics"]
-        self._rec = struct.Struct(f"<dII{len(self.metric_names)}d")
+        self._rec = _rec_struct(len(self.metric_names))
         self._data_path = base + ".sos"
         self._idx_path = base + ".sidx"
         self._times: list[float] = []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro.plugins  # noqa: F401
+from repro.core.metric import MetricType
 from repro.core.store import StorePolicy, StoreRecord
 from repro.plugins.stores.csv_store import CsvStore
 from repro.plugins.stores.flatfile import FlatFileStore
@@ -112,9 +113,46 @@ class TestCsvStore:
         assert s.bytes_written() == (tmp_path / "mem.csv").stat().st_size
         s.close()
 
+    @pytest.mark.parametrize("altheader", [False, True])
+    def test_bytes_written_is_bytes_on_disk(self, tmp_path, altheader):
+        # Regression: the header of a rolled-over file went uncounted,
+        # and rows were counted in characters ("né" is 2 chars, 3 bytes).
+        s = self._store(tmp_path, roll_bytes=60, altheader=altheader)
+        for t in (1.0, 2.0, 3.0):
+            s.submit(rec(t=t, producer="né"))
+        s.close()
+        files = sorted(os.listdir(tmp_path))
+        assert "mem.csv.1" in files  # rolled at least once
+        assert ("mem.HEADER" in files) == altheader
+        assert s.bytes_written() == sum(
+            os.path.getsize(tmp_path / f) for f in files)
+
     def test_missing_path_rejected(self):
         with pytest.raises(ConfigError):
             CsvStore().config()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_retyped_layout_under_same_names(self, tmp_path, batched):
+        # Regression: formatters were cached per schema *name*, so a set
+        # re-created u64 -> f64 under unchanged metric names (the MGN
+        # re-lookup) kept the integer columns' str() and lost %.6g.
+        def typed(t, values, mtype):
+            return StoreRecord(t, "n0", "n0/mem", "mem", ("a", "b"), (1, 1),
+                               values, mtypes=(mtype, mtype))
+
+        records = [typed(1.0, (1, 2), MetricType.U64),
+                   typed(2.0, (0.123456789, 2.5), MetricType.F64),
+                   typed(3.0, (3, 4), MetricType.U64)]
+        s = self._store(tmp_path)
+        if batched:
+            s.store_many(records)
+        else:
+            for r in records:
+                s.store(r)
+        s.close()
+        assert (tmp_path / "mem.csv").read_text().splitlines()[1:] == [
+            "1.000000,n0,1,1,2", "2.000000,n0,1,0.123457,2.5",
+            "3.000000,n0,1,3,4"]
 
     def test_store_many_drain_order_is_sorted(self, tmp_path, monkeypatch):
         # Regression (found by flow-des-purity): the batched path collected
