@@ -53,6 +53,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.path is not None:
         from repro.plugins.stores.sos import SosReader, rollup_schema
+        from repro.query.engine import scan
 
         container = (rollup_schema(args.schema, args.level)
                      if args.level else args.schema)
@@ -62,13 +63,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"cannot open container {container!r}: {exc}",
                   file=sys.stderr)
             return 1
-        rows = []
-        for rec in reader.range(args.t0, args.t1):
-            if args.comp_id and rec.component_id != args.comp_id:
-                continue
-            if args.max_records and len(rows) >= args.max_records:
-                break
-            rows.append((rec.timestamp, rec.component_id, rec.values))
+        rows, _truncated = scan(reader, args.t0, args.t1, args.comp_id,
+                                args.max_records)
         _print_rows(reader.metric_names, rows)
         return 0
 

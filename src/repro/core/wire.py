@@ -42,6 +42,8 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.metric_set import SetInfo
 from repro.util.errors import WireError
 
@@ -414,10 +416,11 @@ def unpack_read_multi_reply(payload: bytes) -> list[bytes | None]:
 # cached Struct :func:`query_row_struct` hands out, and a reply's rows
 # have one representation end to end: a :class:`RowBlock` over the packed
 # bytes.  The query engine packs each stored row *once, at ingest* (hot
-# window) or once per scan (LRU entries), the server appends ``.raw`` to
+# window) or copies a scan's records into :func:`query_row_dtype` rows
+# with one ``tobytes()`` (LRU entries), the server appends ``.raw`` to
 # the header, and the decoder validates the whole payload up front and
 # returns a block over it — a row becomes a tuple only where a client
-# indexes or iterates.
+# indexes or iterates, and a column is a strided view.
 # ---------------------------------------------------------------------------
 
 #: Reply flag bits: the row set was cut at ``max_records``; the reply
@@ -446,6 +449,14 @@ def query_row_struct(ncols: int) -> struct.Struct:
     ncols x f64``.  Callers that encode many rows bind its ``pack``
     once."""
     return struct.Struct(f"<dI{ncols}d")
+
+
+@functools.lru_cache(maxsize=64)
+def query_row_dtype(ncols: int) -> np.dtype:
+    """:func:`query_row_struct`'s row as a packed little-endian numpy
+    dtype (same ``itemsize``): what a scan copies stored records into."""
+    return np.dtype([("ts", "<f8"), ("comp_id", "<u4"),
+                     ("values", "<f8", (ncols,))])
 
 
 class RowBlock(Sequence):
@@ -499,12 +510,15 @@ class RowBlock(Sequence):
         return len(self) == len(other) and all(
             a == b for a, b in zip(self, other))
 
+    def _fields(self) -> np.ndarray:
+        return np.frombuffer(self.raw, query_row_dtype((self._size - 12) // 8))
+
     def column(self, i: int) -> list[float]:
-        """Metric column ``i`` in row order."""
-        return [r[2 + i] for r in self._iter_unpack(self.raw)]
+        """Metric column ``i`` in row order, via a strided view."""
+        return self._fields()["values"][:, i].tolist()
 
     def comp_ids(self) -> list[int]:
-        return [r[1] for r in self._iter_unpack(self.raw)]
+        return self._fields()["comp_id"].tolist()
 
 
 def pack_query_reply(status: int, names: tuple[str, ...] = (),

@@ -36,6 +36,11 @@ a ``[t0, t1)`` time range.  The index is sorted ``(timestamp, offset)``
 at load — store-arrival timestamps are *not* monotone across multiple
 producers or phase-staggered samplers, so the raw append order is not
 binary-searchable.
+
+**Crash recovery.**  Opening a container (base or rollup) makes its
+pair whole from the tail, the data file being authoritative: cut
+``.sos`` to whole records, drop a partial ``.sidx`` entry and any entry
+whose record is not wholly in the data, index the records left without.
 """
 
 from __future__ import annotations
@@ -43,16 +48,19 @@ from __future__ import annotations
 import bisect
 import functools
 import json
+import mmap
 import os
 import struct
+from array import array
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from repro.core.store import StorePlugin, StoreRecord, register_store
 from repro.util.errors import ConfigError, StoreError
 
 __all__ = ["SosStore", "SosReader", "rollup_schema"]
 
-_REC_HDR = struct.Struct("<dII")
 _IDX_ENT = struct.Struct("<dQ")
 
 
@@ -60,8 +68,44 @@ _IDX_ENT = struct.Struct("<dQ")
 def _rec_struct(card: int) -> struct.Struct:
     """The whole record of a ``card``-column container — header and
     values — as one Struct: one pack per append, one ``iter_unpack``
-    per bulk range read."""
+    per decode of a range read."""
     return struct.Struct(f"<dII{card}d")
+
+
+@functools.lru_cache(maxsize=64)
+def _rec_dtype(card: int) -> np.dtype:
+    """:func:`_rec_struct`'s record as a packed little-endian numpy
+    dtype: what a range read gathers records into."""
+    return np.dtype([("ts", "<f8"), ("comp_id", "<u4"), ("card", "<u4"),
+                     ("values", "<f8", (card,))])
+
+
+def _recover(base: str, card: int) -> None:
+    """Make a container's file pair whole (module docstring), reading
+    only the tail; a clean pair is not written."""
+    dtype = _rec_dtype(card)
+    size = dtype.itemsize
+    with open(base + ".sos", "ab+") as df, open(base + ".sidx", "ab+") as xf:
+        dsize, xsize = df.seek(0, 2), xf.seek(0, 2)
+        end = dsize - dsize % size
+        n = xsize // _IDX_ENT.size
+        start = 0  # the first record with no index entry
+        while n:
+            xf.seek((n - 1) * _IDX_ENT.size)
+            _ts, off = _IDX_ENT.unpack(xf.read(_IDX_ENT.size))
+            if off % size == 0 and off + size <= end:
+                start = off + size
+                break
+            n -= 1
+        if end < dsize:
+            df.truncate(end)
+        if n * _IDX_ENT.size < xsize:
+            xf.truncate(n * _IDX_ENT.size)
+        if start < end:
+            df.seek(start)
+            times = np.frombuffer(df.read(end - start), dtype)["ts"].tolist()
+            xf.write(b"".join(_IDX_ENT.pack(ts, start + k * size)
+                              for k, ts in enumerate(times)))
 
 
 def rollup_schema(schema: str, level: int) -> str:
@@ -176,6 +220,7 @@ class SosStore(StorePlugin):
 
     def _open(self, schema: str, names: tuple[str, ...]) -> None:
         base = os.path.join(self.path, schema)
+        _recover(base, len(names))
         df = self._data[schema] = open(base + ".sos", "ab")
         self._index[schema] = open(base + ".sidx", "ab")
         self._ends[schema] = df.tell()
@@ -295,12 +340,13 @@ class SosReader:
     tier keep one reader per container instead of re-reading the whole
     index per query.
 
-    A container's records are fixed-width (the sidecar freezes the
-    column list), so a time range whose index entries point at one
-    ascending, gap-free run of the data file — the normal case wherever
-    arrival order is time order, e.g. rollup containers — is read with
-    one ``read`` and decoded with one ``iter_unpack``; any other range
-    is read record by record.
+    Records are fixed-width, so every read is one gather (:meth:`block`):
+    the selected records, in any file order, are fancy-indexed out of a
+    read-only map of the data file into one :func:`_rec_dtype` array.
+    An entry is skipped, and counted in :attr:`skipped`, unless its
+    offset is on the record grid, its record lies wholly in the file
+    and its ``card`` is the sidecar's.  :meth:`range` and iteration
+    decode the block into :class:`SosRecord` at the edge.
     """
 
     def __init__(self, path: str, schema: str):
@@ -310,11 +356,14 @@ class SosReader:
         self.schema = schema
         self.metric_names: list[str] = meta["metrics"]
         self._rec = _rec_struct(len(self.metric_names))
+        self._dtype = _rec_dtype(len(self.metric_names))
         self._data_path = base + ".sos"
         self._idx_path = base + ".sidx"
         self._times: list[float] = []
-        self._offsets: list[int] = []
+        self._offsets = array("Q")  # a slice is a gather's index array
         self._idx_consumed = 0
+        #: Index entries the last read skipped (see above).
+        self.skipped = 0
         self.refresh()
 
     def refresh(self) -> int:
@@ -329,55 +378,48 @@ class SosReader:
         n = len(raw) // _IDX_ENT.size
         if n == 0:
             return 0
-        tail = [_IDX_ENT.unpack_from(raw, i * _IDX_ENT.size) for i in range(n)]
+        tail = list(_IDX_ENT.iter_unpack(raw[: n * _IDX_ENT.size]))
         self._idx_consumed += n * _IDX_ENT.size
-        if self._times and tail[0][0] >= self._times[-1] and _sorted_pairs(tail):
-            pairs = tail
-        else:
-            pairs = sorted(list(zip(self._times, self._offsets)) + tail)
-            self._times = []
-            self._offsets = []
-        self._times.extend(t for t, _ in pairs)
-        self._offsets.extend(off for _, off in pairs)
+        if not (self._times and tail[0][0] >= self._times[-1] and tail == sorted(tail)):
+            tail = sorted([*zip(self._times, self._offsets), *tail])
+            self._times, self._offsets = [], array("Q")
+        self._times.extend(t for t, _ in tail)
+        self._offsets.extend(off for _, off in tail)
         return n
 
     def __len__(self) -> int:
         return len(self._times)
 
-    def _read_at(self, f: BinaryIO, offset: int) -> SosRecord:
-        f.seek(offset)
-        hdr = f.read(_REC_HDR.size)
-        ts, comp_id, card = _REC_HDR.unpack(hdr)
-        vals = struct.unpack(f"<{card}d", f.read(8 * card))
-        return SosRecord(ts, comp_id, vals)
-
     def __iter__(self) -> Iterator[SosRecord]:
-        with open(self._data_path, "rb") as f:
-            for off in self._offsets:
-                yield self._read_at(f, off)
+        return iter(self._decode(self._gather(self._offsets)))
 
     def range(self, t0: float, t1: float) -> list[SosRecord]:
         """Records with t0 <= timestamp < t1, via the sorted index."""
+        return self._decode(self.block(t0, t1))
+
+    def block(self, t0: float, t1: float) -> np.ndarray:
+        """:meth:`range` as one structured array of the record dtype,
+        which owns its bytes."""
         lo = bisect.bisect_left(self._times, t0)
         hi = bisect.bisect_left(self._times, t1)
-        if lo >= hi:
-            return []
-        offsets = self._offsets[lo:hi]
-        rec = self._rec
-        span = len(offsets) * rec.size
+        return self._gather(self._offsets[lo:hi])
+
+    def _gather(self, offsets: array) -> np.ndarray:
+        dtype = self._dtype
+        size = dtype.itemsize
+        at = np.frombuffer(offsets, np.uint64)
+        recs = np.empty(0, dtype)
         with open(self._data_path, "rb") as f:
-            first = offsets[0]
-            if offsets == list(range(first, first + span, rec.size)):
-                f.seek(first)
-                raw = f.read(span)
-                if len(raw) == span:
-                    card = len(self.metric_names)
-                    out = [_new_record(SosRecord, (r[0], r[1], r[3:]))
-                           for r in rec.iter_unpack(raw) if r[2] == card]
-                    if len(out) == len(offsets):
-                        return out
-            return [self._read_at(f, off) for off in offsets]
+            nrec = os.fstat(f.fileno()).st_size // size
+            at = at[at % size == 0] // size
+            at = at[at < nrec]
+            if len(at):  # records gathered as opaque items: a memcpy each
+                with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+                    recs = np.frombuffer(mm, f"V{size}", nrec)[at].view(dtype)
+        recs = recs[recs["card"] == len(self.metric_names)]
+        self.skipped = len(offsets) - len(recs)
+        return recs
 
-
-def _sorted_pairs(pairs: list[tuple[float, int]]) -> bool:
-    return all(pairs[i] <= pairs[i + 1] for i in range(len(pairs) - 1))
+    def _decode(self, recs: np.ndarray) -> list[SosRecord]:
+        return [_new_record(SosRecord, (r[0], r[1], r[3:]))
+                for r in self._rec.iter_unpack(recs.tobytes())]

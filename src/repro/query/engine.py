@@ -13,12 +13,12 @@ Serving structure (the CMS monitoring workload, PAPERS.md):
   pass, no sort, no per-row object, no per-reply packing.
 * **LRU result cache** — repeated identical queries (alert evaluators
   re-checking a rollup window, several dashboards showing one panel)
-  return the cached row set: the scan's rows packed once into a
-  :class:`~repro.core.wire.RowBlock`, so a hit packs nothing and an
-  entry holds one ``bytes``.  Validity is by append-version: the store
-  counts appends per container, and a cached entry is good only while
-  its container's count is unchanged, so a cache hit can never serve a
-  stale row set.
+  return the cached row set: one :class:`~repro.core.wire.RowBlock`
+  that :func:`scan` fills from the container with no per-row Python, so
+  a hit packs nothing and an entry holds one ``bytes``.  Validity is by
+  append-version: the store counts appends per container, and a cached
+  entry is good only while its container's count is unchanged, so a
+  cache hit can never serve a stale row set.
 * **Rollup redirection** — ``level=N`` queries read the
   ``<schema>.rN`` rollup container maintained on ingest, touching
   ``1/N`` of the base data.
@@ -36,12 +36,32 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.core import wire
 from repro.plugins.stores.sos import SosReader, SosStore, rollup_schema
 
-__all__ = ["QueryEngine", "QueryResult"]
+__all__ = ["QueryEngine", "QueryResult", "scan"]
 
 _INF = float("inf")
+
+
+def scan(reader: SosReader, t0: float, t1: float, comp_id: int = 0,
+         max_records: int = 0) -> tuple[wire.RowBlock, bool]:
+    """``reader``'s ``[t0, t1)`` records of ``comp_id`` (0: all), cut at
+    ``max_records`` (0: no cut), as one row block that owns its bytes,
+    and whether it was cut."""
+    recs = reader.block(t0, t1)
+    if comp_id:
+        recs = recs[recs["comp_id"] == comp_id]
+    truncated = bool(max_records) and len(recs) > max_records
+    if truncated:
+        recs = recs[:max_records]
+    ncols = len(reader.metric_names)
+    rows = np.empty(len(recs), wire.query_row_dtype(ncols))
+    for field in ("ts", "comp_id", "values"):
+        rows[field] = recs[field]
+    return wire.RowBlock.of(ncols, rows.tobytes()), truncated
 
 
 @dataclass(frozen=True)
@@ -201,17 +221,8 @@ class QueryEngine:
             self._readers[container] = reader
         else:
             reader.refresh()
-        rows = reader.range(t0, t1)
-        if comp_id:
-            rows = [r for r in rows if r.component_id == comp_id]
-        truncated = bool(max_records) and len(rows) > max_records
-        if truncated:
-            del rows[max_records:]
-        # Packed once here: the LRU keeps the block and a hit packs nothing.
-        names = tuple(reader.metric_names)
-        pack = wire.query_row_struct(len(names)).pack
-        raw = b"".join([pack(ts, comp, *values) for ts, comp, values in rows])
-        return QueryResult(wire.E_OK, names, wire.RowBlock.of(len(names), raw),
+        rows, truncated = scan(reader, t0, t1, comp_id, max_records)
+        return QueryResult(wire.E_OK, tuple(reader.metric_names), rows,
                            truncated=truncated, source="scan")
 
     # -- introspection ------------------------------------------------------

@@ -207,6 +207,24 @@ class TestQueryEngine:
         assert [r[1] for r in res.rows] == [2, 2, 2]
         store.close()
 
+    def test_torn_container_answers_its_whole_records(self, tmp_path):
+        # A crash left the data file 5 bytes short: the scan used to
+        # raise struct.error out of the daemon's query cost callable.
+        s = SosStore()
+        s.config(path=str(tmp_path))
+        for k in range(10):
+            s.submit(rec(t=float(k), values=(k, 2 * k)))
+        s.close()
+        data = tmp_path / "mem.sos"
+        data.write_bytes(data.read_bytes()[:-5])
+        store = SosStore()
+        store.config(path=str(tmp_path))
+        res = QueryEngine(store, lambda: 0.0).query("mem", 0.0, 100.0)
+        assert res.status == wire.E_OK and res.source == "scan"
+        assert res.rows == [(float(k), 1, (float(k), 2.0 * k))
+                            for k in range(9)]
+        store.close()
+
     def test_missing_container_is_noent(self, tmp_path):
         store, eng = self._engine(tmp_path)
         res = eng.query("nope", 0.0, 1.0)
@@ -459,6 +477,49 @@ class TestQueryCli:
                      "--level", "10", "--t0", "0", "--t1", "100"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("0.000000,1,4.5,")
+
+    def test_offline_csv_equals_the_live_reply(self, tmp_path, capsys,
+                                               monkeypatch):
+        # One scan serves both modes: the offline CSV of a window is the
+        # CSV of the reply a daemon sends for it (a straggler, two
+        # components, a filter and a cut included).
+        from repro.cli import client
+        from repro.cli.query_cli import main
+
+        s = SosStore()
+        s.config(path=str(tmp_path), rollups="10")
+        for k, t in enumerate((0.0, 1.0, 2.5, 1.5, 4.0, 0.5, 7.0, 3.0)):
+            s.submit(rec(t=t, comp=1 + k % 2, values=(k, -t / 3)))
+        s.close()
+        store = SosStore()
+        store.config(path=str(tmp_path))
+        engine = QueryEngine(store, lambda: 0.0)
+
+        class LiveClient:
+            def __init__(self, host, port):
+                pass
+
+            def query(self, *args, **kw):
+                res = engine.query(*args, **kw)
+                return wire.unpack_query_reply(wire.pack_query_reply(
+                    res.status, res.names, res.rows, res.flags()))
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(client, "SyncClient", LiveClient)
+        window = ["--t0", "0.5", "--t1", "4"]
+        for extra, rows in (([], 5), (["--comp-id", "2"], 4),
+                            (["--max-records", "3"], 3),
+                            (["--t0", "0", "--t1", "9", "--level", "10"], 2),
+                            (["--t0", "5", "--t1", "1"], 0)):
+            args = ["--schema", "mem"] + window + extra
+            assert main(["--path", str(tmp_path)] + args) == 0
+            offline = capsys.readouterr().out
+            assert len(offline.splitlines()) == 1 + rows
+            assert main(["--host", "h", "--port", "1"] + args) == 0
+            assert capsys.readouterr().out == offline
+        store.close()
 
     def test_offline_missing_container(self, tmp_path, capsys):
         from repro.cli.query_cli import main

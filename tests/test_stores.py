@@ -12,7 +12,8 @@ from repro.core.store import StorePolicy, StoreRecord
 from repro.plugins.stores.csv_store import CsvStore
 from repro.plugins.stores.flatfile import FlatFileStore
 from repro.plugins.stores.memstore import MemoryStore
-from repro.plugins.stores.sos import SosReader, SosStore, rollup_schema
+from repro.plugins.stores.sos import (SosReader, SosRecord, SosStore,
+                                      rollup_schema)
 from repro.util.errors import ConfigError, StoreError
 
 
@@ -286,11 +287,11 @@ class TestSosStore:
         # sort is stable on (timestamp, offset): ties stay in append order
         assert [r.values[0] for r in reader.range(1.0, 2.0)] == [10.0, 20.0]
 
-    def test_range_one_read_and_per_record_paths_agree(self, tmp_path):
-        # range() reads an ascending gap-free run of the data file with
-        # one read; a window whose sorted index permutes a gap-free run
-        # (rows 1 and 2 swap in time order) or skips records must take
-        # the per-record path.  Either way: what iteration yields.
+    def test_range_in_and_out_of_file_order_agrees_with_iteration(
+            self, tmp_path):
+        # One gather serves every window: an ascending gap-free run of
+        # the data file (rows 3,4), a permuted run (rows 0,2,1), a run
+        # with a straggler (rows 4,6,5,7), and the empty tail.
         s = SosStore()
         s.config(path=str(tmp_path))
         for k, t in enumerate((0.0, 2.0, 1.0, 3.0, 4.0, 5.0, 4.5, 6.0)):
@@ -298,32 +299,50 @@ class TestSosStore:
         s.close()
         reader = SosReader(str(tmp_path), "mem")
         everything = list(reader)
-        reads = []
-        per_record = reader._read_at
-        reader._read_at = lambda f, off: reads.append(off) or per_record(f, off)
-        for t0, t1, one_read in ((3.0, 4.5, True),    # rows 3,4: in file order
-                                 (0.0, 2.5, False),   # rows 0,2,1: permuted
-                                 (4.0, 6.5, False),   # rows 4,6,5,7
-                                 (0.0, 9.0, False), (7.0, 9.0, True)):
-            del reads[:]
+        assert [r.timestamp for r in everything] == [
+            0.0, 1.0, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0]
+        for t0, t1 in ((3.0, 4.5), (0.0, 2.5), (4.0, 6.5), (0.0, 9.0),
+                       (7.0, 9.0), (5.0, 1.0)):
             assert reader.range(t0, t1) == [
                 r for r in everything if t0 <= r.timestamp < t1]
-            assert (not reads) == one_read
+            assert reader.skipped == 0
 
-    def test_range_torn_tail_is_not_papered_over(self, tmp_path):
-        # The index names a record the data file does not (yet) hold in
-        # full: the one-read path must not return a short answer.
+    def test_torn_data_file_skips_and_counts_the_torn_record(self, tmp_path):
+        # A crash left the data file 5 bytes short of its index: every
+        # read used to raise struct.error.  The whole records come back
+        # in order; the torn one is skipped and counted.
         s = SosStore()
         s.config(path=str(tmp_path))
-        for k in range(4):
-            s.submit(rec(t=float(k)))
+        for k in range(10):
+            s.submit(rec(t=float(k), values=(k, 2 * k)))
         s.close()
         data = tmp_path / "mem.sos"
         data.write_bytes(data.read_bytes()[:-5])
         reader = SosReader(str(tmp_path), "mem")
-        assert len(reader.range(0.0, 3.0)) == 3
-        with pytest.raises(struct.error):
-            reader.range(0.0, 4.0)
+        whole = [(float(k), 1, (float(k), 2.0 * k)) for k in range(9)]
+        assert reader.range(0.0, 100.0) == whole
+        assert reader.skipped == 1
+        assert reader.range(0.0, 9.0) == whole
+        assert reader.skipped == 0
+        assert list(reader) == whole
+        assert reader.skipped == 1
+
+    def test_off_grid_and_wrong_card_entries_are_skipped(self, tmp_path):
+        s = SosStore()
+        s.config(path=str(tmp_path))
+        for k in range(4):
+            s.submit(rec(t=float(k), values=(k, k)))
+        s.close()
+        size = 16 + 8 * 2
+        data = bytearray((tmp_path / "mem.sos").read_bytes())
+        struct.pack_into("<I", data, 2 * size + 12, 3)  # record 2's card
+        (tmp_path / "mem.sos").write_bytes(bytes(data))
+        with open(tmp_path / "mem.sidx", "ab") as f:
+            f.write(struct.pack("<dQ", 1.5, size + 8))    # off the grid
+            f.write(struct.pack("<dQ", 1.6, 2**64 - 1))   # past any file
+        reader = SosReader(str(tmp_path), "mem")
+        assert [r.timestamp for r in reader] == [0.0, 1.0, 3.0]
+        assert reader.skipped == 3
 
     def test_refresh_folds_in_new_appends(self, tmp_path):
         s = SosStore()
@@ -388,6 +407,81 @@ class TestSosStore:
         s2.close()
         assert [r.timestamp for r in SosReader(str(tmp_path), "mem")] == [
             1.0, 2.0]
+
+
+class TestSosCrashRecovery:
+    """A crash can cut either file of a container anywhere.  Reopening
+    makes the pair whole before the first append; the data file is
+    authoritative.  (Reopening used to resume appends at an unaligned
+    offset and re-point the torn record's index entry at new bytes.)"""
+
+    INF = float("inf")
+    SESSIONS = (
+        [(3.0, 1, (1.0, 2.0)), (1.0, 2, (-0.0, 5e-324)), (2.0, 1, (INF, 9.0))],
+        [(4.0, 2, (-INF, 1e308)), (0.5, 1, (7.0, -7.0))],  # 0.5: a straggler
+    )
+    NEW = [(6.0, 1, (11.0, 12.0)), (2.0, 2, (13.0, 14.0)),
+           (5.0, 1, (15.0, 16.0))]
+    SIZE = 16 + 8 * 2
+
+    @staticmethod
+    def _append(path, rows, rollups=""):
+        s = SosStore()
+        s.config(path=str(path), rollups=rollups)
+        for ts, comp, values in rows:
+            s.submit(rec(t=ts, comp=(comp, comp), values=values))
+        s.close()
+
+    @staticmethod
+    def _sizes_whole(path, container, size):
+        data = os.path.getsize(path / f"{container}.sos")
+        index = os.path.getsize(path / f"{container}.sidx")
+        assert data % size == 0 and index % 16 == 0
+        assert data // size == index // 16
+        return data // size
+
+    @pytest.mark.parametrize("cut_file", ["mem.sos", "mem.sidx"])
+    def test_reopen_after_a_cut_at_every_byte(self, tmp_path, cut_file):
+        whole = tmp_path / "whole"
+        for rows in self.SESSIONS:
+            self._append(whole, rows)
+        files = {p.name: p.read_bytes() for p in whole.iterdir()}
+        old = [r for rows in self.SESSIONS for r in rows]
+        for cut in range(len(files[cut_file]) + 1):
+            d = tmp_path / str(cut)
+            d.mkdir()
+            for name, raw in files.items():
+                (d / name).write_bytes(raw[:cut] if name == cut_file else raw)
+            self._append(d, self.NEW)
+            kept = old[:cut // self.SIZE] if cut_file == "mem.sos" else old
+            want = sorted(kept + self.NEW, key=lambda r: r[0])  # stable
+            got = list(SosReader(str(d), "mem"))
+            assert repr(got) == repr([SosRecord(*r) for r in want]), cut
+            assert self._sizes_whole(d, "mem", self.SIZE) == len(want)
+
+    def test_clean_reopen_writes_nothing(self, tmp_path):
+        self._append(tmp_path, self.SESSIONS[0])
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                  for p in tmp_path.iterdir()}
+        s = SosStore()
+        s.config(path=str(tmp_path))
+        s._ensure("mem", ("a", "b"))
+        s.close()
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in tmp_path.iterdir()} == before
+
+    def test_rollup_container_recovered_on_reopen(self, tmp_path):
+        self._append(tmp_path, [(float(k), 1, (k, k)) for k in range(35)],
+                     rollups="10")
+        data = tmp_path / "mem.r10.sos"
+        data.write_bytes(data.read_bytes()[:-3])  # bucket [30,40) torn
+        self._append(tmp_path, [(float(k), 1, (k, k)) for k in range(40, 55)],
+                     rollups="10")
+        rolled = list(SosReader(str(tmp_path), rollup_schema("mem", 10)))
+        assert [(r.timestamp, r.values) for r in rolled] == [
+            (0.0, (4.5, 4.5)), (10.0, (14.5, 14.5)), (20.0, (24.5, 24.5)),
+            (40.0, (44.5, 44.5)), (50.0, (52.0, 52.0))]
+        assert self._sizes_whole(tmp_path, "mem.r10", self.SIZE) == 5
 
 
 class TestSosRollups:
