@@ -33,18 +33,6 @@ def test_fanin_sweep_scaled(bench_once):
     assert bw.core_pct < 100.0
 
 
-def test_fanin_sweep_sharded_matches_inline(bench_once):
-    """``REPRO_SHARDS`` fan-out: the scaled sock sweep run across two
-    forked shard workers returns point-for-point the same dataclasses
-    as the inline sweep — the disjoint-world byte-identity contract."""
-    sharded = bench_once(sweep_transport, "sock", scale=SMOKE_SCALE,
-                         nshards=2)
-    inline = sweep_transport("sock", scale=SMOKE_SCALE)
-    assert sharded == inline
-    assert max_fanin(sharded) * SMOKE_SCALE == \
-        get_transport_profile("sock").max_connections
-
-
 def test_fanin_sock_full_scale(bench_once):
     """Full-scale sock sweep: knee at the unscaled 9,216 capacity."""
     points = bench_once(sweep_transport, "sock")

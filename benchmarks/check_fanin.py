@@ -1,36 +1,31 @@
 #!/usr/bin/env python
 """CI smoke: the full-scale fan-in sweep keeps its knee and its rows.
 
-Two checks, both machine-independent (speed is the ledger's job:
-``sets_per_s`` / ``setup_s`` @ ``fanin_knee``, ``benchmarks/ledger``):
+The check is machine-independent (speed is the ledger's job:
+``sets_per_s`` / ``setup_s`` @ ``fanin_knee``, ``benchmarks/ledger``).
+The complete full-scale sock sweep (up to
+10,229 samplers) runs once, inline; the knee must land exactly at the
+profile's 9,216-connection capacity, and the aggregator's live
+freshness tracker must report the ground-truth delivered/expected
+completeness *exactly* at the knee and at the over-capacity point
+(~0.901).  Each point hashes every stored row (sha256 over
+(timestamp, producer, set_name, values)) and counts its events.
+Every field of the regenerated artifact — digests, event counts,
+completeness, knee — must equal the one committed in
+``BENCH_fanin.json``: the simulated history is a function of the
+cost model alone, so a number that moves is a behaviour change.  A
+change that means to move one commits the regenerated file.  The
+artifact therefore carries no wall-clock numbers at all.
 
-1. **Full-scale knee.**  The complete full-scale sock sweep (up to
-   10,229 samplers) runs once, inline; the knee must land exactly at the
-   profile's 9,216-connection capacity, and the aggregator's live
-   freshness tracker must report the ground-truth delivered/expected
-   completeness *exactly* at the knee and at the over-capacity point
-   (~0.901).  Each point hashes every stored row (sha256 over
-   (timestamp, producer, set_name, values)) and counts its events.
-   Every field of the regenerated artifact — digests, event counts,
-   completeness, knee — must equal the one committed in
-   ``BENCH_fanin.json``: the simulated history is a function of the
-   cost model alone, so a number that moves is a behaviour change.  A
-   change that means to move one commits the regenerated file.  The
-   artifact therefore carries no wall-clock numbers at all.
+Event counts are *logical* events: heap-processed events plus the
+per-member events the sampler cohorts materialize inside vectorized
+sweeps (``engine.vectorized_events``), so the count stays comparable
+across releases however much work a sweep vectorizes.
 
-   Event counts are *logical* events: heap-processed events plus the
-   per-member events the sampler cohorts materialize inside vectorized
-   sweeps (``engine.vectorized_events``), so the count stays comparable
-   across releases however much work a sweep vectorizes.
-
-2. **Sharded full-scale sweep.**  The same sweep runs again with the
-   points fanned out, largest first, across one forked worker per host
-   core (``repro.sim.shard.run_parallel``).  Every point's row —
-   digest, event counts, completeness, tracker — must equal check 1's
-   (so the knee and the tracker's exactness carry over).  The
-   ``sharded`` block of ``BENCH_fanin.json`` records ``workers`` and
-   ``host_cpus`` — the two fields that describe the host, not the
-   simulation, and so the only two the identity check skips.
+The regenerated artifact goes to ``OUT_PATH`` (default
+``BENCH_fanin.json``, ``BENCH_FANIN_OUT=...`` to leave the committed
+file alone) only when every check passes; a failing run leaves it
+beside that path as ``BENCH_fanin.new.json`` and prints where.
 
     PYTHONPATH=src python benchmarks/check_fanin.py
 """
@@ -51,10 +46,6 @@ INTERVAL = 5.0
 METRICS = 10
 DURATION = 30.0
 
-#: The fields that describe the host the artifact was generated on;
-#: everything else is compared with the committed file.
-HOST_FIELDS = ("sharded.workers", "sharded.host_cpus")
-
 
 def _measure(n: int) -> dict:
     """Build+run one sweep point in *this* process; returns its artifact
@@ -65,7 +56,6 @@ def _measure(n: int) -> dict:
     """
     from repro.experiments.fanin import _build, _rows_digest
 
-    gc.collect()
     gc.disable()
     try:
         eng, env, agg, agg_x, store = _build(n, "sock", INTERVAL, METRICS,
@@ -113,30 +103,10 @@ def check_full_scale() -> dict:
     }
 
 
-def check_sharded(inline: dict) -> dict:
-    """Check 2: the full sweep fanned out across forked shard workers.
-
-    Byte-identity is the gate: every point's row must equal the inline
-    sweep's row for the same point, digest and counts alike.  One
-    worker per host core (oversubscribed workers only serialize),
-    points handed out largest first so the two biggest never share a
-    worker.
-    """
-    from repro.sim.shard import run_parallel
-
-    sizes = sorted((p["n_samplers"] for p in inline["points"]), reverse=True)
-    host_cpus = os.cpu_count() or 1
-    nworkers = min(host_cpus, len(sizes))
-    per_point = sorted(run_parallel(_measure, sizes, nworkers),
-                       key=lambda p: p["n_samplers"])
-    digests_match = per_point == inline["points"]
-    print(f"  sharded sweep: {nworkers} workers on {host_cpus} cpu(s), "
-          f"rows {'identical' if digests_match else 'DIVERGED'}")
-    return {
-        "workers": nworkers,
-        "host_cpus": host_cpus,
-        "digests_match_inline": digests_match,
-    }
+def staged_path(path: str) -> str:
+    """Where a run writes its artifact before the checks pass."""
+    root, ext = os.path.splitext(path)
+    return f"{root}.new{ext}"
 
 
 def _leaves(doc, prefix: str = "") -> dict:
@@ -159,9 +129,6 @@ def main() -> int:
 
     print("== full-scale sock sweep (inline) ==")
     report = check_full_scale()
-    # Drop the last world before forking, so the workers do not each
-    # inherit and collect it.
-    gc.collect()
     print(f"knee {report['knee']} (capacity {report['profile_capacity']}), "
           f"{report['total_events']} events")
     if report["knee"] != report["profile_capacity"]:
@@ -183,23 +150,19 @@ def main() -> int:
             return 1
     print(f"freshness tracker exact at {[p['n_samplers'] for p in checked]}")
 
-    print("\n== full-scale sock sweep (sharded, one worker per core) ==")
-    report["sharded"] = check_sharded(report)
-    with open(OUT_PATH, "w") as f:
-        json.dump(report, f, indent=2)
-    print(f"wrote {OUT_PATH}")
     measured = _leaves(report)
     moved = [key for key in sorted(set(committed) | set(measured))
-             if key not in HOST_FIELDS
-             and committed.get(key) != measured.get(key)]
+             if committed.get(key) != measured.get(key)]
+    # Run from the repo root, OUT_PATH is the oracle itself: a failing
+    # run must not overwrite it, or the next run would pass.
+    out = staged_path(OUT_PATH) if moved else OUT_PATH
+    with open(out, "w") as f:
+        json.dump(report, f, indent=2)
+    print(f"wrote {out}")
     if moved:
         print(f"FAIL: {moved} differ from the values committed in "
               f"{COMMITTED_PATH} — the simulated history changed; if that "
               "is intended, commit the regenerated file")
-        return 1
-    if not report["sharded"]["digests_match_inline"]:
-        print("FAIL: sharded sweep rows diverged from the inline sweep — "
-              "the shard byte-identity contract is broken")
         return 1
     print("OK")
     return 0

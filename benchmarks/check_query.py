@@ -30,6 +30,8 @@ machine-independent:
 
 Writes the full trajectory to ``BENCH_query.json`` for the CI
 artifact (``BENCH_QUERY_OUT=...`` to leave the committed file alone).
+A failing run never touches that path: it leaves the regenerated
+trajectory beside it as ``BENCH_query.new.json`` and prints where.
 
     PYTHONPATH=src python benchmarks/check_query.py
 """
@@ -62,18 +64,27 @@ def _leaves(doc, prefix: str = "") -> dict:
     return out
 
 
+def staged_path(path: str) -> str:
+    """Where a run writes its artifact before the checks pass."""
+    root, ext = os.path.splitext(path)
+    return f"{root}.new{ext}"
+
+
 def main() -> int:
     from repro.experiments import query_load
 
     with open(COMMITTED_PATH, "r", encoding="utf-8") as f:
         committed = _leaves(json.load(f))
+    # Run from the repo root, OUT_PATH is the oracle itself: write
+    # beside it and move into place only once every check passed.
+    staged = staged_path(OUT_PATH)
 
     out = query_load.main([
         "--samplers", str(N_SAMPLERS),
         "--metrics", str(N_METRICS),
         "--interval", str(INTERVAL),
         "--duration", str(DURATION),
-        "--out", OUT_PATH,
+        "--out", staged,
     ])
     r = out["run"]
 
@@ -99,7 +110,7 @@ def main() -> int:
     if not out["deterministic"]:
         failures.append("same-seed replay diverged")
 
-    with open(OUT_PATH, "r", encoding="utf-8") as f:
+    with open(staged, "r", encoding="utf-8") as f:
         measured = _leaves(json.load(f))
     for key in sorted(set(committed) | set(measured)):
         if committed.get(key) != measured.get(key):
@@ -112,7 +123,9 @@ def main() -> int:
     if failures:
         for msg in failures:
             print(f"FAIL: {msg}", file=sys.stderr)
+        print(f"regenerated artifact left at {staged}; {OUT_PATH} untouched")
         return 1
+    os.replace(staged, OUT_PATH)
     print(f"query smoke ok: {r.query_requests} requests, "
           f"{r.cache_hit_permille / 10:.1f}% cached, "
           f"p99 {r.serve_us_p99}us, deterministic")

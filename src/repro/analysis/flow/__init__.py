@@ -12,10 +12,10 @@ the encoder/decoder pairs in :mod:`repro.core.wire`.
 
 The paper's evaluation (§IV) rests on same-seed byte-identical DES
 replay; a single transitive call into wall-clock, unseeded RNG, or
-set-iteration code breaks it silently (per worker, under
-``REPRO_SHARDS``).  Violations of the ``flow-*`` rules carry the full
-call chain.  :class:`repro.analysis.lint.engine.Engine` drives the
-passes and hands them the trees it parsed; nothing here reads files.
+set-iteration code breaks it silently.  Violations of the ``flow-*``
+rules carry the full call chain.
+:class:`repro.analysis.lint.engine.Engine` drives the passes and hands
+them the trees it parsed; nothing here reads files.
 """
 
 from repro.analysis.flow.catalog import EFFECTS, effect_of

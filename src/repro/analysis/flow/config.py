@@ -56,12 +56,6 @@ DEFAULT_DISPATCH_ROOTS = (
     "repro.transport.base.Transport",
 )
 
-# Shard-isolation contract: entry points of shard worker processes and
-# the modules whose module-level mutable state is part of the shard
-# plane itself.  Empty tuples leave the rule off.
-DEFAULT_SHARD_ENTRY_POINTS: tuple[str, ...] = ()
-DEFAULT_SHARD_ALLOWED_MODULES: tuple[str, ...] = ()
-
 
 def _str_list(table: dict[str, Any], key: str, default: tuple[str, ...]) -> tuple[str, ...]:
     value = table.pop(key, None)
@@ -81,8 +75,6 @@ class FlowConfig:
     wire_modules: tuple[str, ...] = DEFAULT_WIRE_MODULES
     transport_modules: tuple[str, ...] = DEFAULT_TRANSPORT_MODULES
     dispatch_roots: tuple[str, ...] = DEFAULT_DISPATCH_ROOTS
-    shard_entry_points: tuple[str, ...] = DEFAULT_SHARD_ENTRY_POINTS
-    shard_allowed_modules: tuple[str, ...] = DEFAULT_SHARD_ALLOWED_MODULES
     features_const: str = "BASE_FEATURES"
     msg_type_class: str = "MsgType"
 
@@ -107,12 +99,6 @@ class FlowConfig:
                 table, "transport-modules", DEFAULT_TRANSPORT_MODULES
             ),
             dispatch_roots=_str_list(table, "dispatch-roots", DEFAULT_DISPATCH_ROOTS),
-            shard_entry_points=_str_list(
-                table, "shard-entry-points", DEFAULT_SHARD_ENTRY_POINTS
-            ),
-            shard_allowed_modules=_str_list(
-                table, "shard-allowed-modules", DEFAULT_SHARD_ALLOWED_MODULES
-            ),
         )
         features = table.pop("features-const", None)
         if features is not None:
@@ -137,9 +123,3 @@ class FlowConfig:
 
     def is_boundary(self, module: str) -> bool:
         return module in self.boundary_modules
-
-    def in_shard_allowed(self, module: str) -> bool:
-        return any(
-            module == p or module.startswith(p + ".")
-            for p in self.shard_allowed_modules
-        )

@@ -418,94 +418,7 @@ class Program:
                             path, site.line, 0, "flow-unordered-iteration",
                             f"{name} {site.detail}",
                         ))
-        out.extend(self.shard_isolation_violations())
         return out
-
-    def shard_isolation_violations(self) -> list[Violation]:
-        """The shard-isolation contract: nothing reachable from a shard
-        worker entry point may mutate module-level state outside the
-        shard-allowed modules.
-
-        Shard workers are forked; every module-level object they inherit
-        is a private copy, so a mutation of one that is *not* part of
-        the shard plane itself is a latent divergence — single-process
-        runs see the accumulated state, sharded runs see per-process
-        copies, and the byte-identity gate breaks in ways that only
-        reproduce under ``REPRO_SHARDS``.  Reported with the call chain
-        from the entry point down to the mutation site.
-        """
-        out: list[Violation] = []
-        flagged: set[tuple[str, int]] = set()
-        for entry in self.config.shard_entry_points:
-            fq = entry if entry in self.nodes else None
-            if fq is None:
-                hit = self._resolve_symbol(entry)
-                if hit is not None and hit[0] in ("function", "method"):
-                    fq = hit[1]
-            if fq is None:
-                continue
-            parents: dict[str, tuple[str, int] | None] = {fq: None}
-            queue = deque([fq])
-            while queue:
-                cur = queue.popleft()
-                node = self.nodes[cur]
-                if not self.config.in_shard_allowed(node.module):
-                    for site in list(node.info.effects) + node.intrinsics:
-                        if site.effect != "global_mutation":
-                            continue
-                        if (cur, site.line) in flagged:
-                            continue
-                        flagged.add((cur, site.line))
-                        path = self.summaries[node.module].path
-                        out.append(Violation(
-                            path, site.line, 0, "flow-shard-isolation",
-                            f"{_display_name(node)} is reachable from "
-                            f"shard entry point {entry} and mutates "
-                            f"module-level state outside the "
-                            f"shard-allowed modules",
-                            chain=self._shard_chain(parents, cur, site),
-                        ))
-                for callee in sorted(self.edges.get(cur, {})):
-                    if callee in parents or callee not in self.nodes:
-                        continue
-                    parents[callee] = (cur, self.edges[cur][callee])
-                    queue.append(callee)
-        return out
-
-    def _shard_chain(
-        self,
-        parents: dict[str, tuple[str, int] | None],
-        fq: str,
-        site: EffectSite,
-    ) -> list[ChainFrame]:
-        """Entry-point-to-mutation-site frames from the BFS parent map."""
-        order = [fq]
-        cur = fq
-        while parents.get(cur) is not None:
-            cur = parents[cur][0]  # type: ignore[index]
-            order.append(cur)
-        order.reverse()  # entry point first
-        frames: list[ChainFrame] = []
-        for a, b in zip(order, order[1:]):
-            a_node = self.nodes[a]
-            frames.append(
-                ChainFrame(
-                    self.summaries[a_node.module].path,
-                    parents[b][1],  # type: ignore[index]
-                    _display_name(a_node),
-                    f"calls {_display_name(self.nodes[b])}",
-                )
-            )
-        node = self.nodes[fq]
-        frames.append(
-            ChainFrame(
-                self.summaries[node.module].path,
-                site.line,
-                _display_name(node),
-                site.detail,
-            )
-        )
-        return frames
 
     def _des_purity_for(
         self,

@@ -648,14 +648,3 @@ class HelloSymmetryContract(ProgramRule):
         "across transports"
     )
     paper_ref = "§IV-B transport negotiation"
-
-
-@register_rule
-class ShardIsolationContract(ProgramRule):
-    rule_id = "flow-shard-isolation"
-    description = (
-        "code reachable from a shard worker entry point must not mutate "
-        "module-level state outside the shard-allowed modules (a worker "
-        "scribbling on shared globals diverges from fork-inherited state)"
-    )
-    paper_ref = "DESIGN 'Sharded-parallel DES' (fork-inherited state)"

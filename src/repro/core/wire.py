@@ -52,6 +52,7 @@ __all__ = [
     "Frame",
     "encode_frame",
     "FrameDecoder",
+    "MAX_FRAME_LEN",
     "unpack_dir_reply",
     "pack_dir_reply",
     "pack_lookup_req",
@@ -81,6 +82,18 @@ _HDR_FMT = "<IBQ"
 _HDR_STRUCT = struct.Struct(_HDR_FMT)
 _HDR_SIZE = _HDR_STRUCT.size
 _LEN_STRUCT = struct.Struct("<I")
+
+#: Largest ``frame_len`` a peer may declare (64 MiB).  The arena bounds
+#: every frame this module's encoders build but one: LOOKUP_REPLY carries
+#: one metadata chunk, RDMA_READ(_MULTI)_REPLY at most every data chunk
+#: of one arena, DIR_REPLY 208 B per set (less than any set's own
+#: chunks).  The largest arena a shipped configuration builds is the
+#: full-scale fan-in aggregator's, 10,229 producers x 4 KiB = 40 MiB;
+#: 64 MiB covers it plus every header.  The exception, QUERY_REPLY,
+#: grows with a container, so :func:`pack_query_reply` cuts its rows to
+#: fit.  A larger length is a corrupt or hostile stream and is refused
+#: at the header, before any of its body is buffered.
+MAX_FRAME_LEN = 64 * 1024 * 1024
 
 E_OK = 0
 E_NOENT = 2  # set not found
@@ -130,6 +143,8 @@ _MSG_TYPE_MASK = 0x7F
 #: One trace-context entry: region index, trace id, parent span, hop.
 _TRACE_ENTRY = struct.Struct("<HQIB")
 _TRACE_ENTRY_SIZE = _TRACE_ENTRY.size
+#: The largest trace blob: a u8 count of entries.
+_MAX_TRACE_BLOB = 1 + 255 * _TRACE_ENTRY_SIZE
 
 
 def pack_trace_ctx(entries: tuple) -> bytes:
@@ -211,7 +226,7 @@ class FrameDecoder:
         try:
             while end - pos >= 4:
                 (flen,) = _LEN_STRUCT.unpack_from(buf, pos)
-                if flen < _HDR_SIZE - 4:
+                if not _HDR_SIZE - 4 <= flen <= MAX_FRAME_LEN:
                     raise WireError(f"corrupt frame length {flen}")
                 if end - pos < 4 + flen:
                     break
@@ -523,9 +538,19 @@ class RowBlock(Sequence):
 
 def pack_query_reply(status: int, names: tuple[str, ...] = (),
                      rows: Sequence = (), flags: int = 0) -> bytes:
+    """Rows that would take the frame past :data:`MAX_FRAME_LEN` (with
+    room for a full trace blob) are cut and the reply flagged
+    :data:`QUERY_TRUNCATED`, as a ``max_records`` cut is."""
+    encoded = [name.encode("utf-8") for name in names]
+    fixed = 9 + 4  # status, flags, ncols; nrows
+    room = (MAX_FRAME_LEN - (_HDR_SIZE - 4) - _MAX_TRACE_BLOB - fixed
+            - sum(2 + len(b) for b in encoded)
+            ) // query_row_struct(len(names)).size
+    if len(rows) > room:
+        rows = rows[:room]
+        flags |= QUERY_TRUNCATED
     out = [struct.pack("<iBI", status, flags, len(names))]
-    for name in names:
-        b = name.encode("utf-8")
+    for b in encoded:
         out.append(struct.pack("<H", len(b)))
         out.append(b)
     out.append(struct.pack("<I", len(rows)))

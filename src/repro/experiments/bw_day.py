@@ -25,7 +25,7 @@ from repro.network.torus import GeminiTorus
 from repro.sim.fleet import HsnFleetTrace, HsnTraceResult
 from repro.util.rngtools import spawn_rng
 
-__all__ = ["build_trace", "run_day", "run_day_sharded", "HOUR", "DAY"]
+__all__ = ["build_trace", "run_day", "HOUR", "DAY"]
 
 HOUR = 3600.0
 DAY = 24 * HOUR
@@ -124,55 +124,8 @@ def build_trace(dims: tuple[int, int, int] = (24, 24, 24),
 def run_day(dims: tuple[int, int, int] = (24, 24, 24),
             sample_interval: float = 60.0, seed: int = 9,
             background_jobs: int = 40,
-            directions: tuple[str, ...] = ("X+", "Y+"),
-            nshards: int | None = None) -> tuple[HsnTraceResult, GeminiTorus]:
-    """Run the full day.  ``nshards`` (default: ``REPRO_SHARDS``) >= 2
-    routes through :func:`run_day_sharded`."""
-    from repro.sim.shard import shards_default
-
-    if nshards is None:
-        nshards = shards_default()
-    if nshards >= 2:
-        return run_day_sharded(dims, sample_interval, seed, background_jobs,
-                               directions, nshards)
+            directions: tuple[str, ...] = ("X+", "Y+")
+            ) -> tuple[HsnTraceResult, GeminiTorus]:
+    """Run the full day."""
     trace, torus = build_trace(dims, sample_interval, seed, background_jobs)
     return trace.run(DAY, directions=directions), torus
-
-
-def run_day_sharded(dims: tuple[int, int, int] = (24, 24, 24),
-                    sample_interval: float = 60.0, seed: int = 9,
-                    background_jobs: int = 40,
-                    directions: tuple[str, ...] = ("X+", "Y+"),
-                    nshards: int = 2) -> tuple[HsnTraceResult, GeminiTorus]:
-    """The day partitioned by *time slice* across worker processes.
-
-    Each worker rebuilds the same-seed trace (cheap: the workload script
-    is a few hundred events) and evaluates a disjoint ``sample_range``;
-    the parent concatenates.  Because :meth:`HsnFleetTrace.run` replays
-    flow events before its slice, the concatenation is bit-identical to
-    the single-process run — time slicing needs no lookahead because the
-    trace evaluation carries no cross-sample state beyond the replayed
-    flow set.
-    """
-    from repro.sim.shard import run_parallel
-
-    n_samples = int(round(DAY / sample_interval))
-    nshards = max(1, min(int(nshards), n_samples))
-    if nshards < 2:
-        trace, torus = build_trace(dims, sample_interval, seed, background_jobs)
-        return trace.run(DAY, directions=directions), torus
-    slices = [(s * n_samples // nshards, (s + 1) * n_samples // nshards)
-              for s in range(nshards)]
-
-    def job(sample_range: tuple[int, int]):
-        trace, _ = build_trace(dims, sample_interval, seed, background_jobs)
-        res = trace.run(DAY, directions=directions, sample_range=sample_range)
-        return res.times, res.stall_pct, res.bw_pct
-
-    parts = run_parallel(job, slices, nshards)
-    torus = GeminiTorus(dims=dims)
-    times = np.concatenate([p[0] for p in parts])
-    stall = {d: np.concatenate([p[1][d] for p in parts]) for d in directions}
-    bw = {d: np.concatenate([p[2][d] for p in parts]) for d in directions}
-    return HsnTraceResult(times=times, stall_pct=stall, bw_pct=bw,
-                          torus=torus), torus

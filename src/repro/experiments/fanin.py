@@ -111,8 +111,7 @@ def _build(n_samplers: int, xprt: str, interval: float, metrics: int,
 
 
 def _rows_digest(store) -> str:
-    """SHA-256 over the stored rows — the byte-identity fingerprint the
-    sharded A/B gate compares across ``REPRO_SHARDS`` settings."""
+    """SHA-256 over the stored rows: a point's byte-identity fingerprint."""
     h = hashlib.sha256()
     for r in store.rows:
         vals = (tuple(r.values.items()) if hasattr(r.values, "items")
@@ -122,18 +121,15 @@ def _rows_digest(store) -> str:
 
 
 def run_point(n: int, xprt: str, interval: float = 5.0, metrics: int = 10,
-              duration: float = 30.0, scale: int = 1,
-              digest: bool = False) -> tuple[FaninPoint, dict]:
+              duration: float = 30.0, scale: int = 1
+              ) -> tuple[FaninPoint, dict]:
     """One sweep point, self-contained in this process.
 
     Returns ``(point, info)`` where ``info`` carries the engine event
     count, the per-phase wall breakdown (``build_s`` topology
     construction, ``rampup_s`` first collection interval — connect storm
     plus set discovery, ``steady_s`` the remaining steady-state
-    intervals) and, when ``digest=True``, the SHA-256 of the stored rows
-    for cross-process byte-identity checks.  Being self-contained is
-    what makes sweep points *disjoint shards*: the sharded sweep runs
-    the very same function on the very same inputs in a worker process.
+    intervals).
     """
     # Building ≥9,000 daemons allocates enough to trigger dozens of
     # full generational collections that free nothing; pause the
@@ -171,32 +167,19 @@ def run_point(n: int, xprt: str, interval: float = 5.0, metrics: int = 10,
         "rampup_s": t2 - t1,
         "steady_s": t3 - t2,
     }
-    if digest:
-        info["digest"] = _rows_digest(store)
     return point, info
 
 
 def sweep_transport(xprt: str, sizes: list[int] | None = None,
                     interval: float = 5.0, metrics: int = 10,
-                    duration: float = 30.0, scale: int = 1,
-                    nshards: int | None = None) -> list[FaninPoint]:
+                    duration: float = 30.0, scale: int = 1
+                    ) -> list[FaninPoint]:
     """Run the fan-in sweep; ``sizes=None`` derives them from the
-    transport's (possibly scaled) capacity via :func:`default_sizes`.
-
-    ``nshards`` (default: the ``REPRO_SHARDS`` toggle) >= 2 runs the
-    points as disjoint shards across forked workers — each point is a
-    self-contained world, so the per-point results are byte-identical
-    to the inline sweep.
-    """
-    from repro.sim.shard import maybe_parallel
-
+    transport's (possibly scaled) capacity via :func:`default_sizes`."""
     if sizes is None:
         sizes = default_sizes(xprt, scale)
-
-    def job(n: int) -> FaninPoint:
-        return run_point(n, xprt, interval, metrics, duration, scale)[0]
-
-    return maybe_parallel(job, sizes, nshards)
+    return [run_point(n, xprt, interval, metrics, duration, scale)[0]
+            for n in sizes]
 
 
 def max_fanin(points: list[FaninPoint], floor: float = 0.99) -> int:
@@ -235,7 +218,7 @@ def aggregator_utilization(n_samplers: int = 64, interval: float = 20.0,
 
 def main(scale: int = 1, xprts: tuple[str, ...] = ("sock", "rdma", "ugni"),
          interval: float = 5.0, metrics: int = 10,
-         duration: float = 30.0, nshards: int | None = None) -> dict:
+         duration: float = 30.0) -> dict:
     if scale > 1:
         print_header("Fan-in by transport (paper §IV-A; capacities scaled 1/%d)"
                      % scale)
@@ -245,8 +228,7 @@ def main(scale: int = 1, xprts: tuple[str, ...] = ("sock", "rdma", "ugni"),
     rows = []
     for xprt in xprts:
         points = sweep_transport(xprt, interval=interval, metrics=metrics,
-                                 duration=duration, scale=scale,
-                                 nshards=nshards)
+                                 duration=duration, scale=scale)
         results[xprt] = points
         knee = max_fanin(points)
         full_scale = get_transport_profile(xprt).max_connections
@@ -294,13 +276,9 @@ def _cli() -> None:
     ap.add_argument("--interval", type=float, default=5.0)
     ap.add_argument("--metrics", type=int, default=10)
     ap.add_argument("--duration", type=float, default=30.0)
-    ap.add_argument("--shards", type=int, default=None,
-                    help="run sweep points as disjoint shards across this "
-                         "many worker processes (default: REPRO_SHARDS)")
     args = ap.parse_args()
     main(scale=args.scale, xprts=tuple(args.xprt or ("sock", "rdma", "ugni")),
-         interval=args.interval, metrics=args.metrics, duration=args.duration,
-         nshards=args.shards)
+         interval=args.interval, metrics=args.metrics, duration=args.duration)
 
 
 if __name__ == "__main__":

@@ -115,47 +115,22 @@ class HsnFleetTrace:
 
     # ------------------------------------------------------------------
     def run(self, duration: float,
-            directions: tuple[str, ...] = ("X+", "Y+"),
-            sample_range: tuple[int, int] | None = None) -> HsnTraceResult:
-        """Evaluate the trace.
-
-        ``sample_range=(s0, s1)`` restricts output to samples ``s0..s1-1``
-        (half-open).  Flow add/remove events before the slice are replayed
-        without accumulation, so the per-sample values are identical to the
-        corresponding rows of a full run — the slice boundaries carry no
-        state beyond the (deterministically replayed) flow set.  This is
-        what lets shard workers each own a disjoint time slice of the day.
-        """
+            directions: tuple[str, ...] = ("X+", "Y+")) -> HsnTraceResult:
+        """Evaluate the trace."""
         engine = FlowEngine(self.torus)
         events = sorted(self._events, key=lambda e: (e.t, e.kind == "add"))
         fids: dict[object, int] = {}
         n_samples = int(round(duration / self.sample_interval))
-        s0, s1 = (0, n_samples) if sample_range is None else sample_range
-        if not 0 <= s0 <= s1 <= n_samples:
-            raise SimulationError(
-                f"sample_range {sample_range!r} outside 0..{n_samples}")
         G = self.torus.n_geminis
-        times = (np.arange(s0, s1) + 1) * self.sample_interval
+        times = (np.arange(n_samples) + 1) * self.sample_interval
         dir_idx = {d: DIR_INDEX[d] for d in directions}
-        shape = (s1 - s0, G)
+        shape = (n_samples, G)
         stall = {d: np.empty(shape, dtype=np.float32) for d in directions}
         bw = {d: np.empty(shape, dtype=np.float32) for d in directions}
 
         ei = 0
-        # Fast-forward: apply every event due before the slice start so
-        # the flow set matches the full run's state at t = s0 * interval.
-        t_start = s0 * self.sample_interval
-        while ei < len(events) and events[ei].t < t_start:
-            ev = events[ei]
-            if ev.kind == "add":
-                fids[ev.key] = engine.add_flow(ev.src, ev.dst, ev.bps)
-            else:
-                fid = fids.pop(ev.key, None)
-                if fid is not None:
-                    engine.remove_flow(fid)
-            ei += 1
-        t = t_start
-        for s in range(s0, s1):
+        t = 0.0
+        for s in range(n_samples):
             t_next = (s + 1) * self.sample_interval
             # Apply events due before this sample boundary.  Loads are
             # piecewise constant; the recorded value is the average over
@@ -181,8 +156,8 @@ class HsnFleetTrace:
                 self._accumulate(engine, dir_idx, acc_stall, acc_bw, dt)
             span = t_next - t
             for d in directions:
-                stall[d][s - s0] = 100.0 * acc_stall[d] / span
-                bw[d][s - s0] = 100.0 * acc_bw[d] / span
+                stall[d][s] = 100.0 * acc_stall[d] / span
+                bw[d][s] = 100.0 * acc_bw[d] / span
             t = t_next
         return HsnTraceResult(times=times, stall_pct=stall, bw_pct=bw,
                               torus=self.torus)
@@ -219,26 +194,13 @@ class RateFleet:
             raise SimulationError("rate window must have positive duration")
         self._windows.append((t0, t1, np.asarray(nodes, dtype=np.int64), rate))
 
-    def run(self, duration: float,
-            sample_range: tuple[int, int] | None = None
-            ) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (times (T,), deltas (T, n_nodes)) of per-interval counts.
-
-        ``sample_range=(s0, s1)`` returns only that half-open slice.  The
-        jitter stream is burned through the skipped prefix so sliced rows
-        are bit-identical to the corresponding rows of a full run.
-        """
+    def run(self, duration: float) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (times (T,), deltas (T, n_nodes)) of per-interval counts."""
         n_samples = int(round(duration / self.sample_interval))
-        s0, s1 = (0, n_samples) if sample_range is None else sample_range
-        if not 0 <= s0 <= s1 <= n_samples:
-            raise SimulationError(
-                f"sample_range {sample_range!r} outside 0..{n_samples}")
-        times = (np.arange(s0, s1) + 1) * self.sample_interval
-        deltas = np.empty((s1 - s0, self.n_nodes), dtype=np.float32)
+        times = (np.arange(n_samples) + 1) * self.sample_interval
+        deltas = np.empty((n_samples, self.n_nodes), dtype=np.float32)
         iv = self.sample_interval
-        for _ in range(s0):
-            self.rng.standard_normal(self.n_nodes)
-        for s in range(s0, s1):
+        for s in range(n_samples):
             t1 = (s + 1) * iv
             t0 = t1 - iv
             rates = np.full(self.n_nodes, self.base_rate)
@@ -247,5 +209,5 @@ class RateFleet:
                 if overlap > 0:
                     rates[nodes] += rate * (overlap / iv)
             noise = 1.0 + self.jitter * self.rng.standard_normal(self.n_nodes)
-            deltas[s - s0] = np.clip(rates * iv * noise, 0.0, None)
+            deltas[s] = np.clip(rates * iv * noise, 0.0, None)
         return times, deltas

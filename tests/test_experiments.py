@@ -53,6 +53,22 @@ class TestFanin:
         assert ugni == 256
         assert ugni > sock
 
+    def test_point_rows_do_not_depend_on_earlier_points(self):
+        """A sweep point's rows are a function of the point alone, not
+        of what ran before it in the same process (module-level caches,
+        interned layouts)."""
+        from repro.experiments.fanin import _build, _rows_digest
+
+        def rows(n):
+            eng, _, _, _, store = _build(n, "sock", 5.0, 10, 20.0, scale=64)
+            eng.run(until=20.0)
+            assert store.rows
+            return _rows_digest(store)
+
+        first = rows(96)
+        rows(192)
+        assert rows(96) == first
+
     def test_aggregator_utilization_small(self):
         from repro.experiments.fanin import aggregator_utilization
 

@@ -258,97 +258,6 @@ class TestPropagation:
         assert report2.exit_code == 1
 
 
-class TestShardIsolation:
-    def config(self):
-        return des_config(
-            des_pure_packages=(),
-            ordered_packages=(),
-            shard_entry_points=("p.worker.run_shard",),
-            shard_allowed_modules=("p.plane",),
-        )
-
-    def test_mutation_outside_allowed_modules_flagged_with_chain(self):
-        report = analyze_sources(
-            {
-                "p": "",
-                "p.worker": (
-                    "from p import helper\n"
-                    "def run_shard(s):\n"
-                    "    return helper.record(s)\n"
-                ),
-                "p.helper": (
-                    "CACHE = {}\n"
-                    "def record(s):\n"
-                    "    CACHE[s] = True\n"
-                    "    return s\n"
-                ),
-            },
-            self.config(),
-        )
-        assert rule_ids(report) == ["flow-shard-isolation"]
-        v = report.violations[0]
-        assert "p.helper.record" in v.message
-        assert "p.worker.run_shard" in v.message
-        notes = [f.note for f in v.chain]
-        assert notes[0] == "calls p.helper.record"
-        assert "CACHE" in notes[-1]
-
-    def test_allowed_module_mutation_is_sanctioned(self):
-        report = analyze_sources(
-            {
-                "p": "",
-                "p.worker": (
-                    "from p import plane\n"
-                    "def run_shard(s):\n"
-                    "    plane.bump()\n"
-                ),
-                "p.plane": (
-                    "N = 0\n"
-                    "def bump():\n"
-                    "    global N\n"
-                    "    N += 1\n"
-                ),
-            },
-            self.config(),
-        )
-        assert rule_ids(report) == []
-
-    def test_unreachable_mutation_not_flagged(self):
-        report = analyze_sources(
-            {
-                "p": "",
-                "p.worker": "def run_shard(s):\n    return s\n",
-                "p.helper": (
-                    "SEEN = []\n"
-                    "def poison():\n"
-                    "    SEEN.append(1)\n"
-                ),
-            },
-            self.config(),
-        )
-        assert rule_ids(report) == []
-
-    def test_rule_off_without_entry_points(self):
-        report = analyze_sources(
-            {
-                "p": "",
-                "p.worker": (
-                    "from p import helper\n"
-                    "def run_shard(s):\n"
-                    "    return helper.record(s)\n"
-                ),
-                "p.helper": (
-                    "CACHE = {}\n"
-                    "def record(s):\n"
-                    "    CACHE[s] = True\n"
-                    "    return s\n"
-                ),
-            },
-            des_config(des_pure_packages=(), ordered_packages=()),
-        )
-        assert rule_ids(report) == []
-
-
 class TestWireConformance:
     def wire_config(self):
         return FlowConfig(
@@ -447,17 +356,6 @@ class TestCliFixtures:
         assert "never advertised" in out
         assert "trace-ctx-v2" in out
 
-    def test_bad_shard_traces_worker_to_registry(self, capsys):
-        code, out = self.run_fixture("bad_shard", capsys)
-        assert code == 1
-        assert "flow-shard-isolation" in out
-        assert "shardpkg.registry.record_result" in out
-        assert ("in shardpkg.worker.run_shard: "
-                "calls shardpkg.registry.record_result") in out
-        assert "mutates module global 'RESULTS'" in out
-        # the shard plane's own counters are sanctioned
-        assert "note_window" not in out
-
     def test_json_report_schema(self, capsys):
         code, out = self.run_fixture("bad_des", capsys, extra=("--format", "json"))
         assert code == 1
@@ -488,7 +386,7 @@ class TestCliFixtures:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert len(FLOW_RULE_IDS) == 8
+        assert len(FLOW_RULE_IDS) == 7
         for rule_id in FLOW_RULE_IDS:
             assert rule_id in out
 
@@ -507,6 +405,14 @@ class TestConfig:
             FlowConfig.from_table({"wat": []})
         with pytest.raises(LintConfigError):
             LintConfig.from_table({"flow": {"wat": []}})
+
+    def test_removed_shard_keys_are_unknown(self):
+        # A pyproject.toml still naming the deleted shard-isolation
+        # contract fails loudly instead of being silently ignored.
+        with pytest.raises(LintConfigError, match="shard-entry-points"):
+            FlowConfig.from_table({"shard-entry-points": ["p.worker.run"]})
+        with pytest.raises(LintConfigError, match="shard-allowed-modules"):
+            FlowConfig.from_table({"shard-allowed-modules": []})
 
     def test_package_scoping(self):
         cfg = FlowConfig(des_pure_packages=("repro.sim",))

@@ -134,6 +134,68 @@ class TestDecodersValidateUpFront:
             wire.FrameDecoder().feed(bad + wire.encode_frame(1, 2, b"x" * 64))
 
 
+_TRACE = st.lists(
+    st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**64 - 1),
+              st.integers(0, 2**32 - 1), st.integers(0, 255)),
+    min_size=0, max_size=3).map(tuple)
+_FRAME = st.tuples(st.integers(0, 127), st.integers(0, 2**64 - 1),
+                   st.binary(max_size=300), st.none() | _TRACE)
+
+
+def _key(f: wire.Frame):
+    return f.msg_type, f.request_id, f.payload, f.trace
+
+
+class TestFrameDecoderStream:
+    @settings(max_examples=200, **SETTINGS)
+    @given(frames=st.lists(_FRAME, min_size=1, max_size=12),
+           cuts=st.lists(st.integers(0, 10_000), max_size=20))
+    def test_any_split_decodes_like_one_shot(self, frames, cuts):
+        """Traced and untraced frames mixed, cut into arbitrary chunks:
+        the same frames as one-shot decoding."""
+        raw = b"".join(wire.encode_frame(m, r, p, t) for m, r, p, t in frames)
+        whole = [_key(f) for f in wire.FrameDecoder().feed(raw)]
+        assert whole == [(m, r, p, t) for m, r, p, t in frames]
+        bounds = sorted({0, len(raw), *(c % (len(raw) + 1) for c in cuts)})
+        dec = wire.FrameDecoder()
+        split = []
+        for a, b in zip(bounds, bounds[1:]):
+            split.extend(_key(f) for f in dec.feed(raw[a:b]))
+        assert split == whole
+        assert dec.feed(b"") == []
+
+    @pytest.mark.parametrize("flen", [0, 8, wire.MAX_FRAME_LEN + 1, 2**32 - 1],
+                             ids=["zero", "below-header", "cap+1", "u32-max"])
+    def test_hostile_length_rejected_at_the_header(self, flen):
+        # The 4 length bytes alone are enough: nothing of the body is
+        # awaited, so a peer cannot make the reader buffer without limit.
+        with pytest.raises(ReproError):
+            wire.FrameDecoder().feed(struct.pack("<I", flen))
+
+    def test_length_at_the_cap_awaits_the_body(self):
+        dec = wire.FrameDecoder()
+        assert dec.feed(struct.pack("<IBQ", wire.MAX_FRAME_LEN, 1, 1)) == []
+
+    def test_encoders_stay_under_the_cap(self, monkeypatch):
+        """QUERY_REPLY is the one frame a container's length sizes: a
+        reply that would pass the cap is cut to fit and flagged
+        truncated, as ``max_records`` would."""
+        monkeypatch.setattr(wire, "MAX_FRAME_LEN", 4096)
+        row = wire.query_row_struct(2)
+        rows = wire.RowBlock.of(2, b"".join(
+            row.pack(float(i), 1, 0.5, 1.5) for i in range(200)))
+        payload = wire.pack_query_reply(0, ("a", "b"), rows)
+        frame = wire.encode_frame(wire.MsgType.QUERY_REPLY, 1, payload,
+                                  ((0, 1, 2, 3),) * 255)
+        assert len(frame) - 4 <= wire.MAX_FRAME_LEN
+        _status, flags, _names, got = wire.unpack_query_reply(payload)
+        assert flags & wire.QUERY_TRUNCATED
+        assert 0 < len(got) < 200 and got == rows[:len(got)]
+        # A reply that fits is untouched.
+        small = wire.pack_query_reply(0, ("a", "b"), rows[:4])
+        assert wire.unpack_query_reply(small)[1] == 0
+
+
 MALFORMED = "wire.malformed_frames"
 
 
