@@ -54,12 +54,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.path is not None:
         from repro.plugins.stores.sos import SosReader, rollup_schema
         from repro.query.engine import scan
+        from repro.util.errors import StoreError
 
         container = (rollup_schema(args.schema, args.level)
                      if args.level else args.schema)
         try:
             reader = SosReader(args.path, container)
-        except OSError as exc:
+        except (OSError, StoreError) as exc:
             print(f"cannot open container {container!r}: {exc}",
                   file=sys.stderr)
             return 1

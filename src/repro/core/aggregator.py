@@ -597,12 +597,10 @@ class Producer:
     def _on_data(self, upd: UpdaterState, t_issue: float, trace,
                  data: Optional[bytes]) -> None:
         # Completion runs on an update worker.
-        self.daemon.worker_pool.submit(
+        daemon = self.daemon
+        daemon.worker_pool.submit(
             partial(self._complete_update, upd, data, t_issue, trace),
-            cost=self.daemon.update_cpu_cost,
-            core=self.daemon.core,
-            tag="agg-update",
-        )
+            daemon.update_cpu_cost, daemon.core, "agg-update")
 
     def _issue_update_multi(self, upds: list[UpdaterState]) -> None:
         """Issue one coalesced fetch covering every updater in ``upds``.

@@ -75,8 +75,8 @@ QUERY_PER_ROW_COST = 0.2e-6
 #: for pollers without an object per name on every sampler.
 _OBS_COUNTERS = (
     "arena.fallback_sets", "arena.rows_vectorized", "arena.sweeps",
-    "sampler.samples", "serve.dir_req", "serve.lookup_req",
-    "serve.query_req", "set.create_failed", "store.errors",
+    "sampler.overruns", "sampler.samples", "serve.dir_req",
+    "serve.lookup_req", "serve.query_req", "set.create_failed", "store.errors",
     "store.flush_rows_batched", "store.no_match", "wire.malformed_frames")
 _OBS_HISTOGRAMS = (
     "pipeline.sample_to_store", "sample.duration", "serve.query",
@@ -131,6 +131,29 @@ class _RegionReader(NamedTuple):
     def __call__(self) -> bytes:
         mset = self.sets.get(self.name)
         return mset.data_bytes() if mset is not None else b""
+
+
+class _SampleFiring:
+    """One sampling firing on the scalar path: the worker grant opens the
+    plugin's transactions (``begin``), the end of the busy window closes
+    them (``finish``).  A grant that finds a set still inside the
+    previous sample's transaction — the sampler overran its interval —
+    skips the whole firing; the daemon counts it in ``sampler.overruns``.
+    """
+
+    __slots__ = ("daemon", "plugin", "skipped")
+
+    def __init__(self, daemon: "Ldmsd", plugin: SamplerPlugin):
+        self.daemon = daemon
+        self.plugin = plugin
+        self.skipped = False
+
+    def begin(self) -> None:
+        self.skipped = not self.daemon._begin_sample(self.plugin)
+
+    def finish(self) -> None:
+        if not self.skipped:
+            self.daemon._finish_sample(self.plugin)
 
 
 class _FlushBatch:
@@ -427,10 +450,8 @@ class Ldmsd:
             if instance in self._schedules:
                 raise ConfigError(f"sampler {instance!r} already started")
 
-            # Bind the per-tick constants once: the plugin's set layout
-            # is frozen at config(), so sample_cost is loop-invariant,
-            # and the begin/finish callables need not be rebuilt per
-            # firing.
+            # The plugin's set layout is frozen at config(), so
+            # sample_cost is loop-invariant: bind it once.
             sample_cost = plugin.sample_cost
             self._h_sample = self.obs.histogram("sample.duration")
             self._c_samples = self.obs.counter("sampler.samples")
@@ -460,17 +481,9 @@ class Ldmsd:
                 # cost >= interval): it stays on the scalar path.
                 self.obs.counter("arena.fallback_sets").inc()
 
-            begin = partial(self._begin_sample, plugin)
-            finish = partial(self._finish_sample, plugin)
-            submit = self.worker_pool.submit
-            core = self.core
-
-            def fire() -> None:
-                submit(finish, cost=sample_cost, core=core, tag="sampler",
-                       on_start=begin)
-
             self._schedules[instance] = self.env.call_every(
-                interval, fire, synchronous=offset is not None, offset=offset or 0.0
+                interval, partial(self._submit_sample, plugin, sample_cost),
+                synchronous=offset is not None, offset=offset or 0.0
             )
 
     def stop_sampler(self, instance: str) -> None:
@@ -489,10 +502,23 @@ class Ldmsd:
         except KeyError:
             raise ConfigError(f"no sampler instance {instance!r}") from None
 
-    def _begin_sample(self, plugin: SamplerPlugin) -> None:
+    def _submit_sample(self, plugin: SamplerPlugin, cost: float) -> None:
+        """One scalar-path firing: a worker task of ``cost`` seconds."""
+        firing = _SampleFiring(self, plugin)
+        self.worker_pool.submit(firing.finish, cost, self.core, "sampler",
+                                firing.begin)
+
+    def _begin_sample(self, plugin: SamplerPlugin) -> bool:
+        """Open the plugin's sampling transactions; refuse (False) and
+        count an overrun while one of its sets is still inside one."""
         with self.lock:
+            if any(s._in_transaction for s in plugin._sets):
+                # Rare: looked up here, not bound per sampler daemon.
+                self.obs.counter("sampler.overruns").inc()
+                return False
             plugin._sample_t0 = self.env.now()
             plugin.begin_sample()
+            return True
 
     def _finish_sample(self, plugin: SamplerPlugin) -> None:
         with self.lock:

@@ -27,13 +27,11 @@ the scalar reference the tier-1 identity tests build with
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.core import sanitize
-from repro.util.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ldmsd import Ldmsd
@@ -295,25 +293,22 @@ class SampleCohort:
         pending.clear()
         for m in members:
             pool = m.pool
-            if not pool.resource.try_acquire():
-                # Worker busy: this member rides the scalar queue for
-                # this tick (identical to a queued _PoolTask grant).
+            mset = m.mset
+            if mset._in_transaction or not pool.resource.try_acquire():
+                # Worker busy, or a late-granted earlier sample still
+                # open: this member takes the scalar firing for this
+                # tick — a queued grant, or an overrun its grant skips
+                # and counts, exactly as with the arena off.
                 d = m.daemon
                 d.obs.counter("arena.fallback_sets").inc()
-                pool.submit(partial(d._finish_sample, m.plugin), cost=cost,
-                            core=m.core, tag="sampler",
-                            on_start=partial(d._begin_sample, m.plugin))
+                d._submit_sample(m.plugin, cost)
                 continue
             # Inline-grant accounting, replicated from _SimPool.submit.
             if m.core is not None:
                 m.core.add_noise(now, cost, "sampler")
             pool.busy_time += cost
             pool.tasks_run += 1
-            plugin = m.plugin
-            plugin._sample_t0 = now
-            mset = m.mset
-            if mset._in_transaction:
-                raise ReproError(f"nested transaction on set {mset.name!r}")
+            m.plugin._sample_t0 = now
             if mset._shadow is not None:
                 sanitize.check(mset, "begin_transaction")
             mset._in_transaction = True

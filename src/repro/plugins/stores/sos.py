@@ -41,6 +41,9 @@ binary-searchable.
 pair whole from the tail, the data file being authoritative: cut
 ``.sos`` to whole records, drop a partial ``.sidx`` entry and any entry
 whose record is not wholly in the data, index the records left without.
+Sidecars are written to a temporary name and renamed into place; one
+that is still unreadable is refused with a :class:`StoreError` naming
+it (store and reader alike), never rebuilt from the record width.
 """
 
 from __future__ import annotations
@@ -106,6 +109,31 @@ def _recover(base: str, card: int) -> None:
             times = np.frombuffer(df.read(end - start), dtype)["ts"].tolist()
             xf.write(b"".join(_IDX_ENT.pack(ts, start + k * size)
                               for k, ts in enumerate(times)))
+
+
+def _write_sidecar(path: str, meta: dict) -> None:
+    """Write a ``.schema.json`` sidecar whole: to a temporary name,
+    then renamed over ``path``, so a crash leaves no sidecar or the old
+    one, never a torn one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
+        json.dump(meta, f)
+    os.replace(tmp, path)
+
+
+def _read_sidecar(path: str) -> tuple[str, ...]:
+    """A sidecar's metric names.  An unreadable sidecar is refused with
+    a :class:`StoreError` naming the file: the names are never rebuilt
+    from the record width.  A missing one raises ``OSError``."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        names = json.loads(raw)["metrics"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise StoreError(f"sos: unreadable sidecar {path}: {exc!r}") from None
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise StoreError(f"sos: unreadable sidecar {path}: metrics={names!r}")
+    return tuple(names)
 
 
 def rollup_schema(schema: str, level: int) -> str:
@@ -201,21 +229,22 @@ class SosStore(StorePlugin):
         base = os.path.join(self.path, schema)
         meta_path = base + ".schema.json"
         if os.path.exists(meta_path):
-            # Reopening an existing container: the on-disk sidecar is
+            # Reopening an existing container: the on-disk sidecars (its
+            # rollups' too, all checked before anything is written) are
             # the layout contract.  Appending fixed-width records of a
             # different shape would corrupt the container silently.
-            with open(meta_path, "r", encoding="utf-8") as f:
-                meta = json.load(f)
-            disk_names = tuple(meta.get("metrics", ()))
-            if disk_names != names:
-                raise StoreError(
-                    f"sos: schema {schema!r} layout mismatch with on-disk "
-                    f"container: disk={list(disk_names)} record={list(names)}"
-                )
+            rollups = (os.path.join(self.path, rollup_schema(schema, level))
+                       + ".schema.json" for level in self.rollups)
+            for path in [meta_path, *filter(os.path.exists, rollups)]:
+                disk_names = _read_sidecar(path)
+                if disk_names != names:
+                    raise StoreError(
+                        f"sos: schema {schema!r} layout mismatch with on-disk "
+                        f"container {path}: disk={list(disk_names)} "
+                        f"record={list(names)}")
             self.preexisting.add(schema)
         else:
-            with open(meta_path, "w", encoding="utf-8") as f:
-                json.dump({"schema": schema, "metrics": list(names)}, f)
+            _write_sidecar(meta_path, {"schema": schema, "metrics": list(names)})
         self._open(schema, names)
 
     def _open(self, schema: str, names: tuple[str, ...]) -> None:
@@ -288,10 +317,9 @@ class SosStore(StorePlugin):
             meta_path = base + ".schema.json"
             names = self._names[schema]
             if not os.path.exists(meta_path):
-                with open(meta_path, "w", encoding="utf-8") as f:
-                    json.dump({"schema": target, "metrics": list(names),
-                               "base": schema, "level": level,
-                               "agg": "mean"}, f)
+                _write_sidecar(meta_path, {
+                    "schema": target, "metrics": list(names), "base": schema,
+                    "level": level, "agg": "mean"})
             self._open(target, names)
         mean = [s / bucket.count for s in bucket.sums]
         self._append(target, bucket.start, comp_id, mean)
@@ -351,10 +379,8 @@ class SosReader:
 
     def __init__(self, path: str, schema: str):
         base = os.path.join(path, schema)
-        with open(base + ".schema.json", "r", encoding="utf-8") as f:
-            meta = json.load(f)
         self.schema = schema
-        self.metric_names: list[str] = meta["metrics"]
+        self.metric_names = list(_read_sidecar(base + ".schema.json"))
         self._rec = _rec_struct(len(self.metric_names))
         self._dtype = _rec_dtype(len(self.metric_names))
         self._data_path = base + ".sos"

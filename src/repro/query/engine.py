@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.core import wire
 from repro.plugins.stores.sos import SosReader, SosStore, rollup_schema
+from repro.util.errors import StoreError
 
 __all__ = ["QueryEngine", "QueryResult", "scan"]
 
@@ -215,7 +216,7 @@ class QueryEngine:
         if reader is None:
             try:
                 reader = SosReader(self.store.path, container)
-            except OSError:
+            except (OSError, StoreError):  # missing, or an unreadable sidecar
                 return QueryResult(wire.E_NOENT, (), wire.RowBlock.of(0),
                                    source="noent")
             self._readers[container] = reader

@@ -13,22 +13,43 @@ Design notes
 
 Queue
 -----
-``_heap`` is a plain binary heap of ``(when, seq, item)``; ``seq`` is a
-global scheduling counter, so equal-time items pop in the order they
-were scheduled and an item scheduled at ``now`` from inside a callback
-fires after everything already pending for ``now``.  There is no
-per-timestamp bucketing: in every DES workload the ledger runs, pending
-timestamps are distinct (each producer ticks on its own phase; mean
-occupancy of an instant is 1.01 at the 9,216-producer knee), so a
-bucket would hold one item and cost a dict insert and delete per event.
+Every pending item has a key ``(when, seq)``; ``seq`` is a global
+scheduling counter, so equal-time items fire in the order they were
+scheduled and an item scheduled at ``now`` from inside a callback fires
+after everything already pending for ``now``.  Items fire in key order.
+
+``_heap`` is a binary heap of ``(when, seq, item)`` holding every
+one-shot item — ``call_later``/``call_at`` timers, Events, pool tasks,
+cohort finishes, in-flight reads — and the synchronous or jittered
+periodic timers, plus one entry per non-empty **lane**.  A lane
+(:class:`_Lane`) is a FIFO of the pending fires of every fixed-period
+timer (:class:`_LaneTimer`) sharing one interval; the heap holds only
+its head, under the head's own key.  A lane needs no sorting: each of
+its timers reschedules at ``now + interval`` with a fresh ``seq``,
+``now`` never goes back and float addition is monotone, so keys arrive
+in order.  Firing a lane pops its head, re-pushes the lane under its
+next head's key, then fires the timer — so the heap merges lanes and
+one-shot items by the same key, and fire order, ``now``,
+``events_processed`` and ``timer_fastpath_ticks`` are what one heap of
+everything would give.  At the 9,216-producer knee every pending
+periodic fire shares the 5 s interval: between slices the heap holds 1
+entry instead of 9,218, so a push or pop no longer sifts through
+timers that will not fire for seconds.  Synchronous and jittered timers
+compute each delay afresh, so their keys need not arrive in order: they
+stay plain heap entries.
+
+There is no per-timestamp bucketing: in every DES workload the ledger
+runs, pending timestamps are distinct (each producer ticks on its own
+phase; mean occupancy of an instant is 1.01 at the knee), so a bucket
+would hold one item and cost a dict insert and delete per event.
 
 **Bare timers.**  :meth:`Engine.call_later` returns a slotted
 :class:`_Timer` (a callback + args, no Event state machine, no
 per-tick lambda), and :meth:`Engine.schedule_periodic` reschedules a
-single :class:`_PeriodicTimer` object forever — the zero-allocation
-periodic path that dominates sampler/updater scheduling.  Both expose
-``_fire()`` so the drain loop dispatches them and real Events
-uniformly.
+single :class:`_LaneTimer` or :class:`_PeriodicTimer` object forever —
+the zero-allocation periodic path that dominates sampler/updater
+scheduling.  All of them (and lanes) expose ``_fire()`` so the drain
+loop dispatches them and real Events uniformly.
 """
 
 from __future__ import annotations
@@ -36,6 +57,7 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
+from collections import deque
 from typing import Any, Callable
 
 from repro.util.errors import SimulationError
@@ -160,22 +182,86 @@ class _Timer:
             fn(*self.args)
 
 
-class _PeriodicTimer:
-    """A self-rescheduling timer: one object serves every tick.
+class _Lane:
+    """The pending fires of every fixed-period timer sharing one
+    interval, in key order (module docstring); the engine heap holds
+    the head's key with the lane as its item."""
+
+    __slots__ = ("engine", "interval", "keys", "timers")
+
+    def __init__(self, engine: "Engine", interval: float):
+        self.engine = engine
+        self.interval = interval
+        self.keys: deque[tuple[float, int, _Lane]] = deque()
+        self.timers: deque[_LaneTimer] = deque()
+
+    def push(self, timer: "_LaneTimer") -> None:
+        """Schedule ``timer`` one interval from now."""
+        engine = self.engine
+        key = (engine._now + self.interval, next(engine._seq), self)
+        keys = self.keys
+        if not keys:
+            heapq.heappush(engine._heap, key)
+        keys.append(key)
+        self.timers.append(timer)
+
+    def _fire(self) -> None:
+        keys = self.keys
+        keys.popleft()
+        timer = self.timers.popleft()
+        if keys:
+            heapq.heappush(self.engine._heap, keys[0])
+        timer._fire()
+
+
+class _LaneTimer:
+    """A fixed-period timer: one object serves every tick, each fire
+    queued on its interval's :class:`_Lane`.
 
     Reschedules *before* invoking ``fn`` (matching ``Env.call_every``:
     a callback that cancels its own handle stops future fires, and a
-    raising callback does not kill the period).  The delay arithmetic
-    and ``jitter_rng`` consumption replicate ``Env.call_every`` exactly
-    so same-seed runs are byte-identical whichever path scheduled them.
+    raising callback does not kill the period); the next fire is
+    ``now + interval``, ``Env.call_every``'s own arithmetic.
+    """
+
+    __slots__ = ("lane", "fn")
+
+    def __init__(self, lane: _Lane, fn: Callable[[], Any]):
+        self.lane = lane
+        self.fn = fn
+        lane.push(self)
+
+    def cancel(self) -> None:
+        self.fn = None
+
+    @property
+    def cancelled(self) -> bool:
+        return self.fn is None
+
+    def _fire(self) -> None:
+        fn = self.fn
+        if fn is None:
+            return
+        lane = self.lane
+        lane.engine.timer_fastpath_ticks += 1
+        lane.push(self)
+        fn()
+
+
+class _PeriodicTimer:
+    """A synchronous or jittered periodic timer: one object serves every
+    tick, each fire a plain heap entry (its delay is computed afresh).
+
+    Reschedules before invoking ``fn``, like :class:`_LaneTimer`.  The
+    delay arithmetic and ``jitter_rng`` consumption replicate
+    ``Env.call_every`` exactly so same-seed runs are byte-identical
+    whichever path scheduled them.
     """
 
     __slots__ = ("engine", "fn", "interval", "synchronous", "offset", "jitter_rng")
 
     def __init__(self, engine: "Engine", interval: float, fn: Callable[[], Any],
-                 synchronous: bool = False, offset: float = 0.0, jitter_rng=None):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+                 synchronous: bool, offset: float, jitter_rng):
         self.engine = engine
         self.fn = fn
         self.interval = interval
@@ -191,10 +277,7 @@ class _PeriodicTimer:
             offset = self.offset
             target = (now - offset) // interval * interval + interval + offset
             return max(target - now, 0.0)
-        rng = self.jitter_rng
-        if rng is not None:
-            return interval + float(rng.uniform(0.0, 1e-3))
-        return interval
+        return interval + float(self.jitter_rng.uniform(0.0, 1e-3))
 
     def cancel(self) -> None:
         self.fn = None
@@ -282,6 +365,8 @@ class Engine:
         # order and keeps the comparison from ever reaching ``item``.
         self._heap: list[tuple[float, int, Any]] = []
         self._seq = itertools.count()
+        #: interval -> the lane of the fixed-period timers sharing it
+        self._lanes: dict[float, _Lane] = {}
         self._nprocessed = 0
         #: ticks delivered through the zero-allocation periodic path
         self.timer_fastpath_ticks = 0
@@ -328,15 +413,24 @@ class Engine:
 
     def schedule_periodic(self, interval: float, fn: Callable[[], Any],
                           synchronous: bool = False, offset: float = 0.0,
-                          jitter_rng=None) -> _PeriodicTimer:
+                          jitter_rng=None) -> _LaneTimer | _PeriodicTimer:
         """Fire ``fn`` every ``interval`` seconds through one reusable
         timer object (the zero-allocation periodic fast path).
 
         Semantics match ``Env.call_every``: the first fire is one period
         (or the next synchronous boundary) from now, the timer
         reschedules before invoking ``fn``, and ``.cancel()`` stops it.
+        A fixed-period timer joins its interval's lane.
         """
-        return _PeriodicTimer(self, interval, fn, synchronous, offset, jitter_rng)
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+        if synchronous or jitter_rng is not None:
+            return _PeriodicTimer(self, interval, fn, synchronous, offset,
+                                  jitter_rng)
+        lane = self._lanes.get(interval)
+        if lane is None:
+            lane = self._lanes[interval] = _Lane(self, interval)
+        return _LaneTimer(lane, fn)
 
     @staticmethod
     def cancel(ev) -> None:

@@ -143,6 +143,31 @@ class SimFabric:
         return 0.0
 
 
+class _SimRead:
+    """A single-region read in flight: one engine item, fired at the
+    target hop (snapshot the region) and again at the reply hop (reap
+    the completion).  Failed reads complete through ``call_later``."""
+
+    __slots__ = ("ep", "region_id", "on_complete", "trace", "data",
+                 "at_target")
+
+    def __init__(self, ep: "_SimEndpoint", region_id: int, on_complete,
+                 trace) -> None:
+        self.ep = ep
+        self.region_id = region_id
+        self.on_complete = on_complete
+        self.trace = trace
+        self.data: Optional[bytes] = None
+        self.at_target = False
+
+    def _fire(self) -> None:
+        if self.at_target:
+            self.ep._read_complete(self.on_complete, self.data)
+        else:
+            self.at_target = True
+            self.ep._read_at_target(self)
+
+
 class _SimEndpoint(Endpoint):
     def __init__(self, transport: "SimTransport", node_id):
         super().__init__()
@@ -210,10 +235,10 @@ class _SimEndpoint(Endpoint):
         # in the request frame: 15 bytes per entry, see wire.py)
         nreq = 64 if trace is None else 64 + 1 + 15 * len(trace)
         req_delay = self._wire_delay(nreq, peer.node_id)
-        self.engine.call_later(
-            req_delay, self._read_at_target, region_id, on_complete, trace)
+        self.engine._push(_SimRead(self, region_id, on_complete, trace),
+                          req_delay)
 
-    def _read_at_target(self, region_id: int, on_complete, trace=None) -> None:
+    def _read_at_target(self, read: "_SimRead") -> None:
         peer = self.peer
         p = self.transport.profile
         faults = self.fabric.faults
@@ -221,15 +246,16 @@ class _SimEndpoint(Endpoint):
             # Link went down mid-flight: completion error on the
             # initiator after the detection latency.
             faults.reads_failed += 1
-            self.engine.call_later(p.base_latency, on_complete, None)
+            self.engine.call_later(p.base_latency, read.on_complete, None)
             return
         if peer is None or peer.closed:
-            self.engine.call_later(p.base_latency, on_complete, None)
+            self.engine.call_later(p.base_latency, read.on_complete, None)
             return
+        trace = read.trace
         if trace is not None and peer.on_traced_read is not None:
             for _idx, tid, sid, hop in trace:
-                peer.on_traced_read(tid, sid, hop, region_id)
-        reader = peer._regions.get(region_id)
+                peer.on_traced_read(tid, sid, hop, read.region_id)
+        reader = peer._regions.get(read.region_id)
         data = bytes(reader()) if reader is not None else None
         nbytes = len(data) if data is not None else 0
         # Target CPU cost (zero for true RDMA).
@@ -239,7 +265,8 @@ class _SimEndpoint(Endpoint):
         reply_delay = cost + peer._wire_delay(nbytes, self.node_id)
         if data is not None:
             self._account_read(nbytes)
-        self.engine.call_later(reply_delay, self._read_complete, on_complete, data)
+        read.data = data
+        self.engine._push(read, reply_delay)
 
     def _read_complete(self, on_complete, data) -> None:
         # Initiator CPU to reap the completion.

@@ -3,11 +3,16 @@
 Random programs of scheduling calls run once against :class:`Engine`
 and once against ``_RefEngine`` — a list kept sorted by ``(when, seq)``,
 which *is* the ordering spec — and must agree on fire order, clock and
-``events_processed`` after every driver step.  The second half pins the
-resume contract for a callback that raises mid-instant.
+``events_processed`` after every top-level step.  Periodic timers come in
+the three shapes the engine keeps apart — fixed-period (riding a lane),
+synchronous and jittered (plain heap entries) — so lane heads, heap
+items and their equal-time ties are merged by one key.  The second half
+pins the resume contract for a callback that raises mid-instant, and
+the lanes' own contract on a fixed world.
 """
 
 import itertools
+import random
 import struct
 
 import pytest
@@ -29,6 +34,7 @@ class _RefEngine:
     def __init__(self):
         self.now = 0.0
         self.events_processed = 0
+        self.timer_fastpath_ticks = 0
         self._q = []
         self._seq = 0
 
@@ -65,15 +71,25 @@ class _RefEngine:
     def call_at(self, when, fn, *args):
         return self.call_later(when - self.now, fn, *args)
 
-    def schedule_periodic(self, interval, fn):
+    def schedule_periodic(self, interval, fn, synchronous=False, offset=0.0,
+                          jitter_rng=None):
         t = _RefTimer(fn)
+
+        def delay():  # Env.call_every's arithmetic
+            if synchronous:
+                target = (self.now - offset) // interval * interval + interval + offset
+                return max(target - self.now, 0.0)
+            if jitter_rng is not None:
+                return interval + float(jitter_rng.uniform(0.0, 1e-3))
+            return interval
 
         def fire():
             if t.fn is not None:
-                self._push(fire, interval)  # reschedule, then invoke
+                self.timer_fastpath_ticks += 1
+                self._push(fire, delay())  # reschedule, then invoke
                 t.fn()
 
-        self._push(fire, interval)
+        self._push(fire, delay())
         return t
 
     def event(self):
@@ -90,6 +106,17 @@ class _RefTimer:
 
     def cancel(self):
         self.fn = None
+
+
+class _Jitter:
+    """A seeded stand-in for a numpy ``Generator``'s ``uniform``: two
+    instances built from one seed draw the same sequence."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self._rng.random()
 
 
 class _RefEvent:
@@ -137,7 +164,8 @@ _PROGRAMS = st.lists(st.one_of(
     st.tuples(st.just("later"), _DELAYS, _SCRIPT),
     st.tuples(st.just("at"), _DELAYS, _SCRIPT),
     st.tuples(st.just("event"), _DELAYS, _SCRIPT),
-    st.tuples(st.just("periodic"), st.sampled_from([0.1, 0.25, 0.5, 1.0]), _SCRIPT),
+    st.tuples(st.just("periodic"), st.sampled_from([0.1, 0.25, 0.5, 1.0]), _SCRIPT,
+              st.sampled_from(["fixed", "fixed", "sync", "sync_offset", "jitter"])),
     st.tuples(st.just("cancel"), _INDEX),
     st.tuples(st.just("step")),
     st.tuples(st.just("run"), _DELAYS),
@@ -160,13 +188,17 @@ def _execute(eng, program):
                 act(*action)
         return fire
 
-    def act(kind, arg=None, script=()):
+    def act(kind, arg=None, script=(), shape="fixed"):
         if kind == "later":
             handles.append(eng.call_later(arg, callback(script)))
         elif kind == "at":
             handles.append(eng.call_at(eng.now + arg, callback(script)))
         elif kind == "periodic":
-            handles.append(eng.schedule_periodic(arg, callback(script)))
+            fn = callback(script)
+            handles.append(eng.schedule_periodic(
+                arg, fn, synchronous=shape.startswith("sync"),
+                offset=0.05 if shape == "sync_offset" else 0.0,
+                jitter_rng=_Jitter(len(handles)) if shape == "jitter" else None))
         elif kind == "event":
             ev = eng.event()
             ev.callbacks.append(callback(script))
@@ -192,7 +224,8 @@ def _execute(eng, program):
             act(*op)
         except _Boom:
             log.append("boom")
-        log.append((op[0], eng.now, eng.events_processed, eng.peek()))
+        log.append((op[0], eng.now, eng.events_processed, eng.peek(),
+                    eng.timer_fastpath_ticks))
 
     for op in program:
         drive(*op)
@@ -293,3 +326,87 @@ class TestRaisingCallbackResume:
         eng.run(until=4.5)
         assert ticks == [1.0, 2.0, 3.0, 4.0]
         assert eng.events_processed == eng.timer_fastpath_ticks == 4
+
+
+# -- lanes -----------------------------------------------------------------
+class TestLanes:
+    """Fixed-period timers ride one FIFO lane per interval and the heap
+    holds each lane's head: the fire order of one heap of everything,
+    with an exact tie against a heap item broken by ``seq``."""
+
+    @staticmethod
+    def _drive(eng):
+        log, handles = [], []
+
+        def note(tag):
+            return lambda *_: log.append((tag, eng.now))
+
+        def start(k):
+            handles.append(eng.schedule_periodic(0.5, note(("fixed", k))))
+
+        def raiser():
+            log.append(("raiser", eng.now))
+            if len(log) % 3 == 0:
+                raise _Boom
+
+        def go(run, *args):
+            try:
+                run(*args)
+            except _Boom:
+                log.append(("boom", eng.now))
+            log.append((eng.now, eng.events_processed, eng.peek(),
+                        eng.timer_fastpath_ticks))
+
+        # 48 timers sharing 0.5 s, started 1/32 s apart: binary fractions,
+        # so their fires and the heap items below meet on equal instants.
+        for k in range(48):
+            eng.call_at(k / 32, start, k)
+        for k in range(0, 48, 5):  # scheduled before the lane entry ...
+            eng.call_at(k / 32 + 1.0, note(("at", k)))
+        eng.call_later(1.25, lambda: [  # ... and after it
+            eng.call_at(k / 32 + 1.5, note(("late", k))) for k in range(0, 48, 7)])
+        eng.call_at(1.125, lambda: [eng.cancel(handles[i]) for i in (3, 17, 30)])
+        handles.append(eng.schedule_periodic(0.5, note("sync"), synchronous=True))
+        handles.append(eng.schedule_periodic(0.5, note("sync+"), synchronous=True,
+                                             offset=1 / 32))
+        handles.append(eng.schedule_periodic(0.5, note("jitter"),
+                                             jitter_rng=_Jitter(7)))
+        handles.append(eng.schedule_periodic(0.25, note("quarter")))  # 2nd lane
+        handles.append(eng.schedule_periodic(0.5, raiser))
+        for _ in range(40):
+            go(eng.step)
+        ev = eng.event()
+        ev.callbacks.append(note("event"))
+        ev.succeed(delay=0.5 - eng.now % 0.5)  # on a lane instant
+        go(eng.run, ev)
+        while eng.now < 4.0:
+            go(eng.run, 4.0)
+        for h in handles:
+            eng.cancel(h)
+        go(eng.run)
+        return log
+
+    def test_matches_one_sorted_queue_of_everything(self):
+        got = self._drive(Engine())
+        assert got == self._drive(_RefEngine())
+        assert sum(1 for e in got if e[0] == "boom") >= 3
+        assert got[-1][2] == INF
+
+    def test_heap_holds_one_entry_per_lane_at_rest(self):
+        eng = Engine()
+        for k in range(1000):
+            eng.call_at(k / 1024, eng.schedule_periodic, 1.0, lambda: None)
+        eng.run(until=5.0)
+        assert len(eng._heap) == 1
+        assert len(eng._lanes[1.0].keys) == 1000
+        eng.schedule_periodic(0.25, lambda: None)
+        eng.schedule_periodic(1.0, lambda: None, synchronous=True)
+        eng.schedule_periodic(1.0, lambda: None, jitter_rng=_Jitter(1))
+        assert len(eng._heap) == 4
+        eng.run(until=9.0)
+        assert len(eng._heap) == 4
+        for timer in [t for lane in eng._lanes.values() for t in lane.timers]:
+            eng.cancel(timer)
+        eng.run(until=11.0)  # cancelled entries fire as no-ops, then go
+        assert len(eng._heap) == 2
+        assert not any(lane.keys for lane in eng._lanes.values())

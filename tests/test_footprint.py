@@ -32,8 +32,8 @@ SLOPE_BUDGET = 17_000
 #: What ``stats()["obs"]`` lists on a daemon that has done nothing yet.
 IDLE_COUNTERS = [
     "arena.fallback_sets", "arena.rows_vectorized", "arena.sweeps",
-    "sampler.samples", "serve.dir_req", "serve.lookup_req",
-    "serve.query_req", "set.create_failed", "store.errors",
+    "sampler.overruns", "sampler.samples", "serve.dir_req",
+    "serve.lookup_req", "serve.query_req", "set.create_failed", "store.errors",
     "store.flush_rows_batched", "store.no_match", "wire.malformed_frames",
 ]
 IDLE_HISTOGRAMS = [
@@ -66,6 +66,22 @@ def _traced_bytes(n: int) -> int:
 def test_bytes_per_producer_pair_within_budget():
     slope = (_traced_bytes(512) - _traced_bytes(128)) / 384
     assert slope <= SLOPE_BUDGET, f"{slope:,.0f} B per sampler + producer pair"
+
+
+def test_event_heap_at_a_slice_boundary_does_not_grow_with_producers():
+    # Every producer tick and both sampler cohorts share the 5 s
+    # interval, so they ride one engine lane: between slices the heap
+    # holds its head alone (it used to hold every pending tick: n + 2).
+    sizes = []
+    for n in (512, 2048):
+        _samplers, agg = audit.build(n)
+        eng = agg.env.engine
+        for _ in range(2):
+            eng.run(until=eng.now + audit.INTERVAL)
+            sizes.append(len(eng._heap))
+        assert len(eng._lanes[audit.INTERVAL].keys) == n + 2
+        del _samplers, agg, eng
+    assert sizes == [1, 1, 1, 1]
 
 
 def _bound(daemon) -> set[str]:

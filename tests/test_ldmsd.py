@@ -1,13 +1,19 @@
 """Integration tests for ldmsd: sampling, aggregation, stores, failover.
 
-All tests here run in the simulator (SimEnv + SimFabric) for
-determinism; real-socket operation is covered in test_transport_sock.py.
+All tests here but one run in the simulator (SimEnv + SimFabric) for
+determinism; the exception is a sampler overrunning a real two-worker
+pool (``RealEnv``, no sockets).  Real-socket operation is covered in
+test_transports.py and test_integration_real.py.
 """
+
+import sys
+import time
 
 import pytest
 
 import repro.plugins  # noqa: F401  (registers plugins)
 from repro.core import Ldmsd, SimEnv
+from repro.core.env import RealEnv
 from repro.core.metric import MetricType
 from repro.core.sampler import SamplerPlugin, sampler_registry, register_sampler
 from repro.sim import Engine
@@ -30,6 +36,23 @@ if "ticker" not in sampler_registry:
         def do_sample(self, now):
             self.n += 1
             self.set.set_value("count", self.n)
+
+
+if "blocking" not in sampler_registry:
+
+    @register_sampler("blocking")
+    class BlockingSampler(SamplerPlugin):
+        """Sleeps inside ``do_sample``: a slow host or a stalled read."""
+
+        def config(self, instance, component_id=0, **kw):
+            super().config(instance, component_id)
+            self.set = self.create_set(
+                instance, "blocking", [("count", MetricType.U64)]
+            )
+
+        def do_sample(self, now):
+            time.sleep(0.002)
+            self.set.set_value("count", self.samples_taken + 1)
 
 
 @pytest.fixture
@@ -121,6 +144,123 @@ class TestSampling:
         eng.run(until=4.2)
         assert d.get_set("n0/ticker").get("count") == 4
         assert d.get_set("n0/ticker2").get("count") == 8
+
+
+class TestSamplerOverrun:
+    """A firing whose set is still inside the previous sample's
+    transaction is skipped and counted in ``sampler.overruns``.  It used
+    to raise ``ReproError: nested transaction`` out of ``Engine.run``
+    (arena on and off) and out of a ``RealEnv`` pool worker."""
+
+    @staticmethod
+    def _start_counted(d, env, instance, interval):
+        """``start_sampler`` with every timer firing counted."""
+        fired = []
+        call_every = env.call_every
+
+        def counted(interval, fn, *args, **kwargs):
+            def fire():
+                fired.append(env.now())
+                fn()
+            return call_every(interval, fire, *args, **kwargs)
+
+        env.call_every = counted
+        try:
+            d.start_sampler(instance, interval=interval)
+        finally:
+            del env.call_every
+        return fired
+
+    @staticmethod
+    def _overruns(d):
+        return d.stats()["obs"]["counters"]["sampler.overruns"]
+
+    @staticmethod
+    def _sim_sampler(env, fabric):
+        d = Ldmsd("n0", env=env, workers=2, transports={
+            "rdma": SimTransport(fabric, "rdma", node_id="n0")})
+        plugin = d.load_sampler("synthetic", instance="n0/syn",
+                                component_id=1, num_metrics=10)
+        return d, plugin
+
+    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "scalar"])
+    def test_interval_shorter_than_the_sample_skips_and_counts(self, arena):
+        eng = Engine()
+        env = SimEnv(eng, arena=arena)
+        fabric = SimFabric(eng)
+        d, plugin = self._sim_sampler(env, fabric)
+        cost = plugin.sample_cost
+        fired = self._start_counted(d, env, "n0/syn", cost / 2)
+        d.listen("rdma", "n0:411")
+        agg = make_agg((eng, env, fabric))
+        st = agg.add_store("memory")
+        agg.add_producer("n0", "rdma", "n0:411", interval=7 * cost)
+        eng.run(until=10 * cost)  # raised here
+        eng.run(until=4000 * cost)
+        d.stop_sampler("n0/syn")
+        eng.run(until=eng.now + 10 * cost)  # granted firings drain
+        overruns = self._overruns(d)
+        assert overruns > 0 and plugin.samples_taken > 0
+        assert plugin.samples_taken + overruns == len(fired)
+        mset = d.get_set("n0/syn")
+        assert mset.is_consistent
+        assert mset.get("metric_0") == plugin.samples_taken
+        # Every stored sample is one whole transaction: the counter
+        # pattern's row at a single tick, each tick stored at most once.
+        assert st.rows
+        ticks = [r.values[0] for r in st.rows]
+        for r in st.rows:
+            assert r.values == tuple(r.values[0] * (i + 1) for i in range(10))
+        assert ticks == sorted(set(ticks)) and ticks[0] >= 1
+
+    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "scalar"])
+    def test_late_granted_sample_overlapping_the_next_tick(self, arena):
+        # Both workers are held past the 1.0 tick, so that firing queues
+        # and is granted at 2.0 - cost/2; its transaction is still open
+        # when the 2.0 tick finds the second worker free.  With the arena
+        # on, the 2.0 tick is a cohort sweep.
+        eng = Engine()
+        env = SimEnv(eng, arena=arena)
+        d, plugin = self._sim_sampler(env, SimFabric(eng))
+        d.start_sampler("n0/syn", interval=1.0)
+        cost = plugin.sample_cost
+        pool = d.worker_pool
+
+        def hold(until):
+            pool.submit(lambda: None, cost=until - eng.now)
+
+        eng.call_at(0.5, hold, 2.0 - cost / 2)
+        eng.call_at(0.5, hold, 2.0 - cost / 4)
+        eng.run(until=5.5)
+        assert self._overruns(d) == 1
+        assert plugin.samples_taken == 4  # five firings, one skipped
+        mset = d.get_set("n0/syn")
+        assert mset.is_consistent and mset.get("metric_0") == 4
+        assert mset.timestamp == pytest.approx(5.0 + cost)
+
+    def test_blocking_sampler_on_a_real_two_worker_pool(self, capsys):
+        env = RealEnv()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave begin/finish lock sections
+        try:
+            d = Ldmsd("n0", env=env, workers=2, transports={})
+            plugin = d.load_sampler("blocking", instance="n0/blk",
+                                    component_id=1)
+            fired = self._start_counted(d, env, "n0/blk", 0.0005)
+            time.sleep(0.1)
+            d.stop_sampler("n0/blk")
+            deadline = time.monotonic() + 10.0
+            while (plugin.samples_taken + self._overruns(d) < len(fired)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert len(fired) > 10
+            assert plugin.samples_taken + self._overruns(d) == len(fired)
+            assert d.get_set("n0/blk").is_consistent
+            d.shutdown()
+        finally:
+            sys.setswitchinterval(switch)
+            env.shutdown()
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestAggregation:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro.plugins  # noqa: F401
+from repro.core import wire
 from repro.core.metric import MetricType
 from repro.core.store import StorePolicy, StoreRecord
 from repro.plugins.stores.csv_store import CsvStore
@@ -14,6 +15,7 @@ from repro.plugins.stores.flatfile import FlatFileStore
 from repro.plugins.stores.memstore import MemoryStore
 from repro.plugins.stores.sos import (SosReader, SosRecord, SosStore,
                                       rollup_schema)
+from repro.query.engine import QueryEngine
 from repro.util.errors import ConfigError, StoreError
 
 
@@ -458,6 +460,47 @@ class TestSosCrashRecovery:
             got = list(SosReader(str(d), "mem"))
             assert repr(got) == repr([SosRecord(*r) for r in want]), cut
             assert self._sizes_whole(d, "mem", self.SIZE) == len(want)
+
+    @pytest.mark.parametrize("sidecar", ["mem.schema.json",
+                                         "mem.r10.schema.json"])
+    def test_torn_sidecar_is_refused_at_every_byte(self, tmp_path, sidecar):
+        # A sidecar cut short used to make reopen, the reader and the
+        # query tier raise json.JSONDecodeError.  It is refused, naming
+        # the file; names are never rebuilt from the record width.
+        whole = tmp_path / "whole"
+        self._append(whole, self.SESSIONS[0], rollups="10")
+        files = {p.name: p.read_bytes() for p in whole.iterdir()}
+        container = sidecar[:-len(".schema.json")]
+        for cut in range(len(files[sidecar])):
+            d = tmp_path / str(cut)
+            d.mkdir()
+            torn = {name: raw[:cut] if name == sidecar else raw
+                    for name, raw in files.items()}
+            for name, raw in torn.items():
+                (d / name).write_bytes(raw)
+            with pytest.raises(StoreError, match=sidecar):
+                self._append(d, self.NEW, rollups="10")
+            with pytest.raises(StoreError, match=sidecar):
+                SosReader(str(d), container)
+            store = SosStore()
+            store.config(path=str(d), rollups="10")
+            res = QueryEngine(store, lambda: 0.0).query(container, 0.0, 9.0)
+            assert (res.status, res.source) == (wire.E_NOENT, "noent"), cut
+            store.close()
+            assert {p.name: p.read_bytes() for p in d.iterdir()} == torn
+
+    def test_sidecars_are_replaced_whole(self, tmp_path, monkeypatch):
+        # Written to a temporary name and renamed over the final one, so
+        # a crash mid-write leaves no sidecar rather than a torn one.
+        replaced = []
+        real_replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: (
+            replaced.append(os.path.basename(dst)), real_replace(src, dst)))
+        self._append(tmp_path, self.SESSIONS[0], rollups="10")
+        assert replaced == ["mem.schema.json", "mem.r10.schema.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "mem.r10.schema.json", "mem.r10.sidx", "mem.r10.sos",
+            "mem.schema.json", "mem.sidx", "mem.sos"]
 
     def test_clean_reopen_writes_nothing(self, tmp_path):
         self._append(tmp_path, self.SESSIONS[0])
