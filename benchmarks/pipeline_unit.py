@@ -5,14 +5,14 @@ per-stage ns/op live in the ledger (``benchmarks/ledger/run.py
 --micro``).  ``build_unit`` returns a closure
 performing exactly the per-stored-sample work of the PR-1 fast path —
 sampling transaction, one-sided read service + mirror install, store
-record build, compiled CSV row render — optionally wrapped in the same
-``repro.obs`` hooks the daemon executes (clock reads, histogram
-observes, counter incs, one pipeline trace, and — since the
-observability plane landed — the per-stored-update freshness observe,
-the flight-recorder event, and span recording for exemplar-sampled
-traces).  Timing the closure with ``instrumented=True`` vs ``False``
-therefore measures the true telemetry overhead on the fast path,
-independent of machine speed.
+record build, compiled CSV row render — wrapped in the same
+``repro.obs`` hooks the daemon executes: clock reads, histogram
+observes, counter incs, the exemplar draw of the span ring (an update
+span opened at issue and closed when stored, plus the store-flush span,
+for one transaction in 16), the per-stored-update freshness observe and
+the flight-recorder event.  ``instrumented=False`` runs the same call
+sites against do-nothing stand-ins, so timing the two variants measures
+the telemetry overhead on the fast path, independent of machine speed.
 """
 
 from __future__ import annotations
@@ -23,18 +23,36 @@ from repro.core.memory import Arena
 from repro.core.metric import MetricType
 from repro.core.metric_set import MetricSet
 from repro.core.store import StoreRecord
-from repro.obs import (
-    FlightRecorder,
-    FreshnessTracker,
-    SpanRecorder,
-    Telemetry,
-    Tracer,
-)
-from repro.obs.spans import HOP_STORE, HOP_UPDATE
+from repro.obs import FlightRecorder, FreshnessTracker, SpanRecorder, Telemetry
+from repro.obs.spans import HOP_STORE
 
 __all__ = ["N_METRICS", "build_unit"]
 
 N_METRICS = 194  # the Blue Waters set size used throughout the benches
+
+
+class _Off:
+    """Do-nothing stand-in for every obs object the unit touches:
+    registry, instruments, span ring, flight recorder and tracker."""
+
+    def counter(self, name):
+        return self
+
+    histogram = counter
+
+    def inc(self, n=1):
+        pass
+
+    def observe(self, value):
+        pass
+
+    def record(self, *args):
+        pass
+
+    def start(self, *args):
+        return None
+
+    arm = finish = start
 
 
 def build_unit(outdir, instrumented: bool, n: int = N_METRICS,
@@ -57,15 +75,15 @@ def build_unit(outdir, instrumented: bool, n: int = N_METRICS,
     store.submit(StoreRecord.from_set(mirror, "n0"))  # compiles formatters
     buf = store._buffers["bench"]
 
-    obs = Telemetry(enabled=instrumented)
-    tracer = Tracer(clock, enabled=instrumented)
-    # The PR-7 observability plane: freshness tracking per stored
-    # update, a flight-recorder event per flush, and span recording for
-    # the exemplar-sampled traces — same call shape as the daemon's
-    # _complete_update/_flush_rows paths.
-    flight = FlightRecorder("bench", enabled=instrumented)
-    spans = SpanRecorder("bench", enabled=instrumented)
-    freshness = FreshnessTracker(enabled=instrumented)
+    if instrumented:
+        obs, spans = Telemetry(), SpanRecorder("bench")
+        flight, freshness = FlightRecorder("bench"), FreshnessTracker()
+    else:
+        obs = spans = flight = freshness = _Off()
+    # The observability plane: freshness tracking per stored update, a
+    # flight-recorder event per flush, and the exemplar's update and
+    # store-flush spans — same call shape as the daemon's
+    # _issue_update/_complete_update/_flush_rows paths.
     fresh = freshness.arm("n0", 1.0, 1, clock())
     flight_record = flight.record
     spans_record = spans.record
@@ -85,43 +103,35 @@ def build_unit(outdir, instrumented: bool, n: int = N_METRICS,
         h_sample.observe(clock() - t0)
         c_samples.inc()
         # producer fetch: one-sided read service + mirror install
-        trace = tracer.start("n0", "n0/bench")
-        t_issue = trace.t_issue if trace is not None else clock()
+        t_issue = clock()
+        span = spans.start("n0", "n0/bench", t_issue)
         data = mset.data_bytes()
         inc_reads()
         inc_read_bytes(len(data))
         mirror.apply_data(data)
-        # One decode of the transaction timestamp serves the trace, the
-        # store hand-off and the freshness tracker (_complete_update).
+        # One decode of the transaction timestamp serves the exemplar,
+        # the store hand-off and the freshness tracker (_complete_update).
         ts = mirror.timestamp
         now = clock()
-        if trace is not None:
-            trace.t_fetched = now
-            trace.t_validated = now
+        if span is not None:
+            span.sample_ts = ts
         h_update.observe(now - t_issue)
         # store delivery (Ldmsd._deliver_to_stores / _flush_rows)
         rec = StoreRecord.from_set(mirror, "n0")
         t_submit = clock()
-        if trace is not None:
-            trace.t_store_submit = t_submit
-            trace.sample_ts = ts
         h_e2e.observe(max(t_submit - ts, 0.0))
         store.store(rec)
         buf.clear()
         t_done = clock()
         h_flush.observe(t_done - t_submit)
-        if trace is not None:
-            trace.t_store_done = t_done
-        tracer.finish(trace, "stored")
+        spans.finish(span, "stored", now)
         # observability plane (aggregator _complete_update/_flush_rows)
         if fresh is not None:
             fresh.observe(ts, 0)
         flight_record(t_done, "store", "flush", 1, 0)
-        if trace is not None:
-            sid = spans.alloc()
-            spans_record(1, sid, 0, HOP_UPDATE, "update", t_issue, now)
-            spans_record(1, spans.alloc(), sid, HOP_STORE, "store_flush",
-                         t_submit, t_done)
+        if span is not None:
+            spans_record(span.trace_id, spans.alloc(), span.span_id,
+                         HOP_STORE, "store_flush", t_submit, t_done)
         return rec
 
     return unit, store.close

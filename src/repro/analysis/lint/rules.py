@@ -404,21 +404,19 @@ class ObsHotpathDisciplineRule(Rule):
     """Observability instruments stay free on the data-plane hot path.
 
     The obs plane's CI contract is a <5% overhead bound with every
-    instrument enabled, and *zero* measurable cost when disabled.  That
-    only holds if a trace/record/observe call site on the sample/
-    update/flush path never allocates (dict/list/set displays,
-    comprehensions) or formats strings (f-strings, ``%``, ``.format``)
-    while building its arguments — those costs are paid even when the
-    instrument drops the event.  Expensive arguments are legal only
-    under the enabled-check idiom: an enclosing ``if`` testing
-    ``x.enabled`` or an ``is not None`` handle (``Tracer.start`` /
-    ``FreshnessTracker.arm`` return ``None`` when off, so the whole
-    block vanishes on the disabled path).
+    instrument live.  That only holds if a record/observe/finish call
+    site on the sample/update/flush path never allocates (dict/list/set
+    displays, comprehensions) or formats strings (f-strings, ``%``,
+    ``.format``) while building its arguments — those costs are paid on
+    every event, also when the call drops it.  Expensive arguments are
+    legal only behind a handle's ``is not None`` (``SpanRecorder.start``
+    returns ``None`` for a transaction that is not an exemplar, so the
+    whole block runs one time in 16).
     """
 
     rule_id = "obs-hotpath-discipline"
     description = ("no allocation/formatting in obs-instrument args on "
-                   "hot paths unless enabled-guarded")
+                   "hot paths unless behind a handle's is-not-None")
     paper_ref = "§IV-E overhead bound; DESIGN 'Observability plane'"
     default_packages = ("repro.core", "repro.plugins", "repro.transport")
     interests = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -435,7 +433,7 @@ class ObsHotpathDisciplineRule(Rule):
     #: where the receiver chain names an obs object.
     INSTRUMENT_METHODS = frozenset({"record", "observe", "start", "finish"})
     INSTRUMENT_RECEIVERS = frozenset({
-        "spans", "flight", "freshness", "tracer", "recorder",
+        "spans", "flight", "freshness", "recorder",
     })
 
     def configure(self, options: dict) -> None:
@@ -451,7 +449,7 @@ class ObsHotpathDisciplineRule(Rule):
             return False
         recv = f.value
         # Accept self.flight.record(...), d.spans.record(...),
-        # tracer.finish(...), fresh.observe(...) — any name/attr in the
+        # spans.finish(...), fresh.observe(...) — any name/attr in the
         # receiver chain that reads as an obs object.
         while True:
             if isinstance(recv, ast.Attribute):
@@ -484,12 +482,9 @@ class ObsHotpathDisciplineRule(Rule):
         return None
 
     @staticmethod
-    def _is_enabled_guard(test: ast.expr) -> bool:
-        """``x.enabled``-style or ``x is not None`` test (possibly inside
-        a BoolOp)."""
+    def _is_handle_guard(test: ast.expr) -> bool:
+        """An ``x is not None`` test (possibly inside a BoolOp)."""
         for sub in ast.walk(test):
-            if isinstance(sub, ast.Attribute) and sub.attr == "enabled":
-                return True
             if isinstance(sub, ast.Compare) and any(
                 isinstance(op, (ast.IsNot, ast.Is))
                 and isinstance(cmp, ast.Constant) and cmp.value is None
@@ -502,7 +497,7 @@ class ObsHotpathDisciplineRule(Rule):
     def _check_stmts(self, stmts, guarded: bool, ctx) -> None:
         for stmt in stmts:
             if isinstance(stmt, ast.If):
-                inner = guarded or self._is_enabled_guard(stmt.test)
+                inner = guarded or self._is_handle_guard(stmt.test)
                 self._check_stmts(stmt.body, inner, ctx)
                 self._check_stmts(stmt.orelse, guarded, ctx)
                 continue
@@ -526,9 +521,8 @@ class ObsHotpathDisciplineRule(Rule):
                             ctx.report(self, sub,
                                        "allocation/formatting in an obs "
                                        "instrument call on the hot path — "
-                                       "guard with the enabled-check idiom "
-                                       "(if x.enabled / handle is not None) "
-                                       "or pass scalars")
+                                       "guard it behind a handle's "
+                                       "`is not None` or pass scalars")
 
     def visit(self, node: ast.FunctionDef, ctx) -> None:
         if node.name not in self.hot_functions:

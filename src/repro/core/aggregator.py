@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core import wire
 from repro.core.metric_set import MetricSet, SchemaMismatch, SetInfo
-from repro.obs.spans import HOP_UPDATE
+from repro.obs.spans import HOP_UPDATE, UpdateSpan
 from repro.transport.base import Endpoint
 from repro.util.errors import OutOfMemory, StoreError, WireError
 from repro.util.rngtools import stable_seed
@@ -183,8 +183,8 @@ class Producer:
         self._pending_lookups: dict[int, tuple[str, float, Optional[tuple]]] = {}
         self.stopped = False
         #: Freshness state in the daemon's tracker, or None while the
-        #: producer is standby / the tracker is disabled — the
-        #: per-update cost is one ``is not None`` test.
+        #: producer is standby — the per-update cost is one
+        #: ``is not None`` test.
         self._fresh = None
         # Telemetry instruments (shared daemon-wide by name; binding
         # them here keeps the per-event cost to one attribute access).
@@ -384,7 +384,7 @@ class Producer:
         # trace id.
         spans = self.daemon.spans
         span = trace = None
-        if spans.enabled and endpoint.trace_ok:
+        if endpoint.trace_ok:
             span = (spans.alloc_trace(), spans.alloc())
             trace = ((0, span[0], span[1], HOP_UPDATE),)
         self._pending_lookups[rid] = (set_name, self.daemon.env.now(), span)
@@ -578,57 +578,56 @@ class Producer:
             return
         upd.in_flight = True
         self.stats.updates_issued += 1
-        # One pipeline trace per update transaction; carried through
-        # fetch -> validate -> store flush (None when obs is disabled).
-        trace = self.daemon.tracer.start(self.cfg.name, upd.set_name)
-        t_issue = trace.t_issue if trace is not None else self.daemon.env.now()
+        # Every update transaction consumes a trace id; an exemplar's
+        # update span rides fetch -> validate -> store flush (None for
+        # the rest).
+        t_issue = self.daemon.env.now()
+        span = self.daemon.spans.start(self.cfg.name, upd.set_name, t_issue)
 
-        on_data = partial(self._on_data, upd, t_issue, trace)
-        if trace is not None and endpoint.trace_ok:
+        on_data = partial(self._on_data, upd, t_issue, span)
+        if span is not None and endpoint.trace_ok:
             # Exemplar transaction: propagate a wire trace context so the
             # serving daemon can attribute its hop to the same trace.
-            trace.span_id = self.daemon.spans.alloc()
             endpoint.rdma_read(
                 upd.region_id, on_data,
-                trace=((0, trace.trace_id, trace.span_id, HOP_UPDATE),))
+                trace=((0, span.trace_id, span.span_id, HOP_UPDATE),))
         else:
             endpoint.rdma_read(upd.region_id, on_data)
 
-    def _on_data(self, upd: UpdaterState, t_issue: float, trace,
-                 data: Optional[bytes]) -> None:
+    def _on_data(self, upd: UpdaterState, t_issue: float,
+                 span: Optional[UpdateSpan], data: Optional[bytes]) -> None:
         # Completion runs on an update worker.
         daemon = self.daemon
         daemon.worker_pool.submit(
-            partial(self._complete_update, upd, data, t_issue, trace),
+            partial(self._complete_update, upd, data, t_issue, span),
             daemon.update_cpu_cost, daemon.core, "agg-update")
 
     def _issue_update_multi(self, upds: list[UpdaterState]) -> None:
         """Issue one coalesced fetch covering every updater in ``upds``.
 
-        Each set keeps its own trace and completion validation (exactly
-        the per-set semantics of :meth:`_complete_update`); only the wire
-        transaction and the worker-pool hand-off are shared.
+        Each set keeps its own exemplar draw and completion validation
+        (exactly the per-set semantics of :meth:`_complete_update`); only
+        the wire transaction and the worker-pool hand-off are shared.
         """
         endpoint = self.endpoint
         if endpoint is None:
             return
         stats = self.stats
-        tracer = self.daemon.tracer
+        spans = self.daemon.spans
         trace_ok = endpoint.trace_ok
         now = self.daemon.env.now()
-        batch: list[tuple[UpdaterState, float, object]] = []
+        batch: list[tuple[UpdaterState, float, Optional[UpdateSpan]]] = []
         region_ids: list[int] = []
         tctx = None  # built lazily: most batches carry no exemplar
         for i, upd in enumerate(upds):
             upd.in_flight = True
             stats.updates_issued += 1
-            trace = tracer.start(self.cfg.name, upd.set_name)
-            if trace is not None and trace_ok:
-                trace.span_id = self.daemon.spans.alloc()
+            span = spans.start(self.cfg.name, upd.set_name, now)
+            if span is not None and trace_ok:
                 if tctx is None:
                     tctx = []
-                tctx.append((i, trace.trace_id, trace.span_id, HOP_UPDATE))
-            batch.append((upd, trace.t_issue if trace is not None else now, trace))
+                tctx.append((i, span.trace_id, span.span_id, HOP_UPDATE))
+            batch.append((upd, now, span))
             region_ids.append(upd.region_id)
         stats.updates_coalesced += len(upds)
         endpoint.rdma_read_multi(region_ids, partial(self._multi_data, batch),
@@ -645,26 +644,24 @@ class Producer:
         )
 
     def _complete_update_multi(self, batch, datas) -> None:
-        for (upd, t_issue, trace), data in zip(batch, datas):
-            self._complete_update(upd, data, t_issue, trace)
+        for (upd, t_issue, span), data in zip(batch, datas):
+            self._complete_update(upd, data, t_issue, span)
 
     def _complete_update(
         self, upd: UpdaterState, data: Optional[bytes], t_issue: float,
-        trace=None,
+        span: Optional[UpdateSpan] = None,
     ) -> None:
         with self.daemon.lock:
-            tracer = self.daemon.tracer
+            spans = self.daemon.spans
             upd.in_flight = False
-            if self.stopped or upd.mirror is None:
-                tracer.finish(trace, "failed")
-                return
             now = self.daemon.env.now()
-            if trace is not None:
-                trace.t_fetched = now
+            if self.stopped or upd.mirror is None:
+                spans.finish(span, "failed", now)
+                return
             if data is None:
                 self.stats.updates_failed += 1
                 self._c_failed.inc()
-                tracer.finish(trace, "failed")
+                spans.finish(span, "failed", now)
                 return
             self.stats.updates_completed += 1
             self.stats.last_update_ts = now
@@ -680,7 +677,7 @@ class Producer:
                 # Metadata changed on the producer; refresh it.
                 self.stats.schema_refreshes += 1
                 self._send_lookup(upd.set_name)
-                tracer.finish(trace, "schema_refresh")
+                spans.finish(span, "schema_refresh", now)
                 return
             except ValueError:
                 # Malformed fetch (e.g. the producer deleted the set and
@@ -689,38 +686,38 @@ class Producer:
                 self.stats.updates_failed += 1
                 self._c_failed.inc()
                 upd.state = SetState.NEW
-                tracer.finish(trace, "failed")
+                spans.finish(span, "failed", now)
                 return
-            if trace is not None:
-                trace.t_validated = now
             if not consistent:
                 self.stats.skipped_inconsistent += 1
                 self._c_torn.inc()
-                tracer.finish(trace, "torn")
+                spans.finish(span, "torn", now)
                 return
             if upd.last_dgn is not None and dgn == upd.last_dgn:
                 self.stats.skipped_stale += 1
                 self._c_stale.inc()
-                tracer.finish(trace, "stale")
+                spans.finish(span, "stale", now)
                 return
             prev_dgn = upd.last_dgn
             upd.mirror._install(data, dgn, consistent)
             upd.last_dgn = dgn
-            # Decoded once for trace, store hand-off and freshness.
+            # Decoded once for the exemplar, store hand-off and freshness.
             ts_new = upd.mirror.timestamp
-            if trace is not None:
-                trace.sample_ts = ts_new
+            if span is not None:
+                span.sample_ts = ts_new
             # `stored` counts records actually handed to the store
             # layer; incrementing before delivery over-reported when
             # the hand-off itself failed.
             try:
-                self.daemon._deliver_to_stores(self, upd.mirror, trace, ts_new)
+                self.daemon._deliver_to_stores(self, upd.mirror, span, ts_new)
             except StoreError:
                 self.daemon.obs.counter("store.errors").inc()
-                tracer.finish(trace, "store_error")
+                spans.finish(span, "store_error", now)
                 return
             self.stats.stored += 1
-            tracer.finish(trace, "stored")
+            # The aggregator-side hop of the exemplar's causal chain:
+            # issue -> validated-and-stored.
+            spans.finish(span, "stored", now)
             fresh = self._fresh
             if fresh is not None:
                 # Missed-interval hint: whichever of the DGN gap (in
@@ -741,9 +738,3 @@ class Producer:
                         missed = gap
                 upd.last_stored_ts = ts_new
                 fresh.observe(ts_new, missed)
-            if trace is not None and trace.span_id is not None:
-                # The aggregator-side hop of the exemplar's causal
-                # chain: issue -> validated-and-stored.
-                self.daemon.spans.record(
-                    trace.trace_id, trace.span_id, 0, HOP_UPDATE,
-                    "update", t_issue, now)

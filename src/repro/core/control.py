@@ -283,6 +283,7 @@ class ControlChannel:
 
     def _cmd_prof(self, attrs) -> str:
         """Histogram dumps: per-stage latency buckets (µs-scale), the
+        exemplar update spans still in the span ring (``traces``), the
         columnar-arena sweep profile, freshness and flight-recorder
         snapshots.  ``export=chrome`` returns the span ring as Chrome
         ``trace_event`` JSON instead."""
@@ -298,7 +299,7 @@ class ControlChannel:
             {
                 "name": d.name,
                 "histograms": d.obs.dump_histograms(),
-                "traces": [t.as_dict() for t in d.tracer.last()],
+                "traces": [s.as_dict() for s in d.spans.updates()],
                 "arena": {
                     "sweeps": d.obs.counter("arena.sweeps").value,
                     "rows_vectorized":

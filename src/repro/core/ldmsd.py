@@ -34,15 +34,9 @@ from repro.core.metric import MetricType
 from repro.core.metric_set import MetricSet, SetInfo
 from repro.core.sampler import SamplerPlugin, sampler_registry
 from repro.core.store import StorePlugin, StorePolicy, StoreRecord, store_registry
-from repro.obs import (
-    FlightRecorder,
-    FreshnessTracker,
-    SpanRecorder,
-    Telemetry,
-    Tracer,
-)
+from repro.obs import FlightRecorder, FreshnessTracker, SpanRecorder, Telemetry
 from repro.obs import flight as flightmod
-from repro.obs.spans import HOP_SAMPLE, HOP_STORE
+from repro.obs.spans import HOP_SAMPLE, HOP_STORE, UpdateSpan
 from repro.sim.resources import CpuCore
 from repro.transport.base import Endpoint, Listener, Transport
 from repro.util.errors import ConfigError, OutOfMemory, WireError
@@ -171,7 +165,7 @@ class _FlushBatch:
 
     def __init__(self, store: StorePlugin):
         self.store = store
-        #: pending (record, t_submit, trace) rows, append order
+        #: pending (record, t_submit, exemplar span) rows, append order
         self.rows: list[tuple] = []
         self.sealed: Optional[list[tuple]] = None
         self.scheduled = False
@@ -216,16 +210,11 @@ class Ldmsd:
     core:
         Simulated CPU core that this daemon's work is charged to (noise
         accounting); None outside the simulator.
-    obs_enabled:
-        Whether the daemon's self-instrumentation registry
-        (:class:`repro.obs.Telemetry`) and pipeline tracer are live.
-        Disabled, every hook degrades to a shared no-op instrument and
-        the update path allocates no trace objects.
     """
 
     __slots__ = (
         "name", "_own_env", "env", "transports", "core", "fs", "arena", "lock",
-        "obs", "tracer", "spans", "freshness", "flight", "set_pool",
+        "obs", "spans", "freshness", "flight", "set_pool",
         "_cohort_scheduler", "worker_pool", "_conn_pool", "_flush_pool",
         "_conn_threads", "_flush_threads", "update_cpu_cost",
         "connect_cpu_cost", "_flush_batches", "_sets", "_region_ids",
@@ -251,7 +240,6 @@ class Ldmsd:
         flush_threads: int = 2,
         core: Optional[CpuCore] = None,
         fs=None,
-        obs_enabled: bool = True,
     ):
         self.name = name
         self._own_env = env is None
@@ -276,22 +264,20 @@ class Ldmsd:
         self.arena = Arena(parse_size(mem))
         self.lock = env.make_lock()
 
-        #: Self-instrumentation: the telemetry registry and the
-        #: per-update-transaction tracer.  Hot-path instruments are
-        #: bound once, when the daemon takes the role that uses them,
-        #: so sampling/update/store code pays one attribute access per
-        #: event, not a registry lookup.
-        self.obs = Telemetry(enabled=obs_enabled)
+        #: Self-instrumentation, always on: the telemetry registry.
+        #: Hot-path instruments are bound once, when the daemon takes
+        #: the role that uses them, so sampling/update/store code pays
+        #: one attribute access per event, not a registry lookup.
+        self.obs = Telemetry()
         self.obs.declare(_OBS_COUNTERS, _OBS_HISTOGRAMS)
-        self.tracer = Tracer(env.now, enabled=obs_enabled)
-        #: Observability plane (PR 7): the per-hop span ring feeding
-        #: Chrome trace export, the per-producer freshness tracker (only
-        #: populated on daemons with producers), and the always-on
-        #: flight recorder behind postmortem dumps.  All three follow
-        #: the registry's discipline: disabled means no-op hot paths.
-        self.spans = SpanRecorder(name, enabled=obs_enabled)
-        self.freshness = FreshnessTracker(enabled=obs_enabled)
-        self.flight = FlightRecorder(name, enabled=obs_enabled)
+        #: Observability plane: the span ring (exemplar update
+        #: transactions and the hops they cross, feeding ``prof`` traces
+        #: and Chrome trace export), the per-producer freshness tracker
+        #: (only populated on daemons with producers), and the flight
+        #: recorder behind postmortem dumps.
+        self.spans = SpanRecorder(name)
+        self.freshness = FreshnessTracker()
+        self.flight = FlightRecorder(name)
         flightmod.register_daemon(self)
         self.flight.record(env.now(), "daemon", "start")
         if sanitize.enabled():
@@ -588,8 +574,6 @@ class Ldmsd:
         timestamp.  Exemplar-rate only, so allocation here is fine.
         """
         spans = self.spans
-        if not spans.enabled:
-            return
         now = self.env.now()
         serve_sid = spans.alloc()
         spans.record(trace_id, serve_sid, parent_span,
@@ -640,7 +624,7 @@ class Ldmsd:
         elif frame.msg_type == wire.MsgType.LOOKUP_REQ:
             self.obs.counter("serve.lookup_req").inc()
             set_name = wire.unpack_lookup_req(frame.payload)
-            if frame.trace is not None and self.spans.enabled:
+            if frame.trace is not None:
                 now = self.env.now()
                 for _idx, tid, sid, hop in frame.trace:
                     self.spans.record(tid, self.spans.alloc(), sid,
@@ -962,22 +946,20 @@ class Ldmsd:
         return matched
 
     def _deliver_to_stores(
-        self, producer: Producer, mirror: MetricSet, trace=None,
-        ts: Optional[float] = None,
+        self, producer: Producer, mirror: MetricSet,
+        span: Optional[UpdateSpan] = None, ts: Optional[float] = None,
     ) -> None:
-        """``ts``: the mirror's transaction timestamp, if already decoded."""
+        """``span``: the transaction's exemplar update span, if any;
+        ``ts``: the mirror's transaction timestamp, if already decoded."""
         if not self.stores:
             return
         if self.set_pool is not None and mirror._ab is not None:
-            self._deliver_staged(producer, mirror, trace,
+            self._deliver_staged(producer, mirror, span,
                                  mirror.timestamp if ts is None else ts)
             return
         record = StoreRecord.from_set(mirror, producer.cfg.name)
         self.records_delivered += 1
         now = self.env.now()
-        if trace is not None:
-            trace.t_store_submit = now
-            trace.sample_ts = record.timestamp
         # End-to-end pipeline latency: sampler transaction close (the
         # timestamp carried in the data chunk) -> store hand-off here.
         self._h_sample_to_store.observe(max(now - record.timestamp, 0.0))
@@ -985,17 +967,18 @@ class Ldmsd:
         for store in self.stores:
             if store.wants(record):
                 matched = True
-                self._enqueue_flush(store, record, now, trace)
+                self._enqueue_flush(store, record, now, span)
         if not matched:
             self._c_store_no_match.inc()
 
     def _deliver_staged(
-        self, producer: Producer, mirror: MetricSet, trace, ts: float
+        self, producer: Producer, mirror: MetricSet,
+        span: Optional[UpdateSpan], ts: float,
     ) -> None:
         """Columnar delivery: stage a raw arena-row snapshot per store.
 
         Accounting (delivery count, sample->store latency, no-match
-        counter, trace stamps) matches the scalar delivery exactly;
+        counter) matches the scalar delivery exactly;
         only :class:`StoreRecord` construction moves into the flush
         drain, where every staged row of one layout decodes as a single
         2-D numpy sweep.  The snapshot pins the delivered bytes, so a
@@ -1006,9 +989,6 @@ class Ldmsd:
             sanitize.check_read(mirror)
         self.records_delivered += 1
         now = self.env.now()
-        if trace is not None:
-            trace.t_store_submit = now
-            trace.sample_ts = ts
         self._h_sample_to_store.observe(max(now - ts, 0.0))
         stores = self._matching_stores(mirror, producer.cfg.name)
         if not stores:
@@ -1016,10 +996,10 @@ class Ldmsd:
             return
         staged = _StagedRow(bytes(mirror._data), ts, producer.cfg.name, mirror)
         for store in stores:
-            self._enqueue_flush(store, staged, now, trace)
+            self._enqueue_flush(store, staged, now, span)
 
     def _enqueue_flush(self, store: StorePlugin, row, now: float,
-                       trace) -> None:
+                       span: Optional[UpdateSpan]) -> None:
         """Append one delivery to ``store``'s pending batch and make
         sure a flush task is on its way (caller holds the daemon lock).
 
@@ -1028,7 +1008,7 @@ class Ldmsd:
         batch = self._flush_batches.get(store)
         if batch is None:
             batch = self._flush_batches[store] = _FlushBatch(store)
-        batch.rows.append((row, now, trace))
+        batch.rows.append((row, now, span))
         if not batch.scheduled:
             batch.scheduled = True
             self._submit_flush(batch)
@@ -1038,14 +1018,6 @@ class Ldmsd:
             partial(self._flush_batched, batch),
             cost=batch.seal, core=self.core, tag="store",
         )
-
-    def _record_store_span(self, trace, t_submit: float, end: float) -> None:
-        """Store-flush span of one traced transaction (exemplar path)."""
-        sid = trace.span_id
-        if sid is None or not self.spans.enabled:
-            return
-        self.spans.record(trace.trace_id, self.spans.alloc(), sid,
-                          HOP_STORE, "store_flush", t_submit, end)
 
     def _flush_batched(self, batch: _FlushBatch) -> None:
         """Flush-pool task: drain one sealed batch through the store's
@@ -1137,11 +1109,13 @@ class Ldmsd:
         end = self.env.now()
         self.flight.record(end, "store", "flush", n)
         h = self._h_store_flush
-        for _record, t_submit, trace in rows:
+        spans = self.spans
+        for _record, t_submit, span in rows:
             h.observe(end - t_submit)
-            if trace is not None:
-                trace.t_store_done = end
-                self._record_store_span(trace, t_submit, end)
+            if span is not None:
+                # The exemplar's store hop, parented on its update span.
+                spans.record(span.trace_id, spans.alloc(), span.span_id,
+                             HOP_STORE, "store_flush", t_submit, end)
 
     # ------------------------------------------------------------------
     # introspection / shutdown

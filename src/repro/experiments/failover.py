@@ -21,13 +21,15 @@ collection interval the promotion latency must come in at or under the
 watchdog threshold (``k`` intervals) plus one collection interval —
 the acceptance bar reported below.  Everything runs on the simulation
 clock from seeded state: two runs with the same seed must produce the
-identical timeline, which ``main()`` verifies.
+identical timeline, which ``main()`` verifies; run as a module, it
+exits 1 when any check it prints or the replay comes out NO.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +39,7 @@ from repro.faults import FaultPlan
 from repro.obs import flight as flightmod
 from repro.obs.spans import causal_chains, chrome_trace_events, validate_chrome_trace
 
-__all__ = ["FailoverResult", "run_failover", "main"]
+__all__ = ["FailoverResult", "run_failover", "main", "passed"]
 
 
 @dataclass(frozen=True)
@@ -232,5 +234,12 @@ def main(argv=None) -> dict:
     return {"run": r, "replay": r2, "deterministic": deterministic}
 
 
+def passed(out: dict) -> bool:
+    """Every check :func:`main` prints as yes/NO came out yes."""
+    r = out["run"]
+    return (r.within_bound and r.chains_4hop > 0 and r.trace_valid
+            and r.postmortem_ok and out["deterministic"])
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(0 if passed(main()) else 1)

@@ -146,7 +146,7 @@ def run_query_load(
 
         from repro.obs.registry import Telemetry
 
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         clients = build_population(
             env, lambda i: SimTransport(fabric, xprt, node_id=f"client{i}"),
             "agg:412", "synthetic", mix, telemetry)

@@ -5,16 +5,21 @@ visible and bounded (CPU %, memory footprint, fan-in latency — §IV-E,
 §V–§VII).  This package gives every daemon that visibility at runtime:
 
 * :mod:`repro.obs.registry` — per-daemon counters, gauges, and
-  fixed-bucket latency histograms (near-zero cost when disabled);
-* :mod:`repro.obs.trace` — per-update-transaction pipeline traces
-  (fetch → validate → store flush, linked to the sampler fire time via
-  the transaction timestamp);
+  fixed-bucket latency histograms;
+* :mod:`repro.obs.spans` — the span ring: exemplar update transactions
+  (one in 16) and the hops they cross, as causal chains and Chrome
+  ``trace_event`` JSON;
+* :mod:`repro.obs.flight` — the flight recorder behind postmortem dumps;
+* :mod:`repro.obs.freshness` — per-producer completeness, staleness
+  and lag on an aggregator;
 * :mod:`repro.obs.selfmetrics` — the ``ldmsd_self`` metric-set schema
   that exports all of it as a first-class set an aggregator collects
   over the normal transport.
 
-Surfaces: ``Ldmsd.stats()`` (registry snapshot), the ``stats``/``prof``
-control verbs, ``ldms_ls -v``, and the ``ldmsd_self`` sampler plugin.
+Every daemon runs all of it; there is no off switch.  Surfaces:
+``Ldmsd.stats()`` (registry snapshot), the ``stats``/``prof`` control
+verbs, ``ldms_ls -v``, ``repro-top``, and the ``ldmsd_self`` sampler
+plugin.
 """
 
 from repro.obs.flight import FlightRecorder, postmortem, postmortems
@@ -30,11 +35,11 @@ from repro.obs.selfmetrics import SELF_METRIC_NAMES, SELF_SCHEMA, collect, rende
 from repro.obs.spans import (
     Span,
     SpanRecorder,
+    UpdateSpan,
     causal_chains,
     chrome_trace_events,
     validate_chrome_trace,
 )
-from repro.obs.trace import PipelineTrace, Tracer
 
 __all__ = [
     "Counter",
@@ -42,14 +47,13 @@ __all__ = [
     "Histogram",
     "Telemetry",
     "DEFAULT_LATENCY_EDGES",
-    "PipelineTrace",
-    "Tracer",
     "SELF_SCHEMA",
     "SELF_METRIC_NAMES",
     "collect",
     "render",
     "Span",
     "SpanRecorder",
+    "UpdateSpan",
     "causal_chains",
     "chrome_trace_events",
     "validate_chrome_trace",

@@ -47,26 +47,23 @@ class FlightRecorder:
     runs to twice the ring size and is then cut back in one slice, so
     trimming is amortised.  A list, not a ``deque``: every daemon
     records its own start, and a deque's first block is 0.7 kB however
-    few events it holds.  When disabled it is a single attribute test.
+    few events it holds.
     """
 
-    __slots__ = ("daemon", "enabled", "_events", "total", "_ring")
+    __slots__ = ("daemon", "_events", "total", "_ring")
 
     #: Event categories in use (documentation, not enforcement).
     CATEGORIES = ("daemon", "conn", "updater", "store",
                   "watchdog", "fault", "sanitize")
 
-    def __init__(self, daemon: str, enabled: bool = True, ring: int = 512):
+    def __init__(self, daemon: str, ring: int = 512):
         self.daemon = daemon
-        self.enabled = enabled
         self._ring = ring
         self._events: list[tuple] = []  # oldest first, < 2 * ring
         self.total = 0  # events ever recorded (ring overwrites don't hide rate)
 
     def record(self, t: float, category: str, event: str,
                a=0, b=0) -> None:
-        if not self.enabled:
-            return
         events = self._events
         events.append((t, category, event, a, b))
         if len(events) >= 2 * self._ring:

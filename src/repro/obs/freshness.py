@@ -21,14 +21,12 @@ uses (``expected = n * (duration / interval - 1)``), so at the end of a
 run tracker completeness equals the experiment's delivered/expected
 ratio exactly.
 
-Cost discipline: ``arm`` returns ``None`` when the tracker is disabled,
-so producers hold either a state object or ``None`` and the per-update
-cost is one ``is not None`` test; ``observe`` is three attribute writes.
+Cost discipline: a producer holds its state object (``None`` until
+armed), so the per-update cost is one ``is not None`` test; ``observe``
+is three attribute writes.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 __all__ = ["FreshnessTracker", "ProducerFreshness"]
 
@@ -113,17 +111,14 @@ class FreshnessTracker:
     #: older than this many sampling intervals.
     STALE_AFTER = 2.0
 
-    __slots__ = ("enabled", "states")
+    __slots__ = ("states",)
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.states: dict[str, ProducerFreshness] = {}
 
     def arm(self, name: str, interval: float, nsets: int,
-            now: float) -> Optional[ProducerFreshness]:
-        """Start (or re-anchor) tracking a producer; ``None`` if disabled."""
-        if not self.enabled:
-            return None
+            now: float) -> ProducerFreshness:
+        """Start (or re-anchor) tracking a producer."""
         state = self.states.get(name)
         if state is None:
             state = self.states[name] = ProducerFreshness(

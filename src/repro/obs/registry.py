@@ -14,10 +14,8 @@ control handling.  Instruments are deliberately primitive:
   100 s, wide enough for both simulated RTTs and real store flushes.
 
 Cost discipline: instruments are looked up once (at daemon/plugin setup
-time) and the hot path is one or two attribute ops.  A disabled
-registry (``Telemetry(enabled=False)``) hands out shared *null*
-instruments whose methods are no-ops, so instrumented code needs no
-``if`` guards and disabled overhead is a single no-op call.
+time) and the hot path is one or two attribute ops, so instrumented
+code needs no ``if`` guards.
 """
 
 from __future__ import annotations
@@ -236,45 +234,6 @@ class Histogram:
         return out
 
 
-class _NullInstrument:
-    """Shared no-op counter/gauge/histogram for disabled registries."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0
-    count = 0
-    sum = 0.0
-    mean = 0.0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def summary(self) -> dict:
-        return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-                "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-    def dump(self) -> dict:
-        out = self.summary()
-        out["edges"] = []
-        out["buckets"] = []
-        return out
-
-
-_NULL = _NullInstrument()
-
-
 class Telemetry:
     """A named-instrument registry owned by one daemon.
 
@@ -285,12 +244,11 @@ class Telemetry:
     bound — one schema for pollers, no object per name.
     """
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_histograms",
+    __slots__ = ("_counters", "_gauges", "_histograms",
                  "_endpoint_incs", "_declared_counters",
                  "_declared_histograms", "__weakref__")
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -302,9 +260,8 @@ class Telemetry:
                 histograms: tuple[str, ...]) -> None:
         """Name the counters / default-ladder histograms the read
         surfaces always list (kept by reference: one static table)."""
-        if self.enabled:
-            self._declared_counters = counters
-            self._declared_histograms = histograms
+        self._declared_counters = counters
+        self._declared_histograms = histograms
 
     def endpoint_incs(self) -> tuple:
         """The four transport-accounting ``inc`` methods, bound once.
@@ -324,16 +281,12 @@ class Telemetry:
         return incs
 
     def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
         c = self._counters.get(name)
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
 
     def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
         g = self._gauges.get(name)
         if g is None:
             g = self._gauges[name] = Gauge(name)
@@ -342,8 +295,6 @@ class Telemetry:
     def histogram(
         self, name: str, edges: Optional[tuple[float, ...]] = None
     ) -> Histogram:
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
         h = self._histograms.get(name)
         if h is None:
             h = self._histograms[name] = Histogram(name, edges)
@@ -357,7 +308,6 @@ class Telemetry:
         cvals = dict.fromkeys(self._declared_counters, 0)
         cvals.update((n, c.value) for n, c in self._counters.items())
         return {
-            "enabled": self.enabled,
             "counters": dict(sorted(cvals.items())),
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
             "histograms": {

@@ -1,24 +1,24 @@
-"""Distributed spans: per-hop latency attribution for exemplar traces.
+"""Distributed spans: the exemplar record of the observability plane.
 
-PR-2's :class:`~repro.obs.trace.PipelineTrace` clocks one update
-transaction *inside the aggregator*; it cannot attribute latency to the
-hops the transaction actually crossed (sampler transaction → serve-side
-RDMA read → aggregator fetch/validate → store flush).  This module adds
-the cluster-wide half: each daemon owns a :class:`SpanRecorder`, and an
-exemplar-sampled transaction carries a compact trace context
-(``trace_id``, parent span id, hop number — see
-:func:`repro.core.wire.pack_trace_ctx`) on its LOOKUP/RDMA frames so
-every daemon it touches records a :class:`Span` against the same
-``trace_id``.  Stitched together (:func:`causal_chains`) the spans form
+Each daemon owns a :class:`SpanRecorder`: one bounded ring of the hops
+exemplar transactions crossed (sampler transaction → serve-side RDMA
+read → aggregator fetch/validate → store flush, paper Fig. 2).  The
+recorder also picks the exemplars: every update transaction consumes a
+trace id, the first is always sampled, then one in ``sample_every``.
+An exemplar's :class:`UpdateSpan` is opened at issue and closed at
+whatever terminal status the transaction reaches, stored or not.  Its
+trace context (``trace_id``, parent span id, hop number — see
+:func:`repro.core.wire.pack_trace_ctx`) rides the LOOKUP/RDMA frames to
+peers that speak trace-ctx, so every daemon it touches records a
+:class:`Span` against the same ``trace_id``.  Stitched together (:func:`causal_chains`) the spans form
 one causal trace per exemplar; :func:`chrome_trace_events` renders them
 as Chrome ``trace_event`` JSON (load in ``chrome://tracing`` or
 Perfetto), timestamped off the daemon clock — simulated seconds under
 the DES, so a trace replay is byte-identical for a given seed.
 
-Cost discipline mirrors the rest of ``repro.obs``: ``record`` is only
-reached behind a ``trace is not None`` / ``enabled`` guard on the
-1-in-16 exemplar path, and a disabled recorder's ``record`` returns
-immediately, so the per-update hot path stays allocation-free.
+Cost discipline: an unsampled transaction costs an id increment and a
+modulo; everything else sits behind the exemplar handle's
+``is not None``, so the per-update hot path stays allocation-free.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ __all__ = [
     "HOP_NAMES",
     "Span",
     "SpanRecorder",
+    "UPDATE_STATUSES",
+    "UpdateSpan",
     "causal_chains",
     "chrome_trace_events",
 ]
@@ -47,12 +49,17 @@ HOP_STORE = 3    # store flush on the aggregator
 
 HOP_NAMES = ("sample", "serve", "update", "store")
 
+#: Terminal statuses of an exemplar's update span (exactly one each).
+UPDATE_STATUSES = ("stored", "stale", "torn", "failed", "schema_refresh",
+                   "store_error")
+
 
 class Span:
     """One recorded hop of a causal trace."""
 
     __slots__ = ("trace_id", "span_id", "parent_span", "hop",
                  "name", "t0", "t1")
+    _fields: tuple[str, ...] = __slots__
 
     def __init__(self, trace_id: int, span_id: int, parent_span: int,
                  hop: int, name: str, t0: float, t1: float):
@@ -64,12 +71,8 @@ class Span:
         self.t0 = t0
         self.t1 = t1
 
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
     def as_dict(self) -> dict:
-        return {s: getattr(self, s) for s in self.__slots__}
+        return {s: getattr(self, s) for s in self._fields}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Span trace={self.trace_id} #{self.span_id} "
@@ -77,30 +80,57 @@ class Span:
                 f"[{self.t0:.6f}..{self.t1:.6f}]>")
 
 
+class UpdateSpan(Span):
+    """The aggregator-side ``update`` span of one exemplar transaction.
+
+    Open from issue (``t1 == t0``, ``status`` None) until
+    :meth:`SpanRecorder.finish` stamps both.  ``sample_ts`` is the
+    sampler's transaction timestamp from the installed data chunk (None
+    if nothing was installed): the link back to the producing daemon.
+    """
+
+    __slots__ = ("producer", "set_name", "sample_ts", "status")
+    _fields = Span._fields + __slots__
+
+    def __init__(self, trace_id: int, span_id: int, producer: str,
+                 set_name: str, t0: float):
+        Span.__init__(self, trace_id, span_id, 0, HOP_UPDATE, "update",
+                      t0, t0)
+        self.producer = producer
+        self.set_name = set_name
+        self.sample_ts: Optional[float] = None
+        self.status: Optional[str] = None
+
+
 class SpanRecorder:
-    """Per-daemon bounded ring of spans plus the span-id allocator.
+    """Per-daemon bounded ring of spans, the span-id allocator and the
+    exemplar selector.
 
     Span ids only need to be unique *within* a daemon (a chain edge is
     the (daemon, span_id) pair named by the wire context), so each
     recorder allocates from its own counter — no cross-daemon
-    coordination, which keeps DES determinism trivial.
+    coordination, which keeps DES determinism trivial.  Set
+    ``sample_every=1`` to trace every update transaction.
     """
 
-    __slots__ = ("daemon", "enabled", "spans", "total",
-                 "_next_span", "_next_aux", "_ring")
+    __slots__ = ("daemon", "spans", "total", "sample_every",
+                 "_next_id", "_next_span", "_next_aux", "_ring")
 
-    def __init__(self, daemon: str, enabled: bool = True, ring: int = 512):
+    def __init__(self, daemon: str, ring: int = 512, sample_every: int = 16):
+        if sample_every < 1:
+            raise ValueError("sample_every must be >= 1")
         self.daemon = daemon
-        self.enabled = enabled
+        self.sample_every = sample_every
         self._ring = ring
         #: Recorded spans, oldest first, at most ``ring`` (a front-
         #: trimmed list like the flight recorder's: every sampler holds
         #: one ``serve_lookup`` span).
         self.spans: list[Span] = []
         self.total = 0  # spans ever recorded (the ring overwrites)
+        self._next_id = 1  # the next update transaction's trace id
         self._next_span = 1
         # Auxiliary trace ids (lookup RTT traces) live far above the
-        # Tracer's per-transaction ids so the two families never collide.
+        # per-transaction ids so the two families never collide.
         self._next_aux = 1 << 48
 
     def alloc(self) -> int:
@@ -115,18 +145,43 @@ class SpanRecorder:
         self._next_aux = tid + 1
         return tid
 
+    def start(self, producer: str, set_name: str,
+              t0: float) -> Optional[UpdateSpan]:
+        """Consume one update transaction's trace id; open its update
+        span when it is an exemplar, else return ``None``."""
+        trace_id = self._next_id
+        self._next_id = trace_id + 1
+        if (trace_id - 1) % self.sample_every:
+            return None
+        return UpdateSpan(trace_id, self.alloc(), producer, set_name, t0)
+
+    def finish(self, span: Optional[UpdateSpan], status: str,
+               t1: float) -> None:
+        """Close an exemplar's update span at its terminal status."""
+        if span is None:
+            return
+        if status not in UPDATE_STATUSES:
+            raise ValueError(f"unknown update status {status!r}")
+        span.status = status
+        span.t1 = t1
+        self._append(span)
+
     def record(self, trace_id: int, span_id: int, parent_span: int,
                hop: int, name: str, t0: float, t1: float) -> None:
-        if not self.enabled:
-            return
+        self._append(Span(trace_id, span_id, parent_span, hop, name, t0, t1))
+
+    def _append(self, span: Span) -> None:
         spans = self.spans
-        spans.append(Span(trace_id, span_id, parent_span, hop, name, t0, t1))
+        spans.append(span)
         if len(spans) > self._ring:
             del spans[0]
         self.total += 1
 
-    def snapshot(self) -> list[dict]:
-        return [s.as_dict() for s in self.spans]
+    def updates(self, status: Optional[str] = None) -> list[UpdateSpan]:
+        """Closed update spans in the ring, oldest first, optionally
+        filtered by terminal status (the ``prof`` traces)."""
+        return [s for s in self.spans if isinstance(s, UpdateSpan)
+                and (status is None or s.status == status)]
 
 
 def causal_chains(

@@ -43,7 +43,9 @@ pair whole from the tail, the data file being authoritative: cut
 whose record is not wholly in the data, index the records left without.
 Sidecars are written to a temporary name and renamed into place; one
 that is still unreadable is refused with a :class:`StoreError` naming
-it (store and reader alike), never rebuilt from the record width.
+it (store and reader alike), never rebuilt from the record width.  A
+missing sidecar beside a non-empty data file is refused the same way at
+reopen, never rewritten from the incoming record.
 """
 
 from __future__ import annotations
@@ -228,6 +230,15 @@ class SosStore(StorePlugin):
             return
         base = os.path.join(self.path, schema)
         meta_path = base + ".schema.json"
+        for path in [base] + [os.path.join(self.path, rollup_schema(
+                schema, level)) for level in self.rollups]:
+            # Records without their names: a sidecar rebuilt from the
+            # incoming record would relabel (or hide) the old data.
+            if (not os.path.exists(path + ".schema.json")
+                    and os.path.exists(path + ".sos")
+                    and os.path.getsize(path + ".sos")):
+                raise StoreError(f"sos: missing sidecar {path}.schema.json "
+                                 f"beside non-empty {path}.sos")
         if os.path.exists(meta_path):
             # Reopening an existing container: the on-disk sidecars (its
             # rollups' too, all checked before anything is written) are

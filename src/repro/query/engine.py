@@ -115,7 +115,7 @@ class QueryEngine:
         if obs is None:
             from repro.obs.registry import Telemetry
 
-            obs = Telemetry(enabled=False)
+            obs = Telemetry()
         self.store = store
         self.clock = clock
         self.hot_window = float(hot_window)

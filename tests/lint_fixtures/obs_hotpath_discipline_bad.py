@@ -3,7 +3,7 @@
 
 class Updater:
     def _complete_update(self, upd, data, now):
-        # dict allocation in a record call, no enabled guard
+        # dict allocation in a record call, no handle guard
         self.daemon.flight.record(now, "updater", "stored",
                                   {"set": upd.name, "dgn": upd.dgn})
         # f-string formatting on the span path, no guard
@@ -12,5 +12,5 @@ class Updater:
         self.daemon.freshness.observe(now, [upd.name])
 
     def _flush_rows(self, rows, now):
-        # %-formatting into a tracer finish
-        self.tracer.finish(rows, "flushed %d rows" % len(rows))
+        # %-formatting into a span finish
+        self.daemon.spans.finish(rows, "flushed %d rows" % len(rows), now)

@@ -1,5 +1,5 @@
 """GOOD: hot-path obs calls pass scalars, or pay for arguments only
-under the enabled-check idiom."""
+behind a handle's ``is not None``."""
 
 
 class Updater:
@@ -8,21 +8,23 @@ class Updater:
         # inside the instrument, nothing allocated at the call site.
         self.daemon.flight.record(now, "updater", "stored", upd.dgn)
         self.daemon.spans.record(1, 2, 0, 2, "update", now, now)
-        # Handle idiom: arm()/start() returned None when disabled, so
-        # the whole block (including the formatted label) vanishes.
+        # Handle idiom: arm()/start() hand out None for the events that
+        # are not tracked, so the whole block (formatted label included)
+        # runs only for the ones that are.
         fresh = self._fresh
         if fresh is not None:
             fresh.observe(now, 0)
-        trace = self.tracer.start(upd.name)
-        if trace is not None:
-            self.tracer.finish(trace, f"stored:{upd.name}")
+        span = self.daemon.spans.start(upd.producer, upd.name, now)
+        if span is not None:
+            self.daemon.spans.finish(span, f"stored:{upd.name}", now)
 
     def _flush_rows(self, rows, now):
-        # Explicit enabled check guards the formatted detail record.
-        if self.daemon.flight.enabled:
+        # An explicit handle check guards the formatted detail record.
+        span = rows[0][2]
+        if span is not None:
             self.daemon.flight.record(now, "store", "flush",
                                       {"rows": len(rows)})
 
     def render_report(self, rows):
         # Not a hot function: formatting here is out of scope.
-        return self.tracer.finish(rows, f"report:{len(rows)}")
+        return self.daemon.spans.finish(rows, f"report:{len(rows)}", 0.0)

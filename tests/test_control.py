@@ -132,8 +132,7 @@ class TestControlVerbs:
                 "plugins", "producers", "records_delivered", "stores",
                 "obs"} <= set(stats)
         obs = stats["obs"]
-        assert obs["enabled"] is True
-        assert set(obs) == {"enabled", "counters", "gauges", "histograms"}
+        assert set(obs) == {"counters", "gauges", "histograms"}
         # command handling and sampling were themselves counted
         assert obs["counters"]["control.commands"] >= 4
         assert obs["counters"]["sampler.samples"] == 3
@@ -163,20 +162,6 @@ class TestControlVerbs:
                 "edges", "buckets"} == set(h)
         assert len(h["buckets"]) == len(h["edges"]) + 1
         assert sum(h["buckets"]) == h["count"] == 2
-
-    def test_stats_and_prof_on_disabled_daemon(self):
-        eng = Engine()
-        env = SimEnv(eng)
-        fabric = SimFabric(eng)
-        d = Ldmsd("n0", env=env, obs_enabled=False,
-                  transports={"rdma": SimTransport(fabric, "rdma",
-                                                   node_id="n0")})
-        ch = ControlChannel(d)
-        stats = json.loads(ch.handle("stats")[2:])
-        assert stats["obs"] == {"enabled": False, "counters": {},
-                                "gauges": {}, "histograms": {}}
-        prof = json.loads(ch.handle("prof")[2:])
-        assert prof["histograms"] == {} and prof["traces"] == []
 
     def test_add_remove_producer(self, channel):
         eng, d, ch = channel

@@ -8,13 +8,14 @@ stored CSV showing a bounded collection gap for the victim's nodes.
 
 import csv
 import os
+from dataclasses import replace
 
 import pytest
 
 import repro.plugins  # noqa: F401
 from repro.cluster.machine import blue_waters
 from repro.core import Ldmsd, SimEnv
-from repro.experiments.failover import run_failover
+from repro.experiments.failover import passed, run_failover
 from repro.faults import FaultPlan
 from repro.sim.engine import Engine
 from repro.transport.simfabric import SimFabric, SimTransport
@@ -109,6 +110,18 @@ class TestFailoverE2E:
         per_set = r.samples_lost / n_sets
         assert per_set <= (r.k + 2)
         assert r.rows_victim_group > 0
+        # The observability plane explains the failure: a valid Chrome
+        # trace with 4-hop causal chains, and a postmortem whose window
+        # covers the kill.
+        assert r.trace_valid and r.postmortem_ok
+        assert r.chains_4hop > 0
+        # ...and the module's exit status says so: any NO fails it.
+        assert passed({"run": r, "deterministic": True})
+        assert not passed({"run": r, "deterministic": False})
+        for bad in ({"trace_valid": False}, {"postmortem_ok": False},
+                    {"chains_4hop": 0}, {"within_bound": False}):
+            assert not passed({"run": replace(r, **bad),
+                               "deterministic": True}), bad
 
     def test_same_seed_identical(self):
         a = run_failover(n_nodes=8, fanin=4, interval=1.0, k=2,

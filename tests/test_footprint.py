@@ -111,7 +111,7 @@ class TestRoleScopedInstruments:
         assert set(snap["counters"].values()) == {0}
         assert list(snap["histograms"]) == IDLE_HISTOGRAMS
         assert all(h == ZERO_SUMMARY for h in snap["histograms"].values())
-        assert snap["gauges"] == {} and snap["enabled"] is True
+        assert snap["gauges"] == {}
         assert _bound(d) == set()  # reading bound nothing either
 
     def test_sampler_only_daemon_binds_no_store_query_or_arena_state(self):
@@ -133,10 +133,3 @@ class TestRoleScopedInstruments:
         assert {"lookup.rtt", "update.rtt"} <= _bound(d)
         assert d._conn_pool is not None and d._flush_pool is None
         assert set(IDLE_COUNTERS) < set(d.stats()["obs"]["counters"])
-
-    def test_disabled_registry_still_lists_nothing(self):
-        eng = Engine()
-        d = Ldmsd("off", env=SimEnv(eng), obs_enabled=False, transports={
-            "sock": SimTransport(SimFabric(eng), "sock", node_id="off")})
-        assert d.stats()["obs"] == {"enabled": False, "counters": {},
-                                    "gauges": {}, "histograms": {}}

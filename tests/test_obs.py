@@ -1,7 +1,8 @@
 """Tests for the self-instrumentation layer (repro.obs).
 
-Registry semantics, histogram bucket/quantile math, pipeline-trace
-propagation through a simulated update transaction, and the
+Registry semantics, histogram bucket/quantile math, exemplar selection
+and update-span propagation through a simulated update transaction,
+and the
 ``ldmsd_self`` sampler collected end-to-end over the simulated
 transport into a CSV store.
 """
@@ -20,7 +21,13 @@ from repro.obs.registry import (
     Histogram,
     Telemetry,
 )
-from repro.obs.trace import TRACE_STATUSES, PipelineTrace, Tracer
+from repro.obs.spans import (
+    HOP_STORE,
+    HOP_UPDATE,
+    UPDATE_STATUSES,
+    SpanRecorder,
+    UpdateSpan,
+)
 from repro.sim.engine import Engine
 from repro.transport.simfabric import SimFabric, SimTransport
 
@@ -127,27 +134,13 @@ class TestTelemetry:
         assert t.gauge("g") is t.gauge("g")
         assert t.histogram("h") is t.histogram("h")
 
-    def test_disabled_returns_shared_null(self):
-        t = Telemetry(enabled=False)
-        c = t.counter("a")
-        assert c is t.gauge("g") is t.histogram("h")
-        # every call is a no-op and every read is a zero
-        c.inc()
-        c.set(5.0)
-        c.observe(1.0)
-        assert c.value == 0 and c.count == 0
-        assert c.quantile(0.5) == 0.0
-        assert c.summary()["count"] == 0
-        assert t.snapshot() == {"enabled": False, "counters": {},
-                                "gauges": {}, "histograms": {}}
-
     def test_snapshot_shape_and_serializable(self):
         t = Telemetry()
         t.counter("c").inc(3)
         t.gauge("g").set(1.5)
         t.histogram("h").observe(2e-4)
         snap = json.loads(json.dumps(t.snapshot()))
-        assert snap["enabled"] is True
+        assert set(snap) == {"counters", "gauges", "histograms"}
         assert snap["counters"] == {"c": 3}
         assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"]["count"] == 1
@@ -161,61 +154,67 @@ class TestTelemetry:
 
 
 class TestTracer:
+    """The span ring's exemplar tracer: which update transactions get
+    an update span, and what a closed one carries."""
+
     def test_sample_every_validated(self):
         with pytest.raises(ValueError):
-            Tracer(lambda: 0.0, sample_every=0)
-
-    def test_disabled_allocates_nothing(self):
-        tr = Tracer(lambda: 0.0, enabled=False)
-        assert tr.start("p", "s") is None
-        tr.finish(None, "stored")  # no-op, no error
-        assert tr.last() == []
+            SpanRecorder("d", sample_every=0)
 
     def test_exemplar_sampling(self):
-        tr = Tracer(lambda: 0.0, sample_every=4)
-        got = [tr.start("p", "s") for _ in range(9)]
+        r = SpanRecorder("d", sample_every=4)
+        got = [r.start("p", "s", 0.0) for _ in range(9)]
         # first always sampled, then 1-in-4: ids 1, 5, 9
-        sampled = [t for t in got if t is not None]
-        assert [t.trace_id for t in sampled] == [1, 5, 9]
+        sampled = [s for s in got if s is not None]
+        assert [s.trace_id for s in sampled] == [1, 5, 9]
 
     def test_every_transaction_consumes_an_id(self):
-        tr = Tracer(lambda: 0.0, sample_every=16)
+        r = SpanRecorder("d", sample_every=16)
         for _ in range(20):
-            tr.start("p", "s")
-        assert tr._next_id == 21
+            r.start("p", "s", 0.0)
+        assert r._next_id == 21
+        assert r.start("p", "s", 0.0) is None  # id 21: not an exemplar
 
     def test_lazy_stage_slots_read_none(self):
-        t = PipelineTrace(1, "p", "s", 0.5)
-        assert t.t_fetched is None and t.status is None
-        assert t.as_dict()["t_issue"] == 0.5
+        # Opened at issue: the stages the transaction has not reached
+        # yet read None, and the span is not in the ring.
+        r = SpanRecorder("d", sample_every=1)
+        s = r.start("p", "s", 0.5)
+        assert isinstance(s, UpdateSpan)
+        assert s.status is None and s.sample_ts is None and s.t1 == 0.5
+        assert (s.hop, s.name, s.parent_span) == (HOP_UPDATE, "update", 0)
+        assert s.as_dict()["t0"] == 0.5 and r.spans == []
         with pytest.raises(AttributeError):
-            t.not_a_slot
+            s.not_a_slot
 
     def test_finish_validates_status(self):
-        tr = Tracer(lambda: 1.0, sample_every=1)
-        t = tr.start("p", "s")
+        r = SpanRecorder("d", sample_every=1)
+        s = r.start("p", "s", 1.0)
         with pytest.raises(ValueError):
-            tr.finish(t, "exploded")
-        tr.finish(t, "stored")
-        assert tr.last() == [t]
-        assert tr.last("stored") == [t]
-        assert tr.last("stale") == []
+            r.finish(s, "exploded", 2.0)
+        r.finish(s, "stored", 2.0)
+        assert (s.status, s.t1) == ("stored", 2.0)
+        assert r.updates() == [s] == r.updates("stored")
+        assert r.updates("stale") == []
+        r.finish(None, "stored", 3.0)  # not an exemplar: nothing recorded
+        assert r.total == 1
 
     def test_ring_bounded(self):
-        tr = Tracer(lambda: 0.0, ring=4, sample_every=1)
-        for _ in range(10):
-            tr.finish(tr.start("p", "s"), "stored")
-        assert len(tr.last()) == 4
+        r = SpanRecorder("d", ring=4, sample_every=1)
+        for i in range(10):
+            r.finish(r.start("p", "s", float(i)), "stored", float(i))
+        assert len(r.updates()) == 4 and r.total == 10
+        assert [s.trace_id for s in r.updates()] == [7, 8, 9, 10]
 
 
-def _world(obs_enabled=True):
+def _world():
     eng = Engine()
     env = SimEnv(eng)
     fabric = SimFabric(eng)
-    samp = Ldmsd("s0", env=env, obs_enabled=obs_enabled,
+    samp = Ldmsd("s0", env=env,
                  transports={"rdma": SimTransport(fabric, "rdma",
                                                   node_id="s0")})
-    agg = Ldmsd("agg", env=env, obs_enabled=obs_enabled,
+    agg = Ldmsd("agg", env=env,
                 transports={"rdma": SimTransport(fabric, "rdma",
                                                  node_id="agg")})
     return eng, samp, agg
@@ -224,7 +223,7 @@ def _world(obs_enabled=True):
 class TestTracePropagation:
     def test_trace_walks_every_stage_in_order(self):
         eng, samp, agg = _world()
-        agg.tracer.sample_every = 1  # retain every transaction
+        agg.spans.sample_every = 1  # trace every transaction
         samp.load_sampler("synthetic", instance="s0/syn", component_id=1,
                           num_metrics=4)
         samp.start_sampler("s0/syn", interval=0.5)
@@ -233,33 +232,40 @@ class TestTracePropagation:
         agg.add_producer("s0", "rdma", "s0:411", interval=0.5,
                          sets=("s0/syn",))
         eng.run(until=10.0)
-        stored = agg.tracer.last("stored")
+        stored = agg.spans.updates("stored")
         assert stored
-        for t in stored:
-            assert t.producer == "s0" and t.set_name == "s0/syn"
-            assert (t.t_issue <= t.t_fetched <= t.t_validated
-                    <= t.t_store_submit <= t.t_store_done)
+        flushes = {s.parent_span: s for s in agg.spans.spans
+                   if s.hop == HOP_STORE}
+        for u in stored:
+            assert u.producer == "s0" and u.set_name == "s0/syn"
+            store = flushes[u.span_id]
+            assert store.trace_id == u.trace_id
+            # issue <= fetched-and-validated <= store submit <= flushed
+            assert u.t0 <= u.t1 <= store.t0 <= store.t1
             # end-to-end latency anchored at the sampler's transaction
-            assert 0 < t.sample_ts <= t.t_store_submit
-            assert t.status in TRACE_STATUSES
-        ids = [t.trace_id for t in agg.tracer.last()]
+            assert 0 < u.sample_ts <= store.t0
+            assert u.status in UPDATE_STATUSES
+        ids = [u.trace_id for u in agg.spans.updates()]
         assert ids == sorted(set(ids))
 
     def test_stale_pulls_traced_without_store_stages(self):
         eng, samp, agg = _world()
-        agg.tracer.sample_every = 1
+        agg.spans.sample_every = 1
         samp.load_sampler("synthetic", instance="s0/syn", component_id=1,
                           num_metrics=4)
         samp.start_sampler("s0/syn", interval=2.0)  # slow sampler
         samp.listen("rdma", "s0:411")
+        agg.add_store("memory")
         agg.add_producer("s0", "rdma", "s0:411", interval=0.25,
                          sets=("s0/syn",))  # fast puller -> stale pulls
         eng.run(until=10.0)
-        stale = agg.tracer.last("stale")
-        assert stale
-        for t in stale:
-            assert t.t_fetched is not None
-            assert t.t_store_submit is None and t.t_store_done is None
+        stale = agg.spans.updates("stale")
+        assert stale and agg.spans.updates("stored")
+        flushed = {s.parent_span for s in agg.spans.spans
+                   if s.hop == HOP_STORE}
+        for u in stale:
+            assert u.t0 <= u.t1 and u.sample_ts is None
+            assert u.span_id not in flushed  # no store span
 
     def test_update_stats_satellites(self):
         eng, samp, agg = _world()
@@ -281,21 +287,6 @@ class TestTracePropagation:
         assert agg.producers["s0"].stats.updates_completed > 0
         assert {"plugin", "records", "failed", "dropped", "bytes_written"} \
             <= set(snap["stores"][0])
-
-    def test_disabled_daemon_still_collects(self):
-        eng, samp, agg = _world(obs_enabled=False)
-        samp.load_sampler("synthetic", instance="s0/syn", component_id=1,
-                          num_metrics=4)
-        samp.start_sampler("s0/syn", interval=0.5)
-        samp.listen("rdma", "s0:411")
-        store = agg.add_store("memory")
-        agg.add_producer("s0", "rdma", "s0:411", interval=0.5,
-                         sets=("s0/syn",))
-        eng.run(until=10.0)
-        assert len(store.rows) > 0
-        assert agg.tracer.last() == []
-        assert agg.stats()["obs"] == {"enabled": False, "counters": {},
-                                      "gauges": {}, "histograms": {}}
 
 
 class TestLdmsdSelfEndToEnd:
@@ -364,18 +355,6 @@ class TestLdmsdSelfEndToEnd:
         assert prof["arena"]["sweeps"] == vals["arena_sweeps"]
         assert prof["arena"]["rows_vectorized"] == vals["arena_rows_vectorized"]
         assert prof["arena"]["pool"]["rows"] >= 2
-
-    def test_self_sampler_on_disabled_daemon_reads_zeros(self):
-        eng, samp, _ = _world(obs_enabled=False)
-        samp.load_sampler("ldmsd_self", instance="s0/self", component_id=1)
-        samp.start_sampler("s0/self", interval=1.0)
-        eng.run(until=3.0)
-        vals = samp.get_set("s0/self").as_dict()
-        # structural fields stay live; telemetry-derived ones read zero
-        assert vals["sets"] == 1 and vals["samples"] > 0
-        for name, v in vals.items():
-            if "_us_" in name or name.endswith("_count"):
-                assert v == 0, name
 
 
 class TestRefusedConnectionsSurface:

@@ -1,12 +1,14 @@
 """Tests for the cluster-wide observability plane (PR 7).
 
-Wire-level trace context, span recording + Chrome export, the
-freshness/completeness tracker, the always-on flight recorder with
-postmortem dumps, and the exemplar-sampling determinism contract
+Wire-level trace context, span recording + Chrome export (span
+identity pinned on a healthy run), the freshness/completeness tracker,
+the always-on flight recorder with postmortem dumps, and the
+exemplar-sampling determinism contract
 (same seed => same traced transactions, sanitized or not, columnar or
 scalar reference).
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -26,7 +28,9 @@ from repro.obs.spans import (
     HOP_SERVE,
     HOP_STORE,
     HOP_UPDATE,
+    UPDATE_STATUSES,
     SpanRecorder,
+    UpdateSpan,
     causal_chains,
     chrome_trace_events,
     validate_chrome_trace,
@@ -67,11 +71,6 @@ class TestWireTraceCtx:
 
 
 class TestSpanRecorder:
-    def test_disabled_records_nothing(self):
-        r = SpanRecorder("d", enabled=False)
-        r.record(1, 1, 0, HOP_UPDATE, "update", 0.0, 1.0)
-        assert r.total == 0 and not r.spans
-
     def test_ring_bounded_total_cumulative(self):
         r = SpanRecorder("d", ring=4)
         for i in range(10):
@@ -118,11 +117,6 @@ class TestSpanRecorder:
 
 
 class TestFreshness:
-    def test_disabled_arm_returns_none(self):
-        t = FreshnessTracker(enabled=False)
-        assert t.arm("p", 1.0, 1, 0.0) is None
-        assert t.fleet(10.0)["completeness"] == 1.0
-
     def test_expected_ramps_after_first_interval(self):
         t = FreshnessTracker()
         p = t.arm("p", 5.0, 2, 0.0)
@@ -158,14 +152,12 @@ class TestFreshness:
 
 
 class TestFlightRecorder:
-    def test_ring_and_disabled(self):
+    def test_ring_bounded(self):
         fl = FlightRecorder("d", ring=3)
         for i in range(5):
             fl.record(float(i), "daemon", "tick", i)
         assert fl.total == 5 and len(fl.events) == 3
-        off = FlightRecorder("d", enabled=False)
-        off.record(0.0, "daemon", "tick")
-        assert off.total == 0
+        assert [e[3] for e in fl.events] == [2, 3, 4]
 
     def test_window_covers_retained_events(self):
         fl = FlightRecorder("d", ring=8)
@@ -213,14 +205,14 @@ class TestFlightRecorder:
 # ---------------------------------------------------------------------------
 # end to end over the simulated fabric
 # ---------------------------------------------------------------------------
-def _world(obs_enabled=True):
+def _world():
     eng = Engine()
     env = SimEnv(eng)
     fabric = SimFabric(eng)
-    samp = Ldmsd("s0", env=env, obs_enabled=obs_enabled,
+    samp = Ldmsd("s0", env=env,
                  transports={"rdma": SimTransport(fabric, "rdma",
                                                   node_id="s0")})
-    agg = Ldmsd("agg", env=env, obs_enabled=obs_enabled,
+    agg = Ldmsd("agg", env=env,
                 transports={"rdma": SimTransport(fabric, "rdma",
                                                  node_id="agg")})
     samp.load_sampler("synthetic", instance="s0/syn", component_id=1,
@@ -235,7 +227,7 @@ def _world(obs_enabled=True):
 class TestEndToEndChain:
     def test_four_hop_causal_chain(self):
         eng, samp, agg = _world()
-        agg.tracer.sample_every = 1
+        agg.spans.sample_every = 1
         eng.run(until=10.0)
         chains = causal_chains([samp.spans, agg.spans], min_hops=4)
         assert chains, "no 4-hop chain stitched"
@@ -256,10 +248,38 @@ class TestEndToEndChain:
         doc = chrome_trace_events([samp.spans, agg.spans])
         assert validate_chrome_trace(doc) is None
 
+    #: sha256 of the healthy world's spans (10 s, every transaction an
+    #: exemplar), as recorded when the update span was written only for
+    #: a stored transaction: [daemon, trace id, span id, parent, hop,
+    #: name, repr(t0), repr(t1)] per span, sampler ring then aggregator's.
+    SPANS_SHA256 = (
+        "2a1516f2cd2aa34204468dd19c32ff7e6f45d2d6cb15b9d5ad6a32701f902d01")
+
+    def test_span_identity_pinned(self):
+        eng, samp, agg = _world()
+        agg.spans.sample_every = 1
+        eng.run(until=10.0)
+        rows, added = [], []
+        for rec in (samp.spans, agg.spans):
+            for s in rec.spans:
+                if isinstance(s, UpdateSpan) and s.status != "stored":
+                    added.append(s)
+                    continue
+                rows.append([rec.daemon, s.trace_id, s.span_id,
+                             s.parent_span, s.hop, s.name,
+                             repr(s.t0), repr(s.t1)])
+        assert len(rows) == 78
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == self.SPANS_SHA256
+        # The only spans allowed beyond the pinned set: update spans of
+        # exemplars that ended without storing.
+        assert all(s.name == "update" and s.status in UPDATE_STATUSES
+                   for s in added)
+
     def test_trace_ctx_needs_peer_feature(self):
         """A peer that never advertised trace-ctx gets plain frames."""
         eng, samp, agg = _world()
-        agg.tracer.sample_every = 1
+        agg.spans.sample_every = 1
 
         def strip():
             # Simulate an old peer: clear the negotiated feature on
@@ -284,17 +304,9 @@ class TestEndToEndChain:
         assert fleet["missed"] == 0
         assert fleet["completeness"] == 1.0
 
-    def test_disabled_obs_is_inert(self):
-        eng, samp, agg = _world(obs_enabled=False)
-        eng.run(until=5.0)
-        assert agg.spans.total == 0
-        assert samp.spans.total == 0
-        assert agg.flight.total == 0
-        assert agg.freshness.fleet(5.0)["producers"] == 0
-
     def test_prof_export_chrome_verb(self):
         eng, samp, agg = _world()
-        agg.tracer.sample_every = 1
+        agg.spans.sample_every = 1
         eng.run(until=5.0)
         ch = ControlChannel(agg)
         reply = ch.handle("prof export=chrome")
@@ -344,7 +356,7 @@ agg.add_producer("s0", "rdma", "s0:411", interval=0.5, sets=("s0/syn",))
 eng.run(until=20.0)
 traced = sorted({s.trace_id for s in agg.spans.spans})
 print(json.dumps({"traced": traced,
-                  "completed": [t.trace_id for t in agg.tracer.last()]}))
+                  "completed": [u.trace_id for u in agg.spans.updates()]}))
 """
 
 

@@ -233,7 +233,7 @@ class TestQueryEngine:
         store.close()
 
     def test_counters_and_stats(self, tmp_path):
-        obs = Telemetry(enabled=True)
+        obs = Telemetry()
         store = SosStore()
         store.config(path=str(tmp_path))
         eng = QueryEngine(store, lambda: 0.0, obs=obs, hot_window=30.0)
@@ -245,6 +245,20 @@ class TestQueryEngine:
         assert st["cache_hits"] == 1
         assert st["cache_misses"] == 1
         assert st["rows_served"] == 1
+        store.close()
+
+    def test_counts_without_a_registry(self, tmp_path):
+        # Built without obs=, the engine used to count into shared null
+        # instruments: three rows served, every counter still zero.
+        store = SosStore()
+        store.config(path=str(tmp_path))
+        for k in range(3):
+            store.submit(rec(t=float(k), schema="syn"))
+        q = QueryEngine(store, lambda: 0.0)
+        assert len(q.query("syn", 0, 10).rows) == 3
+        st = q.stats()
+        assert (st["requests"], st["cache_misses"], st["rows_served"]) == (
+            1, 1, 3)
         store.close()
 
 
@@ -266,7 +280,7 @@ class TestFeatureGate:
             query_ok = False
 
         p = Poller("p0", None, None, None, "mem",
-                   Telemetry(enabled=False), interval=1.0)
+                   Telemetry(), interval=1.0)
         p.ep = OldEp()
         p._tick()
         assert p.skipped_nofeature == 1
@@ -299,7 +313,7 @@ def _sos_world(tmp, arena, rollups="10", n=4, duration=30.0,
         agg.enable_query(hot_window=15.0)
     if mix is not None:
         agg.listen("sock", "agg:412")
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         clients = build_population(
             env, lambda i: SimTransport(fabric, "sock",
                                         node_id=f"client{i}"),

@@ -122,7 +122,7 @@ class TestRaiseMode:
 
 class TestCountMode:
     def test_violations_count_into_registered_registry(self, count_mode):
-        obs = Telemetry(enabled=True)
+        obs = Telemetry()
         sanitize.register_registry(obs)
         s = make_set("node2/fix")
         s.set_all([1, 2, 3], timestamp=1.0)
@@ -133,7 +133,7 @@ class TestCountMode:
         assert obs.counter("sanitizer.violations").value == 1
 
     def test_register_registry_idempotent(self, count_mode):
-        obs = Telemetry(enabled=True)
+        obs = Telemetry()
         sanitize.register_registry(obs)
         sanitize.register_registry(obs)
         s = make_set("node3/fix")

@@ -489,6 +489,28 @@ class TestSosCrashRecovery:
             store.close()
             assert {p.name: p.read_bytes() for p in d.iterdir()} == torn
 
+    @pytest.mark.parametrize("container", ["mem", "mem.r10"])
+    def test_missing_sidecar_beside_data_is_refused(self, tmp_path, container):
+        # A deleted sidecar used to be rewritten from the next incoming
+        # record: a 1-metric record then stamped ["x"] over 2-metric data
+        # and the reader returned only the new record.  Reopen refuses,
+        # naming the missing file, and writes nothing.
+        self._append(tmp_path, self.SESSIONS[0], rollups="10")
+        self._append(tmp_path, [(12.0, 1, (1.0, 2.0))], rollups="10")
+        sidecar = f"{container}.schema.json"
+        (tmp_path / sidecar).unlink()
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        s = SosStore()
+        s.config(path=str(tmp_path), rollups="10")
+        with pytest.raises(StoreError, match=sidecar):
+            s.submit(rec(t=20.0, names=("x",), comp=(1,), values=(5,)))
+        with pytest.raises(StoreError, match=sidecar):
+            s.submit(rec(t=20.0))
+        res = QueryEngine(s, lambda: 0.0).query(container, 0.0, 30.0)
+        s.close()
+        assert (res.status, res.source) == (wire.E_NOENT, "noent")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
     def test_sidecars_are_replaced_whole(self, tmp_path, monkeypatch):
         # Written to a temporary name and renamed over the final one, so
         # a crash mid-write leaves no sidecar rather than a torn one.
