@@ -131,25 +131,6 @@ class MetricDesc:
     WIRE_FMT = f"<{METRIC_NAME_LEN}sQBI"
     WIRE_SIZE = struct.calcsize(WIRE_FMT)
 
-    def pack(self) -> bytes:
-        return struct.pack(
-            self.WIRE_FMT,
-            self.name.encode("utf-8"),
-            self.component_id,
-            int(self.mtype),
-            self.data_offset,
-        )
-
-    @classmethod
-    def unpack(cls, raw: bytes | memoryview) -> "MetricDesc":
-        name_b, comp_id, tag, offset = struct.unpack(cls.WIRE_FMT, raw)
-        return cls(
-            name=name_b.rstrip(b"\x00").decode("utf-8"),
-            mtype=MetricType(tag),
-            component_id=comp_id,
-            data_offset=offset,
-        )
-
     @classmethod
     def unpack_columns(
         cls, raw: bytes | memoryview

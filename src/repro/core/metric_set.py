@@ -23,15 +23,18 @@ Schema compilation
 ------------------
 
 A set's layout is frozen at :meth:`MetricSet.create` / :meth:`from_meta`
-time — that is the whole point of the MGN.  The constructor therefore
-compiles the layout once into a :class:`_CompiledSchema` (cached by
-layout, shared across sets): a single whole-row :class:`struct.Struct`
-with explicit pad bytes matching the natural-alignment layout, cached
-per-metric ``Struct`` objects, and the per-metric clamp callables.
-Around it the per-layout flyweight :class:`_Layout` adds what depends on
-the metric *names* too (decoded name tuple, name -> index map) —
-"metadata once, then data-only" applied to our own bookkeeping: a set or
-mirror of a known layout keeps only its name, component ids and chunks.  The
+time — that is the whole point of the MGN.  The layout is therefore
+compiled once into a :class:`_CompiledSchema` (cached by layout, shared
+across sets): a single whole-row :class:`struct.Struct` with explicit
+pad bytes matching the natural-alignment layout, cached per-metric
+``Struct`` objects, and the per-metric clamp callables.  Around it the
+per-layout flyweight :class:`_Layout` adds what depends on the metric
+*names* too (decoded name tuple, name -> index map) — "metadata once,
+then data-only" applied to our own bookkeeping: a set or mirror of a
+known layout keeps only its name, component ids and chunks.  A producer
+set is stamped from its (names, types) :class:`_Template`: the packed
+metadata chunk, copied whole, plus one header pack and one write of the
+component ids — the per-metric checks ran when the template compiled.  The
 hot producer path (:meth:`set_all` / :meth:`set_values`) is then one
 ``pack_into`` plus one DGN write, and the hot consumer path
 (:meth:`values` / :meth:`values_tuple` / :meth:`values_array`) is one
@@ -60,7 +63,8 @@ SET_NAME_LEN = 128
 SCHEMA_NAME_LEN = 64
 
 _META_HDR_FMT = f"<4sIIII{SET_NAME_LEN}s{SCHEMA_NAME_LEN}s"
-_META_HDR_SIZE = struct.calcsize(_META_HDR_FMT)
+_META_HDR = struct.Struct(_META_HDR_FMT)
+_META_HDR_SIZE = _META_HDR.size
 _META_MAGIC = b"LDMS"
 
 # data header: MGN u32, DGN u64, consistent u8, 3 pad, timestamp f64
@@ -72,6 +76,7 @@ _CONSISTENT_OFF = 12
 _TS_OFF = 16
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+_U32_MASK = 0xFFFFFFFF
 
 _STRUCT_Q = struct.Struct("<Q")
 _STRUCT_D = struct.Struct("<d")
@@ -224,6 +229,50 @@ def _layout_for(
     return layout
 
 
+class _Template(NamedTuple):
+    """Everything :meth:`MetricSet.create` needs for one (metric names,
+    metric types) sequence, compiled by its first set."""
+
+    layout: _Layout
+    data_size: int
+    #: the metadata chunk with header and component ids zeroed
+    meta: bytes
+    #: packs the component ids, range-checked, in one call
+    ids: struct.Struct
+
+
+#: (metric names, metric types) -> _Template, capped like _LAYOUT_CACHE.
+_TEMPLATES: dict[tuple, _Template] = {}
+_METRIC_TYPE = frozenset((MetricType,))
+
+
+def _compile_template(names: tuple, mtypes: tuple, set_name: str) -> _Template:
+    # The per-metric name checks: run once per layout, here (_layout_for
+    # rejects empty and duplicate names; create() checks the types).
+    wire_names, offsets, off = [], [], _DATA_HDR_SIZE
+    for mname, mtype in zip(names, mtypes):
+        encoded = mname.encode("utf-8")
+        if len(encoded) >= METRIC_NAME_LEN:
+            raise ValueError(
+                f"metric name too long ({len(encoded)} bytes, max "
+                f"{METRIC_NAME_LEN - 1}): {mname!r}")
+        wire_names.append(encoded.ljust(METRIC_NAME_LEN, b"\x00"))
+        size = mtype.size
+        off = (off + size - 1) & ~(size - 1)  # natural alignment
+        offsets.append(off)
+        off += size
+    tags = tuple(map(int, mtypes))
+    layout = _layout_for(tuple(wire_names), tags, tuple(offsets), off, set_name)
+    meta = bytes(_META_HDR_SIZE) + b"".join(
+        struct.pack(MetricDesc.WIRE_FMT, nb, 0, tag, o)
+        for nb, tag, o in zip(wire_names, tags, offsets))
+    if len(_TEMPLATES) >= _SCHEMA_CACHE_MAX:
+        _TEMPLATES.clear()
+    tmpl = _TEMPLATES[names, mtypes] = _Template(
+        layout, off, meta, struct.Struct(f"<{len(names)}Q"))
+    return tmpl
+
+
 @dataclass(frozen=True)
 class SetInfo:
     """Summary of a set as reported by the directory protocol."""
@@ -265,31 +314,10 @@ class MetricSet:
         "_in_transaction", "_deleted", "_shadow", "_store_match",
     )
 
-    def __init__(
-        self,
-        name: str,
-        schema: str,
-        descs: list[MetricDesc],
-        arena: Arena,
-        mgn: int,
-        data_size: int,
-        pool: Optional["SetArenaPool"] = None,
-    ):
-        layout = _layout_for(
-            tuple(d.name.encode("utf-8").ljust(METRIC_NAME_LEN, b"\x00")
-                  for d in descs),
-            tuple(int(d.mtype) for d in descs),
-            tuple(d.data_offset for d in descs),
-            data_size, name,
-        )
-        self._build(name, schema, layout,
-                    tuple(d.component_id for d in descs),
-                    arena, mgn, data_size, None, pool)
-
     def _build(
         self, name: str, schema: str, layout: _Layout,
         comp_ids: tuple[int, ...], arena: Arena, mgn: int, data_size: int,
-        meta_src: Optional[bytes], pool: Optional["SetArenaPool"],
+        meta_src: bytes | bytearray, pool: Optional["SetArenaPool"],
     ) -> None:
         self.name = name
         self.schema = schema
@@ -339,31 +367,11 @@ class MetricSet:
         self._in_transaction = False
         self._deleted = False
 
-        # Serialize metadata into the metadata chunk.  A mirror already
-        # holds the wire-format chunk it was built from, so copying it
-        # wholesale beats re-packing the header + every descriptor (the
-        # aggregator builds one mirror per connected sampler).
+        # Copy the wire-format metadata chunk in: a mirror's is the one
+        # it was built from, a producer set's is stamped from its
+        # template, so neither re-packs a descriptor.
         meta = self._meta
-        if meta_src is not None:
-            meta[:] = meta_src
-        else:
-            struct.pack_into(
-                _META_HDR_FMT,
-                meta,
-                0,
-                _META_MAGIC,
-                self.meta_size,
-                self.data_size,
-                card,
-                mgn,
-                name.encode("utf-8"),
-                schema.encode("utf-8"),
-            )
-            pos = _META_HDR_SIZE
-            for desc in zip(layout.wire_names, comp_ids, layout.tags,
-                            layout.compiled.offsets):
-                struct.pack_into(MetricDesc.WIRE_FMT, meta, pos, *desc)
-                pos += MetricDesc.WIRE_SIZE
+        meta[:] = meta_src
         meta.release()
         # Data header: MGN mirrored, DGN 0, consistent 0, ts 0
         _STRUCT_DATA_HDR.pack_into(self._data, 0, mgn, 0, 0, 0.0)
@@ -398,21 +406,45 @@ class MetricSet:
         mgn: int = 1,
         pool: Optional["SetArenaPool"] = None,
     ) -> "MetricSet":
-        """Create a producer-side set; assigns data offsets sequentially."""
-        if not name or len(name.encode()) >= SET_NAME_LEN:
+        """Create a producer-side set from its layout's template (data
+        offsets assigned sequentially, naturally aligned).  Every check
+        runs before the first allocation, so a rejected call leaves the
+        arena and the set pool as they were."""
+        name_b = name.encode("utf-8")
+        schema_b = schema.encode("utf-8")
+        if not name or len(name_b) >= SET_NAME_LEN:
             raise ValueError(f"bad set name {name!r}")
-        if not schema or len(schema.encode()) >= SCHEMA_NAME_LEN:
+        if not schema or len(schema_b) >= SCHEMA_NAME_LEN:
             raise ValueError(f"bad schema name {schema!r}")
+        if not 0 <= mgn <= _U32_MASK:
+            raise ValueError(f"mgn {mgn} of set {name!r} is not a u32")
         if not metrics:
             raise ValueError("metric set must contain at least one metric")
-        descs: list[MetricDesc] = []
-        off = _DATA_HDR_SIZE
-        for mname, mtype, comp_id in metrics:
-            size = mtype.size
-            off = (off + size - 1) & ~(size - 1)  # natural alignment
-            descs.append(MetricDesc(mname, mtype, comp_id, off))
-            off += size
-        return cls(name, schema, descs, arena, mgn=mgn, data_size=off, pool=pool)
+        names, mtypes, comp_ids = zip(*metrics)
+        # Per call: a wire tag (7) would otherwise find U64's template.
+        if not _METRIC_TYPE.issuperset(map(type, mtypes)):
+            bad = next(t for t in mtypes if type(t) is not MetricType)
+            raise ValueError(f"{bad!r} is not a valid MetricType")
+        tmpl = (_TEMPLATES.get((names, mtypes))
+                or _compile_template(names, mtypes, name))
+        try:
+            ids = tmpl.ids.pack(*comp_ids)
+        except struct.error:
+            raise ValueError(f"component ids of set {name!r} must be "
+                             "integers in [0, 2**64)") from None
+        import numpy as np
+
+        meta = bytearray(tmpl.meta)
+        card = len(comp_ids)
+        _META_HDR.pack_into(meta, 0, _META_MAGIC, len(meta), tmpl.data_size,
+                            card, mgn, name_b, schema_b)
+        # The component ids are one strided u64 column of the descriptors.
+        np.ndarray(card, "<u8", meta, _META_HDR_SIZE + METRIC_NAME_LEN,
+                   (MetricDesc.WIRE_SIZE,))[:] = np.frombuffer(ids, "<u8")
+        mset = cls.__new__(cls)
+        mset._build(name, schema, tmpl.layout, comp_ids, arena, mgn,
+                    tmpl.data_size, meta, pool)
+        return mset
 
     @classmethod
     def from_meta(
@@ -423,9 +455,8 @@ class MetricSet:
         meta = bytes(meta)
         if len(meta) < _META_HDR_SIZE:
             raise ValueError("truncated metadata chunk")
-        magic, meta_size, data_size, card, mgn, name_b, schema_b = struct.unpack_from(
-            _META_HDR_FMT, meta, 0
-        )
+        magic, meta_size, data_size, card, mgn, name_b, schema_b = (
+            _META_HDR.unpack_from(meta, 0))
         if magic != _META_MAGIC:
             raise ValueError("bad metadata magic")
         if len(meta) != meta_size:

@@ -251,12 +251,17 @@ class TestPeekAndMirrorDecode:
         """A mirror built from metadata whose descriptors are not in
         offset order cannot use the whole-row Struct but must still
         read/write correctly via the per-metric path."""
-        from repro.core.metric_set import _DATA_HDR_SIZE
+        from repro.core.metric_set import (
+            _DATA_HDR_SIZE, _META_HDR_FMT, _META_HDR_SIZE,
+        )
 
-        descs = [MetricDesc("hi", MetricType.U64, 0, _DATA_HDR_SIZE + 8),
-                 MetricDesc("lo", MetricType.U64, 0, _DATA_HDR_SIZE)]
-        s = MetricSet("n/w", "w", descs, Arena(1 << 20), mgn=1,
-                      data_size=_DATA_HDR_SIZE + 16)
+        descs = [(b"hi", 0, int(MetricType.U64), _DATA_HDR_SIZE + 8),
+                 (b"lo", 0, int(MetricType.U64), _DATA_HDR_SIZE)]
+        meta_size = _META_HDR_SIZE + len(descs) * MetricDesc.WIRE_SIZE
+        meta = struct.pack(_META_HDR_FMT, b"LDMS", meta_size,
+                           _DATA_HDR_SIZE + 16, len(descs), 1, b"n/w", b"w")
+        meta += b"".join(struct.pack(MetricDesc.WIRE_FMT, *d) for d in descs)
+        s = MetricSet.from_meta(meta, Arena(1 << 20))
         assert s._compiled.row_struct is None
         s.set_all([111, 222], timestamp=0.0)
         assert s.values() == [111, 222]
