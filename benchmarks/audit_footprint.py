@@ -4,9 +4,12 @@ Builds the ``fanin_knee`` topology (N sampler daemons x one 10-metric
 ``synthetic`` set -> one aggregator over ``sock`` -> ``memory`` store),
 runs it to the first stored sample of every producer under
 ``tracemalloc`` and prints the traced bytes per sampler + producer pair
-by source file and by line, then ``ru_maxrss``.  The by-file table is
-the one in DESIGN.md "Footprint"; ``tests/test_footprint.py`` gates the
-slope of the same topology.
+by source file and by line, then ``ru_maxrss``; beside the bytes it
+prints the Python calls one stored set costs in a steady interval
+(:func:`calls_per_stored_set`).
+The by-file table is the one in DESIGN.md "Footprint";
+``tests/test_footprint.py`` gates the slope of the same topology and
+the calls per stored set.
 
     PYTHONPATH=src python benchmarks/audit_footprint.py --producers 1024
 """
@@ -62,6 +65,43 @@ def build(n: int):
     return samplers, agg
 
 
+def calls_per_stored_set(n: int = 256) -> float:
+    """Python function calls per stored set over one steady interval.
+
+    Builds the knee topology at ``n`` producers, then counts the
+    ``sys.setprofile`` ``"call"`` events (Python frames, not C calls) of
+    the next collection interval and divides by the rows stored in it.
+    The simulated history is fixed, so the count is exact and the same
+    on any host; garbage collection is off so no finalizer adds calls.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _samplers, agg = build(n)
+        eng = agg.env.engine
+        store = agg.stores[0]
+        before = store.records_stored
+        calls = 0
+
+        def count(_frame, event, _arg) -> None:
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            eng.run(until=eng.now + INTERVAL)
+        finally:
+            sys.setprofile(None)
+        rows = store.records_stored - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    if rows != n:
+        raise SystemExit(f"{rows} sets stored in the interval, expected {n}")
+    return calls / rows
+
+
 def _short(path: str) -> str:
     marker = os.sep + "repro" + os.sep
     cut = path.rfind(marker)
@@ -85,9 +125,13 @@ def main(argv=None) -> int:
         [tracemalloc.Filter(False, tracemalloc.__file__)])
     tracemalloc.stop()
 
+    calls = calls_per_stored_set()
+
     total = sum(s.size for s in snap.statistics("filename"))
     print(f"producers {n}: {total / 1e6:.2f} MB traced, "
           f"{total / n:,.0f} B per sampler + producer pair")
+    print(f"Python calls per stored set: {calls:.2f} "
+          "(256 producers, one steady interval)")
     print(f"\n{'B/pair':>9}  {'MB':>8}  file")
     for s in snap.statistics("filename")[:20]:
         print(f"{s.size / n:9,.0f}  {s.size / 1e6:8.2f}  "

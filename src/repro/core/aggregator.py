@@ -153,6 +153,28 @@ class UpdaterState:
     dgn_stride: int = 0
 
 
+class _Pull:
+    """One single-set update in flight: the read's completion callback,
+    then the update-worker task that validates and stores the data.
+
+    One object per pull, built without an ``__init__`` frame, stands in
+    for a bound method plus a ``partial`` at each of the two hops.
+    """
+
+    __slots__ = ("producer", "upd", "t_issue", "span", "data")
+
+    def __call__(self, data: Optional[bytes]) -> None:
+        # The read completed: validation runs on an update worker.
+        self.data = data
+        daemon = self.producer.daemon
+        daemon.worker_pool.submit(self.complete, daemon.update_cpu_cost,
+                                  daemon.core, "agg-update")
+
+    def complete(self) -> None:
+        self.producer._complete_update(self.upd, self.data, self.t_issue,
+                                       self.span)
+
+
 class Producer:
     """Runtime state of one collection target inside an aggregator."""
 
@@ -516,7 +538,8 @@ class Producer:
         with self.daemon.lock:
             if self.stopped:
                 return
-            if not self.connected:
+            endpoint = self.endpoint
+            if endpoint is None or endpoint.closed:  # not connected
                 # Reconnection is the backoff schedule's job; kicking a
                 # connect from every tick would defeat it.  Only fire
                 # when no retry is pending (e.g. first tick after a
@@ -584,23 +607,19 @@ class Producer:
         t_issue = self.daemon.env.now()
         span = self.daemon.spans.start(self.cfg.name, upd.set_name, t_issue)
 
-        on_data = partial(self._on_data, upd, t_issue, span)
+        pull = _Pull()
+        pull.producer = self
+        pull.upd = upd
+        pull.t_issue = t_issue
+        pull.span = span
         if span is not None and endpoint.trace_ok:
             # Exemplar transaction: propagate a wire trace context so the
             # serving daemon can attribute its hop to the same trace.
             endpoint.rdma_read(
-                upd.region_id, on_data,
+                upd.region_id, pull,
                 trace=((0, span.trace_id, span.span_id, HOP_UPDATE),))
         else:
-            endpoint.rdma_read(upd.region_id, on_data)
-
-    def _on_data(self, upd: UpdaterState, t_issue: float,
-                 span: Optional[UpdateSpan], data: Optional[bytes]) -> None:
-        # Completion runs on an update worker.
-        daemon = self.daemon
-        daemon.worker_pool.submit(
-            partial(self._complete_update, upd, data, t_issue, span),
-            daemon.update_cpu_cost, daemon.core, "agg-update")
+            endpoint.rdma_read(upd.region_id, pull)
 
     def _issue_update_multi(self, upds: list[UpdaterState]) -> None:
         """Issue one coalesced fetch covering every updater in ``upds``.
@@ -709,15 +728,17 @@ class Producer:
             # layer; incrementing before delivery over-reported when
             # the hand-off itself failed.
             try:
-                self.daemon._deliver_to_stores(self, upd.mirror, span, ts_new)
+                self.daemon._deliver_to_stores(self, upd.mirror, span, ts_new,
+                                               data)
             except StoreError:
                 self.daemon.obs.counter("store.errors").inc()
                 spans.finish(span, "store_error", now)
                 return
             self.stats.stored += 1
-            # The aggregator-side hop of the exemplar's causal chain:
-            # issue -> validated-and-stored.
-            spans.finish(span, "stored", now)
+            if span is not None:
+                # The aggregator-side hop of the exemplar's causal chain:
+                # issue -> validated-and-stored.
+                spans.finish(span, "stored", now)
             fresh = self._fresh
             if fresh is not None:
                 # Missed-interval hint: whichever of the DGN gap (in

@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
+from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine
@@ -78,22 +79,6 @@ class WorkerPool:
         raise NotImplementedError
 
 
-class _NullLock:
-    """Reentrant no-op lock for single-threaded (simulated) execution."""
-
-    def __enter__(self) -> "_NullLock":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-    def acquire(self) -> bool:  # pragma: no cover - API parity
-        return True
-
-    def release(self) -> None:  # pragma: no cover - API parity
-        return None
-
-
 class Env:
     """Scheduling environment interface."""
 
@@ -107,7 +92,7 @@ class Env:
         raise NotImplementedError
 
     def make_lock(self):
-        """A reentrant lock (real in RealEnv, no-op in SimEnv)."""
+        """A reentrant lock the daemon serializes its callbacks under."""
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -179,7 +164,7 @@ class _RealPool(WorkerPool):
     def __init__(self, name: str, size: int):
         self.name = name
         self.size = size
-        self._tasks: list[Callable[[], Any]] = []
+        self._tasks: deque[Callable[[], Any]] = deque()
         self._cv = threading.Condition()
         self._stop = False
         self._threads = [
@@ -208,7 +193,7 @@ class _RealPool(WorkerPool):
                     self._cv.wait()
                 if self._stop and not self._tasks:
                     return
-                fn = self._tasks.pop(0)
+                fn = self._tasks.popleft()
             try:
                 fn()
             except Exception:  # pragma: no cover - worker survival
@@ -459,4 +444,6 @@ class SimEnv(Env):
         return pool
 
     def make_lock(self):
-        return _NullLock()
+        # Single-threaded: never contended, so the C lock never waits,
+        # and a ``with`` on it runs no Python frame.
+        return threading.RLock()

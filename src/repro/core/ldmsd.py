@@ -33,7 +33,8 @@ from repro.core.memory import Arena
 from repro.core.metric import MetricType
 from repro.core.metric_set import MetricSet, SetInfo
 from repro.core.sampler import SamplerPlugin, sampler_registry
-from repro.core.store import StorePlugin, StorePolicy, StoreRecord, store_registry
+from repro.core.store import (StorePlugin, StorePolicy, StoreRecord, record_of,
+                              store_registry)
 from repro.obs import FlightRecorder, FreshnessTracker, SpanRecorder, Telemetry
 from repro.obs import flight as flightmod
 from repro.obs.spans import HOP_SAMPLE, HOP_STORE, UpdateSpan
@@ -77,29 +78,31 @@ _OBS_HISTOGRAMS = (
     "store.flush", "store.flush_batch_rows")
 
 
-class _StagedRow:
-    """A store delivery staged as a raw arena-row snapshot.
+class _PendingRow(NamedTuple):
+    """One store delivery awaiting its flush, shared by every store the
+    delivery was routed to.
 
-    On the columnar path the aggregator defers record construction to
-    the flush batch, where all staged rows of one schema decode as a
-    single 2-D array sweep.  The snapshot is taken at delivery time, so
-    a mirror re-installed before the flush drains cannot retroactively
-    change what gets stored.  ``values = None`` marks the row as staged
-    for :meth:`_FlushBatch.seal`, which prices it by ``card`` exactly
-    like a materialized record.
+    The scalar path hands over a built ``record``.  The columnar path
+    stages the delivered data chunk instead (``record`` is None) and
+    defers record construction to the flush batch, where all staged
+    rows of one layout decode as a single 2-D array sweep.  ``data`` is
+    the immutable ``bytes`` the read returned, so a mirror re-installed
+    before the flush drains cannot change what gets stored.  ``card``
+    prices the row in :meth:`_FlushBatch.seal`.
     """
 
-    __slots__ = ("data", "ts", "producer", "schema", "card", "mirror")
+    record: Optional[StoreRecord]
+    data: Optional[bytes]
+    ts: float
+    producer: str
+    mirror: Optional[MetricSet]
+    card: int
+    t_submit: float
+    span: Optional[UpdateSpan]
 
-    values = None
 
-    def __init__(self, data: bytes, ts: float, producer: str, mirror: MetricSet):
-        self.data = data
-        self.ts = ts
-        self.producer = producer
-        self.schema = mirror.schema
-        self.card = mirror.card
-        self.mirror = mirror
+#: ``_pending((record, data, ts, ...))``: a row with no Python frame.
+_pending = partial(tuple.__new__, _PendingRow)
 
 
 class _ServedEndpoint(NamedTuple):
@@ -165,9 +168,9 @@ class _FlushBatch:
 
     def __init__(self, store: StorePlugin):
         self.store = store
-        #: pending (record, t_submit, exemplar span) rows, append order
-        self.rows: list[tuple] = []
-        self.sealed: Optional[list[tuple]] = None
+        #: pending rows, append order
+        self.rows: list[_PendingRow] = []
+        self.sealed: Optional[list[_PendingRow]] = None
         self.scheduled = False
 
     def seal(self) -> float:
@@ -179,11 +182,8 @@ class _FlushBatch:
             self.sealed = rows[:FLUSH_BATCH_MAX]
             self.rows = rows[FLUSH_BATCH_MAX:]
         cost = STORE_BASE_COST * len(self.sealed)
-        for record, _t, _tr in self.sealed:
-            vals = record.values
-            cost += STORE_PER_METRIC_COST * (
-                record.card if vals is None else len(vals)
-            )
+        for row in self.sealed:
+            cost += STORE_PER_METRIC_COST * row.card
         return cost
 
 
@@ -928,16 +928,14 @@ class Ldmsd:
             self._stores_version += 1
             return store
 
-    def _matching_stores(self, mirror: MetricSet, producer_name: str) -> tuple:
+    def _route(self, mirror: MetricSet, producer_name: str) -> tuple:
         """Stores whose policy matches this mirror, cached on the mirror.
 
         Policy inputs (schema, producer) are frozen per (mirror,
         producer) pair, so the filter runs once per mirror lifetime
-        rather than once per delivered record; the cache invalidates
-        when a store is added (``_stores_version``)."""
-        cached = mirror._store_match
-        if cached is not None and cached[0] == self._stores_version:
-            return cached[1]
+        rather than once per delivered record; the delivery reads the
+        cache and calls this only when a store was added since
+        (``_stores_version``)."""
         matched = tuple(
             s for s in self.stores
             if s.policy.matches_keys(mirror.schema, producer_name)
@@ -948,58 +946,68 @@ class Ldmsd:
     def _deliver_to_stores(
         self, producer: Producer, mirror: MetricSet,
         span: Optional[UpdateSpan] = None, ts: Optional[float] = None,
+        data: Optional[bytes] = None,
     ) -> None:
-        """``span``: the transaction's exemplar update span, if any;
-        ``ts``: the mirror's transaction timestamp, if already decoded."""
+        """Hand one validated update to every store routed to it.
+
+        ``span``: the transaction's exemplar update span, if any;
+        ``ts``: the mirror's transaction timestamp, if already decoded;
+        ``data``: the chunk the mirror was just installed from (the
+        update completion passes it; the columnar path needs it).
+
+        Columnar delivery stages ``data`` and defers :class:`StoreRecord`
+        construction to the flush drain, where every staged row of one
+        layout decodes as a single 2-D numpy sweep.  ``data`` is the
+        immutable ``bytes`` the read returned, so it pins the delivered
+        bytes without a copy: a mirror re-installed before the drain
+        cannot change what is stored.  The routing (cached per mirror)
+        is the only policy check the row ever gets; the stores trust it.
+        Accounting (delivery count, sample->store latency, no-match
+        counter) is the scalar path's exactly.
+        """
         if not self.stores:
             return
-        if self.set_pool is not None and mirror._ab is not None:
-            self._deliver_staged(producer, mirror, span,
-                                 mirror.timestamp if ts is None else ts)
+        if self.set_pool is None or mirror._ab is None:
+            self._deliver_record(producer, mirror, span)
             return
+        if mirror._shadow is not None:
+            sanitize.check_read(mirror)
+        self.records_delivered += 1
+        now = self.env.now()
+        if ts is None:
+            ts = mirror.timestamp
+        self._h_sample_to_store.observe(max(now - ts, 0.0))
+        route = mirror._store_match
+        stores = (route[1] if route is not None and route[0] == self._stores_version
+                  else self._route(mirror, producer.cfg.name))
+        if not stores:
+            self._c_store_no_match.inc()
+            return
+        row = _pending((None, data, ts, producer.cfg.name, mirror,
+                        len(mirror._names), now, span))
+        for store in stores:
+            self._enqueue_flush(store, row)
+
+    def _deliver_record(self, producer: Producer, mirror: MetricSet,
+                        span: Optional[UpdateSpan]) -> None:
+        """Scalar delivery: build the record now, route it per store."""
         record = StoreRecord.from_set(mirror, producer.cfg.name)
         self.records_delivered += 1
         now = self.env.now()
         # End-to-end pipeline latency: sampler transaction close (the
         # timestamp carried in the data chunk) -> store hand-off here.
         self._h_sample_to_store.observe(max(now - record.timestamp, 0.0))
+        row = _pending((record, None, record.timestamp, record.producer,
+                        None, len(record.values), now, span))
         matched = False
         for store in self.stores:
             if store.wants(record):
                 matched = True
-                self._enqueue_flush(store, record, now, span)
+                self._enqueue_flush(store, row)
         if not matched:
             self._c_store_no_match.inc()
 
-    def _deliver_staged(
-        self, producer: Producer, mirror: MetricSet,
-        span: Optional[UpdateSpan], ts: float,
-    ) -> None:
-        """Columnar delivery: stage a raw arena-row snapshot per store.
-
-        Accounting (delivery count, sample->store latency, no-match
-        counter) matches the scalar delivery exactly;
-        only :class:`StoreRecord` construction moves into the flush
-        drain, where every staged row of one layout decodes as a single
-        2-D numpy sweep.  The snapshot pins the delivered bytes, so a
-        mirror re-installed before the drain cannot change what is
-        stored.
-        """
-        if mirror._shadow is not None:
-            sanitize.check_read(mirror)
-        self.records_delivered += 1
-        now = self.env.now()
-        self._h_sample_to_store.observe(max(now - ts, 0.0))
-        stores = self._matching_stores(mirror, producer.cfg.name)
-        if not stores:
-            self._c_store_no_match.inc()
-            return
-        staged = _StagedRow(bytes(mirror._data), ts, producer.cfg.name, mirror)
-        for store in stores:
-            self._enqueue_flush(store, staged, now, span)
-
-    def _enqueue_flush(self, store: StorePlugin, row, now: float,
-                       span: Optional[UpdateSpan]) -> None:
+    def _enqueue_flush(self, store: StorePlugin, row: _PendingRow) -> None:
         """Append one delivery to ``store``'s pending batch and make
         sure a flush task is on its way (caller holds the daemon lock).
 
@@ -1008,7 +1016,7 @@ class Ldmsd:
         batch = self._flush_batches.get(store)
         if batch is None:
             batch = self._flush_batches[store] = _FlushBatch(store)
-        batch.rows.append((row, now, span))
+        batch.rows.append(row)
         if not batch.scheduled:
             batch.scheduled = True
             self._submit_flush(batch)
@@ -1042,7 +1050,7 @@ class Ldmsd:
     #: couple of rows through numpy costs more than two struct unpacks.
     _VEC_MIN_ROWS = 4
 
-    def _materialize_rows(self, rows: list[tuple]) -> list[StoreRecord]:
+    def _materialize_rows(self, rows: list[_PendingRow]) -> list[StoreRecord]:
         """Turn a drained batch into records, vectorizing staged rows.
 
         Staged rows sharing one compiled layout are joined into a
@@ -1053,51 +1061,44 @@ class Ldmsd:
         what per-row ``struct`` unpacking yields, so downstream
         formatting is byte-identical.
         """
-        out: list = [None] * len(rows)
+        out: list = []
         groups: dict = {}
-        for i, (row, _t, _tr) in enumerate(rows):
-            if row.values is not None:  # already a materialized record
-                out[i] = row
-            else:
+        for i, row in enumerate(rows):
+            record = row.record
+            if record is None:  # staged: decoded below
                 groups.setdefault(row.mirror._compiled, []).append(i)
+            out.append(record)
         for cs, idxs in groups.items():
+            mtypes = cs.mtypes
             dtype = cs.array_dtype
             if dtype is not None and len(idxs) >= self._VEC_MIN_ROWS:
                 import numpy as np
 
-                first = rows[idxs[0]][0]
+                first = rows[idxs[0]]
                 width = first.card * np.dtype(dtype).itemsize
                 mat = np.frombuffer(
-                    b"".join(rows[i][0].data for i in idxs), dtype=np.uint8
+                    b"".join([rows[i].data for i in idxs]), dtype=np.uint8
                 ).reshape(len(idxs), len(first.data))
                 vals = (mat[:, cs.first_offset:cs.first_offset + width]
                         .view(dtype).tolist())
                 # One vectorized sweep: per batch, so looked up by name.
                 self.obs.counter("arena.sweeps").inc()
                 self.obs.counter("arena.rows_vectorized").inc(len(idxs))
-                for j, i in enumerate(idxs):
-                    sr = rows[i][0]
-                    m = sr.mirror
-                    out[i] = StoreRecord(
-                        timestamp=sr.ts, producer=sr.producer,
-                        set_name=m.name, schema=m.schema, names=m._names,
-                        component_ids=m._comp_ids, values=tuple(vals[j]),
-                        mtypes=cs.mtypes,
-                    )
+                for i, v in zip(idxs, vals):
+                    row = rows[i]
+                    m = row.mirror
+                    out[i] = record_of((row.ts, row.producer, m.name, m.schema,
+                                        m._names, m._comp_ids, tuple(v), mtypes))
             else:
                 for i in idxs:
-                    sr = rows[i][0]
-                    m = sr.mirror
-                    out[i] = StoreRecord(
-                        timestamp=sr.ts, producer=sr.producer,
-                        set_name=m.name, schema=m.schema, names=m._names,
-                        component_ids=m._comp_ids,
-                        values=m.snapshot_values(sr.data),
-                        mtypes=cs.mtypes,
-                    )
+                    row = rows[i]
+                    m = row.mirror
+                    out[i] = record_of((row.ts, row.producer, m.name, m.schema,
+                                        m._names, m._comp_ids,
+                                        m.snapshot_values(row.data), mtypes))
         return out
 
-    def _flush_rows(self, store: StorePlugin, rows: list[tuple]) -> None:
+    def _flush_rows(self, store: StorePlugin, rows: list[_PendingRow]) -> None:
         """Write one drained batch and account per-row flush latency."""
         n = len(rows)
         failed = store.submit_many(self._materialize_rows(rows))
@@ -1110,8 +1111,10 @@ class Ldmsd:
         self.flight.record(end, "store", "flush", n)
         h = self._h_store_flush
         spans = self.spans
-        for _record, t_submit, span in rows:
+        for row in rows:
+            t_submit = row.t_submit
             h.observe(end - t_submit)
+            span = row.span
             if span is not None:
                 # The exemplar's store hop, parented on its update span.
                 spans.record(span.trace_id, spans.alloc(), span.span_id,

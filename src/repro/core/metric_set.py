@@ -689,8 +689,8 @@ class MetricSet:
     def snapshot_values(self, data: bytes) -> tuple[float | int, ...]:
         """Decode a raw data-chunk snapshot taken from this set's layout.
 
-        The columnar flush path stages ``bytes(set._data)`` at delivery
-        time and materializes records later; this is the scalar decode
+        The columnar flush path stages the delivered data chunk at
+        delivery time and materializes records later; this is the scalar decode
         for layouts (or batch sizes) the vectorized sweep doesn't cover.
         No sanitize check: the snapshot is already detached from the
         live chunk.

@@ -12,18 +12,23 @@ though the typical case is per metric set/schema (§IV-C).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.core.metric import MetricType
 from repro.core.metric_set import MetricSet
 from repro.util.errors import ConfigError, StoreError
 
-__all__ = ["StoreRecord", "StorePolicy", "StorePlugin", "store_registry", "register_store"]
+__all__ = ["StoreRecord", "StorePolicy", "StorePlugin", "store_registry",
+           "register_store", "record_of"]
 
 
-@dataclass(frozen=True)
-class StoreRecord:
-    """One stored collection event: a timestamped row of a metric set."""
+class StoreRecord(NamedTuple):
+    """One stored collection event: a timestamped row of a metric set.
+
+    A slotted tuple record: immutable, equal and hashed by value, built
+    without a per-instance ``__dict__``.
+    """
 
     timestamp: float
     producer: str
@@ -43,16 +48,9 @@ class StoreRecord:
     def from_set(cls, mset: MetricSet, producer: str) -> "StoreRecord":
         # names/component_ids/mtypes are frozen with the schema, so the
         # per-collection cost is just the timestamp and the bulk decode.
-        return cls(
-            timestamp=mset.timestamp,
-            producer=producer,
-            set_name=mset.name,
-            schema=mset.schema,
-            names=mset._names,
-            component_ids=mset._comp_ids,
-            values=mset.values_tuple(),
-            mtypes=mset.metric_types(),
-        )
+        return record_of((mset.timestamp, producer, mset.name, mset.schema,
+                          mset._names, mset._comp_ids, mset.values_tuple(),
+                          mset._compiled.mtypes))
 
     def filtered(self, metric_names: Iterable[str]) -> "StoreRecord":
         """Project onto a subset of metrics (per-metric-name policies)."""
@@ -72,6 +70,12 @@ class StoreRecord:
             mtypes=(tuple(self.mtypes[i] for i in idx)
                     if self.mtypes is not None else None),
         )
+
+
+#: ``record_of((timestamp, producer, ..., mtypes))``: a record from its
+#: eight fields, in field order, with no Python frame — the per-row
+#: constructor of the store hand-off, which always passes all eight.
+record_of = partial(tuple.__new__, StoreRecord)
 
 
 @dataclass
@@ -161,13 +165,14 @@ class StorePlugin:
         self.records_stored += 1
 
     def submit_many(self, records: list[StoreRecord]) -> int:
-        """Policy-filter then store a whole batch; returns failed count.
+        """Store a whole batch of routed records; returns failed count.
 
         The vectorized flush path: one flush-thread wakeup hands every
-        buffered record to the plugin at once, so per-call overhead
-        (policy checks aside) is paid per *batch* via
-        :meth:`store_many`.  Counter semantics match per-record
-        ``submit``: rejects count as dropped, failures as failed.  A
+        buffered record to the plugin at once, so per-call overhead is
+        paid per *batch* via :meth:`store_many`.  The caller has already
+        routed every record here (:meth:`StorePolicy.matches_keys` at
+        delivery), so only the metric projection is applied, once per
+        batch.  Failures count as failed, as in ``submit``; a
         ``store_many`` that raises fails the whole remaining batch —
         plugins wanting per-row granularity override ``store_many``.
         """
@@ -176,13 +181,9 @@ class StorePlugin:
             self.records_failed += n
             self.last_error = "injected write failure"
             return n
-        policy = self.policy
-        todo = []
-        for record in records:
-            if not policy.matches(record):
-                self.records_dropped += 1
-                continue
-            todo.append(policy.project(record))
+        metrics = self.policy.metrics
+        todo = (records if metrics is None
+                else [record.filtered(metrics) for record in records])
         if not todo:
             return 0
         try:

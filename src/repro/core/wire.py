@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,13 +172,15 @@ def unpack_trace_ctx(buf, pos: int = 0, end: int | None = None) -> tuple[tuple, 
     return entries, 1 + n * _TRACE_ENTRY_SIZE
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
+    """One decoded frame: a slotted tuple record (immutable, no
+    per-instance ``__dict__``)."""
+
     msg_type: int
     request_id: int
     payload: bytes
     #: Decoded trace-context entries, or None for untraced frames.
-    trace: tuple | None = field(default=None)
+    trace: tuple | None = None
 
 
 def encode_frame(msg_type: int, request_id: int, payload: bytes = b"",

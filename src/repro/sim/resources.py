@@ -14,12 +14,15 @@ Two resource flavours are needed by the monitoring model:
 from __future__ import annotations
 
 import bisect
+from collections import deque
 from dataclasses import dataclass
 
 from repro.sim.engine import Engine, Event
 from repro.util.errors import SimulationError
 
 __all__ = ["Resource", "CpuCore", "NoiseRecord"]
+
+_NO_WAITERS: tuple = ()
 
 
 class Resource:
@@ -45,7 +48,11 @@ class Resource:
         self.engine = engine
         self.capacity = capacity
         self._in_use = 0
-        self._queue: list[Event] = []
+        #: FIFO of waiting requests: a grant pops the head in O(1).  The
+        #: first request that has to wait makes it; until then the empty
+        #: tuple stands in (most pools never queue, and an empty deque
+        #: costs 760 bytes).
+        self._queue: deque[Event] | tuple = _NO_WAITERS
         self.max_in_use = 0  # high-water mark, for footprint reporting
         self.total_grants = 0
 
@@ -62,6 +69,8 @@ class Resource:
         if self._in_use < self.capacity:
             self._grant(ev)
         else:
+            if self._queue is _NO_WAITERS:
+                self._queue = deque()
             self._queue.append(ev)
         return ev
 
@@ -91,10 +100,12 @@ class Resource:
             raise SimulationError("release() without matching request()")
         self._in_use -= 1
         while self._queue and self._in_use < self.capacity:
-            self._grant(self._queue.pop(0))
+            self._grant(self._queue.popleft())
 
     def cancel(self, ev: Event) -> None:
         """Withdraw a queued (not yet granted) request."""
+        if not self._queue:
+            return
         try:
             self._queue.remove(ev)
         except ValueError:

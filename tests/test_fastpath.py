@@ -327,6 +327,30 @@ class TestAggregatorEarlyOut:
         dgns = [r.timestamp for r in store.rows]
         assert len(set(dgns)) == len(dgns)  # all distinct collections
 
+    def test_staged_rows_pin_the_delivered_bytes(self, monkeypatch):
+        # The columnar path stages a delivery and decodes it at the flush
+        # drain: the mirror changing in between must not change the row.
+        eng, samp, agg = self._world()
+        store = agg.add_store("memory")
+        delivered = []
+        deliver = Ldmsd._deliver_to_stores
+
+        def deliver_then_clobber(daemon, producer, mirror, *args):
+            delivered.append(mirror.values_tuple())
+            deliver(daemon, producer, mirror, *args)
+            off = mirror._compiled.first_offset
+            mirror._data[off:] = bytes(len(mirror._data) - off)
+            if mirror._shadow is not None:
+                sanitize.commit(mirror)
+
+        monkeypatch.setattr(Ldmsd, "_deliver_to_stores", deliver_then_clobber)
+        agg.add_producer("s0", "rdma", "s0:411", interval=0.25,
+                         sets=("s0/syn",))
+        eng.run(until=10.0)
+        assert agg.producers["s0"].updaters["s0/syn"].mirror._ab is not None
+        assert any(any(v) for v in delivered)
+        assert [r.values for r in store.rows] == delivered
+
 
 class TestCsvFormatterCompilation:
     def test_compiled_rows_match_seed_formatting(self, tmp_path, arena):

@@ -254,7 +254,7 @@ class TestStoredCounter:
         eng, _, _ = world
         samp, agg, st = sampler_agg_pair(world, interval=1.0)
 
-        def boom(daemon, producer, mirror, trace=None, ts=None):
+        def boom(daemon, producer, mirror, *_args):
             raise StoreError("backend down")
 
         # Class-level patch: a daemon is a fixed-slot record.

@@ -13,8 +13,10 @@ import importlib.util
 import os
 import tracemalloc
 
+import pytest
+
 import repro.plugins  # noqa: F401  (registers plugins)
-from repro.core import Ldmsd, SimEnv
+from repro.core import Ldmsd, SimEnv, sanitize
 from repro.sim import Engine
 from repro.transport import SimFabric, SimTransport
 
@@ -82,6 +84,20 @@ def test_event_heap_at_a_slice_boundary_does_not_grow_with_producers():
         assert len(eng._lanes[audit.INTERVAL].keys) == n + 2
         del _samplers, agg, eng
     assert sizes == [1, 1, 1, 1]
+
+
+#: Python calls one stored 10-metric set costs at the knee, in a steady
+#: interval of the 256-producer topology: 90.27 before the pull path
+#: built each record once (tuple record, no re-routing in the store, no
+#: lock frames, one object per pull); 71.35 since (DESIGN.md "Full-scale
+#: fan-in fast path").  The 10 % headroom covers library versions.
+CALLS_PER_SET = 71.35
+
+
+@pytest.mark.skipif(sanitize.enabled(), reason="the sanitizer adds calls")
+def test_python_calls_per_stored_set_at_the_knee():
+    calls = audit.calls_per_stored_set(256)
+    assert calls <= CALLS_PER_SET * 1.10, f"{calls:.2f} Python calls per stored set"
 
 
 def _bound(daemon) -> set[str]:

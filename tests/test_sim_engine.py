@@ -1,5 +1,7 @@
 """Unit tests for the DES kernel: engine, events, processes, resources."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -229,6 +231,39 @@ class TestResource:
             Process(eng, worker(i))
         eng.run()
         assert order == [0, 1, 2, 3, 4]
+
+    def test_grant_order_and_cancel_match_a_list_reference(self):
+        # 10,000 waiters on a 4-slot pool (the fan-in knee's connect
+        # storm), some withdrawn between grants: grants and withdrawals
+        # must follow a plain FIFO list exactly.
+        eng = Engine()
+        cap = 4
+        res = Resource(eng, cap)
+        res.cancel(eng.event())  # nothing queued yet: a no-op
+        reqs = [res.request() for _ in range(10_000 + cap)]
+        order = []
+        for i, ev in enumerate(reqs):
+            ev.callbacks.append(lambda _ev, i=i: order.append(i))
+        ref = list(range(cap, len(reqs)))
+        expected = list(range(cap))
+        assert res.in_use == cap and res.queued == len(ref)
+        rng = random.Random(7)
+        cancelled = set()
+        while res.in_use:
+            for _ in range(rng.randrange(3)):
+                if ref:
+                    i = ref[rng.randrange(len(ref))]
+                    res.cancel(reqs[i])
+                    ref.remove(i)
+                    cancelled.add(i)
+            res.cancel(reqs[expected[-1]])  # already granted: a no-op
+            res.release()
+            if ref:
+                expected.append(ref.pop(0))
+            assert res.queued == len(ref)
+        eng.run()
+        assert order == expected
+        assert all(reqs[i].triggered != (i in cancelled) for i in range(len(reqs)))
 
 
 class TestCpuCore:
