@@ -7,12 +7,15 @@ an aggregator pulling the metric sets and storing them to CSV.
 
     python examples/quickstart.py
 
-Output lands in ./quickstart_out/.
+Output lands in ./quickstart_out/, replaced on every run.  Exits 1
+unless something was stored and every CSV file holds a data row.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import sys
 import time
 
 from repro import obs
@@ -30,7 +33,7 @@ def pick_fs():
     return host.fs, "a synthetic host model"
 
 
-def main() -> None:
+def main() -> int:
     fs, source = pick_fs()
     print(f"sampling {source} every second for 5 seconds...")
 
@@ -48,6 +51,7 @@ def main() -> None:
 
     # --- the aggregator daemon ------------------------------------------------
     outdir = os.path.join(os.path.dirname(__file__) or ".", "quickstart_out")
+    shutil.rmtree(outdir, ignore_errors=True)  # CSV files append
     aggregator = Ldmsd("agg0")
     store = aggregator.add_store("store_csv", path=outdir, buffer_lines=1)
     aggregator.add_producer("node0", "sock", ("127.0.0.1", port),
@@ -58,13 +62,17 @@ def main() -> None:
     stats = aggregator.stats()["producers"]["node0"]
     print(f"updates completed: {stats['updates_completed']}, "
           f"stored: {stats['stored']}")
-    for fname in sorted(os.listdir(outdir)):
+    problems = [] if stats["stored"] > 0 else ["nothing stored"]
+    for fname in sorted(os.listdir(outdir)) if os.path.isdir(outdir) else ():
         path = os.path.join(outdir, fname)
         with open(path) as f:
             lines = f.readlines()
         print(f"\n{path} ({len(lines)} lines):")
         for line in lines[:3]:
             print("  " + line.rstrip()[:110])
+        if fname.endswith(".csv") and not any(
+                not line.startswith("Time,") for line in lines):
+            problems.append(f"{path} has no data row")
 
     # The sampler daemon monitors itself: its ldmsd_self set travelled
     # the same pull/store pipeline as meminfo.  Render its final state.
@@ -74,7 +82,10 @@ def main() -> None:
 
     aggregator.shutdown()
     sampler.shutdown()
+    for problem in problems:
+        print(f"quickstart FAILED: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

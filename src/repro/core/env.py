@@ -32,18 +32,22 @@ __all__ = ["Env", "RealEnv", "SimEnv", "TaskHandle", "WorkerPool"]
 
 
 class TaskHandle:
-    """Cancellable handle for a scheduled callback."""
+    """Cancellable handle for a ``RealEnv`` one-shot timer.
 
-    __slots__ = ("_cancel", "cancelled")
+    ``fired`` is set, under the environment lock, when the timer's heap
+    entry is popped; a cancel after that counts no dead heap entry.
+    """
 
-    def __init__(self, cancel: Callable[[], None]):
-        self._cancel = cancel
+    __slots__ = ("_env", "fn", "cancelled", "fired")
+
+    def __init__(self, env: "RealEnv", fn: Callable[[], Any]):
+        self._env = env
+        self.fn = fn
         self.cancelled = False
+        self.fired = False
 
     def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            self._cancel()
+        self._env._cancel(self)
 
 
 class WorkerPool:
@@ -124,33 +128,15 @@ class Env:
         """
         if interval <= 0:
             raise ValueError("interval must be positive")
-        state = {"handle": None, "stopped": False}
+        return self._periodic(interval, fn, synchronous, offset, jitter_rng)
 
-        def next_delay() -> float:
-            if synchronous:
-                now = self.now()
-                target = (now - offset) // interval * interval + interval + offset
-                return max(target - now, 0.0)
-            d = interval
-            if jitter_rng is not None:
-                d += float(jitter_rng.uniform(0.0, 1e-3))
-            return d
+    def _periodic(self, interval: float, fn: Callable[[], Any],
+                  synchronous: bool, offset: float, jitter_rng) -> Any:
+        """Arm a validated periodic timer; the handle has ``cancel()``.
 
-        def fire() -> None:
-            if state["stopped"]:
-                return
-            state["handle"] = self.call_later(next_delay(), fire)
-            fn()
-
-        state["handle"] = self.call_later(next_delay(), fire)
-
-        def cancel() -> None:
-            state["stopped"] = True
-            h = state["handle"]
-            if h is not None:
-                h.cancel()
-
-        return TaskHandle(cancel)
+        ``call_every`` stays the one entry point (the ledger's tracer
+        wraps ``fn`` there), so environments override this hook."""
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +150,8 @@ class _RealPool(WorkerPool):
     def __init__(self, name: str, size: int):
         self.name = name
         self.size = size
-        self._tasks: deque[Callable[[], Any]] = deque()
+        # ``(on_start, fn)`` pairs: a task costs no closure.
+        self._tasks: deque[tuple[Optional[Callable[[], Any]], Callable[[], Any]]] = deque()
         self._cv = threading.Condition()
         self._stop = False
         self._threads = [
@@ -175,15 +162,10 @@ class _RealPool(WorkerPool):
             t.start()
 
     def submit(self, fn, cost: float = 0.0, core=None, tag: str = "ldmsd", on_start=None) -> None:
-        def task() -> None:
-            if on_start is not None:
-                on_start()
-            fn()
-
         with self._cv:
             if self._stop:
                 return
-            self._tasks.append(task)
+            self._tasks.append((on_start, fn))
             self._cv.notify()
 
     def _worker(self) -> None:
@@ -193,8 +175,10 @@ class _RealPool(WorkerPool):
                     self._cv.wait()
                 if self._stop and not self._tasks:
                     return
-                fn = self._tasks.popleft()
+                on_start, fn = self._tasks.popleft()
             try:
+                if on_start is not None:
+                    on_start()
                 fn()
             except Exception:  # pragma: no cover - worker survival
                 import traceback
@@ -209,20 +193,85 @@ class _RealPool(WorkerPool):
             t.join(timeout=2.0)
 
 
-class RealEnv(Env):
-    """Wall-clock environment: one timer thread + worker pools."""
+class _Member:
+    """One ``RealEnv.call_every`` timer: a member of its lane.
 
-    #: cancelled-entry count that arms a heap compaction pass
+    Duck-types :class:`TaskHandle`; ``fn`` is the callable handed to
+    ``Env.call_every``, called as is."""
+
+    __slots__ = ("lane", "fn", "cancelled")
+
+    def __init__(self, lane: "_Lane", fn: Callable[[], Any]):
+        self.lane = lane
+        self.fn = fn
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.lane.env._leave(self)
+
+
+class _Lane:
+    """One timer-heap entry per schedule.
+
+    Synchronous timers with equal ``(interval, offset)`` share a lane;
+    an asynchronous or jittered timer is a lane of one.  Firing re-arms
+    the lane once, then calls its members in registration order.
+    ``members`` is replaced, never mutated, so a firing iterates the
+    tuple it read under the lock: a member added meanwhile first fires
+    at the next instant.  A lane left without members is a dead heap
+    entry (``cancelled``), counted like a cancelled one-shot.
+    """
+
+    __slots__ = ("env", "interval", "offset", "synchronous", "jitter_rng",
+                 "members", "cancelled")
+
+    def __init__(self, env: "RealEnv", interval: float, synchronous: bool,
+                 offset: float, jitter_rng):
+        self.env = env
+        self.interval = interval
+        self.offset = offset
+        self.synchronous = synchronous
+        self.jitter_rng = jitter_rng
+        self.members: tuple[_Member, ...] = ()
+        self.cancelled = False
+
+    def next_delay(self, now: float) -> float:
+        """Seconds from ``now`` to the lane's next instant: the next grid
+        point of ``interval`` plus ``offset`` if synchronous, else the
+        interval plus any jitter in [0, 1 ms).  The engine's periodic
+        timers use the same arithmetic."""
+        interval = self.interval
+        if self.synchronous:
+            offset = self.offset
+            target = (now - offset) // interval * interval + interval + offset
+            return max(target - now, 0.0)
+        if self.jitter_rng is not None:
+            interval += float(self.jitter_rng.uniform(0.0, 1e-3))
+        return interval
+
+
+class RealEnv(Env):
+    """Wall-clock environment: one timer thread + worker pools.
+
+    The timer heap holds ``(when, seq, item)``: ``item`` is a one-shot
+    :class:`TaskHandle` or a periodic :class:`_Lane`, so a cadence
+    shared by many timers costs one heap pop, one wake-up and one
+    re-arm per instant.
+    """
+
+    #: dead-entry count that arms a heap compaction pass
     _COMPACT_MIN = 64
 
     def __init__(self):
-        self._heap: list[tuple[float, int, Callable[[], Any], TaskHandle]] = []
+        self._heap: list[tuple[float, int, Any]] = []
         self._seq = itertools.count()
         self._cv = threading.Condition()
         self._stop = False
         self._pools: list[_RealPool] = []
         self._epoch = monotonic()
-        self._ncancelled = 0  # cancelled entries still sitting in the heap
+        self._ncancelled = 0  # dead entries (cancelled, or empty lanes) still in the heap
+        self._lanes: dict[tuple[float, float], _Lane] = {}  # synchronous, by (interval, offset)
+        self._ticks = 0  # lane members called
         self._timer = threading.Thread(target=self._run, name="env-timer", daemon=True)
         self._timer.start()
 
@@ -230,23 +279,66 @@ class RealEnv(Env):
         return monotonic() - self._epoch
 
     def call_later(self, delay: float, fn: Callable[[], Any]) -> TaskHandle:
-        handle = TaskHandle(self._note_cancel)  # cancellation checked via flag
+        handle = TaskHandle(self, fn)
         with self._cv:
-            heapq.heappush(self._heap, (self.now() + max(delay, 0.0), next(self._seq), fn, handle))
-            self._cv.notify()
+            self._push(monotonic() - self._epoch + max(delay, 0.0), handle)
         return handle
 
-    def _note_cancel(self) -> None:
-        """Lazy drop: count the dead heap entry; compact once cancelled
-        entries dominate, so churning producers can't grow the heap
-        unboundedly while their timers wait out long deadlines."""
+    def _periodic(self, interval: float, fn: Callable[[], Any],
+                  synchronous: bool, offset: float, jitter_rng) -> _Member:
         with self._cv:
-            self._ncancelled += 1
-            if (self._ncancelled >= self._COMPACT_MIN
-                    and self._ncancelled * 2 >= len(self._heap)):
-                self._heap = [e for e in self._heap if not e[3].cancelled]
-                heapq.heapify(self._heap)
-                self._ncancelled = 0
+            lane = self._lanes.get((interval, offset)) if synchronous else None
+            if lane is None:
+                lane = _Lane(self, interval, synchronous, offset, jitter_rng)
+                if synchronous:
+                    self._lanes[interval, offset] = lane
+                now = self.now()
+                self._push(now + lane.next_delay(now), lane)
+            member = _Member(lane, fn)
+            lane.members += (member,)
+        return member
+
+    def timer_fastpath_ticks(self) -> int:
+        """Periodic firings delivered: lane members called."""
+        return self._ticks
+
+    def _push(self, when: float, item) -> None:
+        """Heap push, lock held; wakes the timer thread to re-read the head."""
+        heapq.heappush(self._heap, (when, next(self._seq), item))
+        self._cv.notify()
+
+    def _cancel(self, handle: TaskHandle) -> None:
+        with self._cv:
+            if handle.cancelled:
+                return
+            handle.cancelled = True
+            if not handle.fired:
+                self._note_dead()
+
+    def _leave(self, member: _Member) -> None:
+        with self._cv:
+            if member.cancelled:
+                return
+            member.cancelled = True
+            lane = member.lane
+            lane.members = tuple(m for m in lane.members if m is not member)
+            if not lane.members:
+                lane.cancelled = True
+                key = (lane.interval, lane.offset)
+                if self._lanes.get(key) is lane:
+                    del self._lanes[key]
+                self._note_dead()
+
+    def _note_dead(self) -> None:
+        """Lazy drop, lock held: count the dead heap entry; compact once
+        dead entries dominate, so churning producers can't grow the heap
+        unboundedly while their timers wait out long deadlines."""
+        self._ncancelled += 1
+        heap = self._heap
+        if self._ncancelled >= self._COMPACT_MIN and self._ncancelled * 2 >= len(heap):
+            heap[:] = [e for e in heap if not e[2].cancelled]
+            heapq.heapify(heap)
+            self._ncancelled = 0
 
     def make_pool(self, name: str, size: int) -> WorkerPool:
         pool = _RealPool(name, size)
@@ -257,24 +349,39 @@ class RealEnv(Env):
         return threading.RLock()
 
     def _run(self) -> None:
+        heap = self._heap
+        cv = self._cv
+        epoch = self._epoch
         while True:
-            with self._cv:
+            with cv:
                 if self._stop:
                     return
-                if not self._heap:
-                    self._cv.wait(timeout=0.5)
+                if not heap:
+                    cv.wait(timeout=0.5)
                     continue
-                when, _seq, fn, handle = self._heap[0]
-                delay = when - self.now()
-                if delay > 0:
-                    self._cv.wait(timeout=min(delay, 0.5))
+                when, _seq, item = heap[0]
+                now = monotonic() - epoch
+                if when > now:
+                    cv.wait(timeout=min(when - now, 0.5))
                     continue
-                heapq.heappop(self._heap)
-                if handle.cancelled and self._ncancelled > 0:
+                heapq.heappop(heap)
+                if item.cancelled:
                     self._ncancelled -= 1
-            if not handle.cancelled:
+                    continue
+                if item.__class__ is _Lane:
+                    # Re-arm once, then call the members read here.
+                    heapq.heappush(heap, (now + item.next_delay(now), next(self._seq), item))
+                    due = item.members
+                else:
+                    item.fired = True
+                    due = (item,)
+            for t in due:
+                if t.cancelled:  # by an earlier member, or another thread
+                    continue
+                if t is not item:  # a lane member, not a one-shot
+                    self._ticks += 1
                 try:
-                    fn()
+                    t.fn()
                 except Exception:  # pragma: no cover - timer survival
                     import traceback
 
@@ -431,7 +538,7 @@ class SimEnv(Env):
                    jitter_rng=None) -> TaskHandle:
         # Zero-allocation periodic path: one self-rescheduling timer
         # object instead of a Timeout + closure pair per tick.  Delay
-        # arithmetic and jitter draws match Env.call_every exactly.
+        # arithmetic and jitter draws match RealEnv's lanes.
         return self.engine.schedule_periodic(interval, fn, synchronous,
                                              offset, jitter_rng)
 
