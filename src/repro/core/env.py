@@ -507,21 +507,15 @@ class _SimPool(WorkerPool):
 class SimEnv(Env):
     """Environment bound to a simulation engine."""
 
-    def __init__(self, engine: Engine, arena: bool = True):
+    def __init__(self, engine: Engine):
         self.engine = engine
         self.pools: list[_SimPool] = []
         # Columnar data plane: one shared set-arena pool and
-        # sampler-cohort scheduler per environment.  ``arena=False``
-        # leaves both None, which every consumer treats as "scalar
-        # path" — the reference the identity tests compare against.
+        # sampler-cohort scheduler per environment.
         from repro.core.set_arena import CohortScheduler, SetArenaPool
 
-        if arena:
-            self.set_arena_pool: Optional[SetArenaPool] = SetArenaPool()
-            self.cohort_scheduler: Optional[CohortScheduler] = CohortScheduler(engine)
-        else:
-            self.set_arena_pool = None
-            self.cohort_scheduler = None
+        self.set_arena_pool = SetArenaPool()
+        self.cohort_scheduler = CohortScheduler(engine)
 
     def now(self) -> float:
         return self.engine._now  # skip the property hop: hottest call in a sweep

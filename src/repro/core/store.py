@@ -91,17 +91,13 @@ class StorePolicy:
     producers: Optional[frozenset[str]] = None
     metrics: Optional[tuple[str, ...]] = None
 
-    def matches(self, record: StoreRecord) -> bool:
-        return self.matches_keys(record.schema, record.producer)
-
     def matches_keys(self, schema: str, producer: str) -> bool:
-        """Match on the raw policy inputs without a materialized record.
+        """Whether collections of ``schema`` from ``producer`` belong here.
 
-        The columnar flush path stages raw arena rows and only builds
-        :class:`StoreRecord` objects inside the batch drain; since the
-        policy depends solely on (schema, producer) — both frozen per
-        mirror — staging can route rows (and cache the answer) without
-        decoding them.
+        The one routing check.  The policy depends solely on (schema,
+        producer), both frozen per mirror, so the daemon routes staged
+        rows (and caches the answer) without decoding them, and
+        :meth:`StorePlugin.submit` checks a record by those two fields.
         """
         if self.schema is not None and schema != self.schema:
             return False
@@ -137,9 +133,6 @@ class StorePlugin:
     def config(self, **kwargs) -> None:
         self.configured = True
 
-    def wants(self, record: StoreRecord) -> bool:
-        return self.policy.matches(record)
-
     def submit(self, record: StoreRecord) -> None:
         """Policy-filter then store.
 
@@ -149,7 +142,7 @@ class StorePlugin:
         narrow type to catch.  Both counters surface in
         ``Ldmsd.stats()`` next to ``records_stored``.
         """
-        if not self.wants(record):
+        if not self.policy.matches_keys(record.schema, record.producer):
             self.records_dropped += 1
             return
         if self.fail_writes:

@@ -21,6 +21,29 @@ from repro.util.errors import ConfigError, StoreError
 
 __all__ = ["CsvStore"]
 
+
+def _cut_torn_tail(fpath: str) -> None:
+    """Cut a file back to its last newline, to empty if it has none.
+
+    A writer killed mid-line leaves a fragment that the next appended
+    row would fuse with; a torn header empties the file, so the caller
+    writes the header afresh.
+    """
+    with open(fpath, "ab+") as f:
+        end = pos = f.seek(0, os.SEEK_END)
+        keep = 0
+        while pos > 0:
+            step = min(pos, 4096)
+            pos -= step
+            f.seek(pos)
+            nl = f.read(step).rfind(b"\n")
+            if nl >= 0:
+                keep = pos + nl + 1
+                break
+        if keep != end:
+            f.truncate(keep)
+
+
 def _render_untyped(cells: tuple) -> str:
     """A hand-built record's line (``mtypes`` None): dispatch per value."""
     ts, producer, comp_id, *values = cells
@@ -54,6 +77,7 @@ class CsvStore(StorePlugin):
     --------------
     path:
         Container directory; one ``<schema>.csv`` per schema inside.
+        An existing file is appended to, once a torn last line is cut.
     altheader:
         Truthy to write the header to ``<schema>.HEADER`` instead of
         the data file.
@@ -90,6 +114,7 @@ class CsvStore(StorePlugin):
         schema = record.schema
         if schema not in self._files:
             fpath = os.path.join(self.path, f"{schema}.csv")
+            _cut_torn_tail(fpath)
             self._files[schema] = open(fpath, "a", encoding="utf-8")
             self._headers[schema] = record.names
             self._buffers[schema] = []

@@ -8,6 +8,7 @@ semantics, and no dropped samples.
 """
 
 import struct
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,16 @@ from repro.sim.engine import Engine
 from repro.transport.simfabric import SimFabric, SimTransport
 
 ALL_TYPES = list(MetricType)
+
+
+def _wait_for(predicate, timeout=15.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
 
 #: A representative in-range value per type.
 SAMPLE_VALUES = {
@@ -327,27 +338,50 @@ class TestAggregatorEarlyOut:
         dgns = [r.timestamp for r in store.rows]
         assert len(set(dgns)) == len(dgns)  # all distinct collections
 
-    def test_staged_rows_pin_the_delivered_bytes(self, monkeypatch):
-        # The columnar path stages a delivery and decodes it at the flush
-        # drain: the mirror changing in between must not change the row.
-        eng, samp, agg = self._world()
-        store = agg.add_store("memory")
+    @pytest.mark.parametrize("xprt", ["des", "sock"])
+    def test_staged_rows_pin_the_delivered_bytes(self, monkeypatch, xprt):
+        # A delivery stages the read's bytes and decodes them at the
+        # flush drain: the mirror changing in between must not change
+        # the row, in the DES and on real sockets alike.
         delivered = []
+        staged_types = set()
         deliver = Ldmsd._deliver_to_stores
 
-        def deliver_then_clobber(daemon, producer, mirror, *args):
+        def deliver_then_clobber(daemon, producer, mirror, span, ts, data):
+            staged_types.add(type(data))
             delivered.append(mirror.values_tuple())
-            deliver(daemon, producer, mirror, *args)
+            deliver(daemon, producer, mirror, span, ts, data)
             off = mirror._compiled.first_offset
             mirror._data[off:] = bytes(len(mirror._data) - off)
             if mirror._shadow is not None:
                 sanitize.commit(mirror)
 
         monkeypatch.setattr(Ldmsd, "_deliver_to_stores", deliver_then_clobber)
-        agg.add_producer("s0", "rdma", "s0:411", interval=0.25,
-                         sets=("s0/syn",))
-        eng.run(until=10.0)
-        assert agg.producers["s0"].updaters["s0/syn"].mirror._ab is not None
+        if xprt == "des":
+            eng, samp, agg = self._world()
+            store = agg.add_store("memory")
+            agg.add_producer("s0", "rdma", "s0:411", interval=0.25,
+                             sets=("s0/syn",))
+            eng.run(until=10.0)
+            mirror = agg.producers["s0"].updaters["s0/syn"].mirror
+            assert mirror._ab is not None
+        else:
+            samp, agg = Ldmsd("s0"), Ldmsd("agg")
+            try:
+                samp.load_sampler("synthetic", instance="s0/syn",
+                                  component_id=1, num_metrics=4)
+                samp.start_sampler("s0/syn", interval=0.05)
+                port = samp.listen("sock", ("127.0.0.1", 0)).port
+                store = agg.add_store("memory")
+                agg.add_producer("s0", "sock", ("127.0.0.1", port),
+                                 interval=0.05)
+                assert _wait_for(lambda: len(store.rows) >= 5)
+                agg.remove_producer("s0")
+                assert _wait_for(lambda: len(store.rows) == len(delivered))
+            finally:
+                agg.shutdown()
+                samp.shutdown()
+        assert staged_types == {bytes}
         assert any(any(v) for v in delivered)
         assert [r.values for r in store.rows] == delivered
 

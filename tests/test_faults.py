@@ -15,6 +15,7 @@ from repro.core import Ldmsd, SimEnv
 from repro.core import wire
 from repro.core.aggregator import SetState
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, Watchdog
+from repro.plugins.samplers.synthetic import SyntheticSampler
 from repro.sim.engine import Engine
 from repro.transport.simfabric import SimFabric, SimTransport
 from repro.util.errors import ConfigError, StoreError
@@ -421,22 +422,24 @@ class TestSeededSmoke:
 
 
 class TestArenaDifferentialOracle:
-    """Columnar sweeps against the scalar reference under seeded faults.
+    """Cohort sweeps against per-instance sampling under seeded faults.
 
     Four samplers in two cohorts (counter and constant pattern) feed one
     aggregator; a random plan over their links, the aggregator's store
-    and a crash of one cohort member runs once with ``SimEnv(arena=True)``
-    and once with ``arena=False``.  The injection log, every stored row
-    and the freshness fleet row must be equal.  A crash cancels periodic
-    timers mid-lane, so this also drives lanes through cancellation."""
+    and a crash of one cohort member runs once as built and once with
+    ``SyntheticSampler.cohort_key`` returning None, which puts every
+    sampler on the per-instance path.  The injection log, every stored
+    row and the freshness fleet row must be equal.  A crash cancels
+    periodic timers mid-lane, so this also drives lanes through
+    cancellation."""
 
     SEEDS = range(16)
     PATTERNS = {"s0": "counter", "s1": "counter",
                 "s2": "constant", "s3": "constant"}
 
-    def _run(self, seed, arena):
+    def _run(self, seed):
         eng = Engine()
-        env = SimEnv(eng, arena=arena)
+        env = SimEnv(eng)
         fabric = SimFabric(eng)
         world = (eng, env, fabric)
         daemons = {}
@@ -455,12 +458,17 @@ class TestArenaDifferentialOracle:
             seed, daemons=("s1",), links=[(s, "agg") for s in self.PATTERNS],
             stores=("agg",), t0=2.0, t1=25.0, n_events=6))
         eng.run(until=40.0)
+        self.swept = eng.vectorized_events
         rows = [(r.timestamp, r.producer, r.set_name, r.values)
                 for r in st.rows]
         return inj.log, rows, agg.freshness.fleet(eng.now)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_arena_and_scalar_agree_under_a_random_plan(self, seed):
-        log, rows, fleet = self._run(seed, arena=True)
-        assert (log, rows, fleet) == self._run(seed, arena=False)
+    def test_arena_and_scalar_agree_under_a_random_plan(self, seed,
+                                                       monkeypatch):
+        log, rows, fleet = self._run(seed)
+        assert self.swept > 0
+        monkeypatch.setattr(SyntheticSampler, "cohort_key", lambda self: None)
+        assert (log, rows, fleet) == self._run(seed)
+        assert self.swept == 0
         assert len(log) >= 6 and rows

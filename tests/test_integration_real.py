@@ -174,7 +174,9 @@ class TestRealPipeline:
 class TestFlushHandOff:
     """Deliveries append to a store's pending batch under the daemon
     lock while flush-pool threads seal it and decide whether to
-    reschedule; a hand-off that loses the race strands or drops rows."""
+    reschedule; a hand-off that loses the race strands or drops rows.
+    Every row goes to two stores, so flush threads also race to fill
+    the record slot the two batches share."""
 
     THREADS = 6  # more deliverers than cores
     PER_THREAD = 400
@@ -201,7 +203,7 @@ class TestFlushHandOff:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            store = agg.add_store("memory")
+            stores = [agg.add_store("memory"), agg.add_store("memory")]
             mset = agg.create_set("p/s", "s", [("v", MetricType.U64, 1)])
             prod = SimpleNamespace(cfg=SimpleNamespace(name="p"))
 
@@ -209,7 +211,9 @@ class TestFlushHandOff:
                 for i in range(self.PER_THREAD):
                     with agg.lock:  # as Producer._complete_update holds it
                         mset.set_all([k * self.PER_THREAD + i], float(i))
-                        agg._deliver_to_stores(prod, mset)
+                        agg._deliver_to_stores(prod, mset, None,
+                                               mset.timestamp,
+                                               mset.data_bytes())
                         for batch in agg._flush_batches.values():
                             if batch.rows and not batch.scheduled:
                                 unscheduled.append((k, i))
@@ -225,11 +229,13 @@ class TestFlushHandOff:
             assert not any(t.is_alive() for t in threads)
             # No trailing delivery: whatever is pending must drain on
             # the flush task already scheduled for it.
-            assert wait_for(lambda: store.records_stored == total), (
-                f"stranded: {store.records_stored}/{total} stored")
+            for store in stores:
+                assert wait_for(lambda: store.records_stored == total), (
+                    f"stranded: {store.records_stored}/{total} stored")
+                assert (sorted(r.values[0] for r in store.rows)
+                        == list(range(total)))
             assert unscheduled == []
             assert sealed_unlocked == []
-            assert sorted(r.values[0] for r in store.rows) == list(range(total))
         finally:
             sys.setswitchinterval(switch)
             agg.shutdown()

@@ -16,6 +16,7 @@ from repro.core import Ldmsd, SimEnv
 from repro.core.env import RealEnv
 from repro.core.metric import MetricType
 from repro.core.sampler import SamplerPlugin, sampler_registry, register_sampler
+from repro.plugins.samplers.synthetic import SyntheticSampler
 from repro.sim import Engine
 from repro.transport import SimFabric, SimTransport
 from repro.util.errors import ConfigError
@@ -183,10 +184,20 @@ class TestSamplerOverrun:
                                 component_id=1, num_metrics=10)
         return d, plugin
 
-    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "scalar"])
-    def test_interval_shorter_than_the_sample_skips_and_counts(self, arena):
+    @staticmethod
+    def _sampling(cohort, monkeypatch):
+        """The reference (``scalar``) runs every synthetic sampler on the
+        per-instance path, as for a sampler that cannot vectorize."""
+        if not cohort:
+            monkeypatch.setattr(SyntheticSampler, "cohort_key",
+                                lambda self: None)
+
+    @pytest.mark.parametrize("cohort", [True, False], ids=["arena", "scalar"])
+    def test_interval_shorter_than_the_sample_skips_and_counts(
+            self, cohort, monkeypatch):
+        self._sampling(cohort, monkeypatch)
         eng = Engine()
-        env = SimEnv(eng, arena=arena)
+        env = SimEnv(eng)
         fabric = SimFabric(eng)
         d, plugin = self._sim_sampler(env, fabric)
         cost = plugin.sample_cost
@@ -213,14 +224,16 @@ class TestSamplerOverrun:
             assert r.values == tuple(r.values[0] * (i + 1) for i in range(10))
         assert ticks == sorted(set(ticks)) and ticks[0] >= 1
 
-    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "scalar"])
-    def test_late_granted_sample_overlapping_the_next_tick(self, arena):
+    @pytest.mark.parametrize("cohort", [True, False], ids=["arena", "scalar"])
+    def test_late_granted_sample_overlapping_the_next_tick(
+            self, cohort, monkeypatch):
         # Both workers are held past the 1.0 tick, so that firing queues
         # and is granted at 2.0 - cost/2; its transaction is still open
-        # when the 2.0 tick finds the second worker free.  With the arena
+        # when the 2.0 tick finds the second worker free.  With cohorts
         # on, the 2.0 tick is a cohort sweep.
+        self._sampling(cohort, monkeypatch)
         eng = Engine()
-        env = SimEnv(eng, arena=arena)
+        env = SimEnv(eng)
         d, plugin = self._sim_sampler(env, SimFabric(eng))
         d.start_sampler("n0/syn", interval=1.0)
         cost = plugin.sample_cost

@@ -321,7 +321,7 @@ class TestEndToEndChain:
         the pool is off (satellite: schema-stable stats JSON)."""
         eng, samp, agg = _world()
         eng.run(until=2.0)
-        agg.set_pool = None  # arena disabled mid-run
+        agg.set_pool = None  # as on a RealEnv daemon, which has no pool
         stats = agg.stats()
         assert stats["set_pool"] == {"arenas": 0, "blocks": 0, "rows": 0}
         prof = json.loads(ControlChannel(agg).handle("prof").partition(" ")[2])
@@ -331,8 +331,8 @@ class TestEndToEndChain:
 
 # ---------------------------------------------------------------------------
 # exemplar-sampling determinism (satellite): same seed => identical
-# traced transactions across plain / sanitized / arena-off runs
-# (argv[1] is SimEnv's arena= handle: "1" columnar, "0" scalar reference).
+# traced transactions across plain / sanitized / per-instance runs
+# (argv[1]: "1" cohort sweeps, "0" every sampler on the per-instance path).
 # ---------------------------------------------------------------------------
 _DETERMINISM_SCRIPT = """
 import json, sys
@@ -341,7 +341,10 @@ from repro.core import Ldmsd, SimEnv
 from repro.sim.engine import Engine
 from repro.transport.simfabric import SimFabric, SimTransport
 
-eng = Engine(); env = SimEnv(eng, arena=sys.argv[1] == "1")
+if sys.argv[1] == "0":
+    from repro.plugins.samplers.synthetic import SyntheticSampler
+    SyntheticSampler.cohort_key = lambda self: None
+eng = Engine(); env = SimEnv(eng)
 fabric = SimFabric(eng)
 samp = Ldmsd("s0", env=env,
              transports={"rdma": SimTransport(fabric, "rdma", node_id="s0")})
@@ -365,18 +368,18 @@ class TestExemplarDeterminism:
         plain = self._run({})
         assert plain["traced"], "exemplar sampling traced nothing"
         sanitized = self._run({"REPRO_SANITIZE": "1"})
-        arena_off = self._run({}, arena="0")
+        per_instance = self._run({}, cohort="0")
         assert sanitized == plain
-        assert arena_off == plain
+        assert per_instance == plain
 
     @staticmethod
-    def _run(env_overrides, arena="1"):
+    def _run(env_overrides, cohort="1"):
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC
         env.pop("REPRO_SANITIZE", None)
         env.update(env_overrides)
         out = subprocess.run(
-            [sys.executable, "-c", _DETERMINISM_SCRIPT, arena],
+            [sys.executable, "-c", _DETERMINISM_SCRIPT, cohort],
             env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         return json.loads(out.stdout)

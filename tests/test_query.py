@@ -1,5 +1,6 @@
 """The query/serving tier: wire codec, engine cache paths, feature
-gate, end-to-end DES round-trips (arena on/off), and replay."""
+gate, end-to-end DES round-trips (cohort and per-instance sampling), and
+replay."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.core import Ldmsd, SimEnv, wire
 from repro.core.store import StoreRecord
 from repro.obs.registry import Telemetry
 from repro.obs.selfmetrics import SELF_METRIC_NAMES, collect
+from repro.plugins.samplers.synthetic import SyntheticSampler
 from repro.plugins.stores.sos import SosReader, SosStore, rollup_schema
 from repro.query.clients import ClientMix, Poller, build_population
 from repro.query.engine import QueryEngine
@@ -287,12 +289,12 @@ class TestFeatureGate:
         assert p.sent == 0
 
 
-def _sos_world(tmp, arena, rollups="10", n=4, duration=30.0,
+def _sos_world(tmp, rollups="10", n=4, duration=30.0,
                enable_query=False, mix=None):
     """Small DES fan-in whose aggregator stores to SOS; optionally the
     full serving tier with a client population on top."""
     eng = Engine()
-    env = SimEnv(eng, arena=arena)
+    env = SimEnv(eng)
     fabric = SimFabric(eng)
     for i in range(n):
         x = SimTransport(fabric, "sock", node_id=i)
@@ -326,23 +328,32 @@ def _sos_world(tmp, arena, rollups="10", n=4, duration=30.0,
 
 class TestDesRoundTrip:
     """Satellite: records written through a real DES run read back
-    correctly, identically with the set arena on and off."""
+    correctly, identically with cohort sweeps and with every sampler on
+    the per-instance path (``cohort_key()`` patched to None)."""
 
-    def _records(self, tmp_path, arena):
-        path = tmp_path / f"arena_{arena}"
+    @staticmethod
+    def _world(path, cohort, monkeypatch):
+        with monkeypatch.context() as mp:
+            if not cohort:
+                mp.setattr(SyntheticSampler, "cohort_key", lambda self: None)
+            return _sos_world(str(path))
+
+    def _records(self, tmp_path, cohort, monkeypatch):
+        path = tmp_path / f"cohort_{cohort}"
         path.mkdir()
-        agg, store, _ = _sos_world(str(path), arena)
+        agg, store, _ = self._world(path, cohort, monkeypatch)
         agg.shutdown()
         reader = SosReader(str(path), "synthetic")
         return reader, [(r.timestamp, r.component_id, r.values)
                         for r in reader]
 
-    def test_arena_on_off_identical_and_boundaries(self, tmp_path):
+    def test_arena_on_off_identical_and_boundaries(self, tmp_path,
+                                                   monkeypatch):
         out = {}
-        for arena in (True, False):
-            reader, records = self._records(tmp_path, arena)
+        for cohort in (True, False):
+            reader, records = self._records(tmp_path, cohort, monkeypatch)
             assert records, "DES run stored nothing"
-            out[arena] = records
+            out[cohort] = records
 
             times = sorted({t for t, _, _ in records})
             t0, t1 = times[2], times[-2]
@@ -357,17 +368,18 @@ class TestDesRoundTrip:
                     for r in rng] == expect
         assert out[True] == out[False]
 
-    def test_rollup_containers_match_across_arena(self, tmp_path):
+    def test_rollup_containers_match_across_arena(self, tmp_path,
+                                                  monkeypatch):
         out = {}
-        for arena in (True, False):
-            path = tmp_path / f"roll_{arena}"
+        for cohort in (True, False):
+            path = tmp_path / f"roll_{cohort}"
             path.mkdir()
-            agg, store, _ = _sos_world(str(path), arena)
+            agg, store, _ = self._world(path, cohort, monkeypatch)
             agg.shutdown()
             rolled = list(SosReader(str(path),
                                     rollup_schema("synthetic", 10)))
             assert rolled
-            out[arena] = rolled
+            out[cohort] = rolled
         assert out[True] == out[False]
 
 
@@ -376,7 +388,7 @@ class TestServeEndToEnd:
         mix = ClientMix(pollers=2, evaluators=1, scanners=1,
                         eval_level=10, scan_level=10, scan_span=20.0)
         agg, store, clients = _sos_world(
-            str(tmp_path), arena=False, duration=40.0,
+            str(tmp_path), duration=40.0,
             enable_query=True, mix=mix)
         assert sum(c.sent for c in clients) > 0
         assert sum(c.replies for c in clients) > 0
@@ -397,7 +409,7 @@ class TestServeEndToEnd:
     def test_daemon_without_engine_replies_noent(self, tmp_path):
         mix = ClientMix(pollers=1, evaluators=0, scanners=0)
         agg, store, clients = _sos_world(
-            str(tmp_path), arena=False, duration=10.0,
+            str(tmp_path), duration=10.0,
             enable_query=False, mix=mix)
         (c,) = clients
         assert c.replies > 0
@@ -544,7 +556,7 @@ class TestQueryCli:
 
 class TestSelfMetricsSchema:
     def test_names_and_row_stay_aligned(self, tmp_path):
-        agg, store, _ = _sos_world(str(tmp_path), arena=False,
+        agg, store, _ = _sos_world(str(tmp_path),
                                    duration=5.0, enable_query=True)
         row = collect(agg)
         assert len(row) == len(SELF_METRIC_NAMES)

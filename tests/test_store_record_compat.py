@@ -16,9 +16,8 @@ from typing import Iterable, Optional
 
 import pytest
 
-import repro.core
 import repro.plugins  # noqa: F401  (registers plugins)
-from repro.core import Ldmsd, SimEnv
+from repro.core import Ldmsd
 from repro.core.memory import Arena
 from repro.core.metric import MetricType
 from repro.core.metric_set import MetricSet
@@ -152,16 +151,14 @@ class TestDerivedRecords:
                 rec.filtered(["zzz"])
 
 
-@pytest.mark.parametrize("arena,vec_min_rows", [
-    (True, 1), (True, Ldmsd._VEC_MIN_ROWS), (False, None)],
-    ids=["columnar-sweep", "columnar-unpack", "scalar"])
-def test_knee_world_rows_equal_the_oracle(monkeypatch, arena, vec_min_rows):
+@pytest.mark.parametrize("vec_min_rows", [1, Ldmsd._VEC_MIN_ROWS],
+                         ids=["columnar-sweep", "columnar-unpack"])
+def test_knee_world_rows_equal_the_oracle(monkeypatch, vec_min_rows):
     # Every delivery also builds the oracle's record from the mirror it
     # hands over; the memory store must hold the same rows, in order.
     # A small world flushes its rows one by one, so the 2-D sweep is
     # forced on for one-row groups to cover it too.
-    if vec_min_rows is not None:
-        monkeypatch.setattr(Ldmsd, "_VEC_MIN_ROWS", vec_min_rows)
+    monkeypatch.setattr(Ldmsd, "_VEC_MIN_ROWS", vec_min_rows)
     oracle: list[OracleRecord] = []
     deliver = Ldmsd._deliver_to_stores
 
@@ -170,8 +167,6 @@ def test_knee_world_rows_equal_the_oracle(monkeypatch, arena, vec_min_rows):
         return deliver(daemon, producer, mirror, *args)
 
     monkeypatch.setattr(Ldmsd, "_deliver_to_stores", spy)
-    monkeypatch.setattr(repro.core, "SimEnv",
-                        lambda engine: SimEnv(engine, arena=arena))
     _samplers, agg = audit.build(8)
     eng = agg.env.engine
     eng.run(until=eng.now + 3 * audit.INTERVAL)

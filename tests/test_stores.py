@@ -40,13 +40,13 @@ class TestStoreRecord:
 class TestStorePolicy:
     def test_schema_match(self):
         p = StorePolicy(schema="mem")
-        assert p.matches(rec())
-        assert not p.matches(rec(schema="cpu"))
+        assert p.matches_keys("mem", "n0")
+        assert not p.matches_keys("cpu", "n0")
 
     def test_producer_match(self):
         p = StorePolicy(producers=frozenset({"n1"}))
-        assert not p.matches(rec())
-        assert p.matches(rec(producer="n1"))
+        assert not p.matches_keys("mem", "n0")
+        assert p.matches_keys("mem", "n1")
 
     def test_projection(self):
         p = StorePolicy(metrics=("b",))
@@ -178,6 +178,27 @@ class TestCsvStore:
         ])
         s.close()
         assert drained[:3] == ["alpha", "mid", "zeta"]
+
+    HEAD = "Time,Producer,CompId,a\n"
+
+    @pytest.mark.parametrize("altheader,before,kept", [
+        (False, HEAD + "1.000000,n0,1,5\n2.000000,n0,1,",
+         HEAD + "1.000000,n0,1,5\n"),
+        (True, "1.000000,n0,1,5\n2.000000,n0,1,", "1.000000,n0,1,5\n"),
+        (False, "Time,Produ", HEAD),
+        (False, HEAD + "1.000000,n0,1,5\n", HEAD + "1.000000,n0,1,5\n"),
+    ], ids=["torn-row", "torn-row-altheader", "torn-header", "whole"])
+    def test_reopen_cuts_a_torn_last_line(self, tmp_path, altheader, before,
+                                          kept):
+        # Regression: a crash mid-write left "2.000000,n0,1," without its
+        # newline, and the next open appended the new row onto it — a
+        # 7-field row under a 4-column header.  A torn header is cut
+        # whole and written again.
+        (tmp_path / "mem.csv").write_text(before)
+        s = self._store(tmp_path, altheader=altheader)
+        s.submit(rec(t=3.0, names=("a",), comp=(1,), values=(7,)))
+        s.close()
+        assert (tmp_path / "mem.csv").read_text() == kept + "3.000000,n0,1,7\n"
 
     def test_policy_applied_via_submit(self, tmp_path):
         s = self._store(tmp_path)
