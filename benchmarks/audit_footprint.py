@@ -5,8 +5,10 @@ Builds the ``fanin_knee`` topology (N sampler daemons x one 10-metric
 runs it to the first stored sample of every producer under
 ``tracemalloc`` and prints the traced bytes per sampler + producer pair
 by source file and by line, then ``ru_maxrss``; beside the bytes it
-prints the Python calls one stored set costs in a steady interval
-(:func:`calls_per_stored_set`).
+prints the daemons' own arena accounting per pair (``arena_used`` and
+``arena_committed`` summed over every daemon's ``stats()``: what the
+``-m`` regions reserve, and what of that is backed) and the Python calls
+one stored set costs in a steady interval (:func:`calls_per_stored_set`).
 The by-file table is the one in DESIGN.md "Footprint";
 ``tests/test_footprint.py`` gates the slope of the same topology and
 the calls per stored set.
@@ -124,12 +126,18 @@ def main(argv=None) -> int:
     snap = tracemalloc.take_snapshot().filter_traces(
         [tracemalloc.Filter(False, tracemalloc.__file__)])
     tracemalloc.stop()
+    samplers, agg = world
+    stats = [d.stats() for d in (*samplers, agg)]
+    arena_used = sum(st["arena_used"] for st in stats)
+    arena_committed = sum(st["arena_committed"] for st in stats)
 
     calls = calls_per_stored_set()
 
     total = sum(s.size for s in snap.statistics("filename"))
     print(f"producers {n}: {total / 1e6:.2f} MB traced, "
           f"{total / n:,.0f} B per sampler + producer pair")
+    print(f"arena per pair (daemons' stats()): {arena_used / n:,.0f} B used, "
+          f"{arena_committed / n:,.0f} B committed")
     print(f"Python calls per stored set: {calls:.2f} "
           "(256 producers, one steady interval)")
     print(f"\n{'B/pair':>9}  {'MB':>8}  file")

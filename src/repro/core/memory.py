@@ -112,6 +112,10 @@ class Arena:
                 del holes[i]
         holes.insert(i, (offset, end - offset))
 
+    def committed_at(self, offset: int) -> bool:
+        """Whether the allocation at ``offset`` has been viewed."""
+        return type(self._live[offset]) is not int
+
     def view(self, offset: int, nbytes: int) -> memoryview:
         """A writable view of an allocated region."""
         entry = self._live.get(offset)

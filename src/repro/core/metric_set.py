@@ -29,14 +29,15 @@ across sets): a single whole-row :class:`struct.Struct` with explicit
 pad bytes matching the natural-alignment layout, cached per-metric
 ``Struct`` objects, and the per-metric clamp callables.  Around it the
 per-layout flyweight :class:`_Layout` adds what depends on the metric
-*names* too (decoded name tuple, name -> index map) — "metadata once,
-then data-only" applied to our own bookkeeping: a set or mirror of a
-known layout keeps only its name, component ids and chunks.  A producer
-set is stamped from its (names, types) :class:`_Template`: the packed
-metadata chunk, copied whole, plus one header pack and one write of the
-component ids — the per-metric checks ran when the template compiled.  The
-hot producer path (:meth:`set_all` / :meth:`set_values`) is then one
-``pack_into`` plus one DGN write, and the hot consumer path
+*names* too (decoded name tuple, name -> index map, the metadata chunk
+with header and component ids zeroed) — "metadata once, then data-only"
+applied to our own bookkeeping and memory: a set or mirror keeps only
+its name, component ids and data chunk, and :meth:`MetricSet.meta_bytes`
+stamps its metadata chunk from the layout on LOOKUP.  A producer set
+finds its layout through its (names, types) :class:`_Template`, so the
+per-metric checks ran when the template compiled.  The hot producer path
+(:meth:`set_all` / :meth:`set_values`) is then one ``pack_into`` plus
+one DGN write, and the hot consumer path
 (:meth:`values` / :meth:`values_tuple` / :meth:`values_array`) is one
 ``unpack_from`` — the paper's ~1.3 µs/metric collect cost (§IV-E)
 depends on exactly this "pay layout cost once" property.
@@ -190,6 +191,9 @@ class _Layout(NamedTuple):
     names: tuple[str, ...]
     index: dict[str, int]
     compiled: _CompiledSchema
+    #: the metadata chunk with header and component ids zeroed: every
+    #: other byte of it is fixed by the layout key
+    meta: bytes
 
 
 #: (data_size, NUL-padded wire names, tags, offsets) -> _Layout, capped
@@ -221,11 +225,14 @@ def _layout_for(
     index = {n: i for i, n in enumerate(names)}
     if len(index) != len(names):
         raise ValueError(f"duplicate metric names in set {set_name!r}")
+    meta = bytes(_META_HDR_SIZE) + b"".join(
+        struct.pack(MetricDesc.WIRE_FMT, nb, 0, tag, off)
+        for nb, tag, off in zip(wire_names, tags, offsets))
     if len(_LAYOUT_CACHE) >= _SCHEMA_CACHE_MAX:
         _LAYOUT_CACHE.clear()
     layout = _LAYOUT_CACHE[key] = _Layout(
         wire_names, tags, names, index,
-        _compile_schema(tags, offsets, data_size))
+        _compile_schema(tags, offsets, data_size), meta)
     return layout
 
 
@@ -235,8 +242,6 @@ class _Template(NamedTuple):
 
     layout: _Layout
     data_size: int
-    #: the metadata chunk with header and component ids zeroed
-    meta: bytes
     #: packs the component ids, range-checked, in one call
     ids: struct.Struct
 
@@ -263,13 +268,10 @@ def _compile_template(names: tuple, mtypes: tuple, set_name: str) -> _Template:
         off += size
     tags = tuple(map(int, mtypes))
     layout = _layout_for(tuple(wire_names), tags, tuple(offsets), off, set_name)
-    meta = bytes(_META_HDR_SIZE) + b"".join(
-        struct.pack(MetricDesc.WIRE_FMT, nb, 0, tag, o)
-        for nb, tag, o in zip(wire_names, tags, offsets))
     if len(_TEMPLATES) >= _SCHEMA_CACHE_MAX:
         _TEMPLATES.clear()
     tmpl = _TEMPLATES[names, mtypes] = _Template(
-        layout, off, meta, struct.Struct(f"<{len(names)}Q"))
+        layout, off, struct.Struct(f"<{len(names)}Q"))
     return tmpl
 
 
@@ -309,7 +311,7 @@ class MetricSet:
 
     __slots__ = (
         "name", "schema", "arena", "mgn", "meta_size", "data_size",
-        "_compiled", "_names", "_index", "_comp_ids", "_dgn",
+        "_compiled", "_names", "_layout", "_comp_ids", "_dgn",
         "_meta_off", "_data_off", "_ab", "_arow", "_data",
         "_in_transaction", "_deleted", "_shadow", "_store_match",
     )
@@ -317,7 +319,7 @@ class MetricSet:
     def _build(
         self, name: str, schema: str, layout: _Layout,
         comp_ids: tuple[int, ...], arena: Arena, mgn: int, data_size: int,
-        meta_src: bytes | bytearray, pool: Optional["SetArenaPool"],
+        pool: Optional["SetArenaPool"],
     ) -> None:
         self.name = name
         self.schema = schema
@@ -327,10 +329,10 @@ class MetricSet:
         self.meta_size = _META_HDR_SIZE + card * MetricDesc.WIRE_SIZE
         self.data_size = data_size
 
-        # Shared per layout (structs, record-field names, name index).
+        # Shared per layout (structs, names, index, metadata template).
+        self._layout = layout
         self._compiled = layout.compiled
         self._names = layout.names
-        self._index = layout.index
         self._comp_ids = comp_ids
         # Python-int DGN shadow: producers bump this instead of
         # unpack/repacking 8 bytes from the data chunk per update.
@@ -338,6 +340,8 @@ class MetricSet:
         #: (stores version, matching stores) cached by the owning daemon.
         self._store_match: Optional[tuple] = None
 
+        # The metadata chunk is reserved (the paper's used/peak/OOM
+        # accounting) but never viewed, so never committed.
         self._meta_off = arena.alloc(self.meta_size)
         try:
             self._data_off = arena.alloc(self.data_size)
@@ -366,25 +370,12 @@ class MetricSet:
             self._data = arena.view(self._data_off, self.data_size)
         self._in_transaction = False
         self._deleted = False
-
-        # Copy the wire-format metadata chunk in: a mirror's is the one
-        # it was built from, a producer set's is stamped from its
-        # template, so neither re-packs a descriptor.
-        meta = self._meta
-        meta[:] = meta_src
-        meta.release()
         # Data header: MGN mirrored, DGN 0, consistent 0, ts 0
         _STRUCT_DATA_HDR.pack_into(self._data, 0, mgn, 0, 0, 0.0)
 
         # Shadow state for REPRO_SANITIZE runs; None when disabled, so
         # the hot paths pay a single is-None branch.
         self._shadow = sanitize.attach(self)
-
-    @property
-    def _meta(self) -> memoryview:
-        """The metadata chunk, viewed on demand: written at construction
-        and read per lookup, so not worth a held view."""
-        return self.arena.view(self._meta_off, self.meta_size)
 
     @property
     def descs(self) -> list[MetricDesc]:
@@ -428,22 +419,13 @@ class MetricSet:
         tmpl = (_TEMPLATES.get((names, mtypes))
                 or _compile_template(names, mtypes, name))
         try:
-            ids = tmpl.ids.pack(*comp_ids)
+            tmpl.ids.pack(*comp_ids)
         except struct.error:
             raise ValueError(f"component ids of set {name!r} must be "
                              "integers in [0, 2**64)") from None
-        import numpy as np
-
-        meta = bytearray(tmpl.meta)
-        card = len(comp_ids)
-        _META_HDR.pack_into(meta, 0, _META_MAGIC, len(meta), tmpl.data_size,
-                            card, mgn, name_b, schema_b)
-        # The component ids are one strided u64 column of the descriptors.
-        np.ndarray(card, "<u8", meta, _META_HDR_SIZE + METRIC_NAME_LEN,
-                   (MetricDesc.WIRE_SIZE,))[:] = np.frombuffer(ids, "<u8")
         mset = cls.__new__(cls)
         mset._build(name, schema, tmpl.layout, comp_ids, arena, mgn,
-                    tmpl.data_size, meta, pool)
+                    tmpl.data_size, pool)
         return mset
 
     @classmethod
@@ -451,8 +433,8 @@ class MetricSet:
         cls, meta: bytes | memoryview, arena: Arena,
         pool: Optional["SetArenaPool"] = None,
     ) -> "MetricSet":
-        """Construct a consumer-side mirror from a metadata chunk."""
-        meta = bytes(meta)
+        """Construct a consumer-side mirror from a metadata chunk; every
+        check runs before the first allocation."""
         if len(meta) < _META_HDR_SIZE:
             raise ValueError("truncated metadata chunk")
         magic, meta_size, data_size, card, mgn, name_b, schema_b = (
@@ -462,8 +444,12 @@ class MetricSet:
         if len(meta) != meta_size:
             raise ValueError(f"metadata size mismatch: header says {meta_size}, got {len(meta)}")
         end = _META_HDR_SIZE + card * MetricDesc.WIRE_SIZE
-        if len(meta) < end:
-            raise ValueError("truncated descriptor block")
+        if meta_size != end:
+            raise ValueError(f"a {meta_size}-byte metadata chunk does not end "
+                             f"at its {card}-metric descriptor block ({end} bytes)")
+        if data_size < _DATA_HDR_SIZE:
+            raise ValueError(f"a {data_size}-byte data chunk has no room for "
+                             f"its {_DATA_HDR_SIZE}-byte header")
         wire_names, comp_ids, tags, offsets = MetricDesc.unpack_columns(
             meta[_META_HDR_SIZE:end])
         if card and comp_ids.count(comp_ids[0]) == card:
@@ -475,7 +461,7 @@ class MetricSet:
             name,
             sys.intern(schema_b.rstrip(b"\x00").decode("utf-8")),
             _layout_for(wire_names, tags, offsets, data_size, name),
-            comp_ids, arena, mgn, data_size, meta, pool,
+            comp_ids, arena, mgn, data_size, pool,
         )
         if mset._shadow is not None:
             # Mirrors get the consumer-side checks: decoding values
@@ -524,11 +510,11 @@ class MetricSet:
         return self._comp_ids
 
     def index_of(self, name: str) -> int:
-        return self._index[name]
+        return self._layout.index[name]
 
     def indices_of(self, names) -> list[int]:
         """Resolve metric names to indices once (plugin config() time)."""
-        idx = self._index
+        idx = self._layout.index
         return [idx[n] for n in names]
 
     # ------------------------------------------------------------------
@@ -580,7 +566,7 @@ class MetricSet:
         pack; out-of-range/mistyped values fall back to the type's clamp
         (C-like wraparound), exactly as the unconditional-clamp path did.
         """
-        i = metric if isinstance(metric, int) else self._index[metric]
+        i = metric if isinstance(metric, int) else self._layout.index[metric]
         cs = self._compiled
         st = cs.metric_structs[i]
         off = cs.offsets[i]
@@ -643,7 +629,7 @@ class MetricSet:
     def get(self, metric: str | int) -> float | int:
         if self._shadow is not None:
             sanitize.check_read(self)
-        i = metric if isinstance(metric, int) else self._index[metric]
+        i = metric if isinstance(metric, int) else self._layout.index[metric]
         cs = self._compiled
         return cs.metric_structs[i].unpack_from(self._data, cs.offsets[i])[0]
 
@@ -711,8 +697,23 @@ class MetricSet:
     # wire representation
     # ------------------------------------------------------------------
     def meta_bytes(self) -> bytes:
-        """A copy of the metadata chunk (sent once, on lookup)."""
-        return bytes(self._meta)
+        """The metadata chunk (sent once, on lookup), stamped from the
+        layout's template: the header, then the component-id column."""
+        import numpy as np
+
+        meta = bytearray(self._layout.meta)
+        ids = self._comp_ids
+        card = len(ids)
+        _META_HDR.pack_into(meta, 0, _META_MAGIC, self.meta_size,
+                            self.data_size, card, self.mgn,
+                            self.name.encode("utf-8"),
+                            self.schema.encode("utf-8"))
+        if card:
+            # One component per set (the usual case) is a scalar fill.
+            np.ndarray(card, "<u8", meta, _META_HDR_SIZE + METRIC_NAME_LEN,
+                       (MetricDesc.WIRE_SIZE,))[:] = (
+                ids[0] if ids.count(ids[0]) == card else ids)
+        return bytes(meta)
 
     def data_bytes(self) -> bytes:
         """A copy of the data chunk (what an update transfers).

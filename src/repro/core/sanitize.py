@@ -10,16 +10,19 @@ ASan shadow memory.
 
 With ``REPRO_SANITIZE`` set, every :class:`~repro.core.metric_set.
 MetricSet` keeps a shadow record — CRC of the data chunk's payload
-(bytes beyond the 24-byte header), CRC of the metadata chunk, and the
-last sanctioned DGN.  The sanctioned mutators re-commit the shadow;
-checkpoints on the read/publish paths recompute and compare:
+(bytes beyond the 24-byte header), CRC of the metadata chunk that
+``meta_bytes()`` stamps, and the last sanctioned DGN.  The sanctioned
+mutators re-commit the shadow; checkpoints on the read/publish paths
+recompute and compare:
 
 * **torn write** — payload bytes changed while the DGN did not: someone
   wrote values behind the API's back;
 * **DGN regression** — the DGN moved backwards (stale data would be
   accepted as fresh downstream);
-* **metadata mutation** — the metadata chunk changed after
-  construction, invalidating every consumer's cached layout;
+* **metadata mutation** — the metadata chunk ``meta_bytes()`` stamps
+  changed after construction, invalidating every consumer's cached
+  layout, or the set's metadata reservation was committed (a stray
+  ``arena.view``: the chunk is stamped on LOOKUP, never held);
 * **inconsistent read** — a mirror's values were decoded while its
   consistent flag was clear (the §IV-B check the consumer must make);
 * **inconsistent apply** — a fetched chunk whose consistent flag is
@@ -170,7 +173,7 @@ def attach(mset: "MetricSet") -> Optional[Shadow]:
         return None
     shadow = Shadow()
     shadow.payload_crc = zlib.crc32(mset._data[_HDR:])
-    shadow.meta_crc = zlib.crc32(mset._meta)
+    shadow.meta_crc = zlib.crc32(mset.meta_bytes())
     shadow.dgn = mset._dgn
     return shadow
 
@@ -185,10 +188,16 @@ def commit(mset: "MetricSet") -> None:
 def check(mset: "MetricSet", where: str) -> None:
     """Checkpoint: verify the chunks still match the shadow."""
     shadow = mset._shadow
-    if zlib.crc32(mset._meta) != shadow.meta_crc:
+    if mset.arena.committed_at(mset._meta_off):
         _violation(
             "meta_mutation",
-            f"set {mset.name!r}: metadata chunk mutated after publication "
+            f"set {mset.name!r}: metadata reservation committed (detected "
+            f"at {where}); the chunk is stamped on LOOKUP, never held",
+        )
+    if zlib.crc32(mset.meta_bytes()) != shadow.meta_crc:
+        _violation(
+            "meta_mutation",
+            f"set {mset.name!r}: metadata chunk changed after publication "
             f"(detected at {where}); consumers' cached layouts are invalid",
         )
     dgn = mset.dgn

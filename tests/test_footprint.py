@@ -28,8 +28,9 @@ _spec.loader.exec_module(audit)  # the one builder of the knee topology
 
 #: Bytes per sampler + producer pair.  ~34,000 before arenas committed
 #: on touch, sets shared their layout and daemons bound state by role;
-#: ~14,600 since.
-SLOPE_BUDGET = 17_000
+#: ~14,000 since, and 11,994 since the metadata chunk is stamped on
+#: LOOKUP instead of committed per set.  The budget is that slope + 10 %.
+SLOPE_BUDGET = 13_200
 
 #: What ``stats()["obs"]`` lists on a daemon that has done nothing yet.
 IDLE_COUNTERS = [

@@ -480,8 +480,8 @@ class TestFootprint:
     def test_stats_report_reserved_and_committed_arena(self, world):
         """§IV-D "how light am I": the -m region is reserved, a set's
         accounting is what it always was, and only touched bytes are
-        backed — under SimEnv the data chunk lives in the set pool, so
-        the 10-metric set commits its 984-byte metadata chunk alone."""
+        backed — under SimEnv the data chunk lives in the set pool and
+        the metadata chunk is stamped on LOOKUP, so nothing is."""
         eng, env, fabric = world
         d = Ldmsd("n0", env=env, mem="2MB",
                   transports={"sock": SimTransport(fabric, "sock", node_id=0)})
@@ -491,9 +491,29 @@ class TestFootprint:
         st = d.stats()
         assert st["arena_size"] == 2 * 1024 * 1024
         assert st["arena_used"] == st["arena_peak"] == 1088  # 984 + 104
-        assert 0 < st["arena_committed"] <= 4096
+        assert st["arena_committed"] == 0
         d.delete_set("n0/syn")
         assert d.stats()["arena_committed"] == d.stats()["arena_used"] == 0
+
+    def test_real_env_commits_the_data_chunk_alone(self):
+        """Without a set pool the data chunk is arena-backed: of the
+        set's 1,088 reserved bytes only its 104-byte data chunk is."""
+        env = RealEnv()
+        try:
+            d = Ldmsd("n0", env=env, mem="2MB", transports={})
+            d.load_sampler("synthetic", instance="n0/syn", component_id=1,
+                           num_metrics=10)
+            st = d.stats()
+            assert st["arena_used"] == st["arena_peak"] == 1088
+            assert st["arena_committed"] == 104
+            mset = d.get_set("n0/syn")
+            assert len(mset.meta_bytes()) == mset.meta_size == 982
+            assert d.stats()["arena_committed"] == 104  # LOOKUP commits nothing
+            d.delete_set("n0/syn")
+            assert d.stats()["arena_committed"] == d.stats()["arena_used"] == 0
+            d.shutdown()
+        finally:
+            env.shutdown()
 
     def test_update_pulls_only_data_chunk(self, world):
         eng, env, fabric = world

@@ -72,10 +72,20 @@ class TestRaiseMode:
             s.begin_transaction()
 
     def test_metadata_mutation_detected(self, raise_mode):
+        # No set holds writable metadata: the chunk is stamped on LOOKUP.
+        # What can still go wrong is a stray commit of the reservation...
         s = make_set()
         s.set_all([1, 2, 3], timestamp=1.0)
-        s._meta[40] ^= 0xFF
-        with pytest.raises(sanitize.SanitizerError, match="meta_mutation"):
+        s.arena.view(s._meta_off, s.meta_size)
+        with pytest.raises(sanitize.SanitizerError,
+                           match=r"meta_mutation.*reservation committed"):
+            s.data_bytes()
+        # ...or a stamped chunk that changes during the set's life.
+        s = make_set()
+        s.set_all([1, 2, 3], timestamp=1.0)
+        s.mgn += 1
+        with pytest.raises(sanitize.SanitizerError,
+                           match=r"meta_mutation.*chunk changed"):
             s.data_bytes()
 
     def test_dgn_regression_detected_on_apply(self, raise_mode):
