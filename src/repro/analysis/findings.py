@@ -1,12 +1,10 @@
 """The finding model shared by every reprolint pass.
 
-Per-file rules (:mod:`repro.analysis.lint.rules`), the whole-program
-contracts (:mod:`repro.analysis.flow.graph`) and the wire check
-(:mod:`repro.analysis.flow.wirecheck`) all emit the same
-:class:`Violation`; the engine's one suppression-aware recorder and one
-reporter consume it.  A violation may carry a *chain*: the
-interprocedural call path (or wire frame-layout walk) that justifies
-it.
+Per-file rules (:mod:`repro.analysis.lint.rules`) and the
+whole-program contracts (:mod:`repro.analysis.flow.graph`) emit the
+same :class:`Violation`; the engine's one suppression-aware recorder
+and one reporter consume it.  A violation may carry a *chain*: the
+interprocedural call path that justifies it.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ class LintConfigError(Exception):
 
 @dataclass(frozen=True)
 class ChainFrame:
-    """One hop of a call-chain (or frame-layout) trace."""
+    """One hop of a call-chain trace."""
 
     path: str
     line: int

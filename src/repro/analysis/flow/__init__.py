@@ -5,10 +5,10 @@ file in isolation, these passes build an *interprocedural* view of the
 tree from the same parsed modules: a call graph over every module
 (import resolution, class-hierarchy method dispatch, annotation-typed
 attribute dispatch, plugin-registry edges), an effect-inference lattice
-seeded from a stdlib/numpy catalog and propagated transitively,
+seeded from a stdlib/numpy catalog and propagated transitively, and
 determinism contracts for the packages declared DES-pure in
-``[tool.reprolint.flow]``, and a wire-protocol conformance pass over
-the encoder/decoder pairs in :mod:`repro.core.wire`.
+``[tool.reprolint.flow]``.  The wire protocol is not checked here: its
+codecs and HELLO gates are pinned at run time by the wire tests.
 
 The paper's evaluation (§IV) rests on same-seed byte-identical DES
 replay; a single transitive call into wall-clock, unseeded RNG, or

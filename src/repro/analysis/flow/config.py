@@ -2,7 +2,7 @@
 
 The ``flow`` sub-table of ``[tool.reprolint]``:
 :class:`repro.analysis.lint.engine.LintConfig` loads it and hands the
-result to the call-graph contracts and the wire check.
+result to the call-graph contracts.
 """
 
 from __future__ import annotations
@@ -38,17 +38,6 @@ DEFAULT_ORDERED_PACKAGES = (
     "repro.experiments",
 )
 
-DEFAULT_WIRE_MODULES = ("repro.core.wire",)
-
-DEFAULT_TRANSPORT_MODULES = (
-    "repro.core.wire",
-    "repro.transport.base",
-    "repro.transport.sock",
-    "repro.transport.simfabric",
-    "repro.core.ldmsd",
-    "repro.core.aggregator",
-)
-
 DEFAULT_DISPATCH_ROOTS = (
     "repro.core.store.StorePlugin",
     "repro.core.sampler.SamplerPlugin",
@@ -72,11 +61,7 @@ class FlowConfig:
     forbidden_effects: tuple[str, ...] = DEFAULT_FORBIDDEN_EFFECTS
     boundary_modules: tuple[str, ...] = DEFAULT_BOUNDARY_MODULES
     ordered_packages: tuple[str, ...] = DEFAULT_ORDERED_PACKAGES
-    wire_modules: tuple[str, ...] = DEFAULT_WIRE_MODULES
-    transport_modules: tuple[str, ...] = DEFAULT_TRANSPORT_MODULES
     dispatch_roots: tuple[str, ...] = DEFAULT_DISPATCH_ROOTS
-    features_const: str = "BASE_FEATURES"
-    msg_type_class: str = "MsgType"
 
     @classmethod
     def from_table(cls, table: dict[str, Any]) -> "FlowConfig":
@@ -94,22 +79,8 @@ class FlowConfig:
             ordered_packages=_str_list(
                 table, "ordered-packages", DEFAULT_ORDERED_PACKAGES
             ),
-            wire_modules=_str_list(table, "wire-modules", DEFAULT_WIRE_MODULES),
-            transport_modules=_str_list(
-                table, "transport-modules", DEFAULT_TRANSPORT_MODULES
-            ),
             dispatch_roots=_str_list(table, "dispatch-roots", DEFAULT_DISPATCH_ROOTS),
         )
-        features = table.pop("features-const", None)
-        if features is not None:
-            if not isinstance(features, str):
-                raise LintConfigError("[tool.reprolint.flow] features-const must be a string")
-            cfg.features_const = features
-        msg_cls = table.pop("msg-type-class", None)
-        if msg_cls is not None:
-            if not isinstance(msg_cls, str):
-                raise LintConfigError("[tool.reprolint.flow] msg-type-class must be a string")
-            cfg.msg_type_class = msg_cls
         if table:
             unknown = ", ".join(sorted(table))
             raise LintConfigError(f"unknown [tool.reprolint.flow] key(s): {unknown}")

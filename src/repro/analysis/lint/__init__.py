@@ -1,12 +1,13 @@
 """reprolint: static enforcement of the paper's pipeline invariants.
 
-The reproduction's correctness rests on contracts the paper states but
-Python cannot express in types: data-chunk writes go through the
-MetricSet API and bump the DGN (§IV-B), samplers pay layout cost once
-at ``config()`` and never resolve metric names in ``sample()`` (§IV-E),
-and everything under the discrete-event simulator is deterministic.
-This package is the static half of the enforcement layer (the runtime
-half is :mod:`repro.core.sanitize`):
+The reproduction rests on contracts the paper states but Python cannot
+express in types and the tests do not catch: samplers pay layout cost
+once at ``config()`` and never resolve metric names in ``sample()``
+(§IV-E), and everything under the discrete-event simulator is
+deterministic.  This package is the static half of the enforcement
+layer; the runtime half, :mod:`repro.core.sanitize`, checks that
+data-chunk writes go through the MetricSet API and bump the DGN
+(§IV-B):
 
 * :mod:`repro.analysis.lint.engine` — the one-parse-per-file engine:
   rule registry, per-rule severity/config read from ``pyproject.toml``

@@ -42,8 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro-lint",
         description="static analysis enforcing the paper's pipeline "
-                    "invariants: per-file AST rules, whole-program "
-                    "determinism contracts and wire-protocol conformance",
+                    "invariants: per-file AST rules and whole-program "
+                    "determinism contracts",
     )
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to lint (default: src)")

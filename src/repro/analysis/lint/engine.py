@@ -6,8 +6,8 @@ Design (mirrors how ruff/flake8 organize checks, scaled down):
   ``ast.parse``d exactly once.  The per-file rules run on that tree,
   the whole-program passes (:mod:`repro.analysis.flow`) extract their
   module summary from the *same* tree, and once every file is in, the
-  call-graph contracts and the wire check are evaluated — so the run is
-  per-file rules → summaries → program → contracts → wire check.
+  call-graph contracts are evaluated — so the run is per-file rules →
+  summaries → program → contracts.
 * Rules subclass :class:`Rule` and are registered once in a
   module-level registry that holds per-file and whole-program
   (``flow-*``) rules alike.  Per-file rules declare which AST node
@@ -52,7 +52,6 @@ from repro.analysis.flow.summary import (
     expand_head,
     extract_module,
 )
-from repro.analysis.flow.wirecheck import check_wire
 from repro.analysis.sarif import sarif_document
 
 __all__ = [
@@ -109,14 +108,12 @@ class Rule:
     #: The paper invariant this rule guards (shown by ``--list-rules``).
     paper_ref: str = ""
     #: True for a contract the whole-program passes evaluate once over
-    #: the call graph / wire facts; the class is then only the registry
-    #: entry (id, description) and none of the per-file hooks run.
+    #: the call graph; the class is then only the registry entry (id,
+    #: description) and none of the per-file hooks run.
     whole_program: bool = False
     default_severity: str = "error"
     #: Module prefixes the rule applies to; None = every linted module.
     default_packages: Optional[tuple[str, ...]] = None
-    #: Modules exempt by default (merged unless overridden in config).
-    default_allowed_modules: tuple[str, ...] = ()
     #: AST node types dispatched to :meth:`visit`.
     interests: tuple[type, ...] = ()
 
@@ -130,10 +127,7 @@ class Rule:
             )
         pkgs = opts.pop("packages", None)
         self.packages = tuple(pkgs) if pkgs is not None else self.default_packages
-        allowed = opts.pop("allowed-modules", None)
-        self.allowed_modules = (
-            tuple(allowed) if allowed is not None else self.default_allowed_modules
-        )
+        self.allowed_modules = tuple(opts.pop("allowed-modules", ()))
         self.configure(opts)
 
     def configure(self, options: dict) -> None:
@@ -403,15 +397,19 @@ class Engine:
 
     @staticmethod
     def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
+        """The files a run lints; a path that names nothing to lint, or
+        a run that would check no file at all, is a usage error."""
         files: list[Path] = []
         for p in paths:
             p = Path(p)
             if p.is_dir():
                 files.extend(sorted(p.rglob("*.py")))
-            elif p.suffix == ".py":
+            elif p.suffix == ".py" and p.is_file():
                 files.append(p)
             else:
                 raise LintConfigError(f"not a python file or directory: {p}")
+        if not files:
+            raise LintConfigError("no python files under the given paths")
         return files
 
     # -- linting -------------------------------------------------------------
@@ -433,10 +431,7 @@ class Engine:
         """``items`` yields ``(path, module, source)``."""
         report = self._report = Report()
         self._suppressions = {}
-        flow = self.config.flow
-        wire_scope = {*flow.wire_modules, *flow.transport_modules}
         summaries: dict[str, ModuleSummary] = {}
-        wire_trees: dict[str, tuple[str, ast.Module]] = {}
         for path, module, source in items:
             report.files.append(path)
             self._scan_suppressions(path, source)
@@ -451,13 +446,11 @@ class Engine:
             self._lint_tree(ModuleContext(self, path, module, tree))
             if self.program_rules:
                 summaries[module] = extract_module(tree, module, path)
-                if module in wire_scope:
-                    wire_trees[module] = (path, tree)
         if self.program_rules:
-            program = Program(summaries, flow)
+            program = Program(summaries, self.config.flow)
             program.build()
             program.propagate()
-            for v in program.contract_violations() + check_wire(wire_trees, flow):
+            for v in program.contract_violations():
                 if v.rule in self.program_rules:
                     self._record(v)
             report.stats = {

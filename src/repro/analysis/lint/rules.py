@@ -6,8 +6,12 @@ deliberately narrow: they encode *this* codebase's contracts, not
 general Python style — ruff handles style in CI alongside this linter.
 
 The per-file rules come first; the ``flow-*`` entries at the end
-register the whole-program contracts, whose logic lives in
-:mod:`repro.analysis.flow.graph` and :mod:`repro.analysis.flow.wirecheck`.
+register the whole-program determinism contracts, whose logic lives in
+:mod:`repro.analysis.flow.graph`.  A rule stays only while it catches a
+bug the tests miss (DESIGN.md "Static enforcement" has the mutation
+census): the wire protocol and the data-chunk write discipline have no
+rule here, because the wire tests and ``REPRO_SANITIZE=1`` catch every
+such bug at run time.
 """
 
 from __future__ import annotations
@@ -168,44 +172,6 @@ class StoreContractRule(Rule):
                            f"{node.name}.store() buffers in memory but the "
                            f"class defines no flush() path")
                 return
-
-
-@register_rule
-class ChunkDisciplineRule(Rule):
-    """Data-chunk bytes are written only through the MetricSet API.
-
-    §IV-B: every data-chunk write bumps the DGN and runs inside a
-    transaction that manages the consistent flag.  A raw
-    ``pack_into``/``memoryview`` write anywhere else produces torn data
-    that consumers cannot detect.  Only the set/arena/wire layer that
-    *implements* the API may touch raw buffers (whitelisted below);
-    the runtime half of this rule is ``REPRO_SANITIZE=1``
-    (:mod:`repro.core.sanitize`).
-    """
-
-    rule_id = "chunk-discipline"
-    description = "no raw pack_into/memoryview writes outside the set layer"
-    paper_ref = "§IV-B metric set format"
-    default_packages = ("repro",)
-    default_allowed_modules = (
-        "repro.core.metric_set",
-        "repro.core.memory",
-        "repro.core.wire",
-        "repro.core.metric",
-        "repro.core.sanitize",
-    )
-    interests = (ast.Call,)
-
-    def visit(self, node: ast.Call, ctx) -> None:
-        f = node.func
-        if isinstance(f, ast.Attribute) and f.attr == "pack_into":
-            ctx.report(self, node,
-                       "raw pack_into write outside the MetricSet layer — "
-                       "go through set_value/set_values so the DGN advances")
-        elif isinstance(f, ast.Name) and f.id == "memoryview":
-            ctx.report(self, node,
-                       "raw memoryview over set storage outside the "
-                       "MetricSet layer — use data_view()/set accessors")
 
 
 @register_rule
@@ -612,33 +578,3 @@ class UnorderedIterationContract(ProgramRule):
         "ordering in replay-sensitive packages"
     )
     paper_ref = "§IV same-seed byte-identical replay"
-
-
-@register_rule
-class WireConformanceContract(ProgramRule):
-    rule_id = "flow-wire-conformance"
-    description = (
-        "encoder/decoder struct formats, field widths, and flag masks must "
-        "agree for every wire message"
-    )
-    paper_ref = "§IV-B wire protocol"
-
-
-@register_rule
-class MsgtypeCoverageContract(ProgramRule):
-    rule_id = "flow-msgtype-coverage"
-    description = (
-        "every MsgType must be producible and consumable, with REQ/REPLY "
-        "pairing intact"
-    )
-    paper_ref = "§IV-B wire protocol"
-
-
-@register_rule
-class HelloSymmetryContract(ProgramRule):
-    rule_id = "flow-hello-symmetry"
-    description = (
-        "HELLO feature gates must be advertised and consumed symmetrically "
-        "across transports"
-    )
-    paper_ref = "§IV-B transport negotiation"

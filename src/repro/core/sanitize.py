@@ -4,9 +4,9 @@ The paper's consumers detect torn and stale data with three header
 fields — DGN, consistent flag, MGN — which only works if every producer
 write honors the discipline: values change only inside a transaction,
 every value write bumps the DGN, and the metadata chunk is immutable
-after publication.  The ``chunk-discipline`` lint rule bans raw buffer
-writes statically; this module is the dynamic half, in the spirit of
-ASan shadow memory.
+after publication.  This module checks that at run time, in the spirit
+of ASan shadow memory; tier-1 runs under it in CI, which is why no
+static rule bans raw buffer writes (DESIGN.md "Static enforcement").
 
 With ``REPRO_SANITIZE`` set, every :class:`~repro.core.metric_set.
 MetricSet` keeps a shadow record — CRC of the data chunk's payload

@@ -123,8 +123,8 @@ class MsgType:
     # 5/6 are reserved: no codec, no sender (an update is a one-sided
     # read).  The names stay so no later message reuses the numbers; the
     # ledger's frame microbench stamps its frames with UPDATE_REPLY.
-    UPDATE_REQ = 5  # reprolint: ignore[flow-msgtype-coverage] -- reserved number, no codec by design
-    UPDATE_REPLY = 6  # reprolint: ignore[flow-msgtype-coverage] -- reserved number, no codec by design
+    UPDATE_REQ = 5  # reserved number, no codec by design
+    UPDATE_REPLY = 6  # reserved number, no codec by design
     RDMA_READ_REQ = 7  # transport-internal: sock emulation of a read
     RDMA_READ_REPLY = 8
     ADVERTISE = 9  # passive mode: a sampler announces itself to an

@@ -2,11 +2,10 @@
 
 Coverage follows the layers: module summary extraction, call-graph
 resolution + effect propagation (multi-module ``Engine.lint_sources``
-runs), wire-protocol conformance, the ``repro-lint`` CLI against the
-deliberately-broken fixture projects under ``tests/flow_fixtures/``,
-and a self-host pass asserting the shipped tree is clean under the
-repo's own ``pyproject.toml``.  The engine itself (suppressions,
-config, reporters, per-file rules) is covered by ``test_reprolint.py``.
+runs) and the ``repro-lint`` CLI against the deliberately-broken
+fixture project under ``tests/flow_fixtures/``.  The engine itself
+(suppressions, config, reporters, per-file rules) and the self-host
+pass over the shipped tree are covered by ``test_reprolint.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.analysis.lint import Engine, LintConfig, LintConfigError, all_rules
 from repro.analysis.lint.cli import main as lint_main
 
 FIXTURES = Path(__file__).parent / "flow_fixtures"
-REPO_ROOT = Path(__file__).parent.parent
 
 
 def des_config(**overrides) -> FlowConfig:
@@ -31,8 +29,6 @@ def des_config(**overrides) -> FlowConfig:
         des_pure_packages=("p",),
         boundary_modules=(),
         ordered_packages=("p",),
-        wire_modules=(),
-        transport_modules=(),
         dispatch_roots=(),
     )
     base.update(overrides)
@@ -258,69 +254,6 @@ class TestPropagation:
         assert report2.exit_code == 1
 
 
-class TestWireConformance:
-    def wire_config(self):
-        return FlowConfig(
-            des_pure_packages=(),
-            boundary_modules=(),
-            ordered_packages=(),
-            wire_modules=("w",),
-            transport_modules=("w",),
-            dispatch_roots=(),
-        )
-
-    def test_matching_pair_is_clean(self):
-        src = textwrap.dedent(
-            """
-            import struct
-
-            class MsgType:
-                DATA = 1
-
-            def pack_data(seq, val):
-                return struct.pack("<IQ", seq, val)
-
-            def unpack_data(payload):
-                return struct.unpack_from("<IQ", payload, 0)
-            """
-        )
-        report = analyze_sources({"w": src}, self.wire_config())
-        assert not [v for v in report.violations
-                    if v.rule == "flow-wire-conformance" and v.severity == "error"]
-
-    def test_format_mismatch_reports_frame_layout(self):
-        src = (FIXTURES / "bad_wire" / "src" / "badwire.py").read_text()
-        report = analyze_sources({"w": src}, self.wire_config())
-        wire = [v for v in report.violations if v.rule == "flow-wire-conformance"]
-        mismatch = [v for v in wire if "disagrees" in v.message]
-        assert mismatch and mismatch[0].chain  # both frame layouts in the trace
-        offsets = [v for v in wire if "slices the payload" in v.message]
-        assert offsets and "16 bytes" in offsets[0].message
-
-    def test_row_group_of_a_cached_struct_is_in_the_symmetry_check(self):
-        # The real wire module: QUERY_REPLY's rows go through a cached
-        # per-width Struct (bound ``pack`` on one side, ``iter_unpack``
-        # on the other).  The gate must read that layout — a decoder
-        # that narrows comp_id is an error, not an unresolvable format.
-        path = Path(__file__).parent.parent / "src/repro/core/wire.py"
-        src = path.read_text()
-        report = analyze_sources({"w": src}, self.wire_config())
-        assert not [v for v in report.violations
-                    if v.rule == "flow-wire-conformance"
-                    and v.severity == "error"]
-        anchor = "    row = query_row_struct(ncols)\n"
-        assert src.count(anchor) == 1
-        drifted = src.replace(
-            anchor, '    row = struct.Struct(f"<dH{ncols}d")\n')
-        report = analyze_sources({"w": drifted}, self.wire_config())
-        (v,) = [v for v in report.violations
-                if v.rule == "flow-wire-conformance"
-                and v.severity == "error"]
-        assert "unpack_query_reply" in v.message
-        assert ("decoder reads [i B I loop[H] I loop[d H {n}d]] but encoder "
-                "writes [i B I loop[H] I loop[d I {n}d]]") in v.message
-
-
 class TestCliFixtures:
     def run_fixture(self, name, capsys, extra=()):
         fixture = FIXTURES / name
@@ -339,23 +272,6 @@ class TestCliFixtures:
         assert "in despkg.helper.stamp: calls extutil.wallclock" in out
         assert "in extutil.wallclock: calls time.time()" in out
 
-    def test_bad_wire_reports_format_and_offset(self, capsys):
-        code, out = self.run_fixture("bad_wire", capsys)
-        assert code == 1
-        assert "flow-wire-conformance" in out
-        assert "decoder reads [I I] but encoder writes [I Q]" in out
-        assert ("decoder reads [I loop[d H {n}d]] but encoder writes "
-                "[I loop[d I {n}d]]") in out
-        assert "slices the payload at byte 12" in out
-        assert "'<iQI' is 16 bytes" in out
-
-    def test_bad_hello_gate_can_never_open(self, capsys):
-        code, out = self.run_fixture("bad_hello", capsys)
-        assert code == 1
-        assert "flow-hello-symmetry" in out
-        assert "never advertised" in out
-        assert "trace-ctx-v2" in out
-
     def test_json_report_schema(self, capsys):
         code, out = self.run_fixture("bad_des", capsys, extra=("--format", "json"))
         assert code == 1
@@ -372,7 +288,7 @@ class TestCliFixtures:
     def test_sarif_output(self, capsys, tmp_path):
         sarif_file = tmp_path / "flow.sarif"
         code, out = self.run_fixture(
-            "bad_wire", capsys,
+            "bad_des", capsys,
             extra=("--format", "sarif", "--sarif-out", str(sarif_file)),
         )
         assert code == 1
@@ -380,13 +296,13 @@ class TestCliFixtures:
         assert doc["version"] == "2.1.0"
         driver = doc["runs"][0]["tool"]["driver"]
         assert driver["name"] == "repro-lint"
-        assert any(r["id"] == "flow-wire-conformance" for r in driver["rules"])
+        assert any(r["id"] == "flow-des-purity" for r in driver["rules"])
         assert doc == json.loads(sarif_file.read_text())
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert len(FLOW_RULE_IDS) == 7
+        assert len(FLOW_RULE_IDS) == 4
         for rule_id in FLOW_RULE_IDS:
             assert rule_id in out
 
@@ -407,30 +323,22 @@ class TestConfig:
             LintConfig.from_table({"flow": {"wat": []}})
 
     def test_removed_shard_keys_are_unknown(self):
-        # A pyproject.toml still naming the deleted shard-isolation
-        # contract fails loudly instead of being silently ignored.
-        with pytest.raises(LintConfigError, match="shard-entry-points"):
-            FlowConfig.from_table({"shard-entry-points": ["p.worker.run"]})
-        with pytest.raises(LintConfigError, match="shard-allowed-modules"):
-            FlowConfig.from_table({"shard-allowed-modules": []})
+        # A pyproject.toml still naming a deleted contract's scope (the
+        # shard-isolation contract, the wire pass) fails loudly instead
+        # of being silently ignored.
+        for key, value in [
+            ("shard-entry-points", ["p.worker.run"]),
+            ("shard-allowed-modules", []),
+            ("wire-modules", ["repro.core.wire"]),
+            ("transport-modules", ["repro.core.wire"]),
+            ("features-const", "BASE_FEATURES"),
+            ("msg-type-class", "MsgType"),
+        ]:
+            with pytest.raises(LintConfigError, match=key):
+                FlowConfig.from_table({key: value})
 
     def test_package_scoping(self):
         cfg = FlowConfig(des_pure_packages=("repro.sim",))
         assert cfg.in_des_pure("repro.sim")
         assert cfg.in_des_pure("repro.sim.des")
         assert not cfg.in_des_pure("repro.simx")
-
-
-class TestSelfHost:
-    def test_tree_is_flow_clean(self, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        cfg = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-        cfg.select = tuple(FLOW_RULE_IDS)
-        report = Engine(cfg).lint_paths(["src"])
-        assert report.errors == []
-        assert report.warnings == []
-        # The reserved wire numbers 5/6 (test_reprolint.py pins which).
-        assert {v.rule for v in report.suppressed} == {"flow-msgtype-coverage"}
-        assert report.exit_code == 0
-        assert report.stats["flow_modules_analyzed"] > 100
-        assert report.stats["flow_edges"] > 0

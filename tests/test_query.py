@@ -69,12 +69,25 @@ class TestQueryWire:
             wire.unpack_query_req(good[:30])
 
     def test_msg_types_survive_flag_mask(self):
-        # QUERY frames must round-trip through encode/decode like every
-        # other MsgType (the high bit carries TRACE_FLAG).
-        for mt in (wire.MsgType.QUERY_REQ, wire.MsgType.QUERY_REPLY):
-            frame = wire.decode_frame(wire.encode_frame(mt, 42, b"x"))
-            assert frame.msg_type == mt
-            assert frame.request_id == 42
+        # Every MsgType (the QUERY pair included) is a distinct number
+        # below TRACE_FLAG and round-trips through encode/decode with
+        # and without a trace blob: the high bit carries TRACE_FLAG and
+        # the decoders mask it off.
+        members = {name: v for name, v in vars(wire.MsgType).items()
+                   if not name.startswith("_")}
+        assert {"QUERY_REQ", "QUERY_REPLY", "HELLO"} <= set(members)
+        assert len(set(members.values())) == len(members)
+        trace = ((0, 7, 3, 1),)
+        for name, mt in members.items():
+            assert 0 < mt < wire.TRACE_FLAG, name
+            for tr in (None, trace):
+                raw = wire.encode_frame(mt, 42, b"x", tr)
+                for frame in (wire.decode_frame(raw),
+                              *wire.FrameDecoder().feed(raw)):
+                    assert frame.msg_type == mt, (name, tr)
+                    assert frame.request_id == 42
+                    assert frame.payload == b"x"
+                    assert frame.trace == tr
 
 
 class TestQueryEngine:

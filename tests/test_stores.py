@@ -228,6 +228,14 @@ class TestFlatFileStore:
         s.submit(rec(t=2.0))
         s.close()
         assert len((tmp_path / "mem" / "a").read_text().splitlines()) == 2
+        # With the default buffer, flush() is what puts a line on disk.
+        s = FlatFileStore()
+        s.config(path=str(tmp_path / "buffered"))
+        s.submit(rec(t=3.0))
+        s.flush()
+        assert (tmp_path / "buffered" / "mem" / "a").read_text() == (
+            "3.000000 1 10\n")
+        s.close()
 
     def test_unsafe_names_sanitized(self, tmp_path):
         s = FlatFileStore()

@@ -1,6 +1,7 @@
 """Tests for the transport layer: real TCP, simulated fabric."""
 
 import threading
+import time
 
 import pytest
 
@@ -19,6 +20,17 @@ from repro.util.errors import ConfigError, TransportError
 
 def frame(payload=b"x"):
     return wire.encode_frame(wire.MsgType.DIR_REQ, 1, payload)
+
+
+def assert_every_gate_open(*eps):
+    # Two default endpoints advertise BASE_FEATURES to each other, so
+    # every feature gate (each ``*_ok`` flag negotiation sets) must be
+    # open after the HELLO: a gate keyed on a feature no build
+    # advertises can never open.
+    for ep in eps:
+        gates = {k: v for k, v in vars(ep).items() if k.endswith("_ok")}
+        assert set(gates) >= {"trace_ok", "query_ok"}
+        assert all(gates.values()), gates
 
 
 class TestProfiles:
@@ -64,6 +76,16 @@ class TestSockTransport:
         assert done.wait(5.0)
         assert server_ready.wait(5.0)
         return lst, accepted[0], client["ep"]
+
+    def test_hello_opens_every_gate(self):
+        lst, server, client = self._pair()
+        deadline = time.monotonic() + 5.0
+        while not (server.peer_features and client.peer_features):
+            assert time.monotonic() < deadline, "no HELLO within 5 s"
+            time.sleep(0.01)
+        assert_every_gate_open(server, client)
+        client.close()
+        lst.close()
 
     def test_send_receive(self):
         lst, server, client = self._pair()
@@ -161,6 +183,10 @@ class TestSimFabric:
             "s:1", lambda ep: cl.update(ep=ep))
         eng.run()
         return eps[0], cl["ep"]
+
+    def test_establish_opens_every_gate(self):
+        eng, fabric = self._world()
+        assert_every_gate_open(*self._pair(eng, fabric))
 
     def test_connect_unknown_address(self):
         eng, fabric = self._world()
