@@ -132,49 +132,6 @@ class SamplerContractRule(Rule):
 
 
 @register_rule
-class StoreContractRule(Rule):
-    """Stores define store(); buffering requires a flush path.
-
-    §IV-A: stores are the pipeline's durability boundary.  A store that
-    appends to in-memory state inside ``store()`` without overriding
-    ``flush()`` buffers unboundedly and loses everything on a crash —
-    the failure mode the paper's CSV/MySQL stores avoid by flushing on
-    a cadence.
-    """
-
-    rule_id = "store-contract"
-    description = "stores: store() required; buffering needs a flush() override"
-    paper_ref = "§IV-A/C storage; DESIGN 'System inventory'"
-    default_packages = ("repro.plugins.stores",)
-    interests = (ast.ClassDef,)
-
-    def visit(self, node: ast.ClassDef, ctx) -> None:
-        is_store = (
-            _class_has_decorator(node, "register_store", ctx)
-            or "StorePlugin" in _class_bases(node)
-        )
-        if not is_store or node.name == "StorePlugin":
-            return
-        methods = _methods(node)
-        if "store" not in methods:
-            ctx.report(self, node,
-                       f"store {node.name} does not define store()")
-            return
-        if "flush" in methods:
-            return
-        for sub in ast.walk(methods["store"]):
-            if (isinstance(sub, ast.Call)
-                    and _is_self_attr_call(sub, "append")
-                    and isinstance(sub.func.value, ast.Attribute)
-                    and isinstance(sub.func.value.value, ast.Name)
-                    and sub.func.value.value.id == "self"):
-                ctx.report(self, sub,
-                           f"{node.name}.store() buffers in memory but the "
-                           f"class defines no flush() path")
-                return
-
-
-@register_rule
 class ArenaSweepDisciplineRule(Rule):
     """Arena sweep modules stay columnar: no per-row loops or struct.
 

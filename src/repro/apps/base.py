@@ -72,12 +72,6 @@ class MonitoringSpec:
         return cls(interval=60.0, **kw)
 
     @classmethod
-    def half_metrics(cls, interval: float = 1.0,
-                     plugin_costs: tuple[float, ...] = ()) -> "MonitoringSpec":
-        return cls(interval=interval, metric_fraction=0.5,
-                   plugin_costs=plugin_costs)
-
-    @classmethod
     def chama_plugins(cls, interval: float = 1.0,
                       metric_fraction: float = 1.0) -> "MonitoringSpec":
         """The 7-plugin Chama sampler mix (§IV-G): one heavy per-cpu
@@ -160,15 +154,6 @@ class NoiseModel:
         lo = np.ceil((t0 - self.offsets) / iv)
         hi = np.ceil((t1 - self.offsets) / iv)
         return np.maximum(hi - lo, 0).astype(np.int64)
-
-    def node_fire_times(self, node: int, t0: float, t1: float) -> np.ndarray:
-        if not self.spec.monitored:
-            return np.empty(0)
-        iv = self.spec.interval
-        off = self.offsets[node]
-        k0 = int(np.ceil((t0 - off) / iv))
-        k1 = int(np.ceil((t1 - off) / iv))
-        return off + iv * np.arange(k0, k1)
 
 
 @dataclass

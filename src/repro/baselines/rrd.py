@@ -94,7 +94,3 @@ class RoundRobinDatabase:
             if rra.span >= max_age_points:
                 return rra.series()
         return self.archives[-1].series()
-
-    @property
-    def total_overwritten(self) -> int:
-        return sum(r.overwritten for r in self.archives)

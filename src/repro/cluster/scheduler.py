@@ -222,10 +222,6 @@ class Scheduler:
         self.log.append((self.env.now(), event, job.job_id, detail))
 
     # ------------------------------------------------------------------
-    def job_of_node(self, idx: int) -> Optional[Job]:
-        jid = self.machine.nodes[idx].job_id
-        return self.jobs.get(jid) if jid is not None else None
-
     def last_job_of_node(self, idx: int) -> Optional[Job]:
         """The most recent job (running or finished) placed on a node —
         what an administrator correlating stored data with the job log

@@ -83,10 +83,10 @@ class _PendingRow:
     delivery was routed to.
 
     The delivery stages the data chunk and defers record construction
-    to the flush drain, where all staged rows of one layout decode as a
-    single 2-D array sweep.  ``data`` is the immutable ``bytes`` the
-    read returned, so a mirror re-installed before the flush drains
-    cannot change what gets stored.  A row ``shared`` by several stores
+    to the flush drain, which decodes each row with one compiled
+    ``struct`` unpack.  ``data`` is the immutable ``bytes`` the read
+    returned, so a mirror re-installed before the flush drains cannot
+    change what gets stored.  A row ``shared`` by several stores
     has one record slot: the first drain to reach it fills ``record``
     and every other store's drain reuses it, so the row is decoded once
     (two real flush threads racing to fill it decode the same bytes to
@@ -960,12 +960,13 @@ class Ldmsd:
         ``data``: the chunk the mirror was just installed from.
 
         The delivery stages ``data`` and defers :class:`StoreRecord`
-        construction to the flush drain, where every staged row of one
-        layout decodes as a single 2-D numpy sweep.  ``data`` is the
-        immutable ``bytes`` the read returned, so it pins the delivered
-        bytes without a copy: a mirror re-installed before the drain
-        cannot change what is stored.  The routing (cached per mirror)
-        is the only policy check the row ever gets; the stores trust it.
+        construction to the flush drain, which decodes each row once
+        (:meth:`_materialize_rows`), however many stores it feeds.
+        ``data`` is the immutable ``bytes`` the read returned, so it
+        pins the delivered bytes without a copy: a mirror re-installed
+        before the drain cannot change what is stored.  The routing
+        (cached per mirror) is the only policy check the row ever gets;
+        the stores trust it.
         """
         if not self.stores:
             return
@@ -1009,7 +1010,7 @@ class Ldmsd:
 
     def _flush_batched(self, batch: _FlushBatch) -> None:
         """Flush-pool task: drain one sealed batch through the store's
-        vectorized write, then reschedule if rows accumulated while the
+        batched write, then reschedule if rows accumulated while the
         worker was busy (a loaded flush thread runs back-to-back)."""
         with self.lock:
             if batch.sealed is None:
@@ -1026,60 +1027,27 @@ class Ldmsd:
             else:
                 batch.scheduled = False
 
-    #: Staged groups below this size decode row-by-row: reshaping a
-    #: couple of rows through numpy costs more than two struct unpacks.
-    _VEC_MIN_ROWS = 4
-
     def _materialize_rows(self, rows: list[_PendingRow]) -> list[StoreRecord]:
         """Turn a drained batch into records, decoding each row once.
 
-        Rows not yet decoded by another store's drain are grouped by
-        compiled layout and joined into a single (n_rows, data_size)
-        uint8 matrix; one strided view + ``tolist()`` then decodes every
-        value of every row — the store-side half of the §IV-D claim that
-        per-record costs must not scale with fan-in.  The decoded Python
-        values are exactly what per-row ``struct`` unpacking yields, so
-        downstream formatting is byte-identical.
+        Every row decodes through :meth:`MetricSet.snapshot_values` (one
+        compiled ``struct`` unpack); a row another store's drain already
+        decoded reuses its record.  A 2-D numpy sweep over same-layout
+        rows is no faster at any batch shape timed, and slower on small
+        batches (DESIGN.md "Vectorized branches, by measurement").
         """
         out: list = []
-        groups: dict = {}
-        for i, row in enumerate(rows):
+        for row in rows:
             record = row.record
             if record is None:  # not yet decoded by another store's drain
-                groups.setdefault(row.mirror._compiled, []).append(i)
-            out.append(record)
-        for cs, idxs in groups.items():
-            mtypes = cs.mtypes
-            dtype = cs.array_dtype
-            if dtype is not None and len(idxs) >= self._VEC_MIN_ROWS:
-                import numpy as np
-
-                first = rows[idxs[0]]
-                width = first.card * np.dtype(dtype).itemsize
-                mat = np.frombuffer(
-                    b"".join([rows[i].data for i in idxs]), dtype=np.uint8
-                ).reshape(len(idxs), len(first.data))
-                vals = (mat[:, cs.first_offset:cs.first_offset + width]
-                        .view(dtype).tolist())
-                # One vectorized sweep: per batch, so looked up by name.
-                self.obs.counter("arena.sweeps").inc()
-                self.obs.counter("arena.rows_vectorized").inc(len(idxs))
-                for i, v in zip(idxs, vals):
-                    row = rows[i]
-                    m = row.mirror
-                    out[i] = record_of((row.ts, row.producer, m.name, m.schema,
-                                        m._names, m._comp_ids, tuple(v), mtypes))
-            else:
-                for i in idxs:
-                    row = rows[i]
-                    m = row.mirror
-                    out[i] = record_of((row.ts, row.producer, m.name, m.schema,
-                                        m._names, m._comp_ids,
-                                        m.snapshot_values(row.data), mtypes))
-            for i in idxs:
-                row = rows[i]
+                m = row.mirror
+                record = record_of((row.ts, row.producer, m.name, m.schema,
+                                    m._names, m._comp_ids,
+                                    m.snapshot_values(row.data),
+                                    m._compiled.mtypes))
                 if row.shared:
-                    row.record = out[i]
+                    row.record = record
+            out.append(record)
         return out
 
     def _flush_rows(self, store: StorePlugin, rows: list[_PendingRow]) -> None:
@@ -1164,11 +1132,6 @@ class Ldmsd:
         summed over the transports that count them."""
         return sum(getattr(x, "refused_connections", 0)
                    for x in self.transports.values())
-
-    def total_set_bytes(self) -> int:
-        """Total metric-set memory (metadata + data) held by the daemon."""
-        with self.lock:
-            return sum(s.total_size for s in self._sets.values())
 
     def shutdown(self) -> None:
         if self._shutdown:

@@ -38,8 +38,8 @@ finds its layout through its (names, types) :class:`_Template`, so the
 per-metric checks ran when the template compiled.  The hot producer path
 (:meth:`set_all` / :meth:`set_values`) is then one ``pack_into`` plus
 one DGN write, and the hot consumer path
-(:meth:`values` / :meth:`values_tuple` / :meth:`values_array`) is one
-``unpack_from`` — the paper's ~1.3 µs/metric collect cost (§IV-E)
+(:meth:`values` / :meth:`values_tuple` / :meth:`snapshot_values`) is
+one ``unpack_from`` — the paper's ~1.3 µs/metric collect cost (§IV-E)
 depends on exactly this "pay layout cost once" property.
 """
 
@@ -118,7 +118,6 @@ class _CompiledSchema:
         "mtypes",
         "array_dtype",
         "first_offset",
-        "mixed_dtype",
     )
 
 
@@ -161,12 +160,9 @@ def _compile_schema(
         cur = off + mtype.size
     cs.row_struct = struct.Struct("".join(fmt)) if ok and cur <= data_size else None
 
-    # Mixed-layout values_array target dtype, resolved lazily on first
-    # use (numpy promotion over the column types, computed once).
-    cs.mixed_dtype = None
-
-    # Homogeneous contiguous layouts additionally decode as one numpy
-    # frombuffer (the common all-U64 case: meminfo, lustre, bw, ...).
+    # Homogeneous contiguous layouts additionally get a numpy dtype (the
+    # common all-U64 case: meminfo, lustre, bw, ...), so a sampler cohort
+    # writes their values as one column sweep (repro.core.set_arena).
     cs.array_dtype = None
     if cs.row_struct is not None and mtypes:
         t0 = mtypes[0]
@@ -532,11 +528,6 @@ class MetricSet:
     def timestamp(self) -> float:
         return _STRUCT_D.unpack_from(self._data, _TS_OFF)[0]
 
-    @property
-    def data_mgn(self) -> int:
-        """MGN as carried in the data chunk (for mismatch detection)."""
-        return struct.unpack_from("<I", self._data, 0)[0]
-
     # ------------------------------------------------------------------
     # producer API
     # ------------------------------------------------------------------
@@ -645,41 +636,13 @@ class MetricSet:
     def values(self) -> list[float | int]:
         return list(self.values_tuple())
 
-    def values_array(self):
-        """Values as a numpy array (bulk store/analysis decode path).
-
-        Homogeneous contiguous layouts decode as a single ``frombuffer``
-        (copied out so the result does not alias the live data chunk);
-        mixed layouts go through the compiled row unpack into a result
-        dtype resolved once per schema (``np.asarray`` without a dtype
-        re-ran full type inference over every element on every call).
-        """
-        import numpy as np
-
-        if self._shadow is not None:
-            sanitize.check_read(self)
-        cs = self._compiled
-        dtype = cs.array_dtype
-        if dtype is not None:
-            return np.frombuffer(
-                self._data, dtype=dtype, count=self.card,
-                offset=cs.first_offset,
-            ).copy()
-        mixed = cs.mixed_dtype
-        if mixed is None:
-            mixed = cs.mixed_dtype = np.result_type(
-                *(np.dtype(_NUMPY_CODE[t]) for t in cs.mtypes)
-            )
-        return np.asarray(self.values_tuple(), dtype=mixed)
-
     def snapshot_values(self, data: bytes) -> tuple[float | int, ...]:
         """Decode a raw data-chunk snapshot taken from this set's layout.
 
-        The columnar flush path stages the delivered data chunk at
-        delivery time and materializes records later; this is the scalar decode
-        for layouts (or batch sizes) the vectorized sweep doesn't cover.
-        No sanitize check: the snapshot is already detached from the
-        live chunk.
+        The store flush stages the delivered data chunk at delivery time
+        and builds records later; this is its one decode, a row per call
+        (``Ldmsd._materialize_rows``).  No sanitize check: the snapshot
+        is already detached from the live chunk.
         """
         cs = self._compiled
         rs = cs.row_struct

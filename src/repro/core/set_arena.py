@@ -5,19 +5,11 @@ simulated node population with rows of one contiguous numpy block
 (rows = sets, columns = bytes of the data chunk).  Individually
 allocated :class:`~repro.core.metric_set.MetricSet` objects remain the
 API — each set's ``_data`` chunk simply becomes a memoryview of its
-arena row — but the hot loops gain whole-population sweeps:
-
-* **sampling** — a :class:`SampleCohort` fires every same-phase
-  synthetic sampler with one periodic timer and one finish event,
-  writing values / DGN / timestamp / consistent-flag columns for all
-  member rows in single numpy ops (paper §IV-A: the per-metric collect
-  cost amortized across the node class);
-* **store flush** — staged row snapshots decode as one 2-D
-  ``frombuffer`` per flush batch instead of one struct unpack per row,
-  once per row however many stores it feeds (§IV-D: the aggregator's
-  store cost).  That sweep (``Ldmsd._materialize_rows``) needs only the
-  read's bytes and the compiled layout, not arena rows, so ``RealEnv``
-  daemons, which have no pool, deliver the same way.
+arena row — but sampling gains a whole-population sweep: a
+:class:`SampleCohort` fires every same-phase synthetic sampler with one
+periodic timer and one finish event, writing values / DGN / timestamp /
+consistent-flag columns for all member rows in single numpy ops (paper
+§IV-A: the per-metric collect cost amortized across the node class).
 
 Everything is DES-pure: cohort members replicate the exact per-member
 accounting (worker-pool grants, busy time, transaction flags, sanitizer

@@ -23,7 +23,7 @@ deterministic under the DES and wall-clock-driven under ``RealEnv``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.core.env import Env
@@ -122,9 +122,6 @@ class Watchdog:
                             postmortem_daemons=tuple(postmortem_daemons))
         self.targets[name] = tgt
         return tgt
-
-    def unwatch(self, name: str) -> None:
-        self.targets.pop(name, None)
 
     def watch_aggregator(
         self,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.network.congestion import delivered_bandwidth, stall_fraction
+from repro.network.congestion import stall_fraction
 from repro.util.errors import SimulationError
 
 __all__ = ["FatTree"]
@@ -89,15 +89,6 @@ class FatTree:
             np.clip(arr, 0.0, None, out=arr)
 
     # ------------------------------------------------------------------
-    def node_stall(self, node: int) -> float:
-        """Worst stall fraction on the node's access links."""
-        return float(
-            max(
-                stall_fraction(self.access_up[node], self.link_bps),
-                stall_fraction(self.access_down[node], self.link_bps),
-            )
-        )
-
     def path_stall(self, src: int, dst: int) -> float:
         """Worst stall fraction along the src -> dst path."""
         sl, dl = self.leaf_of(src), self.leaf_of(dst)
@@ -113,12 +104,6 @@ class FatTree:
                 stall_fraction(self.uplink_down[dl, up], self.link_bps),
             )
         return float(worst)
-
-    def node_delivered_bps(self, node: int) -> float:
-        return float(
-            delivered_bandwidth(self.access_up[node], self.link_bps)
-            + delivered_bandwidth(self.access_down[node], self.link_bps)
-        )
 
     def latency(self, src: int, dst: int, nbytes: int,
                 per_hop: float = 1.0e-6) -> float:

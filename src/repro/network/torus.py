@@ -85,9 +85,6 @@ class GeminiTorus:
     # ------------------------------------------------------------------
     # links
     # ------------------------------------------------------------------
-    def dim_media(self, dim: int) -> str:
-        return self.media[dim]
-
     def link_capacity(self, direction: int | str) -> float:
         """Theoretical max bandwidth of a link in the given direction."""
         if isinstance(direction, str):

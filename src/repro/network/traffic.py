@@ -101,15 +101,6 @@ class FlowEngine:
         # Guard against floating-point drift going negative.
         np.clip(self.load, 0.0, None, out=self.load)
 
-    def set_flow_rate(self, fid: int, bps: float) -> None:
-        self.accumulate_to()
-        flow = self._flow_objs[fid]
-        delta = bps - flow.bps
-        for gem, d in flow.hops:
-            self.load[gem, d] += delta
-        flow.bps = bps
-        np.clip(self.load, 0.0, None, out=self.load)
-
     # ------------------------------------------------------------------
     # integration
     # ------------------------------------------------------------------

@@ -63,9 +63,6 @@ class MemoryStore(StorePlugin):
     def producers(self) -> list[str]:
         return sorted({r.producer for r in self.rows})
 
-    def schemas(self) -> list[str]:
-        return sorted({r.schema for r in self.rows})
-
     def set_names(self) -> list[str]:
         return sorted({r.set_name for r in self.rows})
 

@@ -7,9 +7,10 @@ Design notes
 * An :class:`Event` carries a list of callbacks; triggering an event
   schedules it onto the heap, and processing it invokes the callbacks.
   This two-phase structure (trigger now, fire at heap-pop) is what makes
-  "two processes wake at the same instant" well-defined.
-* The engine itself knows nothing about processes; ``repro.sim.process``
-  layers generator coroutines on top of callbacks.
+  "two waiters wake at the same instant" well-defined.
+* Simulated components are callbacks, not coroutines: a daemon
+  schedules ``call_later`` timers and periodic timers, and waits on an
+  Event (a worker-pool grant) by appending a callback to it.
 
 Queue
 -----
@@ -62,7 +63,7 @@ from typing import Any, Callable
 
 from repro.util.errors import SimulationError
 
-__all__ = ["Engine", "Event", "Timeout", "AllOf", "AnyOf"]
+__all__ = ["Engine", "Event"]
 
 # Event lifecycle states.
 PENDING = 0
@@ -135,21 +136,6 @@ class Event:
         callbacks, self.callbacks = self.callbacks, []
         for cb in callbacks:
             cb(self)
-
-
-class Timeout(Event):
-    """An event that fires automatically after ``delay`` seconds."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", delay: float, value: Any = None):
-        super().__init__(engine)
-        self._state = TRIGGERED
-        self._ok = True
-        self._value = value
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        engine._push(self, delay)
 
 
 class _Timer:
@@ -296,58 +282,6 @@ class _PeriodicTimer:
         fn()
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, engine: "Engine", events: list[Event]):
-        super().__init__(engine)
-        self._events = list(events)
-        self._remaining = len(self._events)
-        if not self._events:
-            self.succeed([])
-            return
-        for ev in self._events:
-            if ev.processed:
-                self._child_fired(ev)
-            else:
-                ev.callbacks.append(self._child_fired)
-
-    def _child_fired(self, ev: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every child event has fired; value is the value list."""
-
-    __slots__ = ()
-
-    def _child_fired(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            self.fail(ev.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([e.value for e in self._events])
-
-
-class AnyOf(_Condition):
-    """Fires when the first child event fires; value is that child."""
-
-    __slots__ = ()
-
-    def _child_fired(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            self.fail(ev.value)
-            return
-        self.succeed(ev)
-
-
 class Engine:
     """The simulation event loop.
 
@@ -390,9 +324,6 @@ class Engine:
     # -- event construction ----------------------------------------------
     def event(self) -> Event:
         return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
 
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> _Timer:
         """Schedule a plain callback; returns a cancellable timer.

@@ -21,7 +21,7 @@ Two generators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +41,6 @@ class HsnTraceResult:
     stall_pct: dict[str, np.ndarray]  # dir -> (T, G) percent of time stalled
     bw_pct: dict[str, np.ndarray]  # dir -> (T, G) percent of max bandwidth
     torus: GeminiTorus
-
-    def node_view(self, direction: str, kind: str = "stall") -> np.ndarray:
-        """(T, n_nodes) array: each node shows its Gemini's value
-        (2 nodes share a Gemini, §VI-A1)."""
-        grid = (self.stall_pct if kind == "stall" else self.bw_pct)[direction]
-        return np.repeat(grid, self.torus.nodes_per_gemini, axis=1)
 
     def snapshot(self, direction: str, t_index: int, kind: str = "stall"):
         """(coords (G,3), values (G,)) at one sample — the Fig. 9-bottom

@@ -29,14 +29,15 @@ class Resource:
     """A counted FIFO resource (like ``simpy.Resource``).
 
     ``request()`` returns an event that fires when a slot is granted;
-    release with ``release()``.  Typical use inside a process::
+    release with ``release()``.  A waiter appends a callback to the
+    grant (``repro.core.env`` queues pool tasks this way)::
 
-        req = pool.request()
-        yield req
-        try:
-            yield engine.timeout(work)
-        finally:
-            pool.release(req)
+        def granted(_ev):
+            engine.call_later(work, pool.release)
+
+        pool.request().callbacks.append(granted)
+
+    :meth:`try_acquire` claims a free slot without an Event.
     """
 
     __slots__ = ("engine", "capacity", "_in_use", "_queue", "max_in_use",
@@ -120,10 +121,6 @@ class NoiseRecord:
     duration: float
     tag: str
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
 
 class CpuCore:
     """A core that accumulates daemon busy-time for noise accounting.
@@ -154,12 +151,6 @@ class CpuCore:
         self._records.insert(pos, NoiseRecord(start, duration, tag))
         self.busy_total += duration
 
-    def noise_in(self, t0: float, t1: float) -> float:
-        """Total noise duration whose start lies in [t0, t1)."""
-        lo = bisect.bisect_left(self._starts, t0)
-        hi = bisect.bisect_left(self._starts, t1)
-        return sum(r.duration for r in self._records[lo:hi])
-
     def perturbed_finish(self, start: float, work: float) -> float:
         """Completion time of a burst of ``work`` seconds starting at ``start``.
 
@@ -178,9 +169,3 @@ class CpuCore:
 
     def records(self) -> list[NoiseRecord]:
         return list(self._records)
-
-    def clear_before(self, t: float) -> None:
-        """Drop records ending before ``t`` (bounds memory in long runs)."""
-        keep = [(s, r) for s, r in zip(self._starts, self._records) if r.end >= t]
-        self._starts = [s for s, _ in keep]
-        self._records = [r for _, r in keep]

@@ -60,9 +60,6 @@ class TransportProfile:
     max_connections:
         Endpoint capacity of one daemon — the transport-level fan-in
         bound (paper §IV-A: ~9,000:1 sock and IB RDMA, >15,000:1 ugni).
-    registered_mem_per_region:
-        Bytes of registered memory per exposed region ("a few kB",
-        §IV-D).
     """
 
     name: str
@@ -73,7 +70,6 @@ class TransportProfile:
     target_cpu_per_byte: float
     initiator_cpu_per_read: float
     max_connections: int
-    registered_mem_per_region: int = 4096
 
 
 #: Built-in profiles.  sock ~ commodity GigE/IPoIB; rdma ~ IB verbs;
@@ -239,9 +235,6 @@ class Endpoint:
             raise TransportError(f"region {region_id} already registered")
         self._regions[region_id] = reader
 
-    def unregister_region(self, region_id: int) -> None:
-        self._regions.pop(region_id, None)
-
     def read_regions(self, region_ids) -> list:
         """Serve-side materialization of a coalesced read request: one
         entry per region in request order, ``None`` where the region is
@@ -252,10 +245,6 @@ class Endpoint:
             reader = regions.get(rid)
             out.append(bytes(reader()) if reader is not None else None)
         return out
-
-    @property
-    def registered_regions(self) -> int:
-        return len(self._regions)
 
     def rdma_read(
         self, region_id: int, on_complete: Callable[[Optional[bytes]], None],

@@ -404,11 +404,6 @@ class SimTransport(Transport):
     def connections(self) -> int:
         return self._conn_count
 
-    @property
-    def registered_memory(self) -> int:
-        """Registered-memory footprint implied by open connections."""
-        return self._conn_count * self.profile.registered_mem_per_region
-
     def listen(self, addr, on_connect) -> _SimListener:
         if addr in self.fabric._listeners:
             raise TransportError(f"sim address {addr!r} already listening")
@@ -450,4 +445,3 @@ class SimTransport(Transport):
             on_connected(a)
 
         eng.call_later(self.profile.connect_latency, establish)
-

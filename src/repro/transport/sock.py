@@ -161,6 +161,9 @@ class _SockEndpoint(Endpoint):
         except OSError:
             pass
         finally:
+            # The peer may have closed first; close() is then a no-op,
+            # so the socket is released here.
+            self.sock.close()
             self._fail_pending()
             self._closed()
 

@@ -28,10 +28,6 @@ class WireError(ReproError):
     message handlers drop and count the frame."""
 
 
-class ConnectionLost(TransportError):
-    """The peer endpoint went away mid-operation."""
-
-
 class LookupError_(ReproError):
     """A metric-set lookup failed (set not found on the peer).
 

@@ -130,21 +130,3 @@ def normalized(values, reference: float) -> np.ndarray:
 def percentile(values, q: float) -> float:
     """Convenience wrapper keeping analysis code NumPy-free at call sites."""
     return float(np.percentile(np.asarray(values, dtype=np.float64), q))
-
-
-def overlap_fraction(a: np.ndarray, b: np.ndarray) -> float:
-    """Fraction of b's observed range that overlaps a's observed range.
-
-    Used to state the paper's qualitative "the monitored distribution is
-    within the unmonitored run-to-run variation" conclusion numerically.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    lo = max(a.min(), b.min())
-    hi = min(a.max(), b.max())
-    if hi <= lo:
-        return 0.0
-    width = b.max() - b.min()
-    if width == 0:
-        return 1.0 if a.min() <= b.min() <= a.max() else 0.0
-    return float((hi - lo) / width)

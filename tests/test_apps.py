@@ -30,12 +30,6 @@ class TestMonitoringSpec:
         spec = MonitoringSpec.interval_1s()
         assert spec.effective_cost == pytest.approx(400e-6)
 
-    def test_half_metrics_cost_between(self):
-        full = MonitoringSpec.interval_1s()
-        half = MonitoringSpec.half_metrics()
-        none = MonitoringSpec(interval=1.0, metric_fraction=0.0)
-        assert none.effective_cost < half.effective_cost < full.effective_cost
-
     def test_chama_plugin_mix(self):
         spec = MonitoringSpec.chama_plugins()
         assert len(spec.active_plugin_costs) == 7
@@ -70,14 +64,6 @@ class TestNoiseModel:
         rng = spawn_rng(1, "nm")
         nm = NoiseModel(MonitoringSpec(interval=1.0, synchronized=True), 5, rng)
         assert (nm.offsets == 0).all()
-
-    def test_node_fire_times_consistent_with_counts(self):
-        rng = spawn_rng(2, "nm")
-        nm = NoiseModel(MonitoringSpec.interval_20s(), 8, rng)
-        for node in range(8):
-            times = nm.node_fire_times(node, 10.0, 200.0)
-            assert len(times) == nm.fires_in(10.0, np.full(8, 200.0))[node]
-            assert ((times >= 10.0) & (times < 200.0)).all()
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.1, 50.0), st.floats(0.0, 100.0), st.floats(0.01, 200.0))

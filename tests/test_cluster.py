@@ -181,7 +181,6 @@ class TestScheduler:
         m, sched = sched_world
         job = sched.submit(JobSpec("j", n_nodes=2, duration=5.0))
         m.run(until=10.0)
-        assert sched.job_of_node(0) is None  # finished
         assert sched.last_job_of_node(0) is job
 
     def test_delayed_submission(self, sched_world):

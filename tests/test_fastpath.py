@@ -243,20 +243,10 @@ class TestPeekAndMirrorDecode:
         mirror.apply_data(s.data_bytes())
         assert mirror.values() == s.values()
         assert mirror.values_tuple() == s.values_tuple()
-        assert list(mirror.values_array()) == list(s.values_array())
+        assert mirror.snapshot_values(s.data_bytes()) == s.values_tuple()
         assert mirror.as_dict() == s.as_dict()
         assert mirror.dgn == s.dgn
         assert mirror.timestamp == s.timestamp
-
-    def test_values_array_homogeneous_is_detached_copy(self, arena):
-        s = MetricSet.create(
-            "n/v", "v",
-            [(f"m{i}", MetricType.U64, 0) for i in range(4)], arena)
-        s.set_all([1, 2, 3, 4], timestamp=0.0)
-        arr = s.values_array()
-        assert arr.dtype.kind == "u" and list(arr) == [1, 2, 3, 4]
-        s.set_all([9, 9, 9, 9], timestamp=1.0)
-        assert list(arr) == [1, 2, 3, 4]  # no aliasing of the live chunk
 
     def test_unordered_foreign_layout_falls_back(self):
         """A mirror built from metadata whose descriptors are not in

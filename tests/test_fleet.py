@@ -15,7 +15,6 @@ from repro.cluster import JobSpec, Scheduler, blue_waters
 from repro.network.torus import GeminiTorus
 from repro.sim.fleet import HsnFleetTrace, RateFleet
 from repro.util.errors import SimulationError
-from repro.util.rngtools import spawn_rng
 
 
 class TestHsnFleetTrace:
@@ -52,14 +51,6 @@ class TestHsnFleetTrace:
         tr = HsnFleetTrace(self._torus())
         with pytest.raises(SimulationError):
             tr.add_flow_window(10.0, 5.0, 0, 1, 1e9)
-
-    def test_node_view_doubles_rows(self):
-        tr = HsnFleetTrace(self._torus(), sample_interval=60.0)
-        tr.add_flow_window(0.0, 60.0, 0, 32, 1e9)
-        res = tr.run(60.0, ("X+",))
-        nv = res.node_view("X+")
-        assert nv.shape == (1, 128)
-        assert (nv[:, 0] == nv[:, 1]).all()  # nodes share a Gemini
 
     def test_argmax_and_snapshot(self):
         tr = HsnFleetTrace(self._torus(), sample_interval=60.0)

@@ -262,68 +262,3 @@ class TestGeometryNumbers:
             )
             total += s.total_size
         assert 30_000 < total < 60_000
-
-
-class TestValuesArray:
-    """Bulk decode: homogeneous fast path and the mixed-dtype cache."""
-
-    def test_homogeneous_frombuffer(self):
-        import numpy as np
-        arena = Arena(1 << 20)
-        s = make_set(arena, n=4)
-        s.begin_transaction()
-        s.set_values([1, 2, 3, 2**63])
-        s.end_transaction(1.0)
-        arr = s.values_array()
-        assert arr.dtype == np.dtype("<u8")
-        assert arr.tolist() == [1, 2, 3, 2**63]
-        # Copied out: mutating the array must not touch the live chunk.
-        arr[0] = 99
-        assert s.get(0) == 1
-
-    def test_mixed_dtype_cached_per_schema(self):
-        import numpy as np
-        arena = Arena(1 << 20)
-        s = MetricSet.create(
-            "n/mixed", "mixed",
-            [("count", MetricType.U64, 1), ("load", MetricType.F64, 1)],
-            arena,
-        )
-        cs = s._compiled
-        assert cs.array_dtype is None  # genuinely mixed layout
-        assert cs.mixed_dtype is None  # resolved lazily
-        s.begin_transaction()
-        s.set_values([7, 1.5])
-        s.end_transaction(1.0)
-        a1 = s.values_array()
-        # u64 + f64 promote to float64, resolved once and cached on the
-        # compiled schema (the regression: np.asarray with no dtype
-        # re-ran full type inference over every element on every call).
-        expected = np.result_type(np.uint64, np.float64)
-        assert a1.dtype == expected
-        assert cs.mixed_dtype == expected
-        assert a1.tolist() == [7.0, 1.5]
-        # Second call and a second same-schema set reuse the cache.
-        assert s.values_array().dtype == expected
-        s2 = MetricSet.create(
-            "n2/mixed", "mixed",
-            [("count", MetricType.U64, 1), ("load", MetricType.F64, 1)],
-            arena,
-        )
-        assert s2._compiled is cs
-        assert s2.values_array().dtype == expected
-
-    def test_mixed_integer_promotion(self):
-        import numpy as np
-        arena = Arena(1 << 20)
-        s = MetricSet.create(
-            "n/ints", "ints",
-            [("a", MetricType.U32, 1), ("b", MetricType.S32, 1)],
-            arena,
-        )
-        s.begin_transaction()
-        s.set_values([2**32 - 1, -5])
-        s.end_transaction(1.0)
-        arr = s.values_array()
-        assert arr.dtype == np.result_type(np.uint32, np.int32)
-        assert arr.tolist() == [2**32 - 1, -5]

@@ -164,12 +164,6 @@ class TestFlowEngine:
         eng.add_flow(0, 100, 1e9)
         assert eng.load.max() == 2e9
 
-    def test_set_flow_rate(self, torus):
-        eng = FlowEngine(torus)
-        fid = eng.add_flow(0, 100, 1e9)
-        eng.set_flow_rate(fid, 3e9)
-        assert eng.load.max() == 3e9
-
     def test_accumulate_traffic(self, torus):
         eng = FlowEngine(torus)
         eng.add_flow(0, 100, 1e9)

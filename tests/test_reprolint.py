@@ -45,7 +45,6 @@ FIXTURE_MODULES = {
     "arena-sweep-discipline": "repro.core.set_arena.fixture",
     "des-purity": "repro.core.fixture",
     "sampler-contract": "repro.plugins.samplers.fixture",
-    "store-contract": "repro.plugins.stores.fixture",
     "swallowed-except": "repro.core.fixture",
     "control-verb-registry": "repro.core.control",
     "no-blocking-io-in-hot-path": "repro.plugins.samplers.fixture",

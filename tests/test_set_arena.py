@@ -17,6 +17,7 @@ import pytest
 
 import repro.plugins  # noqa: F401
 from repro.core import Ldmsd, SimEnv, sanitize
+from repro.core.metric_set import MetricSet
 from repro.core.set_arena import SetArenaPool
 from repro.plugins.samplers.synthetic import SyntheticSampler
 from repro.sim.engine import Engine
@@ -200,13 +201,18 @@ class TestOneDecodePerRow:
         """A row routed to several stores is decoded once: the first
         flush to drain it builds the record and the other stores keep
         that very object."""
-        # Every group sweeps, so the counter sees every decode.
-        monkeypatch.setattr(Ldmsd, "_VEC_MIN_ROWS", 1)
+        decodes = []
+        decode = MetricSet.snapshot_values
+
+        def spy(mset, data):
+            decodes.append(data)
+            return decode(mset, data)
+
+        monkeypatch.setattr(MetricSet, "snapshot_values", spy)
         eng, _, _, agg, _ = _fanin_world(str(tmp_path), n=4)
         a, b = agg.add_store("memory"), agg.add_store("memory")
         eng.run(until=10.0)
         assert len(a.rows) == len(b.rows) > 0
         assert all(x is y for x, y in zip(a.rows, b.rows))
-        decoded = agg.obs.counter("arena.rows_vectorized").value
-        assert decoded == len(a.rows)
+        assert len(decodes) == len(a.rows)
         agg.shutdown()

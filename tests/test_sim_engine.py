@@ -1,11 +1,11 @@
-"""Unit tests for the DES kernel: engine, events, processes, resources."""
+"""Unit tests for the DES kernel: engine, events, resources."""
 
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import AllOf, AnyOf, CpuCore, Engine, Interrupt, Process, Resource
+from repro.sim import CpuCore, Engine, Resource
 from repro.util.errors import SimulationError
 
 
@@ -80,7 +80,7 @@ class TestEngineBasics:
 
     def test_negative_timeout_rejected(self):
         with pytest.raises(SimulationError):
-            Engine().timeout(-1.0)
+            Engine().call_later(-1.0, lambda: None)
 
     @given(st.lists(st.floats(min_value=0.001, max_value=100, allow_nan=False),
                     min_size=1, max_size=30))
@@ -94,116 +94,22 @@ class TestEngineBasics:
         assert len(times) == len(delays)
 
 
-class TestConditions:
-    def test_allof_waits_for_all(self):
-        eng = Engine()
-        t1, t2 = eng.timeout(1.0, "a"), eng.timeout(2.0, "b")
-        done = AllOf(eng, [t1, t2])
-        assert eng.run(until=done) == ["a", "b"]
-        assert eng.now == 2.0
-
-    def test_anyof_fires_on_first(self):
-        eng = Engine()
-        t1, t2 = eng.timeout(5.0), eng.timeout(1.0, "fast")
-        won = AnyOf(eng, [t1, t2])
-        first = eng.run(until=won)
-        assert first is t2
-        assert eng.now == 1.0
-
-    def test_empty_allof_fires_immediately(self):
-        eng = Engine()
-        done = AllOf(eng, [])
-        assert done.triggered
-
-
-def _proc(eng, log, delays):
-    for d in delays:
-        yield eng.timeout(d)
-        log.append(eng.now)
-    return "done"
-
-
-class TestProcess:
-    def test_process_advances_through_timeouts(self):
-        eng = Engine()
-        log = []
-        p = Process(eng, _proc(eng, log, [1.0, 2.0]))
-        assert eng.run(until=p) == "done"
-        assert log == [1.0, 3.0]
-
-    def test_process_waits_on_process(self):
-        eng = Engine()
-        log = []
-        inner = Process(eng, _proc(eng, log, [5.0]))
-
-        def outer():
-            result = yield inner
-            log.append((eng.now, result))
-
-        eng.run(until=Process(eng, outer()))
-        assert log == [5.0, (5.0, "done")]
-
-    def test_interrupt_raises_inside(self):
-        eng = Engine()
-        caught = []
-
-        def victim():
-            try:
-                yield eng.timeout(100.0)
-            except Interrupt as exc:
-                caught.append((eng.now, exc.cause))
-
-        p = Process(eng, victim())
-        eng.call_later(1.0, lambda: p.interrupt("preempted"))
-        eng.run()
-        assert caught == [(1.0, "preempted")]
-
-    def test_interrupt_after_finish_is_noop(self):
-        eng = Engine()
-        p = Process(eng, _proc(eng, [], []))
-        eng.run()
-        p.interrupt()  # must not raise
-
-    def test_process_failure_propagates_to_waiter(self):
-        eng = Engine()
-
-        def bad():
-            yield eng.timeout(1.0)
-            raise ValueError("inner")
-
-        p = Process(eng, bad())
-
-        def waiter():
-            with pytest.raises(ValueError, match="inner"):
-                yield p
-
-        eng.run(until=Process(eng, waiter()))
-
-    def test_yield_non_event_is_type_error(self):
-        eng = Engine()
-
-        def bad():
-            yield 42
-
-        with pytest.raises(TypeError):
-            eng.run(until=Process(eng, bad()))
-
-
 class TestResource:
+    @staticmethod
+    def _hold(eng, res, log, i, work):
+        """Request a slot; once granted, log it and release after ``work``."""
+        def granted(_ev):
+            log.append((eng.now, i))
+            eng.call_later(work, res.release)
+
+        res.request().callbacks.append(granted)
+
     def test_capacity_enforced(self):
         eng = Engine()
         res = Resource(eng, 2)
         grants = []
-
-        def worker(i):
-            req = res.request()
-            yield req
-            grants.append((eng.now, i))
-            yield eng.timeout(1.0)
-            res.release(req)
-
         for i in range(4):
-            Process(eng, worker(i))
+            self._hold(eng, res, grants, i, 1.0)
         eng.run()
         # Two start at 0, two must wait until 1.0.
         assert [t for t, _ in grants] == [0.0, 0.0, 1.0, 1.0]
@@ -218,19 +124,11 @@ class TestResource:
     def test_fifo_grant_order(self):
         eng = Engine()
         res = Resource(eng, 1)
-        order = []
-
-        def worker(i):
-            req = res.request()
-            yield req
-            order.append(i)
-            yield eng.timeout(0.1)
-            res.release(req)
-
+        grants = []
         for i in range(5):
-            Process(eng, worker(i))
+            self._hold(eng, res, grants, i, 0.1)
         eng.run()
-        assert order == [0, 1, 2, 3, 4]
+        assert [i for _, i in grants] == [0, 1, 2, 3, 4]
 
     def test_grant_order_and_cancel_match_a_list_reference(self):
         # 10,000 waiters on a 4-slot pool (the fan-in knee's connect
@@ -294,20 +192,6 @@ class TestCpuCore:
         core = CpuCore()
         core.add_noise(1.5, 1.0)
         assert core.perturbed_finish(0.0, 1.0) == 1.0
-
-    def test_noise_in_window(self):
-        core = CpuCore()
-        core.add_noise(1.0, 0.1)
-        core.add_noise(2.0, 0.2)
-        assert core.noise_in(0.0, 1.5) == pytest.approx(0.1)
-        assert core.noise_in(0.0, 2.5) == pytest.approx(0.3)
-
-    def test_clear_before(self):
-        core = CpuCore()
-        core.add_noise(1.0, 0.1)
-        core.add_noise(5.0, 0.1)
-        core.clear_before(3.0)
-        assert len(core.records()) == 1
 
     @given(st.lists(st.tuples(st.floats(0, 100, allow_nan=False),
                               st.floats(0, 1, allow_nan=False)), max_size=30))

@@ -151,14 +151,9 @@ class TestDerivedRecords:
                 rec.filtered(["zzz"])
 
 
-@pytest.mark.parametrize("vec_min_rows", [1, Ldmsd._VEC_MIN_ROWS],
-                         ids=["columnar-sweep", "columnar-unpack"])
-def test_knee_world_rows_equal_the_oracle(monkeypatch, vec_min_rows):
+def test_knee_world_rows_equal_the_oracle(monkeypatch):
     # Every delivery also builds the oracle's record from the mirror it
     # hands over; the memory store must hold the same rows, in order.
-    # A small world flushes its rows one by one, so the 2-D sweep is
-    # forced on for one-row groups to cover it too.
-    monkeypatch.setattr(Ldmsd, "_VEC_MIN_ROWS", vec_min_rows)
     oracle: list[OracleRecord] = []
     deliver = Ldmsd._deliver_to_stores
 
@@ -173,8 +168,6 @@ def test_knee_world_rows_equal_the_oracle(monkeypatch, vec_min_rows):
     agg.shutdown()
     rows = agg.stores[0].rows
     assert len(rows) == len(oracle) == 8 * 4
-    swept = agg.stats()["obs"]["counters"]["arena.rows_vectorized"]
-    assert swept == (len(rows) if vec_min_rows == 1 else 0)
     for record, want in zip(rows, oracle):
         assert type(record) is StoreRecord
         assert_same(record, want)

@@ -686,6 +686,5 @@ class TestMemoryStore:
     def test_introspection(self):
         s = self._filled()
         assert s.producers() == ["n0", "n1"]
-        assert s.schemas() == ["mem"]
         assert s.set_names() == ["n0/mem", "n1/mem"]
         assert s.component_ids() == [1]

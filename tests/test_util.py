@@ -20,7 +20,6 @@ from repro.util import (
     spawn_rng,
     stable_seed,
 )
-from repro.util.stats import overlap_fraction
 
 
 class TestParseSize:
@@ -163,18 +162,6 @@ class TestNormalized:
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
             normalized([1.0], 0.0)
-
-
-class TestOverlapFraction:
-    def test_disjoint(self):
-        assert overlap_fraction(np.array([0.0, 1.0]), np.array([2.0, 3.0])) == 0.0
-
-    def test_contained(self):
-        assert overlap_fraction(np.array([0.0, 10.0]), np.array([2.0, 3.0])) == 1.0
-
-    def test_partial(self):
-        f = overlap_fraction(np.array([0.0, 2.0]), np.array([1.0, 3.0]))
-        assert f == pytest.approx(0.5)
 
 
 class TestPercentile:
