@@ -43,6 +43,7 @@ handled command is itself timed into the ``control.latency`` histogram.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shlex
 import socket
@@ -86,16 +87,22 @@ def _usec(attrs: dict[str, str], key: str, required: bool = True) -> float | Non
             raise ConfigError(f"missing required attribute {key}=")
         return None
     try:
-        return float(attrs[key]) / 1e6
+        usec = float(attrs[key])
     except ValueError:
-        raise ConfigError(f"bad microsecond value {key}={attrs[key]!r}") from None
+        usec = math.nan
+    if not math.isfinite(usec):
+        raise ConfigError(f"bad microsecond value {key}={attrs[key]!r}")
+    return usec / 1e6
 
 
 class ControlChannel:
     """Executes control commands against a daemon.
 
     Every command returns a reply string beginning with ``0`` on success
-    or ``E`` followed by the error message.
+    or ``E`` followed by the error message.  A malformed value
+    (``port=abc``, an unclosed quote) is a ``ValueError`` from the
+    conversion that meets it, refused the same way as a
+    :class:`ConfigError`.
     """
 
     def __init__(self, daemon: "Ldmsd"):
@@ -112,7 +119,7 @@ class ControlChannel:
             verb, attrs = parse_command(line)
             out = self._dispatch(verb, attrs)
             return "0" + (f" {out}" if out else "")
-        except ConfigError as exc:
+        except (ConfigError, ValueError) as exc:
             self._c_errors.inc()
             return f"E {exc}"
         finally:
@@ -379,7 +386,7 @@ class UnixControlServer:
                     line, _, buf = buf.partition(b"\n")
                     if not line.strip():
                         continue
-                    reply = self.channel.handle(line.decode("utf-8"))
+                    reply = self.channel.handle(line.decode("utf-8", "replace"))
                     conn.sendall(reply.encode("utf-8") + b"\n")
         except OSError:
             pass

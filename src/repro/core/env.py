@@ -6,7 +6,7 @@ daemon logic runs
 * on a real machine (``RealEnv``: a scheduler thread + ``heapq``, real
   wall clock, ``threading.ThreadPoolExecutor``-style workers), and
 * inside the simulator (``SimEnv``: the :class:`repro.sim.Engine` clock,
-  worker pools modelled as counted resources, and task execution that
+  worker pools modelled as counted FIFO queues, and task execution that
   *advances simulated time* by a declared cost and charges that cost to
   a CPU core as OS noise).
 
@@ -24,7 +24,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine
-from repro.sim.resources import CpuCore, Resource
+from repro.sim.resources import CpuCore
 from repro.util.errors import SimulationError
 from repro.util.timeutil import monotonic
 
@@ -404,12 +404,12 @@ class RealEnv(Env):
 class _PoolTask:
     """One submitted pool task: slotted two-phase grant→finish state.
 
-    Replaces the Event + two closures the old path allocated per task.
-    Phase 1 (grant) fires one heap entry after submit — exactly where
-    the granted Resource event used to land, so task interleaving is
-    unchanged — opens the busy window (``on_start``), charges core
+    Phase 1 (grant) opens the busy window (``on_start``), charges core
     noise, and schedules phase 2 at the cost horizon.  Phase 2 runs the
-    callback and releases the worker.
+    callback and releases the worker.  A grant whose work raises (a
+    lazy ``cost()`` or ``on_start``) releases the worker before the
+    error propagates, so the next queued task still runs when the
+    caller resumes ``Engine.run``.
     """
 
     __slots__ = ("pool", "fn", "cost", "core", "tag", "on_start", "_started")
@@ -423,26 +423,27 @@ class _PoolTask:
         self.on_start = on_start
         self._started = False
 
-    def _granted(self, _ev) -> None:  # slow path: queued Resource grant
-        self._fire()
-
     def _fire(self) -> None:
         pool = self.pool
         if self._started:
             try:
                 self.fn()
             finally:
-                pool.resource.release()
+                pool.release()
             return
         self._started = True
-        cost = self.cost
-        if callable(cost):
-            # Lazy cost: evaluated when the worker is acquired, so a
-            # batched task can charge for exactly the work it seals off
-            # at that moment.
-            cost = cost()
-        if self.on_start is not None:
-            self.on_start()
+        try:
+            cost = self.cost
+            if callable(cost):
+                # Lazy cost: evaluated when the worker is acquired, so a
+                # batched task can charge for exactly the work it seals
+                # off at that moment.
+                cost = cost()
+            if self.on_start is not None:
+                self.on_start()
+        except BaseException:
+            pool.release()
+            raise
         if self.core is not None and cost > 0.0:
             self.core.add_noise(pool.engine.now, cost, self.tag)
         pool.busy_time += cost
@@ -453,55 +454,89 @@ class _PoolTask:
             try:
                 self.fn()
             finally:
-                pool.resource.release()
+                pool.release()
+
+
+#: Stands in for a pool's wait queue until the first task waits (typed
+#: as the deque it stands in for: both are falsy when empty).
+_NO_WAITERS: Any = ()
 
 
 class _SimPool(WorkerPool):
-    """Worker pool as a counted DES resource.
+    """Worker pool as a counted FIFO of ``size`` workers.
 
     A submitted task waits for a free worker, holds it for ``cost``
     simulated seconds, records the busy time as noise on the given core,
-    then runs its callback.
+    then runs its callback.  A task that finds every worker busy joins
+    ``_waiting``; :meth:`release` hands the freed worker straight to the
+    head task, whose grant fires one heap entry later.
     """
 
-    __slots__ = ("engine", "name", "size", "resource", "busy_time",
+    __slots__ = ("engine", "name", "size", "in_use", "_waiting", "busy_time",
                  "tasks_run")
 
     def __init__(self, engine: Engine, name: str, size: int):
+        if size < 1:
+            raise SimulationError("pool size must be >= 1")
         self.engine = engine
         self.name = name
         self.size = size
-        self.resource = Resource(engine, size)
+        self.in_use = 0
+        #: FIFO of tasks waiting for a worker.  The first task that has
+        #: to wait makes it; until then ``_NO_WAITERS`` stands in (most
+        #: pools never queue, and an empty deque costs 760 bytes).
+        self._waiting: deque[_PoolTask] = _NO_WAITERS
         self.busy_time = 0.0
         self.tasks_run = 0
 
+    def try_acquire(self) -> bool:
+        """Claim a free worker now; pair with :meth:`release`.  A worker
+        is never free while a task waits, so this jumps no queue."""
+        if self.in_use < self.size:
+            self.in_use += 1
+            return True
+        return False
+
+    def release(self) -> None:
+        """Free a worker, or hand it to the head waiting task."""
+        if self._waiting:
+            self.engine._push(self._waiting.popleft(), 0.0)
+        elif self.in_use > 0:
+            self.in_use -= 1
+        else:
+            raise SimulationError("release() without a held worker")
+
     def submit(self, fn, cost: float = 0.0, core=None, tag: str = "ldmsd", on_start=None) -> None:
         task = _PoolTask(self, fn, cost, core, tag, on_start)
-        if self.resource.try_acquire():
+        if self.in_use < self.size:
+            self.in_use += 1
             if not callable(cost) and cost > 0.0:
                 # Free worker, fixed positive cost: run phase 1 (grant)
                 # inline.  The grant only opens the busy window and
                 # charges the core — the callback still fires at the
-                # cost horizon — so the zero-delay grant event is pure
-                # heap traffic.  Lazy (callable) costs keep the event,
+                # cost horizon — so a zero-delay grant entry is pure
+                # heap traffic.  Lazy (callable) costs keep the entry,
                 # because they must price work sealed at grant time;
                 # zero-cost tasks keep it so ``fn`` never reenters the
                 # submitter's frame.
                 task._started = True
                 if on_start is not None:
-                    on_start()
+                    try:
+                        on_start()
+                    except BaseException:
+                        self.release()
+                        raise
                 if core is not None:
                     core.add_noise(self.engine.now, cost, tag)
                 self.busy_time += cost
                 self.tasks_run += 1
                 self.engine._push(task, cost)
             else:
-                # Skip the Resource Event entirely, but still land the
-                # grant one heap entry later (same ordering as a granted
-                # request event).
                 self.engine._push(task, 0.0)
         else:
-            self.resource.request().callbacks.append(task._granted)
+            if self._waiting is _NO_WAITERS:
+                self._waiting = deque()
+            self._waiting.append(task)
 
 
 class SimEnv(Env):

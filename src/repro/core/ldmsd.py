@@ -78,6 +78,12 @@ _OBS_HISTOGRAMS = (
     "store.flush", "store.flush_batch_rows")
 
 
+def _check_interval(interval: float) -> None:
+    """Refuse a sampling or update period that no timer can keep."""
+    if not 0.0 < interval < float("inf"):
+        raise ConfigError(f"interval must be positive and finite, got {interval!r}")
+
+
 class _PendingRow:
     """One store delivery awaiting its flush, shared by every store the
     delivery was routed to.
@@ -438,6 +444,7 @@ class Ldmsd:
         perturbed across nodes (§V-A1).  The sampling frequency can be
         changed on the fly by calling ``stop_sampler`` + ``start_sampler``.
         """
+        _check_interval(interval)
         with self.lock:
             plugin = self._require_plugin(instance)
             if instance in self._schedules:
@@ -774,6 +781,7 @@ class Ldmsd:
         lists and intervals ("multiple connections may be established
         between an aggregator and a single collection target").
         """
+        _check_interval(interval)
         with self.lock:
             if name in self.producers:
                 raise ConfigError(f"producer {name!r} already exists")

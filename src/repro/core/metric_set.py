@@ -58,10 +58,19 @@ from repro.util.errors import ReproError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.set_arena import SetArenaPool
 
-__all__ = ["MetricSet", "SetInfo", "SET_NAME_LEN", "SCHEMA_NAME_LEN"]
+__all__ = ["MetricSet", "SetInfo", "SET_NAME_LEN", "SCHEMA_NAME_LEN",
+           "schema_name_ok"]
 
 SET_NAME_LEN = 128
 SCHEMA_NAME_LEN = 64
+
+
+def schema_name_ok(schema: str) -> bool:
+    """A schema names store files (``<schema>.csv``, a SOS container),
+    so it must be one file-name component: no ``/``, no NUL, not ``.``
+    or ``..``, not empty."""
+    return (schema not in ("", ".", "..") and "/" not in schema
+            and "\x00" not in schema)
 
 _META_HDR_FMT = f"<4sIIII{SET_NAME_LEN}s{SCHEMA_NAME_LEN}s"
 _META_HDR = struct.Struct(_META_HDR_FMT)
@@ -401,7 +410,7 @@ class MetricSet:
         schema_b = schema.encode("utf-8")
         if not name or len(name_b) >= SET_NAME_LEN:
             raise ValueError(f"bad set name {name!r}")
-        if not schema or len(schema_b) >= SCHEMA_NAME_LEN:
+        if not schema_name_ok(schema) or len(schema_b) >= SCHEMA_NAME_LEN:
             raise ValueError(f"bad schema name {schema!r}")
         if not 0 <= mgn <= _U32_MASK:
             raise ValueError(f"mgn {mgn} of set {name!r} is not a u32")
@@ -452,10 +461,13 @@ class MetricSet:
             # One component per set (the usual case): share one int.
             comp_ids = comp_ids[:1] * card
         name = name_b.rstrip(b"\x00").decode("utf-8")
+        schema = schema_b.rstrip(b"\x00").decode("utf-8")
+        if not schema_name_ok(schema):
+            raise ValueError(f"bad schema name {schema!r}")
         mset = cls.__new__(cls)
         mset._build(
             name,
-            sys.intern(schema_b.rstrip(b"\x00").decode("utf-8")),
+            sys.intern(schema),
             _layout_for(wire_names, tags, offsets, data_size, name),
             comp_ids, arena, mgn, data_size, pool,
         )

@@ -288,7 +288,7 @@ class SampleCohort:
         for m in members:
             pool = m.pool
             mset = m.mset
-            if mset._in_transaction or not pool.resource.try_acquire():
+            if mset._in_transaction or not pool.try_acquire():
                 # Worker busy, or a late-granted earlier sample still
                 # open: this member takes the scalar firing for this
                 # tick — a queued grant, or an overrun its grant skips
@@ -385,7 +385,7 @@ class SampleCohort:
             m.h_sample.observe(cost)
             m.c_samples.inc()
             m.c_rows.inc()
-            m.pool.resource.release()
+            m.pool.release()
         # Close every transaction in one consistent-flag sweep.
         for blk, rows in flag_groups:
             blk.flags[rows] = 1

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.metric_set import SetInfo
+from repro.core.metric_set import SetInfo, schema_name_ok
 from repro.util.errors import WireError
 
 __all__ = [
@@ -457,6 +457,8 @@ def unpack_query_req(payload: bytes) -> tuple[str, float, float, int, int, int]:
     t0, t1, level, comp_id, max_records, n = struct.unpack_from("<ddIIIH", payload, 0)
     _need("QUERY_REQ", payload, 30 + n)
     schema = _text("QUERY_REQ", payload[30 : 30 + n])
+    if not schema_name_ok(schema):
+        raise WireError(f"QUERY_REQ: bad schema name {schema!r}")
     return schema, t0, t1, level, comp_id, max_records
 
 

@@ -2,15 +2,16 @@
 
 Design notes
 ------------
-* Time is a ``float`` in seconds.  Events scheduled at equal times fire
+* Time is a ``float`` in seconds.  Items scheduled at equal times fire
   in FIFO scheduling order, so runs are fully deterministic.
-* An :class:`Event` carries a list of callbacks; triggering an event
-  schedules it onto the heap, and processing it invokes the callbacks.
-  This two-phase structure (trigger now, fire at heap-pop) is what makes
-  "two waiters wake at the same instant" well-defined.
+* The engine schedules callbacks only.  Everything pending is an item
+  with a ``_fire()`` method: a one-shot timer, a periodic timer, a
+  lane, or a component's own slotted object (a worker-pool task, a
+  cohort finish, an in-flight read).  A component that must wait — a
+  pool task queued behind busy workers — is held by its owner and
+  pushed onto the heap when it can proceed.
 * Simulated components are callbacks, not coroutines: a daemon
-  schedules ``call_later`` timers and periodic timers, and waits on an
-  Event (a worker-pool grant) by appending a callback to it.
+  schedules ``call_later`` timers and periodic timers.
 
 Queue
 -----
@@ -20,9 +21,9 @@ scheduled and an item scheduled at ``now`` from inside a callback fires
 after everything already pending for ``now``.  Items fire in key order.
 
 ``_heap`` is a binary heap of ``(when, seq, item)`` holding every
-one-shot item — ``call_later``/``call_at`` timers, Events, pool tasks,
-cohort finishes, in-flight reads — and the synchronous or jittered
-periodic timers, plus one entry per non-empty **lane**.  A lane
+one-shot item — ``call_later``/``call_at`` timers, pool tasks, cohort
+finishes, in-flight reads — and the synchronous or jittered periodic
+timers, plus one entry per non-empty **lane**.  A lane
 (:class:`_Lane`) is a FIFO of the pending fires of every fixed-period
 timer (:class:`_LaneTimer`) sharing one interval; the heap holds only
 its head, under the head's own key.  A lane needs no sorting: each of
@@ -45,12 +46,12 @@ phase; mean occupancy of an instant is 1.01 at the knee), so a bucket
 would hold one item and cost a dict insert and delete per event.
 
 **Bare timers.**  :meth:`Engine.call_later` returns a slotted
-:class:`_Timer` (a callback + args, no Event state machine, no
-per-tick lambda), and :meth:`Engine.schedule_periodic` reschedules a
-single :class:`_LaneTimer` or :class:`_PeriodicTimer` object forever —
-the zero-allocation periodic path that dominates sampler/updater
+:class:`_Timer` (a callback + args, no per-tick lambda), and
+:meth:`Engine.schedule_periodic` reschedules a single
+:class:`_LaneTimer` or :class:`_PeriodicTimer` object forever — the
+zero-allocation periodic path that dominates sampler/updater
 scheduling.  All of them (and lanes) expose ``_fire()`` so the drain
-loop dispatches them and real Events uniformly.
+loop dispatches them and the components' own items uniformly.
 """
 
 from __future__ import annotations
@@ -63,89 +64,16 @@ from typing import Any, Callable
 
 from repro.util.errors import SimulationError
 
-__all__ = ["Engine", "Event"]
-
-# Event lifecycle states.
-PENDING = 0
-TRIGGERED = 1
-PROCESSED = 2
-
-
-class Event:
-    """A waitable occurrence inside an :class:`Engine`.
-
-    Callbacks are invoked exactly once, in registration order, when the
-    engine pops the event off the heap.  ``succeed``/``fail`` trigger the
-    event immediately (it fires at the current simulation time).
-    """
-
-    __slots__ = ("engine", "callbacks", "_state", "_value", "_ok")
-
-    def __init__(self, engine: "Engine"):
-        self.engine = engine
-        self.callbacks: list[Callable[[Event], None]] = []
-        self._state = PENDING
-        self._value: Any = None
-        self._ok = True
-
-    # -- state inspection ------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        return self._state >= TRIGGERED
-
-    @property
-    def processed(self) -> bool:
-        return self._state == PROCESSED
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded (valid once triggered)."""
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        if self._state == PENDING:
-            raise SimulationError("event value read before trigger")
-        return self._value
-
-    # -- triggering ------------------------------------------------------
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger the event successfully with an optional payload."""
-        self._trigger(True, value, delay)
-        return self
-
-    def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
-        """Trigger the event as failed; waiters see ``exc`` raised."""
-        if not isinstance(exc, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._trigger(False, exc, delay)
-        return self
-
-    def _trigger(self, ok: bool, value: Any, delay: float) -> None:
-        if self._state != PENDING:
-            raise SimulationError("event already triggered")
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        self._state = TRIGGERED
-        self._ok = ok
-        self._value = value
-        self.engine._push(self, delay)
-
-    def _fire(self) -> None:
-        self._state = PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
+__all__ = ["Engine"]
 
 
 class _Timer:
     """A bare scheduled callback: the zero-allocation ``call_later`` path.
 
-    No Event state machine, no callback list — just a function and its
-    arguments, dispatched through the same ``_fire()`` protocol the
-    drain loop uses for Events.  Cancel via :meth:`cancel` or
-    :meth:`Engine.cancel` (sets ``fn`` to None; the heap slot fires as
-    a no-op).  Duck-types ``repro.core.env.TaskHandle`` so ``SimEnv``
+    Just a function and its arguments, dispatched through the
+    ``_fire()`` protocol the drain loop uses for every item.  Cancel via
+    :meth:`cancel` (sets ``fn`` to None; the heap slot fires as a
+    no-op).  Duck-types ``repro.core.env.TaskHandle`` so ``SimEnv``
     can hand it out directly.
     """
 
@@ -321,14 +249,11 @@ class Engine:
     def events_processed(self) -> int:
         return self._nprocessed
 
-    # -- event construction ----------------------------------------------
-    def event(self) -> Event:
-        return Event(self)
-
+    # -- scheduling --------------------------------------------------------
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> _Timer:
         """Schedule a plain callback; returns a cancellable timer.
 
-        Cancel by calling :meth:`cancel` on the returned timer before it
+        Cancel by calling ``cancel()`` on the returned timer before it
         fires.
         """
         if delay < 0:
@@ -363,14 +288,6 @@ class Engine:
             lane = self._lanes[interval] = _Lane(self, interval)
         return _LaneTimer(lane, fn)
 
-    @staticmethod
-    def cancel(ev) -> None:
-        """Neutralize a scheduled callback (it fires but does nothing)."""
-        if isinstance(ev, Event):
-            ev.callbacks.clear()
-        else:
-            ev.fn = None
-
     # -- heap management ---------------------------------------------------
     def _push(self, item, delay: float) -> None:
         """Schedule ``item`` (anything with ``_fire()``) after ``delay``."""
@@ -392,14 +309,12 @@ class Engine:
         """Time of the next event, or ``float('inf')`` if none."""
         return self._heap[0][0] if self._heap else float("inf")
 
-    def run(self, until: float | Event | None = None) -> Any:
-        """Run until the heap drains, a deadline passes, or an event fires.
+    def run(self, until: float | None = None) -> None:
+        """Run until the heap drains or a deadline passes.
 
         * ``until=None`` — run to exhaustion.
         * ``until=<float>`` — run until simulated time reaches the value;
           the clock is advanced to exactly that time.
-        * ``until=<Event>`` — run until that event has been processed and
-          return its value (raising if it failed).
 
         A callback that raises propagates out with the clock at its own
         time, itself counted in ``events_processed`` and every other
@@ -415,22 +330,12 @@ class Engine:
         if paused:
             gc.disable()
         try:
-            return self._run(until)
+            self._run(until)
         finally:
             if paused:
                 gc.enable()
 
-    def _run(self, until: float | Event | None) -> Any:
-        if isinstance(until, Event):
-            sentinel = until
-            while not sentinel.processed:
-                if not self._heap:
-                    raise SimulationError("simulation ended before awaited event fired")
-                self.step()
-            if not sentinel.ok:
-                raise sentinel.value
-            return sentinel.value
-
+    def _run(self, until: float | None) -> None:
         deadline = float("inf") if until is None else float(until)
         if deadline < self._now:
             raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
@@ -451,4 +356,3 @@ class Engine:
             self._nprocessed = nproc
         if deadline != float("inf"):
             self._now = deadline
-        return None

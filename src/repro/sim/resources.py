@@ -1,116 +1,21 @@
-"""Server-pool resources and CPU-core noise accounting.
+"""CPU-core noise accounting.
 
-Two resource flavours are needed by the monitoring model:
-
-* :class:`Resource` — a counted FIFO server pool, used for ldmsd worker
-  thread pools and connection thread pools in simulation.
-* :class:`CpuCore` — a core that records *busy intervals* attributed to
-  background daemons.  Application models ask the core how much extra
-  delay a nominal compute burst of length ``L`` starting at time ``t``
-  experiences; this is the OS-noise coupling that the paper's PSNAP and
-  application impact experiments measure.
+:class:`CpuCore` records *busy intervals* attributed to background
+daemons.  Application models ask the core how much extra delay a
+nominal compute burst of length ``L`` starting at time ``t``
+experiences; this is the OS-noise coupling that the paper's PSNAP and
+application impact experiments measure.  (Worker pools are counted
+FIFO queues owned by ``repro.core.env``'s simulated environment.)
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import deque
 from dataclasses import dataclass
 
-from repro.sim.engine import Engine, Event
 from repro.util.errors import SimulationError
 
-__all__ = ["Resource", "CpuCore", "NoiseRecord"]
-
-_NO_WAITERS: tuple = ()
-
-
-class Resource:
-    """A counted FIFO resource (like ``simpy.Resource``).
-
-    ``request()`` returns an event that fires when a slot is granted;
-    release with ``release()``.  A waiter appends a callback to the
-    grant (``repro.core.env`` queues pool tasks this way)::
-
-        def granted(_ev):
-            engine.call_later(work, pool.release)
-
-        pool.request().callbacks.append(granted)
-
-    :meth:`try_acquire` claims a free slot without an Event.
-    """
-
-    __slots__ = ("engine", "capacity", "_in_use", "_queue", "max_in_use",
-                 "total_grants")
-
-    def __init__(self, engine: Engine, capacity: int):
-        if capacity < 1:
-            raise SimulationError("resource capacity must be >= 1")
-        self.engine = engine
-        self.capacity = capacity
-        self._in_use = 0
-        #: FIFO of waiting requests: a grant pops the head in O(1).  The
-        #: first request that has to wait makes it; until then the empty
-        #: tuple stands in (most pools never queue, and an empty deque
-        #: costs 760 bytes).
-        self._queue: deque[Event] | tuple = _NO_WAITERS
-        self.max_in_use = 0  # high-water mark, for footprint reporting
-        self.total_grants = 0
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
-    def request(self) -> Event:
-        ev = self.engine.event()
-        if self._in_use < self.capacity:
-            self._grant(ev)
-        else:
-            if self._queue is _NO_WAITERS:
-                self._queue = deque()
-            self._queue.append(ev)
-        return ev
-
-    def try_acquire(self) -> bool:
-        """Claim a slot immediately if one is free, allocating no Event.
-
-        The counted-FIFO invariant keeps the wait queue empty whenever a
-        slot is free, so this never jumps queued requesters.  Pair with
-        :meth:`release`.
-        """
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            self.total_grants += 1
-            if self._in_use > self.max_in_use:
-                self.max_in_use = self._in_use
-            return True
-        return False
-
-    def _grant(self, ev: Event) -> None:
-        self._in_use += 1
-        self.total_grants += 1
-        self.max_in_use = max(self.max_in_use, self._in_use)
-        ev.succeed(self)
-
-    def release(self, ev: Event | None = None) -> None:
-        if self._in_use <= 0:
-            raise SimulationError("release() without matching request()")
-        self._in_use -= 1
-        while self._queue and self._in_use < self.capacity:
-            self._grant(self._queue.popleft())
-
-    def cancel(self, ev: Event) -> None:
-        """Withdraw a queued (not yet granted) request."""
-        if not self._queue:
-            return
-        try:
-            self._queue.remove(ev)
-        except ValueError:
-            pass
+__all__ = ["CpuCore", "NoiseRecord"]
 
 
 @dataclass(frozen=True)

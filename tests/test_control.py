@@ -202,6 +202,42 @@ class TestControlVerbs:
         assert d.query_engine.hot_window == 15.0
         assert d.query_engine.cache_entries == 32
 
+    @pytest.mark.parametrize("setup, line", [
+        ((), "listen xprt=rdma port=abc"),
+        ((), "add host=n0 xprt=rdma port=abc interval=1000000 name=p"),
+        ((), "advertise host=n0 xprt=rdma port=abc"),
+        (("load name=meminfo",),
+         "config name=meminfo instance=n0/m component_id=abc"),
+        ((), "enable_query hot_window=abc"),
+        ((), 'load name="meminfo'),
+        ((), "add host=n0:411 xprt=rdma interval=0 name=p"),
+        ((), "add host=n0:411 xprt=rdma interval=-5 name=p"),
+        ((), "add host=n0:411 xprt=rdma interval=nan name=p"),
+        ((), "add host=n0:411 xprt=rdma interval=1000000 offset=inf name=p"),
+        (("load name=synthetic",
+          "config name=synthetic instance=n0/s component_id=1"),
+         "start name=n0/s interval=0"),
+        (("load name=synthetic",
+          "config name=synthetic instance=n0/s component_id=1"),
+         "start name=n0/s interval=inf"),
+    ])
+    def test_malformed_value_is_refused_with_e(self, channel, tmp_path,
+                                               setup, line):
+        # Used to raise ValueError out of handle() (no reply over the
+        # UNIX socket, no control.errors count), or to accept a zero
+        # interval and abort Engine.run later.
+        eng, d, ch = channel
+        d.listen("rdma", "n0:411")
+        ch.handle(f"store name=sos path={tmp_path}")
+        for cmd in setup:
+            assert ch.handle(cmd).startswith("0")
+        errors = d.obs.counter("control.errors")
+        before = errors.value
+        assert ch.handle(line).startswith("E ")
+        assert errors.value == before + 1
+        eng.run(until=5.0)
+        assert not d.producers and not d._schedules
+
 
 class TestUnixControlServer:
     def test_round_trip_over_socket(self, channel, tmp_path):
@@ -225,3 +261,27 @@ class TestUnixControlServer:
         finally:
             server.close()
         assert not os.path.exists(path)
+
+    def test_malformed_lines_get_e_replies_over_socket(self, channel, tmp_path):
+        # A ValueError from a value or a non-UTF-8 line used to kill the
+        # client thread: the connection closed with no reply.
+        _, d, ch = channel
+        path = str(tmp_path / "ctl.sock")
+        server = UnixControlServer(ch, path)
+        try:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+                s.settimeout(5.0)
+                s.connect(path)
+                s.sendall(b"listen xprt=rdma port=abc\n\xff\xfe\nstats\n")
+                buf = b""
+                deadline = time.time() + 5.0
+                while buf.count(b"\n") < 3 and time.time() < deadline:
+                    chunk = s.recv(4096)
+                    if not chunk:
+                        break
+                    buf += chunk
+            lines = buf.decode().splitlines()
+            assert [line[:2] for line in lines] == ["E ", "E ", "0 "]
+            assert d.obs.counter("control.errors").value == 2
+        finally:
+            server.close()

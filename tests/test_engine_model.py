@@ -52,10 +52,6 @@ class _RefEngine:
         fire()
 
     def run(self, until=None):
-        if isinstance(until, _RefEvent):
-            while not until.processed:
-                self.step()
-            return
         while self._q and (until is None or self._q[0][0] <= until):
             self.step()
         if until is not None:
@@ -92,13 +88,6 @@ class _RefEngine:
         self._push(fire, delay())
         return t
 
-    def event(self):
-        return _RefEvent(self)
-
-    @staticmethod
-    def cancel(handle):
-        handle.cancel()
-
 
 class _RefTimer:
     def __init__(self, fn):
@@ -119,25 +108,6 @@ class _Jitter:
         return lo + (hi - lo) * self._rng.random()
 
 
-class _RefEvent:
-    def __init__(self, eng):
-        self.eng = eng
-        self.callbacks = []
-        self.processed = False
-
-    def succeed(self, delay=0.0):
-        self.eng._push(self._fire, delay)
-
-    def _fire(self):
-        self.processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
-
-    def cancel(self):
-        self.callbacks.clear()
-
-
 # -- programs --------------------------------------------------------------
 # Few distinct delays, so equal-time ties (and 0.1 + 0.2 vs 0.3 near
 # misses) are the common case rather than the rare one.
@@ -153,7 +123,6 @@ def _scripts(depth):
     return st.lists(st.one_of(
         st.tuples(st.just("later"), _DELAYS, inner),
         st.tuples(st.just("at"), _DELAYS, inner),
-        st.tuples(st.just("event"), _DELAYS, inner),
         st.tuples(st.just("cancel"), _INDEX),
         st.tuples(st.just("raise")),
     ), max_size=3).map(tuple)
@@ -163,20 +132,18 @@ _SCRIPT = _scripts(3)
 _PROGRAMS = st.lists(st.one_of(
     st.tuples(st.just("later"), _DELAYS, _SCRIPT),
     st.tuples(st.just("at"), _DELAYS, _SCRIPT),
-    st.tuples(st.just("event"), _DELAYS, _SCRIPT),
     st.tuples(st.just("periodic"), st.sampled_from([0.1, 0.25, 0.5, 1.0]), _SCRIPT,
               st.sampled_from(["fixed", "fixed", "sync", "sync_offset", "jitter"])),
     st.tuples(st.just("cancel"), _INDEX),
     st.tuples(st.just("step")),
     st.tuples(st.just("run"), _DELAYS),
-    st.tuples(st.just("run_event"), _INDEX),
 ), max_size=25)
 
 
 def _execute(eng, program):
     """Interpret ``program`` on ``eng``; the returned log is every fire
     (callback id, time) plus clock / count / peek after each driver op."""
-    log, handles, events = [], [], []
+    log, handles = [], []
     ids = itertools.count()
 
     def callback(script):
@@ -199,15 +166,9 @@ def _execute(eng, program):
                 arg, fn, synchronous=shape.startswith("sync"),
                 offset=0.05 if shape == "sync_offset" else 0.0,
                 jitter_rng=_Jitter(len(handles)) if shape == "jitter" else None))
-        elif kind == "event":
-            ev = eng.event()
-            ev.callbacks.append(callback(script))
-            ev.succeed(delay=arg)
-            handles.append(ev)
-            events.append(ev)
         elif kind == "cancel":
             if handles:
-                eng.cancel(handles[arg % len(handles)])
+                handles[arg % len(handles)].cancel()
         elif kind == "raise":
             raise _Boom
         elif kind == "step":
@@ -215,9 +176,6 @@ def _execute(eng, program):
                 eng.step()
         elif kind == "run":
             eng.run(until=eng.now + arg)
-        elif kind == "run_event":
-            if events:
-                eng.run(until=events[arg % len(events)])
 
     def drive(*op):
         try:
@@ -230,7 +188,7 @@ def _execute(eng, program):
     for op in program:
         drive(*op)
     for h in handles:  # stop the periodics so the queue can drain
-        eng.cancel(h)
+        h.cancel()
     eng.run()  # until=None: to exhaustion
     log.append(("end", eng.now, eng.events_processed, eng.peek()))
     return log
@@ -365,7 +323,7 @@ class TestLanes:
             eng.call_at(k / 32 + 1.0, note(("at", k)))
         eng.call_later(1.25, lambda: [  # ... and after it
             eng.call_at(k / 32 + 1.5, note(("late", k))) for k in range(0, 48, 7)])
-        eng.call_at(1.125, lambda: [eng.cancel(handles[i]) for i in (3, 17, 30)])
+        eng.call_at(1.125, lambda: [handles[i].cancel() for i in (3, 17, 30)])
         handles.append(eng.schedule_periodic(0.5, note("sync"), synchronous=True))
         handles.append(eng.schedule_periodic(0.5, note("sync+"), synchronous=True,
                                              offset=1 / 32))
@@ -375,14 +333,11 @@ class TestLanes:
         handles.append(eng.schedule_periodic(0.5, raiser))
         for _ in range(40):
             go(eng.step)
-        ev = eng.event()
-        ev.callbacks.append(note("event"))
-        ev.succeed(delay=0.5 - eng.now % 0.5)  # on a lane instant
-        go(eng.run, ev)
+        eng.call_later(0.5 - eng.now % 0.5, note("on-lane"))  # a lane instant
         while eng.now < 4.0:
             go(eng.run, 4.0)
         for h in handles:
-            eng.cancel(h)
+            h.cancel()
         go(eng.run)
         return log
 
@@ -406,7 +361,7 @@ class TestLanes:
         eng.run(until=9.0)
         assert len(eng._heap) == 4
         for timer in [t for lane in eng._lanes.values() for t in lane.timers]:
-            eng.cancel(timer)
+            timer.cancel()
         eng.run(until=11.0)  # cancelled entries fire as no-ops, then go
         assert len(eng._heap) == 2
         assert not any(lane.keys for lane in eng._lanes.values())

@@ -56,6 +56,23 @@ if "blocking" not in sampler_registry:
             self.set.set_value("count", self.samples_taken + 1)
 
 
+if "escaper" not in sampler_registry:
+
+    @register_sampler("escaper")
+    class EscaperSampler(SamplerPlugin):
+        """Publishes a set whose schema names a file outside a store's
+        directory (built with the producer-side check patched out)."""
+
+        def config(self, instance, component_id=0, **kw):
+            super().config(instance, component_id)
+            self.set = self.create_set(
+                instance, "../escaped", [("count", MetricType.U64)]
+            )
+
+        def do_sample(self, now):
+            self.set.set_value("count", self.samples_taken + 1)
+
+
 @pytest.fixture
 def world():
     eng = Engine()
@@ -465,6 +482,38 @@ class TestStorePolicies:
         eng.run(until=5.0)
         assert st.rows
         assert {r.producer for r in st.rows} == {"n1"}
+
+    def test_schema_cannot_name_a_file_outside_the_store_path(
+            self, world, tmp_path, monkeypatch):
+        # A set whose schema is ``../escaped`` made store_csv write
+        # ``escaped.csv`` beside its directory.  The producer side
+        # refuses to create one; a mirror refuses one arriving in a
+        # LOOKUP reply (from a sampler built without the check), and
+        # the producer's other sets are still stored.
+        from repro.core import metric_set
+        from repro.core.memory import Arena
+        from repro.core.metric_set import MetricSet
+
+        for bad in ("../escaped", "a/b", ".", "..", "x\x00y"):
+            with pytest.raises(ValueError, match="bad schema name"):
+                MetricSet.create("n0/bad", bad, [("a", MetricType.U64, 1)],
+                                 Arena(4096))
+        eng, env, fabric = world
+        d = make_sampler(world)
+        with monkeypatch.context() as m:
+            m.setattr(metric_set, "schema_name_ok", lambda schema: True)
+            d.load_sampler("escaper", instance="n0/esc", component_id=1)
+        d.start_sampler("n0/esc", interval=1.0)
+        out = tmp_path / "store"
+        agg = make_agg(world)
+        agg.add_store("store_csv", path=str(out))
+        agg.add_producer("n0", "rdma", "n0:411", interval=1.0,
+                         sets=("n0/ticker", "n0/esc"))
+        eng.run(until=10.0)
+        agg.shutdown()
+        assert [p.name for p in tmp_path.iterdir()] == ["store"]
+        assert sorted(p.name for p in out.iterdir()) == ["ticker.csv"]
+        assert len((out / "ticker.csv").read_text().splitlines()) > 5
 
 
 class TestFootprint:

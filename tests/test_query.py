@@ -432,14 +432,21 @@ class TestServeEndToEnd:
     def test_malformed_query_req_gets_einval_and_serving_continues(
             self, tmp_path):
         # A 2-byte QUERY_REQ payload used to raise struct.error out of
-        # the daemon's message handler and abort Engine.run.
+        # the daemon's message handler and abort Engine.run.  A schema
+        # that is not one file-name component used to read a sibling
+        # store's container (``../B/mem``) or raise ValueError out of
+        # the worker (an embedded NUL).
+        sibling = SosStore()
+        sibling.config(path=str(tmp_path / "B"))
+        sibling.submit(rec(t=1.0, values=(-1.0, -2.0)))
+        sibling.close()
         eng = Engine()
         env = SimEnv(eng)
         fabric = SimFabric(eng)
         agg = Ldmsd("agg", env=env,
                     transports={"sock": SimTransport(fabric, "sock",
                                                      node_id="agg")})
-        store = agg.add_store("sos", path=str(tmp_path))
+        store = agg.add_store("sos", path=str(tmp_path / "A"))
         agg.enable_query(hot_window=15.0)
         agg.listen("sock", "agg:412")
         store.submit(rec(t=1.0))
@@ -454,11 +461,19 @@ class TestServeEndToEnd:
         ep.send(wire.encode_frame(wire.MsgType.QUERY_REQ, 1, b"\x00\x01"))
         ep.send(wire.encode_frame(wire.MsgType.QUERY_REQ, 2, good[:-2]))
         ep.send(wire.encode_frame(wire.MsgType.QUERY_REQ, 3, good))
+        ep.send(wire.encode_frame(wire.MsgType.QUERY_REQ, 4,
+                                  wire.pack_query_req("../B/mem", 0.0, 10.0)))
+        ep.send(wire.encode_frame(wire.MsgType.QUERY_REQ, 5,
+                                  wire.pack_query_req("mem\x00x", 0.0, 10.0)))
+        ep.send(wire.encode_frame(wire.MsgType.QUERY_REQ, 6, good))
         eng.run(until=2.0)
         got = {f.request_id: wire.unpack_query_reply(f.payload)
                for f in replies}
         assert got[1] == (wire.E_INVAL, 0, (), [])
         assert got[2] == (wire.E_INVAL, 0, (), [])
+        assert got[4] == (wire.E_INVAL, 0, (), [])
+        assert got[5] == (wire.E_INVAL, 0, (), [])
+        assert got[6][3] == [(1.0, 1, (10.0, 20.0))]
         status, _flags, names, rows = got[3]
         assert status == wire.E_OK
         assert names == ("a", "b")

@@ -129,6 +129,10 @@ _COMP_IDS = st.one_of(st.sampled_from([0, 1, 2**64 - 1]),
                       st.integers(min_value=0, max_value=2**64 - 1))
 _NAME_PREFIX = st.text(alphabet="abz#._µ", max_size=12)
 _SET_NAME = st.text(alphabet="abcn/0123µ", min_size=1, max_size=40)
+#: One file-name component (no ``/``, not ``.`` or ``..``) of at most
+#: 62 UTF-8 bytes: a schema names store files.
+_SCHEMA = st.text(alphabet="abcn.0123µ", min_size=1, max_size=31).filter(
+    lambda s: s not in (".", ".."))
 
 
 class TestTemplateOracle:
@@ -143,7 +147,7 @@ class TestTemplateOracle:
         values = [value_for(t, i) for i, t in enumerate(mtypes)]
         for rep in range(3):  # first compile, then two template hits
             name = data.draw(_SET_NAME, label="set name")
-            schema = data.draw(_SET_NAME, label="schema")
+            schema = data.draw(_SCHEMA, label="schema")
             mgn = data.draw(st.integers(0, 2**32 - 1), label="mgn")
             if rep == 2:  # one component id for the whole set
                 ids = [data.draw(_COMP_IDS, label="comp id")] * len(names)

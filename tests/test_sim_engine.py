@@ -1,11 +1,12 @@
-"""Unit tests for the DES kernel: engine, events, resources."""
+"""Unit tests for the DES kernel: engine, worker pools, CPU cores."""
 
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import CpuCore, Engine, Resource
+from repro.core.env import SimEnv
+from repro.sim import CpuCore, Engine
 from repro.util.errors import SimulationError
 
 
@@ -46,8 +47,7 @@ class TestEngineBasics:
     def test_cancel(self):
         eng = Engine()
         hits = []
-        ev = eng.call_later(1.0, lambda: hits.append(1))
-        Engine.cancel(ev)
+        eng.call_later(1.0, lambda: hits.append(1)).cancel()
         eng.run()
         assert hits == []
 
@@ -57,26 +57,6 @@ class TestEngineBasics:
         eng.run()
         with pytest.raises(SimulationError):
             eng.call_at(1.0, lambda: None)
-
-    def test_run_until_event_returns_value(self):
-        eng = Engine()
-        ev = eng.event()
-        eng.call_later(1.0, lambda: ev.succeed("payload"))
-        assert eng.run(until=ev) == "payload"
-
-    def test_run_until_failed_event_raises(self):
-        eng = Engine()
-        ev = eng.event()
-        eng.call_later(1.0, lambda: ev.fail(RuntimeError("boom")))
-        with pytest.raises(RuntimeError, match="boom"):
-            eng.run(until=ev)
-
-    def test_double_trigger_rejected(self):
-        eng = Engine()
-        ev = eng.event()
-        ev.succeed()
-        with pytest.raises(SimulationError):
-            ev.succeed()
 
     def test_negative_timeout_rejected(self):
         with pytest.raises(SimulationError):
@@ -95,73 +75,107 @@ class TestEngineBasics:
 
 
 class TestResource:
-    @staticmethod
-    def _hold(eng, res, log, i, work):
-        """Request a slot; once granted, log it and release after ``work``."""
-        def granted(_ev):
-            log.append((eng.now, i))
-            eng.call_later(work, res.release)
+    """The simulated worker pool is a counted FIFO of ``size`` workers."""
 
-        res.request().callbacks.append(granted)
+    @staticmethod
+    def _pool(size):
+        return SimEnv(Engine()).make_pool("w", size)
+
+    @staticmethod
+    def _hold(pool, log, i, work):
+        """Submit a task; once granted, log it and hold for ``work``."""
+        eng = pool.engine
+        pool.submit(lambda: None, cost=work,
+                    on_start=lambda: log.append((eng.now, i)))
 
     def test_capacity_enforced(self):
-        eng = Engine()
-        res = Resource(eng, 2)
+        pool = self._pool(2)
         grants = []
         for i in range(4):
-            self._hold(eng, res, grants, i, 1.0)
-        eng.run()
+            self._hold(pool, grants, i, 1.0)
+        assert pool.in_use == 2
+        pool.engine.run()
         # Two start at 0, two must wait until 1.0.
         assert [t for t, _ in grants] == [0.0, 0.0, 1.0, 1.0]
-        assert res.max_in_use == 2
+        assert pool.in_use == 0 and pool.tasks_run == 4
 
     def test_release_without_request_rejected(self):
-        eng = Engine()
-        res = Resource(eng, 1)
+        pool = self._pool(1)
         with pytest.raises(SimulationError):
-            res.release()
+            pool.release()
 
     def test_fifo_grant_order(self):
-        eng = Engine()
-        res = Resource(eng, 1)
+        pool = self._pool(1)
         grants = []
         for i in range(5):
-            self._hold(eng, res, grants, i, 0.1)
-        eng.run()
+            self._hold(pool, grants, i, 0.1)
+        pool.engine.run()
         assert [i for _, i in grants] == [0, 1, 2, 3, 4]
 
-    def test_grant_order_and_cancel_match_a_list_reference(self):
+    def test_grant_order_matches_a_list_reference(self):
         # 10,000 waiters on a 4-slot pool (the fan-in knee's connect
-        # storm), some withdrawn between grants: grants and withdrawals
-        # must follow a plain FIFO list exactly.
-        eng = Engine()
+        # storm), each holding its worker for a random time: grants must
+        # follow a plain FIFO list, at the instants a list of per-worker
+        # free times gives.
         cap = 4
-        res = Resource(eng, cap)
-        res.cancel(eng.event())  # nothing queued yet: a no-op
-        reqs = [res.request() for _ in range(10_000 + cap)]
-        order = []
-        for i, ev in enumerate(reqs):
-            ev.callbacks.append(lambda _ev, i=i: order.append(i))
-        ref = list(range(cap, len(reqs)))
-        expected = list(range(cap))
-        assert res.in_use == cap and res.queued == len(ref)
+        pool = self._pool(cap)
         rng = random.Random(7)
-        cancelled = set()
-        while res.in_use:
-            for _ in range(rng.randrange(3)):
-                if ref:
-                    i = ref[rng.randrange(len(ref))]
-                    res.cancel(reqs[i])
-                    ref.remove(i)
-                    cancelled.add(i)
-            res.cancel(reqs[expected[-1]])  # already granted: a no-op
-            res.release()
-            if ref:
-                expected.append(ref.pop(0))
-            assert res.queued == len(ref)
+        costs = [rng.choice([0.25, 0.5, 1.0, 1.5]) for _ in range(10_000 + cap)]
+        grants = []
+        for i, cost in enumerate(costs):
+            self._hold(pool, grants, i, cost)
+        assert pool.in_use == cap and len(pool._waiting) == len(costs) - cap
+        assert not pool.try_acquire()
+        pool.engine.run()
+        free = [0.0] * cap
+        expected = []
+        for i, cost in enumerate(costs):
+            j = free.index(min(free))
+            expected.append((free[j], i))
+            free[j] += cost
+        assert grants == expected
+        assert pool.in_use == 0 and not pool._waiting
+        assert pool.try_acquire()  # idle again: an outside claim succeeds
+        pool.release()
+
+    def test_raising_grant_releases_its_worker(self):
+        # A lazy cost that raises escapes Engine.run; the worker it held
+        # goes to the next queued task, which runs on the next run().
+        pool = self._pool(1)
+        eng = pool.engine
+        hits = []
+
+        def boom():
+            raise ValueError("bad cost")
+
+        pool.submit(lambda: hits.append("never"), cost=boom)
+        pool.submit(lambda: hits.append("next"), cost=0.5)
+        with pytest.raises(ValueError, match="bad cost"):
+            eng.run()
         eng.run()
-        assert order == expected
-        assert all(reqs[i].triggered != (i in cancelled) for i in range(len(reqs)))
+        assert hits == ["next"] and eng.now == 0.5
+        assert pool.in_use == 0
+
+    def test_raising_on_start_releases_its_worker(self):
+        pool = self._pool(1)
+        eng = pool.engine
+        hits = []
+
+        def boom():
+            raise ValueError("bad start")
+
+        # Granted inline (free worker, fixed cost): raises out of submit.
+        with pytest.raises(ValueError, match="bad start"):
+            pool.submit(lambda: hits.append("never"), cost=1.0, on_start=boom)
+        pool.submit(lambda: hits.append("after inline"), cost=lambda: 0.5)
+        # Granted from the queue: raises out of Engine.run.
+        pool.submit(lambda: hits.append("never"), cost=lambda: 0.5,
+                    on_start=boom)
+        pool.submit(lambda: hits.append("next"))
+        with pytest.raises(ValueError, match="bad start"):
+            eng.run()
+        eng.run()
+        assert hits == ["after inline", "next"] and pool.in_use == 0
 
 
 class TestCpuCore:
