@@ -67,6 +67,7 @@ __all__ = [
     "unpack_query_req",
     "pack_query_reply",
     "unpack_query_reply",
+    "ReplyDecoder",
     "query_row_struct",
     "RowBlock",
     "QUERY_TRUNCATED",
@@ -178,6 +179,8 @@ class Frame(NamedTuple):
 
     msg_type: int
     request_id: int
+    #: ``bytes`` — or, where :func:`decode_frame` was handed a
+    #: ``memoryview``, a view into the same memory.
     payload: bytes
     #: Decoded trace-context entries, or None for untraced frames.
     trace: tuple | None = None
@@ -259,6 +262,8 @@ def decode_frame(raw: bytes) -> Frame:
     """Decode exactly one frame from a complete datagram.
 
     Decodes directly from the buffer — no intermediate decoder state.
+    The payload is a slice of ``raw``: a copy of a ``bytes`` datagram,
+    a view into a ``memoryview`` one.
     """
     if len(raw) < _HDR_SIZE:
         raise WireError(f"expected exactly one frame, got a {len(raw)}-byte fragment")
@@ -271,9 +276,9 @@ def decode_frame(raw: bytes) -> Frame:
         )
     if mtype & TRACE_FLAG:
         trace, used = unpack_trace_ctx(raw, _HDR_SIZE, len(raw))
-        return Frame(mtype & _MSG_TYPE_MASK, rid,
-                     bytes(raw[_HDR_SIZE + used:]), trace)
-    return Frame(mtype, rid, bytes(raw[_HDR_SIZE:]))
+        return Frame(mtype & _MSG_TYPE_MASK, rid, raw[_HDR_SIZE + used:],
+                     trace)
+    return Frame(mtype, rid, raw[_HDR_SIZE:])
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +440,16 @@ def unpack_read_multi_reply(payload: bytes) -> list[bytes | None]:
 # bytes.  The query engine packs each stored row *once, at ingest* (hot
 # window) or copies a scan's records into :func:`query_row_dtype` rows
 # with one ``tobytes()`` (LRU entries), the server appends ``.raw`` to
-# the header, and the decoder validates the whole payload up front and
-# returns a block over it — a row becomes a tuple only where a client
-# indexes or iterates, and a column is a strided view.
+# the (cached) names header, and the decoder validates the whole payload up front and
+# returns a block over it — in place when the payload's memory is a
+# ``bytes`` object, which nothing can change — so a row becomes a tuple
+# only where a client indexes or iterates, and a column is a strided
+# view.
 # ---------------------------------------------------------------------------
+
+_REPLY_HEAD = struct.Struct("<iBI")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 #: Reply flag bits: the row set was cut at ``max_records``; the reply
 #: was served from the hot-window / LRU cache.
@@ -480,9 +491,10 @@ def query_row_dtype(ncols: int) -> np.dtype:
 
 class RowBlock(Sequence):
     """Reply rows as the wire carries them: ``raw`` holds whole
-    :func:`query_row_struct` groups, and a row is decoded to ``(ts,
-    comp_id, values)`` only where a caller indexes or iterates.  Equal
-    to any sequence of the same row tuples."""
+    :func:`query_row_struct` groups (``bytes``, or a view of ``bytes``
+    a decoded reply holds), and a row is decoded to ``(ts, comp_id,
+    values)`` only where a caller indexes or iterates.  Equal to any
+    sequence of the same row tuples."""
 
     __slots__ = ("raw", "_size", "_iter_unpack")
 
@@ -540,53 +552,100 @@ class RowBlock(Sequence):
         return self._fields()["comp_id"].tolist()
 
 
+@functools.lru_cache(maxsize=64)
+def _names_block(names: tuple[str, ...]) -> bytes:
+    """A reply's ``ncols x (u16 len | name)`` header: encoded once per
+    column set, not once per reply."""
+    out = []
+    for name in names:
+        b = name.encode("utf-8")
+        out += (_U16.pack(len(b)), b)
+    return b"".join(out)
+
+
 def pack_query_reply(status: int, names: tuple[str, ...] = (),
                      rows: Sequence = (), flags: int = 0) -> bytes:
     """Rows that would take the frame past :data:`MAX_FRAME_LEN` (with
     room for a full trace blob) are cut and the reply flagged
     :data:`QUERY_TRUNCATED`, as a ``max_records`` cut is."""
-    encoded = [name.encode("utf-8") for name in names]
+    block = _names_block(names)
+    row = query_row_struct(len(names))
     fixed = 9 + 4  # status, flags, ncols; nrows
+    # The cap is read on every call: it is a module global tests patch.
     room = (MAX_FRAME_LEN - (_HDR_SIZE - 4) - _MAX_TRACE_BLOB - fixed
-            - sum(2 + len(b) for b in encoded)
-            ) // query_row_struct(len(names)).size
+            - len(block)) // row.size
     if len(rows) > room:
         rows = rows[:room]
         flags |= QUERY_TRUNCATED
-    out = [struct.pack("<iBI", status, flags, len(names))]
-    for b in encoded:
-        out.append(struct.pack("<H", len(b)))
-        out.append(b)
-    out.append(struct.pack("<I", len(rows)))
+    out = [_REPLY_HEAD.pack(status, flags, len(names)), block,
+           _U32.pack(len(rows))]
     if isinstance(rows, RowBlock):
         out.append(rows.raw)
     else:
-        pack = query_row_struct(len(names)).pack
-        out.extend([pack(ts, comp_id, *values) for ts, comp_id, values in rows])
+        pack = row.pack
+        out += [pack(ts, comp_id, *values) for ts, comp_id, values in rows]
     return b"".join(out)
 
 
+class ReplyDecoder:
+    """:func:`unpack_query_reply` for one client, which remembers the
+    last names block it walked as one ``(ncols, block, names)`` tuple.
+    A reply whose names block is byte-equal at the same ``ncols``
+    decodes to the same names, so a hit skips the walk and cannot
+    change a result; every other check still runs.  A client asks for
+    one schema, so its replies repeat one column set whatever other
+    clients read, and its walk runs once per set."""
+
+    __slots__ = ("_memo",)
+
+    def __init__(self) -> None:
+        self._memo: tuple[int, bytes, tuple[str, ...]] = (0, b"", ())
+
+    def unpack(self, payload: bytes) -> tuple[int, int, tuple[str, ...], RowBlock]:
+        """Every check is made here, up front: reading the returned
+        block cannot fail.  The block views ``payload`` in place when
+        its memory is a ``bytes`` object (a ``bytes`` payload, or a view
+        of one); rows in any other buffer, which its owner may still
+        change, are copied once."""
+        _need("QUERY_REPLY", payload, 9)
+        status, flags, ncols = _REPLY_HEAD.unpack_from(payload, 0)
+        memo_ncols, block, names = self._memo
+        pos = 9 + len(block)
+        if ncols != memo_ncols or payload[9:pos] != block:
+            size = len(payload)
+            pos = 9
+            walked = []
+            try:
+                for _ in range(ncols):
+                    if size < pos + 2:
+                        break
+                    (n,) = _U16.unpack_from(payload, pos)
+                    pos += 2 + n
+                    if size < pos:
+                        break
+                    walked.append(str(payload[pos - n : pos], "utf-8"))
+            except UnicodeDecodeError as exc:
+                raise WireError(f"QUERY_REPLY: not UTF-8: {exc}") from None
+            # A walk the payload's end cut short fails the check below.
+            names = tuple(walked)
+            if len(names) == ncols:
+                self._memo = (ncols, bytes(payload[9:pos]), names)
+        _need("QUERY_REPLY", payload, pos + 4)
+        (nrows,) = _U32.unpack_from(payload, pos)
+        pos += 4
+        row = query_row_struct(ncols)
+        end = pos + nrows * row.size
+        _need("QUERY_REPLY rows", payload, end)
+        raw = memoryview(payload)[pos:end]
+        if not isinstance(raw.obj, bytes):
+            raw = bytes(raw)
+        return status, flags, names, RowBlock(raw, row.size, row.iter_unpack)
+
+
 def unpack_query_reply(payload: bytes) -> tuple[int, int, tuple[str, ...], RowBlock]:
-    """Every check is made here, up front: reading the returned block
-    cannot fail."""
-    _need("QUERY_REPLY", payload, 9)
-    status, flags, ncols = struct.unpack_from("<iBI", payload, 0)
-    pos = 9
-    names = []
-    for _ in range(ncols):
-        _need("QUERY_REPLY", payload, pos + 2)
-        (n,) = struct.unpack_from("<H", payload, pos)
-        pos += 2 + n
-        _need("QUERY_REPLY", payload, pos)
-        names.append(_text("QUERY_REPLY", payload[pos - n : pos]))
-    _need("QUERY_REPLY", payload, pos + 4)
-    (nrows,) = struct.unpack_from("<I", payload, pos)
-    pos += 4
-    row = query_row_struct(ncols)
-    end = pos + nrows * row.size
-    _need("QUERY_REPLY rows", payload, end)
-    return status, flags, tuple(names), RowBlock(
-        payload[pos:end], row.size, row.iter_unpack)
+    """One reply, decoded by a :class:`ReplyDecoder` that remembers
+    nothing."""
+    return ReplyDecoder().unpack(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,7 @@ class SosStore(StorePlugin):
         schema = self._handle(record)
         comps = record.component_ids
         comp_id = comps[0] if comps else 0
-        if comps and any(c != comp_id for c in comps):
+        if comps.count(comp_id) != len(comps):
             # One u32 component slot per record: a row spanning several
             # components cannot be stored faithfully — reject loudly
             # instead of silently dropping component_ids[1:].

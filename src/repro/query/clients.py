@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core import wire
+from repro.util.errors import WireError
 
 __all__ = ["ClientMix", "QueryClient", "Poller", "AlertEvaluator",
            "RangeScanner", "build_population"]
@@ -79,12 +80,15 @@ class QueryClient:
         self.ep = None
         self.sent = 0
         self.replies = 0
+        #: Error replies, replies that fail to decode, and frames that
+        #: fail to decode (their request stays in flight).
         self.errors = 0
         self.rows_received = 0
         self.truncated = 0
         self.cache_hits_seen = 0
         self.skipped_nofeature = 0
         self._pending: dict[int, float] = {}
+        self._replies = wire.ReplyDecoder()
         self._rid = 0
         self._k = 0
         self._timer = None
@@ -137,15 +141,26 @@ class QueryClient:
         raise NotImplementedError
 
     def _on_message(self, raw: bytes) -> None:
-        frame = wire.decode_frame(raw)
+        # A view of the datagram: the reply's block reads its rows in
+        # place instead of from a copy of the payload.
+        try:
+            frame = wire.decode_frame(memoryview(raw))
+        except WireError:
+            # No request id to answer: the request stays in flight.
+            self.errors += 1
+            return
         if frame.msg_type != wire.MsgType.QUERY_REPLY:
             return
         t_sent = self._pending.pop(frame.request_id, None)
         if t_sent is None:
             return
         self.hist.observe(self.env.now() - t_sent)
-        status, flags, names, rows = wire.unpack_query_reply(frame.payload)
         self.replies += 1
+        try:
+            status, flags, names, rows = self._replies.unpack(frame.payload)
+        except WireError:
+            self.errors += 1
+            return
         if status != wire.E_OK:
             self.errors += 1
             return

@@ -188,7 +188,10 @@ class QueryEngine:
             lo = bisect_left(hot.times, t0) * sz
             hi = bisect_left(hot.times, t1) * sz
             names = tuple(self.store._names.get(container, ()))
-            rows = wire.RowBlock.of(len(names), bytes(hot.buf[lo:hi]))
+            # One copy, and no export of ``buf`` left behind: the next
+            # ingest resizes it, which a live view would refuse.
+            rows = wire.RowBlock.of(len(names),
+                                    bytes(memoryview(hot.buf)[lo:hi]))
             if comp_id:
                 rows = rows.take([i for i, c in enumerate(rows.comp_ids())
                                   if c == comp_id])

@@ -2,10 +2,13 @@
 gate, end-to-end DES round-trips (cohort and per-instance sampling), and
 replay."""
 
+import gc
+import sys
+
 import pytest
 
 import repro.plugins  # noqa: F401
-from repro.core import Ldmsd, SimEnv, wire
+from repro.core import Ldmsd, SimEnv, sanitize, wire
 from repro.core.store import StoreRecord
 from repro.obs.registry import Telemetry
 from repro.obs.selfmetrics import SELF_METRIC_NAMES, collect
@@ -53,6 +56,19 @@ class TestQueryWire:
         assert flags == 0
         assert names == ()
         assert rows == []
+
+    def test_block_views_bytes_and_copies_mutable_memory(self):
+        rows = [(1.0, 3, (1.5, 2.5)), (2.0, 4, (3.0, 4.0))]
+        payload = wire.pack_query_reply(wire.E_OK, ("a", "b"), rows)
+        # Immutable memory is read in place, a view of it too ...
+        assert wire.unpack_query_reply(payload)[3].raw.obj is payload
+        view = memoryview(payload)
+        assert wire.unpack_query_reply(view)[3].raw.obj is payload
+        # ... memory its owner may still change is copied.
+        for buf in (bytearray(payload), memoryview(bytearray(payload))):
+            got = wire.unpack_query_reply(buf)[3]
+            buf[-24:] = b"\xff" * 24
+            assert got == rows
 
     def test_req_shorter_than_header_is_rejected(self):
         good = wire.pack_query_req("meminfo", 0.0, 1.0)
@@ -163,6 +179,19 @@ class TestQueryEngine:
         scan = eng._scan("mem", 0.0, 10.0, 0, 0)
         assert isinstance(scan.rows, wire.RowBlock)
         assert scan.rows.raw == res.rows.raw
+        store.close()
+
+    def test_hot_answer_leaves_the_window_free_to_grow(self, tmp_path):
+        # A view of the window's buffer kept past the query would make
+        # the next ingest's resize raise BufferError.
+        store, eng = self._engine(tmp_path)
+        for k in range(4):
+            store.submit(rec(t=float(k), values=(k, 0)))
+        res = eng.query("mem", 0.0, 10.0)
+        assert res.source == "hot"
+        for t in (4.0, 0.5):  # an append, then a straggler
+            store.submit(rec(t=t, values=(-1, -1)))
+        assert [r[2][0] for r in res.rows] == [0.0, 1.0, 2.0, 3.0]
         store.close()
 
     def test_straggler_below_the_floor_does_not_lower_it(self, tmp_path):
@@ -490,6 +519,113 @@ class TestServeEndToEnd:
         with pytest.raises(ConfigError):
             d.enable_query()
         d.shutdown()
+
+
+class TestClientSurvivesMalformedReplies:
+    def test_bad_replies_are_counted_and_the_run_goes_on(self):
+        # A truncated reply used to raise WireError out of the client's
+        # handler and abort Engine.run, and the request it answered was
+        # counted nowhere: popped from _pending, but neither a reply nor
+        # an error.
+        eng = Engine()
+        env = SimEnv(eng)
+        fabric = SimFabric(eng)
+        served = []
+
+        def accept(ep):
+            def answer(raw):
+                rid = wire.decode_frame(raw).request_id
+                served.append(rid)
+                payload = wire.pack_query_reply(
+                    wire.E_OK, ("a",), [(1.0, 1, (2.0,))])
+                reply = wire.encode_frame(wire.MsgType.QUERY_REPLY, rid,
+                                          payload)
+                if len(served) == 1:    # the frame cut: no request id
+                    reply = reply[:-3]
+                elif len(served) == 2:  # a whole frame, its payload cut
+                    reply = wire.encode_frame(wire.MsgType.QUERY_REPLY,
+                                              rid, payload[:-3])
+                ep.send(reply)
+            ep.on_message = answer
+
+        SimTransport(fabric, "sock", node_id="srv").listen("srv:412", accept)
+        client = Poller("p0", env, SimTransport(fabric, "sock", node_id="c"),
+                        "srv:412", "mem", Telemetry(), interval=1.0)
+        client.start()
+        eng.run(until=10.5)
+        assert client.sent == len(served) >= 8
+        assert client.errors == 2
+        assert list(client._pending) == [1]   # its reply had no id left
+        assert client.replies == client.sent - 1
+        assert client.rows_received == client.replies - 1
+
+
+#: Python calls one answered hot query costs, end to end: the poller's
+#: tick and request, the fabric, the daemon's serve and pool task, the
+#: hot-window slice, the reply's encode, and the client's decode.  It
+#: was 113.05 while the reply's names header was encoded per reply and
+#: walked per decode, a helper call per bounds check; 79.05 since.  The
+#: 10 % headroom covers library versions.
+CALLS_PER_HOT_REPLY = 79.05
+
+
+def _calls_per_hot_reply(tmp) -> float:
+    """``sys.setprofile`` ``"call"`` events per reply over 10 s of four
+    pollers reading 64 stored 8-metric rows from the hot window, after
+    a warm-up; the DES history is fixed, so the count is exact."""
+    eng = Engine()
+    env = SimEnv(eng)
+    fabric = SimFabric(eng)
+    agg = Ldmsd("agg", env=env, transports={
+        "sock": SimTransport(fabric, "sock", node_id="agg")})
+    store = agg.add_store("sos", path=tmp)
+    agg.enable_query(hot_window=1000.0)
+    agg.listen("sock", "agg:412")
+    names = tuple(f"m{i}" for i in range(8))
+    for k in range(64):
+        store.submit(StoreRecord(float(k), "n0", "n0/mem", "mem", names,
+                                 (1,) * 8, tuple(float(k + i)
+                                                 for i in range(8))))
+    clients = [Poller(f"p{i}", env, SimTransport(fabric, "sock",
+                                                 node_id=f"c{i}"),
+                      "agg:412", "mem", Telemetry(), interval=1.0,
+                      offset=i / 4, window=1000.0) for i in range(4)]
+    for c in clients:
+        c.start()
+    eng.run(until=100.0)
+    before = sum(c.replies for c in clients)
+    rows_before = sum(c.rows_received for c in clients)
+    calls = 0
+
+    def count(_frame, event, _arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        eng.run(until=110.0)
+    finally:
+        sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
+    replies = sum(c.replies for c in clients) - before
+    assert replies == 40
+    assert sum(c.rows_received for c in clients) - rows_before == 64 * 40
+    qs = agg.stats()["query"]
+    assert qs["cache_misses"] == 0 and qs["lru_entries"] == 0  # all hot
+    agg.shutdown()
+    return calls / replies
+
+
+class TestReplyCost:
+    @pytest.mark.skipif(sanitize.enabled(), reason="the sanitizer adds calls")
+    def test_python_calls_per_hot_reply(self, tmp_path):
+        calls = _calls_per_hot_reply(str(tmp_path))
+        assert calls <= CALLS_PER_HOT_REPLY * 1.10, (
+            f"{calls:.2f} Python calls per answered hot query")
 
 
 class TestQueryLoadReplay:

@@ -67,6 +67,22 @@ def ref_unpack_query_reply(payload):
     return status, flags, tuple(names), rows
 
 
+#: The payload types a reply is decoded from: the block views ``bytes``
+#: (or a view of it) in place and copies the rows out of anything else.
+KINDS = (bytes, bytearray, memoryview,
+         lambda b: memoryview(bytearray(b)))
+
+
+#: Column sets replies in a row may carry, against a decoder's memo of
+#: the last names block: equal encoded lengths with other bytes (``ab``
+#: / ``cd``), the same letters at another ``ncols`` (``abcd`` / ``ab`` +
+#: ``cd``), a block that with a zero row count is byte-equal to
+#: another's at another ``ncols`` (``("", "")`` / ``("",)``), non-ASCII,
+#: none.
+NAME_SETS = [("ab",), ("cd",), ("ab", "cd"), ("cd", "ab"), ("abcd",),
+             ("µ",), ("é", "x"), ("",), ("", ""), ()]
+
+
 def make_rows(seed, ncols, nrows):
     rng = random.Random(seed)
 
@@ -84,21 +100,44 @@ class TestReplyCodecAgainstReference:
     @given(seed=st.integers(0, 2**32), ncols=st.integers(0, 32),
            nrows=st.one_of(st.integers(0, 40), st.integers(0, 2000)),
            status=st.integers(-2**31, 2**31 - 1), flags=st.integers(0, 255),
-           names=st.data())
+           names=st.data(), kind=st.sampled_from(KINDS))
     def test_bytes_equal_reference_and_roundtrip(self, seed, ncols, nrows,
-                                                 status, flags, names):
+                                                 status, flags, names, kind):
         names = tuple(names.draw(st.lists(
             st.text(max_size=12), min_size=ncols, max_size=ncols)))
         rows = make_rows(seed, ncols, nrows)
         want = ref_pack_query_reply(status, names, rows, flags)
         assert wire.pack_query_reply(status, names, rows, flags) == want
-        *head, block = wire.unpack_query_reply(want)
+        *head, block = wire.unpack_query_reply(kind(want))
         *ref_head, ref_rows = ref_unpack_query_reply(want)
         assert tuple(head) == tuple(ref_head) == (status, flags, names)
         # repr, not ==: NaN is not equal to itself, -0.0 is equal to 0.0.
         assert repr(list(block)) == repr(ref_rows) == repr(rows)
         # A decoded block (what the engine serves) re-packs to the reply.
         assert wire.pack_query_reply(status, names, block, flags) == want
+
+    @settings(max_examples=150, **SETTINGS)
+    @given(steps=st.lists(st.tuples(
+        st.one_of(st.sampled_from(NAME_SETS),
+                  st.lists(st.text(max_size=4), max_size=3).map(tuple)),
+        st.integers(0, 3), st.sampled_from(KINDS),
+        st.none() | st.integers(0, 2**16)), min_size=1, max_size=8))
+    def test_replies_in_a_row_decode_as_the_reference(self, steps):
+        # One decoder reads every reply, as a client does, so its memo
+        # holds the last names block walked: a hit must give exactly the
+        # reference's names, and a reply cut anywhere must still raise.
+        decoder = wire.ReplyDecoder()
+        for names, nrows, kind, cut in steps:
+            rows = make_rows(nrows, len(names), nrows)
+            payload = ref_pack_query_reply(0, names, rows)
+            assert wire.pack_query_reply(0, names, rows) == payload
+            *head, block = decoder.unpack(kind(payload))
+            *ref_head, ref_rows = ref_unpack_query_reply(payload)
+            assert head == ref_head
+            assert repr(list(block)) == repr(ref_rows)
+            if cut is not None:
+                with pytest.raises(ReproError):
+                    decoder.unpack(kind(payload[:cut % len(payload)]))
 
     @settings(max_examples=80, **SETTINGS)
     @given(seed=st.integers(0, 2**32), ncols=st.integers(0, 16),
@@ -164,10 +203,17 @@ class TestReplyDecoderRejectsMalformed:
         names = tuple(f"m{i}" * (i + 1) for i in range(ncols))
         payload = wire.pack_query_reply(
             wire.E_OK, names, make_rows(seed, ncols, nrows))
-        wire.unpack_query_reply(payload)
+        decoder = wire.ReplyDecoder()
         for cut in range(len(payload)):
-            with pytest.raises(ReproError):
-                wire.unpack_query_reply(payload[:cut])
+            for kind in KINDS:
+                with pytest.raises(ReproError):
+                    wire.unpack_query_reply(kind(payload[:cut]))
+                # After a whole reply (the memo holds its names) and
+                # before the next: a cut reply leaves nothing behind.
+                assert decoder.unpack(payload)[2] == names
+                with pytest.raises(ReproError):
+                    decoder.unpack(kind(payload[:cut]))
+            assert decoder.unpack(payload)[2] == names
 
     @settings(max_examples=40, **SETTINGS)
     @given(ncols=st.integers(0, 2**32 - 1), nrows=st.integers(1, 2**32 - 1),
