@@ -6,11 +6,12 @@ two with a per-call :class:`threading.Event`, giving ``ldms-ls-repro``
 and ``repro-top`` a plain ``request``/``read_region`` interface over a
 live :class:`~repro.transport.sock.SockTransport` endpoint.
 
-Because the sock transport's HELLO exchange happens inside its reader
-loop (the frame is consumed before delivery), the endpoint's
-``peer_age`` clock anchor is valid here too — the CLIs use it to turn
-a remote set's transaction timestamp into a staleness age without
-assuming the daemon and the CLI share a wall clock.
+Because the sock transport consumes the daemon's HELLO inside its
+reader loop (the frame never reaches ``on_message``), the endpoint's
+``peer_age`` clock anchor is valid here too once the first reply has
+arrived — the CLIs use it to turn a remote set's transaction timestamp
+into a staleness age without assuming the daemon and the CLI share a
+wall clock.
 """
 
 from __future__ import annotations
@@ -69,21 +70,8 @@ class SyncClient:
 
     def query(self, schema: str, t0: float, t1: float, level: int = 0,
               comp_id: int = 0, max_records: int = 0):
-        """Run one feature-gated QUERY round-trip; returns
-        ``(status, flags, names, rows)``.
-
-        The sock transport consumes the peer's HELLO inside its reader
-        loop, so the feature set may land shortly after connect —
-        wait for it before sending (old daemons never advertise
-        ``"query"`` and must not see the unknown MsgType).
-        """
-        waited = 0.0
-        while not self.ep.query_ok and waited < self.timeout:
-            threading.Event().wait(0.02)
-            waited += 0.02
-        if not self.ep.query_ok:
-            raise ConnectionError(
-                "daemon did not advertise the 'query' feature")
+        """Run one QUERY round-trip; returns
+        ``(status, flags, names, rows)``."""
         reply = self.request(wire.encode_frame(
             wire.MsgType.QUERY_REQ, 1,
             wire.pack_query_req(schema, t0, t1, level, comp_id,

@@ -25,9 +25,6 @@ from repro.core.metric_set import MetricSet
 
 __all__ = ["main"]
 
-# Back-compat alias: the client predates repro.cli.client.
-_SyncClient = SyncClient
-
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(prog="ldms-ls-repro",

@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ldmsd import Ldmsd
 
 __all__ = ["ProducerConfig", "Producer", "UpdaterState", "SetState", "UpdateStats",
-           "backoff_delay"]
+           "Dialer", "backoff_delay"]
 
 
 def backoff_delay(label: str, name: str, attempts: int, base: float,
@@ -56,6 +56,100 @@ def backoff_delay(label: str, name: str, attempts: int, base: float,
     raw = min(base * (2.0 ** min(attempts, 20)), cap)
     j = (stable_seed(label, name, attempts) % 1000) / 1000.0
     return raw * (1.0 - 0.25 * j)
+
+
+class Dialer:
+    """The one way a daemon opens a connection and keeps it open.
+
+    Dials ``addr`` on the daemon's connection-setup pool (§IV-B: a peer
+    hung in connect timeout cannot starve the update workers), hands a
+    new endpoint to ``on_up`` under the daemon lock, and redials after
+    :func:`backoff_delay` when a dial fails or the owner reports the
+    connection lost (:meth:`redial`).  A successful dial resets the
+    attempt count; :meth:`stop` ends the loop and closes the connection.
+    An active :class:`Producer` dials its target with one (backoff label
+    ``"reconnect"``, pool tag ``"agg-conn"``); a sampler advertising
+    itself to an aggregator dials with another (``"advertise"``).
+    """
+
+    __slots__ = ("daemon", "transport", "addr", "label", "name", "tag",
+                 "base", "cap", "on_up", "endpoint", "attempts", "dialing",
+                 "stopped", "_handle")
+
+    def __init__(self, daemon: "Ldmsd", transport, addr, label: str,
+                 name: str, tag: str, base: float, cap: float, on_up):
+        self.daemon = daemon
+        self.transport = transport
+        self.addr = addr
+        self.label = label
+        self.name = name
+        self.tag = tag
+        self.base = base
+        self.cap = cap
+        self.on_up = on_up
+        #: The connection the last successful dial brought up, until
+        #: the owner reports it lost.
+        self.endpoint: Optional[Endpoint] = None
+        self.attempts = 0
+        self.dialing = False
+        self.stopped = False
+        self._handle = None
+
+    def delay(self) -> float:
+        """Delay before the next redial (:func:`backoff_delay`)."""
+        return backoff_delay(self.label, self.name, self.attempts,
+                             self.base, self.cap)
+
+    def dial(self) -> None:
+        """Dial now, unless stopped, dialling, or waiting out a backoff."""
+        if self.stopped or self.dialing or self._handle is not None:
+            return
+        self.dialing = True
+        daemon = self.daemon
+        daemon.conn_pool.submit(self._attempt, cost=daemon.connect_cpu_cost,
+                                core=daemon.core, tag=self.tag)
+
+    def _attempt(self) -> None:
+        self.transport.connect(self.addr, self._connected)
+
+    def _connected(self, endpoint: Optional[Endpoint]) -> None:
+        with self.daemon.lock:
+            self.dialing = False
+            if self.stopped:
+                if endpoint is not None:
+                    endpoint.close()
+                return
+            if endpoint is None:
+                self.redial()
+                return
+            self.attempts = 0
+            self.endpoint = endpoint
+            self.on_up(endpoint)
+
+    def redial(self) -> None:
+        """The dial failed or the connection closed: dial again after
+        the next backoff delay (caller holds the daemon lock)."""
+        self.endpoint = None
+        if self.stopped or self._handle is not None:
+            return
+        delay = self.delay()
+        self.attempts += 1
+        self._handle = self.daemon.env.call_later(delay, self._retry)
+
+    def _retry(self) -> None:
+        with self.daemon.lock:  # a tick may kick dial() meanwhile
+            self._handle = None
+            self.dial()
+
+    def stop(self) -> None:
+        """Dial no more, and close the connection if it is up."""
+        self.stopped = True
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+        endpoint = self.endpoint
+        if endpoint is not None and not endpoint.closed:
+            endpoint.close()
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,9 +273,8 @@ class Producer:
     """Runtime state of one collection target inside an aggregator."""
 
     __slots__ = (
-        "daemon", "cfg", "endpoint", "connecting", "active", "updaters",
-        "stats", "_timer", "_reconnect_handle", "_reconnect_attempts",
-        "_ticks_since_dir", "_next_req_id", "_pending_lookups", "stopped",
+        "daemon", "cfg", "endpoint", "dialer", "active", "updaters",
+        "stats", "_timer", "_ticks_since_dir", "_next_req_id", "_pending_lookups", "stopped",
         "_fresh", "_h_lookup_rtt", "_h_update_rtt", "_c_stale", "_c_torn",
         "_c_busy", "_c_failed")
 
@@ -189,15 +282,18 @@ class Producer:
         self.daemon = daemon
         self.cfg = cfg
         self.endpoint: Optional[Endpoint] = None
-        self.connecting = False
+        #: Redial loop of an active producer; None for a passive one,
+        #: which waits for the sampler to advertise.
+        self.dialer: Optional[Dialer] = None if cfg.passive else Dialer(
+            daemon, daemon.transports[cfg.xprt], cfg.addr, "reconnect",
+            cfg.name, "agg-conn", cfg.reconnect_interval, cfg.reconnect_max,
+            self._bind)
         self.active = not cfg.standby  # standby producers don't pull
         self.updaters: dict[str, UpdaterState] = {
             name: UpdaterState(name) for name in cfg.sets
         }
         self.stats = UpdateStats()
         self._timer = None
-        self._reconnect_handle = None
-        self._reconnect_attempts = 0
         self._ticks_since_dir = 0
         self._next_req_id = 1
         #: req_id -> (set name, send time, span ctx or None) of
@@ -227,9 +323,8 @@ class Producer:
         # expectation clock must match the experiments' ground truth
         # (expected counted from deployment time).
         self._arm_freshness()
-        if self.cfg.passive:
-            return  # wait for the sampler to advertise
-        self._connect()
+        if self.dialer is not None:  # passive: wait for the advertise
+            self.dialer.dial()
 
     def attach(self, endpoint: Endpoint) -> None:
         """Bind an incoming (advertised) connection to this producer."""
@@ -241,7 +336,7 @@ class Producer:
         """Make ``endpoint`` this producer's connection and start the
         protocol on it (caller holds the daemon lock)."""
         self.endpoint = endpoint
-        endpoint.obs = self.daemon.obs
+        self.daemon._adopt(endpoint)
         endpoint.on_message = self._on_message_locked
         endpoint.on_close = self._on_close
         self._start_timer()
@@ -301,8 +396,8 @@ class Producer:
         self.daemon.freshness.disarm(self.cfg.name)
         if self._timer is not None:
             self._timer.cancel()
-        if self._reconnect_handle is not None:
-            self._reconnect_handle.cancel()
+        if self.dialer is not None:
+            self.dialer.stop()
         if self.endpoint is not None:
             self.endpoint.close()
             self.endpoint = None
@@ -325,60 +420,14 @@ class Producer:
     def connected(self) -> bool:
         return self.endpoint is not None and not self.endpoint.closed
 
-    def _connect(self) -> None:
-        if self.stopped or self.connecting or self.connected:
-            return
-        self.connecting = True
-        xprt = self.daemon.transports[self.cfg.xprt]
-
-        def attempt() -> None:
-            xprt.connect(self.cfg.addr, self._on_connected)
-
-        # Connection setup runs on the dedicated connection pool so a
-        # target stuck in timeout cannot starve update workers (§IV-B).
-        self.daemon.conn_pool.submit(
-            attempt, cost=self.daemon.connect_cpu_cost, core=self.daemon.core, tag="agg-conn"
-        )
-
-    def _on_connected(self, endpoint: Optional[Endpoint]) -> None:
-        with self.daemon.lock:
-            self.connecting = False
-            if self.stopped:
-                if endpoint is not None:
-                    endpoint.close()
-                return
-            if endpoint is None:
-                self._schedule_reconnect()
-                return
-            self._reconnect_attempts = 0
-            self._bind(endpoint)
-
     def _on_close(self) -> None:
         with self.daemon.lock:
             self.endpoint = None
             self._pending_lookups.clear()
             self._drop_mirrors()
-            if not self.stopped and not self.cfg.passive:
+            if self.dialer is not None:
                 # Passive producers wait for the sampler to re-advertise.
-                self._schedule_reconnect()
-
-    def _reconnect_delay(self) -> float:
-        """Delay before the next connect attempt (:func:`backoff_delay`)."""
-        cfg = self.cfg
-        return backoff_delay("reconnect", cfg.name, self._reconnect_attempts,
-                             cfg.reconnect_interval, cfg.reconnect_max)
-
-    def _schedule_reconnect(self) -> None:
-        if self.stopped or self._reconnect_handle is not None:
-            return
-        delay = self._reconnect_delay()
-        self._reconnect_attempts += 1
-
-        def retry() -> None:
-            self._reconnect_handle = None
-            self._connect()
-
-        self._reconnect_handle = self.daemon.env.call_later(delay, retry)
+                self.dialer.redial()
 
     def _drop_mirrors(self) -> None:
         for upd in self.updaters.values():
@@ -401,14 +450,11 @@ class Producer:
         rid = self._next_req_id
         self._next_req_id += 1
         # Lookups are cold-path (once per set per connect, plus retries)
-        # so every one is traced when the peer speaks trace-ctx — the
-        # serve side records its handling span against the same aux
-        # trace id.
+        # so every one is traced — the serve side records its handling
+        # span against the same aux trace id.
         spans = self.daemon.spans
-        span = trace = None
-        if endpoint.trace_ok:
-            span = (spans.alloc_trace(), spans.alloc())
-            trace = ((0, span[0], span[1], HOP_UPDATE),)
+        span = (spans.alloc_trace(), spans.alloc())
+        trace = ((0, span[0], span[1], HOP_UPDATE),)
         self._pending_lookups[rid] = (set_name, self.daemon.env.now(), span)
         self.stats.lookups_sent += 1
         endpoint.send(
@@ -540,13 +586,11 @@ class Producer:
                 return
             endpoint = self.endpoint
             if endpoint is None or endpoint.closed:  # not connected
-                # Reconnection is the backoff schedule's job; kicking a
-                # connect from every tick would defeat it.  Only fire
-                # when no retry is pending (e.g. first tick after a
-                # passive attach lost its endpoint before backoff armed).
-                if (not self.cfg.passive and self._reconnect_handle is None
-                        and not self.connecting):
-                    self._connect()
+                # Reconnection is the backoff schedule's job: the dialer
+                # ignores this kick while a dial or a backoff is pending,
+                # so a tick never defeats it.
+                if self.dialer is not None:
+                    self.dialer.dial()
                 return
             if self._pending_lookups:
                 self._expire_lookups()
@@ -612,7 +656,7 @@ class Producer:
         pull.upd = upd
         pull.t_issue = t_issue
         pull.span = span
-        if span is not None and endpoint.trace_ok:
+        if span is not None:
             # Exemplar transaction: propagate a wire trace context so the
             # serving daemon can attribute its hop to the same trace.
             endpoint.rdma_read(
@@ -633,7 +677,6 @@ class Producer:
             return
         stats = self.stats
         spans = self.daemon.spans
-        trace_ok = endpoint.trace_ok
         now = self.daemon.env.now()
         batch: list[tuple[UpdaterState, float, Optional[UpdateSpan]]] = []
         region_ids: list[int] = []
@@ -642,7 +685,7 @@ class Producer:
             upd.in_flight = True
             stats.updates_issued += 1
             span = spans.start(self.cfg.name, upd.set_name, now)
-            if span is not None and trace_ok:
+            if span is not None:
                 if tctx is None:
                     tctx = []
                 tctx.append((i, span.trace_id, span.span_id, HOP_UPDATE))

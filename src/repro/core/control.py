@@ -262,10 +262,10 @@ class ControlChannel:
     def _cmd_enable_query(self, attrs) -> str:
         """``enable_query [hot_window=<s>] [cache_entries=<n>]``: attach
         the query/serving tier to the daemon's SOS store (PR 9)."""
-        self.daemon.enable_query(
-            hot_window=float(attrs.get("hot_window", 60.0)),
-            cache_entries=int(attrs.get("cache_entries", 256)),
-        )
+        self.daemon.enable_query(**{
+            key: conv(attrs[key])
+            for key, conv in (("hot_window", float), ("cache_entries", int))
+            if key in attrs})
         return "query enabled"
 
     def _cmd_dir(self, attrs) -> str:

@@ -27,7 +27,7 @@ from functools import partial
 from typing import Any, NamedTuple, Optional
 
 from repro.core import sanitize, wire
-from repro.core.aggregator import Producer, ProducerConfig, backoff_delay
+from repro.core.aggregator import Dialer, Producer, ProducerConfig
 from repro.core.env import Env, RealEnv, SimEnv, WorkerPool
 from repro.core.memory import Arena
 from repro.core.metric import MetricType
@@ -119,16 +119,19 @@ class _PendingRow:
 
 
 class _ServedEndpoint(NamedTuple):
-    """Serve-side callbacks of one accepted connection."""
+    """Serve-side callbacks of one connection this daemon serves the
+    pull protocol on: accepted by a listener (``dialer`` None), or
+    dialled by :meth:`Ldmsd.advertise` (redialled when it closes)."""
 
     daemon: "Ldmsd"
     endpoint: Endpoint
+    dialer: Optional[Dialer]
 
     def on_message(self, raw: bytes) -> None:
         self.daemon._serve(self.endpoint, raw)
 
     def on_close(self) -> None:
-        self.daemon._drop_served(self.endpoint)
+        self.daemon._drop_served(self.endpoint, self.dialer)
 
 
 class _RegionReader(NamedTuple):
@@ -329,9 +332,8 @@ class Ldmsd:
         self._stores_version = 0
         self._listeners: list[Listener] = []
         self._served_endpoints: list[Endpoint] = []
-        #: advertisement name -> mutable state shared with its retry
-        #: loop ({"stopped", "attempts", "endpoint"}).
-        self._advertisements: dict[str, dict] = {}
+        #: advertised name -> the dialer that keeps it advertised
+        self._advertisements: dict[str, Dialer] = {}
         self.records_delivered = 0
         #: Serving tier (PR 9): the query engine over this daemon's SOS
         #: store, or None until :meth:`enable_query`.
@@ -539,7 +541,7 @@ class Ldmsd:
     def listen(self, xprt: str, addr) -> Listener:
         """Listen for incoming aggregator connections on a transport."""
         transport = self._transport(xprt)
-        listener = transport.listen(addr, self._on_peer_connect)
+        listener = transport.listen(addr, self._serve_endpoint)
         self._listeners.append(listener)
         return listener
 
@@ -552,28 +554,39 @@ class Ldmsd:
                 f"configured: {sorted(self.transports)}"
             ) from None
 
-    def _on_peer_connect(self, endpoint: Endpoint) -> None:
+    def _adopt(self, endpoint: Endpoint) -> None:
+        """Give an endpoint this daemon owns its telemetry registry and
+        the daemon clock its HELLO stamps and its peer-age anchor reads.
+        Installed before the transport starts reading."""
         endpoint.obs = self.obs
-        served = _ServedEndpoint(self, endpoint)
-        endpoint.on_message = served.on_message
-        # Observability plane: daemon clock for the transport HELLO /
-        # peer-age anchor, and the serve-side traced-read hook.  Both
-        # must be installed before the transport starts reading.
         endpoint.clock = self.env.now
-        endpoint.on_traced_read = self._on_traced_read
-        self.flight.record(self.env.now(), "conn", "peer_connect",
-                           len(self._served_endpoints))
-        # Prune on close, or served endpoints accumulate forever on a
-        # long-lived daemon whose peers churn.
-        endpoint.on_close = served.on_close
-        self._served_endpoints.append(endpoint)
 
-    def _drop_served(self, endpoint: Endpoint) -> None:
+    def _serve_endpoint(self, endpoint: Endpoint,
+                        dialer: Optional[Dialer] = None) -> None:
+        """Serve the pull protocol on ``endpoint``: one a listener
+        accepted, or one :meth:`advertise` dialled (``dialer``).  Either
+        is pruned when it closes — or served endpoints accumulate
+        forever on a long-lived daemon whose peers churn — and an
+        advertised one is also redialled."""
+        with self.lock:
+            self._adopt(endpoint)
+            served = _ServedEndpoint(self, endpoint, dialer)
+            endpoint.on_message = served.on_message
+            endpoint.on_close = served.on_close
+            endpoint.on_traced_read = self._on_traced_read
+            self.flight.record(self.env.now(), "conn", "peer_connect",
+                               len(self._served_endpoints))
+            self._served_endpoints.append(endpoint)
+
+    def _drop_served(self, endpoint: Endpoint,
+                     dialer: Optional[Dialer]) -> None:
         with self.lock:
             if endpoint in self._served_endpoints:
                 self._served_endpoints.remove(endpoint)
                 self.flight.record(self.env.now(), "conn", "peer_close",
                                    len(self._served_endpoints))
+            if dialer is not None:
+                dialer.redial()
 
     def _on_traced_read(self, trace_id: int, parent_span: int, hop: int,
                         region_id: int) -> None:
@@ -714,14 +727,16 @@ class Ldmsd:
         self.worker_pool.submit(reply, cost=run_query, core=self.core,
                                 tag="query")
 
-    def enable_query(self, store=None, hot_window: float = 60.0,
-                     cache_entries: int = 256):
+    def enable_query(self, store=None, hot_window: Optional[float] = None,
+                     cache_entries: Optional[int] = None):
         """Attach the query/serving tier to this daemon's SOS store.
 
         ``store=None`` picks the first configured
-        :class:`~repro.plugins.stores.sos.SosStore`.  Served queries
-        arrive as feature-gated ``QUERY_REQ`` frames on any listening
-        transport and run on the worker pool.
+        :class:`~repro.plugins.stores.sos.SosStore`; ``hot_window`` and
+        ``cache_entries`` left None take the
+        :class:`~repro.query.engine.QueryEngine` defaults.  Served queries
+        arrive as ``QUERY_REQ`` frames on any served connection and run
+        on the worker pool.
         """
         from repro.plugins.stores.sos import SosStore
         from repro.query.engine import QueryEngine
@@ -735,9 +750,11 @@ class Ldmsd:
                     f"{self.name}: enable_query needs a configured sos store")
             self._h_query = self.obs.histogram("serve.query")
             self._c_query_req = self.obs.counter("serve.query_req")
-            self.query_engine = QueryEngine(
-                store, self.env.now, obs=self.obs,
-                hot_window=hot_window, cache_entries=cache_entries)
+            tier = {k: v for k, v in (("hot_window", hot_window),
+                                      ("cache_entries", cache_entries))
+                    if v is not None}
+            self.query_engine = QueryEngine(store, self.env.now,
+                                            obs=self.obs, **tier)
             return self.query_engine
 
     def _region_id_for(self, set_name: str) -> int:
@@ -817,7 +834,7 @@ class Ldmsd:
     ) -> str:
         """Sampler side of passive mode: connect to an aggregator,
         announce this daemon by name, and serve the pull protocol on
-        that connection.  Reconnects with capped, deterministically
+        that connection.  Redials with capped, deterministically
         jittered exponential backoff while the aggregator is away;
         :meth:`stop_advertise` (or :meth:`shutdown`) retires the loop
         and closes the advertised endpoint.  Returns the advertised
@@ -827,66 +844,29 @@ class Ldmsd:
         with self.lock:
             if adv_name in self._advertisements:
                 raise ConfigError(f"already advertising as {adv_name!r}")
-            state: dict = {"stopped": False, "attempts": 0, "endpoint": None}
-            self._advertisements[adv_name] = state
-
-        def retry() -> None:
-            delay = backoff_delay("advertise", adv_name, state["attempts"],
-                                  reconnect_interval, reconnect_max)
-            state["attempts"] += 1
-            self.env.call_later(delay, schedule)
-
-        def on_closed(endpoint: Endpoint) -> None:
-            with self.lock:
-                state["endpoint"] = None
-                self._drop_served(endpoint)
-                if not (self._shutdown or state["stopped"]):
-                    retry()
-
-        def on_connected(endpoint: Optional[Endpoint]) -> None:
-            with self.lock:
-                if self._shutdown or state["stopped"]:
-                    if endpoint is not None:
-                        endpoint.close()
-                    return
-                if endpoint is None:
-                    retry()
-                    return
-                state["attempts"] = 0
-                state["endpoint"] = endpoint
-                endpoint.obs = self.obs
-                endpoint.on_message = lambda raw: self._serve(endpoint, raw)
-                endpoint.on_close = lambda: on_closed(endpoint)
-                self._served_endpoints.append(endpoint)
-                endpoint.send(
-                    wire.encode_frame(wire.MsgType.ADVERTISE, 0,
-                                      wire.pack_advertise(adv_name))
-                )
-
-        def attempt() -> None:
-            transport.connect(addr, on_connected)
-
-        def schedule() -> None:
-            if self._shutdown or state["stopped"]:
-                return
-            self.conn_pool.submit(attempt, cost=self.connect_cpu_cost,
-                                  core=self.core, tag="advertise")
-
-        schedule()
+            dialer = Dialer(self, transport, addr, "advertise", adv_name,
+                            "advertise", reconnect_interval, reconnect_max,
+                            partial(self._advertised, adv_name))
+            self._advertisements[adv_name] = dialer
+        dialer.dial()
         return adv_name
 
+    def _advertised(self, adv_name: str, endpoint: Endpoint) -> None:
+        """An advertise dial came up: serve on it and announce this
+        daemon by name (caller holds the lock)."""
+        self._serve_endpoint(endpoint, self._advertisements[adv_name])
+        endpoint.send(wire.encode_frame(wire.MsgType.ADVERTISE, 0,
+                                        wire.pack_advertise(adv_name)))
+
     def stop_advertise(self, name: Optional[str] = None) -> None:
-        """Retire an advertisement: no further reconnect attempts, and
-        the advertised endpoint (if up) is closed and pruned."""
+        """Retire an advertisement: no further redials, and the
+        advertised endpoint (if up) is closed and pruned."""
         adv_name = name or self.name
         with self.lock:
-            state = self._advertisements.pop(adv_name, None)
-            if state is None:
+            dialer = self._advertisements.pop(adv_name, None)
+            if dialer is None:
                 raise ConfigError(f"not advertising as {adv_name!r}")
-            state["stopped"] = True
-            endpoint = state["endpoint"]
-        if endpoint is not None and not endpoint.closed:
-            endpoint.close()
+            dialer.stop()
 
     def remove_producer(self, name: str) -> None:
         with self.lock:
@@ -1153,8 +1133,8 @@ class Ldmsd:
             for prod in list(self.producers.values()):
                 prod.stop()
             self.producers.clear()
-            for state in self._advertisements.values():
-                state["stopped"] = True
+            for dialer in self._advertisements.values():
+                dialer.stop()
             self._advertisements.clear()
             for lst in self._listeners:
                 lst.close()

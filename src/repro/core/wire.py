@@ -18,7 +18,7 @@ Frames are length-prefixed little-endian:
 
 ``frame_len`` counts everything after the length field itself.
 
-**Trace context (version-negotiated).**  The high bit of ``msg_type``
+**Trace context.**  The high bit of ``msg_type``
 (:data:`TRACE_FLAG`) marks a frame that carries a compact trace-context
 blob between the header and the payload:
 
@@ -27,12 +27,9 @@ blob between the header and the payload:
 ``index`` names the region position a context applies to inside a
 coalesced multi-read (0 for single-region frames); ``trace_id`` /
 ``parent_span`` / ``hop`` are the exemplar trace id, the sender's span
-id, and the sender's hop number (:mod:`repro.obs.spans`).  Because the
-flag bit was reserved (``msg_type`` ≤ 14), old decoders would reject
-flagged frames — so senders only set it after the peer advertised the
-``trace-ctx`` feature in its :data:`MsgType.HELLO` greeting, keeping
-mixed-version fleets interoperable.  The query messages (13/14) are
-gated the same way behind the ``query`` feature.
+id, and the sender's hop number (:mod:`repro.obs.spans`).  Every
+decoder of this protocol reads the flag, so a sender may set it on any
+frame, the first one on a connection included.
 """
 
 from __future__ import annotations
@@ -132,9 +129,9 @@ class MsgType:
     # aggregator it connected to (asymmetric network access, §IV-B)
     RDMA_READ_MULTI_REQ = 10  # coalesced read: N regions, one frame each way
     RDMA_READ_MULTI_REPLY = 11
-    HELLO = 12  # transport-internal greeting: peer clock + feature list
+    HELLO = 12  # transport-internal greeting: the peer's daemon clock
     QUERY_REQ = 13  # serving tier: time-range query over the SOS store
-    QUERY_REPLY = 14  # (feature-gated: peer must advertise "query")
+    QUERY_REPLY = 14
 
 
 #: High bit of ``msg_type``: the frame carries a trace-context blob.
@@ -424,9 +421,7 @@ def unpack_read_multi_reply(payload: bytes) -> list[bytes | None]:
 # ---------------------------------------------------------------------------
 # QUERY (serving tier, PR 9): a client asks an aggregator for a time
 # range of stored records — base data (level=0) or a pre-computed
-# rollup (level=N seconds).  Feature-gated like TRACE_FLAG: MsgType 13
-# and 14 did not exist before this build, so clients only send
-# QUERY_REQ after the peer's HELLO advertised the "query" feature.
+# rollup (level=N seconds).
 #
 # Request:  f64 t0 | f64 t1 | u32 level | u32 comp_id | u32 max_records
 #           | u16 schema_len | schema — comp_id 0 means all components;
@@ -649,23 +644,20 @@ def unpack_query_reply(payload: bytes) -> tuple[int, int, tuple[str, ...], RowBl
 
 
 # ---------------------------------------------------------------------------
-# HELLO (transport-internal, stream transports): sent once per direction
-# right after connect.  Carries the sender's daemon clock (so a peer can
-# convert transaction timestamps into ages without sharing an epoch —
-# daemon clocks are monotonic-since-start, not wall time) and its
-# feature list for version negotiation (currently just "trace-ctx").
-# Peers that never send a HELLO are treated as featureless old builds.
+# HELLO (transport-internal, stream transports): sent once by each side
+# right after connect, whichever side dialled.  Its payload is one
+# f64, the sender's daemon clock, so a peer can convert transaction
+# timestamps into ages without sharing an epoch (daemon clocks are
+# monotonic-since-start, not wall time).
 # ---------------------------------------------------------------------------
 
 
-def pack_hello(now: float, features: frozenset[str] | set[str]) -> bytes:
-    b = ",".join(sorted(features)).encode("utf-8")
-    return struct.pack("<dH", now, len(b)) + b
+def pack_hello(now: float) -> bytes:
+    return struct.pack("<d", now)
 
 
-def unpack_hello(payload: bytes) -> tuple[float, frozenset[str]]:
-    _need("HELLO", payload, 10)
-    now, n = struct.unpack_from("<dH", payload, 0)
-    _need("HELLO", payload, 10 + n)
-    raw = _text("HELLO", payload[10 : 10 + n])
-    return now, (frozenset(raw.split(",")) if raw else frozenset())
+def unpack_hello(payload: bytes) -> float:
+    if len(payload) != 8:
+        raise WireError(
+            f"HELLO: payload is not one f64 clock ({len(payload)} bytes)")
+    return struct.unpack("<d", payload)[0]

@@ -112,7 +112,7 @@ def run_query_load(
     duration: float = 120.0,
     mix: ClientMix | None = None,
     hot_window: float = 30.0,
-    cache_entries: int = 256,
+    cache_entries: int | None = None,
     xprt: str = "sock",
 ) -> QueryLoadResult:
     """Build the topology, run it, and measure the serving tier."""

@@ -86,7 +86,6 @@ class QueryClient:
         self.rows_received = 0
         self.truncated = 0
         self.cache_hits_seen = 0
-        self.skipped_nofeature = 0
         self._pending: dict[int, float] = {}
         self._replies = wire.ReplyDecoder()
         self._rid = 0
@@ -117,11 +116,6 @@ class QueryClient:
     def _tick(self) -> None:
         ep = self.ep
         if ep is None or ep.closed:
-            return
-        if not ep.query_ok:
-            # Feature gate (PR 7 negotiation rules): the peer never
-            # advertised "query", so the MsgType would be rejected.
-            self.skipped_nofeature += 1
             return
         window = self._window(self.env.now(), self._k)
         self._k += 1

@@ -111,7 +111,7 @@ class QueryEngine:
 
     def __init__(self, store: SosStore, clock: Callable[[], float],
                  obs=None, hot_window: float = 60.0,
-                 cache_entries: int = 128):
+                 cache_entries: int = 256):
         if obs is None:
             from repro.obs.registry import Telemetry
 

@@ -21,7 +21,6 @@ from repro.util.errors import ConfigError, TransportError
 from repro.util.timeutil import monotonic as _monotonic
 
 __all__ = [
-    "BASE_FEATURES",
     "Endpoint",
     "Listener",
     "Transport",
@@ -119,14 +118,6 @@ def _noop_inc(n: int = 1) -> None:
     """Stand-in for a counter ``inc`` on endpoints with no registry."""
 
 
-#: Features this build's endpoints advertise during connection setup.
-#: "trace-ctx": the peer may set :data:`repro.core.wire.TRACE_FLAG` and
-#: attach trace-context blobs to frames it sends us.
-#: "query": the peer may send ``MsgType.QUERY_REQ`` frames (serving
-#: tier, PR 9) — old builds would reject the unknown message type.
-BASE_FEATURES = frozenset({"trace-ctx", "query"})
-
-
 class Endpoint:
     """One side of a connection.  Subclasses implement the four verbs."""
 
@@ -142,16 +133,6 @@ class Endpoint:
         self._inc_bytes_rx = _noop_inc
         self._inc_reads = _noop_inc
         self._inc_read_bytes = _noop_inc
-        #: Version negotiation (PR 7): what we speak, and what the peer
-        #: told us it speaks.  ``trace_ok`` is the pre-computed "may I
-        #: attach trace context to frames for this peer" bit, so the
-        #: exemplar path tests one attribute.  Until the peer's feature
-        #: set arrives (simfabric: at establish; sock: HELLO frame;
-        #: never, for old builds) we assume nothing.
-        self.features: frozenset[str] = BASE_FEATURES
-        self.peer_features: frozenset[str] = frozenset()
-        self.trace_ok = False
-        self.query_ok = False
         #: Serve-side hook invoked once per trace-context entry on an
         #: inbound traced read: ``fn(trace_id, parent_span, hop,
         #: region_id)``.  Installed by the serving daemon.
@@ -185,13 +166,7 @@ class Endpoint:
             (self._inc_frames_rx, self._inc_bytes_rx,
              self._inc_reads, self._inc_read_bytes) = registry.endpoint_incs()
 
-    # -- negotiation -------------------------------------------------------
-    def _negotiate(self, peer_features: frozenset[str]) -> None:
-        """Record the peer's advertised feature set."""
-        self.peer_features = peer_features
-        self.trace_ok = "trace-ctx" in peer_features
-        self.query_ok = "query" in peer_features
-
+    # -- peer clock --------------------------------------------------------
     def peer_age(self, ts: float) -> Optional[float]:
         """Age of a peer-clock timestamp ``ts`` in seconds, or ``None``.
 
@@ -254,8 +229,7 @@ class Endpoint:
         or ``None`` if the region is gone / connection failed.
 
         ``trace`` optionally carries trace-context entries (see
-        :func:`repro.core.wire.pack_trace_ctx`) to the serving side;
-        callers must only pass it when :attr:`trace_ok` is set.
+        :func:`repro.core.wire.pack_trace_ctx`) to the serving side.
         """
         raise NotImplementedError
 

@@ -434,12 +434,8 @@ class SimTransport(Transport):
         target._conn_count += 1
 
         def establish() -> None:
-            # In-sim version negotiation: feature sets are exchanged at
-            # establish time (the HELLO a stream transport would send),
-            # and both clocks are the shared DES clock so the peer-age
-            # anchor is exact.
-            a._negotiate(b.features)
-            b._negotiate(a.features)
+            # Both clocks are the shared DES clock, so the peer-age
+            # anchor a stream transport's HELLO carries is exact here.
             a._peer_clock = b._peer_clock = (0.0, 0.0)
             lst.on_connect(b)
             on_connected(a)

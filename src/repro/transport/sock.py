@@ -63,13 +63,12 @@ class _SockEndpoint(Endpoint):
         race the handler assignment and be silently dropped.
 
         Also the point where this side's HELLO goes out: the owner has
-        had its chance to install ``clock``/``features`` in the connect
-        callback, and the greeting must precede any traced frame.
+        had its chance to install ``clock`` in the connect callback.
         """
         try:
             now = self.clock() if self.clock is not None else _monotonic()
             self.send(wire.encode_frame(
-                wire.MsgType.HELLO, 0, wire.pack_hello(now, self.features)))
+                wire.MsgType.HELLO, 0, wire.pack_hello(now)))
         except TransportError:
             pass
         self._reader.start()
@@ -173,12 +172,10 @@ class _SockEndpoint(Endpoint):
 
     def _dispatch(self, frame: wire.Frame) -> None:
         if frame.msg_type == wire.MsgType.HELLO:
-            # Transport-internal greeting: version negotiation + clock
-            # anchor.  Consumed here — the application handler never
-            # sees it (CLI clients overwrite on_message wholesale).
-            peer_now, feats = wire.unpack_hello(frame.payload)
-            self._negotiate(feats)
-            self._anchor_peer_clock(peer_now)
+            # Transport-internal greeting: the peer's clock anchor.
+            # Consumed here — the application handler never sees it
+            # (CLI clients overwrite on_message wholesale).
+            self._anchor_peer_clock(wire.unpack_hello(frame.payload))
             return
         if frame.msg_type == wire.MsgType.RDMA_READ_REQ:
             if len(frame.payload) != 8:

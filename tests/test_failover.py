@@ -41,8 +41,8 @@ class TestReconnectBackoff:
                                  reconnect_max=60.0)
         delays = []
         for attempt in range(12):
-            p._reconnect_attempts = attempt
-            delays.append(p._reconnect_delay())
+            p.dialer.attempts = attempt
+            delays.append(p.dialer.delay())
         # Exponential envelope: each raw delay doubles until the cap.
         for i, d in enumerate(delays):
             raw = min(2.0 * 2 ** i, 60.0)
@@ -52,8 +52,8 @@ class TestReconnectBackoff:
 
     def test_jitter_deterministic_per_producer(self, world):
         _agg, p = self._producer(world)
-        p._reconnect_attempts = 3
-        assert p._reconnect_delay() == p._reconnect_delay()
+        p.dialer.attempts = 3
+        assert p.dialer.delay() == p.dialer.delay()
         # A fresh producer with the same name sees the same schedule...
         eng2 = Engine()
         env2 = SimEnv(eng2)
@@ -62,19 +62,19 @@ class TestReconnectBackoff:
                      transports={"rdma": SimTransport(fabric2, "rdma",
                                                       node_id="agg")})
         q = agg2.add_producer("s0", "rdma", "s0:411", interval=1.0)
-        q._reconnect_attempts = 3
-        assert q._reconnect_delay() == p._reconnect_delay()
+        q.dialer.attempts = 3
+        assert q.dialer.delay() == p.dialer.delay()
         # ...while a differently named producer is decorrelated.
         r = agg2.add_producer("s1", "rdma", "s1:411", interval=1.0)
-        r._reconnect_attempts = 3
-        assert r._reconnect_delay() != p._reconnect_delay()
+        r.dialer.attempts = 3
+        assert r.dialer.delay() != p.dialer.delay()
 
     def test_attempts_reset_on_success(self, world):
         eng, env, fabric = world
         agg, p = self._producer(world, reconnect_interval=0.1,
                                 reconnect_max=1.0)
         eng.run(until=3.0)  # nothing listening: attempts accumulate
-        assert p._reconnect_attempts >= 3
+        assert p.dialer.attempts >= 3
         assert not p.connected
         samp = Ldmsd("s0", env=env,
                      transports={"rdma": SimTransport(fabric, "rdma",
@@ -84,7 +84,7 @@ class TestReconnectBackoff:
         samp.listen("rdma", "s0:411")
         eng.run(until=8.0)
         assert p.connected
-        assert p._reconnect_attempts == 0
+        assert p.dialer.attempts == 0
 
     def test_tick_does_not_bypass_backoff(self, world):
         eng, _env, fabric = world
@@ -95,7 +95,7 @@ class TestReconnectBackoff:
         # With base 4s and doubling, at most ~4 attempts fit in 20s.
         # The 1s update tick must not add one connect per tick (~20).
         assert fabric.engine.now == 20.0
-        assert p._reconnect_attempts <= 5
+        assert p.dialer.attempts <= 5
 
 
 class TestFailoverE2E:

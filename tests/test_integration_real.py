@@ -150,6 +150,45 @@ class TestRealPipeline:
         finally:
             agg.shutdown()
 
+    def test_peer_age_of_active_and_passive_producers(self, synth_fs):
+        # The HELLO of either side of a connection stamps its daemon
+        # clock, whichever side dialled: an advertised endpoint that
+        # stamped host monotonic time anchored the passive producer's
+        # peer clock off by the host's uptime.
+        interval = 0.1
+        active = Ldmsd("node0", fs=synth_fs)
+        edge = Ldmsd("node1", fs=synth_fs)
+        agg = Ldmsd("agg0")
+        try:
+            for cid, d in enumerate((active, edge), 1):
+                d.load_sampler("loadavg", instance=f"{d.name}/la",
+                               component_id=cid)
+                d.start_sampler(f"{d.name}/la", interval=interval)
+            s_lst = active.listen("sock", ("127.0.0.1", 0))
+            a_lst = agg.listen("sock", ("127.0.0.1", 0))
+            store = agg.add_store("memory")
+            agg.add_producer("node0", "sock", ("127.0.0.1", s_lst.port),
+                             interval=interval)
+            agg.add_producer("node1", "sock", interval=interval,
+                             passive=True)
+            edge.advertise("sock", ("127.0.0.1", a_lst.port))
+
+            def stored(name):
+                return sum(r.producer == name for r in store.rows)
+
+            assert wait_for(lambda: stored("node0") >= 3
+                            and stored("node1") >= 3)
+            for name in ("node0", "node1"):
+                prod = agg.producers[name]
+                with agg.lock:
+                    mirror = prod.updaters[f"{name}/la"].mirror
+                    age = prod.endpoint.peer_age(mirror.timestamp)
+                assert age is not None and age < 10 * interval, (name, age)
+        finally:
+            agg.shutdown()
+            edge.shutdown()
+            active.shutdown()
+
     @pytest.mark.skipif(not RealFS().exists("/proc/meminfo"),
                         reason="no /proc on this platform")
     def test_real_proc_sampling(self):

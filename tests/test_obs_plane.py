@@ -64,10 +64,9 @@ class TestWireTraceCtx:
         assert frame.trace is None
 
     def test_hello_roundtrip(self):
-        blob = wire.pack_hello(12.5, frozenset({"trace-ctx", "x"}))
-        now, feats = wire.unpack_hello(blob)
-        assert now == 12.5
-        assert feats == frozenset({"trace-ctx", "x"})
+        blob = wire.pack_hello(12.5)
+        assert len(blob) == 8
+        assert wire.unpack_hello(blob) == 12.5
 
 
 class TestSpanRecorder:
@@ -205,7 +204,9 @@ class TestFlightRecorder:
 # ---------------------------------------------------------------------------
 # end to end over the simulated fabric
 # ---------------------------------------------------------------------------
-def _world():
+def _world(passive=False):
+    """One sampler, one aggregator.  ``passive``: the sampler dials the
+    aggregator and advertises itself (§IV-B) instead of being dialled."""
     eng = Engine()
     env = SimEnv(eng)
     fabric = SimFabric(eng)
@@ -218,15 +219,33 @@ def _world():
     samp.load_sampler("synthetic", instance="s0/syn", component_id=1,
                       num_metrics=4)
     samp.start_sampler("s0/syn", interval=0.5)
-    samp.listen("rdma", "s0:411")
-    agg.add_store("memory")
-    agg.add_producer("s0", "rdma", "s0:411", interval=0.5, sets=("s0/syn",))
+    if passive:
+        agg.listen("rdma", "agg:411")
+        agg.add_store("memory")
+        agg.add_producer("s0", "rdma", interval=0.5, sets=("s0/syn",),
+                         passive=True)
+        samp.advertise("rdma", "agg:411")
+    else:
+        samp.listen("rdma", "s0:411")
+        agg.add_store("memory")
+        agg.add_producer("s0", "rdma", "s0:411", interval=0.5,
+                         sets=("s0/syn",))
     return eng, samp, agg
 
 
 class TestEndToEndChain:
     def test_four_hop_causal_chain(self):
-        eng, samp, agg = _world()
+        self._assert_four_hop_chains(passive=False)
+
+    def test_four_hop_causal_chain_when_the_sampler_dials(self):
+        # The advertised endpoint serves traced reads like an accepted
+        # one: the sampler records serve_read and sample spans.
+        samp = self._assert_four_hop_chains(passive=True)
+        names = {s.name for s in samp.spans.spans}
+        assert {"serve_read", "sample"} <= names
+
+    def _assert_four_hop_chains(self, passive):
+        eng, samp, agg = _world(passive)
         agg.spans.sample_every = 1
         eng.run(until=10.0)
         chains = causal_chains([samp.spans, agg.spans], min_hops=4)
@@ -247,6 +266,7 @@ class TestEndToEndChain:
                     == by_hop[HOP_UPDATE][1].span_id)
         doc = chrome_trace_events([samp.spans, agg.spans])
         assert validate_chrome_trace(doc) is None
+        return samp
 
     #: sha256 of the healthy world's spans (10 s, every transaction an
     #: exemplar), as recorded when the update span was written only for
@@ -275,26 +295,6 @@ class TestEndToEndChain:
         # exemplars that ended without storing.
         assert all(s.name == "update" and s.status in UPDATE_STATUSES
                    for s in added)
-
-    def test_trace_ctx_needs_peer_feature(self):
-        """A peer that never advertised trace-ctx gets plain frames."""
-        eng, samp, agg = _world()
-        agg.spans.sample_every = 1
-
-        def strip():
-            # Simulate an old peer: clear the negotiated feature on
-            # every aggregator endpoint after connect.
-            for p in agg.producers.values():
-                if p.endpoint is not None:
-                    p.endpoint.trace_ok = False
-
-        agg.env.call_later(1.0, strip)
-        eng.run(until=10.0)
-        # Updates keep flowing without trace headers; the sampler only
-        # served spans for the pre-strip window.
-        assert sum(p.stats.stored for p in agg.producers.values()) > 0
-        served_after = [s for s in samp.spans.spans if s.t0 > 1.5]
-        assert not served_after
 
     def test_freshness_tracks_healthy_run_complete(self):
         eng, samp, agg = _world()

@@ -22,15 +22,13 @@ def frame(payload=b"x"):
     return wire.encode_frame(wire.MsgType.DIR_REQ, 1, payload)
 
 
-def assert_every_gate_open(*eps):
-    # Two default endpoints advertise BASE_FEATURES to each other, so
-    # every feature gate (each ``*_ok`` flag negotiation sets) must be
-    # open after the HELLO: a gate keyed on a feature no build
-    # advertises can never open.
+def assert_clock_anchored(eps, now, tolerance):
+    # Connection setup anchors each side's clock against the peer's, so
+    # a peer timestamp of ``now`` reads as zero seconds old, and one a
+    # quarter second earlier as a quarter second old.
     for ep in eps:
-        gates = {k: v for k, v in vars(ep).items() if k.endswith("_ok")}
-        assert set(gates) >= {"trace_ok", "query_ok"}
-        assert all(gates.values()), gates
+        assert ep.peer_age(now) <= tolerance
+        assert abs(ep.peer_age(now - 0.25) - 0.25) <= tolerance
 
 
 class TestProfiles:
@@ -78,12 +76,14 @@ class TestSockTransport:
         return lst, accepted[0], client["ep"]
 
     def test_hello_opens_every_gate(self):
+        # The HELLO carries the clock anchor (ownerless endpoints stamp
+        # host monotonic time on both sides).
         lst, server, client = self._pair()
         deadline = time.monotonic() + 5.0
-        while not (server.peer_features and client.peer_features):
+        while server.peer_age(0.0) is None or client.peer_age(0.0) is None:
             assert time.monotonic() < deadline, "no HELLO within 5 s"
             time.sleep(0.01)
-        assert_every_gate_open(server, client)
+        assert_clock_anchored((server, client), time.monotonic(), 1.0)
         client.close()
         lst.close()
 
@@ -197,8 +197,12 @@ class TestSimFabric:
         return eps[0], cl["ep"]
 
     def test_establish_opens_every_gate(self):
+        # Both sides share the DES clock: the anchor is exact.
         eng, fabric = self._world()
-        assert_every_gate_open(*self._pair(eng, fabric))
+        eps = self._pair(eng, fabric)
+        for ep in eps:
+            ep.clock = lambda: eng.now
+        assert_clock_anchored(eps, eng.now, 1e-9)
 
     def test_connect_unknown_address(self):
         eng, fabric = self._world()

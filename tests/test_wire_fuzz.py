@@ -46,8 +46,7 @@ VALID = {
     wire.unpack_read_multi_reply: [
         wire.pack_read_multi_reply([]),
         wire.pack_read_multi_reply([b"a" * 24, None, b"", b"b" * 7])],
-    wire.unpack_hello: [wire.pack_hello(1.5, frozenset()),
-                        wire.pack_hello(2.5, {"trace-ctx", "query"})],
+    wire.unpack_hello: [wire.pack_hello(1.5), wire.pack_hello(12_538.25)],
 }
 DECODERS = sorted(VALID, key=lambda fn: fn.__name__)
 
@@ -121,6 +120,7 @@ class TestDecodersValidateUpFront:
              struct.pack("<I", 2) + struct.pack("<iI", 0, 2) + b"ok"
              + struct.pack("<iI", 0, 9) + b"short"),
             (wire.unpack_hello, struct.pack("<dH", 0.0, 2) + b"\xff\xfe"),
+            (wire.unpack_hello, wire.pack_hello(1.5) + b"\0"),  # f64 only
         ]:
             with pytest.raises(ReproError):
                 decode(payload)
