@@ -27,6 +27,14 @@ def _is_self_attr_call(node: ast.Call, attr: str) -> bool:
     return isinstance(f, ast.Attribute) and f.attr == attr
 
 
+def _called_name(node: ast.Call) -> Optional[str]:
+    """``f`` of ``f(...)`` or ``x.f(...)``; None for other callees."""
+    f = node.func
+    if isinstance(f, ast.Attribute):
+        return f.attr
+    return f.id if isinstance(f, ast.Name) else None
+
+
 def _class_has_decorator(node: ast.ClassDef, name: str, ctx) -> bool:
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
@@ -60,11 +68,12 @@ class SamplerContractRule(Rule):
     The paper's ~1.3 µs/metric collect cost (§IV-E) depends on the
     sample path being "read counters, one compiled whole-row write":
     metric names resolve to indices once at ``config()`` (the PR-1 fast
-    path).  Flags, inside ``do_sample``/``sample`` bodies: string-named
-    ``set_value`` calls, ``index_of``/``indices_of`` calls,
-    ``getattr(x, "literal")`` lookups, literal name->value dicts, and
-    ``create_set`` calls.  Also requires every sampler class to define
-    both ``config`` and ``do_sample``.
+    path), and a layout is compiled (``set_template``) and instantiated
+    (``create_set``) there too.  Flags, inside ``do_sample``/``sample``
+    bodies: string-named ``set_value`` calls, ``index_of``/``indices_of``
+    calls, ``getattr(x, "literal")`` lookups, literal name->value dicts,
+    and ``create_set`` / ``set_template`` calls.  Also requires every
+    sampler class to define both ``config`` and ``do_sample``.
     """
 
     rule_id = "sampler-contract"
@@ -116,12 +125,10 @@ class SamplerContractRule(Rule):
             ctx.report(self, node,
                        f"name->index resolution in {fn.name}() — "
                        f"resolve once at config()")
-        elif (_is_self_attr_call(node, "create_set")
-              or (isinstance(node.func, ast.Name)
-                  and node.func.id == "create_set")):
+        elif _called_name(node) in ("create_set", "set_template"):
             ctx.report(self, node,
-                       f"create_set() in {fn.name}() — layout cost must be "
-                       f"paid once at config()")
+                       f"{_called_name(node)}() in {fn.name}() — layout "
+                       f"cost must be paid once at config()")
         elif (isinstance(node.func, ast.Name) and node.func.id == "getattr"
               and len(node.args) >= 2
               and isinstance(node.args[1], ast.Constant)

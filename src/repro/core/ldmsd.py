@@ -23,6 +23,7 @@ examples over real TCP) and inside the discrete-event simulator
 from __future__ import annotations
 
 import dataclasses
+import threading
 from functools import partial
 from typing import Any, NamedTuple, Optional
 
@@ -30,8 +31,7 @@ from repro.core import sanitize, wire
 from repro.core.aggregator import Dialer, Producer, ProducerConfig
 from repro.core.env import Env, RealEnv, SimEnv, WorkerPool
 from repro.core.memory import Arena
-from repro.core.metric import MetricType
-from repro.core.metric_set import MetricSet, SetInfo
+from repro.core.metric_set import MetricSet, SetInfo, SetTemplate
 from repro.core.sampler import SamplerPlugin, sampler_registry
 from repro.core.store import (StorePlugin, StorePolicy, StoreRecord, record_of,
                               store_registry)
@@ -180,14 +180,19 @@ class _FlushBatch:
     real threads the caller holds the daemon lock against appends.
     """
 
-    __slots__ = ("store", "rows", "sealed", "scheduled")
+    __slots__ = ("store", "rows", "sealed", "scheduled", "writing", "idle")
 
-    def __init__(self, store: StorePlugin):
+    def __init__(self, store: StorePlugin, lock):
         self.store = store
         #: pending rows, append order
         self.rows: list[_PendingRow] = []
         self.sealed: Optional[list[_PendingRow]] = None
         self.scheduled = False
+        #: a flush task is writing rows it took, outside the daemon lock
+        self.writing = False
+        #: notified (under the daemon lock) when that write ends while
+        #: the daemon shuts down
+        self.idle = threading.Condition(lock)
 
     def seal(self) -> float:
         rows = self.rows
@@ -362,15 +367,18 @@ class Ldmsd:
     # set registry
     # ------------------------------------------------------------------
     def create_set(
-        self, name: str, schema: str, metrics: list[tuple[str, MetricType, int]]
+        self, name: str, schema: str, template: SetTemplate,
+        component_id: int,
     ) -> MetricSet:
-        """Create and publish a metric set (sampler plugins call this)."""
+        """Create and publish a metric set of ``template`` whose every
+        metric carries ``component_id`` (sampler plugins call this)."""
         with self.lock:
             if name in self._sets:
                 raise ConfigError(f"metric set {name!r} already exists")
             try:
-                mset = MetricSet.create(name, schema, metrics, self.arena,
-                                        pool=self.set_pool)
+                mset = MetricSet.instantiate(name, schema, template,
+                                             component_id, self.arena, 1,
+                                             self.set_pool)
             except OutOfMemory:
                 # Arena exhaustion is an operator-visible event (the
                 # paper sizes set memory up front, §IV-B): count it so
@@ -984,7 +992,7 @@ class Ldmsd:
         clears it under the same lock, only after finding none."""
         batch = self._flush_batches.get(store)
         if batch is None:
-            batch = self._flush_batches[store] = _FlushBatch(store)
+            batch = self._flush_batches[store] = _FlushBatch(store, self.lock)
         batch.rows.append(row)
         if not batch.scheduled:
             batch.scheduled = True
@@ -1001,19 +1009,33 @@ class Ldmsd:
         batched write, then reschedule if rows accumulated while the
         worker was busy (a loaded flush thread runs back-to-back)."""
         with self.lock:
+            if self._shutdown:
+                # Shutdown drains whatever is still pending itself.
+                batch.scheduled = False
+                return
             if batch.sealed is None:
                 # RealEnv pools never evaluate the cost callable; seal here.
                 batch.seal()
             rows, batch.sealed = batch.sealed, None
+            batch.writing = True
         # The store write stays outside the daemon lock: deliveries keep
-        # appending to batch.rows while this worker is in the backend.
-        if rows and not self._shutdown:
-            self._flush_rows(batch.store, rows)
-        with self.lock:
-            if batch.rows and not self._shutdown:
-                self._submit_flush(batch)
-            else:
-                batch.scheduled = False
+        # appending to batch.rows while this worker is in the backend,
+        # and shutdown waits for it before it closes the store.
+        try:
+            if rows:
+                self._flush_rows(batch.store, rows)
+        finally:
+            with self.lock:
+                batch.writing = False
+                if self._shutdown:
+                    # Set before shutdown takes the lock to wait, so a
+                    # waiting shutdown is always woken; no wake-up else.
+                    batch.idle.notify_all()
+                    batch.scheduled = False
+                elif batch.rows:
+                    self._submit_flush(batch)
+                else:
+                    batch.scheduled = False
 
     def _materialize_rows(self, rows: list[_PendingRow]) -> list[StoreRecord]:
         """Turn a drained batch into records, decoding each row once.
@@ -1142,8 +1164,14 @@ class Ldmsd:
             for ep in list(self._served_endpoints):
                 if not ep.closed:
                     ep.close()
-            # Drain batched rows still waiting on a flush-pool wakeup
-            # before the stores close, so shutdown never loses them.
+            # Let every write a flush task is in finish (the wait
+            # releases the daemon lock, which the task needs to end),
+            # then drain batched rows still waiting on a flush-pool
+            # wakeup before the stores close, so shutdown never loses
+            # them and never closes a store under a write.
+            for batch in self._flush_batches.values():
+                while batch.writing:
+                    batch.idle.wait()
             for batch in self._flush_batches.values():
                 rows = (batch.sealed or []) + batch.rows
                 batch.sealed = None

@@ -33,9 +33,11 @@ per-layout flyweight :class:`_Layout` adds what depends on the metric
 with header and component ids zeroed) — "metadata once, then data-only"
 applied to our own bookkeeping and memory: a set or mirror keeps only
 its name, component ids and data chunk, and :meth:`MetricSet.meta_bytes`
-stamps its metadata chunk from the layout on LOOKUP.  A producer set
-finds its layout through its (names, types) :class:`_Template`, so the
-per-metric checks ran when the template compiled.  The hot producer path
+stamps its metadata chunk from the layout on LOOKUP.  A producer set is
+instantiated from its (names, types) :class:`SetTemplate`, compiled once
+per layout, so the per-metric checks ran when the template compiled; a
+mirror of a layout seen before is stamped from that layout's template
+and compared, not decoded.  The hot producer path
 (:meth:`set_all` / :meth:`set_values`) is then one ``pack_into`` plus
 one DGN write, and the hot consumer path
 (:meth:`values` / :meth:`values_tuple` / :meth:`snapshot_values`) is
@@ -48,7 +50,7 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from repro.core import sanitize
 from repro.core.memory import Arena, OutOfMemory
@@ -58,8 +60,8 @@ from repro.util.errors import ReproError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.set_arena import SetArenaPool
 
-__all__ = ["MetricSet", "SetInfo", "SET_NAME_LEN", "SCHEMA_NAME_LEN",
-           "schema_name_ok"]
+__all__ = ["MetricSet", "SetInfo", "SetTemplate", "SET_NAME_LEN",
+           "SCHEMA_NAME_LEN", "schema_name_ok", "set_template"]
 
 SET_NAME_LEN = 128
 SCHEMA_NAME_LEN = 64
@@ -208,7 +210,7 @@ _LAYOUT_CACHE: dict[tuple, _Layout] = {}
 
 def _layout_for(
     wire_names: tuple[bytes, ...], tags: tuple[int, ...],
-    offsets: tuple[int, ...], data_size: int, set_name: str,
+    offsets: tuple[int, ...], data_size: int,
 ) -> _Layout:
     key = (data_size, wire_names, tags, offsets)
     layout = _LAYOUT_CACHE.get(key)
@@ -229,7 +231,8 @@ def _layout_for(
                 f"descriptor at offset {off} runs past the {data_size}-byte data chunk")
     index = {n: i for i, n in enumerate(names)}
     if len(index) != len(names):
-        raise ValueError(f"duplicate metric names in set {set_name!r}")
+        dup = next(n for i, n in enumerate(names) if index[n] != i)
+        raise ValueError(f"duplicate metric name {dup!r}")
     meta = bytes(_META_HDR_SIZE) + b"".join(
         struct.pack(MetricDesc.WIRE_FMT, nb, 0, tag, off)
         for nb, tag, off in zip(wire_names, tags, offsets))
@@ -241,9 +244,11 @@ def _layout_for(
     return layout
 
 
-class _Template(NamedTuple):
-    """Everything :meth:`MetricSet.create` needs for one (metric names,
-    metric types) sequence, compiled by its first set."""
+class SetTemplate(NamedTuple):
+    """One compiled (metric names, metric types) layout — LDMS's
+    ``ldms_schema_t`` without its name: what every producer set of the
+    layout shares.  :func:`set_template` compiles or finds it;
+    :meth:`MetricSet.instantiate` makes sets of it."""
 
     layout: _Layout
     data_size: int
@@ -251,14 +256,39 @@ class _Template(NamedTuple):
     ids: struct.Struct
 
 
-#: (metric names, metric types) -> _Template, capped like _LAYOUT_CACHE.
-_TEMPLATES: dict[tuple, _Template] = {}
+#: (metric names, metric types) -> SetTemplate, capped like _LAYOUT_CACHE.
+_TEMPLATES: dict[tuple, SetTemplate] = {}
 _METRIC_TYPE = frozenset((MetricType,))
 
 
-def _compile_template(names: tuple, mtypes: tuple, set_name: str) -> _Template:
+def set_template(names: Sequence[str],
+                 mtypes: MetricType | Sequence[MetricType]) -> SetTemplate:
+    """The template of the layout whose metrics are ``names`` with types
+    ``mtypes`` (one type per name, or one for all), in descriptor order:
+    compiled by the first call for a layout, found by every later one.
+    A plugin calls this in ``config()`` and passes the result to
+    ``create_set``: its first instance compiles the layout, the rest
+    find it, and one that keeps its name tuple pays one dict lookup
+    here, not a per-metric pass."""
+    names = tuple(names)
+    if not names:
+        raise ValueError("metric set must contain at least one metric")
+    if isinstance(mtypes, MetricType):
+        mtypes = (mtypes,) * len(names)
+    else:
+        mtypes = tuple(mtypes)
+        if len(mtypes) != len(names):
+            raise ValueError(f"{len(names)} metric names but {len(mtypes)} types")
+        # Per call: a wire tag (7) would otherwise find U64's template.
+        if not _METRIC_TYPE.issuperset(map(type, mtypes)):
+            bad = next(t for t in mtypes if type(t) is not MetricType)
+            raise ValueError(f"{bad!r} is not a valid MetricType")
+    return _TEMPLATES.get((names, mtypes)) or _compile_template(names, mtypes)
+
+
+def _compile_template(names: tuple, mtypes: tuple) -> SetTemplate:
     # The per-metric name checks: run once per layout, here (_layout_for
-    # rejects empty and duplicate names; create() checks the types).
+    # rejects empty and duplicate names; set_template checks the types).
     wire_names, offsets, off = [], [], _DATA_HDR_SIZE
     for mname, mtype in zip(names, mtypes):
         encoded = mname.encode("utf-8")
@@ -272,12 +302,37 @@ def _compile_template(names: tuple, mtypes: tuple, set_name: str) -> _Template:
         offsets.append(off)
         off += size
     tags = tuple(map(int, mtypes))
-    layout = _layout_for(tuple(wire_names), tags, tuple(offsets), off, set_name)
+    layout = _layout_for(tuple(wire_names), tags, tuple(offsets), off)
     if len(_TEMPLATES) >= _SCHEMA_CACHE_MAX:
         _TEMPLATES.clear()
-    tmpl = _TEMPLATES[names, mtypes] = _Template(
+    tmpl = _TEMPLATES[names, mtypes] = SetTemplate(
         layout, off, struct.Struct(f"<{len(names)}Q"))
     return tmpl
+
+
+#: (schema field, data size, card) of a LOOKUP reply -> the layout last
+#: decoded under it, capped like _LAYOUT_CACHE: the candidate a mirror
+#: of a known layout is stamped from instead of decoded.
+_MIRROR_LAYOUTS: dict[tuple, _Layout] = {}
+
+#: Offset of the first component id in a metadata chunk; the column
+#: strides by one descriptor.
+_IDS_OFF = _META_HDR_SIZE + METRIC_NAME_LEN
+
+
+def _stamp(layout: _Layout, header: tuple, ids) -> bytearray:
+    """The metadata chunk of a set of ``layout``: its zero-id template
+    with ``header`` (the ``_META_HDR`` fields) packed in front and the
+    component ids written as one strided u64 column; ``ids`` is one id
+    for every metric or one per metric."""
+    import numpy as np
+
+    meta = bytearray(layout.meta)
+    _META_HDR.pack_into(meta, 0, *header)
+    card = len(layout.tags)
+    if card:
+        np.ndarray(card, "<u8", meta, _IDS_OFF, (MetricDesc.WIRE_SIZE,))[:] = ids
+    return meta
 
 
 @dataclass(frozen=True)
@@ -402,35 +457,46 @@ class MetricSet:
         mgn: int = 1,
         pool: Optional["SetArenaPool"] = None,
     ) -> "MetricSet":
-        """Create a producer-side set from its layout's template (data
-        offsets assigned sequentially, naturally aligned).  Every check
-        runs before the first allocation, so a rejected call leaves the
-        arena and the set pool as they were."""
-        name_b = name.encode("utf-8")
-        schema_b = schema.encode("utf-8")
-        if not name or len(name_b) >= SET_NAME_LEN:
-            raise ValueError(f"bad set name {name!r}")
-        if not schema_name_ok(schema) or len(schema_b) >= SCHEMA_NAME_LEN:
-            raise ValueError(f"bad schema name {schema!r}")
-        if not 0 <= mgn <= _U32_MASK:
-            raise ValueError(f"mgn {mgn} of set {name!r} is not a u32")
+        """Create a producer-side set from a ``(name, type, component
+        id)`` list: the list finds (or compiles) its layout's template,
+        and the set is instantiated from it like every other."""
         if not metrics:
             raise ValueError("metric set must contain at least one metric")
         names, mtypes, comp_ids = zip(*metrics)
-        # Per call: a wire tag (7) would otherwise find U64's template.
-        if not _METRIC_TYPE.issuperset(map(type, mtypes)):
-            bad = next(t for t in mtypes if type(t) is not MetricType)
-            raise ValueError(f"{bad!r} is not a valid MetricType")
-        tmpl = (_TEMPLATES.get((names, mtypes))
-                or _compile_template(names, mtypes, name))
+        return cls.instantiate(name, schema, set_template(names, mtypes),
+                               comp_ids, arena, mgn, pool)
+
+    @classmethod
+    def instantiate(
+        cls, name: str, schema: str, template: SetTemplate,
+        comp_ids: int | Sequence[int], arena: Arena, mgn: int,
+        pool: Optional["SetArenaPool"],
+    ) -> "MetricSet":
+        """A producer-side set of a compiled layout (LDMS's
+        ``ldms_set_new``).  ``comp_ids`` is one component id for every
+        metric (the usual case) or a sequence of one per metric.  Every
+        check runs before the first allocation, so a rejected call
+        leaves the arena and the set pool as they were."""
+        if not name or len(name.encode("utf-8")) >= SET_NAME_LEN:
+            raise ValueError(f"bad set name {name!r}")
+        if not schema_name_ok(schema) or len(schema.encode("utf-8")) >= SCHEMA_NAME_LEN:
+            raise ValueError(f"bad schema name {schema!r}")
+        if not 0 <= mgn <= _U32_MASK:
+            raise ValueError(f"mgn {mgn} of set {name!r} is not a u32")
+        card = len(template.layout.tags)
         try:
-            tmpl.ids.pack(*comp_ids)
-        except struct.error:
+            if isinstance(comp_ids, int):
+                _STRUCT_Q.pack(comp_ids)
+                comp_ids = (comp_ids,) * card
+            else:
+                comp_ids = tuple(comp_ids)
+                template.ids.pack(*comp_ids)
+        except (struct.error, TypeError):
             raise ValueError(f"component ids of set {name!r} must be "
-                             "integers in [0, 2**64)") from None
+                             f"{card} integers in [0, 2**64)") from None
         mset = cls.__new__(cls)
-        mset._build(name, schema, tmpl.layout, comp_ids, arena, mgn,
-                    tmpl.data_size, pool)
+        mset._build(name, schema, template.layout, comp_ids, arena, mgn,
+                    template.data_size, pool)
         return mset
 
     @classmethod
@@ -439,11 +505,16 @@ class MetricSet:
         pool: Optional["SetArenaPool"] = None,
     ) -> "MetricSet":
         """Construct a consumer-side mirror from a metadata chunk; every
-        check runs before the first allocation."""
+        check runs before the first allocation.
+
+        A chunk of a layout seen before under the same (schema, data
+        size, card) is not decoded: its one component id is stamped into
+        that layout's template, and the chunk is that layout's if the
+        two are byte-equal.  Any other chunk takes the full decode."""
         if len(meta) < _META_HDR_SIZE:
             raise ValueError("truncated metadata chunk")
-        magic, meta_size, data_size, card, mgn, name_b, schema_b = (
-            _META_HDR.unpack_from(meta, 0))
+        header = _META_HDR.unpack_from(meta, 0)
+        magic, meta_size, data_size, card, mgn, name_b, schema_b = header
         if magic != _META_MAGIC:
             raise ValueError("bad metadata magic")
         if len(meta) != meta_size:
@@ -455,22 +526,30 @@ class MetricSet:
         if data_size < _DATA_HDR_SIZE:
             raise ValueError(f"a {data_size}-byte data chunk has no room for "
                              f"its {_DATA_HDR_SIZE}-byte header")
-        wire_names, comp_ids, tags, offsets = MetricDesc.unpack_columns(
-            meta[_META_HDR_SIZE:end])
-        if card and comp_ids.count(comp_ids[0]) == card:
-            # One component per set (the usual case): share one int.
-            comp_ids = comp_ids[:1] * card
         name = name_b.rstrip(b"\x00").decode("utf-8")
         schema = schema_b.rstrip(b"\x00").decode("utf-8")
         if not schema_name_ok(schema):
             raise ValueError(f"bad schema name {schema!r}")
+        key = (schema_b, data_size, card)
+        layout = _MIRROR_LAYOUTS.get(key)
+        comp_id = _STRUCT_Q.unpack_from(meta, _IDS_OFF)[0] if card else 0
+        # bytearray == buffer is one memcmp; a memoryview on the left
+        # would compare item by item, slower than the decode it skips.
+        if layout is not None and _stamp(layout, header, comp_id) == meta:
+            comp_ids = (comp_id,) * card
+        else:
+            wire_names, comp_ids, tags, offsets = MetricDesc.unpack_columns(
+                meta[_META_HDR_SIZE:end])
+            if card and comp_ids.count(comp_ids[0]) == card:
+                # One component per set (the usual case): share one int.
+                comp_ids = comp_ids[:1] * card
+            layout = _layout_for(wire_names, tags, offsets, data_size)
+            if len(_MIRROR_LAYOUTS) >= _SCHEMA_CACHE_MAX:
+                _MIRROR_LAYOUTS.clear()
+            _MIRROR_LAYOUTS[key] = layout
         mset = cls.__new__(cls)
-        mset._build(
-            name,
-            sys.intern(schema),
-            _layout_for(wire_names, tags, offsets, data_size, name),
-            comp_ids, arena, mgn, data_size, pool,
-        )
+        mset._build(name, sys.intern(schema), layout, comp_ids, arena, mgn,
+                    data_size, pool)
         if mset._shadow is not None:
             # Mirrors get the consumer-side checks: decoding values
             # while the consistent flag is clear is a violation here.
@@ -674,21 +753,14 @@ class MetricSet:
     def meta_bytes(self) -> bytes:
         """The metadata chunk (sent once, on lookup), stamped from the
         layout's template: the header, then the component-id column."""
-        import numpy as np
-
-        meta = bytearray(self._layout.meta)
         ids = self._comp_ids
         card = len(ids)
-        _META_HDR.pack_into(meta, 0, _META_MAGIC, self.meta_size,
-                            self.data_size, card, self.mgn,
-                            self.name.encode("utf-8"),
-                            self.schema.encode("utf-8"))
-        if card:
+        return bytes(_stamp(
+            self._layout,
+            (_META_MAGIC, self.meta_size, self.data_size, card, self.mgn,
+             self.name.encode("utf-8"), self.schema.encode("utf-8")),
             # One component per set (the usual case) is a scalar fill.
-            np.ndarray(card, "<u8", meta, _META_HDR_SIZE + METRIC_NAME_LEN,
-                       (MetricDesc.WIRE_SIZE,))[:] = (
-                ids[0] if ids.count(ids[0]) == card else ids)
-        return bytes(meta)
+            ids[0] if card and ids.count(ids[0]) == card else ids))
 
     def data_bytes(self) -> bytes:
         """A copy of the data chunk (what an update transfers).

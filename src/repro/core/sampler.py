@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.metric import MetricType
-from repro.core.metric_set import MetricSet
+from repro.core.metric_set import MetricSet, SetTemplate
 from repro.util.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,7 +51,11 @@ class SamplerPlugin:
     Subclasses set :attr:`plugin_name`, implement :meth:`config` (which
     must create metric sets via :meth:`create_set`) and
     :meth:`do_sample` (which writes current values with
-    ``set.set_value``).
+    ``set.set_values``).  A layout is compiled once per process, as
+    LDMS's ``ldms_schema_new`` does: ``config()`` passes
+    ``set_template(names, types)`` — compiled by the first instance,
+    found by the rest — to ``create_set``, which instantiates a set of
+    it (``ldms_set_new``).
     """
 
     plugin_name: str = "abstract"
@@ -84,13 +87,12 @@ class SamplerPlugin:
         self.component_id = int(component_id)
         self.configured = True
 
-    def create_set(
-        self, name: str, schema: str, metrics: list[tuple[str, MetricType]]
-    ) -> MetricSet:
-        """Create (and publish) a metric set owned by this plugin."""
-        mset = self.daemon.create_set(
-            name, schema, [(m, t, self.component_id) for m, t in metrics]
-        )
+    def create_set(self, name: str, schema: str,
+                   template: SetTemplate) -> MetricSet:
+        """Create (and publish) a metric set of ``template`` owned by
+        this plugin, every metric carrying the plugin's component id."""
+        mset = self.daemon.create_set(name, schema, template,
+                                      self.component_id)
         self._sets.append(mset)
         return mset
 

@@ -24,6 +24,7 @@ default configuration reproduces by construction:
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.nodefs.gpcdr import GEMINI_DIRECTIONS, GPCDR_PATH
 from repro.plugins.samplers.gpcdr import DERIVED, RAW
@@ -98,7 +99,9 @@ class BlueWatersSampler(SamplerPlugin):
         metrics.extend((f"cpu_{f}", MetricType.U64) for f in CPU_FIELDS)
         metrics.extend([("ctxt", MetricType.U64), ("processes", MetricType.U64)])
         metrics.extend((f"rur_{c}", MetricType.U64) for c in RUR_COUNTERS)
-        self.set = self.create_set(instance, "bw_custom", metrics)
+        names, mtypes = zip(*metrics)
+        self.set = self.create_set(instance, "bw_custom",
+                                   set_template(names, mtypes))
         self._prev: dict[str, float] | None = None
         self._prev_ts = 0.0
 

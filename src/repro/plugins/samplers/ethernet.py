@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.plugins.samplers.parsers import parse_counter_file
 from repro.util.errors import ConfigError
@@ -55,12 +56,9 @@ class EthernetSampler(SamplerPlugin):
         if not ifaces:
             raise ConfigError("ethernet: no interfaces found")
         self.ifaces = tuple(ifaces)
-        metrics = [
-            (f"{ctr}#{iface}", MetricType.U64)
-            for iface in self.ifaces
-            for ctr in COUNTERS
-        ]
-        self.set = self.create_set(instance, "ethernet", metrics)
+        names = [f"{ctr}#{iface}" for iface in self.ifaces for ctr in COUNTERS]
+        self.set = self.create_set(instance, "ethernet",
+                                   set_template(names, MetricType.U64))
 
     def do_sample(self, now: float) -> None:
         # Counters accumulate in metric-creation order (iface-major) and

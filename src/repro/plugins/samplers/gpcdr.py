@@ -15,6 +15,7 @@ private state — the metric set itself still carries no history.
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.nodefs.gpcdr import GEMINI_DIRECTIONS, GPCDR_PATH
 from repro.plugins.samplers.parsers import parse_gpcdr
@@ -23,6 +24,11 @@ __all__ = ["GpcdrSampler"]
 
 RAW = ("traffic", "packets", "stalled", "linkstatus")
 DERIVED = ("percent_stalled", "percent_bw", "avg_packet_size")
+
+#: Per direction: the raw counters (U64), then the derived values (F64).
+_METRICS = tuple(f"{m}_{d}" for d in GEMINI_DIRECTIONS for m in RAW + DERIVED)
+_TYPES = ((MetricType.U64,) * len(RAW)
+          + (MetricType.F64,) * len(DERIVED)) * len(GEMINI_DIRECTIONS)
 
 
 @register_sampler("gpcdr")
@@ -33,11 +39,8 @@ class GpcdrSampler(SamplerPlugin):
                path: str = GPCDR_PATH, **kwargs) -> None:
         super().config(instance, component_id, **kwargs)
         self.path = path
-        metrics: list[tuple[str, MetricType]] = []
-        for d in GEMINI_DIRECTIONS:
-            metrics.extend((f"{raw}_{d}", MetricType.U64) for raw in RAW)
-            metrics.extend((f"{der}_{d}", MetricType.F64) for der in DERIVED)
-        self.set = self.create_set(instance, "gpcdr", metrics)
+        self.set = self.create_set(instance, "gpcdr",
+                                   set_template(_METRICS, _TYPES))
         self._prev: dict[str, float] | None = None
         self._prev_ts: float = 0.0
 

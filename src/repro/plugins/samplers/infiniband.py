@@ -7,6 +7,7 @@ Note: as on real hardware, ``port_rcv_data``/``port_xmit_data`` count
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.plugins.samplers.parsers import parse_counter_file
 from repro.util.errors import ConfigError
@@ -52,12 +53,9 @@ class InfinibandSampler(SamplerPlugin):
         if not devices:
             raise ConfigError("infiniband: no devices found")
         self.devices = tuple(devices)
-        metrics = [
-            (f"{ctr}#{dev}", MetricType.U64)
-            for dev in self.devices
-            for ctr in COUNTERS
-        ]
-        self.set = self.create_set(instance, "infiniband", metrics)
+        names = [f"{ctr}#{dev}" for dev in self.devices for ctr in COUNTERS]
+        self.set = self.create_set(instance, "infiniband",
+                                   set_template(names, MetricType.U64))
         # Counter-file paths in metric-index order, resolved once.
         self._paths = tuple(
             f"{self.root}/{dev}/ports/{self.port}/counters/{ctr}"

@@ -11,6 +11,7 @@ job without consulting the scheduler's log.
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 
 __all__ = ["JobidSampler"]
@@ -26,8 +27,8 @@ class JobidSampler(SamplerPlugin):
                path: str = JOBID_PATH, **kwargs) -> None:
         super().config(instance, component_id, **kwargs)
         self.path = path
-        self.set = self.create_set(instance, "jobid",
-                                   [("job_id", MetricType.U64)])
+        self.set = self.create_set(
+            instance, "jobid", set_template(("job_id",), MetricType.U64))
 
     def do_sample(self, now: float) -> None:
         try:

@@ -16,6 +16,7 @@ the snapshot window is discarded as torn, exactly as for data sets.
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.obs.selfmetrics import SELF_METRIC_NAMES, SELF_SCHEMA, collect
 
@@ -33,8 +34,7 @@ class LdmsdSelfSampler(SamplerPlugin):
     def config(self, instance: str, component_id: int = 0, **kwargs) -> None:
         super().config(instance, component_id, **kwargs)
         self.set = self.create_set(
-            instance, SELF_SCHEMA, [(m, MetricType.U64) for m in SELF_METRIC_NAMES]
-        )
+            instance, SELF_SCHEMA, set_template(SELF_METRIC_NAMES, MetricType.U64))
 
     def do_sample(self, now: float) -> None:
         # One registry snapshot -> one compiled whole-row pack.

@@ -4,6 +4,7 @@ custom set, §IV-F)."""
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.plugins.samplers.parsers import LNET_FIELDS, parse_lnet_stats
 
@@ -19,8 +20,7 @@ class LnetSampler(SamplerPlugin):
         super().config(instance, component_id, **kwargs)
         self.path = path
         self.set = self.create_set(
-            instance, "lnet", [(m, MetricType.U64) for m in LNET_FIELDS]
-        )
+            instance, "lnet", set_template(LNET_FIELDS, MetricType.U64))
 
     def do_sample(self, now: float) -> None:
         data = parse_lnet_stats(self.daemon.fs.read(self.path))

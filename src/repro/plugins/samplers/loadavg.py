@@ -4,10 +4,14 @@
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.plugins.samplers.parsers import parse_loadavg
 
 __all__ = ["LoadavgSampler"]
+
+_METRICS = ("load1", "load5", "load15", "runnable", "total_procs")
+_TYPES = (MetricType.F64,) * 3 + (MetricType.U64,) * 2
 
 
 @register_sampler("loadavg")
@@ -18,17 +22,8 @@ class LoadavgSampler(SamplerPlugin):
                path: str = "/proc/loadavg", **kwargs) -> None:
         super().config(instance, component_id, **kwargs)
         self.path = path
-        self.set = self.create_set(
-            instance,
-            "loadavg",
-            [
-                ("load1", MetricType.F64),
-                ("load5", MetricType.F64),
-                ("load15", MetricType.F64),
-                ("runnable", MetricType.U64),
-                ("total_procs", MetricType.U64),
-            ],
-        )
+        self.set = self.create_set(instance, "loadavg",
+                                   set_template(_METRICS, _TYPES))
 
     def do_sample(self, now: float) -> None:
         # Parser yields values in metric-creation order; one bulk write.

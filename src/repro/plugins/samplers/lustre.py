@@ -13,6 +13,7 @@ source exactly as in the paper's example metric set (§IV-B)::
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.plugins.samplers.parsers import parse_lustre_stats
 from repro.util.errors import ConfigError
@@ -75,12 +76,10 @@ class LustreSampler(SamplerPlugin):
         if not self._dirs:
             raise ConfigError("lustre: no mounts found")
         self._mounts = tuple(sorted(self._dirs))
-        metrics = [
-            (f"{event}#stats.{fsname}", MetricType.U64)
-            for fsname in self._mounts
-            for event in self.events
-        ]
-        self.set = self.create_set(instance, "lustre", metrics)
+        names = [f"{event}#stats.{fsname}"
+                 for fsname in self._mounts for event in self.events]
+        self.set = self.create_set(instance, "lustre",
+                                   set_template(names, MetricType.U64))
         # Stats-file paths in mount (= metric-index) order, resolved once.
         self._stat_paths = tuple(
             f"{self.root}/{self._dirs[m]}/stats" for m in self._mounts

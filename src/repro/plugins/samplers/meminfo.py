@@ -7,6 +7,7 @@ Collects the memory-related information the paper motivates in §II
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.plugins.samplers.parsers import parse_meminfo
 from repro.util.errors import ConfigError
@@ -47,8 +48,7 @@ class MeminfoSampler(SamplerPlugin):
             raise ConfigError("meminfo: empty metric list")
         self.metrics = tuple(metrics) if metrics else self.DEFAULT_METRICS
         self.set = self.create_set(
-            instance, "meminfo", [(m, MetricType.U64) for m in self.metrics]
-        )
+            instance, "meminfo", set_template(self.metrics, MetricType.U64))
         # Layout is frozen now: self.metrics is already in metric-index
         # order, so sampling can use the compiled whole-row setter.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.plugins.samplers.parsers import parse_nfs
 
@@ -20,8 +21,7 @@ class NfsSampler(SamplerPlugin):
         super().config(instance, component_id, **kwargs)
         self.path = path
         self.set = self.create_set(
-            instance, "nfs", [(m, MetricType.U64) for m in self.METRICS]
-        )
+            instance, "nfs", set_template(self.METRICS, MetricType.U64))
 
     def do_sample(self, now: float) -> None:
         data = parse_nfs(self.daemon.fs.read(self.path))

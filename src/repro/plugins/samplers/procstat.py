@@ -7,6 +7,7 @@ metrics, optionally per CPU.
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.plugins.samplers.parsers import CPU_FIELDS, parse_proc_stat
 
@@ -50,8 +51,7 @@ class ProcstatSampler(SamplerPlugin):
         names.extend(self.EXTRA)
         self.metrics = tuple(names)
         self.set = self.create_set(
-            instance, "procstat", [(m, MetricType.U64) for m in self.metrics]
-        )
+            instance, "procstat", set_template(self.metrics, MetricType.U64))
 
     def do_sample(self, now: float) -> None:
         data = parse_proc_stat(self.daemon.fs.read(self.path))

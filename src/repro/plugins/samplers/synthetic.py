@@ -11,6 +11,7 @@ template for user-written plugins.  Patterns:
 from __future__ import annotations
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.util.errors import ConfigError
 from repro.util.rngtools import spawn_rng
@@ -18,8 +19,8 @@ from repro.util.rngtools import spawn_rng
 __all__ = ["SyntheticSampler"]
 
 #: Shared metric-name tuples keyed by count: a fan-in sweep configures
-#: thousands of identical instances, and the name strings dominate its
-#: per-instance config cost.
+#: thousands of identical instances, and a kept tuple finds its layout's
+#: template with one dict lookup instead of building the names again.
 _NAMES_CACHE: dict[int, tuple[str, ...]] = {}
 
 
@@ -62,9 +63,8 @@ class SyntheticSampler(SamplerPlugin):
                 f"metric_{i:0{width}d}" for i in range(n)
             )
         self.names = names
-        self.set = self.create_set(
-            instance, "synthetic", [(m, self.mtype) for m in self.names]
-        )
+        self.set = self.create_set(instance, "synthetic",
+                                   set_template(names, self.mtype))
         self._ticks = 0
         self._cohort_base = None
 

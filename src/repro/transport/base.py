@@ -138,7 +138,8 @@ class Endpoint:
         #: region_id)``.  Installed by the serving daemon.
         self.on_traced_read: Optional[Callable[[int, int, int, int], None]] = None
         #: Daemon clock of the owning daemon (``env.now``), installed by
-        #: the owner; stream transports stamp it into their HELLO.
+        #: the owner; stream transports stamp it into their HELLO.  A
+        #: sim fabric endpoint starts with the engine clock.
         self.clock: Optional[Callable[[], float]] = None
         #: (peer_now, local_now) pair captured when the peer's HELLO
         #: arrived — the clock anchor behind :meth:`peer_age`.
@@ -180,7 +181,7 @@ class Endpoint:
             return None
         peer_then, local_then = anchor
         clock = self.clock
-        # Ownerless endpoints (CLI clients) fall back to the host
+        # Ownerless socket endpoints (CLI clients) fall back to the host
         # monotonic clock; the HELLO capture used the same fallback, so
         # the anchor arithmetic stays consistent either way.
         local_now = clock() if clock is not None else _monotonic()

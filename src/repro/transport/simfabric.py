@@ -131,6 +131,12 @@ class SimFabric:
         #: Fault-injection state; endpoints consult it only while a
         #: fault is live (one attribute check on the no-fault path).
         self.faults = FabricFaults()
+        #: The engine clock, bound once: every endpoint's clock until a
+        #: daemon adopts it (the establish-time anchor is on this clock).
+        self.clock = self._now
+
+    def _now(self) -> float:
+        return self.engine.now
 
     def _account(self, src, dst, nbytes: int) -> float:
         """Record traffic and return the model's extra latency."""
@@ -177,6 +183,7 @@ class _SimEndpoint(Endpoint):
         # Bound once: every hop reads both.
         self.fabric: SimFabric = transport.fabric
         self.engine: Engine = transport.fabric.engine
+        self.clock = self.fabric.clock
 
     def _wire_delay(self, nbytes: int, dst) -> float:
         p = self.transport.profile
@@ -434,8 +441,10 @@ class SimTransport(Transport):
         target._conn_count += 1
 
         def establish() -> None:
-            # Both clocks are the shared DES clock, so the peer-age
-            # anchor a stream transport's HELLO carries is exact here.
+            # Both clocks are the shared DES clock (each endpoint reads
+            # the engine's until a daemon installs its own, the same
+            # one), so the peer-age anchor a stream transport's HELLO
+            # carries is exact here.
             a._peer_clock = b._peer_clock = (0.0, 0.0)
             lst.on_connect(b)
             on_connected(a)

@@ -1,6 +1,7 @@
 """GOOD: layout at config(), one positional bulk write per sample."""
 
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 
 
@@ -9,8 +10,7 @@ class GoodSampler(SamplerPlugin):
     def config(self, instance, component_id=0, **kwargs):
         super().config(instance, component_id, **kwargs)
         self.set = self.create_set(
-            instance, "fixture", [("m0", MetricType.U64), ("m1", MetricType.U64)]
-        )
+            instance, "fixture", set_template(("m0", "m1"), MetricType.U64))
 
     def do_sample(self, now):
         vals = []

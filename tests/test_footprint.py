@@ -11,12 +11,17 @@ while every read surface still lists the full schema.
 import gc
 import importlib.util
 import os
+import sys
 import tracemalloc
 
 import pytest
 
 import repro.plugins  # noqa: F401  (registers plugins)
 from repro.core import Ldmsd, SimEnv, sanitize
+from repro.core.memory import Arena
+from repro.core.metric import MetricType
+from repro.core.metric_set import MetricSet, set_template
+from repro.core.set_arena import SetArenaPool
 from repro.sim import Engine
 from repro.transport import SimFabric, SimTransport
 
@@ -99,6 +104,57 @@ CALLS_PER_SET = 71.35
 def test_python_calls_per_stored_set_at_the_knee():
     calls = audit.calls_per_stored_set(256)
     assert calls <= CALLS_PER_SET * 1.10, f"{calls:.2f} Python calls per stored set"
+
+
+#: Python calls one set costs to set up, at any width: a mirror of a
+#: layout already seen (``from_meta``: stamp, compare, ``_build`` and
+#: its arena and set-pool calls) and a set instantiated from a compiled
+#: template.  A per-metric Python step anywhere on either path shows as
+#: a count that grows from 10 to 194 metrics.
+CALLS_PER_MIRROR = 12
+CALLS_PER_INSTANCE = 11
+
+
+def _calls_per_set_up(card: int) -> tuple[float, float]:
+    """``sys.setprofile`` ``"call"`` events per ``from_meta`` of a known
+    layout and per ``instantiate``, each averaged over 16 sets."""
+    names = tuple(f"metric_{i:03d}" for i in range(card))
+    template = set_template(names, MetricType.U64)
+    arena, pool = Arena(1 << 24), SetArenaPool()
+    meta = MetricSet.instantiate("n0/syn", "synthetic", template, 1, arena,
+                                 1, pool).meta_bytes()
+    MetricSet.from_meta(meta, arena, pool=pool)  # the layout is known now
+    calls = 0
+
+    def count(_frame, event, _arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    def per_set(make) -> float:
+        nonlocal calls
+        calls = 0
+        sys.setprofile(count)
+        try:
+            for i in range(16):
+                make(i)
+        finally:
+            sys.setprofile(None)
+        return calls / 16
+
+    return (per_set(lambda i: MetricSet.from_meta(meta, arena, pool=pool)) - 1,
+            per_set(lambda i: MetricSet.instantiate(
+                f"n{i + 1}/syn", "synthetic", template, i + 1, arena, 1,
+                pool)) - 1)
+
+
+@pytest.mark.skipif(sanitize.enabled(), reason="the sanitizer adds calls")
+def test_python_calls_per_set_up_do_not_grow_with_metrics():
+    narrow, wide = _calls_per_set_up(10), _calls_per_set_up(194)
+    assert narrow == wide, f"10 metrics: {narrow}, 194 metrics: {wide}"
+    mirror, instance = wide
+    assert mirror <= CALLS_PER_MIRROR * 1.10, f"{mirror} calls per mirror"
+    assert instance <= CALLS_PER_INSTANCE * 1.10, f"{instance} calls per set"
 
 
 def _bound(daemon) -> set[str]:

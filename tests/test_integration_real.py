@@ -17,6 +17,7 @@ import repro.plugins  # noqa: F401
 from repro.core import Ldmsd
 from repro.core import ldmsd as ldmsd_mod
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.nodefs.fs import RealFS
 from repro.nodefs.host import HostModel
 
@@ -243,7 +244,8 @@ class TestFlushHandOff:
         sys.setswitchinterval(1e-6)
         try:
             stores = [agg.add_store("memory"), agg.add_store("memory")]
-            mset = agg.create_set("p/s", "s", [("v", MetricType.U64, 1)])
+            mset = agg.create_set("p/s", "s",
+                                  set_template(["v"], MetricType.U64), 1)
             prod = SimpleNamespace(cfg=SimpleNamespace(name="p"))
 
             def deliver(k):
@@ -278,3 +280,47 @@ class TestFlushHandOff:
         finally:
             sys.setswitchinterval(switch)
             agg.shutdown()
+
+    def test_shutdown_waits_for_the_write_in_flight(self):
+        # A flush task writes its sealed rows outside the daemon lock;
+        # shutdown must let that write finish before it closes the
+        # store under it (a close inside store_many lost rows on
+        # sock_loopback when the flush threads ran slow).
+        agg = Ldmsd("agg", transports={}, flush_threads=1)
+        store = agg.add_store("memory")
+        events = []
+        entered, release = threading.Event(), threading.Event()
+        store_many, close = store.store_many, store.close
+
+        def blocking_store_many(records):
+            events.append("store_many:enter")
+            entered.set()
+            release.wait(10.0)
+            store_many(records)
+            events.append(f"store_many:exit({len(records)})")
+
+        def recording_close():
+            events.append("close")
+            close()
+
+        store.store_many = blocking_store_many
+        store.close = recording_close
+        mset = agg.create_set("p/s", "s", set_template(["v"], MetricType.U64), 1)
+        mset.set_all([7], 1.0)
+        prod = SimpleNamespace(cfg=SimpleNamespace(name="p"))
+        with agg.lock:
+            agg._deliver_to_stores(prod, mset, None, mset.timestamp,
+                                   mset.data_bytes())
+        assert entered.wait(10.0)
+        stopper = threading.Thread(target=agg.shutdown)
+        stopper.start()
+        try:
+            # Shutdown gets every chance to close under the write.
+            stopper.join(0.3)
+        finally:
+            release.set()
+            stopper.join(10.0)
+        assert not stopper.is_alive()
+        assert events == ["store_many:enter", "store_many:exit(1)", "close"]
+        assert store.records_stored == 1
+        assert [r.values for r in store.rows] == [(7,)]

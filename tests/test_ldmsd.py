@@ -15,6 +15,7 @@ import repro.plugins  # noqa: F401  (registers plugins)
 from repro.core import Ldmsd, SimEnv
 from repro.core.env import RealEnv
 from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, sampler_registry, register_sampler
 from repro.plugins.samplers.synthetic import SyntheticSampler
 from repro.sim import Engine
@@ -30,8 +31,7 @@ if "ticker" not in sampler_registry:
         def config(self, instance, component_id=0, **kw):
             super().config(instance, component_id)
             self.set = self.create_set(
-                instance, "ticker", [("count", MetricType.U64)]
-            )
+                instance, "ticker", set_template(["count"], MetricType.U64))
             self.n = 0
 
         def do_sample(self, now):
@@ -48,8 +48,7 @@ if "blocking" not in sampler_registry:
         def config(self, instance, component_id=0, **kw):
             super().config(instance, component_id)
             self.set = self.create_set(
-                instance, "blocking", [("count", MetricType.U64)]
-            )
+                instance, "blocking", set_template(["count"], MetricType.U64))
 
         def do_sample(self, now):
             time.sleep(0.002)
@@ -66,8 +65,7 @@ if "escaper" not in sampler_registry:
         def config(self, instance, component_id=0, **kw):
             super().config(instance, component_id)
             self.set = self.create_set(
-                instance, "../escaped", [("count", MetricType.U64)]
-            )
+                instance, "../escaped", set_template(["count"], MetricType.U64))
 
         def do_sample(self, now):
             self.set.set_value("count", self.samples_taken + 1)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.plugins  # noqa: F401  (registers plugins)
-from repro.core import Ldmsd, SimEnv
+from repro.core import Ldmsd, SimEnv, metric_set
 from repro.core.memory import Arena
 from repro.core.metric import METRIC_NAME_LEN, MetricDesc, MetricType
 from repro.core.metric_set import (
@@ -268,3 +268,172 @@ class TestRelayedMetadata:
             st = d.stats()
             assert st["arena_used"] > 0
             assert st["arena_committed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# a mirror of a known layout is stamped from its template, not decoded
+# ---------------------------------------------------------------------------
+
+
+def reference_decode(meta: bytes):
+    """(names, types, offsets, component ids) read field by field."""
+    card = struct.unpack_from("<I", meta, 12)[0]
+    descs = list(struct.iter_unpack(
+        MetricDesc.WIRE_FMT,
+        meta[_META_HDR_SIZE:_META_HDR_SIZE + card * MetricDesc.WIRE_SIZE]))
+    return ([d[0].rstrip(b"\x00").decode() for d in descs],
+            [MetricType(d[2]) for d in descs],
+            [d[3] for d in descs],
+            [d[1] for d in descs])
+
+
+def known_chunk(comp_ids=(7,) * 6, name=b"n0/syn") -> bytes:
+    """A six-metric mixed-type layout, naturally aligned."""
+    mtypes = [U64, MetricType.U8, MetricType.F64, MetricType.S32,
+              MetricType.U16, U64]
+    descs, off = [], _DATA_HDR_SIZE
+    for i, (t, cid) in enumerate(zip(mtypes, comp_ids)):
+        off = (off + t.size - 1) & ~(t.size - 1)
+        descs.append((b"metric_%d" % i, cid, int(t), off))
+        off += t.size
+    return chunk(name, b"syn", descs, off)
+
+
+KNOWN = known_chunk()
+KNOWN_CARD = 6
+
+
+def desc_at(i: int) -> int:
+    return _META_HDR_SIZE + i * MetricDesc.WIRE_SIZE
+
+
+def with_byte(meta: bytes, pos: int, value: int) -> bytes:
+    return meta[:pos] + bytes([value]) + meta[pos + 1:]
+
+
+@st.composite
+def _near_misses(draw):
+    """KNOWN with one descriptor field changed, or with ids that are not
+    uniform: the same (schema, data size, card), another chunk."""
+    i = draw(st.integers(0, KNOWN_CARD - 1), label="descriptor")
+    kind = draw(st.sampled_from(["name", "padding", "tag", "offset", "ids"]))
+    base = desc_at(i)
+    if kind == "name":  # one byte of "metric_<i>"
+        pos = base + draw(st.integers(0, 7))
+        return with_byte(KNOWN, pos, draw(st.integers(0, 255).filter(
+            lambda b: b != KNOWN[pos])))
+    if kind == "padding":  # one NUL after the name
+        pos = base + draw(st.integers(8, METRIC_NAME_LEN - 1))
+        return with_byte(KNOWN, pos, draw(st.integers(1, 255)))
+    if kind == "tag":
+        pos = base + METRIC_NAME_LEN + 8
+        return with_byte(KNOWN, pos, draw(st.integers(0, 255).filter(
+            lambda b: b != KNOWN[pos])))
+    if kind == "offset":
+        pos = base + METRIC_NAME_LEN + 9
+        old = struct.unpack_from("<I", KNOWN, pos)[0]
+        new = draw(st.integers(0, _DATA_HDR_SIZE + 64).filter(
+            lambda o: o != old))
+        return KNOWN[:pos] + struct.pack("<I", new) + KNOWN[pos + 4:]
+    ids = draw(st.lists(st.integers(0, 2**64 - 1), min_size=KNOWN_CARD,
+                        max_size=KNOWN_CARD).filter(
+                            lambda v: len(set(v)) > 1))
+    return known_chunk(tuple(ids))
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """A fresh mirror-layout cache and a count of full decodes."""
+    monkeypatch.setattr(metric_set, "_MIRROR_LAYOUTS", {})
+    calls = []
+    unpack = MetricDesc.unpack_columns.__func__
+
+    def counting(cls, raw):
+        calls.append(len(raw))
+        return unpack(cls, raw)
+
+    monkeypatch.setattr(MetricDesc, "unpack_columns", classmethod(counting))
+    return calls
+
+
+class TestStampedMirror:
+    def test_known_layout_is_stamped_not_decoded(self, decodes):
+        MetricSet.from_meta(KNOWN, Arena(1 << 16))
+        assert len(decodes) == 1
+        other = known_chunk((2**64 - 1,) * KNOWN_CARD, name=b"n9/syn")
+        mirror = MetricSet.from_meta(other, Arena(1 << 16),
+                                     pool=SetArenaPool())
+        assert len(decodes) == 1
+        assert mirror.meta_bytes() == other
+        names, mtypes, offsets, ids = reference_decode(other)
+        assert mirror.metric_names() == names
+        assert list(mirror.metric_types()) == mtypes
+        assert [d.data_offset for d in mirror.descs] == offsets
+        assert list(mirror.component_ids()) == ids
+        assert mirror.name == "n9/syn"
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(meta=_near_misses())
+    def test_a_near_miss_takes_the_full_decode(self, decodes, meta):
+        MetricSet.from_meta(KNOWN, Arena(1 << 16))  # the cached candidate
+        decodes.clear()
+        arena, pool = Arena(1 << 16), SetArenaPool()
+        before = footprint(arena, pool)
+        try:
+            mirror = MetricSet.from_meta(meta, arena, pool=pool)
+        except ValueError:
+            assert footprint(arena, pool) == before
+        else:
+            names, mtypes, offsets, ids = reference_decode(meta)
+            assert mirror.metric_names() == names
+            assert list(mirror.metric_types()) == mtypes
+            assert [d.data_offset for d in mirror.descs] == offsets
+            assert list(mirror.component_ids()) == ids
+            assert mirror.meta_bytes() == meta
+        assert len(decodes) == 1
+
+    @pytest.mark.parametrize("meta", [
+        pytest.param(KNOWN[:_META_HDR_SIZE - 1], id="truncated"),
+        pytest.param(b"XXXX" + KNOWN[4:], id="bad-magic"),
+        pytest.param(KNOWN + b"\0", id="size-mismatch"),
+        pytest.param(KNOWN[:8] + struct.pack("<I", _DATA_HDR_SIZE - 1)
+                     + KNOWN[12:], id="data-chunk-shorter-than-header"),
+        pytest.param(KNOWN[:20 + SET_NAME_LEN] + b"..".ljust(64, b"\0")
+                     + KNOWN[20 + SET_NAME_LEN + 64:], id="bad-schema-name"),
+    ])
+    def test_refusals_come_first_with_the_layout_cached(self, decodes, meta):
+        MetricSet.from_meta(KNOWN, Arena(1 << 16))
+        decodes.clear()
+        arena, pool = Arena(1 << 16), SetArenaPool()
+        before = footprint(arena, pool)
+        with pytest.raises(ValueError):
+            MetricSet.from_meta(meta, arena, pool=pool)
+        assert footprint(arena, pool) == before
+        assert decodes == []
+
+    def test_64_producer_ramp_decodes_one_layout_once(self, decodes):
+        eng = Engine()
+        env = SimEnv(eng)
+        fabric = SimFabric(eng)
+        agg = Ldmsd("agg", env=env, transports={
+            "sock": SimTransport(fabric, "sock", node_id="agg")},
+            mem=64 * 8192)
+        store = agg.add_store("memory")
+        for i in range(64):
+            node = Ldmsd(f"n{i}", env=env, transports={
+                "sock": SimTransport(fabric, "sock", node_id=f"n{i}")})
+            node.load_sampler("synthetic", instance=f"n{i}/syn",
+                              component_id=i + 1, num_metrics=12)
+            node.start_sampler(f"n{i}/syn", interval=1.0)
+            node.listen("sock", f"n{i}:411")
+            agg.add_producer(f"n{i}", "sock", f"n{i}:411", interval=1.0,
+                             sets=(f"n{i}/syn",))
+        eng.run(until=2.5)
+        mirrors = [agg.get_set(f"n{i}/syn") for i in range(64)]
+        assert len(decodes) == 1
+        assert len({id(m._layout) for m in mirrors}) == 1
+        assert [m.component_ids() for m in mirrors] == [
+            (i + 1,) * 12 for i in range(64)]
+        assert {r.producer for r in store.rows} == {f"n{i}" for i in range(64)}

@@ -135,6 +135,41 @@ class TestFixturePairs:
         assert good == []
 
 
+class TestSamplerContractLayout:
+    """Plugins compile a layout with ``set_template`` and instantiate it
+    with ``create_set``: both are layout work, due once at config()."""
+
+    SOURCE = """
+from repro.core import metric_set
+from repro.core.metric import MetricType
+from repro.core.metric_set import set_template
+from repro.core.sampler import SamplerPlugin, register_sampler
+
+TEMPLATE = set_template(("m0", "m1"), MetricType.U64)
+
+
+@register_sampler("fixture_layout")
+class LayoutSampler(SamplerPlugin):
+    def config(self, instance, component_id=0, **kwargs):
+        super().config(instance, component_id, **kwargs)
+        self.set = self.create_set(instance, "fixture",
+                                   set_template(("a",), MetricType.U64))
+
+    def do_sample(self, now):
+        self.create_set(self.instance, "fixture", TEMPLATE)
+        set_template(("m0",), MetricType.U64)
+        metric_set.set_template(("m1",), MetricType.U64)
+        self.set.set_values([1, 2])
+"""
+
+    def test_layout_calls_flagged_in_sample_only(self):
+        report = lint_one(self.SOURCE, "repro.plugins.samplers.fixture",
+                          "sampler-contract")
+        assert [(v.line, v.message.split("(")[0])
+                for v in report.violations] == [
+            (18, "create_set"), (19, "set_template"), (20, "set_template")]
+
+
 class TestModuleScoping:
     def test_rule_ignores_out_of_scope_module(self):
         source = "import time\n\ndef f():\n    return time.time()\n"

@@ -19,6 +19,7 @@ from repro.core.memory import Arena
 from repro.core.metric import MetricDesc, MetricType
 from repro.core.metric_set import (
     _DATA_HDR_FMT, _DATA_HDR_SIZE, _META_HDR_FMT, _META_HDR_SIZE, MetricSet,
+    set_template,
 )
 from repro.core.set_arena import SetArenaPool
 from repro.sim.engine import Engine
@@ -114,10 +115,11 @@ class TestRejectedCreateLeaksNothing:
         d = Ldmsd("n0", env=SimEnv(Engine()), transports={}, mem="8kB")
         before = footprint(d.arena, d.set_pool)
         with pytest.raises(ValueError):
-            d.create_set("n0/x", "s", [("m", U64, comp_id)])
+            d.create_set("n0/x", "s", set_template(["m"], U64), comp_id)
         assert footprint(d.arena, d.set_pool) == before
         assert d.get_set("n0/x") is None
-        assert d.create_set("n0/x", "s", [("m", U64, 1)]).component_ids() == (1,)
+        assert d.create_set("n0/x", "s", set_template(["m"], U64),
+                            1).component_ids() == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -261,3 +263,84 @@ class TestOneCompilePerLayout:
         assert descs == []
         assert len({id(s._compiled) for s in sets}) == 1
         assert [s.component_ids()[0] for s in sets] == list(range(1, 65))
+
+
+# ---------------------------------------------------------------------------
+# a plugin compiles its layout once and instantiates sets of it
+# ---------------------------------------------------------------------------
+
+
+class TestInstantiate:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(),
+           mtypes=st.lists(st.sampled_from(list(MetricType)),
+                           min_size=1, max_size=200),
+           prefix=_NAME_PREFIX)
+    def test_instantiated_set_equals_the_triple_list_set(self, data, mtypes,
+                                                         prefix):
+        names = [f"{prefix}{i}" for i in range(len(mtypes))]
+        values = [value_for(t, i) for i, t in enumerate(mtypes)]
+        tmpl = set_template(names, mtypes)
+        assert set_template(tuple(names), tuple(mtypes)) is tmpl
+        name = data.draw(_SET_NAME, label="set name")
+        schema = data.draw(_SCHEMA, label="schema")
+        mgn = data.draw(st.integers(0, 2**32 - 1), label="mgn")
+        one = data.draw(_COMP_IDS, label="comp id")
+        ids = data.draw(st.lists(_COMP_IDS, min_size=len(names),
+                                 max_size=len(names)), label="ids")
+        for comp_ids, per_metric in ((one, [one] * len(names)), (ids, ids)):
+            pool = SetArenaPool()
+            made = MetricSet.instantiate(name, schema, tmpl, comp_ids,
+                                         Arena(1 << 20), mgn, pool)
+            metrics = list(zip(names, mtypes, per_metric))
+            listed = MetricSet.create(name, schema, metrics, Arena(1 << 20),
+                                      mgn=mgn, pool=pool)
+            assert made.meta_bytes() == listed.meta_bytes()
+            assert made.meta_bytes() == ref_meta(name, schema, metrics, mgn)
+            assert made.component_ids() == listed.component_ids()
+            assert made.descs == listed.descs
+            assert made._layout is listed._layout
+            for s in (made, listed):
+                s.set_all(values, timestamp=1.5)
+            assert made.data_bytes() == listed.data_bytes()
+
+    def test_one_type_for_every_name(self):
+        assert (set_template(["a", "b"], U64)
+                is set_template(("a", "b"), (U64, U64)))
+
+    @pytest.mark.parametrize("names, mtypes", [
+        pytest.param([], U64, id="no-metrics"),
+        pytest.param(["a", "b"], [U64], id="fewer-types-than-names"),
+        pytest.param(["a"], [7], id="wire-tag-as-type"),
+        pytest.param(["a", "a"], U64, id="duplicate-names"),
+        pytest.param(["x" * 64], U64, id="64-byte-name"),
+    ])
+    def test_bad_layout_is_refused(self, names, mtypes):
+        with pytest.raises(ValueError):
+            set_template(names, mtypes)
+
+    @pytest.mark.parametrize("name, schema, comp_ids, mgn", [
+        pytest.param("", "s", 1, 1, id="empty-set-name"),
+        pytest.param("n" * 128, "s", 1, 1, id="128-byte-set-name"),
+        pytest.param("n/x", "..", 1, 1, id="schema-dot-dot"),
+        pytest.param("n/x", "a/b", 1, 1, id="schema-with-slash"),
+        pytest.param("n/x", "s" * 64, 1, 1, id="64-byte-schema"),
+        pytest.param("n/x", "s", 1, 2**32, id="mgn=2**32"),
+        pytest.param("n/x", "s", 1, -1, id="mgn=-1"),
+        pytest.param("n/x", "s", 2**64, 1, id="comp_id=2**64"),
+        pytest.param("n/x", "s", -1, 1, id="comp_id=-1"),
+        pytest.param("n/x", "s", 1.0, 1, id="comp_id-float"),
+        pytest.param("n/x", "s", (1, -1), 1, id="per-metric-comp_id=-1"),
+        pytest.param("n/x", "s", (1,), 1, id="too-few-comp-ids"),
+        pytest.param("n/x", "s", (1, 2, 3), 1, id="too-many-comp-ids"),
+    ])
+    def test_refused_before_allocating(self, name, schema, comp_ids, mgn):
+        tmpl = set_template(["a", "b"], U64)
+        arena, pool = Arena(4096), SetArenaPool()
+        before = footprint(arena, pool)
+        with pytest.raises(ValueError):
+            MetricSet.instantiate(name, schema, tmpl, comp_ids, arena, mgn,
+                                  pool)
+        assert footprint(arena, pool) == before
+        MetricSet.instantiate("n/x", "s", tmpl, 1, arena, 1, pool)

@@ -5,7 +5,9 @@ import time
 
 import pytest
 
-from repro.core import wire
+from repro.core import SimEnv, wire
+from repro.obs.registry import Telemetry
+from repro.query.clients import Poller
 from repro.sim.engine import Engine
 from repro.sim.resources import CpuCore
 from repro.transport import (
@@ -200,9 +202,26 @@ class TestSimFabric:
         # Both sides share the DES clock: the anchor is exact.
         eng, fabric = self._world()
         eps = self._pair(eng, fabric)
-        for ep in eps:
-            ep.clock = lambda: eng.now
         assert_clock_anchored(eps, eng.now, 1e-9)
+
+    def test_endpoint_no_daemon_adopted_reads_the_engine_clock(self):
+        # A DES query client's endpoint has no daemon to install its
+        # clock; its peer ages are still engine-clock ages, not host
+        # monotonic time read against the (0.0, 0.0) anchor.
+        eng, fabric = self._world()
+        server = []
+        SimTransport(fabric, "sock", node_id="agg").listen("agg:412",
+                                                           server.append)
+        client = Poller("p0", SimEnv(eng),
+                        SimTransport(fabric, "sock", node_id="c0"),
+                        "agg:412", "mem", Telemetry(), interval=1.0,
+                        offset=100.0)  # connected, not yet querying
+        client.start()
+        eng.run(until=7.5)
+        assert client.ep is not None and server
+        assert client.ep.clock is not None
+        assert_clock_anchored([client.ep] + server, 7.5, 1e-9)
+        client.stop()
 
     def test_connect_unknown_address(self):
         eng, fabric = self._world()
