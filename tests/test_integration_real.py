@@ -312,7 +312,7 @@ class TestFlushHandOff:
             agg._deliver_to_stores(prod, mset, None, mset.timestamp,
                                    mset.data_bytes())
         assert entered.wait(10.0)
-        stopper = threading.Thread(target=agg.shutdown)
+        stopper = threading.Thread(target=agg.shutdown, daemon=True)
         stopper.start()
         try:
             # Shutdown gets every chance to close under the write.

@@ -372,6 +372,16 @@ class TestStampedMirror:
         assert list(mirror.component_ids()) == ids
         assert mirror.name == "n9/syn"
 
+    def test_another_data_size_is_another_layout(self, decodes):
+        known = MetricSet.from_meta(KNOWN, Arena(1 << 16))
+        size = struct.unpack_from("<I", KNOWN, 8)[0]
+        wider = KNOWN[:8] + struct.pack("<I", size + 8) + KNOWN[12:]
+        mirror = MetricSet.from_meta(wider, Arena(1 << 16))
+        assert len(decodes) == 2
+        assert mirror._layout is not known._layout
+        assert mirror.data_size == size + 8
+        assert mirror.meta_bytes() == wider
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.function_scoped_fixture])
