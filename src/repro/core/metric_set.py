@@ -487,15 +487,15 @@ class MetricSet:
         try:
             if isinstance(comp_ids, int):
                 _STRUCT_Q.pack(comp_ids)
-                comp_ids = (comp_ids,) * card
+                ids = (comp_ids,) * card
             else:
-                comp_ids = tuple(comp_ids)
-                template.ids.pack(*comp_ids)
+                ids = tuple(comp_ids)
+                template.ids.pack(*ids)
         except (struct.error, TypeError):
             raise ValueError(f"component ids of set {name!r} must be "
                              f"{card} integers in [0, 2**64)") from None
         mset = cls.__new__(cls)
-        mset._build(name, schema, template.layout, comp_ids, arena, mgn,
+        mset._build(name, schema, template.layout, ids, arena, mgn,
                     template.data_size, pool)
         return mset
 
