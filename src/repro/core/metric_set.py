@@ -222,6 +222,10 @@ def _layout_for(
                   for nb in wire_names)
     if "" in names:
         raise ValueError("metric name must be non-empty")
+    # A name field needs its NUL: a set's descs could not hold the name.
+    if any(nb[-1] for nb in wire_names):
+        raise ValueError(f"a metric name fills its {METRIC_NAME_LEN}-byte "
+                         f"field with no NUL terminator")
     for tag, off in zip(tags, offsets):
         mtype = TYPE_BY_TAG.get(tag)
         if mtype is None:

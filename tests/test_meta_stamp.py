@@ -181,6 +181,9 @@ class TestRoundTripOracle:
                         [(b"a\x00b", 2**64 - 1, int(U64), _DATA_HDR_SIZE)],
                         _DATA_HDR_SIZE + 8))
     @example(meta=chunk(b"a\x00b", b"s\x00t", [], _DATA_HDR_SIZE))
+    @example(meta=chunk(b"n/m", b"s",
+                        [(b"m" * METRIC_NAME_LEN, 5, int(U64), _DATA_HDR_SIZE)],
+                        _DATA_HDR_SIZE + 8))
     def test_accepted_chunks_come_back_and_refused_ones_leak_nothing(
             self, meta):
         for pool in (None, SetArenaPool()):
@@ -193,6 +196,7 @@ class TestRoundTripOracle:
                 assert (pool and pool.stats()) == rows
                 continue
             assert mirror.meta_bytes() == meta
+            assert len(mirror.descs) == mirror.card
             # A mirror of the mirror stamps the same chunk again.
             again = MetricSet.from_meta(mirror.meta_bytes(), Arena(1 << 16))
             assert again.meta_bytes() == meta
@@ -386,6 +390,8 @@ class TestStampedMirror:
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.function_scoped_fixture])
     @given(meta=_near_misses())
+    # The last padding byte set: a name that fills its field, no NUL.
+    @example(meta=with_byte(KNOWN, desc_at(0) + METRIC_NAME_LEN - 1, 1))
     def test_a_near_miss_takes_the_full_decode(self, decodes, meta):
         MetricSet.from_meta(KNOWN, Arena(1 << 16))  # the cached candidate
         decodes.clear()
