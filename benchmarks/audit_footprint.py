@@ -10,8 +10,9 @@ prints the daemons' own arena accounting per pair (``arena_used`` and
 ``-m`` regions reserve, and what of that is backed) and the Python calls
 one stored set costs in a steady interval (:func:`calls_per_stored_set`).
 The by-file table is the one in DESIGN.md "Footprint";
-``tests/test_footprint.py`` gates the slope of the same topology and
-the calls per stored set.
+``tests/test_footprint.py`` gates the slope of the same topology and,
+through :func:`count_events`, the calls per stored set and the cost of
+each hot path (a sampler tick, a cohort sweep, a flush, a torn update).
 
     PYTHONPATH=src python benchmarks/audit_footprint.py --producers 1024
 """
@@ -67,14 +68,84 @@ def build(n: int):
     return samplers, agg
 
 
+#: Frames Python 3.11 gives a comprehension and Python 3.12 inlines.
+_COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+
+
+def count_events(run, events=("call",), repro_only: bool = False,
+                 of=None) -> int:
+    """Run ``run()`` with garbage collection off and count the
+    interpreter events it raises.
+
+    ``"call"`` (a Python frame entered) and ``"c_call"`` (a C function
+    called) come from ``sys.setprofile``; ``"line"`` (a line about to
+    run) from ``sys.settrace``, and is counted alone.  ``run``'s own
+    frame is not counted.  With
+    ``repro_only`` only what the ``repro`` package does itself counts:
+    a line of its code, a C function it calls, a Python function it
+    calls or that calls into it.  Library internals and comprehension
+    frames are left out, so neither a numpy upgrade nor Python 3.12's
+    inlined comprehensions move the count.  With ``of`` (a Python
+    function) only the ``"call"`` events entering it count.
+    """
+    import repro
+
+    own = os.path.dirname(repro.__file__) + os.sep
+    outer = getattr(run, "__code__", None)
+    target = of.__code__ if of is not None else None
+    n = 0
+
+    def profile(frame, event, _arg) -> None:
+        nonlocal n
+        if event not in events or frame.f_code is outer:
+            return
+        if target is not None:
+            n += frame.f_code is target
+            return
+        if repro_only:
+            code = frame.f_code
+            if event == "call":
+                if code.co_name in _COMPREHENSIONS:
+                    return
+                back = frame.f_back
+                if not (code.co_filename.startswith(own) or (
+                        back is not None
+                        and back.f_code.co_filename.startswith(own))):
+                    return
+            elif not code.co_filename.startswith(own):
+                return
+        n += 1
+
+    def trace(frame, event, _arg):
+        nonlocal n
+        code = frame.f_code
+        if event == "line" and code is not outer and (
+                not repro_only or code.co_filename.startswith(own)):
+            n += 1
+        return trace
+
+    hook, install = ((trace, sys.settrace) if "line" in events
+                     else (profile, sys.setprofile))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    install(hook)
+    try:
+        run()
+    finally:
+        install(None)
+        if was_enabled:
+            gc.enable()
+    return n
+
+
 def calls_per_stored_set(n: int = 256) -> float:
     """Python function calls per stored set over one steady interval.
 
     Builds the knee topology at ``n`` producers, then counts the
-    ``sys.setprofile`` ``"call"`` events (Python frames, not C calls) of
-    the next collection interval and divides by the rows stored in it.
-    The simulated history is fixed, so the count is exact and the same
-    on any host; garbage collection is off so no finalizer adds calls.
+    ``"call"`` events (Python frames, not C calls) of the next
+    collection interval and divides by the rows stored in it.  The
+    simulated history is fixed, so the count is exact and the same on
+    any host; garbage collection is off so no finalizer adds calls.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -83,18 +154,7 @@ def calls_per_stored_set(n: int = 256) -> float:
         eng = agg.env.engine
         store = agg.stores[0]
         before = store.records_stored
-        calls = 0
-
-        def count(_frame, event, _arg) -> None:
-            nonlocal calls
-            if event == "call":
-                calls += 1
-
-        sys.setprofile(count)
-        try:
-            eng.run(until=eng.now + INTERVAL)
-        finally:
-            sys.setprofile(None)
+        calls = count_events(lambda: eng.run(until=eng.now + INTERVAL))
         rows = store.records_stored - before
     finally:
         if was_enabled:

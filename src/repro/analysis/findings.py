@@ -1,10 +1,10 @@
 """The finding model shared by every reprolint pass.
 
-Per-file rules (:mod:`repro.analysis.lint.rules`) and the
-whole-program contracts (:mod:`repro.analysis.flow.graph`) emit the
+The whole-program contracts (:mod:`repro.analysis.flow.graph`) and the
+engine's own checks (parse errors, malformed suppressions) emit the
 same :class:`Violation`; the engine's one suppression-aware recorder
-and one reporter consume it.  A violation may carry a *chain*: the
-interprocedural call path that justifies it.
+and one reporter consume it.  Every finding is an error.  A violation
+may carry a *chain*: the interprocedural call path that justifies it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class Violation:
     col: int
     rule: str
     message: str
-    severity: str = "error"  # "error" | "warning"
     chain: Sequence[ChainFrame] = ()
     suppressed: bool = False
     justification: str = ""
@@ -51,8 +50,7 @@ class Violation:
 
     def format(self) -> str:
         """``path:line:col: [rule] message`` plus one indented line per chain hop."""
-        sev = "" if self.severity == "error" else f" ({self.severity})"
-        lines = [f"{self.path}:{self.line}:{self.col}: [{self.rule}]{sev} {self.message}"]
+        lines = [f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"]
         lines += [f"    {f.path}:{f.line}: in {f.func}: {f.note}" for f in self.chain]
         return "\n".join(lines)
 
@@ -62,7 +60,7 @@ class Violation:
             "line": self.line,
             "col": self.col,
             "rule": self.rule,
-            "severity": self.severity,
+            "severity": "error",
             "message": self.message,
         }
         if self.chain:

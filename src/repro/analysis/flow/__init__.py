@@ -1,8 +1,7 @@
 """The whole-program passes of ``repro-lint``.
 
-Where the per-file rules (:mod:`repro.analysis.lint.rules`) check each
-file in isolation, these passes build an *interprocedural* view of the
-tree from the same parsed modules: a call graph over every module
+These passes build an *interprocedural* view of the tree from the
+modules ``repro-lint`` parsed: a call graph over every module
 (import resolution, class-hierarchy method dispatch, annotation-typed
 attribute dispatch, plugin-registry edges), an effect-inference lattice
 seeded from a stdlib/numpy catalog and propagated transitively, and

@@ -516,8 +516,8 @@ def _subscript_stores(body: list[ast.stmt], module_globals: set[str]) -> list[Ef
 def extract_module(source: str | ast.Module, module: str, path: str) -> ModuleSummary:
     """Produce the flow summary of one module.
 
-    The engine hands over the tree it already parsed for the per-file
-    rules; source text is parsed here (raising :class:`SyntaxError`).
+    The engine hands over the tree it parsed once per file; source text
+    is parsed here (raising :class:`SyntaxError`).
     """
     tree = ast.parse(source, filename=path) if isinstance(source, str) else source
     imports = build_import_map(tree, module)

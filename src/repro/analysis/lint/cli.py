@@ -6,15 +6,14 @@ Usage::
                [--select rule-a,rule-b] [--list-rules]
                [--sarif-out FILE] [--show-suppressed]
 
-Paths default to ``src`` and are analyzed as one program: the per-file
-rules and the whole-program ``flow-*`` contracts run in the same pass.
+Paths default to ``src`` and are analyzed as one program: the four
+whole-program ``flow-*`` determinism contracts run in one pass.
 Configuration is read from the ``[tool.reprolint]`` table of the given
 ``pyproject.toml`` (default: ``./pyproject.toml``; silently empty if
 the file does not exist so the tool works from any checkout
 subdirectory with explicit paths).
 
-Exit codes: 0 clean or warnings only, 1 error-severity violations,
-2 usage/configuration error.
+Exit codes: 0 clean, 1 violations, 2 usage/configuration error.
 """
 
 from __future__ import annotations
@@ -31,19 +30,14 @@ from repro.analysis.lint.engine import (
     all_rules,
 )
 
-# Registration side effect: rule classes must exist before the engine
-# or --list-rules consult the registry.
-from repro.analysis.lint import rules as _rules  # noqa: F401
-
 __all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro-lint",
-        description="static analysis enforcing the paper's pipeline "
-                    "invariants: per-file AST rules and whole-program "
-                    "determinism contracts",
+        description="static analysis enforcing the whole-program "
+                    "determinism contracts of the DES",
     )
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to lint (default: src)")
@@ -65,10 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _list_rules() -> str:
     lines = []
-    for rule_id, cls in sorted(all_rules().items()):
-        lines.append(f"{rule_id:28s} {cls.description}")
-        if cls.paper_ref:
-            lines.append(f"{'':28s}   guards: {cls.paper_ref}")
+    for rule_id, rule in sorted(all_rules().items()):
+        lines.append(f"{rule_id:28s} {rule.description}")
+        if rule.paper_ref:
+            lines.append(f"{'':28s}   guards: {rule.paper_ref}")
     return "\n".join(lines)
 
 

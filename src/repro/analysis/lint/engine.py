@@ -1,33 +1,25 @@
-"""The reprolint engine: one parse per file, every rule in one pass.
+"""The reprolint engine: one parse per file, every contract in one pass.
 
-Design (mirrors how ruff/flake8 organize checks, scaled down):
+Design:
 
 * Each file is read, tokenized (for suppression comments) and
-  ``ast.parse``d exactly once.  The per-file rules run on that tree,
-  the whole-program passes (:mod:`repro.analysis.flow`) extract their
-  module summary from the *same* tree, and once every file is in, the
-  call-graph contracts are evaluated — so the run is per-file rules →
-  summaries → program → contracts.
-* Rules subclass :class:`Rule` and are registered once in a
-  module-level registry that holds per-file and whole-program
-  (``flow-*``) rules alike.  Per-file rules declare which AST node
-  types they want (:attr:`Rule.interests`); the engine walks each tree
-  once and dispatches every node to the rules interested in its type,
-  so adding a rule never adds a traversal.
-* Scope is module-based, not path-based: each per-file rule carries a
-  tuple of package prefixes it applies to plus an ``allowed-modules``
-  whitelist, both overridable from ``[tool.reprolint]`` in
-  ``pyproject.toml``; the whole-program rules are scoped by the
-  ``[tool.reprolint.flow]`` sub-table.
+  ``ast.parse``d exactly once.  The whole-program passes
+  (:mod:`repro.analysis.flow`) extract the module's summary from that
+  tree, and once every file is in, the call-graph contracts are
+  evaluated — so the run is summaries → program → contracts.
+* The rules are the four ``flow-*`` contracts named in
+  :mod:`repro.analysis.lint.rules`; their logic lives in
+  :mod:`repro.analysis.flow.graph` and their scope is the
+  ``[tool.reprolint.flow]`` table of ``pyproject.toml``.
 * Suppression is per line: ``# reprolint: ignore[rule-a,rule-b] -- why``
   on the offending line.  Every id must name a registered rule and the
   justification text after ``--`` is mandatory; a comment failing
   either is itself a violation (rule id ``suppression``), so the tree
   can never accumulate bare or misspelled mutes.
 
-Exit codes are stable API: 0 = clean or warnings only, 1 = at least one
-error-severity violation, 2 = usage/config error (raised as
-:class:`LintConfigError` and mapped by the CLI).
+Exit codes are stable API: 0 = clean, 1 = at least one violation,
+2 = usage/config error (raised as :class:`LintConfigError` and mapped
+by the CLI).
 """
 
 from __future__ import annotations
@@ -45,35 +37,26 @@ from typing import Any, Iterable, Optional
 from repro.analysis.findings import LintConfigError, Violation
 from repro.analysis.flow.config import FlowConfig
 from repro.analysis.flow.graph import Program
-from repro.analysis.flow.summary import (
-    ModuleSummary,
-    build_import_map,
-    dotted_name,
-    expand_head,
-    extract_module,
-)
+from repro.analysis.flow.summary import ModuleSummary, extract_module
+from repro.analysis.lint.rules import RULES, Rule
 from repro.analysis.sarif import sarif_document
 
 __all__ = [
     "Engine",
     "LintConfig",
     "LintConfigError",
-    "ModuleContext",
     "Report",
     "Rule",
     "Violation",
     "all_rules",
     "path_to_module",
-    "register_rule",
     "scan_suppression_comments",
 ]
 
-SEVERITIES = ("error", "warning", "off")
-
 #: JSON reporter schema version (bump on breaking change).  2: one
-#: report for per-file and ``flow-*`` findings — violations may carry
-#: a ``chain``, ``summary`` gained ``by_rule`` and lost
-#: ``files_replayed_from_cache``, ``stats`` holds the call-graph sizes.
+#: report for every finding — violations may carry a ``chain``,
+#: ``summary`` gained ``by_rule`` and lost ``files_replayed_from_cache``,
+#: ``stats`` holds the call-graph sizes.
 JSON_SCHEMA_VERSION = 2
 
 #: Ids the engine itself reports under (not in the rule registry).
@@ -87,90 +70,8 @@ _SUPPRESS_RE = re.compile(
 )
 
 
-# ---------------------------------------------------------------------------
-# rules
-# ---------------------------------------------------------------------------
-
-
-class Rule:
-    """Base class for lint rules.
-
-    Subclasses set :attr:`rule_id` / :attr:`description` /
-    :attr:`paper_ref`, declare :attr:`interests` (the AST node types
-    they want dispatched), and implement :meth:`visit`.  Per-rule
-    options arrive through :meth:`configure`; the common ones
-    (``severity``, ``packages``, ``allowed-modules``) are consumed by
-    the constructor.
-    """
-
-    rule_id: str = "abstract"
-    description: str = ""
-    #: The paper invariant this rule guards (shown by ``--list-rules``).
-    paper_ref: str = ""
-    #: True for a contract the whole-program passes evaluate once over
-    #: the call graph; the class is then only the registry entry (id,
-    #: description) and none of the per-file hooks run.
-    whole_program: bool = False
-    default_severity: str = "error"
-    #: Module prefixes the rule applies to; None = every linted module.
-    default_packages: Optional[tuple[str, ...]] = None
-    #: AST node types dispatched to :meth:`visit`.
-    interests: tuple[type, ...] = ()
-
-    def __init__(self, options: Optional[dict] = None):
-        opts = dict(options or {})
-        self.severity = str(opts.pop("severity", self.default_severity))
-        if self.severity not in SEVERITIES:
-            raise LintConfigError(
-                f"{self.rule_id}: bad severity {self.severity!r} "
-                f"(expected one of {SEVERITIES})"
-            )
-        pkgs = opts.pop("packages", None)
-        self.packages = tuple(pkgs) if pkgs is not None else self.default_packages
-        self.allowed_modules = tuple(opts.pop("allowed-modules", ()))
-        self.configure(opts)
-
-    def configure(self, options: dict) -> None:
-        """Consume rule-specific options; reject leftovers."""
-        if options:
-            raise LintConfigError(
-                f"{self.rule_id}: unknown options {sorted(options)}"
-            )
-
-    def applies_to(self, module: str) -> bool:
-        if module in self.allowed_modules:
-            return False
-        if self.packages is None:
-            return True
-        return any(
-            module == p or module.startswith(p + ".") for p in self.packages
-        )
-
-    # -- per-file hooks ------------------------------------------------------
-    def begin_module(self, ctx: "ModuleContext") -> None:
-        """Called before dispatch starts for a file this rule applies to."""
-
-    def visit(self, node: ast.AST, ctx: "ModuleContext") -> None:
-        """Called once per node whose type is in :attr:`interests`."""
-
-    def end_module(self, ctx: "ModuleContext") -> None:
-        """Called after the walk finishes (emit whole-module findings)."""
-
-
-#: rule id -> rule class, in registration order.
-_RULE_REGISTRY: dict[str, type[Rule]] = {}
-
-
-def register_rule(cls: type[Rule]) -> type[Rule]:
-    """Class decorator adding a rule to the global registry."""
-    if cls.rule_id in _RULE_REGISTRY:
-        raise LintConfigError(f"duplicate rule id {cls.rule_id!r}")
-    _RULE_REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def all_rules() -> dict[str, type[Rule]]:
-    return dict(_RULE_REGISTRY)
+def all_rules() -> dict[str, Rule]:
+    return dict(RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +83,13 @@ def all_rules() -> dict[str, type[Rule]]:
 class LintConfig:
     """Engine configuration, normally read from ``[tool.reprolint]``.
 
-    ``select`` limits the run to specific rule ids; ``rules`` maps
-    per-file rule id -> option table (``severity``, ``packages``,
-    ``allowed-modules``, plus rule-specific keys); ``flow`` is the
-    ``[tool.reprolint.flow]`` sub-table scoping the whole-program
-    rules.  ``src_roots`` tells the path->module mapper which directory
+    ``select`` limits the run to specific rule ids; ``flow`` is the
+    ``[tool.reprolint.flow]`` sub-table scoping the contracts.
+    ``src_roots`` tells the path->module mapper which directory
     components begin a package tree.
     """
 
     select: Optional[tuple[str, ...]] = None
-    rules: dict[str, dict] = field(default_factory=dict)
     src_roots: tuple[str, ...] = ("src",)
     flow: FlowConfig = field(default_factory=FlowConfig)
 
@@ -210,73 +108,16 @@ class LintConfig:
         table = dict(table)
         select = table.pop("select", None)
         src_roots = tuple(table.pop("src-roots", ("src",)))
-        rules = {str(k): dict(v) for k, v in table.pop("rules", {}).items()}
         flow = FlowConfig.from_table(table.pop("flow", {}))
         if table:
             raise LintConfigError(
                 f"[tool.reprolint]: unknown keys {sorted(table)}"
             )
-        unknown = set(rules) - set(_RULE_REGISTRY)
-        if unknown:
-            raise LintConfigError(
-                f"[tool.reprolint.rules]: unknown rule ids {sorted(unknown)}"
-            )
-        program = sorted(r for r in rules if _RULE_REGISTRY[r].whole_program)
-        if program:
-            raise LintConfigError(
-                f"[tool.reprolint.rules]: {program} are whole-program rules; "
-                f"scope them in [tool.reprolint.flow]"
-            )
         return cls(
             select=tuple(select) if select is not None else None,
-            rules=rules,
             src_roots=src_roots,
             flow=flow,
         )
-
-
-# ---------------------------------------------------------------------------
-# per-file context
-# ---------------------------------------------------------------------------
-
-
-class ModuleContext:
-    """What rules see while one file is being linted."""
-
-    def __init__(self, engine: "Engine", path: str, module: str,
-                 tree: ast.Module):
-        self.engine = engine
-        self.path = path
-        self.module = module
-        self.tree = tree
-        self._import_map: Optional[dict[str, str]] = None
-
-    @property
-    def import_map(self) -> dict[str, str]:
-        """Local alias -> dotted import target, computed once per file.
-
-        ``import numpy as np`` maps ``np -> numpy``; ``from time import
-        monotonic as mono`` maps ``mono -> time.monotonic``.  Rules use
-        it to resolve call targets to canonical dotted names.
-        """
-        if self._import_map is None:
-            self._import_map = build_import_map(self.tree, self.module)
-        return self._import_map
-
-    def resolve_call(self, func: ast.AST) -> Optional[str]:
-        """Dotted name of a call target with import aliases expanded."""
-        name = dotted_name(func)
-        return None if name is None else expand_head(name, self.import_map)
-
-    def report(self, rule: Rule, node: ast.AST | int, message: str,
-               col: Optional[int] = None) -> None:
-        if isinstance(node, int):
-            line, col = node, col or 0
-        else:
-            line = getattr(node, "lineno", 0)
-            col = getattr(node, "col_offset", 0)
-        self.engine._record(Violation(
-            self.path, line, col, rule.rule_id, message, rule.severity))
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +141,8 @@ class Report:
         self.suppressed.sort(key=key)
 
     @property
-    def errors(self) -> list[Violation]:
-        return [v for v in self.violations if v.severity == "error"]
-
-    @property
-    def warnings(self) -> list[Violation]:
-        return [v for v in self.violations if v.severity == "warning"]
-
-    @property
     def exit_code(self) -> int:
-        return 1 if self.errors else 0
+        return 1 if self.violations else 0
 
     def render_text(self, show_suppressed: bool = False) -> str:
         lines = [v.format() for v in self.violations]
@@ -320,10 +153,12 @@ class Report:
                 f"{v.justification or '(no justification)'}"
                 for v in self.suppressed
             ]
+        # Every finding is an error; the warnings count stays in the
+        # summary line (and in the JSON summary) so its format holds.
         lines.append(
             f"reprolint: {len(self.files)} files, "
-            f"{len(self.errors)} errors, "
-            f"{len(self.warnings)} warnings, {len(self.suppressed)} suppressed"
+            f"{len(self.violations)} errors, "
+            f"0 warnings, {len(self.suppressed)} suppressed"
         )
         return "\n".join(lines)
 
@@ -339,8 +174,8 @@ class Report:
                 "violations": [v.as_dict() for v in self.violations],
                 "suppressed": [v.as_dict() for v in self.suppressed],
                 "summary": {
-                    "errors": len(self.errors),
-                    "warnings": len(self.warnings),
+                    "errors": len(self.violations),
+                    "warnings": 0,
                     "suppressed": len(self.suppressed),
                     "by_rule": dict(sorted(by_rule.items())),
                 },
@@ -351,7 +186,7 @@ class Report:
         )
 
     def render_sarif(self) -> str:
-        rules = {rid: cls.description for rid, cls in _RULE_REGISTRY.items()}
+        rules = {rid: r.description for rid, r in RULES.items()}
         return sarif_document({**rules, **_ENGINE_RULES}, self.violations)
 
 
@@ -361,32 +196,21 @@ class Report:
 
 
 class Engine:
-    """Instantiates the configured rules and runs them over a set of
-    modules: per-file rules on each tree, then the whole-program
-    contracts over all of them."""
+    """Runs the selected contracts over a set of modules as one
+    program."""
 
     def __init__(self, config: Optional[LintConfig] = None):
         self.config = config or LintConfig()
         selected = self.config.select
         if selected is not None:
-            missing = set(selected) - set(_RULE_REGISTRY)
+            missing = set(selected) - set(RULES)
             if missing:
                 raise LintConfigError(f"--select: unknown rules {sorted(missing)}")
-        #: per-file rule instances
-        self.rules: list[Rule] = []
-        #: ids of the enabled whole-program rules
-        self.program_rules: set[str] = set()
-        for rule_id, cls in _RULE_REGISTRY.items():
-            if selected is not None and rule_id not in selected:
-                continue
-            if cls.whole_program:
-                self.program_rules.add(rule_id)
-                continue
-            rule = cls(self.config.rules.get(rule_id))
-            if rule.severity != "off":
-                self.rules.append(rule)
+        #: ids of the enabled rules
+        self.rules: set[str] = (set(RULES) if selected is None
+                                else set(selected))
         self._report = Report()
-        self._known_ids = set(_RULE_REGISTRY) | {"parse-error"}
+        self._known_ids = set(RULES) | {"parse-error"}
         #: path -> line -> (rule ids, justification)
         self._suppressions: dict[str, dict[int, tuple[set[str], str]]] = {}
 
@@ -443,35 +267,19 @@ class Engine:
                     "parse-error", f"syntax error: {exc.msg}",
                 ))
                 continue
-            self._lint_tree(ModuleContext(self, path, module, tree))
-            if self.program_rules:
+            if self.rules:
                 summaries[module] = extract_module(tree, module, path)
-        if self.program_rules:
+        if self.rules:
             program = Program(summaries, self.config.flow)
             program.build()
             program.propagate()
             for v in program.contract_violations():
-                if v.rule in self.program_rules:
+                if v.rule in self.rules:
                     self._record(v)
             report.stats = {
                 "flow_modules_analyzed": len(summaries), **program.stats}
         report.sort()
         return report
-
-    def _lint_tree(self, ctx: ModuleContext) -> None:
-        active = [r for r in self.rules if r.applies_to(ctx.module)]
-        if not active:
-            return
-        dispatch: dict[type, list[Rule]] = {}
-        for rule in active:
-            rule.begin_module(ctx)
-            for t in rule.interests:
-                dispatch.setdefault(t, []).append(rule)
-        for node in ast.walk(ctx.tree):
-            for rule in dispatch.get(type(node), ()):
-                rule.visit(node, ctx)
-        for rule in active:
-            rule.end_module(ctx)
 
     def _scan_suppressions(self, path: str, source: str) -> None:
         self._suppressions[path], problems = scan_suppression_comments(

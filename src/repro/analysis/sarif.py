@@ -41,7 +41,7 @@ def sarif_document(rules: dict[str, str], violations: Iterable[Violation]) -> st
     for v in violations:
         entry: dict[str, Any] = {
             "ruleId": v.rule,
-            "level": "error" if v.severity == "error" else "warning",
+            "level": "error",
             "message": {"text": _message(v)},
             "locations": [
                 {

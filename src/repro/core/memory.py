@@ -60,10 +60,6 @@ class Arena:
     def available(self) -> int:
         return self.size - self.used
 
-    @property
-    def n_allocs(self) -> int:
-        return len(self._live)
-
     def alloc(self, nbytes: int) -> int:
         """Allocate ``nbytes`` (rounded up to 8-byte alignment); return offset."""
         if nbytes <= 0:

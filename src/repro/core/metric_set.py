@@ -594,19 +594,8 @@ class MetricSet:
     def metric_names(self) -> list[str]:
         return list(self._names)
 
-    def metric_types(self) -> tuple[MetricType, ...]:
-        return self._compiled.mtypes
-
     def component_ids(self) -> tuple[int, ...]:
         return self._comp_ids
-
-    def index_of(self, name: str) -> int:
-        return self._layout.index[name]
-
-    def indices_of(self, names) -> list[int]:
-        """Resolve metric names to indices once (plugin config() time)."""
-        idx = self._layout.index
-        return [idx[n] for n in names]
 
     # ------------------------------------------------------------------
     # generation numbers / consistency

@@ -34,12 +34,6 @@ CABLE = 4.68e9  # X/Z link capacity in the default media map
 MEZZ = 6.25e9  # Y
 
 
-def _row_nodes(torus: GeminiTorus, y: int, z: int) -> np.ndarray:
-    """Node ids of the first node on each Gemini along an X row."""
-    gems = [torus.gemini_index((x, y, z)) for x in range(torus.dims[0])]
-    return np.array([g * torus.nodes_per_gemini for g in gems])
-
-
 def _x_corridor(trace: HsnFleetTrace, torus: GeminiTorus, t0: float,
                 t1: float, y: int, z: int, x0: int, span: int,
                 utilization: float, n_flows: int = 3) -> None:

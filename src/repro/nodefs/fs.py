@@ -62,9 +62,6 @@ class SynthFS(FileSystem):
             raise ReproError(f"synthetic file {path!r} already registered")
         self._files[path] = render
 
-    def register_static(self, path: str, content: str) -> None:
-        self.register(path, lambda: content)
-
     def unregister(self, path: str) -> None:
         self._files.pop(self._norm(path), None)
 

@@ -93,9 +93,6 @@ class GpcdrModel:
     def add_stall(self, direction: str, seconds: float) -> None:
         self.stall_ns[direction] += seconds * 1e9
 
-    def set_link_status(self, direction: str, lanes: int) -> None:
-        self.lanes[direction] = lanes
-
     # ------------------------------------------------------------------
     def render(self) -> str:
         if self.sync_hook is not None:

@@ -39,21 +39,6 @@ class Histogram:
             if self.counts.shape != (self.edges.size - 1,):
                 raise ValueError("counts shape does not match edges")
 
-    @classmethod
-    def from_samples(
-        cls, samples: np.ndarray, lo: float, hi: float, nbins: int = 100
-    ) -> "Histogram":
-        """Build a histogram of ``samples`` over ``[lo, hi]``.
-
-        Samples outside the range are clipped into the first/last bin so
-        tail events remain visible (the paper's plots do the same — the
-        interesting monitored-vs-unmonitored signal *is* the tail).
-        """
-        edges = np.linspace(lo, hi, nbins + 1)
-        clipped = np.clip(np.asarray(samples, dtype=np.float64), lo, np.nextafter(hi, lo))
-        counts, _ = np.histogram(clipped, bins=edges)
-        return cls(edges=edges, counts=counts)
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())

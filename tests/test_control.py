@@ -239,6 +239,27 @@ class TestControlVerbs:
         assert not d.producers and not d._schedules
 
 
+def test_every_verb_is_documented():
+    """Each ``_cmd_<verb>`` handler has a docstring, and the module's
+    command reference lists exactly the verbs there are handlers for
+    (one line per verb, indented four spaces; deeper lines continue
+    the verb above)."""
+    import repro.core.control as control
+
+    handlers = {name[len("_cmd_"):]: fn for name, fn in
+                vars(ControlChannel).items() if name.startswith("_cmd_")}
+    assert [v for v, fn in handlers.items() if not fn.__doc__] == []
+    doc = control.__doc__
+    block = doc[doc.index("Supported commands"):].split("::\n\n", 1)[1]
+    reference = []
+    for line in block.splitlines():
+        if not line.startswith("    "):
+            break
+        if not line.startswith("     "):
+            reference.append(line.split()[0])
+    assert sorted(reference) == sorted(handlers)
+
+
 class TestUnixControlServer:
     def test_round_trip_over_socket(self, channel, tmp_path):
         _, d, ch = channel

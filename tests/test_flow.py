@@ -4,8 +4,8 @@ Coverage follows the layers: module summary extraction, call-graph
 resolution + effect propagation (multi-module ``Engine.lint_sources``
 runs) and the ``repro-lint`` CLI against the deliberately-broken
 fixture project under ``tests/flow_fixtures/``.  The engine itself
-(suppressions, config, reporters, per-file rules) and the self-host
-pass over the shipped tree are covered by ``test_reprolint.py``.
+(suppressions, config, reporters) and the self-host pass over the
+shipped tree are covered by ``test_reprolint.py``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def rule_ids(report):
     return [v.rule for v in report.violations]
 
 
-FLOW_RULE_IDS = [r for r, cls in all_rules().items() if cls.whole_program]
+FLOW_RULE_IDS = list(all_rules())
 
 
 class TestCatalog:

@@ -11,7 +11,6 @@ while every read surface still lists the full schema.
 import gc
 import importlib.util
 import os
-import sys
 import tracemalloc
 
 import pytest
@@ -21,7 +20,9 @@ from repro.core import Ldmsd, SimEnv, sanitize
 from repro.core.memory import Arena
 from repro.core.metric import MetricType
 from repro.core.metric_set import MetricSet, set_template
-from repro.core.set_arena import SetArenaPool
+from repro.core.sampler import sampler_registry
+from repro.core.set_arena import SampleCohort, SetArenaPool
+from repro.nodefs import GpcdrModel, HostModel
 from repro.sim import Engine
 from repro.transport import SimFabric, SimTransport
 
@@ -116,31 +117,20 @@ CALLS_PER_INSTANCE = 11
 
 
 def _calls_per_set_up(card: int) -> tuple[float, float]:
-    """``sys.setprofile`` ``"call"`` events per ``from_meta`` of a known
-    layout and per ``instantiate``, each averaged over 16 sets."""
+    """``"call"`` events per ``from_meta`` of a known layout and per
+    ``instantiate``, each averaged over 16 sets."""
     names = tuple(f"metric_{i:03d}" for i in range(card))
     template = set_template(names, MetricType.U64)
     arena, pool = Arena(1 << 24), SetArenaPool()
     meta = MetricSet.instantiate("n0/syn", "synthetic", template, 1, arena,
                                  1, pool).meta_bytes()
     MetricSet.from_meta(meta, arena, pool=pool)  # the layout is known now
-    calls = 0
-
-    def count(_frame, event, _arg) -> None:
-        nonlocal calls
-        if event == "call":
-            calls += 1
 
     def per_set(make) -> float:
-        nonlocal calls
-        calls = 0
-        sys.setprofile(count)
-        try:
+        def run() -> None:
             for i in range(16):
                 make(i)
-        finally:
-            sys.setprofile(None)
-        return calls / 16
+        return audit.count_events(run) / 16
 
     return (per_set(lambda i: MetricSet.from_meta(meta, arena, pool=pool)) - 1,
             per_set(lambda i: MetricSet.instantiate(
@@ -155,6 +145,137 @@ def test_python_calls_per_set_up_do_not_grow_with_metrics():
     mirror, instance = wide
     assert mirror <= CALLS_PER_MIRROR * 1.10, f"{mirror} calls per mirror"
     assert instance <= CALLS_PER_INSTANCE * 1.10, f"{instance} calls per set"
+
+
+# -- cost per hot-path event ----------------------------------------------
+#
+# §IV-E's "lightweight" is a per-event cost: a sampler tick reads its
+# input and writes one row, a cohort sweep writes each arena block with
+# one numpy op per column, a flush and a torn update pay no work beyond
+# their bookkeeping.  Each gate counts what the ``repro`` package does
+# itself on one such event (``audit.count_events(..., repro_only=True)``:
+# library internals and comprehension frames left out, so library and
+# Python versions do not move the count).  A name lookup, a layout
+# rebuilt, a ``getattr``, a ``print`` or a ``sleep`` on the path adds a
+# call; a per-row loop adds lines per member.  The budgets are exact
+# counts: a change that moves one re-pins it on purpose.
+
+#: ``repro`` calls (Python and C) in one steady ``do_sample`` tick of
+#: each sampler plugin on a synthetic host.  Every tick also writes its
+#: row with exactly one ``MetricSet.set_values`` and no per-metric
+#: ``set_value``.
+CALLS_PER_TICK = {
+    "bw_custom": 862, "ethernet": 86, "gpcdr": 258, "infiniband": 46,
+    "jobid": 9, "ldmsd_self": 230, "lnet": 36, "loadavg": 20,
+    "lustre": 58, "meminfo": 124, "nfs": 46, "procstat": 400,
+    "synthetic": 7,
+}
+
+#: ``repro`` lines one more member adds to a cohort sweep's finish
+#: (``SampleCohort._finish``): the per-member transaction bookkeeping.
+LINES_PER_COHORT_MEMBER = 25
+
+#: ``repro`` calls one non-exemplar ``Ldmsd._flush_rows`` makes: per
+#: batch, and per row in it.
+FLUSH_CALLS_PER_BATCH = 15
+FLUSH_CALLS_PER_ROW = 6
+
+#: ``repro`` calls of one torn (inconsistent) update's completion.
+TORN_UPDATE_CALLS = 12
+
+
+def _costs(*events):
+    return lambda run: audit.count_events(run, events, repro_only=True)
+
+
+@pytest.mark.skipif(sanitize.enabled(), reason="the sanitizer adds calls")
+def test_sampler_tick_calls_within_budget():
+    calls = _costs("call", "c_call")
+    clock = {"t": 0.0}
+    host = HostModel("n0", clock=lambda: clock["t"], seed=2)
+    GpcdrModel(clock=lambda: clock["t"], fs=host.fs)
+    eng = Engine()
+    d = Ldmsd("n0", env=SimEnv(eng), fs=host.fs,
+              transports={"rdma": SimTransport(SimFabric(eng), "rdma")})
+    shipped = sorted(n for n, cls in sampler_registry.items()
+                     if cls.__module__.startswith("repro.plugins."))
+    assert shipped == sorted(CALLS_PER_TICK)
+    over = {}
+    for name in shipped:
+        p = d.load_sampler(name, instance=f"n0/{name}", component_id=1)
+        ticks = []
+        for t in (1.0, 2.0, 3.0):  # the first tick fills lazy caches
+            clock["t"] = t
+            ticks.append(calls(lambda: p.do_sample(t)))
+        assert ticks[1] == ticks[2], f"{name}: ticks cost {ticks}"
+        writes = [audit.count_events(lambda: p.do_sample(4.0), of=write)
+                  for write in (MetricSet.set_values, MetricSet.set_value)]
+        assert writes == [1, 0], f"{name}: set_values, set_value calls"
+        if ticks[2] > CALLS_PER_TICK[name]:
+            over[name] = (ticks[2], CALLS_PER_TICK[name])
+    assert over == {}, "calls per tick (measured, budget)"
+
+
+def _knee(n: int, monkeypatch, cls, method: str, events) -> list:
+    """Build the knee at ``n`` producers and count ``events`` in every
+    ``cls.method`` call of the next interval, with no update traced as
+    an exemplar; returns ``(call args, count)`` pairs."""
+    _samplers, agg = audit.build(n)
+    agg.spans.sample_every = 1 << 30
+    count = _costs(*events)
+    real = getattr(cls, method)
+    seen = []
+
+    def counted(self, *args):
+        seen.append((args, count(lambda: real(self, *args))))
+
+    eng = agg.env.engine
+    with monkeypatch.context() as m:
+        m.setattr(cls, method, counted)
+        eng.run(until=eng.now + audit.INTERVAL)
+    return seen
+
+
+@pytest.mark.skipif(sanitize.enabled(), reason="the sanitizer adds lines")
+def test_cohort_sweep_lines_grow_only_by_member_bookkeeping(monkeypatch):
+    lines = []
+    for n in (16, 32):
+        (_args, count), *_ = _knee(n, monkeypatch, SampleCohort, "_finish",
+                                   ("line",))
+        lines.append(count)
+    per_member = (lines[1] - lines[0]) / 8  # two cohorts of n / 2
+    assert per_member <= LINES_PER_COHORT_MEMBER, f"{per_member} lines per member"
+
+
+@pytest.mark.skipif(sanitize.enabled(), reason="the sanitizer adds calls")
+def test_flush_calls_within_budget(monkeypatch):
+    flushes = _knee(32, monkeypatch, Ldmsd, "_flush_rows", ("call", "c_call"))
+    plain = {len(rows): c for (_store, rows), c in flushes
+             if all(r.span is None for r in rows)}
+    assert {1, 2} <= set(plain)  # both a batch and a row term are seen
+    over = {n: c for n, c in plain.items()
+            if c > FLUSH_CALLS_PER_BATCH + FLUSH_CALLS_PER_ROW * n}
+    assert over == {}, "calls per flush, by rows in it"
+
+
+@pytest.mark.skipif(sanitize.enabled(), reason="the sanitizer adds calls")
+def test_torn_update_costs_what_a_stale_one_does():
+    _samplers, agg = audit.build(8)
+    prod = agg.producers["n0"]
+    upd = prod.updaters["n0/syn"]
+    stale = upd.mirror.data_bytes()  # the DGN the mirror already holds
+    header = bytearray(stale)
+    header[12] = 0  # consistent flag, after the MGN and DGN
+    torn = bytes(header)
+    calls = _costs("call", "c_call")
+    now = agg.env.engine.now
+    before = (prod.stats.skipped_inconsistent, prod.stats.skipped_stale)
+    torn_calls = calls(lambda: prod._complete_update(upd, torn, now))
+    stale_calls = calls(lambda: prod._complete_update(upd, stale, now))
+    assert (prod.stats.skipped_inconsistent, prod.stats.skipped_stale) == (
+        before[0] + 1, before[1] + 1)
+    assert torn_calls == stale_calls
+    assert torn_calls <= TORN_UPDATE_CALLS
 
 
 def _bound(daemon) -> set[str]:

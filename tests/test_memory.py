@@ -225,7 +225,7 @@ class TestArenaModel:
             assert a.used == ref.used
             assert a.available == ref.size - ref.used
             assert a.peak_used == ref.peak
-            assert a.n_allocs == len(ref.live)
+            assert len(a._live) == len(ref.live)
         for off, n in ref.live.items():
             assert bytes(a.view(off, n)) == bytes(ref.buf[off:off + n])
 

@@ -39,7 +39,7 @@ def chunk(name: bytes, schema: bytes, descs, data_size: int, mgn: int = 1,
 
 
 def footprint(arena, pool):
-    return arena.used, arena.n_allocs, arena.committed, pool.stats()
+    return arena.used, len(arena._live), arena.committed, pool.stats()
 
 
 def three_metric_chunk(trailing: bytes = b"") -> bytes:
@@ -96,7 +96,7 @@ class TestTrailingBytesLeakNothing:
         counters = agg.stats()["obs"]["counters"]
         assert served >= 5  # the lookup was retried after each timeout
         assert counters["wire.malformed_frames"] == served
-        assert agg.arena.used == agg.arena.n_allocs == 0
+        assert agg.arena.used == len(agg.arena._live) == 0
         assert agg.set_pool.stats() == pool
         assert prod.updaters["n0/syn"].mirror is None
         assert not store.rows
@@ -192,7 +192,7 @@ class TestRoundTripOracle:
             try:
                 mirror = MetricSet.from_meta(meta, arena, pool=pool)
             except (ValueError, OutOfMemory):
-                assert arena.used == arena.n_allocs == arena.committed == 0
+                assert arena.used == len(arena._live) == arena.committed == 0
                 assert (pool and pool.stats()) == rows
                 continue
             assert mirror.meta_bytes() == meta
@@ -371,7 +371,7 @@ class TestStampedMirror:
         assert mirror.meta_bytes() == other
         names, mtypes, offsets, ids = reference_decode(other)
         assert mirror.metric_names() == names
-        assert list(mirror.metric_types()) == mtypes
+        assert [d.mtype for d in mirror.descs] == mtypes
         assert [d.data_offset for d in mirror.descs] == offsets
         assert list(mirror.component_ids()) == ids
         assert mirror.name == "n9/syn"
@@ -404,7 +404,7 @@ class TestStampedMirror:
         else:
             names, mtypes, offsets, ids = reference_decode(meta)
             assert mirror.metric_names() == names
-            assert list(mirror.metric_types()) == mtypes
+            assert [d.mtype for d in mirror.descs] == mtypes
             assert [d.data_offset for d in mirror.descs] == offsets
             assert list(mirror.component_ids()) == ids
             assert mirror.meta_bytes() == meta

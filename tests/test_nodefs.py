@@ -12,7 +12,7 @@ from repro.util.errors import ReproError
 class TestSynthFS:
     def test_register_and_read(self):
         fs = SynthFS()
-        fs.register_static("/proc/foo", "bar\n")
+        fs.register("/proc/foo", lambda: "bar\n")
         assert fs.read("/proc/foo") == "bar\n"
 
     def test_missing_file(self):
@@ -21,20 +21,20 @@ class TestSynthFS:
 
     def test_duplicate_register_rejected(self):
         fs = SynthFS()
-        fs.register_static("/a", "1")
+        fs.register("/a", lambda: "1")
         with pytest.raises(ReproError):
-            fs.register_static("/a", "2")
+            fs.register("/a", lambda: "2")
 
     def test_unregister(self):
         fs = SynthFS()
-        fs.register_static("/a", "1")
+        fs.register("/a", lambda: "1")
         fs.unregister("/a")
         assert not fs.exists("/a")
 
     def test_listdir(self):
         fs = SynthFS()
-        fs.register_static("/sys/class/net/eth0/statistics/rx_bytes", "0")
-        fs.register_static("/sys/class/net/eth1/statistics/rx_bytes", "0")
+        fs.register("/sys/class/net/eth0/statistics/rx_bytes", lambda: "0")
+        fs.register("/sys/class/net/eth1/statistics/rx_bytes", lambda: "0")
         assert fs.listdir("/sys/class/net") == ["eth0", "eth1"]
 
     def test_listdir_missing(self):
@@ -43,7 +43,7 @@ class TestSynthFS:
 
     def test_exists_directory_prefix(self):
         fs = SynthFS()
-        fs.register_static("/a/b/c", "x")
+        fs.register("/a/b/c", lambda: "x")
         assert fs.exists("/a/b")
         assert fs.exists("/a/b/c")
         assert not fs.exists("/a/x")
@@ -178,7 +178,7 @@ class TestGpcdr:
 
     def test_link_down(self):
         gp = GpcdrModel(clock=lambda: 0.0)
-        gp.set_link_status("Z-", 0)
+        gp.lanes["Z-"] = 0
         data = parsers.parse_gpcdr(gp.fs.read(
             "/sys/devices/virtual/gpcdr/gpcdr/metricsets/links/metrics"))
         assert data["linkstatus_Z-"] == 0

@@ -1,14 +1,12 @@
 """Tests for the reprolint engine (repro.analysis.lint).
 
-Each per-file rule is exercised against a good/bad fixture pair under
-``tests/lint_fixtures/``: the bad snippet must fire the rule, the good
-snippet must stay silent.  Engine behaviours (suppressions, config,
-reporters, exit codes, module scoping, the one-parse pass) are covered
-directly — through the whole-program determinism rules where the case
-was written for the per-file ``des-purity`` rule they replaced — and
-one self-host test asserts the shipped tree lints clean under the
-repo's own ``pyproject.toml``.  The whole-program passes themselves
-are covered by ``test_flow.py``.
+The determinism fixture pair under ``tests/lint_fixtures/`` must fire
+the ``flow-*`` contracts (bad) or stay silent (good).  Engine
+behaviours (suppressions, config, reporters, exit codes, module
+scoping, the one-parse pass) are covered directly, and the self-host
+tests assert the shipped tree lints clean under the repo's own
+``pyproject.toml`` and holds no mutable default argument.  The
+whole-program passes themselves are covered by ``test_flow.py``.
 """
 
 from __future__ import annotations
@@ -39,22 +37,11 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).parent.parent
 
 #: fixture pair -> module name it is linted as (must fall inside the
-#: default scope of the rule it exercises).  A pair is named after the
-#: per-file rule it was written for.
-FIXTURE_MODULES = {
-    "arena-sweep-discipline": "repro.core.set_arena.fixture",
-    "des-purity": "repro.core.fixture",
-    "sampler-contract": "repro.plugins.samplers.fixture",
-    "swallowed-except": "repro.core.fixture",
-    "control-verb-registry": "repro.core.control",
-    "no-blocking-io-in-hot-path": "repro.plugins.samplers.fixture",
-    "obs-hotpath-discipline": "repro.core.fixture",
-    "mutable-default-arg": "repro.anywhere.fixture",
-}
+#: DES-pure packages).  The pair is named after the per-file rule it was
+#: written for; the whole-program rules report it.
+FIXTURE_MODULES = {"des-purity": "repro.core.fixture"}
 
-
-#: The determinism pair outlived the per-file ``des-purity`` rule: the
-#: whole-program rules report it.
+#: fixture pair -> the rules it exercises
 FIXTURE_RULES = {
     "des-purity": ("flow-des-purity", "flow-clock-boundary", "flow-ambient-rng"),
 }
@@ -72,7 +59,7 @@ def lint_fixture(name: str, kind: str, module=None):
     """Lint one fixture file with only its pair's rule(s) selected."""
     fname = name.replace("-", "_") + f"_{kind}.py"
     source = (FIXTURES / fname).read_text()
-    rules = FIXTURE_RULES.get(name, (name,))
+    rules = FIXTURE_RULES[name]
     report = lint_one(source, module or FIXTURE_MODULES[name], *rules)
     return report, [v for v in report.violations if v.rule in rules]
 
@@ -84,7 +71,6 @@ class TestFixturePairs:
         assert hits, f"{rule_id}: bad fixture produced no violations"
         for v in hits:
             assert v.line > 0
-            assert v.severity == "error"
             assert v.message
 
     @pytest.mark.parametrize("rule_id", sorted(FIXTURE_MODULES))
@@ -94,14 +80,15 @@ class TestFixturePairs:
         assert report.violations == []
 
     def test_every_registered_rule_has_a_fixture_pair(self):
-        for rule_id, cls in all_rules().items():
-            if cls.whole_program:
-                continue  # tests/flow_fixtures/ + test_flow.py
-            assert rule_id in FIXTURE_MODULES
-            base = rule_id.replace("-", "_")
+        # The pair covers three of the four contracts; the fourth,
+        # flow-unordered-iteration, fires on tests/flow_fixtures/.
+        assert set(all_rules()) == {*DETERMINISM, "flow-unordered-iteration"}
+        for name in FIXTURE_MODULES:
+            base = name.replace("-", "_")
             assert (FIXTURES / f"{base}_bad.py").exists()
             assert (FIXTURES / f"{base}_good.py").exists()
-        assert set(FIXTURE_MODULES) - set(all_rules()) == set(FIXTURE_RULES)
+        assert sorted(p.name for p in FIXTURES.glob("*.py")) == [
+            "des_purity_bad.py", "des_purity_good.py"]
 
     def test_determinism_fixture_reports_every_site_in_des_scope(self):
         # What the per-file rule reported — the clock read and both RNG
@@ -135,51 +122,15 @@ class TestFixturePairs:
         assert good == []
 
 
-class TestSamplerContractLayout:
-    """Plugins compile a layout with ``set_template`` and instantiate it
-    with ``create_set``: both are layout work, due once at config()."""
-
-    SOURCE = """
-from repro.core import metric_set
-from repro.core.metric import MetricType
-from repro.core.metric_set import set_template
-from repro.core.sampler import SamplerPlugin, register_sampler
-
-TEMPLATE = set_template(("m0", "m1"), MetricType.U64)
-
-
-@register_sampler("fixture_layout")
-class LayoutSampler(SamplerPlugin):
-    def config(self, instance, component_id=0, **kwargs):
-        super().config(instance, component_id, **kwargs)
-        self.set = self.create_set(instance, "fixture",
-                                   set_template(("a",), MetricType.U64))
-
-    def do_sample(self, now):
-        self.create_set(self.instance, "fixture", TEMPLATE)
-        set_template(("m0",), MetricType.U64)
-        metric_set.set_template(("m1",), MetricType.U64)
-        self.set.set_values([1, 2])
-"""
-
-    def test_layout_calls_flagged_in_sample_only(self):
-        report = lint_one(self.SOURCE, "repro.plugins.samplers.fixture",
-                          "sampler-contract")
-        assert [(v.line, v.message.split("(")[0])
-                for v in report.violations] == [
-            (18, "create_set"), (19, "set_template"), (20, "set_template")]
-
-
 class TestModuleScoping:
     def test_rule_ignores_out_of_scope_module(self):
         source = "import time\n\ndef f():\n    return time.time()\n"
-        report = lint_one(source, "scripts.helper", "flow-des-purity")
-        assert report.violations == []
-        source = "def f():\n    try:\n        g()\n    except Exception:\n        pass\n"
-        assert lint_one(source, "scripts.helper", "swallowed-except").violations == []
-        assert [v.rule for v in lint_one(
-            source, "repro.transport.x", "swallowed-except").violations
-        ] == ["swallowed-except"]
+        # flow-des-purity looks only inside the DES-pure packages
+        for module, rules in (("scripts.helper", []),
+                              ("repro.transport.x", []),
+                              ("repro.core.x", ["flow-des-purity"])):
+            report = lint_one(source, module, "flow-des-purity")
+            assert [v.rule for v in report.violations] == rules, module
 
     def test_allowed_module_is_exempt(self):
         source = "import time\n\ndef f():\n    return time.time()\n"
@@ -191,12 +142,6 @@ class TestModuleScoping:
         assert report.violations == []
         report2 = lint_one(source, "repro.util.other", config=cfg)
         assert [v.rule for v in report2.violations] == ["flow-clock-boundary"]
-        cfg = LintConfig.from_table({
-            "select": ["swallowed-except"],
-            "rules": {"swallowed-except": {"allowed-modules": ["repro.core.x"]}},
-        })
-        source = "def f():\n    try:\n        g()\n    except Exception:\n        pass\n"
-        assert lint_one(source, "repro.core.x", config=cfg).violations == []
 
     def test_module_name_mapping(self):
         engine = Engine(LintConfig())
@@ -210,12 +155,6 @@ class TestModuleScoping:
         source = "from time import time as clock\n\ndef f():\n    return clock()\n"
         report = lint_one(source, "repro.core.x", *DETERMINISM)
         assert [v.rule for v in report.violations] == ["flow-des-purity"]
-        # the per-file resolver is the same one
-        source = ("from struct import pack as p\n\n"
-                  "def sweep(blk):\n    return p('<I', 1)\n")
-        report = lint_one(source, "repro.core.set_arena.x",
-                          "arena-sweep-discipline")
-        assert [v.rule for v in report.violations] == ["arena-sweep-discipline"]
 
 
 class TestSuppressions:
@@ -261,7 +200,7 @@ class TestSuppressions:
             "x = 1  # reprolint: ignore[flow-des-purty] -- typo\n",
             "repro.core.x")
         (v,) = report.violations
-        assert (v.rule, v.severity, v.line) == ("suppression", "error", 1)
+        assert (v.rule, v.line) == ("suppression", 1)
         assert "flow-des-purty" in v.message
         assert report.exit_code == 1
         src = self.SOURCE.replace("flow-des-purity]", "flow-des-purty]")
@@ -282,19 +221,18 @@ class TestSuppressions:
 
 
 class TestConfig:
-    BAD_DEFAULT = "def f(x=[]):\n    return x\n"
-
     def test_unknown_rule_id_in_config_rejected(self):
+        # there is no per-rule option table any more: [tool.reprolint.rules]
+        # is an unknown key, whatever rule it names
         with pytest.raises(LintConfigError):
             LintConfig.from_table({"rules": {"nope": {}}})
-        # the per-file rule this table used to configure is gone
         with pytest.raises(LintConfigError):
-            LintConfig.from_table({"rules": {"des-purity": {}}})
+            LintConfig.from_table({"rules": {"mutable-default-arg": {}}})
 
     def test_whole_program_rule_options_rejected(self):
         # flow-* rules are scoped by [tool.reprolint.flow], not by a
         # per-rule option table
-        with pytest.raises(LintConfigError, match=r"tool\.reprolint\.flow"):
+        with pytest.raises(LintConfigError, match=r"rules"):
             LintConfig.from_table(
                 {"rules": {"flow-des-purity": {"severity": "warning"}}})
 
@@ -303,45 +241,24 @@ class TestConfig:
             LintConfig.from_table({"bogus": 1})
 
     def test_unknown_rule_option_rejected(self):
-        cfg = LintConfig.from_table(
-            {"rules": {"mutable-default-arg": {"frobnicate": True}}})
-        with pytest.raises(LintConfigError):
-            Engine(cfg)
-
-    def test_bad_severity_rejected(self):
-        cfg = LintConfig.from_table(
-            {"rules": {"mutable-default-arg": {"severity": "fatal"}}})
-        with pytest.raises(LintConfigError):
-            Engine(cfg)
-
-    def test_severity_off_disables_rule(self):
-        cfg = LintConfig.from_table(
-            {"select": ["mutable-default-arg"],
-             "rules": {"mutable-default-arg": {"severity": "off"}}})
-        report = lint_one(self.BAD_DEFAULT, "repro.core.x", config=cfg)
-        assert report.violations == []
-
-    def test_warning_severity_does_not_gate(self):
-        cfg = LintConfig.from_table(
-            {"select": ["mutable-default-arg"],
-             "rules": {"mutable-default-arg": {"severity": "warning"}}})
-        report = lint_one(self.BAD_DEFAULT, "repro.core.x", config=cfg)
-        assert len(report.warnings) == 1
-        assert report.exit_code == 0
-        assert "[mutable-default-arg] (warning)" in report.render_text()
+        with pytest.raises(LintConfigError, match="frobnicate"):
+            LintConfig.from_table({"flow": {"frobnicate": True}})
 
     def test_select_unknown_rule_rejected(self):
         with pytest.raises(LintConfigError):
             Engine(LintConfig(select=("no-such-rule",)))
         with pytest.raises(LintConfigError):
             Engine(LintConfig(select=("des-purity",)))
+        with pytest.raises(LintConfigError):
+            Engine(LintConfig(select=("mutable-default-arg",)))
 
     def test_select_limits_the_run_to_the_named_rules(self):
-        src = "import time\n\ndef f(x=[]):\n    return time.time()\n"
-        assert sorted(v.rule for v in lint_one(src, "repro.core.x").violations
-                      ) == ["flow-des-purity", "mutable-default-arg"]
-        for rule in ("flow-des-purity", "mutable-default-arg"):
-            report = lint_one(src, "repro.core.x", rule)
+        src = "import random\nimport time\n\ndef f():\n    return time.time() + random.random()\n"
+        module = "repro.experiments.x"
+        assert sorted(v.rule for v in lint_one(src, module).violations
+                      ) == ["flow-ambient-rng", "flow-clock-boundary"]
+        for rule in ("flow-ambient-rng", "flow-clock-boundary"):
+            report = lint_one(src, module, rule)
             assert [v.rule for v in report.violations] == [rule]
 
 
@@ -385,12 +302,14 @@ class TestReporters:
         assert v["rule"] == "flow-des-purity"
         assert v["line"] == 2
         assert set(v["chain"][0]) == {"path", "line", "func", "note"}
-        # per-file findings carry no chain; suppressed ones say why
+        # direct findings carry no chain; suppressed ones say why
         doc = json.loads(lint_one(
-            "def f(x=[]):  # reprolint: ignore[mutable-default-arg] -- shared\n"
-            "    return lambda y={}: y\n", "repro.core.x").render_json())
+            "import random, time\n"
+            "x = time.time()  # reprolint: ignore[flow-clock-boundary] -- shared\n"
+            "y = random.random()\n", "repro.experiments.x").render_json())
         (v,) = doc["violations"]
         assert set(v) == {"path", "line", "col", "rule", "severity", "message"}
+        assert v["rule"] == "flow-ambient-rng"
         (s,) = doc["suppressed"]
         assert s["justification"] == "shared"
 
@@ -413,8 +332,8 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in all_rules():
             assert rule_id in out
-        # per-file and whole-program ids in one listing
-        assert "mutable-default-arg" in out and "flow-des-purity" in out
+        assert len(all_rules()) == 4
+        assert "mutable-default-arg" not in out
 
     def test_module_entry_point_runs_once_with_clean_stderr(self):
         # `python -m repro.analysis.lint.cli` used to warn that the CLI
@@ -450,7 +369,7 @@ class TestCli:
         assert "no python files" in capsys.readouterr().err
 
     def test_json_output_on_fixture(self, capsys):
-        bad = str(FIXTURES / "mutable_default_arg_bad.py")
+        bad = str(FIXTURES / "des_purity_bad.py")
         code = lint_main(["--format", "json",
                           "--config", str(REPO_ROOT / "pyproject.toml"), bad])
         doc = json.loads(capsys.readouterr().out)
@@ -464,26 +383,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[flow-ambient-rng]" in out
         assert "[flow-clock-boundary]" not in out
-        assert lint_main(["--select", "mutable-default-arg", *args]) == 0
+        assert lint_main(["--select", "flow-unordered-iteration", *args]) == 0
 
 
 class TestOnePass:
-    """Every file is read once, tokenized once and parsed once, however
-    many passes consume it (per-file rules, flow summary)."""
+    """Every file is read once, tokenized once and parsed once: the
+    suppression scan reads the tokens, the flow summary the tree."""
 
     def write_project(self, root):
         pkg = root / "src" / "pkg"
         pkg.mkdir(parents=True)
         (pkg / "__init__.py").write_text("")
         (pkg / "wire.py").write_text(
-            "import struct\n\n"
-            "def pack_data(seq, out=[]):\n    return struct.pack('<I', seq)\n"
+            "import random\n\n"
+            "def pack_data(seq):\n    return seq, random.random()\n"
         )
         (pkg / "peer.py").write_text(
             "import time\n"
             "from pkg.wire import pack_data\n\n"
-            "def on_frame(t, x=[]):  # reprolint: ignore[mutable-default-arg] -- test\n"
-            "    return pack_data(t) and time.time()\n"
+            "def on_frame(t):\n"
+            "    return pack_data(t) and time.time()  "
+            "# reprolint: ignore[flow-des-purity] -- test\n"
         )
         (root / "pyproject.toml").write_text(
             "[tool.reprolint.flow]\n"
@@ -513,25 +433,24 @@ class TestOnePass:
         assert sorted(report.files) == files
         assert sorted(parsed) == files  # nothing parsed twice, or behind our back
         assert len(tokenized) == len(files)
-        # ... and both consumers (per-file rules, flow summary) saw
-        # each tree
+        # ... and both consumers (suppression scan, flow summary) saw
+        # each file
         assert [(Path(v.path).name, v.rule) for v in report.violations] == [
-            ("peer.py", "flow-des-purity"),
-            ("wire.py", "mutable-default-arg"),
+            ("wire.py", "flow-des-purity"),
         ]
-        assert [v.rule for v in report.suppressed] == ["mutable-default-arg"]
+        assert [(Path(v.path).name, v.rule) for v in report.suppressed] == [
+            ("peer.py", "flow-des-purity"),
+        ]
 
 
 class TestSelfHost:
     def test_shipped_tree_is_clean(self, monkeypatch):
-        """`repro-lint src/` exits 0 on the repo: no errors, no warnings
-        and no suppressions, per-file and whole-program rules alike, with
-        the call graph built over the whole tree."""
+        """`repro-lint src/` exits 0 on the repo: no violations and no
+        suppressions, with the call graph built over the whole tree."""
         monkeypatch.chdir(REPO_ROOT)
         cfg = LintConfig.from_pyproject("pyproject.toml")
         engine = Engine(cfg)
-        assert {r.rule_id for r in engine.rules} | engine.program_rules == set(
-            all_rules())
+        assert engine.rules == set(all_rules())
         report = engine.lint_paths(["src"])
         assert len(report.files) > 100, "no files linted — wrong repo root?"
         assert [v.format() for v in report.violations] == []
@@ -540,11 +459,31 @@ class TestSelfHost:
         assert report.stats["flow_modules_analyzed"] > 100
         assert report.stats["flow_edges"] > 0
 
+    def test_no_mutable_default_arguments(self):
+        """A ``[]``/``{}``/``set()``/``list()``/``dict()``/``bytearray()``
+        default is one object shared by every call — across daemons, in
+        a multi-daemon DES run.  Default to None and build per call."""
+        mutable = (ast.List, ast.Dict, ast.Set)
+        factories = {"list", "dict", "set", "bytearray"}
+        found = []
+        for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.Lambda)):
+                    continue
+                for d in [*node.args.defaults, *node.args.kw_defaults]:
+                    if isinstance(d, mutable) or (
+                            isinstance(d, ast.Call)
+                            and isinstance(d.func, ast.Name)
+                            and d.func.id in factories):
+                        found.append(f"{path.relative_to(REPO_ROOT)}:{d.lineno}")
+        assert found == []
+
 
 class TestSuppressionEdgeCases:
     """Scanner corner cases: multi-line statements, reprolint-lookalike
-    text inside f-strings, decorated defs, and per-file and ``flow-``
-    ids validated against the one registry."""
+    text inside f-strings, decorated defs, and ``flow-`` ids validated
+    against the registry."""
 
     def lint(self, src, *rules):
         return lint_one(src, "repro.core.x", *(rules or DETERMINISM))
@@ -594,32 +533,30 @@ class TestSuppressionEdgeCases:
         assert report.suppressed == []
 
     def test_decorated_def_suppression_on_def_line(self):
-        # mutable-default-arg reports on the signature line; the def
-        # line carries the suppression even under a decorator.
+        # A one-line def reports its body's clock read on the def line,
+        # which carries the suppression even under a decorator.
         src = (
-            "import functools\n"
+            "import functools, time\n"
             "@functools.lru_cache\n"
-            "def f(x=[]):  # reprolint: ignore[mutable-default-arg] -- interned\n"
-            "    return x\n"
+            "def f(): return time.time()  # reprolint: ignore[flow-des-purity] -- boot\n"
         )
-        report = self.lint(src, "mutable-default-arg")
+        report = self.lint(src)
         assert report.violations == []
-        assert [s.rule for s in report.suppressed] == ["mutable-default-arg"]
+        assert [s.rule for s in report.suppressed] == ["flow-des-purity"]
 
     def test_decorated_def_suppression_on_decorator_line_does_not_apply(self):
         src = (
-            "import functools\n"
-            "@functools.lru_cache  # reprolint: ignore[mutable-default-arg] -- nope\n"
-            "def f(x=[]):\n"
-            "    return x\n"
+            "import functools, time\n"
+            "@functools.lru_cache  # reprolint: ignore[flow-des-purity] -- nope\n"
+            "def f(): return time.time()\n"
         )
-        report = self.lint(src, "mutable-default-arg")
-        assert [v.rule for v in report.violations] == ["mutable-default-arg"]
+        report = self.lint(src)
+        assert [v.rule for v in report.violations] == ["flow-des-purity"]
 
     def test_flow_rule_ids_are_known_to_the_lint_engine(self):
-        # flow- ids sit in the same registry as the per-file ids: a
-        # registered one is accepted (and still needs a justification),
-        # anything else behind the prefix is unknown.
+        # flow- ids sit in the rule registry: a registered one is
+        # accepted (and still needs a justification), anything else
+        # behind the prefix is unknown.
         known = set(all_rules())
         supp, problems = scan_suppression_comments(
             "x = 1  # reprolint: ignore[flow-des-purity] -- sim boot\n", known)
@@ -635,12 +572,13 @@ class TestSuppressionEdgeCases:
         assert len(problems) == 1 and "flow-no-such-rule" in problems[0][2]
 
     def test_mixed_known_and_flow_ids_in_one_comment(self):
+        # One comment naming two rules suppresses both findings on its line.
         src = (
-            "import time\n\n"
-            "def f(x=[]): return time.time()  "
-            "# reprolint: ignore[mutable-default-arg, flow-des-purity] -- fixture\n"
+            "import random, time\n\n"
+            "def f(): return time.time() + random.random()  "
+            "# reprolint: ignore[flow-clock-boundary, flow-ambient-rng] -- fixture\n"
         )
-        report = self.lint(src, "mutable-default-arg", "flow-des-purity")
+        report = lint_one(src, "repro.experiments.x", *DETERMINISM)
         assert report.violations == []
         assert sorted(s.rule for s in report.suppressed) == [
-            "flow-des-purity", "mutable-default-arg"]
+            "flow-ambient-rng", "flow-clock-boundary"]

@@ -259,6 +259,6 @@ class TestPluginLifecycle:
         with pytest.raises(FileNotFoundError):
             p.sample(0.0)
         # Transaction was closed in finally; next sample works again.
-        host.fs.register_static("/proc/meminfo", "MemTotal: 5 kB\n")
+        host.fs.register("/proc/meminfo", lambda: "MemTotal: 5 kB\n")
         p.sample(1.0)
         assert p.set.get("MemTotal") == 5

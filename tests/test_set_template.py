@@ -80,7 +80,7 @@ def value_for(mtype, i):
 
 
 def footprint(arena, pool):
-    return arena.used, arena.n_allocs, pool.stats()
+    return arena.used, len(arena._live), pool.stats()
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ class OracleRecord:
             names=mset._names,
             component_ids=mset._comp_ids,
             values=mset.values_tuple(),
-            mtypes=mset.metric_types(),
+            mtypes=tuple(d.mtype for d in mset.descs),
         )
 
     def filtered(self, metric_names: Iterable[str]) -> "OracleRecord":

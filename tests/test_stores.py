@@ -9,7 +9,7 @@ import pytest
 import repro.plugins  # noqa: F401
 from repro.core import wire
 from repro.core.metric import MetricType
-from repro.core.store import StorePolicy, StoreRecord
+from repro.core.store import StorePolicy, StoreRecord, store_registry
 from repro.plugins.stores.csv_store import CsvStore
 from repro.plugins.stores.flatfile import FlatFileStore
 from repro.plugins.stores.memstore import MemoryStore
@@ -23,6 +23,20 @@ def rec(t=1.0, producer="n0", set_name="n0/mem", schema="mem",
         names=("a", "b"), comp=(1, 1), values=(10, 20)):
     return StoreRecord(t, producer, set_name, schema, tuple(names),
                        tuple(comp), tuple(values))
+
+
+@pytest.mark.parametrize("name", sorted(store_registry))
+def test_store_writes_nothing_to_the_console(name, tmp_path, capfd):
+    """``store``/``store_many`` run on the flush path: a store buffers
+    and writes its own files, never the console."""
+    s = store_registry[name]()
+    s.config(path=str(tmp_path))
+    s.submit(rec(t=1.0))
+    assert s.submit_many([rec(t=2.0), rec(t=3.0)]) == 0
+    s.flush()
+    s.close()
+    assert s.records_stored == 3
+    assert capfd.readouterr() == ("", "")
 
 
 class TestStoreRecord:

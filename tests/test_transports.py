@@ -160,6 +160,25 @@ class TestSockTransport:
         client.close()
         lst.close()
 
+    def test_failed_send_fails_the_read(self):
+        # A read whose request cannot be sent completes at once, as a
+        # miss, and leaves no callback waiting for a reply that will
+        # never come.
+        lst, server, client = self._pair()
+
+        def send(_frame):
+            raise TransportError("send failed: broken pipe")
+
+        client.send = send
+        out = []
+        client.rdma_read(5, out.append)
+        assert out == [None]
+        client.rdma_read_multi([5, 6, 7], out.append)
+        assert out == [None, [None, None, None]]
+        assert client._pending_reads == {}
+        client.close()
+        lst.close()
+
     def test_peer_close_detected(self):
         lst, server, client = self._pair()
         closed = threading.Event()

@@ -98,26 +98,33 @@ class TestParseInterval:
             assert parse_interval(format_interval(s)) == pytest.approx(s)
 
 
+def _hist(samples, lo, hi, nbins):
+    """``nbins`` equal bins over ``[lo, hi]`` holding ``samples``."""
+    h = Histogram(edges=np.linspace(lo, hi, nbins + 1))
+    h.add(samples)
+    return h
+
+
 class TestHistogram:
     def test_from_samples_counts(self):
-        h = Histogram.from_samples([1.0, 1.5, 2.0, 9.0], lo=0, hi=10, nbins=10)
+        h = _hist([1.0, 1.5, 2.0, 9.0], lo=0, hi=10, nbins=10)
         assert h.total == 4
 
     def test_out_of_range_clipped_not_dropped(self):
-        h = Histogram.from_samples([-5.0, 50.0], lo=0, hi=10, nbins=10)
+        h = _hist([-5.0, 50.0], lo=0, hi=10, nbins=10)
         assert h.total == 2
         assert h.counts[0] == 1 and h.counts[-1] == 1
 
     def test_tail_count(self):
-        h = Histogram.from_samples([1, 2, 3, 98, 99], lo=0, hi=100, nbins=100)
+        h = _hist([1, 2, 3, 98, 99], lo=0, hi=100, nbins=100)
         assert h.tail_count(90) == 2
 
     def test_tail_fraction(self):
-        h = Histogram.from_samples([1] * 99 + [99], lo=0, hi=100, nbins=10)
+        h = _hist([1] * 99 + [99], lo=0, hi=100, nbins=10)
         assert h.tail_fraction(90) == pytest.approx(0.01)
 
     def test_add_accumulates(self):
-        h = Histogram.from_samples([1.0], lo=0, hi=10, nbins=5)
+        h = _hist([1.0], lo=0, hi=10, nbins=5)
         h.add([2.0, 3.0])
         assert h.total == 3
 
@@ -126,7 +133,7 @@ class TestHistogram:
             Histogram(edges=np.array([1.0, 1.0, 2.0]))
 
     def test_rows_shape(self):
-        h = Histogram.from_samples([5.0], lo=0, hi=10, nbins=10)
+        h = _hist([5.0], lo=0, hi=10, nbins=10)
         rows = h.rows()
         assert len(rows) == 10
         assert sum(c for _, c in rows) == 1
@@ -134,7 +141,7 @@ class TestHistogram:
     @given(st.lists(st.floats(min_value=0, max_value=100,
                               allow_nan=False), min_size=1, max_size=200))
     def test_total_always_equals_sample_count(self, samples):
-        h = Histogram.from_samples(samples, lo=0, hi=100, nbins=17)
+        h = _hist(samples, lo=0, hi=100, nbins=17)
         assert h.total == len(samples)
 
 
