@@ -4,7 +4,8 @@ Builds the ``fanin_knee`` topology (N sampler daemons x one 10-metric
 ``synthetic`` set -> one aggregator over ``sock`` -> ``memory`` store),
 runs it to the first stored sample of every producer under
 ``tracemalloc`` and prints the traced bytes per sampler + producer pair
-by source file and by line, then ``ru_maxrss``; beside the bytes it
+by source file and by line, then by object type (:func:`by_type`), then
+``ru_maxrss``; beside the bytes it
 prints the daemons' own arena accounting per pair (``arena_used`` and
 ``arena_committed`` summed over every daemon's ``stats()``: what the
 ``-m`` regions reserve, and what of that is backed) and the Python calls
@@ -25,6 +26,7 @@ import os
 import resource
 import sys
 import tracemalloc
+import types
 
 METRICS = 10
 INTERVAL = 5.0
@@ -164,6 +166,37 @@ def calls_per_stored_set(n: int = 256) -> float:
     return calls / rows
 
 
+#: What :func:`by_type` does not descend into: code and modules, which
+#: every producer shares.
+_SHARED = (type, types.ModuleType, types.FunctionType,
+           types.BuiltinFunctionType, types.CodeType)
+
+
+def by_type(roots) -> dict[str, tuple[int, int]]:
+    """``{type name: (objects, bytes)}`` of everything reachable from
+    ``roots`` through ``gc.get_referents``, sized by ``sys.getsizeof``
+    and not descending into classes, modules, functions or code.
+
+    Unlike ``gc.get_objects()`` this also finds the objects the
+    collector does not track (untracked dicts and tuples, strings,
+    numbers).  An instance's inline attribute values are not an object,
+    so they count nowhere: the total reads a few percent under the
+    traced bytes."""
+    seen: set[int] = set()
+    out: dict[str, tuple[int, int]] = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _SHARED):
+            continue
+        seen.add(id(obj))
+        name = type(obj).__name__
+        count, size = out.get(name, (0, 0))
+        out[name] = (count + 1, size + sys.getsizeof(obj))
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
 def _short(path: str) -> str:
     marker = os.sep + "repro" + os.sep
     cut = path.rfind(marker)
@@ -210,6 +243,17 @@ def main(argv=None) -> int:
         print(f"{s.size / n:9,.0f}  {s.count / n:11.2f}  "
               f"{_short(fr.filename)}:{fr.lineno}")
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    # By type, per pair: the census of this world less that of a world
+    # a quarter its size, so what both share (layouts, caches) cancels.
+    small = n // 4
+    big, few = by_type(world), by_type(build(small))
+    rows = sorted(((big.get(t, (0, 0))[1] - few.get(t, (0, 0))[1],
+                    big.get(t, (0, 0))[0] - few.get(t, (0, 0))[0], t)
+                   for t in big.keys() | few.keys()), reverse=True)
+    print(f"\n{'B/pair':>9}  {'objs/pair':>9}  type (reachable, sys.getsizeof; "
+          f"{sum(r[0] for r in rows) / (n - small):,.0f} B/pair in all)")
+    for size, count, name in rows[:args.top]:
+        print(f"{size / (n - small):9,.0f}  {count / (n - small):9.2f}  {name}")
     print(f"\nru_maxrss {rss:.1f} MB (includes tracemalloc's own tables)")
     del world
     return 0

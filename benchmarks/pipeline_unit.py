@@ -92,9 +92,9 @@ def build_unit(outdir, instrumented: bool, n: int = N_METRICS,
     h_e2e = obs.histogram("pipeline.sample_to_store")
     h_flush = obs.histogram("store.flush")
     c_samples = obs.counter("sampler.samples")
-    # transports bind counter incs once at obs-attach (Endpoint.obs setter)
-    inc_reads = obs.counter("transport.rdma_reads").inc
-    inc_read_bytes = obs.counter("transport.rdma_bytes").inc
+    # an endpoint holds its registry's transport counters, or None with
+    # no registry (Endpoint.obs setter, Endpoint._account_read)
+    counters = obs.endpoint_counters(reads=True) if instrumented else None
 
     def unit():
         # sampler fire (Ldmsd._begin_sample / _finish_sample)
@@ -106,8 +106,9 @@ def build_unit(outdir, instrumented: bool, n: int = N_METRICS,
         t_issue = clock()
         span = spans.start("n0", "n0/bench", t_issue)
         data = mset.data_bytes()
-        inc_reads()
-        inc_read_bytes(len(data))
+        if counters is not None:
+            counters[2].value += 1
+            counters[3].value += len(data)
         mirror.apply_data(data)
         # One decode of the transaction timestamp serves the exemplar,
         # the store hand-off and the freshness tracker (_complete_update).

@@ -517,7 +517,7 @@ class Producer:
                     pass
                 except ValueError as exc:
                     raise WireError(f"LOOKUP_REPLY: {exc}") from None
-            del self._pending_lookups[frame.request_id]
+            self._pop_lookup(frame.request_id)
             now = self.daemon.env.now()
             self._h_lookup_rtt.observe(now - t_sent)
             if span is not None:
@@ -538,13 +538,21 @@ class Producer:
             upd.last_dgn = None
             self.daemon._on_lookup_complete(self, upd)
 
+    def _pop_lookup(self, rid: int) -> tuple[str, float, Optional[tuple]]:
+        """Consume one pending lookup; an emptied table becomes a fresh
+        ``{}`` (a dict keeps its grown hash table when its last key goes)."""
+        entry = self._pending_lookups.pop(rid)
+        if not self._pending_lookups:
+            self._pending_lookups = {}
+        return entry
+
     def _drop_updater(self, name: str) -> None:
         """Remove one collection target set (pruned from DIR)."""
         upd = self.updaters.pop(name, None)
         if upd is None:
             return
         for rid in [r for r, p in self._pending_lookups.items() if p[0] == name]:
-            del self._pending_lookups[rid]
+            self._pop_lookup(rid)
         if upd.mirror is not None:
             self.daemon._unregister_mirror(upd.mirror)
             upd.mirror.delete()
@@ -571,7 +579,7 @@ class Producer:
         expired = [rid for rid, p in self._pending_lookups.items()
                    if now - p[1] >= timeout]
         for rid in expired:
-            set_name, _t_sent, _span = self._pending_lookups.pop(rid)
+            set_name, _t_sent, _span = self._pop_lookup(rid)
             self.stats.lookups_timed_out += 1
             upd = self.updaters.get(set_name)
             if upd is not None and upd.state is SetState.LOOKUP_PENDING:

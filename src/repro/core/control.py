@@ -31,7 +31,7 @@ Supported commands (attribute syntax is ``key=value``)::
     quit
 
 ``stats`` returns the daemon's operational counters *plus* the full
-telemetry-registry snapshot (counters, gauges, histogram summaries)
+telemetry-registry snapshot (counters and histogram summaries)
 under the ``obs`` key; ``prof`` returns the registry's latency
 histograms with their bucket vectors, exemplar traces, the freshness
 tracker snapshot, and the flight-recorder window.  ``prof

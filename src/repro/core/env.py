@@ -21,6 +21,7 @@ import heapq
 import itertools
 import threading
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine
@@ -544,6 +545,9 @@ class SimEnv(Env):
 
     def __init__(self, engine: Engine):
         self.engine = engine
+        #: The engine clock, made once and shared by every daemon and
+        #: endpoint; a call runs no Python frame (hottest call in a sweep).
+        self.now = partial(getattr, engine, "_now")  # type: ignore[method-assign]
         self.pools: list[_SimPool] = []
         # Columnar data plane: one shared set-arena pool and
         # sampler-cohort scheduler per environment.
@@ -551,9 +555,6 @@ class SimEnv(Env):
 
         self.set_arena_pool = SetArenaPool()
         self.cohort_scheduler = CohortScheduler(engine)
-
-    def now(self) -> float:
-        return self.engine._now  # skip the property hop: hottest call in a sweep
 
     def call_later(self, delay: float, fn: Callable[[], Any]) -> TaskHandle:
         if delay < 0:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from functools import partial
+from types import MappingProxyType
 from typing import Any, NamedTuple, Optional
 
 from repro.core import sanitize, wire
@@ -76,6 +77,14 @@ _OBS_COUNTERS = (
 _OBS_HISTOGRAMS = (
     "pipeline.sample_to_store", "sample.duration", "serve.query",
     "store.flush", "store.flush_batch_rows")
+
+
+#: Shared read-only empties for aggregator, store and advertise state,
+#: which most daemons (samplers) never take: a role's first write makes
+#: its own (the ``_NO_WAITERS`` idiom of :mod:`repro.core.env`).
+_NO_ENTRIES: Any = MappingProxyType({})
+_NO_STORES: Any = ()
+_NO_FRESHNESS = FreshnessTracker()
 
 
 def _check_interval(interval: float) -> None:
@@ -276,9 +285,7 @@ class Ldmsd:
         self.transports = transports
         self.core = core
         if fs is None:
-            from repro.nodefs.fs import RealFS
-
-            fs = RealFS()
+            from repro.nodefs.fs import REAL_FS as fs
         #: Filesystem sampler plugins read node counters through
         #: (RealFS on a live host, SynthFS in the simulator).
         self.fs = fs
@@ -294,10 +301,10 @@ class Ldmsd:
         #: Observability plane: the span ring (exemplar update
         #: transactions and the hops they cross, feeding ``prof`` traces
         #: and Chrome trace export), the per-producer freshness tracker
-        #: (only populated on daemons with producers), and the flight
-        #: recorder behind postmortem dumps.
+        #: (made by the first ``add_producer``), and the flight recorder
+        #: behind postmortem dumps.
         self.spans = SpanRecorder(name)
-        self.freshness = FreshnessTracker()
+        self.freshness = _NO_FRESHNESS
         self.flight = FlightRecorder(name)
         flightmod.register_daemon(self)
         self.flight.record(env.now(), "daemon", "start")
@@ -322,7 +329,7 @@ class Ldmsd:
 
         self.update_cpu_cost = UPDATE_CPU_COST
         self.connect_cpu_cost = CONNECT_CPU_COST
-        self._flush_batches: dict[StorePlugin, _FlushBatch] = {}
+        self._flush_batches: dict[StorePlugin, _FlushBatch] = _NO_ENTRIES
 
         self._sets: dict[str, MetricSet] = {}
         self._region_ids: dict[str, int] = {}
@@ -331,14 +338,14 @@ class Ldmsd:
         self._plugins: dict[str, SamplerPlugin] = {}
         #: sampler instance -> cancellable handle of its periodic firing
         self._schedules: dict[str, Any] = {}
-        self.producers: dict[str, Producer] = {}
-        self.stores: list[StorePlugin] = []
+        self.producers: dict[str, Producer] = _NO_ENTRIES
+        self.stores: list[StorePlugin] = _NO_STORES
         #: Bumped by add_store; invalidates per-mirror store-match caches.
         self._stores_version = 0
         self._listeners: list[Listener] = []
         self._served_endpoints: list[Endpoint] = []
         #: advertised name -> the dialer that keeps it advertised
-        self._advertisements: dict[str, Dialer] = {}
+        self._advertisements: dict[str, Dialer] = _NO_ENTRIES
         self.records_delivered = 0
         #: Serving tier (PR 9): the query engine over this daemon's SOS
         #: store, or None until :meth:`enable_query`.
@@ -827,6 +834,8 @@ class Ldmsd:
                 dir_refresh=dir_refresh,
                 passive=passive,
             )
+            if self.producers is _NO_ENTRIES:
+                self.producers, self.freshness = {}, FreshnessTracker()
             prod = Producer(self, cfg)
             self.producers[name] = prod
             prod.start()
@@ -855,6 +864,8 @@ class Ldmsd:
             dialer = Dialer(self, transport, addr, "advertise", adv_name,
                             "advertise", reconnect_interval, reconnect_max,
                             partial(self._advertised, adv_name))
+            if self._advertisements is _NO_ENTRIES:
+                self._advertisements = {}
             self._advertisements[adv_name] = dialer
         dialer.dial()
         return adv_name
@@ -871,16 +882,18 @@ class Ldmsd:
         advertised endpoint (if up) is closed and pruned."""
         adv_name = name or self.name
         with self.lock:
-            dialer = self._advertisements.pop(adv_name, None)
+            dialer = self._advertisements.get(adv_name)
             if dialer is None:
                 raise ConfigError(f"not advertising as {adv_name!r}")
+            del self._advertisements[adv_name]
             dialer.stop()
 
     def remove_producer(self, name: str) -> None:
         with self.lock:
-            prod = self.producers.pop(name, None)
+            prod = self.producers.get(name)
             if prod is None:
                 raise ConfigError(f"no producer {name!r}")
+            del self.producers[name]
             prod.stop()
 
     def activate_standby(self, name: str) -> None:
@@ -926,6 +939,8 @@ class Ldmsd:
             self._h_sample_to_store = obs.histogram("pipeline.sample_to_store")
             self._c_flush_rows_batched = obs.counter("store.flush_rows_batched")
             self._c_store_no_match = obs.counter("store.no_match")
+            if self.stores is _NO_STORES:
+                self.stores, self._flush_batches = [], {}
             self.stores.append(store)
             self._stores_version += 1
             return store
@@ -1154,10 +1169,10 @@ class Ldmsd:
             self._schedules.clear()
             for prod in list(self.producers.values()):
                 prod.stop()
-            self.producers.clear()
+            self.producers = _NO_ENTRIES
             for dialer in self._advertisements.values():
                 dialer.stop()
-            self._advertisements.clear()
+            self._advertisements = _NO_ENTRIES
             for lst in self._listeners:
                 lst.close()
             # on_close handlers prune the served list; iterate a copy.

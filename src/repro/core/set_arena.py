@@ -56,12 +56,13 @@ class ArenaBlock:
     row-major slice stays contiguous).
     """
 
-    __slots__ = ("arena", "block", "capacity", "data_size", "mgn", "dgn",
-                 "flags", "ts", "values_mat", "n_values", "_free", "_next",
-                 "flat")
+    __slots__ = ("arena", "index", "block", "capacity", "data_size", "mgn",
+                 "dgn", "flags", "ts", "values_mat", "n_values", "_free",
+                 "_next", "flat")
 
     def __init__(self, arena: "_SetArena", capacity: int):
         self.arena = arena
+        self.index = len(arena.blocks)  # position in arena.blocks
         self.capacity = capacity
         self.data_size = ds = arena.data_size
         self.block = block = np.zeros((capacity, ds), dtype=np.uint8)
@@ -101,13 +102,16 @@ class ArenaBlock:
         # never leaks a previous set's values.
         self.block[row] = 0
         self._free.append(row)
+        arena = self.arena
+        if self.index < arena._first_free:
+            arena._first_free = self.index
 
 
 class _SetArena:
     """All blocks backing one (layout, data_size) set population."""
 
     __slots__ = ("data_size", "array_dtype", "first_offset", "n_values",
-                 "blocks", "rows_allocated")
+                 "blocks", "rows_allocated", "_first_free")
 
     def __init__(self, data_size: int, array_dtype: Optional[str],
                  first_offset: int, n_values: int):
@@ -117,16 +121,25 @@ class _SetArena:
         self.n_values = n_values
         self.blocks: list[ArenaBlock] = []
         self.rows_allocated = 0
+        #: Index of the first block that may have a free row: every
+        #: block before it is full (``ArenaBlock.free_row`` lowers it).
+        self._first_free = 0
 
     def acquire(self) -> tuple[ArenaBlock, int]:
-        for blk in self.blocks:
+        """The first free row in block order (a new block if all are full)."""
+        blocks = self.blocks
+        i = self._first_free
+        while i < len(blocks):
+            blk = blocks[i]
             row = blk.alloc_row()
             if row >= 0:
+                self._first_free = i
                 self.rows_allocated += 1
                 return blk, row
-        cap = _BLOCK_CAPS[min(len(self.blocks), len(_BLOCK_CAPS) - 1)]
-        blk = ArenaBlock(self, cap)
-        self.blocks.append(blk)
+            i += 1
+        self._first_free = i
+        blk = ArenaBlock(self, _BLOCK_CAPS[min(i, len(_BLOCK_CAPS) - 1)])
+        blocks.append(blk)
         self.rows_allocated += 1
         return blk, blk.alloc_row()
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 from repro.util.errors import ReproError
 
-__all__ = ["FileSystem", "RealFS", "SynthFS"]
+__all__ = ["FileSystem", "RealFS", "REAL_FS", "SynthFS"]
 
 
 class FileSystem:
@@ -43,6 +43,9 @@ class RealFS(FileSystem):
 
     def listdir(self, path: str) -> list[str]:
         return sorted(os.listdir(path))
+
+
+REAL_FS = RealFS()  # stateless: every daemon given no ``fs`` shares it
 
 
 class SynthFS(FileSystem):

@@ -4,8 +4,8 @@ The paper's scalability argument rests on LDMS's own overhead being
 visible and bounded (CPU %, memory footprint, fan-in latency — §IV-E,
 §V–§VII).  This package gives every daemon that visibility at runtime:
 
-* :mod:`repro.obs.registry` — per-daemon counters, gauges, and
-  fixed-bucket latency histograms;
+* :mod:`repro.obs.registry` — per-daemon counters and fixed-bucket
+  latency histograms;
 * :mod:`repro.obs.spans` — the span ring: exemplar update transactions
   (one in 16) and the hops they cross, as causal chains and Chrome
   ``trace_event`` JSON;
@@ -27,7 +27,6 @@ from repro.obs.freshness import FreshnessTracker, ProducerFreshness
 from repro.obs.registry import (
     DEFAULT_LATENCY_EDGES,
     Counter,
-    Gauge,
     Histogram,
     Telemetry,
 )
@@ -43,7 +42,6 @@ from repro.obs.spans import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "Telemetry",
     "DEFAULT_LATENCY_EDGES",

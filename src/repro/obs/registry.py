@@ -1,4 +1,4 @@
-"""Process-local telemetry registry: counters, gauges, latency histograms.
+"""Process-local telemetry registry: counters and latency histograms.
 
 The monitor must monitor itself (PAPER §V–§VII measure LDMS's *own*
 CPU, memory, and fan-in latencies): every :class:`~repro.core.ldmsd.Ldmsd`
@@ -7,7 +7,6 @@ pipeline stage — sampling, lookup, update, validation, storage, and
 control handling.  Instruments are deliberately primitive:
 
 * :class:`Counter` — a monotonic int (``inc``);
-* :class:`Gauge`   — a last-value float (``set``/``add``);
 * :class:`Histogram` — fixed-bucket latency histogram tracking exact
   ``count/sum/min/max`` plus bucket counts, from which p50/p95/p99 are
   interpolated.  Buckets default to a 1-2-5 log ladder from 1 µs to
@@ -26,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "Telemetry",
     "DEFAULT_LATENCY_EDGES",
@@ -51,6 +49,8 @@ def _log_ladder(decades: tuple[int, int]) -> tuple[float, ...]:
 DEFAULT_LATENCY_EDGES = _log_ladder((-6, 2))
 _DEFAULT_EDGES_ARR = np.asarray(DEFAULT_LATENCY_EDGES)
 _INF = float("inf")
+#: An initiating endpoint's one-sided read counters (count, bytes).
+_READ_COUNTERS = ("transport.rdma_reads", "transport.rdma_bytes")
 
 
 class Counter:
@@ -64,22 +64,6 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
-
-
-class Gauge:
-    """Last-value instrument (arena bytes, queue depths, ...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
 
 class Histogram:
@@ -244,15 +228,13 @@ class Telemetry:
     bound — one schema for pollers, no object per name.
     """
 
-    __slots__ = ("_counters", "_gauges", "_histograms",
-                 "_endpoint_incs", "_declared_counters",
-                 "_declared_histograms", "__weakref__")
+    __slots__ = ("_counters", "_histograms", "_endpoint_counters",
+                 "_declared_counters", "_declared_histograms", "__weakref__")
 
     def __init__(self):
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._endpoint_incs: Optional[tuple] = None
+        self._endpoint_counters: Optional[tuple[Counter, ...]] = None
         self._declared_counters: tuple[str, ...] = ()
         self._declared_histograms: tuple[str, ...] = ()
 
@@ -263,34 +245,32 @@ class Telemetry:
         self._declared_counters = counters
         self._declared_histograms = histograms
 
-    def endpoint_incs(self) -> tuple:
-        """The four transport-accounting ``inc`` methods, bound once.
+    def endpoint_counters(self, reads: bool = False) -> tuple[Counter, ...]:
+        """Frames and bytes received, plus — asked with ``reads`` by an
+        endpoint's first initiated read — one-sided reads and bytes.
 
-        Every endpoint of a daemon binds the same four counters; at
-        ≥9,000 connections the per-endpoint name lookups are a measurable
-        slice of connection setup, so the bound-method tuple is cached.
+        Every endpoint of a daemon holds this one tuple and adds to the
+        counters' ``value``: no lookup or bound ``inc`` per endpoint.
+        :meth:`snapshot` lists the read pair, zeroed, until it is bound.
         """
-        incs = self._endpoint_incs
-        if incs is None:
-            incs = self._endpoint_incs = (
-                self.counter("transport.frames_rx").inc,
-                self.counter("transport.bytes_rx").inc,
-                self.counter("transport.rdma_reads").inc,
-                self.counter("transport.rdma_bytes").inc,
+        counters = self._endpoint_counters
+        if counters is None:
+            counters = self._endpoint_counters = (
+                self.counter("transport.frames_rx"),
+                self.counter("transport.bytes_rx"),
             )
-        return incs
+        if reads and len(counters) == 2:
+            counters = self._endpoint_counters = counters + (
+                self.counter(_READ_COUNTERS[0]),
+                self.counter(_READ_COUNTERS[1]),
+            )
+        return counters
 
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter(name)
+        if c is None:  # one atomic insert: stream readers bind lock-free
+            c = self._counters.setdefault(name, Counter(name))
         return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
 
     def histogram(
         self, name: str, edges: Optional[tuple[float, ...]] = None
@@ -306,10 +286,11 @@ class Telemetry:
     def snapshot(self) -> dict:
         """Deep, detached, JSON-serializable registry snapshot."""
         cvals = dict.fromkeys(self._declared_counters, 0)
+        if self._endpoint_counters is not None:
+            cvals.update(dict.fromkeys(_READ_COUNTERS, 0))
         cvals.update((n, c.value) for n, c in self._counters.items())
         return {
             "counters": dict(sorted(cvals.items())),
-            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
             "histograms": {
                 n: h.summary() for n, h in self._listed_histograms()},
         }

@@ -15,7 +15,8 @@ serialization (ldmsd uses one daemon lock).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from repro.util.errors import ConfigError, TransportError
 from repro.util.timeutil import monotonic as _monotonic
@@ -114,12 +115,16 @@ def get_transport_profile(name: str) -> TransportProfile:
         raise ConfigError(f"unknown transport {name!r}; know {sorted(PROFILES)}") from None
 
 
-def _noop_inc(n: int = 1) -> None:
-    """Stand-in for a counter ``inc`` on endpoints with no registry."""
+#: Every endpoint's region table until its first ``register_region``
+#: (an aggregator's side of a connection never exposes one).
+_NO_REGIONS: Mapping[int, Callable[[], bytes]] = MappingProxyType({})
 
 
 class Endpoint:
     """One side of a connection.  Subclasses implement the four verbs."""
+
+    #: region_id -> zero-argument callable returning the region bytes
+    _regions: Mapping[int, Callable[[], bytes]] = _NO_REGIONS
 
     def __init__(self) -> None:
         self.on_message: Optional[Callable[[bytes], None]] = None
@@ -129,10 +134,8 @@ class Endpoint:
         self.rdma_bytes_read = 0
         self.closed = False
         self._obs = None
-        self._inc_frames_rx = _noop_inc
-        self._inc_bytes_rx = _noop_inc
-        self._inc_reads = _noop_inc
-        self._inc_read_bytes = _noop_inc
+        #: The owner registry's ``endpoint_counters()``, or None.
+        self._counters: Optional[tuple] = None
         #: Serve-side hook invoked once per trace-context entry on an
         #: inbound traced read: ``fn(trace_id, parent_span, hop,
         #: region_id)``.  Installed by the serving daemon.
@@ -144,28 +147,20 @@ class Endpoint:
         #: (peer_now, local_now) pair captured when the peer's HELLO
         #: arrived — the clock anchor behind :meth:`peer_age`.
         self._peer_clock: Optional[tuple[float, float]] = None
-        #: region_id -> zero-argument callable returning the region bytes
-        self._regions: dict[int, Callable[[], bytes]] = {}
 
     @property
     def obs(self):
         """Telemetry registry of the owning daemon, attached when the
-        endpoint is bound (``Ldmsd``/``Producer``).  Assigning binds the
-        frame/read counter ``inc`` methods once, so per-event accounting
-        is a single call with no registry lookup on the hot path."""
+        endpoint is bound (``Ldmsd``/``Producer``).  Assigning looks the
+        frame/read counters up once, so per-event accounting adds to
+        their values with no registry lookup on the hot path."""
         return self._obs
 
     @obs.setter
     def obs(self, registry) -> None:
         self._obs = registry
-        if registry is None:
-            self._inc_frames_rx = _noop_inc
-            self._inc_bytes_rx = _noop_inc
-            self._inc_reads = _noop_inc
-            self._inc_read_bytes = _noop_inc
-        else:
-            (self._inc_frames_rx, self._inc_bytes_rx,
-             self._inc_reads, self._inc_read_bytes) = registry.endpoint_incs()
+        self._counters = (None if registry is None
+                          else registry.endpoint_counters())
 
     # -- peer clock --------------------------------------------------------
     def peer_age(self, ts: float) -> Optional[float]:
@@ -209,6 +204,8 @@ class Endpoint:
         """
         if region_id in self._regions:
             raise TransportError(f"region {region_id} already registered")
+        if self._regions is _NO_REGIONS:
+            self._regions = {}
         self._regions[region_id] = reader
 
     def read_regions(self, region_ids) -> list:
@@ -256,16 +253,23 @@ class Endpoint:
     # -- plumbing ----------------------------------------------------------
     def _deliver(self, frame: bytes) -> None:
         self.bytes_received += len(frame)
-        self._inc_frames_rx()
-        self._inc_bytes_rx(len(frame))
+        counters = self._counters
+        if counters is not None:
+            counters[0].value += 1
+            counters[1].value += len(frame)
         if self.on_message is not None:
             self.on_message(frame)
 
     def _account_read(self, nbytes: int) -> None:
         """Initiator-side accounting of one completed one-sided read."""
         self.rdma_bytes_read += nbytes
-        self._inc_reads()
-        self._inc_read_bytes(nbytes)
+        counters = self._counters
+        if counters is not None:
+            if len(counters) == 2:  # this endpoint's first read
+                counters = self._counters = self._obs.endpoint_counters(
+                    reads=True)
+            counters[2].value += 1
+            counters[3].value += nbytes
 
     def _closed(self) -> None:
         if not self.closed:
@@ -277,6 +281,8 @@ class Endpoint:
 class Listener:
     """A listening endpoint; calls ``on_connect(endpoint)`` per accept."""
 
+    __slots__ = ("on_connect",)
+
     def __init__(self, on_connect: Callable[[Endpoint], None]):
         self.on_connect = on_connect
 
@@ -286,6 +292,8 @@ class Listener:
 
 class Transport:
     """Factory for listeners and outgoing connections."""
+
+    __slots__ = ()
 
     name: str = "abstract"
 

@@ -19,6 +19,7 @@ Cost semantics (see :data:`repro.transport.base.PROFILES`):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from repro.sim.engine import Engine
@@ -131,12 +132,9 @@ class SimFabric:
         #: Fault-injection state; endpoints consult it only while a
         #: fault is live (one attribute check on the no-fault path).
         self.faults = FabricFaults()
-        #: The engine clock, bound once: every endpoint's clock until a
+        #: The engine clock, made once: every endpoint's clock until a
         #: daemon adopts it (the establish-time anchor is on this clock).
-        self.clock = self._now
-
-    def _now(self) -> float:
-        return self.engine.now
+        self.clock = partial(getattr, engine, "_now")
 
     def _account(self, src, dst, nbytes: int) -> float:
         """Record traffic and return the model's extra latency."""
@@ -365,6 +363,8 @@ class _SimEndpoint(Endpoint):
 
 
 class _SimListener(Listener):
+    __slots__ = ("transport", "addr")
+
     def __init__(self, transport: "SimTransport", addr, on_connect):
         super().__init__(on_connect)
         self.transport = transport
@@ -390,6 +390,9 @@ class SimTransport(Transport):
     core:
         The :class:`CpuCore` this daemon's transport work is charged to.
     """
+
+    __slots__ = ("fabric", "profile", "node_id", "core", "_conn_count",
+                 "refused_connections")
 
     def __init__(
         self,

@@ -19,7 +19,6 @@ from repro.util.units import (
 )
 from repro.util.stats import (
     Histogram,
-    Summary,
     normalized,
     percentile,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "MIB",
     "GIB",
     "Histogram",
-    "Summary",
     "normalized",
     "percentile",
     "spawn_rng",

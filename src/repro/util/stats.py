@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Histogram", "Summary", "normalized", "percentile"]
+__all__ = ["Histogram", "normalized", "percentile"]
 
 
 @dataclass
@@ -67,38 +67,6 @@ class Histogram:
     def rows(self) -> list[tuple[float, int]]:
         """(bin center, count) rows — what the figure plots."""
         return list(zip(self.centers.tolist(), self.counts.tolist()))
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-ish summary of a sample set."""
-
-    n: int
-    mean: float
-    std: float
-    min: float
-    max: float
-    p50: float
-    p99: float
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "Summary":
-        a = np.asarray(samples, dtype=np.float64)
-        if a.size == 0:
-            raise ValueError("cannot summarize an empty sample set")
-        return cls(
-            n=int(a.size),
-            mean=float(a.mean()),
-            std=float(a.std(ddof=1)) if a.size > 1 else 0.0,
-            min=float(a.min()),
-            max=float(a.max()),
-            p50=float(np.percentile(a, 50)),
-            p99=float(np.percentile(a, 99)),
-        )
-
-    @property
-    def range(self) -> float:
-        return self.max - self.min
 
 
 def normalized(values, reference: float) -> np.ndarray:

@@ -8,6 +8,8 @@ transport into a CSV store.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -17,7 +19,6 @@ from repro.core import Ldmsd, SimEnv
 from repro.obs.registry import (
     DEFAULT_LATENCY_EDGES,
     Counter,
-    Gauge,
     Histogram,
     Telemetry,
 )
@@ -38,12 +39,6 @@ class TestInstruments:
         c.inc()
         c.inc(5)
         assert c.value == 6
-
-    def test_gauge(self):
-        g = Gauge("x")
-        g.set(3.5)
-        g.add(-1.0)
-        assert g.value == 2.5
 
     def test_default_edges_are_a_125_ladder(self):
         assert DEFAULT_LATENCY_EDGES[0] == pytest.approx(1e-6)
@@ -131,18 +126,38 @@ class TestTelemetry:
     def test_instruments_cached_by_name(self):
         t = Telemetry()
         assert t.counter("a") is t.counter("a")
-        assert t.gauge("g") is t.gauge("g")
         assert t.histogram("h") is t.histogram("h")
+
+    def test_counter_is_one_object_when_threads_race_to_create_it(self):
+        # Socket reader threads bind an endpoint's read counters without
+        # the daemon lock: a racing get-or-create must not hand two
+        # threads two counters (one of them orphaned from the snapshot).
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                t = Telemetry()
+                got = []
+                threads = [threading.Thread(
+                    target=lambda: got.append(t.counter("transport.rdma_reads")))
+                    for _ in range(4)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=5.0)
+                    assert not th.is_alive()
+                assert len(got) == 4
+                assert all(c is t._counters["transport.rdma_reads"] for c in got)
+        finally:
+            sys.setswitchinterval(old)
 
     def test_snapshot_shape_and_serializable(self):
         t = Telemetry()
         t.counter("c").inc(3)
-        t.gauge("g").set(1.5)
         t.histogram("h").observe(2e-4)
         snap = json.loads(json.dumps(t.snapshot()))
-        assert set(snap) == {"counters", "gauges", "histograms"}
+        assert set(snap) == {"counters", "histograms"}
         assert snap["counters"] == {"c": 3}
-        assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"]["count"] == 1
 
     def test_dump_histograms(self):

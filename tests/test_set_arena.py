@@ -18,7 +18,7 @@ import pytest
 import repro.plugins  # noqa: F401
 from repro.core import Ldmsd, SimEnv, sanitize
 from repro.core.metric_set import MetricSet
-from repro.core.set_arena import SetArenaPool
+from repro.core.set_arena import _BLOCK_CAPS, ArenaBlock, SetArenaPool, _SetArena
 from repro.plugins.samplers.synthetic import SyntheticSampler
 from repro.sim.engine import Engine
 from repro.transport.simfabric import SimFabric, SimTransport
@@ -158,6 +158,43 @@ class TestCohortMechanics:
         vals = mset.values_tuple()
         assert len(vals) == 4
         assert mset.data_bytes() == bytes(mset._data)
+
+
+class TestFirstFitAcquire:
+    """A set takes the first free row across its arena's blocks, and
+    asking for one does not ask every full block first."""
+
+    @staticmethod
+    def _filled(nblocks: int):
+        arena = _SetArena(32, None, 24, 0)
+        rows = [arena.acquire() for _ in range(sum(_BLOCK_CAPS[:nblocks]))]
+        assert len(arena.blocks) == nblocks
+        return arena, rows
+
+    def test_a_row_freed_in_block_zero_is_the_next_row_out(self):
+        arena, rows = self._filled(2)
+        (b0, r0), (b1, r1) = rows[7], rows[_BLOCK_CAPS[0] + 3]
+        b1.free_row(r1)
+        b0.free_row(r0)
+        assert arena.acquire() == (b0, r0)
+        assert arena.acquire() == (b1, r1)
+        blk, row = arena.acquire()
+        assert (len(arena.blocks), blk, row) == (3, arena.blocks[2], 0)
+
+    def test_an_acquire_on_full_blocks_asks_at_most_two(self, monkeypatch):
+        arena, _ = self._filled(3)
+        asked = []
+        alloc_row = ArenaBlock.alloc_row
+
+        def counted(blk):
+            asked.append(blk)
+            return alloc_row(blk)
+
+        monkeypatch.setattr(ArenaBlock, "alloc_row", counted)
+        for _ in range(4):
+            asked.clear()
+            arena.acquire()
+            assert len(asked) <= 2
 
 
 class TestEqualTimeFifoWithCohort:

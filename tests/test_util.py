@@ -10,7 +10,6 @@ from repro.util import (
     Histogram,
     KIB,
     MIB,
-    Summary,
     format_interval,
     format_size,
     normalized,
@@ -143,23 +142,6 @@ class TestHistogram:
     def test_total_always_equals_sample_count(self, samples):
         h = _hist(samples, lo=0, hi=100, nbins=17)
         assert h.total == len(samples)
-
-
-class TestSummary:
-    def test_basic(self):
-        s = Summary.from_samples([1.0, 2.0, 3.0])
-        assert s.n == 3
-        assert s.mean == pytest.approx(2.0)
-        assert s.min == 1.0 and s.max == 3.0
-        assert s.range == pytest.approx(2.0)
-
-    def test_single_sample_std_zero(self):
-        s = Summary.from_samples([5.0])
-        assert s.std == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Summary.from_samples([])
 
 
 class TestNormalized:
