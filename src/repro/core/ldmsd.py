@@ -248,7 +248,7 @@ class Ldmsd:
         "_cohort_scheduler", "worker_pool", "_conn_pool", "_flush_pool",
         "_conn_threads", "_flush_threads", "update_cpu_cost",
         "connect_cpu_cost", "_flush_batches", "_sets", "_region_ids",
-        "_region_names", "_next_region", "_plugins", "_schedules",
+        "_region_names", "_plugins", "_schedules",
         "producers", "stores", "_stores_version", "_listeners",
         "_served_endpoints", "_advertisements", "records_delivered",
         "query_engine", "_shutdown", "__weakref__",
@@ -333,8 +333,8 @@ class Ldmsd:
 
         self._sets: dict[str, MetricSet] = {}
         self._region_ids: dict[str, int] = {}
-        self._region_names: dict[int, str] = {}
-        self._next_region = 1
+        #: Set name of region id ``i + 1``, append-only.
+        self._region_names: list[str] = []
         self._plugins: dict[str, SamplerPlugin] = {}
         #: sampler instance -> cancellable handle of its periodic firing
         self._schedules: dict[str, Any] = {}
@@ -619,8 +619,11 @@ class Ldmsd:
         serve_sid = spans.alloc()
         spans.record(trace_id, serve_sid, parent_span,
                      hop - 1 if hop > 1 else 1, "serve_read", now, now)
-        set_name = self._region_names.get(region_id)
-        mset = self._sets.get(set_name) if set_name is not None else None
+        # region_id comes from the peer's frame: bounds-check it, or
+        # id 0 would index the last name.
+        names = self._region_names
+        mset = (self._sets.get(names[region_id - 1])
+                if 0 < region_id <= len(names) else None)
         if mset is None:
             return
         ts = mset.timestamp
@@ -775,14 +778,13 @@ class Ldmsd:
     def _region_id_for(self, set_name: str) -> int:
         rid = self._region_ids.get(set_name)
         if rid is None:
-            rid = self._next_region
-            self._next_region += 1
-            self._region_ids[set_name] = rid
             # Append-only reverse map: an endpoint's registered reader
             # survives set deletion (it reads by name), so a traced read
             # must keep resolving old region ids the same way for as
             # long as the daemon lives.
-            self._region_names[rid] = set_name
+            self._region_names.append(set_name)
+            rid = len(self._region_names)
+            self._region_ids[set_name] = rid
         return rid
 
     # ------------------------------------------------------------------

@@ -8,8 +8,8 @@ the two pieces the daemon itself does not implement:
 * :class:`FaultPlan` / :class:`FaultInjector` — a declarative,
   seed-reproducible schedule of daemon crashes/restarts, link drops and
   partitions, link slowdowns, frame drops, and store write failures,
-  applied entirely on the DES clock (no wall-clock; passes the
-  ``flow-des-purity`` lint like the rest of the simulated world).
+  applied entirely on the DES clock (no wall-clock, like the rest of
+  the simulated world).
 * :class:`Watchdog` — the external watchdog of §IV-B: it monitors
   producer progress (``last_update_ts``), declares a target dead after
   ``k`` missed check intervals, promotes the matching standby

@@ -1,7 +1,7 @@
 """README.md and DESIGN.md name only code that exists.
 
 Every backticked ``*.py`` path must be a file in the tree (matched by
-path suffix, so ``flow/catalog.py`` resolves), and every backticked
+path suffix, so ``stores/csv_store.py`` resolves), and every backticked
 ``repro.*`` dotted name must be a module, or a module followed by a
 name that module defines or imports.
 """

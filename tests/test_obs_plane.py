@@ -268,6 +268,20 @@ class TestEndToEndChain:
         assert validate_chrome_trace(doc) is None
         return samp
 
+    def test_traced_read_of_an_unknown_region_records_only_the_serve(self):
+        # Region ids are 1, 2, ...; 0 and one past the last come from a
+        # peer's frame only.  Neither may resolve to a set (0 - 1 would
+        # index the last one) and record that set's sample span.
+        eng, samp, agg = _world()
+        eng.run(until=2.0)
+        served = len(samp._region_names)
+        assert served == 1
+        for region_id in (0, served + 1):
+            before = len(samp.spans.spans)
+            samp._on_traced_read(7, 3, 2, region_id)
+            assert [s.name for s in samp.spans.spans[before:]] == [
+                "serve_read"]
+
     #: sha256 of the healthy world's spans (10 s, every transaction an
     #: exemplar), as recorded when the update span was written only for
     #: a stored transaction: [daemon, trace id, span id, parent, hop,
