@@ -36,7 +36,7 @@ DIGESTS = {
     "wide_store":
         "3f7d1b562996f3ee5c0b10abf62c900399b0fa9725890add287093d9d7161d70",
     "query_mix":
-        "aaac1637a2c36d83349b1c9b9b0cbaa31490d63637b783d7d11959bebf4f7725",
+        "3fd7aa5d9fb88865d974dd3e0f2d34f38dc2e9f11ab7281bc3b39310222eea64",
 }
 
 

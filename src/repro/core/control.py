@@ -261,7 +261,9 @@ class ControlChannel:
 
     def _cmd_enable_query(self, attrs) -> str:
         """``enable_query [hot_window=<s>] [cache_entries=<n>]``: attach
-        the query/serving tier to the daemon's SOS store (PR 9)."""
+        the query/serving tier to the daemon's SOS store (PR 9).  A base
+        container's hot window keeps ``hot_window`` seconds, a level-L
+        rollup container's ``L x hot_window``."""
         self.daemon.enable_query(**{
             key: conv(attrs[key])
             for key, conv in (("hot_window", float), ("cache_entries", int))

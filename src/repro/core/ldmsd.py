@@ -332,6 +332,7 @@ class Ldmsd:
         self._flush_batches: dict[StorePlugin, _FlushBatch] = _NO_ENTRIES
 
         self._sets: dict[str, MetricSet] = {}
+        #: Set name -> its region id, kept for the daemon's life.
         self._region_ids: dict[str, int] = {}
         #: Set name of region id ``i + 1``, append-only.
         self._region_names: list[str] = []
@@ -399,7 +400,6 @@ class Ldmsd:
         with self.lock:
             mset = self._sets.pop(name, None)
             if mset is not None:
-                self._region_ids.pop(name, None)
                 mset.delete()
 
     def get_set(self, name: str) -> Optional[MetricSet]:
@@ -419,7 +419,6 @@ class Ldmsd:
     def _unregister_mirror(self, mset: MetricSet) -> None:
         if self._sets.get(mset.name) is mset:
             del self._sets[mset.name]
-            self._region_ids.pop(mset.name, None)
 
     def _on_lookup_complete(self, producer: Producer, upd) -> None:
         self._register_mirror(upd.mirror)
@@ -778,10 +777,10 @@ class Ldmsd:
     def _region_id_for(self, set_name: str) -> int:
         rid = self._region_ids.get(set_name)
         if rid is None:
-            # Append-only reverse map: an endpoint's registered reader
-            # survives set deletion (it reads by name), so a traced read
-            # must keep resolving old region ids the same way for as
-            # long as the daemon lives.
+            # One id per set name for the daemon's life, kept across
+            # set deletion: an endpoint's registered reader reads by
+            # name, so a set deleted and made again (a mirror after a
+            # reconnect) is served by the reader already registered.
             self._region_names.append(set_name)
             rid = len(self._region_names)
             self._region_ids[set_name] = rid
@@ -1138,8 +1137,9 @@ class Ldmsd:
                 "query": (self.query_engine.stats()
                           if self.query_engine is not None
                           else {"requests": 0, "cache_hits": 0,
-                                "cache_misses": 0, "rows_served": 0,
-                                "lru_entries": 0, "hot_containers": 0}),
+                                "lru_hits": 0, "cache_misses": 0,
+                                "rows_served": 0, "lru_entries": 0,
+                                "hot_containers": 0}),
                 "xprt_refused_connections": self.refused_connections(),
                 "stores": [
                     {

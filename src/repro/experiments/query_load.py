@@ -12,8 +12,8 @@ tier is measured by:
 * served round-trip p50/p95/p99 per client class (queries run on the
   aggregator's worker pool, so the tail includes queueing behind the
   update pipeline);
-* cache effectiveness: hot-window + LRU hit rate out of the
-  aggregator's own ``ldmsd_self`` counters;
+* cache effectiveness: hot-window + LRU hit rate, and the LRU's own
+  share of it, out of the aggregator's query counters;
 * correctness anchors: every reply a client accepted came through the
   feature-gated wire path, and the same seed replays byte-identically
   (the result fingerprint includes a digest of the SOS containers).
@@ -69,7 +69,9 @@ class QueryLoadResult:
     alerts_fired: int
     #: Aggregator-side ldmsd_self counters.
     query_requests: int
+    #: Hot-window and LRU answers together; ``lru_hits`` the latter.
     cache_hits: int
+    lru_hits: int
     cache_misses: int
     rows_served: int
     cache_hit_permille: int
@@ -86,9 +88,9 @@ class QueryLoadResult:
         return (
             asdict(self.poller), asdict(self.evaluator),
             asdict(self.scanner), self.alerts_fired, self.query_requests,
-            self.cache_hits, self.cache_misses, self.rows_served,
-            self.serve_us_p50, self.serve_us_p95, self.serve_us_p99,
-            self.records_stored, self.container_sha256,
+            self.cache_hits, self.lru_hits, self.cache_misses,
+            self.rows_served, self.serve_us_p50, self.serve_us_p95,
+            self.serve_us_p99, self.records_stored, self.container_sha256,
         )
 
 
@@ -174,6 +176,7 @@ def run_query_load(
         hq = agg.obs.histogram("serve.query")
         requests = agg.obs.counter("query.requests").value
         hits = agg.obs.counter("query.cache_hits").value
+        lru_hits = agg.obs.counter("query.lru_hits").value
         misses = agg.obs.counter("query.cache_misses").value
         rows_served = agg.obs.counter("query.rows_served").value
         records_stored = store.records_stored
@@ -193,6 +196,7 @@ def run_query_load(
         alerts_fired=alerts,
         query_requests=requests,
         cache_hits=hits,
+        lru_hits=lru_hits,
         cache_misses=misses,
         rows_served=rows_served,
         cache_hit_permille=(
@@ -220,6 +224,7 @@ def _report(r: QueryLoadResult) -> dict:
         "aggregator": {
             "query_requests": r.query_requests,
             "cache_hits": r.cache_hits,
+            "lru_hits": r.lru_hits,
             "cache_misses": r.cache_misses,
             "cache_hit_permille": r.cache_hit_permille,
             "rows_served": r.rows_served,
@@ -259,9 +264,9 @@ def main(argv=None) -> dict:
         rows,
     )
     print_table(
-        ["query requests", "cache hits", "misses", "hit rate",
-         "rows served", "serve p50 (us)", "p95", "p99"],
-        [[r.query_requests, r.cache_hits, r.cache_misses,
+        ["query requests", "cache hits", "of them LRU", "misses",
+         "hit rate", "rows served", "serve p50 (us)", "p95", "p99"],
+        [[r.query_requests, r.cache_hits, r.lru_hits, r.cache_misses,
           f"{r.cache_hit_permille / 10:.1f}%", r.rows_served,
           r.serve_us_p50, r.serve_us_p95, r.serve_us_p99]],
     )

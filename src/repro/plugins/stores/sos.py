@@ -191,10 +191,14 @@ class SosStore(StorePlugin):
         self.rollups: tuple[int, ...] = self._parse_rollups(rollups)
         #: (base schema, level) -> comp_id -> open bucket.
         self._acc: dict[tuple[str, int], dict[int, _Bucket]] = {}
-        #: Schemas whose data file already held records when this
-        #: session first opened them (the query tier's hot-window cache
+        #: Containers (base and rollup) whose data file held records
+        #: when this session opened it (the query tier's hot window
         #: must not claim to cover rows it never saw ingested).
         self.preexisting: set[str] = set()
+        #: Container -> its rollup level, 1 for a base container, set
+        #: at open: the query tier's hot window spans ``level`` times
+        #: its base span.
+        self.levels: dict[str, int] = {}
         #: Per-container append counter — the query tier's cache
         #: validity version.
         self.rows_written: dict[str, int] = {}
@@ -253,18 +257,21 @@ class SosStore(StorePlugin):
                         f"sos: schema {schema!r} layout mismatch with on-disk "
                         f"container {path}: disk={list(disk_names)} "
                         f"record={list(names)}")
-            self.preexisting.add(schema)
         else:
             _write_sidecar(meta_path, {"schema": schema, "metrics": list(names)})
         self._open(schema, names)
 
-    def _open(self, schema: str, names: tuple[str, ...]) -> None:
+    def _open(self, schema: str, names: tuple[str, ...],
+              level: int = 1) -> None:
         base = os.path.join(self.path, schema)
         _recover(base, len(names))
         df = self._data[schema] = open(base + ".sos", "ab")
         self._index[schema] = open(base + ".sidx", "ab")
-        self._ends[schema] = df.tell()
+        end = self._ends[schema] = df.tell()
+        if end:
+            self.preexisting.add(schema)
         self._names[schema] = names
+        self.levels[schema] = level
 
     def _handle(self, record: StoreRecord) -> str:
         self._ensure(record.schema, record.names)
@@ -331,7 +338,7 @@ class SosStore(StorePlugin):
                 _write_sidecar(meta_path, {
                     "schema": target, "metrics": list(names), "base": schema,
                     "level": level, "agg": "mean"})
-            self._open(target, names)
+            self._open(target, names, level)
         mean = [s / bucket.count for s in bucket.sums]
         self._append(target, bucket.start, comp_id, mean)
 

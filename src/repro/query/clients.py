@@ -5,14 +5,16 @@ as three populations with very different shapes, which this module
 models as wire-protocol clients driven by the simulation clock:
 
 * :class:`Poller` — a dashboard refreshing a short recent window every
-  few seconds.  Dominates request count; almost always answerable from
-  the hot-window cache.
+  few seconds.  Dominates request count; answered from the base
+  container's hot window.
 * :class:`AlertEvaluator` — re-evaluates a threshold over a rollup
-  window on a fixed period.  Identical repeated queries: the LRU
-  result cache absorbs the repeats between ingest batches.
+  window ending now, on a fixed period.  The window slides, so no two
+  queries share a key; it is answered from the rollup container's hot
+  window, which spans ``level`` times the base window.
 * :class:`RangeScanner` — ad-hoc historical scans walking large
-  windows.  Cache-hostile by design; exercises the sorted-index range
-  scan and the rollup containers.
+  windows over a rollup.  A window inside the rollup's hot window is a
+  slice of it; an older one is a sorted-index range scan of the
+  container, which the LRU keeps for a repeat.
 
 Every client speaks the feature-gated QUERY wire API over its own
 endpoint: a request is only sent after the peer's HELLO advertised
@@ -183,7 +185,10 @@ class Poller(QueryClient):
 
 
 class AlertEvaluator(QueryClient):
-    """Threshold check over a rollup window; counts firings."""
+    """Threshold check over the rollup window ``[now - window, now)``;
+    counts firings.  The window slides with the clock, so its key never
+    repeats: the rollup container's hot window answers it, not the
+    LRU."""
 
     kind = "evaluator"
 

@@ -2,23 +2,29 @@
 
 Serving structure (the CMS monitoring workload, PAPERS.md):
 
-* **Hot window** — dashboard pollers overwhelmingly ask for the last
-  few seconds of data.  Every record the attached
+* **Hot window** — every record the attached
   :class:`~repro.plugins.stores.sos.SosStore` appends (base and
   rollup) also lands in a bounded per-container window kept *sorted by
   timestamp* and *already wire-encoded*: a list of timestamps beside
   one ``bytearray`` of ``QUERY_REPLY`` rows, each packed once, at
-  ingest.  A query whose window lies entirely inside the covered span
-  is two bisects and one buffer slice — no container file, no filter
-  pass, no sort, no per-row object, no per-reply packing.
-* **LRU result cache** — repeated identical queries (alert evaluators
-  re-checking a rollup window, several dashboards showing one panel)
-  return the cached row set: one :class:`~repro.core.wire.RowBlock`
-  that :func:`scan` fills from the container with no per-row Python, so
-  a hit packs nothing and an entry holds one ``bytes``.  Validity is by
-  append-version: the store counts appends per container, and a cached
-  entry is good only while its container's count is unchanged, so a
-  cache hit can never serve a stale row set.
+  ingest.  A base container's window spans ``hot_window`` seconds; a
+  level-``L`` rollup container's spans ``L × hot_window``, the same
+  rows per component at a 1 s cadence.  A query whose window lies
+  entirely inside the covered span is two bisects and one buffer slice
+  — no container file, no filter pass, no sort, no per-row object, no
+  per-reply packing.  Dashboard pollers (the last few seconds of base
+  data) and alert evaluators (``[now - 120, now)`` over a rollup) are
+  both answered here.
+* **LRU result cache** — a scan's answer is kept for an identical
+  repeat (several dashboards showing one historical panel): one
+  :class:`~repro.core.wire.RowBlock` that :func:`scan` fills from the
+  container with no per-row Python, so a hit packs nothing and an
+  entry holds one ``bytes``.  Validity is by append-version: the store
+  counts appends per container, and a cached entry is good only while
+  its container's count is unchanged, so a cache hit can never serve a
+  stale row set.  A window anchored at ``now`` never repeats its key,
+  so the LRU does not help evaluators; ``query.lru_hits`` counts its
+  hits apart from the window's (``query.cache_hits`` is both).
 * **Rollup redirection** — ``level=N`` queries read the
   ``<schema>.rN`` rollup container maintained on ingest, touching
   ``1/N`` of the base data.
@@ -91,23 +97,29 @@ class QueryResult:
 class _HotWindow:
     """One container's recent appends sorted by timestamp (equal
     timestamps in append order): ``times[i]`` stamps the ``row``-sized
-    ``QUERY_REPLY`` group at ``buf[i * row.size]``."""
+    ``QUERY_REPLY`` group at ``buf[i * row.size]``, and the window keeps
+    the ``span`` seconds below its newest append."""
 
-    __slots__ = ("times", "buf", "row", "floor")
+    __slots__ = ("times", "buf", "row", "span", "floor")
 
-    def __init__(self, ncols: int, floor: float):
+    def __init__(self, ncols: int, span: float, floor: float):
         self.times: list[float] = []
         self.buf = bytearray()
         self.row = wire.query_row_struct(ncols)
+        self.span = span
         #: Oldest timestamp the window still fully covers.  -inf while
         #: it has seen every row the container ever held (it was empty
-        #: when the store opened it); +inf while a pre-existing
-        #: container may hold rows that were never ingested here.
+        #: when the store opened it, and the engine saw its first
+        #: append); +inf while the container may hold rows that were
+        #: never ingested here.
         self.floor = floor
 
 
 class QueryEngine:
-    """Range-query service over one live :class:`SosStore`."""
+    """Range-query service over one live :class:`SosStore`.
+
+    ``hot_window`` is the seconds a base container's hot window keeps;
+    a level-``L`` rollup container's keeps ``L`` times as many."""
 
     def __init__(self, store: SosStore, clock: Callable[[], float],
                  obs=None, hot_window: float = 60.0,
@@ -125,7 +137,9 @@ class QueryEngine:
         self._lru: "OrderedDict[tuple, tuple[int, QueryResult]]" = OrderedDict()
         self._readers: dict[str, SosReader] = {}
         self._c_requests = obs.counter("query.requests")
+        #: Hot-window and LRU answers together; ``_c_lru`` the latter.
         self._c_hits = obs.counter("query.cache_hits")
+        self._c_lru = obs.counter("query.lru_hits")
         self._c_misses = obs.counter("query.cache_misses")
         self._c_rows = obs.counter("query.rows_served")
         store.set_observer(self._ingest)
@@ -135,9 +149,14 @@ class QueryEngine:
                 values: tuple) -> None:
         hot = self._hot.get(container)
         if hot is None:
+            store = self.store
+            # This append is the container's first unless rows were on
+            # disk at open or written before the engine attached.
+            unseen = (container in store.preexisting
+                      or store.rows_written[container] > 1)
             hot = self._hot[container] = _HotWindow(
-                len(values),
-                _INF if container in self.store.preexisting else -_INF)
+                len(values), self.hot_window * store.levels[container],
+                _INF if unseen else -_INF)
         times = hot.times
         blob = hot.row.pack(ts, comp_id, *values)
         if not times or ts >= times[-1]:
@@ -150,7 +169,7 @@ class QueryEngine:
             times.insert(i, ts)
             at = i * len(blob)
             hot.buf[at:at] = blob
-        cutoff = ts - self.hot_window
+        cutoff = ts - hot.span
         if times[0] < cutoff:
             n = bisect_left(times, cutoff)
             del times[:n], hot.buf[: n * len(blob)]
@@ -173,6 +192,7 @@ class QueryEngine:
         if cached is not None and cached[0] == version:
             self._lru.move_to_end(key)
             self._c_hits.inc()
+            self._c_lru.inc()
             res = cached[1]
             self._c_rows.inc(len(res.rows))
             if res.source != "lru":
@@ -234,6 +254,7 @@ class QueryEngine:
         return {
             "requests": self._c_requests.value,
             "cache_hits": self._c_hits.value,
+            "lru_hits": self._c_lru.value,
             "cache_misses": self._c_misses.value,
             "rows_served": self._c_rows.value,
             "lru_entries": len(self._lru),

@@ -57,7 +57,7 @@ def _stub_query_load(monkeypatch, doc: dict) -> None:
         run = SimpleNamespace(
             poller=cls, evaluator=cls, scanner=cls,
             cache_hit_permille=doc["aggregator"]["cache_hit_permille"],
-            serve_us_p50=1, serve_us_p95=2, serve_us_p99=3,
+            cache_hits=4, lru_hits=0, serve_us_p50=1, serve_us_p95=2, serve_us_p99=3,
             rows_served=doc["aggregator"]["rows_served"], query_requests=4)
         return {"run": run, "deterministic": True}
 

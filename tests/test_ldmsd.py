@@ -339,6 +339,35 @@ class TestAggregation:
         assert len(st.rows) >= 5
         assert st.rows[-1].set_name == "n0/ticker"
 
+    def test_reconnects_keep_one_region_per_set(self, world):
+        # Each time l1 loses its sampler it drops the mirror, and l2's
+        # next lookup of the same set name used to get a fresh region
+        # id: one more name and one more registered reader per reconnect.
+        eng, env, fabric = world
+        make_sampler(world)
+        l1 = make_agg(world, "l1")
+        l1.add_producer("n0", "rdma", "n0:411", interval=1.0)
+        l1.listen("sock", "l1:411")
+        l2 = make_agg(world, "l2")
+        st = l2.add_store("memory")
+        l2.add_producer("l1", "sock", "l1:411", interval=1.0)
+        closed = 0
+        for k in range(1, 9):
+            eng.run(until=10.0 * k)
+            ep = l1.producers["n0"].endpoint
+            if ep is not None:
+                ep.close()
+                closed += 1
+        eng.run(until=95.0)
+        assert closed == 8
+        assert l1.producers["n0"].stats.lookups_failed == 0
+        assert l1._region_names == ["n0/ticker"]
+        served = l1._served_endpoints
+        assert len(served) == 1
+        assert list(served[0]._regions) == [1]
+        # l2 kept storing through every reconnect.
+        assert st.rows[-1].timestamp > 90.0
+
     def test_multiple_producers_same_target(self, world):
         """Multiple connections between one aggregator and one target
         support different per-set frequencies (§IV-B)."""

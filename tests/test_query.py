@@ -222,6 +222,73 @@ class TestQueryEngine:
         assert [r[0] for r in res.rows] == [1.0, 2.0]
         store.close()
 
+    def test_reopened_rollup_container_never_hot_served(self, tmp_path):
+        # The rollup container's rows on disk were never ingested into
+        # its hot window either: only the base schema used to count as
+        # pre-existing, so this answered "hot" with [30.0] alone.
+        s1 = SosStore()
+        s1.config(path=str(tmp_path), rollups="10")
+        for k in range(25):
+            s1.submit(rec(t=float(k)))
+        s1.close()
+        store, eng = self._engine(tmp_path)
+        for k in range(30, 45):
+            store.submit(rec(t=float(k)))
+        assert {"mem", "mem.r10"} <= store.preexisting
+        res = eng.query("mem", 0.0, 100.0, level=10)
+        assert res.source == "scan"
+        assert [r[0] for r in res.rows] == [0.0, 10.0, 20.0, 30.0]
+        store.close()
+
+    def test_container_cut_back_to_no_record_is_hot_served(self, tmp_path):
+        # Pre-existing means rows on disk: a container whose only
+        # record a crash tore is empty once reopened, so its window
+        # sees every row it will ever hold.
+        s1 = SosStore()
+        s1.config(path=str(tmp_path))
+        s1.submit(rec(t=1.0))
+        s1.close()
+        data = tmp_path / "mem.sos"
+        data.write_bytes(data.read_bytes()[:-5])
+        store, eng = self._engine(tmp_path)
+        store.submit(rec(t=2.0))
+        assert "mem" not in store.preexisting
+        res = eng.query("mem", 0.0, 10.0)
+        assert res.source == "hot"
+        assert [r[0] for r in res.rows] == [2.0]
+        store.close()
+
+    def test_engine_attached_late_never_hot_serves_what_it_missed(
+            self, tmp_path):
+        # Rows the store wrote before the engine attached never reached
+        # the window: until it turns over, the window covers nothing.
+        store = SosStore()
+        store.config(path=str(tmp_path))
+        store.submit(rec(t=1.0))
+        eng = QueryEngine(store, lambda: 0.0, hot_window=30.0)
+        store.submit(rec(t=2.0))
+        res = eng.query("mem", 0.0, 10.0)
+        assert res.source == "scan"
+        assert [r[0] for r in res.rows] == [1.0, 2.0]
+        store.close()
+
+    def test_rollup_window_spans_level_times_the_base_window(self, tmp_path):
+        store, eng = self._engine(tmp_path)   # hot_window 30, rollups 10
+        for k in range(400):
+            store.submit(rec(t=float(k), values=(k, 0)))
+        assert eng._hot["mem"].floor == 399.0 - 30.0
+        assert eng._hot["mem.r10"].floor == 380.0 - 300.0
+        # An evaluator's [now - 120, now) over r10 is a slice of the
+        # window, byte-equal to the scan of the same rows.
+        res = eng.query("mem", 280.0, 400.0, level=10)
+        assert res.source == "hot"
+        assert [r[0] for r in res.rows] == [280.0 + 10 * i for i in range(11)]
+        assert res.rows.raw == eng._scan("mem.r10", 280.0, 400.0, 0,
+                                         0).rows.raw
+        # Below the rollup's own floor the scan still answers.
+        assert eng.query("mem", 70.0, 400.0, level=10).source == "scan"
+        store.close()
+
     def test_rollup_redirection(self, tmp_path):
         store, eng = self._engine(tmp_path)
         for k in range(25):  # seals rollup buckets [0,10) and [10,20)
@@ -423,6 +490,43 @@ class TestServeEndToEnd:
         assert row["query_cache_hits"] == qs["cache_hits"]
         assert row["store_multi_component_rejected"] == 0
         agg.shutdown()
+
+    def test_evaluator_replies_are_hot_and_equal_a_scan(self, tmp_path,
+                                                        monkeypatch):
+        # The evaluator's [now - 120, now) slides, so no key repeats:
+        # with a 15 s base window the r10 window spans 150 s and holds
+        # it, also once it has turned over.  Each answer is checked
+        # against a scan of the same window at the moment it is served.
+        answers = []
+        query = QueryEngine.query
+
+        def checked(eng, schema, t0, t1, level=0, comp_id=0,
+                    max_records=0):
+            res = query(eng, schema, t0, t1, level, comp_id, max_records)
+            if level == 10 and res.status == wire.E_OK:
+                scan = eng._scan(rollup_schema(schema, 10), t0, t1,
+                                 comp_id, max_records)
+                floor = eng._hot[rollup_schema(schema, 10)].floor
+                answers.append((res.source, floor,
+                                res.rows.raw == scan.rows.raw,
+                                len(res.rows)))
+            return res
+
+        monkeypatch.setattr(QueryEngine, "query", checked)
+        mix = ClientMix(pollers=1, evaluators=2, scanners=0, eval_level=10)
+        agg, store, clients = _sos_world(
+            str(tmp_path), rollups="10,60", duration=200.0,
+            enable_query=True, mix=mix)
+        agg.shutdown()
+        assert len(answers) >= 30
+        assert {source for source, *_ in answers} == {"hot"}
+        assert all(same for _, _, same, _ in answers)
+        turned_over = [rows for _, floor, _, rows in answers
+                       if floor > float("-inf")]
+        assert len(turned_over) >= 4 and min(turned_over) >= 11 * 4
+        evaluators = [c for c in clients if c.kind == "evaluator"]
+        assert all(c.cache_hits_seen == c.replies - c.errors
+                   for c in evaluators)
 
     def test_daemon_without_engine_replies_noent(self, tmp_path):
         mix = ClientMix(pollers=1, evaluators=0, scanners=0)

@@ -273,52 +273,62 @@ appends = st.lists(
               st.integers(0, 12),   # how far behind the clock it is stamped
               st.integers(1, 3)),   # component
     min_size=1, max_size=60)
+rollup_appends = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 12), st.integers(1, 3)),
+    min_size=1, max_size=60)
 queries = st.lists(
     st.tuples(st.integers(-2, 50), st.integers(0, 20), st.integers(0, 3),
               st.sampled_from((0, 0, 1, 3, 7))),
     min_size=1, max_size=8)
 
 
-def scan_answer(path, t0, t1, comp_id, max_records):
+def scan_answer(path, container, t0, t1, comp_id, max_records):
     rows = [(r.timestamp, r.component_id, r.values)
-            for r in SosReader(path, "mem").range(t0, t1)
+            for r in SosReader(path, container).range(t0, t1)
             if not comp_id or r.component_id == comp_id]
     truncated = bool(max_records) and len(rows) > max_records
     return rows[:max_records] if truncated else rows, truncated
 
 
-class TestHotWindowAgainstScan:
-    @settings(max_examples=120, **SETTINGS)
-    @given(appends=appends, queries=queries,
-           hot_window=st.sampled_from((2.0, 5.0, 10.0)))
-    def test_hot_answers_equal_scan_answers(self, appends, queries,
-                                            hot_window):
-        with tempfile.TemporaryDirectory() as path:
-            store = SosStore()
-            store.config(path=path)
-            eng = QueryEngine(store, lambda: 0.0, hot_window=hot_window)
-            clock = 0
-            hot_seen = 0
-            for k, (advance, lag, comp) in enumerate(appends):
-                clock += advance
-                store.submit(StoreRecord(
-                    float(clock - lag), "n0", "n0/mem", "mem", NAMES,
-                    (comp, comp), (float(k), float(-k))))
-                if k % 7 and k != len(appends) - 1:
-                    continue
-                # Query as the stream goes, and always at the exact
-                # floor: the oldest instant the window claims to cover.
-                floor = eng._hot["mem"].floor
-                asks = [(t0, t0 + span, comp_id, max_records)
+def check_hot_against_scan(appends, queries, hot_window, rollups):
+    """Feed ``appends`` to a store with ``rollups`` and, as the stream
+    goes, ask every container written so far ``queries`` (times scaled
+    by the container's level over 5) and a window at its own floor.
+    Every answer must be the scan's; a hot one byte for byte."""
+    with tempfile.TemporaryDirectory() as path:
+        store = SosStore()
+        store.config(path=path, rollups=rollups)
+        eng = QueryEngine(store, lambda: 0.0, hot_window=hot_window)
+        clock = 0
+        asked: set[str] = set()
+        hot_seen: set[str] = set()
+        for k, (advance, lag, comp) in enumerate(appends):
+            clock += advance
+            store.submit(StoreRecord(
+                float(clock - lag), "n0", "n0/mem", "mem", NAMES,
+                (comp, comp), (float(k), float(-k))))
+            if k % 7 and k != len(appends) - 1:
+                continue
+            store.flush()
+            for container in sorted(eng._hot):
+                level = store.levels[container]
+                hot = eng._hot[container]
+                assert hot.span == hot_window * level
+                scale = max(level / 5, 1)
+                asks = [(t0 * scale, (t0 + span) * scale, comp_id,
+                         max_records)
                         for t0, span, comp_id, max_records in queries]
-                if floor > float("-inf"):
-                    asks.append((floor, floor + 100.0, 0, 0))
-                store.flush()
+                # The oldest instant the window claims to cover.
+                if hot.floor > float("-inf"):
+                    asks.append((hot.floor, hot.floor + 100.0 * level, 0, 0))
                 for t0, t1, comp_id, max_records in asks:
                     res = eng.query("mem", float(t0), float(t1),
+                                    level=level if level > 1 else 0,
                                     comp_id=comp_id, max_records=max_records)
                     rows, truncated = scan_answer(
-                        path, float(t0), float(t1), comp_id, max_records)
+                        path, container, float(t0), float(t1), comp_id,
+                        max_records)
+                    asked.add(container)
                     assert isinstance(res.rows, wire.RowBlock)
                     assert res.rows == rows
                     assert res.truncated == truncated
@@ -330,15 +340,37 @@ class TestHotWindowAgainstScan:
                             wire.E_OK, NAMES, rows, res.flags()))
                     if res.source != "hot":
                         continue
-                    hot_seen += 1
+                    hot_seen.add(container)
                     assert res.rows.raw == eng._scan(
-                        "mem", float(t0), float(t1), comp_id,
+                        container, float(t0), float(t1), comp_id,
                         max_records).rows.raw
                 # The window itself: sorted times beside one buffer of
                 # whole rows carrying exactly those timestamps.
-                hot = eng._hot["mem"]
                 assert hot.times == sorted(hot.times)
                 assert [r[0] for r in wire.RowBlock.of(
                     len(NAMES), bytes(hot.buf))] == hot.times
-            assert hot_seen  # the floor query alone guarantees one
-            store.close()
+        # The floor query alone guarantees a hot answer per container:
+        # at a finite floor it is one, and below none every query is.
+        assert hot_seen == asked
+        store.close()
+        return asked
+
+
+class TestHotWindowAgainstScan:
+    @settings(max_examples=120, **SETTINGS)
+    @given(appends=appends, queries=queries,
+           hot_window=st.sampled_from((2.0, 5.0, 10.0)))
+    def test_hot_answers_equal_scan_answers(self, appends, queries,
+                                            hot_window):
+        assert check_hot_against_scan(
+            appends, queries, hot_window, "") == {"mem"}
+
+    @pytest.mark.parametrize("rollups", ("10", "10,60"))
+    @settings(max_examples=120, **SETTINGS)
+    @given(appends=rollup_appends, queries=queries,
+           hot_window=st.sampled_from((0.5, 1.0, 2.0, 5.0)))
+    def test_rollup_hot_answers_equal_scan_answers(self, rollups, appends,
+                                                   queries, hot_window):
+        # Longer streams and shorter base windows than above, so that a
+        # rollup window (level x hot_window) turns over too.
+        check_hot_against_scan(appends, queries, hot_window, rollups)
