@@ -74,8 +74,13 @@ def build(n: int):
 _COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 
 
+def _module(path: str, own: str) -> str:
+    """``path`` relative to the ``repro`` package, or ``"other"``."""
+    return path[len(own):] if path.startswith(own) else "other"
+
+
 def count_events(run, events=("call",), repro_only: bool = False,
-                 of=None) -> int:
+                 of=None, per_module: dict | None = None) -> int:
     """Run ``run()`` with garbage collection off and count the
     interpreter events it raises.
 
@@ -88,7 +93,11 @@ def count_events(run, events=("call",), repro_only: bool = False,
     calls or that calls into it.  Library internals and comprehension
     frames are left out, so neither a numpy upgrade nor Python 3.12's
     inlined comprehensions move the count.  With ``of`` (a Python
-    function) only the ``"call"`` events entering it count.
+    function) only the ``"call"`` events entering it count.  With
+    ``per_module`` (a dict) every counted event is also tallied under
+    the ``repro`` module it belongs to (see :func:`_module`): a line or
+    a Python function to its own module, a C function — or, with
+    ``repro_only``, a library function — to the module that called it.
     """
     import repro
 
@@ -104,19 +113,23 @@ def count_events(run, events=("call",), repro_only: bool = False,
         if target is not None:
             n += frame.f_code is target
             return
+        code = frame.f_code
+        path = code.co_filename
         if repro_only:
-            code = frame.f_code
             if event == "call":
                 if code.co_name in _COMPREHENSIONS:
                     return
                 back = frame.f_back
-                if not (code.co_filename.startswith(own) or (
-                        back is not None
-                        and back.f_code.co_filename.startswith(own))):
-                    return
-            elif not code.co_filename.startswith(own):
+                if not path.startswith(own):
+                    if back is None or not back.f_code.co_filename.startswith(own):
+                        return
+                    path = back.f_code.co_filename
+            elif not path.startswith(own):
                 return
         n += 1
+        if per_module is not None:
+            key = _module(path, own)
+            per_module[key] = per_module.get(key, 0) + 1
 
     def trace(frame, event, _arg):
         nonlocal n
@@ -124,6 +137,9 @@ def count_events(run, events=("call",), repro_only: bool = False,
         if event == "line" and code is not outer and (
                 not repro_only or code.co_filename.startswith(own)):
             n += 1
+            if per_module is not None:
+                key = _module(code.co_filename, own)
+                per_module[key] = per_module.get(key, 0) + 1
         return trace
 
     hook, install = ((trace, sys.settrace) if "line" in events
@@ -140,7 +156,9 @@ def count_events(run, events=("call",), repro_only: bool = False,
     return n
 
 
-def calls_per_stored_set(n: int = 256) -> float:
+def calls_per_stored_set(n: int = 256, events=("call",),
+                         repro_only: bool = False,
+                         per_module: dict | None = None) -> float:
     """Python function calls per stored set over one steady interval.
 
     Builds the knee topology at ``n`` producers, then counts the
@@ -148,6 +166,8 @@ def calls_per_stored_set(n: int = 256) -> float:
     collection interval and divides by the rows stored in it.  The
     simulated history is fixed, so the count is exact and the same on
     any host; garbage collection is off so no finalizer adds calls.
+    ``events``, ``repro_only`` and ``per_module`` go to
+    :func:`count_events` (``per_module`` counts are for the interval).
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -156,7 +176,8 @@ def calls_per_stored_set(n: int = 256) -> float:
         eng = agg.env.engine
         store = agg.stores[0]
         before = store.records_stored
-        calls = count_events(lambda: eng.run(until=eng.now + INTERVAL))
+        calls = count_events(lambda: eng.run(until=eng.now + INTERVAL),
+                             events, repro_only, per_module=per_module)
         rows = store.records_stored - before
     finally:
         if was_enabled:
@@ -220,6 +241,9 @@ def main(argv=None) -> int:
         [tracemalloc.Filter(False, tracemalloc.__file__)])
     tracemalloc.stop()
     samplers, agg = world
+    # The census comes before any read: a read surface binds what it
+    # reads (a cohort sampler's ``sample.duration``, for one).
+    big = by_type(world)
     stats = [d.stats() for d in (*samplers, agg)]
     arena_used = sum(st["arena_used"] for st in stats)
     arena_committed = sum(st["arena_committed"] for st in stats)
@@ -246,7 +270,7 @@ def main(argv=None) -> int:
     # By type, per pair: the census of this world less that of a world
     # a quarter its size, so what both share (layouts, caches) cancels.
     small = n // 4
-    big, few = by_type(world), by_type(build(small))
+    few = by_type(build(small))
     rows = sorted(((big.get(t, (0, 0))[1] - few.get(t, (0, 0))[1],
                     big.get(t, (0, 0))[0] - few.get(t, (0, 0))[0], t)
                    for t in big.keys() | few.keys()), reverse=True)

@@ -7,10 +7,14 @@ performing exactly the per-stored-sample work of the PR-1 fast path —
 sampling transaction, one-sided read service + mirror install, store
 record build, compiled CSV row render — wrapped in the same
 ``repro.obs`` hooks the daemon executes: clock reads, histogram
-observes, counter incs, the exemplar draw of the span ring (an update
-span opened at issue and closed when stored, plus the store-flush span,
-for one transaction in 16), the per-stored-update freshness observe and
-the flight-recorder event.  ``instrumented=False`` runs the same call
+observes (the update RTT per update; the sample-to-store latency staged
+at delivery and, with the flush latency, observed in bulk per one-row
+flush batch), the exemplar draw of the span ring (an update span opened
+at issue and closed when stored, plus the store-flush span, for one
+transaction in 16), the per-stored-update freshness observe and the
+flight-recorder event.  The counts the daemon derives from pipeline
+state (samples, an endpoint's reads and bytes) are pipeline work, not
+telemetry, and are left out of both variants.  ``instrumented=False`` runs the same call
 sites against do-nothing stand-ins, so timing the two variants measures
 the telemetry overhead on the fast path, independent of machine speed.
 """
@@ -45,6 +49,8 @@ class _Off:
 
     def observe(self, value):
         pass
+
+    observe_many = observe
 
     def record(self, *args):
         pass
@@ -91,24 +97,17 @@ def build_unit(outdir, instrumented: bool, n: int = N_METRICS,
     h_update = obs.histogram("update.rtt")
     h_e2e = obs.histogram("pipeline.sample_to_store")
     h_flush = obs.histogram("store.flush")
-    c_samples = obs.counter("sampler.samples")
-    # an endpoint holds its registry's transport counters, or None with
-    # no registry (Endpoint.obs setter, Endpoint._account_read)
-    counters = obs.endpoint_counters(reads=True) if instrumented else None
+    staged: list = []  # Ldmsd._e2e_staged
 
     def unit():
         # sampler fire (Ldmsd._begin_sample / _finish_sample)
         t0 = clock()
         mset.set_all(values, t0)
         h_sample.observe(clock() - t0)
-        c_samples.inc()
         # producer fetch: one-sided read service + mirror install
         t_issue = clock()
         span = spans.start("n0", "n0/bench", t_issue)
         data = mset.data_bytes()
-        if counters is not None:
-            counters[2].value += 1
-            counters[3].value += len(data)
         mirror.apply_data(data)
         # One decode of the transaction timestamp serves the exemplar,
         # the store hand-off and the freshness tracker (_complete_update).
@@ -120,11 +119,13 @@ def build_unit(outdir, instrumented: bool, n: int = N_METRICS,
         # store delivery (Ldmsd._deliver_to_stores / _flush_rows)
         rec = StoreRecord.from_set(mirror, "n0")
         t_submit = clock()
-        h_e2e.observe(max(t_submit - ts, 0.0))
+        staged.append(max(t_submit - ts, 0.0))
+        h_e2e.observe_many(staged)  # the flush batch's first step
+        staged.clear()
         store.store(rec)
         buf.clear()
         t_done = clock()
-        h_flush.observe(t_done - t_submit)
+        h_flush.observe_many([t_done - t_submit])
         spans.finish(span, "stored", now)
         # observability plane (aggregator _complete_update/_flush_rows)
         if fresh is not None:

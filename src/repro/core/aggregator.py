@@ -275,8 +275,7 @@ class Producer:
     __slots__ = (
         "daemon", "cfg", "endpoint", "dialer", "active", "updaters",
         "stats", "_timer", "_ticks_since_dir", "_next_req_id", "_pending_lookups", "stopped",
-        "_fresh", "_h_lookup_rtt", "_h_update_rtt", "_c_stale", "_c_torn",
-        "_c_busy", "_c_failed")
+        "_fresh", "_h_lookup_rtt", "_h_update_rtt")
 
     def __init__(self, daemon: "Ldmsd", cfg: ProducerConfig):
         self.daemon = daemon
@@ -304,15 +303,12 @@ class Producer:
         #: producer is standby — the per-update cost is one
         #: ``is not None`` test.
         self._fresh = None
-        # Telemetry instruments (shared daemon-wide by name; binding
+        # Telemetry histograms (shared daemon-wide by name; binding
         # them here keeps the per-event cost to one attribute access).
+        # The daemon's update.* counts are read from ``stats``.
         obs = daemon.obs
         self._h_lookup_rtt = obs.histogram("lookup.rtt")
         self._h_update_rtt = obs.histogram("update.rtt")
-        self._c_stale = obs.counter("update.skipped_stale")
-        self._c_torn = obs.counter("update.skipped_inconsistent")
-        self._c_busy = obs.counter("update.skipped_busy")
-        self._c_failed = obs.counter("update.failed")
 
     # ------------------------------------------------------------------
     # connection management
@@ -422,6 +418,8 @@ class Producer:
 
     def _on_close(self) -> None:
         with self.daemon.lock:
+            if self.endpoint is not None:
+                self.daemon._retire_endpoint(self.endpoint)
             self.endpoint = None
             self._pending_lookups.clear()
             self._drop_mirrors()
@@ -629,7 +627,6 @@ class Producer:
                         # Bypass non-reporting target; retry next
                         # interval (§IV-E).
                         self.stats.skipped_busy += 1
-                        self._c_busy.inc()
                     else:
                         ready.append(upd)
             if not ready:
@@ -646,7 +643,6 @@ class Producer:
         if upd.in_flight:
             # Bypass non-reporting target; retry next interval (§IV-E).
             self.stats.skipped_busy += 1
-            self._c_busy.inc()
             return
         endpoint = self.endpoint
         if endpoint is None:
@@ -730,7 +726,6 @@ class Producer:
                 return
             if data is None:
                 self.stats.updates_failed += 1
-                self._c_failed.inc()
                 spans.finish(span, "failed", now)
                 return
             self.stats.updates_completed += 1
@@ -754,18 +749,15 @@ class Producer:
                 # the region now reads empty): count as failed, retry via
                 # lookup next tick.
                 self.stats.updates_failed += 1
-                self._c_failed.inc()
                 upd.state = SetState.NEW
                 spans.finish(span, "failed", now)
                 return
             if not consistent:
                 self.stats.skipped_inconsistent += 1
-                self._c_torn.inc()
                 spans.finish(span, "torn", now)
                 return
             if upd.last_dgn is not None and dgn == upd.last_dgn:
                 self.stats.skipped_stale += 1
-                self._c_stale.inc()
                 spans.finish(span, "stale", now)
                 return
             prev_dgn = upd.last_dgn

@@ -303,37 +303,38 @@ class ControlChannel:
             return json.dumps(chrome_trace_events([d.spans]))
         if "export" in attrs:
             raise ConfigError(f"unknown export format {attrs['export']!r}")
-        now = d.env.now()
-        return json.dumps(
-            {
-                "name": d.name,
-                "histograms": d.obs.dump_histograms(),
-                "traces": [s.as_dict() for s in d.spans.updates()],
-                "arena": {
-                    "sweeps": d.obs.counter("arena.sweeps").value,
-                    "rows_vectorized":
-                        d.obs.counter("arena.rows_vectorized").value,
-                    "fallback_sets":
-                        d.obs.counter("arena.fallback_sets").value,
-                    # Schema-stable: zeroed, not None/omitted, when the
-                    # columnar plane is off (no arena in this env).
-                    "pool": (d.set_pool.stats()
-                             if d.set_pool is not None
-                             else {"arenas": 0, "blocks": 0, "rows": 0}),
-                },
-                "freshness": d.freshness.snapshot(now),
-                "flight": {
-                    "total": d.flight.total,
-                    "window": d.flight.window(),
-                    "events": len(d.flight.events),
-                },
-                "spans": {
-                    "total": d.spans.total,
-                    "retained": len(d.spans.spans),
-                },
-                "xprt_refused_connections": d.refused_connections(),
-            }
-        )
+        with d.lock:  # the dumps fold what the daemon's threads stage
+            now = d.env.now()
+            return json.dumps(
+                {
+                    "name": d.name,
+                    "histograms": d.obs.dump_histograms(),
+                    "traces": [s.as_dict() for s in d.spans.updates()],
+                    "arena": {
+                        "sweeps": d.obs.counter("arena.sweeps").value,
+                        "rows_vectorized":
+                            d.obs.counter("arena.rows_vectorized").value,
+                        "fallback_sets":
+                            d.obs.counter("arena.fallback_sets").value,
+                        # Schema-stable: zeroed, not None/omitted, when the
+                        # columnar plane is off (no arena in this env).
+                        "pool": (d.set_pool.stats()
+                                 if d.set_pool is not None
+                                 else {"arenas": 0, "blocks": 0, "rows": 0}),
+                    },
+                    "freshness": d.freshness.snapshot(now),
+                    "flight": {
+                        "total": d.flight.total,
+                        "window": d.flight.window(),
+                        "events": len(d.flight.events),
+                    },
+                    "spans": {
+                        "total": d.spans.total,
+                        "retained": len(d.spans.spans),
+                    },
+                    "xprt_refused_connections": d.refused_connections(),
+                }
+            )
 
     def _cmd_quit(self, attrs) -> str:
         """``quit``: shut the daemon down and close the channel."""

@@ -36,7 +36,8 @@ from repro.core.metric_set import MetricSet, SetInfo, SetTemplate
 from repro.core.sampler import SamplerPlugin, sampler_registry
 from repro.core.store import (StorePlugin, StorePolicy, StoreRecord, record_of,
                               store_registry)
-from repro.obs import FlightRecorder, FreshnessTracker, SpanRecorder, Telemetry
+from repro.obs import (FlightRecorder, FreshnessTracker, Histogram,
+                       SpanRecorder, Telemetry)
 from repro.obs import flight as flightmod
 from repro.obs.spans import HOP_SAMPLE, HOP_STORE, UpdateSpan
 from repro.sim.resources import CpuCore
@@ -64,11 +65,12 @@ FLUSH_BATCH_MAX = 256
 QUERY_BASE_COST = 20e-6
 QUERY_PER_ROW_COST = 0.2e-6
 
-#: Every instrument a daemon binds by role (``start_sampler`` /
-#: ``add_store`` / ``enable_query``) or looks up by name on a cold path.
-#: Declared to the registry at birth, so ``stats()`` / ``prof`` list all
-#: of them, zeroed, whatever roles the daemon has taken — schema-stable
-#: for pollers without an object per name on every sampler.
+#: Every count a daemon derives or binds by role (``add_store`` /
+#: ``enable_query``) or looks up by name on a cold path, and every
+#: histogram it binds.  Declared to the registry at birth, so ``stats()``
+#: / ``prof`` list all of them, zeroed, whatever roles the daemon has
+#: taken — schema-stable for pollers without an object per name on
+#: every sampler.
 _OBS_COUNTERS = (
     "arena.fallback_sets", "arena.rows_vectorized", "arena.sweeps",
     "sampler.overruns", "sampler.samples", "serve.dir_req",
@@ -85,6 +87,16 @@ _OBS_HISTOGRAMS = (
 _NO_ENTRIES: Any = MappingProxyType({})
 _NO_STORES: Any = ()
 _NO_FRESHNESS = FreshnessTracker()
+#: Endpoint fields behind the daemon's ``transport.*`` counts.
+_ENDPOINT_COUNTS = (("transport.frames_rx", "frames_received"),
+                    ("transport.bytes_rx", "bytes_received"),
+                    ("transport.rdma_reads", "rdma_reads"),
+                    ("transport.rdma_bytes", "rdma_bytes_read"))
+#: Producer ``UpdateStats`` fields behind the daemon's ``update.*`` counts.
+_UPDATE_COUNTS = (("update.failed", "updates_failed"),
+                  ("update.skipped_busy", "skipped_busy"),
+                  ("update.skipped_inconsistent", "skipped_inconsistent"),
+                  ("update.skipped_stale", "skipped_stale"))
 
 
 def _check_interval(interval: float) -> None:
@@ -252,12 +264,23 @@ class Ldmsd:
         "producers", "stores", "_stores_version", "_listeners",
         "_served_endpoints", "_advertisements", "records_delivered",
         "query_engine", "_shutdown", "__weakref__",
-        # Hot-path instruments, bound by start_sampler / add_store /
-        # enable_query when the daemon takes that role.
-        "_h_sample", "_c_samples", "_h_store_flush", "_h_flush_batch_rows",
-        "_h_sample_to_store", "_c_flush_rows_batched", "_c_store_no_match",
-        "_h_query", "_c_query_req",
+        # Hot-path instruments, bound by the first scalar sample /
+        # add_store / enable_query when the daemon takes that role.
+        "_h_sample", "_h_store_flush", "_h_flush_batch_rows",
+        "_h_sample_to_store", "_c_store_no_match", "_h_query",
+        # Derived-count state (``derived_counts``): cohort rows not yet
+        # observed in ``sample.duration``, rows observed, and the cost
+        # they are priced at; staged sample-to-store latencies; served
+        # requests; counts of closed endpoints and removed producers.
+        "_vec_backlog", "_vec_observed", "_vec_cost", "_e2e_staged",
+        "_served_dirs", "_served_lookups", "_served_queries", "_retired",
     )
+
+    #: What :meth:`derived_counts` reads; every other counter is owned.
+    DERIVED_COUNTS = frozenset((
+        "sampler.samples", "arena.rows_vectorized", "serve.dir_req",
+        "serve.lookup_req", "serve.query_req", "store.flush_rows_batched",
+        *(name for name, _ in _ENDPOINT_COUNTS + _UPDATE_COUNTS)))
 
     def __init__(
         self,
@@ -297,7 +320,13 @@ class Ldmsd:
         #: the role that uses them, so sampling/update/store code pays
         #: one attribute access per event, not a registry lookup.
         self.obs = Telemetry()
-        self.obs.declare(_OBS_COUNTERS, _OBS_HISTOGRAMS)
+        self.obs.declare(_OBS_COUNTERS, _OBS_HISTOGRAMS, self)
+        self._h_sample: Optional[Histogram] = None
+        self._vec_backlog = self._vec_observed = 0
+        self._vec_cost: Optional[float] = None
+        self._e2e_staged: list[float] = _NO_STORES  # a list from add_store
+        self._served_dirs = self._served_lookups = self._served_queries = 0
+        self._retired: dict[str, int] = _NO_ENTRIES
         #: Observability plane: the span ring (exemplar update
         #: transactions and the hops they cross, feeding ``prof`` traces
         #: and Chrome trace export), the per-producer freshness tracker
@@ -469,8 +498,6 @@ class Ldmsd:
             # The plugin's set layout is frozen at config(), so
             # sample_cost is loop-invariant: bind it once.
             sample_cost = plugin.sample_cost
-            self._h_sample = self.obs.histogram("sample.duration")
-            self._c_samples = self.obs.counter("sampler.samples")
 
             # Columnar fast path: same-phase, same-pattern samplers ride
             # one cohort sweep (one timer + one finish event for the
@@ -546,8 +573,27 @@ class Ldmsd:
             plugin.last_sample_ts = end
             plugin.last_sample_dur = duration
             plugin.sample_time_total += duration
-            self._h_sample.observe(duration)
-            self._c_samples.inc()
+            self._observe_cohort_rows()  # earlier samples observe first
+            self._sample_histogram().observe(duration)
+
+    def _sample_histogram(self) -> Histogram:
+        """``sample.duration``, bound by the first sample observed."""
+        h = self._h_sample
+        if h is None:
+            h = self._h_sample = self.obs.histogram("sample.duration")
+        return h
+
+    def _observe_cohort_rows(self, cost: Optional[float] = None) -> None:
+        """Observe in ``sample.duration`` the rows cohort sweeps wrote
+        for this daemon since the last call, each at the constant cost
+        of its cohort (``cost``, or the one cost this daemon's cohorts
+        share)."""
+        k = self._vec_backlog
+        if k:
+            self._vec_backlog = 0
+            self._vec_observed += k
+            self._sample_histogram().observe_n(
+                self._vec_cost or 0.0 if cost is None else cost, k)
 
     # ------------------------------------------------------------------
     # serving (any daemon can be pulled from)
@@ -595,6 +641,7 @@ class Ldmsd:
     def _drop_served(self, endpoint: Endpoint,
                      dialer: Optional[Dialer]) -> None:
         with self.lock:
+            self._retire_endpoint(endpoint)
             if endpoint in self._served_endpoints:
                 self._served_endpoints.remove(endpoint)
                 self.flight.record(self.env.now(), "conn", "peer_close",
@@ -656,7 +703,7 @@ class Ldmsd:
                 prod.attach(endpoint)
             return
         if frame.msg_type == wire.MsgType.DIR_REQ:
-            self.obs.counter("serve.dir_req").inc()
+            self._served_dirs += 1
             endpoint.send(
                 wire.encode_frame(
                     wire.MsgType.DIR_REPLY,
@@ -665,7 +712,7 @@ class Ldmsd:
                 )
             )
         elif frame.msg_type == wire.MsgType.LOOKUP_REQ:
-            self.obs.counter("serve.lookup_req").inc()
+            self._served_lookups += 1
             set_name = wire.unpack_lookup_req(frame.payload)
             if frame.trace is not None:
                 now = self.env.now()
@@ -703,13 +750,12 @@ class Ldmsd:
         """
         eng = self.query_engine
         rid = frame.request_id
+        self._served_queries += 1
         if eng is None:
-            self.obs.counter("serve.query_req").inc()
             endpoint.send(wire.encode_frame(
                 wire.MsgType.QUERY_REPLY, rid,
                 wire.pack_query_reply(wire.E_NOENT)))
             return
-        self._c_query_req.inc()
         try:
             schema, t0, t1, level, comp_id, max_records = (
                 wire.unpack_query_req(frame.payload))
@@ -766,7 +812,6 @@ class Ldmsd:
                 raise ConfigError(
                     f"{self.name}: enable_query needs a configured sos store")
             self._h_query = self.obs.histogram("serve.query")
-            self._c_query_req = self.obs.counter("serve.query_req")
             tier = {k: v for k, v in (("hot_window", hot_window),
                                       ("cache_entries", cache_entries))
                     if v is not None}
@@ -896,6 +941,7 @@ class Ldmsd:
                 raise ConfigError(f"no producer {name!r}")
             del self.producers[name]
             prod.stop()
+            self._retire(_UPDATE_COUNTS, prod.stats)
 
     def activate_standby(self, name: str) -> None:
         """Promote a standby producer (driven by an external watchdog)."""
@@ -938,10 +984,10 @@ class Ldmsd:
             self._h_store_flush = obs.histogram("store.flush")
             self._h_flush_batch_rows = obs.histogram("store.flush_batch_rows")
             self._h_sample_to_store = obs.histogram("pipeline.sample_to_store")
-            self._c_flush_rows_batched = obs.counter("store.flush_rows_batched")
             self._c_store_no_match = obs.counter("store.no_match")
             if self.stores is _NO_STORES:
                 self.stores, self._flush_batches = [], {}
+                self._e2e_staged = []
             self.stores.append(store)
             self._stores_version += 1
             return store
@@ -987,13 +1033,15 @@ class Ldmsd:
         self.records_delivered += 1
         now = self.env.now()
         # End-to-end pipeline latency: sampler transaction close (the
-        # timestamp carried in the data chunk) -> store hand-off here.
-        self._h_sample_to_store.observe(max(now - ts, 0.0))
+        # timestamp carried in the data chunk) -> store hand-off here;
+        # staged, and observed in bulk by the flush or a read.
+        self._e2e_staged.append(max(now - ts, 0.0))
         route = mirror._store_match
         stores = (route[1] if route is not None and route[0] == self._stores_version
                   else self._route(mirror, producer.cfg.name))
         if not stores:
             self._c_store_no_match.inc()
+            self._observe_staged()  # no flush will
             return
         row = _PendingRow(data, ts, producer.cfg.name, mirror, now, span,
                           len(stores) > 1)
@@ -1034,6 +1082,7 @@ class Ldmsd:
                 batch.seal()
             rows, batch.sealed = batch.sealed, None
             batch.writing = True
+            self._observe_staged()
         # The store write stays outside the daemon lock: deliveries keep
         # appending to batch.rows while this worker is in the backend,
         # and shutdown waits for it before it closes the store.
@@ -1076,27 +1125,37 @@ class Ldmsd:
             out.append(record)
         return out
 
+    def _observe_staged(self) -> None:
+        """Observe the staged sample-to-store latencies, in delivery
+        order (caller holds the daemon lock)."""
+        staged = self._e2e_staged
+        if staged:
+            self._e2e_staged = []
+            self._h_sample_to_store.observe_many(staged)
+
     def _flush_rows(self, store: StorePlugin, rows: list[_PendingRow]) -> None:
-        """Write one drained batch and account per-row flush latency."""
+        """Write one drained batch and observe its per-row flush
+        latencies in one call.  Its rows count in ``store.flush_rows_batched``
+        through the store's own stored and failed counts."""
         n = len(rows)
         failed = store.submit_many(self._materialize_rows(rows))
-        self._c_flush_rows_batched.inc(n)
         self._h_flush_batch_rows.observe(n)
         if failed:
             self.obs.counter("store.errors").inc(failed)
             return
         end = self.env.now()
         self.flight.record(end, "store", "flush", n)
-        h = self._h_store_flush
+        latencies = []
         spans = self.spans
         for row in rows:
             t_submit = row.t_submit
-            h.observe(end - t_submit)
+            latencies.append(end - t_submit)
             span = row.span
             if span is not None:
                 # The exemplar's store hop, parented on its update span.
                 spans.record(span.trace_id, spans.alloc(), span.span_id,
                              HOP_STORE, "store_flush", t_submit, end)
+        self._h_store_flush.observe_many(latencies)
 
     # ------------------------------------------------------------------
     # introspection / shutdown
@@ -1154,6 +1213,53 @@ class Ldmsd:
                 "obs": self.obs.snapshot(),
             }
 
+    def derived_counts(self) -> dict:
+        """The registry's derived counts: fold this daemon's bulk
+        observations into its histograms, then read every count that
+        pipeline state already keeps — plugins' samples (the
+        ``sample.duration`` observations), cohort rows, served
+        requests, stores' rows, endpoints' frames and bytes, producers'
+        update outcomes — adding what closed endpoints and removed
+        producers left in ``_retired``."""
+        if self._vec_backlog:
+            self._observe_cohort_rows()
+        if self._e2e_staged:
+            self._observe_staged()
+        h, retired = self._h_sample, self._retired
+        out = {
+            "sampler.samples": h.observed if h is not None else 0,
+            "arena.rows_vectorized": self._vec_observed,
+            "serve.dir_req": self._served_dirs,
+            "serve.lookup_req": self._served_lookups,
+            "serve.query_req": self._served_queries,
+            "store.flush_rows_batched": sum([
+                s.records_stored + s.records_failed for s in self.stores]),
+        }
+        prods = self.producers.values()
+        eps = self._served_endpoints + [
+            p.endpoint for p in prods if p.endpoint is not None]
+        for pairs, objs, listed in (
+                (_ENDPOINT_COUNTS, eps, eps),
+                (_UPDATE_COUNTS, [p.stats for p in prods],
+                 self.producers is not _NO_ENTRIES)):
+            if listed or pairs[0][0] in retired:
+                for name, field in pairs:
+                    out[name] = retired.get(name, 0) + sum(
+                        [getattr(o, field) for o in objs])
+        return out
+
+    def _retire_endpoint(self, endpoint: Endpoint) -> None:
+        self._retire(_ENDPOINT_COUNTS, endpoint)
+
+    def _retire(self, pairs: tuple, obj) -> None:
+        """Keep what a closed endpoint or a removed producer's stats
+        add to the derived ``pairs`` counts once it is gone."""
+        retired = self._retired
+        if retired is _NO_ENTRIES:
+            retired = self._retired = {}
+        for name, field in pairs:
+            retired[name] = retired.get(name, 0) + getattr(obj, field)
+
     def refused_connections(self) -> int:
         """Connections refused at a transport's ``max_connections`` wall,
         summed over the transports that count them."""
@@ -1171,6 +1277,7 @@ class Ldmsd:
             self._schedules.clear()
             for prod in list(self.producers.values()):
                 prod.stop()
+                self._retire(_UPDATE_COUNTS, prod.stats)
             self.producers = _NO_ENTRIES
             for dialer in self._advertisements.values():
                 dialer.stop()
@@ -1189,6 +1296,7 @@ class Ldmsd:
             for batch in self._flush_batches.values():
                 while batch.writing:
                     batch.idle.wait()
+            self._observe_staged()
             for batch in self._flush_batches.values():
                 rows = (batch.sealed or []) + batch.rows
                 batch.sealed = None

@@ -184,7 +184,7 @@ class _CohortMember:
     """
 
     __slots__ = ("daemon", "plugin", "mset", "pool", "core", "cost",
-                 "h_sample", "c_samples", "c_rows", "removed")
+                 "removed")
 
     def __init__(self, daemon: "Ldmsd", plugin: "SamplerPlugin", cost: float):
         self.daemon = daemon
@@ -193,9 +193,6 @@ class _CohortMember:
         self.pool = daemon.worker_pool
         self.core = daemon.core
         self.cost = cost
-        self.h_sample = daemon._h_sample
-        self.c_samples = daemon._c_samples
-        self.c_rows = daemon.obs.counter("arena.rows_vectorized")
         self.removed = False
 
 
@@ -237,7 +234,11 @@ class SampleCohort:
     grant accounting, transaction begin/end, DGN shadow bump, duration
     telemetry, worker release — while the data writes (values, DGN,
     timestamp, consistent flag) run as whole-column numpy sweeps over
-    the member rows of each arena block.
+    the member rows of each arena block.  A member's duration telemetry
+    is one more row on its daemon's ``_vec_backlog``, observed in bulk
+    at the cohort's constant cost when the daemon is read or samples on
+    the scalar path; a daemon in cohorts of two costs (``eager``) has
+    its rows observed after each sweep, so they keep their order.
     """
 
     def __init__(self, scheduler: "CohortScheduler", key: tuple,
@@ -254,6 +255,7 @@ class SampleCohort:
         self._row_cache: Optional[list] = None
         self._finish_item = _CohortFinish(self)
         self._cost = key[-1]
+        self.eager: list["Ldmsd"] = []
         self._timer = self.engine.schedule_periodic(
             interval, self._sweep, synchronous=synchronous, offset=offset
         )
@@ -395,14 +397,14 @@ class SampleCohort:
             mset._in_transaction = False
             plugin.last_sample_ts = now
             plugin.sample_time_total += cost
-            m.h_sample.observe(cost)
-            m.c_samples.inc()
-            m.c_rows.inc()
+            m.daemon._vec_backlog += 1
             m.pool.release()
         # Close every transaction in one consistent-flag sweep.
         for blk, rows in flag_groups:
             blk.flags[rows] = 1
         pending.clear()
+        for d in self.eager:
+            d._observe_cohort_rows(cost)
 
 
 class CohortScheduler:
@@ -427,7 +429,17 @@ class CohortScheduler:
         if cohort is None:
             cohort = SampleCohort(self, key, interval, synchronous, offset)
             self._cohorts[key] = cohort
-        return cohort.add(_CohortMember(daemon, plugin, cost))
+        handle = cohort.add(_CohortMember(daemon, plugin, cost))
+        if daemon._vec_cost is None:
+            daemon._vec_cost = cost
+        elif daemon._vec_cost != cost:  # rows at two costs: eager (NaN)
+            daemon._observe_cohort_rows()
+            daemon._vec_cost = float("nan")
+            for c in self._cohorts.values():
+                if daemon not in c.eager and any(
+                        m.daemon is daemon for m in c.members):
+                    c.eager.append(daemon)
+        return handle
 
     def _drop(self, cohort: SampleCohort) -> None:
         if self._cohorts.get(cohort.key) is cohort:

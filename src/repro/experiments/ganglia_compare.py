@@ -15,7 +15,6 @@ while one LDMS sampler reads the file once for its whole metric set.
 
 from __future__ import annotations
 
-from repro.util.timeutil import perf_counter
 from dataclasses import dataclass
 
 from repro.baselines.ganglia import GangliaMetric, Gmond
@@ -25,6 +24,7 @@ from repro.nodefs.host import HostModel
 from repro.plugins.samplers.parsers import CPU_FIELDS
 from repro.sim.engine import Engine
 from repro.transport.simfabric import SimFabric, SimTransport
+from repro.util.timeutil import thread_time
 
 __all__ = ["CollectionCostResult", "run", "main"]
 
@@ -58,8 +58,17 @@ def _pick_fs():
     return host.fs, "synthetic /proc"
 
 
+#: Sweeps per timed block: LDMS and Ganglia blocks alternate.
+BLOCK = 10
+
+
 def run(sweeps: int = 200) -> CollectionCostResult:
-    """Time one collection sweep of the same metrics through both paths."""
+    """Time one collection sweep of the same metrics through both paths.
+
+    Both sides are timed in thread CPU seconds, in alternating blocks of
+    ``BLOCK`` sweeps (which side goes first alternates too), so a burst
+    of other work on the host neither lands on one side alone nor counts
+    against either."""
     eng = Engine()
     env = SimEnv(eng)
     fs, _source = _pick_fs()
@@ -87,18 +96,24 @@ def run(sweeps: int = 200) -> CollectionCostResult:
     cpu_plug.sample(0.0)
     gmond.collect_and_send(0.0)
 
-    t0 = perf_counter()
-    for i in range(sweeps):
-        mem_plug.sample(float(i))
-        cpu_plug.sample(float(i))
-    ldms_s = perf_counter() - t0
+    def ldms(lo: int) -> None:
+        for i in range(lo, lo + BLOCK):
+            mem_plug.sample(float(i))
+            cpu_plug.sample(float(i))
 
-    t0 = perf_counter()
-    for i in range(sweeps):
-        gmond.collect_and_send(float(i))
-    ganglia_s = perf_counter() - t0
+    def ganglia(lo: int) -> None:
+        for i in range(lo, lo + BLOCK):
+            gmond.collect_and_send(float(i))
 
-    per = sweeps * n_metrics
+    spent = {ldms: 0.0, ganglia: 0.0}
+    for b, lo in enumerate(range(1, sweeps + 1, BLOCK)):
+        for side in ((ldms, ganglia) if b % 2 == 0 else (ganglia, ldms)):
+            t0 = thread_time()
+            side(lo)
+            spent[side] += thread_time() - t0
+    ldms_s, ganglia_s = spent[ldms], spent[ganglia]
+
+    per = BLOCK * -(-sweeps // BLOCK) * n_metrics
     return CollectionCostResult(
         n_metrics=n_metrics,
         ldms_us_per_metric=1e6 * ldms_s / per,

@@ -12,6 +12,13 @@ control handling.  Instruments are deliberately primitive:
   interpolated.  Buckets default to a 1-2-5 log ladder from 1 µs to
   100 s, wide enough for both simulated RTTs and real store flushes.
 
+Each thing is counted once.  An *owned* counter is a :class:`Counter`,
+kept for rare events (errors, overruns, faults, refusals).  A *derived*
+count is read when a surface asks, from state the pipeline keeps anyway
+(the owner's ``derived_counts()``): no object, no dict entry.  Bulk
+observations (:meth:`Histogram.observe_n` / ``observe_many``) fold
+exactly as one ``observe`` per value would.
+
 Cost discipline: instruments are looked up once (at daemon/plugin setup
 time) and the hot path is one or two attribute ops, so instrumented
 code needs no ``if`` guards.
@@ -19,7 +26,10 @@ code needs no ``if`` guards.
 
 from __future__ import annotations
 
-from typing import Optional
+import threading
+from itertools import repeat
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -49,8 +59,10 @@ def _log_ladder(decades: tuple[int, int]) -> tuple[float, ...]:
 DEFAULT_LATENCY_EDGES = _log_ladder((-6, 2))
 _DEFAULT_EDGES_ARR = np.asarray(DEFAULT_LATENCY_EDGES)
 _INF = float("inf")
-#: An initiating endpoint's one-sided read counters (count, bytes).
-_READ_COUNTERS = ("transport.rdma_reads", "transport.rdma_bytes")
+#: A registry's instrument tables until its first bind, which makes the
+#: dict under ``_BIND_LOCK`` (stream readers bind without the daemon lock).
+_NO_INSTRUMENTS: Mapping = MappingProxyType({})
+_BIND_LOCK = threading.Lock()
 
 
 class Counter:
@@ -58,9 +70,9 @@ class Counter:
 
     __slots__ = ("name", "value")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, value: int = 0):
         self.name = name
-        self.value = 0
+        self.value = value
 
     def inc(self, n: int = 1) -> None:
         self.value += n
@@ -124,30 +136,47 @@ class Histogram:
         if len(pending) >= self._FOLD_AT:
             self._fold()
 
+    def observe_many(self, values) -> None:
+        """Observe each of ``values`` in order, folded in the batches of
+        ``_FOLD_AT`` that one ``observe`` per value makes: buckets,
+        count, sum, min and max come out bit-equal."""
+        pending = self._pending
+        pending.extend(values)
+        at = self._FOLD_AT
+        if len(pending) >= at:
+            self._pending = []  # as in ``_fold``
+            full = len(pending) - len(pending) % at
+            self._pending[:0] = pending[full:]
+            for i in range(0, full, at):
+                self._fold_batch(pending[i:i + at])
+
+    def observe_n(self, value: float, k: int) -> None:
+        """Observe ``value`` ``k`` times (``observe_many``)."""
+        self.observe_many(repeat(value, k))
+
+    @property
+    def observed(self) -> int:
+        """Observations so far, read without folding the staging list."""
+        return self._count + len(self._pending)
+
     def _fold(self) -> None:
         pending = self._pending
-        if not pending:
-            return
-        self._pending = []
+        if pending:
+            self._pending = []
+            self._fold_batch(pending)
+
+    def _fold_batch(self, pending: list) -> None:
         n = len(pending)
         arr = np.fromiter(pending, np.float64, n)
         # vectorized bisect_right over the whole batch
         idx = self._edges_arr.searchsorted(arr, "right")
-        buckets = self._buckets
-        if buckets is None:
-            buckets = self._buckets = [0] * (len(self.edges) + 1)
+        buckets = self._buckets or [0] * (len(self.edges) + 1)
         counts = np.bincount(idx, minlength=len(buckets)).tolist()
-        for i, c in enumerate(counts):
-            if c:
-                buckets[i] += c
+        self._buckets = [b + c for b, c in zip(buckets, counts)]
         self._count += n
         self._sum += float(arr.sum())
-        lo = float(arr.min())
-        hi = float(arr.max())
-        if lo < self._min:
-            self._min = lo
-        if hi > self._max:
-            self._max = hi
+        self._min = min(self._min, float(arr.min()))
+        self._max = max(self._max, float(arr.max()))
 
     @property
     def count(self) -> int:
@@ -228,48 +257,49 @@ class Telemetry:
     bound — one schema for pollers, no object per name.
     """
 
-    __slots__ = ("_counters", "_histograms", "_endpoint_counters",
-                 "_declared_counters", "_declared_histograms", "__weakref__")
+    __slots__ = ("_counters", "_histograms", "_declared_counters",
+                 "_declared_histograms", "_owner", "__weakref__")
 
     def __init__(self):
-        self._counters: dict[str, Counter] = {}
-        self._histograms: dict[str, Histogram] = {}
-        self._endpoint_counters: Optional[tuple[Counter, ...]] = None
+        self._counters: Mapping[str, Counter] = _NO_INSTRUMENTS
+        self._histograms: Mapping[str, Histogram] = _NO_INSTRUMENTS
         self._declared_counters: tuple[str, ...] = ()
         self._declared_histograms: tuple[str, ...] = ()
+        self._owner = None
 
     def declare(self, counters: tuple[str, ...],
-                histograms: tuple[str, ...]) -> None:
+                histograms: tuple[str, ...], owner=None) -> None:
         """Name the counters / default-ladder histograms the read
-        surfaces always list (kept by reference: one static table)."""
+        surfaces always list (kept by reference: one static table), and
+        the ``owner`` whose ``derived_counts()`` every read surface calls
+        first: it folds the owner's bulk observations into its
+        histograms and returns the counts named in its ``DERIVED_COUNTS``,
+        read from its own state."""
         self._declared_counters = counters
         self._declared_histograms = histograms
+        self._owner = owner
 
-    def endpoint_counters(self, reads: bool = False) -> tuple[Counter, ...]:
-        """Frames and bytes received, plus — asked with ``reads`` by an
-        endpoint's first initiated read — one-sided reads and bytes.
+    def _derived(self) -> dict:
+        owner = self._owner
+        return owner.derived_counts() if owner is not None else {}
 
-        Every endpoint of a daemon holds this one tuple and adds to the
-        counters' ``value``: no lookup or bound ``inc`` per endpoint.
-        :meth:`snapshot` lists the read pair, zeroed, until it is bound.
-        """
-        counters = self._endpoint_counters
-        if counters is None:
-            counters = self._endpoint_counters = (
-                self.counter("transport.frames_rx"),
-                self.counter("transport.bytes_rx"),
-            )
-        if reads and len(counters) == 2:
-            counters = self._endpoint_counters = counters + (
-                self.counter(_READ_COUNTERS[0]),
-                self.counter(_READ_COUNTERS[1]),
-            )
-        return counters
+    def _bind(self, table: str, name: str, instrument):
+        with _BIND_LOCK:
+            found = getattr(self, table)
+            if found is _NO_INSTRUMENTS:
+                found = {}
+                setattr(self, table, found)
+            return found.setdefault(name, instrument)
 
     def counter(self, name: str) -> Counter:
+        """The owned counter ``name`` (bound on first use), or — for one
+        of the owner's ``DERIVED_COUNTS`` — a detached reading of it."""
         c = self._counters.get(name)
-        if c is None:  # one atomic insert: stream readers bind lock-free
-            c = self._counters.setdefault(name, Counter(name))
+        if c is None:
+            owner = self._owner
+            if owner is not None and name in owner.DERIVED_COUNTS:
+                return Counter(name, owner.derived_counts().get(name, 0))
+            c = self._bind("_counters", name, Counter(name))
         return c
 
     def histogram(
@@ -277,20 +307,24 @@ class Telemetry:
     ) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Histogram(name, edges)
+            h = self._bind("_histograms", name, Histogram(name, edges))
         return h
 
     # ------------------------------------------------------------------
     # surfaces
     # ------------------------------------------------------------------
+    def counters(self) -> dict:
+        """Every counter's value by name, sorted: declared, derived and
+        owned (derived after the owner's bulk observations are folded)."""
+        cvals = dict.fromkeys(self._declared_counters, 0)
+        cvals.update(self._derived())
+        cvals.update((n, c.value) for n, c in self._counters.items())
+        return dict(sorted(cvals.items()))
+
     def snapshot(self) -> dict:
         """Deep, detached, JSON-serializable registry snapshot."""
-        cvals = dict.fromkeys(self._declared_counters, 0)
-        if self._endpoint_counters is not None:
-            cvals.update(dict.fromkeys(_READ_COUNTERS, 0))
-        cvals.update((n, c.value) for n, c in self._counters.items())
         return {
-            "counters": dict(sorted(cvals.items())),
+            "counters": self.counters(),
             "histograms": {
                 n: h.summary() for n, h in self._listed_histograms()},
         }
@@ -304,4 +338,5 @@ class Telemetry:
 
     def dump_histograms(self) -> dict:
         """Full histogram dumps (bucket vectors included) for ``prof``."""
+        self._derived()
         return {n: h.dump() for n, h in self._listed_histograms()}

@@ -38,40 +38,18 @@ _HISTOGRAMS = (
 _QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
 _COUNTER_NAMES = (
-    "sets",
-    "plugins",
-    "producers",
-    "stores",
-    "arena_used",
-    "arena_peak",
-    "arena_size",
+    "sets", "plugins", "producers", "stores",
+    "arena_used", "arena_peak", "arena_size",
     "samples",
-    "lookups_sent",
-    "lookups_failed",
-    "lookups_timed_out",
-    "sets_pruned",
-    "updates_issued",
-    "updates_completed",
-    "updates_failed",
-    "skipped_stale",
-    "skipped_inconsistent",
-    "skipped_busy",
-    "schema_refreshes",
-    "updates_stored",
-    "records_delivered",
-    "records_stored",
-    "store_errors",
-    "store_dropped",
-    "set_create_failed",
-    "sanitizer_violations",
-    "watchdog_promotions",
+    "lookups_sent", "lookups_failed", "lookups_timed_out", "sets_pruned",
+    "updates_issued", "updates_completed", "updates_failed",
+    "skipped_stale", "skipped_inconsistent", "skipped_busy",
+    "schema_refreshes", "updates_stored",
+    "records_delivered", "records_stored", "store_errors", "store_dropped",
+    "set_create_failed", "sanitizer_violations", "watchdog_promotions",
     "faults_injected",
-    "updates_coalesced",
-    "flush_rows_batched",
-    "timer_fastpath_ticks",
-    "arena_sweeps",
-    "arena_rows_vectorized",
-    "arena_fallback_sets",
+    "updates_coalesced", "flush_rows_batched", "timer_fastpath_ticks",
+    "arena_sweeps", "arena_rows_vectorized", "arena_fallback_sets",
     # Observability plane (PR 7): aggregator freshness tracking —
     # delivered/expected transactions across all tracked producers,
     # fleet completeness in permille (0.901 → 901), stale-producer
@@ -128,64 +106,45 @@ def collect(daemon: "Ldmsd") -> list[int]:
     avoid building a throwaway dict per sample.
     """
     prods = list(daemon.producers.values())
+    stores = daemon.stores
 
-    def psum(field: str) -> int:
-        return sum(getattr(p.stats, field) for p in prods)
+    def psum(*fields: str) -> list[int]:
+        return [sum(getattr(p.stats, f) for p in prods) for f in fields]
 
-    values = [
-        len(daemon._sets),
-        len(daemon._plugins),
-        len(prods),
-        len(daemon.stores),
-        daemon.arena.used,
-        daemon.arena.peak_used,
-        daemon.arena.size,
-        sum(p.samples_taken for p in daemon._plugins.values()),
-        psum("lookups_sent"),
-        psum("lookups_failed"),
-        psum("lookups_timed_out"),
-        psum("sets_pruned"),
-        psum("updates_issued"),
-        psum("updates_completed"),
-        psum("updates_failed"),
-        psum("skipped_stale"),
-        psum("skipped_inconsistent"),
-        psum("skipped_busy"),
-        psum("schema_refreshes"),
-        psum("stored"),
-        daemon.records_delivered,
-        sum(s.records_stored for s in daemon.stores),
-        sum(s.records_failed for s in daemon.stores),
-        sum(s.records_dropped for s in daemon.stores),
-        daemon.obs.counter("set.create_failed").value,
-        daemon.obs.counter("sanitizer.violations").value,
-        daemon.obs.counter("watchdog.promotions").value,
-        daemon.obs.counter("faults.injected").value,
-        psum("updates_coalesced"),
-        daemon.obs.counter("store.flush_rows_batched").value,
-        daemon.env.timer_fastpath_ticks(),
-        daemon.obs.counter("arena.sweeps").value,
-        daemon.obs.counter("arena.rows_vectorized").value,
-        daemon.obs.counter("arena.fallback_sets").value,
-    ]
+    # Folds the daemon's bulk observations, then reads derived counts;
+    # owned counters bind as they are read (the listed schema).
+    derived = daemon.derived_counts()
+    owned = [daemon.obs.counter(name).value for name in (
+        "set.create_failed", "sanitizer.violations", "watchdog.promotions",
+        "faults.injected", "arena.sweeps", "arena.fallback_sets",
+        "query.requests", "query.cache_hits", "query.cache_misses",
+        "query.rows_served")]
     fleet = daemon.freshness.fleet(daemon.env.now())
-    values.extend((
-        fleet["producers"],
-        fleet["delivered"],
-        fleet["expected"],
-        fleet["missed"],
-        int(fleet["completeness"] * 1000.0 + 0.5),
-        fleet["stale_producers"],
-        int(fleet["max_staleness"] * 1000.0),
-        daemon.flight.total,
-        daemon.spans.total,
-        daemon.obs.counter("query.requests").value,
-        daemon.obs.counter("query.cache_hits").value,
-        daemon.obs.counter("query.cache_misses").value,
-        daemon.obs.counter("query.rows_served").value,
-        sum(getattr(s, "multi_component_rejected", 0) for s in daemon.stores),
+    values = [
+        len(daemon._sets), len(daemon._plugins), len(prods), len(stores),
+        daemon.arena.used, daemon.arena.peak_used, daemon.arena.size,
+        sum(p.samples_taken for p in daemon._plugins.values()),
+        *psum("lookups_sent", "lookups_failed", "lookups_timed_out",
+              "sets_pruned", "updates_issued", "updates_completed",
+              "updates_failed", "skipped_stale", "skipped_inconsistent",
+              "skipped_busy", "schema_refreshes", "stored"),
+        daemon.records_delivered,
+        sum(s.records_stored for s in stores),
+        sum(s.records_failed for s in stores),
+        sum(s.records_dropped for s in stores),
+        *owned[:4],
+        *psum("updates_coalesced"),
+        derived["store.flush_rows_batched"],
+        daemon.env.timer_fastpath_ticks(),
+        owned[4], derived["arena.rows_vectorized"], owned[5],
+        fleet["producers"], fleet["delivered"], fleet["expected"],
+        fleet["missed"], int(fleet["completeness"] * 1000.0 + 0.5),
+        fleet["stale_producers"], int(fleet["max_staleness"] * 1000.0),
+        daemon.flight.total, daemon.spans.total,
+        *owned[6:],
+        sum(getattr(s, "multi_component_rejected", 0) for s in stores),
         daemon.refused_connections(),
-    ))
+    ]
     for _, hname in _HISTOGRAMS:
         h = daemon.obs.histogram(hname)
         for _, q in _QUANTILES:

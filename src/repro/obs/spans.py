@@ -74,11 +74,6 @@ class Span:
     def as_dict(self) -> dict:
         return {s: getattr(self, s) for s in self._fields}
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Span trace={self.trace_id} #{self.span_id} "
-                f"hop={self.hop} {self.name} "
-                f"[{self.t0:.6f}..{self.t1:.6f}]>")
-
 
 class UpdateSpan(Span):
     """The aggregator-side ``update`` span of one exemplar transaction.

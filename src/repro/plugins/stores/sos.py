@@ -32,10 +32,9 @@ silently dropping ``component_ids[1:]``.
 
 :class:`SosReader` provides the query side (used by the analysis
 modules and the query tier): iterate records in time order, or select
-a ``[t0, t1)`` time range.  The index is sorted ``(timestamp, offset)``
-at load — store-arrival timestamps are *not* monotone across multiple
-producers or phase-staggered samplers, so the raw append order is not
-binary-searchable.
+a ``[t0, t1)`` time range.  The index is sorted by timestamp at load —
+store-arrival timestamps are *not* monotone across producers or
+phase-staggered samplers, so the raw append order is not searchable.
 
 **Crash recovery.**  Opening a container (base or rollup) makes its
 pair whole from the tail, the data file being authoritative: cut
@@ -50,13 +49,11 @@ reopen, never rewritten from the incoming record.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import mmap
 import os
 import struct
-from array import array
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -67,6 +64,8 @@ from repro.util.errors import ConfigError, StoreError
 __all__ = ["SosStore", "SosReader", "rollup_schema"]
 
 _IDX_ENT = struct.Struct("<dQ")
+_IDX_DTYPE = np.dtype([("t", "<f8"), ("off", "<u8")])
+_IDX_CHUNK = 1 << 14  #: index entries a reader loads per read (bounds its temporaries)
 
 
 @functools.lru_cache(maxsize=64)
@@ -208,13 +207,8 @@ class SosStore(StorePlugin):
 
     @staticmethod
     def _parse_rollups(spec) -> tuple[int, ...]:
-        if not spec:
-            return ()
-        if isinstance(spec, str):
-            parts = [p.strip() for p in spec.split(",") if p.strip()]
-        else:
-            parts = list(spec)
-        levels = sorted({int(p) for p in parts})
+        parts = spec.split(",") if isinstance(spec, str) else spec or ()
+        levels = sorted({int(p) for p in parts if str(p).strip()})
         if any(lv <= 0 for lv in levels):
             raise ConfigError(f"sos: rollup levels must be positive: {spec!r}")
         return tuple(levels)
@@ -379,12 +373,11 @@ class SosReader:
     """Reads one schema's SOS container, in timestamp order.
 
     The on-disk index is append-ordered, and arrival timestamps are not
-    monotone across producers — the index is sorted ``(timestamp,
-    offset)`` at load (stable: equal timestamps keep append order), so
-    both iteration and :meth:`range` see time order.  :meth:`refresh`
-    folds in entries appended since the last load, letting a serving
-    tier keep one reader per container instead of re-reading the whole
-    index per query.
+    monotone across producers — the index is held sorted by timestamp
+    (stable: equal timestamps keep append order) as two arrays, 12 bytes
+    a row: timestamps and record numbers.  :meth:`refresh` folds in
+    entries appended since the last load, so a serving tier keeps a
+    reader per container instead of re-reading the whole index per query.
 
     Records are fixed-width, so every read is one gather (:meth:`block`):
     the selected records, in any file order, are fancy-indexed out of a
@@ -401,10 +394,8 @@ class SosReader:
         self.metric_names = list(_read_sidecar(base + ".schema.json"))
         self._rec = _rec_struct(len(self.metric_names))
         self._dtype = _rec_dtype(len(self.metric_names))
-        self._data_path = base + ".sos"
-        self._idx_path = base + ".sidx"
-        self._times: list[float] = []
-        self._offsets = array("Q")  # a slice is a gather's index array
+        self._data_path, self._idx_path = base + ".sos", base + ".sidx"
+        self._times, self._rows = np.empty(0), np.empty(0, np.uint32)
         self._idx_consumed = 0
         #: Index entries the last read skipped (see above).
         self.skipped = 0
@@ -412,30 +403,43 @@ class SosReader:
 
     def refresh(self) -> int:
         """Load index entries appended since construction (or the last
-        refresh); returns how many were added."""
+        refresh), in ``_IDX_CHUNK`` steps; returns how many were added.
+        A tail in time order from the last timestamp on is appended; any
+        other re-sorts with one stable argsort."""
+        times, rows = [self._times], [self._rows]
+        ent, size = _IDX_DTYPE.itemsize, self._dtype.itemsize
         try:
             with open(self._idx_path, "rb") as f:
                 f.seek(self._idx_consumed)
-                raw = f.read()
+                while len(raw := f.read(_IDX_CHUNK * ent)) >= ent:
+                    idx = np.frombuffer(raw, _IDX_DTYPE, len(raw) // ent)
+                    times.append(idx["t"].copy())
+                    # Record numbers (the dtype's max: off the grid), 8 B past 2**32 - 1.
+                    num, top = idx["off"] // size, np.iinfo(rows[-1].dtype).max
+                    if num.max() >= top:
+                        top = np.uint64(np.iinfo(np.uint64).max)
+                        rows = [np.where(r == np.iinfo(r.dtype).max, top, r) for r in rows]
+                    num[idx["off"] % size != 0] = top
+                    rows.append(num.astype(rows[-1].dtype))
         except OSError:
             return 0
-        n = len(raw) // _IDX_ENT.size
-        if n == 0:
-            return 0
-        tail = list(_IDX_ENT.iter_unpack(raw[: n * _IDX_ENT.size]))
-        self._idx_consumed += n * _IDX_ENT.size
-        if not (self._times and tail[0][0] >= self._times[-1] and tail == sorted(tail)):
-            tail = sorted([*zip(self._times, self._offsets), *tail])
-            self._times, self._offsets = [], array("Q")
-        self._times.extend(t for t, _ in tail)
-        self._offsets.extend(off for _, off in tail)
+        n, kept = sum(map(len, times[1:])), len(self._times)
+        self._idx_consumed += n * ent
+        if n:
+            self._times, self._rows = np.concatenate(times), np.concatenate(rows)
+            del times, rows
+            k = max(kept - 1, 0)  # the tail, from the last kept entry on
+            if (self._times[k + 1:] < self._times[k:-1]).any():
+                order = self._times.argsort(kind="stable")
+                self._times = self._times[order]
+                self._rows = self._rows[order]
         return n
 
     def __len__(self) -> int:
         return len(self._times)
 
     def __iter__(self) -> Iterator[SosRecord]:
-        return iter(self._decode(self._gather(self._offsets)))
+        return iter(self._decode(self._gather(self._rows)))
 
     def range(self, t0: float, t1: float) -> list[SosRecord]:
         """Records with t0 <= timestamp < t1, via the sorted index."""
@@ -444,24 +448,20 @@ class SosReader:
     def block(self, t0: float, t1: float) -> np.ndarray:
         """:meth:`range` as one structured array of the record dtype,
         which owns its bytes."""
-        lo = bisect.bisect_left(self._times, t0)
-        hi = bisect.bisect_left(self._times, t1)
-        return self._gather(self._offsets[lo:hi])
+        lo, hi = self._times.searchsorted((t0, t1))
+        return self._gather(self._rows[lo:hi])
 
-    def _gather(self, offsets: array) -> np.ndarray:
-        dtype = self._dtype
-        size = dtype.itemsize
-        at = np.frombuffer(offsets, np.uint64)
+    def _gather(self, rows: np.ndarray) -> np.ndarray:
+        dtype, size = self._dtype, self._dtype.itemsize
         recs = np.empty(0, dtype)
         with open(self._data_path, "rb") as f:
             nrec = os.fstat(f.fileno()).st_size // size
-            at = at[at % size == 0] // size
-            at = at[at < nrec]
+            at = rows[rows < min(nrec, np.iinfo(rows.dtype).max)]
             if len(at):  # records gathered as opaque items: a memcpy each
                 with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
                     recs = np.frombuffer(mm, f"V{size}", nrec)[at].view(dtype)
         recs = recs[recs["card"] == len(self.metric_names)]
-        self.skipped = len(offsets) - len(recs)
+        self.skipped = len(rows) - len(recs)
         return recs
 
     def _decode(self, recs: np.ndarray) -> list[SosRecord]:

@@ -51,6 +51,10 @@ from repro.util.errors import StoreError
 __all__ = ["QueryEngine", "QueryResult", "scan"]
 
 _INF = float("inf")
+#: Containers an engine keeps a reader (its index, 12 bytes a row) for,
+#: the least recently scanned dropped first: the next scan of a dropped
+#: container reloads its index.
+MAX_READERS = 8
 
 
 def scan(reader: SosReader, t0: float, t1: float, comp_id: int = 0,
@@ -135,7 +139,7 @@ class QueryEngine:
         self._hot: dict[str, _HotWindow] = {}
         #: query key -> (container append-version, QueryResult).
         self._lru: "OrderedDict[tuple, tuple[int, QueryResult]]" = OrderedDict()
-        self._readers: dict[str, SosReader] = {}
+        self._readers: "OrderedDict[str, SosReader]" = OrderedDict()
         self._c_requests = obs.counter("query.requests")
         #: Hot-window and LRU answers together; ``_c_lru`` the latter.
         self._c_hits = obs.counter("query.cache_hits")
@@ -235,16 +239,18 @@ class QueryEngine:
     def _scan(self, container: str, t0: float, t1: float, comp_id: int,
               max_records: int) -> QueryResult:
         self.store.flush()
-        reader = self._readers.get(container)
+        reader = self._readers.pop(container, None)
         if reader is None:
             try:
                 reader = SosReader(self.store.path, container)
             except (OSError, StoreError):  # missing, or an unreadable sidecar
                 return QueryResult(wire.E_NOENT, (), wire.RowBlock.of(0),
                                    source="noent")
-            self._readers[container] = reader
         else:
             reader.refresh()
+        self._readers[container] = reader
+        if len(self._readers) > MAX_READERS:
+            self._readers.popitem(last=False)
         rows, truncated = scan(reader, t0, t1, comp_id, max_records)
         return QueryResult(wire.E_OK, tuple(reader.metric_names), rows,
                            truncated=truncated, source="scan")

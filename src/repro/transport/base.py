@@ -129,13 +129,17 @@ class Endpoint:
     def __init__(self) -> None:
         self.on_message: Optional[Callable[[bytes], None]] = None
         self.on_close: Optional[Callable[[], None]] = None
+        #: Traffic through this endpoint: the owning daemon reads its
+        #: ``transport.*`` counts from these fields when a surface asks.
         self.bytes_sent = 0
+        self.frames_received = 0
         self.bytes_received = 0
+        self.rdma_reads = 0
         self.rdma_bytes_read = 0
         self.closed = False
-        self._obs = None
-        #: The owner registry's ``endpoint_counters()``, or None.
-        self._counters: Optional[tuple] = None
+        #: Telemetry registry of the owning daemon, attached when the
+        #: endpoint is bound (``Ldmsd``/``Producer``), or None.
+        self.obs = None
         #: Serve-side hook invoked once per trace-context entry on an
         #: inbound traced read: ``fn(trace_id, parent_span, hop,
         #: region_id)``.  Installed by the serving daemon.
@@ -147,20 +151,6 @@ class Endpoint:
         #: (peer_now, local_now) pair captured when the peer's HELLO
         #: arrived — the clock anchor behind :meth:`peer_age`.
         self._peer_clock: Optional[tuple[float, float]] = None
-
-    @property
-    def obs(self):
-        """Telemetry registry of the owning daemon, attached when the
-        endpoint is bound (``Ldmsd``/``Producer``).  Assigning looks the
-        frame/read counters up once, so per-event accounting adds to
-        their values with no registry lookup on the hot path."""
-        return self._obs
-
-    @obs.setter
-    def obs(self, registry) -> None:
-        self._obs = registry
-        self._counters = (None if registry is None
-                          else registry.endpoint_counters())
 
     # -- peer clock --------------------------------------------------------
     def peer_age(self, ts: float) -> Optional[float]:
@@ -252,24 +242,15 @@ class Endpoint:
 
     # -- plumbing ----------------------------------------------------------
     def _deliver(self, frame: bytes) -> None:
+        self.frames_received += 1
         self.bytes_received += len(frame)
-        counters = self._counters
-        if counters is not None:
-            counters[0].value += 1
-            counters[1].value += len(frame)
         if self.on_message is not None:
             self.on_message(frame)
 
     def _account_read(self, nbytes: int) -> None:
         """Initiator-side accounting of one completed one-sided read."""
+        self.rdma_reads += 1
         self.rdma_bytes_read += nbytes
-        counters = self._counters
-        if counters is not None:
-            if len(counters) == 2:  # this endpoint's first read
-                counters = self._counters = self._obs.endpoint_counters(
-                    reads=True)
-            counters[2].value += 1
-            counters[3].value += nbytes
 
     def _closed(self) -> None:
         if not self.closed:

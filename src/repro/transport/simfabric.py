@@ -268,8 +268,9 @@ class _SimEndpoint(Endpoint):
         if cost > 0.0 and peer.transport.core is not None:
             peer.transport.core.add_noise(self.engine.now, cost, tag="netmon")
         reply_delay = cost + peer._wire_delay(nbytes, self.node_id)
-        if data is not None:
-            self._account_read(nbytes)
+        if data is not None:  # one completed read (``_account_read``)
+            self.rdma_reads += 1
+            self.rdma_bytes_read += nbytes
         read.data = data
         self.engine._push(read, reply_delay)
 
@@ -334,8 +335,9 @@ class _SimEndpoint(Endpoint):
             peer.transport.core.add_noise(self.engine.now, cost, tag="netmon")
         # One reply frame: per-region 8-byte status/len headers + data.
         reply_delay = cost + peer._wire_delay(nbytes + 8 * n, self.node_id)
-        if nbytes:
-            self._account_read(nbytes)
+        if nbytes:  # one completed read (``_account_read``)
+            self.rdma_reads += 1
+            self.rdma_bytes_read += nbytes
         self.engine.call_later(reply_delay, self._multi_complete, results, on_complete)
 
     def _multi_complete(self, results, on_complete) -> None:

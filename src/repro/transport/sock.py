@@ -167,8 +167,8 @@ class _SockEndpoint(Endpoint):
             self._closed()
 
     def _count_malformed(self) -> None:
-        if self._obs is not None:
-            self._obs.counter("wire.malformed_frames").inc()
+        if self.obs is not None:
+            self.obs.counter("wire.malformed_frames").inc()
 
     def _dispatch(self, frame: wire.Frame) -> None:
         if frame.msg_type == wire.MsgType.HELLO:

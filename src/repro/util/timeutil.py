@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import time as _time
 
-__all__ = ["monotonic", "perf_counter", "sleep", "wall_clock"]
+__all__ = ["monotonic", "perf_counter", "sleep", "thread_time",
+           "wall_clock"]
 
 
 #: Host monotonic clock, for real-time scheduling (``RealEnv``).  An
@@ -23,6 +24,12 @@ monotonic = _time.monotonic
 def perf_counter() -> float:
     """Highest-resolution host clock, for elapsed-time measurement."""
     return _time.perf_counter()
+
+
+def thread_time() -> float:
+    """CPU seconds the calling thread has run, for cost measurements a
+    burst of other work on the host must not move (§IV-E)."""
+    return _time.thread_time()
 
 
 def sleep(seconds: float) -> None:

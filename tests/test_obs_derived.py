@@ -1,0 +1,150 @@
+"""Counting each thing once changes no number a surface reads.
+
+A daemon reads most of its counts from state the pipeline already keeps
+(plugins' sample counts, cohort rows, endpoints' frames and bytes,
+producers' update stats, store rows) and folds constant-cost sampling
+and per-row flush latencies into its histograms in bulk.  Both are
+pure bookkeeping changes, so a world run with them must read exactly
+what the same world read when every event called its own instrument:
+every counter, and every histogram bucket for bucket with ``sum``,
+``min`` and ``max`` to the bit.
+
+The reference is the per-item implementation itself: ``OBS_DIGEST``
+is the hash this world gave when each event observed or incremented
+its instrument one at a time.  The world exercises every place a
+derived or bulk count can drift from the per-item one: cohort sweeps
+with scalar fallbacks interleaved (``ldmsd_self`` holds the one worker
+at the cohort's tick), a daemon in two cohorts at two costs, reads in
+the middle of the run, a stopped and restarted sampler, a producer
+removed and a connection dropped and redialled, a row routed to two
+stores and rows no store takes, and control commands.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+import repro.plugins  # noqa: F401  (registers plugins)
+from repro.core import Ldmsd, SimEnv
+from repro.core.control import ControlChannel
+from repro.obs import Histogram
+from repro.sim.engine import Engine
+from repro.transport.simfabric import SimFabric, SimTransport
+
+#: ``world_digest()`` of the per-item implementation.
+OBS_DIGEST = "8854c9c3f7a8411b58cb9bfc5ad46d3b689db6e637b57f4ba2c2cec68b7749d2"
+
+
+def _daemon(env, fabric, name, **kw):
+    return Ldmsd(name, env=env, transports={
+        "sock": SimTransport(fabric, "sock", node_id=name)}, **kw)
+
+
+def _surfaces(daemons) -> list:
+    """Every read surface of every daemon: ``stats()["obs"]`` and the
+    full ``prof`` histogram dumps (bucket vectors included)."""
+    return [[d.name, d.stats()["obs"], d.obs.dump_histograms()]
+            for d in daemons]
+
+
+def world_digest() -> str:
+    eng = Engine()
+    env = SimEnv(eng)
+    fabric = SimFabric(eng)
+    samplers = []
+    for i in range(24):
+        d = _daemon(env, fabric, f"n{i}", mem="64kB", workers=1)
+        d.load_sampler("synthetic", instance=f"n{i}/syn", component_id=i + 1,
+                       num_metrics=10,
+                       pattern="counter" if i % 2 else "constant")
+        d.start_sampler(f"n{i}/syn", interval=1.0)
+        d.listen("sock", f"n{i}:411")
+        samplers.append(d)
+    # Two cohorts at two costs on one daemon.
+    samplers[1].load_sampler("synthetic", instance="n1/wide", component_id=2,
+                             num_metrics=40, pattern="counter")
+    samplers[1].start_sampler("n1/wide", interval=1.0)
+    # ldmsd_self holds the only worker when the cohort ticks: that
+    # member falls back to a scalar firing, interleaved with its sweeps.
+    samplers[2].load_sampler("ldmsd_self", instance="n2/self", component_id=3)
+    samplers[2].start_sampler("n2/self", interval=1.0)
+    # A sampler no cohort takes: every sample is scalar.
+    samplers[3].load_sampler("synthetic", instance="n3/rnd", component_id=4,
+                             num_metrics=6, pattern="random")
+    samplers[3].start_sampler("n3/rnd", interval=0.5)
+
+    agg = _daemon(env, fabric, "agg", mem="1MB", workers=2)
+    # Synthetic rows go to two stores; n2's ldmsd_self rows to none.
+    agg.add_store("memory", schema="synthetic")
+    agg.add_store("memory", schema="synthetic")
+    agg.add_store("memory", schema="no_such_schema")
+    agg.load_sampler("ldmsd_self", instance="agg/self", component_id=99)
+    agg.start_sampler("agg/self", interval=0.7)
+    for i, d in enumerate(samplers):
+        agg.add_producer(d.name, "sock", f"{d.name}:411", interval=1.0)
+    ctl = ControlChannel(agg)
+
+    out = []
+    eng.run(until=3.3)
+    out.append(_surfaces([agg, samplers[1], samplers[2]]))  # mid-run reads
+    samplers[5].stop_sampler("n5/syn")
+    ctl.handle("stats")
+    ctl.handle("bogus verb")
+    eng.run(until=5.1)
+    samplers[5].start_sampler("n5/syn", interval=1.0)
+    agg.remove_producer("n6")
+    agg.producers["n7"].endpoint.close()  # redialled after backoff
+    eng.run(until=9.6)
+    out.append(_surfaces([agg, *samplers]))
+    ctl.handle("prof")
+    eng.run(until=31.0)
+    out.append(_surfaces([agg, *samplers]))
+    for d in (agg, *samplers):
+        d.shutdown()
+    out.append(_surfaces([agg]))
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+def test_every_surface_reads_what_per_item_instruments_read():
+    assert world_digest() == OBS_DIGEST
+
+
+# -- bulk observes fold exactly like one observe per value -------------------
+
+
+def _state(h: Histogram):
+    return (h.count, h.sum, h.min, h.max, h.buckets, h.dump())
+
+
+@pytest.mark.parametrize("runs", [
+    [(2e-5, 1)], [(2e-5, 511)], [(2e-5, 512)], [(2e-5, 513)],
+    [(3e-4, 700), (1.5e-5, 900), (7.0, 3)], [(1e-3, 2000)],
+])
+def test_observe_n_is_k_single_observes(runs):
+    one, bulk = Histogram("a"), Histogram("b")
+    for value, k in runs:
+        for _ in range(k):
+            one.observe(value)
+        bulk.observe_n(value, k)
+    assert _state(bulk) == _state(one)
+
+
+@pytest.mark.parametrize("sizes", [[1], [511, 1], [600], [100, 700, 30, 512]])
+def test_observe_many_is_one_observe_each(sizes):
+    rng = np.random.default_rng(7)
+    one, bulk = Histogram("a"), Histogram("b")
+    for n in sizes:
+        values = rng.exponential(1e-3, n).tolist()
+        for v in values:
+            one.observe(v)
+        bulk.observe_many(values)
+        # A read between batches folds the remainder on both.
+        assert _state(bulk) == _state(one)
+    bulk.observe_many([])
+    assert _state(bulk) == _state(one)
+
+
+if __name__ == "__main__":
+    print(world_digest())

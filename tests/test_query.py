@@ -15,7 +15,7 @@ from repro.obs.selfmetrics import SELF_METRIC_NAMES, collect
 from repro.plugins.samplers.synthetic import SyntheticSampler
 from repro.plugins.stores.sos import SosReader, SosStore, rollup_schema
 from repro.query.clients import ClientMix, Poller, build_population
-from repro.query.engine import QueryEngine
+from repro.query.engine import MAX_READERS, QueryEngine
 from repro.sim.engine import Engine
 from repro.transport.simfabric import SimFabric, SimTransport
 from repro.util.errors import ConfigError, ReproError
@@ -806,3 +806,146 @@ class TestSelfMetricsSchema:
         assert len(row) == len(SELF_METRIC_NAMES)
         assert "query_requests" in SELF_METRIC_NAMES
         agg.shutdown()
+
+
+class TestScanMemory:
+    """What a scanned container costs the engine: its reader holds the
+    index at most 16 bytes a row (the ``.sidx`` entry's size), and
+    loading or refreshing it peaks at 32 bytes a row."""
+
+    COMPONENTS = 64
+    INTERVALS = 3200  # 204,800 rows
+
+    @classmethod
+    def _intervals(cls, k0: int, k1: int, seed: int):
+        """Intervals ``[k0, k1)`` as an aggregator's flushes write them:
+        each interval's 64 rows in arrival order, so their timestamps
+        (one per component, a few ms apart) are out of order in the
+        index."""
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        comp = np.concatenate([rng.permutation(cls.COMPONENTS)
+                               for _ in range(k1 - k0)]) + 1
+        ts = np.repeat(np.arange(k0, k1, dtype=float), cls.COMPONENTS)
+        return ts + comp * 1e-3, comp
+
+    @staticmethod
+    def _append(base: str, ts, comp) -> None:
+        """Append rows to a 2-column container's file pair."""
+        import numpy as np
+
+        from repro.plugins.stores.sos import _rec_dtype
+
+        recs = np.zeros(len(ts), _rec_dtype(2))
+        recs["ts"], recs["comp_id"], recs["card"] = ts, comp, 2
+        recs["values"] = 1.0
+        with open(base + ".sos", "ab") as f:
+            start = f.tell()
+            f.write(recs.tobytes())
+        idx = np.empty(len(ts), [("t", "<f8"), ("off", "<u8")])
+        idx["t"] = ts
+        idx["off"] = start + np.arange(len(ts), dtype=np.uint64) * recs.itemsize
+        with open(base + ".sidx", "ab") as f:
+            f.write(idx.tobytes())
+
+    def _engine(self, tmp_path):
+        store = SosStore()
+        store.config(path=str(tmp_path))
+        store.submit(rec(t=0.5, comp=1))  # the sidecar, and row 0
+        store.flush()
+        self._append(str(tmp_path / "mem"),
+                     *self._intervals(1, 1 + self.INTERVALS, 1))
+        return store, QueryEngine(store, lambda: 1e9)
+
+    @staticmethod
+    def _traced(fn) -> tuple[int, int]:
+        """(bytes still held, peak bytes) that ``fn()`` added."""
+        import tracemalloc
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            gc.collect()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return held - before, peak - before
+
+    def test_a_scanned_container_pins_at_most_16_bytes_a_row(self, tmp_path):
+        store, eng = self._engine(tmp_path)
+        rows = 1 + self.COMPONENTS * self.INTERVALS
+        out = []
+        held, peak = self._traced(
+            lambda: out.append(eng.query("mem", 100.0, 110.0)))
+        res = out[0]
+        assert res.source == "scan"
+        assert len(res.rows) == 10 * self.COMPONENTS
+        assert held / rows <= 16.0, f"{held / rows:.1f} B a row held"
+        assert peak / rows <= 32.0, f"{peak / rows:.1f} B a row at the load"
+        store.close()
+
+    def test_refreshing_an_out_of_order_tail_peaks_at_32_bytes_a_row(
+            self, tmp_path):
+        store, eng = self._engine(tmp_path)
+        assert eng.query("mem", 100.0, 110.0).source == "scan"
+        # A late row, then more intervals: the tail starts before the
+        # index's last timestamp, so the reader re-sorts.
+        base = str(tmp_path / "mem")
+        self._append(base, [50.25], [99])
+        self._append(base, *self._intervals(1 + self.INTERVALS,
+                                            1 + 2 * self.INTERVALS, 2))
+        rows = 2 + 2 * self.COMPONENTS * self.INTERVALS
+        out = []
+        _held, peak = self._traced(
+            lambda: out.append(eng.query("mem", 50.0, 51.0)))
+        got = [(t, c) for t, c, _v in out[0].rows]
+        assert len(got) == self.COMPONENTS + 1
+        assert got[-1] == (50.25, 99)  # after 50.064, in time order
+        assert got == sorted(got)
+        assert peak / rows <= 32.0, f"{peak / rows:.1f} B a row at refresh"
+        store.close()
+
+    def test_the_engine_keeps_a_bounded_set_of_readers(self, tmp_path):
+        store = SosStore()
+        store.config(path=str(tmp_path))
+        schemas = [f"s{i}" for i in range(MAX_READERS + 2)]
+        for schema in schemas:
+            store.submit(rec(t=1.0, schema=schema))
+        eng = QueryEngine(store, lambda: 1e9)
+        eng.hot_window = 0.0  # every query scans
+        for schema in schemas:
+            assert eng.query(schema, 0.0, 2.0).source == "scan"
+        assert list(eng._readers) == schemas[2:]
+        # A dropped reader costs one reload; its answer is the same.
+        assert len(eng.query("s0", 0.5, 2.0).rows) == 1
+        assert list(eng._readers) == [*schemas[3:], "s0"]
+        store.close()
+
+    def test_record_numbers_widen_past_what_four_bytes_hold(self, tmp_path):
+        import numpy as np
+
+        from repro.plugins.stores.sos import _rec_dtype
+
+        store = SosStore()
+        store.config(path=str(tmp_path))
+        for t in (1.0, 2.0):
+            store.submit(rec(t=t))
+        store.close()
+        size = _rec_dtype(2).itemsize
+        idx = np.empty(3, [("t", "<f8"), ("off", "<u8")])
+        # Off the grid; a record past 2**32 - 1 (beyond the file); and
+        # record 0 again, out of time order.
+        idx["t"] = (0.5, 3.0, 1.5)
+        idx["off"] = (7, (2**32 + 5) * size, 0)
+        with open(tmp_path / "mem.sidx", "ab") as f:
+            f.write(idx.tobytes())
+        reader = SosReader(str(tmp_path), "mem")
+        assert reader._rows.dtype == np.uint64
+        assert [r.timestamp for r in reader] == [1.0, 1.0, 2.0]
+        assert reader.skipped == 2
+        assert [r.timestamp for r in reader.range(0.0, 1.5)] == [1.0]
+        assert reader.skipped == 1  # the off-grid entry, at 0.5
