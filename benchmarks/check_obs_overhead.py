@@ -15,8 +15,11 @@ noisy shared runners the two variants are timed in strict alternation
 (each pair of calls experiences the same interference), GC is paused
 during the timed region, and the verdict is the **median of the
 per-pair differences over the median bare op** — a preempted or
-cache-cold call lands in one pair's tail and moves neither median, so
-one run decides and a red gate means a regression.
+cache-cold call lands in one pair's tail and moves neither median.  A
+whole measurement can still land in a slow phase of a shared host (one
+run has read 3.4 % and 5.0 % on the same code), so the verdict is the
+median of ``RUNS`` measurements in one invocation, each printed: a red
+gate means a regression, not one unlucky run.
 
     PYTHONPATH=src python benchmarks/check_obs_overhead.py
 """
@@ -37,6 +40,7 @@ from pipeline_unit import build_unit  # noqa: E402
 LIMIT_PCT = 5.0
 WARMUP = 600
 PAIRS = 20_000
+RUNS = 5
 
 
 def measure_overhead_pct() -> tuple[float, float, float]:
@@ -72,10 +76,15 @@ def measure_overhead_pct() -> tuple[float, float, float]:
 
 
 def main() -> int:
-    bare_ns, diff_ns, pct = measure_overhead_pct()
-    print(f"median bare {bare_ns:.0f} ns/op   median per-pair "
-          f"(instrumented - bare) {diff_ns:+.0f} ns   over {PAIRS} pairs")
-    print(f"overhead: {pct:+.2f}%  (limit {LIMIT_PCT}%)")
+    pcts = []
+    for run in range(1, RUNS + 1):
+        bare_ns, diff_ns, pct = measure_overhead_pct()
+        pcts.append(pct)
+        print(f"run {run}: median bare {bare_ns:.0f} ns/op   median per-pair "
+              f"(instrumented - bare) {diff_ns:+.0f} ns   over {PAIRS} pairs"
+              f"   {pct:+.2f}%")
+    pct = statistics.median(pcts)
+    print(f"overhead: {pct:+.2f}%  (median of {RUNS} runs; limit {LIMIT_PCT}%)")
     if pct >= LIMIT_PCT:
         print("FAIL: telemetry overhead exceeds the limit")
         return 1

@@ -198,9 +198,10 @@ class _Layout(NamedTuple):
     names: tuple[str, ...]
     index: dict[str, int]
     compiled: _CompiledSchema
-    #: the metadata chunk with header and component ids zeroed: every
-    #: other byte of it is fixed by the layout key
-    meta: bytes
+    #: the descriptor block split at its component-id slots: every byte
+    #: of a metadata chunk but its header and ids is fixed by the layout
+    #: key (one more piece than metrics)
+    id_gaps: tuple[bytes, ...]
 
 
 #: (data_size, NUL-padded wire names, tags, offsets) -> _Layout, capped
@@ -237,14 +238,17 @@ def _layout_for(
     if len(index) != len(names):
         dup = next(n for i, n in enumerate(names) if index[n] != i)
         raise ValueError(f"duplicate metric name {dup!r}")
-    meta = bytes(_META_HDR_SIZE) + b"".join(
+    descs = b"".join(
         struct.pack(MetricDesc.WIRE_FMT, nb, 0, tag, off)
         for nb, tag, off in zip(wire_names, tags, offsets))
+    slots = range(METRIC_NAME_LEN, len(descs), MetricDesc.WIRE_SIZE)
+    id_gaps = tuple(descs[a:b] for a, b in zip(
+        (0, *(at + _STRUCT_Q.size for at in slots)), (*slots, len(descs))))
     if len(_LAYOUT_CACHE) >= _SCHEMA_CACHE_MAX:
         _LAYOUT_CACHE.clear()
     layout = _LAYOUT_CACHE[key] = _Layout(
         wire_names, tags, names, index,
-        _compile_schema(tags, offsets, data_size), meta)
+        _compile_schema(tags, offsets, data_size), id_gaps)
     return layout
 
 
@@ -319,23 +323,25 @@ def _compile_template(names: tuple, mtypes: tuple) -> SetTemplate:
 #: of a known layout is stamped from instead of decoded.
 _MIRROR_LAYOUTS: dict[tuple, _Layout] = {}
 
-#: Offset of the first component id in a metadata chunk; the column
-#: strides by one descriptor.
+#: Offset of the first component id in a metadata chunk.
 _IDS_OFF = _META_HDR_SIZE + METRIC_NAME_LEN
 
 
 def _stamp(layout: _Layout, header: tuple, ids) -> bytearray:
-    """The metadata chunk of a set of ``layout``: its zero-id template
-    with ``header`` (the ``_META_HDR`` fields) packed in front and the
-    component ids written as one strided u64 column; ``ids`` is one id
-    for every metric or one per metric."""
-    import numpy as np
-
-    meta = bytearray(layout.meta)
-    _META_HDR.pack_into(meta, 0, *header)
-    card = len(layout.tags)
-    if card:
-        np.ndarray(card, "<u8", meta, _IDS_OFF, (MetricDesc.WIRE_SIZE,))[:] = ids
+    """The metadata chunk of a set of ``layout``: ``header`` (the
+    ``_META_HDR`` fields) packed in front of the layout's descriptor
+    block, its id slots filled; ``ids`` is one id for every metric or a
+    tuple of one per metric."""
+    gaps = layout.id_gaps
+    if isinstance(ids, tuple):
+        parts = [gaps[0]]
+        for cid, gap in zip(ids, gaps[1:]):
+            parts += (_STRUCT_Q.pack(cid), gap)
+        descs = b"".join(parts)
+    else:
+        descs = _STRUCT_Q.pack(ids).join(gaps)
+    meta = bytearray(_META_HDR.pack(*header))
+    meta += descs
     return meta
 
 

@@ -37,12 +37,13 @@ from __future__ import annotations
 import functools
 import struct
 from collections.abc import Sequence
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.metric_set import SetInfo, schema_name_ok
 from repro.util.errors import WireError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MsgType",
@@ -479,7 +480,10 @@ def query_row_struct(ncols: int) -> struct.Struct:
 @functools.lru_cache(maxsize=64)
 def query_row_dtype(ncols: int) -> np.dtype:
     """:func:`query_row_struct`'s row as a packed little-endian numpy
-    dtype (same ``itemsize``): what a scan copies stored records into."""
+    dtype (same ``itemsize``): what a scan copies stored records into.
+    numpy loads here, on a query path, never with the module."""
+    import numpy as np
+
     return np.dtype([("ts", "<f8"), ("comp_id", "<u4"),
                      ("values", "<f8", (ncols,))])
 
@@ -537,6 +541,8 @@ class RowBlock(Sequence):
             a == b for a, b in zip(self, other))
 
     def _fields(self) -> np.ndarray:
+        import numpy as np
+
         return np.frombuffer(self.raw, query_row_dtype((self._size - 12) // 8))
 
     def column(self, i: int) -> list[float]:

@@ -22,12 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from repro.nodefs.fs import SynthFS
 from repro.util.rngtools import spawn_rng
 
 __all__ = ["HostProfile", "HostModel"]
+
+#: numpy, bound by the first :class:`HostModel`: the models vectorize,
+#: but a real daemon imports this module (through the ``RealFS``
+#: samplers) without ever building one.
+np = None
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,9 @@ class HostModel:
         seed: int = 0,
         fs: SynthFS | None = None,
     ):
+        global np
+        import numpy as np
+
         self.name = name
         self.clock = clock
         self.profile = profile

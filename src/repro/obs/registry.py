@@ -11,6 +11,8 @@ control handling.  Instruments are deliberately primitive:
   ``count/sum/min/max`` plus bucket counts, from which p50/p95/p99 are
   interpolated.  Buckets default to a 1-2-5 log ladder from 1 µs to
   100 s, wide enough for both simulated RTTs and real store flushes.
+  A fold is plain Python that gives numpy's float64 results bit for
+  bit, so a real daemon never loads numpy for its own telemetry.
 
 Each thing is counted once.  An *owned* counter is a :class:`Counter`,
 kept for rare events (errors, overruns, faults, refusals).  A *derived*
@@ -27,11 +29,12 @@ code needs no ``if`` guards.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from functools import reduce
 from itertools import repeat
+from operator import add
 from types import MappingProxyType
 from typing import Mapping, Optional
-
-import numpy as np
 
 __all__ = [
     "Counter",
@@ -57,12 +60,26 @@ def _log_ladder(decades: tuple[int, int]) -> tuple[float, ...]:
 #: last).  Fine enough that interpolated p50/p95/p99 land within one
 #: 1-2-5 step of the true quantile.
 DEFAULT_LATENCY_EDGES = _log_ladder((-6, 2))
-_DEFAULT_EDGES_ARR = np.asarray(DEFAULT_LATENCY_EDGES)
 _INF = float("inf")
 #: A registry's instrument tables until its first bind, which makes the
 #: dict under ``_BIND_LOCK`` (stream readers bind without the daemon lock).
 _NO_INSTRUMENTS: Mapping = MappingProxyType({})
 _BIND_LOCK = threading.Lock()
+
+
+def _pairwise_sum(a: list, lo: int, n: int) -> float:
+    """numpy's float64 ``pairwise_sum`` of ``a[lo:lo + n]``, ``n >= 8``:
+    a run of up to 128 adds in eight interleaved lanes, combined as a
+    tree, then its tail; a longer one is split in halves at a multiple
+    of 8.  (A run of fewer than 8 adds in order, from ``0.0``.)"""
+    if n <= 128:
+        m = lo + n - n % 8
+        r = [reduce(add, a[j:m:8]) for j in range(lo, lo + 8)]
+        return reduce(add, a[m:lo + n], ((r[0] + r[1]) + (r[2] + r[3]))
+                      + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
 
 
 class Counter:
@@ -83,9 +100,9 @@ class Histogram:
 
     ``observe`` is the hot call, so it only appends the raw value to a
     small staging list (one list append — the tail stays cache-hot even
-    when the pipeline's working set evicts the bucket arrays); staged
-    values are folded into the buckets with one vectorized
-    ``searchsorted`` per batch, either when the list reaches
+    when the pipeline's working set evicts the bucket list); staged
+    values are folded into the buckets one batch at a time, either when
+    the list reaches
     ``_FOLD_AT`` or lazily on any read (``count``/``quantile``/
     ``summary``/...).  Folding swaps the staging list out first, so a
     concurrent ``observe`` under the GIL lands in the fresh list rather
@@ -98,7 +115,7 @@ class Histogram:
     sample for every quantile).
     """
 
-    __slots__ = ("name", "edges", "_buckets", "_edges_arr",
+    __slots__ = ("name", "edges", "_buckets",
                  "_count", "_sum", "_min", "_max", "_pending")
 
     _FOLD_AT = 512
@@ -106,18 +123,15 @@ class Histogram:
     def __init__(self, name: str, edges: Optional[tuple[float, ...]] = None):
         self.name = name
         if edges is None:
-            # The default ladder is pre-validated and its ndarray shared:
-            # a 9,000-daemon sweep creates tens of thousands of default
-            # histograms, so per-instance validation + asarray adds up.
+            # The default ladder is pre-validated: a 9,000-daemon sweep
+            # creates tens of thousands of default histograms.
             self.edges = DEFAULT_LATENCY_EDGES
-            self._edges_arr = _DEFAULT_EDGES_ARR
         else:
             self.edges = tuple(edges)
             if len(self.edges) < 1 or any(
                 b <= a for a, b in zip(self.edges, self.edges[1:])
             ):
                 raise ValueError("histogram edges must be strictly increasing")
-            self._edges_arr = np.asarray(self.edges)
         self._buckets: Optional[list[int]] = None
         self._count = 0
         self._sum = 0.0
@@ -166,17 +180,30 @@ class Histogram:
             self._fold_batch(pending)
 
     def _fold_batch(self, pending: list) -> None:
-        n = len(pending)
-        arr = np.fromiter(pending, np.float64, n)
-        # vectorized bisect_right over the whole batch
-        idx = self._edges_arr.searchsorted(arr, "right")
-        buckets = self._buckets or [0] * (len(self.edges) + 1)
-        counts = np.bincount(idx, minlength=len(buckets)).tolist()
-        self._buckets = [b + c for b, c in zip(buckets, counts)]
+        # What numpy's fold of the batch as a float64 array gives, bit
+        # for bit (tests/test_obs_derived.py keeps it as the reference):
+        # values coerced by float(), the sum in numpy's pairwise order.
+        # A bucket counts the values below its upper edge, less those
+        # below its lower one: searchsorted(side="right") per value.
+        # Folds come in batches of _FOLD_AT, where sorting once beats
+        # bisecting the edges once per value.
+        vals = list(map(float, pending))
+        n = len(vals)
+        ordered = sorted(vals)
+        buckets = (list(self._buckets) if self._buckets
+                   else [0] * (len(self.edges) + 1))
+        below = 0
+        for i, edge in enumerate(self.edges):
+            at = bisect_left(ordered, edge, below)
+            buckets[i] += at - below
+            below = at
+        buckets[-1] += n - below
+        self._buckets = buckets
         self._count += n
-        self._sum += float(arr.sum())
-        self._min = min(self._min, float(arr.min()))
-        self._max = max(self._max, float(arr.max()))
+        self._sum += (reduce(add, vals, 0.0) if n < 8
+                      else _pairwise_sum(vals, 0, n))
+        self._min = min(self._min, ordered[0])
+        self._max = max(self._max, ordered[-1])
 
     @property
     def count(self) -> int:

@@ -3,16 +3,18 @@
 Plays the role LDMS's MySQL store plays in the paper's deployments: a
 queryable backend the analysis layer reads (the NCSA ISC database role,
 §IV-F).  Also the store of choice in tests and the simulator's
-experiments, where rows feed straight into NumPy.
+experiments, where rows feed straight into NumPy (imported by those
+queries, not with the module: storing never loads it).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.store import StorePlugin, StoreRecord, register_store
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["MemoryStore"]
 
@@ -105,6 +107,8 @@ class MemoryStore(StorePlugin):
         ``set_name`` (which survives multi-level aggregation — set
         names are origin-unique, e.g. ``"n0/meminfo"``).
         """
+        import numpy as np
+
         ts, vs = [], []
         for r in self.select(schema=schema, producer=producer, set_name=set_name):
             try:
@@ -129,6 +133,8 @@ class MemoryStore(StorePlugin):
         samples are NaN.  This is the node x time layout the paper's
         Figs. 9-12 plot.
         """
+        import numpy as np
+
         if (set_names is None) == (producers is None):
             raise ValueError("pass exactly one of set_names / producers")
         if set_names is not None:

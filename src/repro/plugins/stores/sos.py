@@ -54,17 +54,17 @@ import json
 import mmap
 import os
 import struct
-from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NamedTuple, Optional
 
 from repro.core.store import StorePlugin, StoreRecord, register_store
 from repro.util.errors import ConfigError, StoreError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = ["SosStore", "SosReader", "rollup_schema"]
 
 _IDX_ENT = struct.Struct("<dQ")
-_IDX_DTYPE = np.dtype([("t", "<f8"), ("off", "<u8")])
 _IDX_CHUNK = 1 << 14  #: index entries a reader loads per read (bounds its temporaries)
 
 
@@ -76,10 +76,22 @@ def _rec_struct(card: int) -> struct.Struct:
     return struct.Struct(f"<dII{card}d")
 
 
+@functools.cache
+def _idx_dtype() -> np.dtype:
+    """``_IDX_ENT`` as a numpy dtype: what a reader loads its index as."""
+    import numpy as np
+
+    return np.dtype([("t", "<f8"), ("off", "<u8")])
+
+
 @functools.lru_cache(maxsize=64)
 def _rec_dtype(card: int) -> np.dtype:
     """:func:`_rec_struct`'s record as a packed little-endian numpy
-    dtype: what a range read gathers records into."""
+    dtype: what a range read gathers records into.  The reader alone
+    vectorizes, so numpy loads here, not with the module: a daemon that
+    only writes containers never loads it."""
+    import numpy as np
+
     return np.dtype([("ts", "<f8"), ("comp_id", "<u4"), ("card", "<u4"),
                      ("values", "<f8", (card,))])
 
@@ -87,8 +99,8 @@ def _rec_dtype(card: int) -> np.dtype:
 def _recover(base: str, card: int) -> None:
     """Make a container's file pair whole (module docstring), reading
     only the tail; a clean pair is not written."""
-    dtype = _rec_dtype(card)
-    size = dtype.itemsize
+    rec = _rec_struct(card)
+    size = rec.size
     with open(base + ".sos", "ab+") as df, open(base + ".sidx", "ab+") as xf:
         dsize, xsize = df.seek(0, 2), xf.seek(0, 2)
         end = dsize - dsize % size
@@ -107,7 +119,7 @@ def _recover(base: str, card: int) -> None:
             xf.truncate(n * _IDX_ENT.size)
         if start < end:
             df.seek(start)
-            times = np.frombuffer(df.read(end - start), dtype)["ts"].tolist()
+            times = [r[0] for r in rec.iter_unpack(df.read(end - start))]
             xf.write(b"".join(_IDX_ENT.pack(ts, start + k * size)
                               for k, ts in enumerate(times)))
 
@@ -389,6 +401,8 @@ class SosReader:
     """
 
     def __init__(self, path: str, schema: str):
+        import numpy as np
+
         base = os.path.join(path, schema)
         self.schema = schema
         self.metric_names = list(_read_sidecar(base + ".schema.json"))
@@ -406,13 +420,15 @@ class SosReader:
         refresh), in ``_IDX_CHUNK`` steps; returns how many were added.
         A tail in time order from the last timestamp on is appended; any
         other re-sorts with one stable argsort."""
+        import numpy as np
+
         times, rows = [self._times], [self._rows]
-        ent, size = _IDX_DTYPE.itemsize, self._dtype.itemsize
+        ent, size = _IDX_ENT.size, self._dtype.itemsize
         try:
             with open(self._idx_path, "rb") as f:
                 f.seek(self._idx_consumed)
                 while len(raw := f.read(_IDX_CHUNK * ent)) >= ent:
-                    idx = np.frombuffer(raw, _IDX_DTYPE, len(raw) // ent)
+                    idx = np.frombuffer(raw, _idx_dtype(), len(raw) // ent)
                     times.append(idx["t"].copy())
                     # Record numbers (the dtype's max: off the grid), 8 B past 2**32 - 1.
                     num, top = idx["off"] // size, np.iinfo(rows[-1].dtype).max
@@ -452,6 +468,8 @@ class SosReader:
         return self._gather(self._rows[lo:hi])
 
     def _gather(self, rows: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         dtype, size = self._dtype, self._dtype.itemsize
         recs = np.empty(0, dtype)
         with open(self._data_path, "rb") as f:

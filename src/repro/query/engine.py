@@ -42,8 +42,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.core import wire
 from repro.plugins.stores.sos import SosReader, SosStore, rollup_schema
 from repro.util.errors import StoreError
@@ -62,6 +60,8 @@ def scan(reader: SosReader, t0: float, t1: float, comp_id: int = 0,
     """``reader``'s ``[t0, t1)`` records of ``comp_id`` (0: all), cut at
     ``max_records`` (0: no cut), as one row block that owns its bytes,
     and whether it was cut."""
+    import numpy as np  # loaded by the scan path alone
+
     recs = reader.block(t0, t1)
     if comp_id:
         recs = recs[recs["comp_id"] == comp_id]

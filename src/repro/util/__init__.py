@@ -1,4 +1,7 @@
-"""Shared utilities: unit parsing, statistics helpers, deterministic RNG."""
+"""Shared utilities: unit parsing, deterministic RNG, clocks, errors.
+
+The numpy statistics helpers live in :mod:`repro.util.stats`, which
+this package does not import: a real daemon never loads numpy."""
 
 from repro.util.errors import (
     ReproError,
@@ -17,11 +20,6 @@ from repro.util.units import (
     MIB,
     GIB,
 )
-from repro.util.stats import (
-    Histogram,
-    normalized,
-    percentile,
-)
 from repro.util.rngtools import spawn_rng, stable_seed
 from repro.util.timeutil import monotonic, perf_counter, wall_clock
 
@@ -39,9 +37,6 @@ __all__ = [
     "KIB",
     "MIB",
     "GIB",
-    "Histogram",
-    "normalized",
-    "percentile",
     "spawn_rng",
     "stable_seed",
     "monotonic",

@@ -10,8 +10,10 @@ adding a new consumer never perturbs the streams of existing ones.
 from __future__ import annotations
 
 import zlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["stable_seed", "spawn_rng"]
 
@@ -35,7 +37,10 @@ def spawn_rng(seed: int | np.random.Generator, *keys: object) -> np.random.Gener
     If ``seed`` is already a Generator, a child is derived from its
     bit-generator state combined with the keys, which keeps child
     streams decorrelated without consuming draws from the parent.
+    numpy is imported here, by the first call, not with the module.
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         base = int(seed.bit_generator.seed_seq.entropy or 0)  # type: ignore[union-attr]
     else:

@@ -3,13 +3,17 @@
 These are intentionally simple, NumPy-vectorised implementations: the
 experiments generate millions of loop timings (PSNAP runs 16M samples in
 the paper) and per-sample Python loops would dominate run time.
+numpy is imported by the first call, not by this module: the ledger's
+real-TCP workload imports :func:`percentile` and must not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Histogram", "normalized", "percentile"]
 
@@ -27,6 +31,8 @@ class Histogram:
     counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         self.edges = np.asarray(self.edges, dtype=np.float64)
         if self.edges.ndim != 1 or self.edges.size < 2:
             raise ValueError("edges must be a 1-D array of at least 2 values")
@@ -49,6 +55,8 @@ class Histogram:
 
     def add(self, samples: np.ndarray) -> None:
         """Accumulate more samples into the existing bins."""
+        import numpy as np
+
         lo, hi = self.edges[0], self.edges[-1]
         clipped = np.clip(np.asarray(samples, dtype=np.float64), lo, np.nextafter(hi, lo))
         counts, _ = np.histogram(clipped, bins=self.edges)
@@ -77,9 +85,13 @@ def normalized(values, reference: float) -> np.ndarray:
     """
     if reference == 0:
         raise ValueError("reference must be nonzero")
+    import numpy as np
+
     return np.asarray(values, dtype=np.float64) / float(reference)
 
 
 def percentile(values, q: float) -> float:
     """Convenience wrapper keeping analysis code NumPy-free at call sites."""
+    import numpy as np
+
     return float(np.percentile(np.asarray(values, dtype=np.float64), q))

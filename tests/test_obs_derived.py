@@ -22,14 +22,18 @@ stores and rows no store takes, and control commands.
 
 import hashlib
 import json
+import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro.plugins  # noqa: F401  (registers plugins)
 from repro.core import Ldmsd, SimEnv
 from repro.core.control import ControlChannel
 from repro.obs import Histogram
+from repro.obs.registry import DEFAULT_LATENCY_EDGES
 from repro.sim.engine import Engine
 from repro.transport.simfabric import SimFabric, SimTransport
 
@@ -144,6 +148,75 @@ def test_observe_many_is_one_observe_each(sizes):
         assert _state(bulk) == _state(one)
     bulk.observe_many([])
     assert _state(bulk) == _state(one)
+
+
+# -- a fold gives what numpy's float64 fold gave, to the bit ----------------
+
+
+def numpy_fold(edges: tuple, pending: list) -> tuple:
+    """The fold as written with numpy, kept as the reference: (buckets,
+    count, sum, min, max) of one batch."""
+    n = len(pending)
+    arr = np.fromiter(pending, np.float64, n)
+    idx = np.asarray(edges).searchsorted(arr, "right")
+    return (np.bincount(idx, minlength=len(edges) + 1).tolist(), n,
+            0.0 + float(arr.sum()), float(arr.min()), float(arr.max()))
+
+
+_VALUES = st.one_of(
+    st.integers(-10**9, 10**12),
+    st.sampled_from(DEFAULT_LATENCY_EDGES),
+    st.sampled_from((0.0, -0.0)),
+    # twelve decades, 1e-7 to 1e5 s, either sign
+    st.builds(lambda m, e, neg: (-m if neg else m) * 10.0**e,
+              st.floats(1.0, 10.0, exclude_max=True), st.integers(-7, 4),
+              st.booleans()),
+)
+_BATCHES = st.integers(1, 512).flatmap(
+    lambda n: st.lists(_VALUES, min_size=n, max_size=n))
+
+
+def _both_zeros(batch: list, extreme: float) -> bool:
+    """Whether ``extreme`` is a zero the batch holds with both signs."""
+    signs = {math.copysign(1.0, v) for v in map(float, batch) if v == 0.0}
+    return extreme == 0.0 and len(signs) == 2
+
+
+def _check_fold(batch: list) -> None:
+    h = Histogram("h")
+    h.observe_many(batch)
+    buckets, count, total, lo, hi = numpy_fold(DEFAULT_LATENCY_EDGES, batch)
+    assert h.count == count  # folds: ``buckets`` alone reads the last fold
+    assert h.buckets == buckets
+    # Not builtin sum(): it compensates on Python 3.12 and later.
+    assert h.sum.hex() == total.hex()
+    # Which zero numpy's min or max returns when a batch's extreme is
+    # 0.0 and -0.0 both follows the order its SIMD lanes visit the
+    # values, not the values: there the two need only be equal.
+    for got, want in ((h.min, lo), (h.max, hi)):
+        if _both_zeros(batch, want):
+            assert got == want
+        else:
+            assert got.hex() == want.hex()
+
+
+@settings(max_examples=75, deadline=None)
+@given(_BATCHES)
+@example([-0.0] * 3)
+@example([-0.0] * 9)
+def test_fold_is_numpys_float64_fold(batch):
+    _check_fold(batch)
+
+
+def test_fold_is_numpys_at_every_batch_size():
+    """Each size from 1 to 512 once: every shape of numpy's pairwise
+    split.  Three decades of either sign, so that an add in another
+    order changes low bits."""
+    rng = random.Random(48)
+    for n in range(1, 513):
+        _check_fold([rng.choice(DEFAULT_LATENCY_EDGES) if rng.random() < 0.1
+                     else rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 0.0)
+                     for _ in range(n)])
 
 
 if __name__ == "__main__":

@@ -7,18 +7,16 @@ from hypothesis import given, strategies as st
 from repro.util import (
     ConfigError,
     GIB,
-    Histogram,
     KIB,
     MIB,
     format_interval,
     format_size,
-    normalized,
     parse_interval,
     parse_size,
-    percentile,
     spawn_rng,
     stable_seed,
 )
+from repro.util.stats import Histogram, normalized, percentile
 
 
 class TestParseSize:
