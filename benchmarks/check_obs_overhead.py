@@ -6,7 +6,7 @@ Times the shared sample→transport→store pipeline unit
 do-nothing stand-ins at the same call sites, on *this* machine, and
 asserts the relative overhead.  The live set is the full observability
 plane: histograms/counters, the span ring's exemplar draw and spans,
-the freshness tracker and the flight recorder — the instrumented
+and the freshness tracker — the instrumented
 closure pays every per-stored-update obs cost the aggregator's hot path
 pays.  The baseline still makes every obs call and clock read, so this
 gates what the instruments cost, not what the call sites cost.  The

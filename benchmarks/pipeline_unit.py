@@ -11,8 +11,7 @@ observes (the update RTT per update; the sample-to-store latency staged
 at delivery and, with the flush latency, observed in bulk per one-row
 flush batch), the exemplar draw of the span ring (an update span opened
 at issue and closed when stored, plus the store-flush span, for one
-transaction in 16), the per-stored-update freshness observe and the
-flight-recorder event.  The counts the daemon derives from pipeline
+transaction in 16) and the per-stored-update freshness observe.  The counts the daemon derives from pipeline
 state (samples, an endpoint's reads and bytes) are pipeline work, not
 telemetry, and are left out of both variants.  ``instrumented=False`` runs the same call
 sites against do-nothing stand-ins, so timing the two variants measures
@@ -27,7 +26,7 @@ from repro.core.memory import Arena
 from repro.core.metric import MetricType
 from repro.core.metric_set import MetricSet
 from repro.core.store import StoreRecord
-from repro.obs import FlightRecorder, FreshnessTracker, SpanRecorder, Telemetry
+from repro.obs import FreshnessTracker, SpanRecorder, Telemetry
 from repro.obs.spans import HOP_STORE
 
 __all__ = ["N_METRICS", "build_unit"]
@@ -37,7 +36,7 @@ N_METRICS = 194  # the Blue Waters set size used throughout the benches
 
 class _Off:
     """Do-nothing stand-in for every obs object the unit touches:
-    registry, instruments, span ring, flight recorder and tracker."""
+    registry, instruments, span ring and tracker."""
 
     def counter(self, name):
         return self
@@ -82,16 +81,13 @@ def build_unit(outdir, instrumented: bool, n: int = N_METRICS,
     buf = store._buffers["bench"]
 
     if instrumented:
-        obs, spans = Telemetry(), SpanRecorder("bench")
-        flight, freshness = FlightRecorder("bench"), FreshnessTracker()
+        obs, spans, freshness = Telemetry(), SpanRecorder("bench"), FreshnessTracker()
     else:
-        obs = spans = flight = freshness = _Off()
-    # The observability plane: freshness tracking per stored update, a
-    # flight-recorder event per flush, and the exemplar's update and
-    # store-flush spans — same call shape as the daemon's
-    # _issue_update/_complete_update/_flush_rows paths.
+        obs = spans = freshness = _Off()
+    # The observability plane: freshness tracking per stored update and
+    # the exemplar's update and store-flush spans — same call shape as
+    # the daemon's _issue_update/_complete_update/_flush_rows paths.
     fresh = freshness.arm("n0", 1.0, 1, clock())
-    flight_record = flight.record
     spans_record = spans.record
     h_sample = obs.histogram("sample.duration")
     h_update = obs.histogram("update.rtt")
@@ -130,7 +126,6 @@ def build_unit(outdir, instrumented: bool, n: int = N_METRICS,
         # observability plane (aggregator _complete_update/_flush_rows)
         if fresh is not None:
             fresh.observe(ts, 0)
-        flight_record(t_done, "store", "flush", 1, 0)
         if span is not None:
             spans_record(span.trace_id, spans.alloc(), span.span_id,
                          HOP_STORE, "store_flush", t_submit, t_done)

@@ -34,7 +34,7 @@ Supported commands (attribute syntax is ``key=value``)::
 telemetry-registry snapshot (counters and histogram summaries)
 under the ``obs`` key; ``prof`` returns the registry's latency
 histograms with their bucket vectors, exemplar traces, the freshness
-tracker snapshot, and the flight-recorder window.  ``prof
+tracker snapshot, and the span ring's event window.  ``prof
 export=chrome`` instead returns the daemon's recorded spans as Chrome
 ``trace_event`` JSON (the ``repro-trace`` CLI's wire verb).  Every
 handled command is itself timed into the ``control.latency`` histogram.
@@ -293,7 +293,7 @@ class ControlChannel:
     def _cmd_prof(self, attrs) -> str:
         """Histogram dumps: per-stage latency buckets (µs-scale), the
         exemplar update spans still in the span ring (``traces``), the
-        columnar-arena sweep profile, freshness and flight-recorder
+        columnar-arena sweep profile, freshness and span-ring event
         snapshots.  ``export=chrome`` returns the span ring as Chrome
         ``trace_event`` JSON instead."""
         d = self.daemon
@@ -324,9 +324,9 @@ class ControlChannel:
                     },
                     "freshness": d.freshness.snapshot(now),
                     "flight": {
-                        "total": d.flight.total,
-                        "window": d.flight.window(),
-                        "events": len(d.flight.events),
+                        "total": d.spans.events_total,
+                        "window": d.spans.window(),
+                        "events": len(d.spans.events),
                     },
                     "spans": {
                         "total": d.spans.total,

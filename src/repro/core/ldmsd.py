@@ -36,9 +36,7 @@ from repro.core.metric_set import MetricSet, SetInfo, SetTemplate
 from repro.core.sampler import SamplerPlugin, sampler_registry
 from repro.core.store import (StorePlugin, StorePolicy, StoreRecord, record_of,
                               store_registry)
-from repro.obs import (FlightRecorder, FreshnessTracker, Histogram,
-                       SpanRecorder, Telemetry)
-from repro.obs import flight as flightmod
+from repro.obs import FreshnessTracker, Histogram, SpanRecorder, Telemetry
 from repro.obs.spans import HOP_SAMPLE, HOP_STORE, UpdateSpan
 from repro.sim.resources import CpuCore
 from repro.transport.base import Endpoint, Listener, Transport
@@ -256,14 +254,14 @@ class Ldmsd:
 
     __slots__ = (
         "name", "_own_env", "env", "transports", "core", "fs", "arena", "lock",
-        "obs", "spans", "freshness", "flight", "set_pool",
+        "obs", "spans", "freshness", "set_pool",
         "_cohort_scheduler", "worker_pool", "_conn_pool", "_flush_pool",
         "_conn_threads", "_flush_threads", "update_cpu_cost",
         "connect_cpu_cost", "_flush_batches", "_sets", "_region_ids",
         "_region_names", "_plugins", "_schedules",
         "producers", "stores", "_stores_version", "_listeners",
         "_served_endpoints", "_advertisements", "records_delivered",
-        "query_engine", "_shutdown", "__weakref__",
+        "query_engine", "_shutdown",
         # Hot-path instruments, bound by the first scalar sample /
         # add_store / enable_query when the daemon takes that role.
         "_h_sample", "_h_store_flush", "_h_flush_batch_rows",
@@ -329,14 +327,12 @@ class Ldmsd:
         self._retired: dict[str, int] = _NO_ENTRIES
         #: Observability plane: the span ring (exemplar update
         #: transactions and the hops they cross, feeding ``prof`` traces
-        #: and Chrome trace export), the per-producer freshness tracker
-        #: (made by the first ``add_producer``), and the flight recorder
-        #: behind postmortem dumps.
+        #: and Chrome trace export, and the rare events postmortem dumps
+        #: freeze) and the per-producer freshness tracker (made by the
+        #: first ``add_producer``).
         self.spans = SpanRecorder(name)
         self.freshness = _NO_FRESHNESS
-        self.flight = FlightRecorder(name)
-        flightmod.register_daemon(self)
-        self.flight.record(env.now(), "daemon", "start")
+        self.spans.record_event(env.now(), "daemon", "start")
         if sanitize.enabled():
             # REPRO_SANITIZE=count routes discipline violations into
             # this registry (ldmsd_self exports the aggregate).
@@ -634,8 +630,8 @@ class Ldmsd:
             endpoint.on_message = served.on_message
             endpoint.on_close = served.on_close
             endpoint.on_traced_read = self._on_traced_read
-            self.flight.record(self.env.now(), "conn", "peer_connect",
-                               len(self._served_endpoints))
+            self.spans.record_event(self.env.now(), "conn", "peer_connect",
+                                    len(self._served_endpoints))
             self._served_endpoints.append(endpoint)
 
     def _drop_served(self, endpoint: Endpoint,
@@ -644,8 +640,8 @@ class Ldmsd:
             self._retire_endpoint(endpoint)
             if endpoint in self._served_endpoints:
                 self._served_endpoints.remove(endpoint)
-                self.flight.record(self.env.now(), "conn", "peer_close",
-                                   len(self._served_endpoints))
+                self.spans.record_event(self.env.now(), "conn", "peer_close",
+                                        len(self._served_endpoints))
             if dialer is not None:
                 dialer.redial()
 
@@ -1144,7 +1140,6 @@ class Ldmsd:
             self.obs.counter("store.errors").inc(failed)
             return
         end = self.env.now()
-        self.flight.record(end, "store", "flush", n)
         latencies = []
         spans = self.spans
         for row in rows:
@@ -1270,7 +1265,7 @@ class Ldmsd:
         if self._shutdown:
             return
         self._shutdown = True
-        self.flight.record(self.env.now(), "daemon", "shutdown")
+        self.spans.record_event(self.env.now(), "daemon", "shutdown")
         with self.lock:
             for handle in list(self._schedules.values()):
                 handle.cancel()

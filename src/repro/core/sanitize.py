@@ -89,11 +89,6 @@ def _parse_mode(value: str) -> str:
 
 _mode: str = _parse_mode(os.environ.get("REPRO_SANITIZE", ""))
 
-#: The first violation of a run freezes the fleet's flight recorders
-#: into a postmortem dump (one dump, not one per violation — count mode
-#: can fire thousands of times).  Reset by :func:`configure`.
-_postmortem_fired = False
-
 #: Telemetry registries that receive violation counts in count mode.
 #: Weak references: a daemon's registry dies with the daemon.
 _registries: list = []
@@ -114,10 +109,9 @@ def configure(new_mode: str) -> str:
     Only sets constructed while the sanitizer is enabled carry a
     shadow, so flip the mode before building the sets under test.
     """
-    global _mode, _postmortem_fired
+    global _mode
     prev = _mode
     _mode = _parse_mode(new_mode)
-    _postmortem_fired = False
     return prev
 
 
@@ -133,18 +127,6 @@ def register_registry(telemetry: "Telemetry") -> None:
 
 
 def _violation(kind: str, message: str) -> None:
-    global _postmortem_fired
-    if not _postmortem_fired:
-        # Cold path by definition; the import stays local so the
-        # sanitizer never costs obs machinery when nothing violates.
-        _postmortem_fired = True
-        from repro.obs import flight as _flight
-
-        daemons = _flight.registered_daemons()
-        now = daemons[0].env.now() if daemons else 0.0
-        for d in daemons:
-            d.flight.record(now, "sanitize", kind)
-        _flight.postmortem(f"sanitizer:{kind}", now)
     if _mode == "raise":
         raise SanitizerError(f"[{kind}] {message}")
     if _mode == "count":

@@ -36,7 +36,6 @@ from typing import Optional
 from repro.cluster.machine import blue_waters
 from repro.experiments.common import print_header, print_table
 from repro.faults import FaultPlan
-from repro.obs import flight as flightmod
 from repro.obs.spans import causal_chains, chrome_trace_events, validate_chrome_trace
 
 __all__ = ["FailoverResult", "run_failover", "main", "passed"]
@@ -98,8 +97,8 @@ def run_failover(
 
     With ``export_dir`` the run also writes ``failover_trace.json``
     (Chrome ``trace_event`` — load in Perfetto) and
-    ``failover_postmortem.json`` (the watchdog-triggered flight-recorder
-    dump) — the artifacts CI uploads."""
+    ``failover_postmortem.json`` (the watchdog's promotion dump of the
+    victim's and the standby owner's span rings) — the artifacts CI uploads."""
     m = blue_waters(n_nodes, seed=seed)
     dep = m.deploy_ldms(
         interval=interval,
@@ -155,7 +154,7 @@ def run_failover(
     trace_doc = chrome_trace_events(recorders)
     trace_valid = validate_chrome_trace(trace_doc) is None
     chains = causal_chains(recorders, min_hops=4)
-    pm = next((p for p in reversed(flightmod.postmortems)
+    pm = next((p for p in wd.postmortems
                if p["reason"] == f"watchdog_promotion:{victim.name}"), None)
     postmortem_ok = False
     if pm is not None:

@@ -19,7 +19,8 @@ Every applied event is appended to :attr:`FaultInjector.log` as
 ``(time, description)`` and counted on the targeted daemon's telemetry
 registry as ``faults.injected`` (exported by ``ldmsd_self``), so a
 seeded plan yields an identical, inspectable injection log on every
-run.
+run.  A crash also freezes the victim's span ring into a postmortem
+document kept in :attr:`FaultInjector.postmortems`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 from repro.core import wire
 from repro.core.env import Env
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.obs import flight as flightmod
+from repro.obs.spans import postmortem
 from repro.util.errors import ConfigError
 
 __all__ = ["FaultInjector"]
@@ -68,6 +69,8 @@ class FaultInjector:
         self.restart = restart
         #: (sim time, event description) per applied event.
         self.log: list[tuple[float, str]] = []
+        #: Postmortem document of each crash this injector applied.
+        self.postmortems: list[dict] = []
         self.injected = 0
         self._handles: list = []
 
@@ -119,12 +122,13 @@ class FaultInjector:
             self._count_on(name)
             d = self.daemons.get(name)
             if d is not None:
-                # The victim's flight ring gets the crash as its final
-                # event, then the ring is frozen into a postmortem dump
-                # *before* shutdown tears anything down.
+                # The victim's span ring gets the crash as an event,
+                # then is frozen into a postmortem dump *before*
+                # shutdown tears anything down.
                 now = self.env.now()
-                d.flight.record(now, "fault", "crash")
-                flightmod.postmortem(f"fault_crash:{name}", now, (d,))
+                d.spans.record_event(now, "fault", "crash")
+                self.postmortems.append(
+                    postmortem(f"fault_crash:{name}", now, (d,)))
                 d.shutdown()
         elif ev.kind == "restart":
             name = ev.target[0]

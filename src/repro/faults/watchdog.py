@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.core.env import Env
-from repro.obs import flight as flightmod
+from repro.obs.spans import postmortem
 from repro.util.errors import ConfigError
 
 __all__ = ["Watchdog", "WatchedTarget"]
@@ -51,12 +51,6 @@ class WatchedTarget:
     dead: bool = False
     deaths: int = 0
     recoveries: int = 0
-    #: Flight recorder that logs this target's checks/transitions
-    #: (normally the standby owner's), or None.
-    flight: Optional[object] = None
-    #: Daemons whose flight rings a death freezes into a postmortem
-    #: dump; empty disables the dump.
-    postmortem_daemons: tuple = ()
 
 
 @dataclass
@@ -98,6 +92,8 @@ class Watchdog:
         self.k = int(k)
         self.targets: dict[str, WatchedTarget] = {}
         self.events: list[WatchdogEvent] = []
+        #: Postmortem documents of the promotions this watchdog made.
+        self.postmortems: list[dict] = []
         self.checks_run = 0
         self._handle = None
 
@@ -110,16 +106,12 @@ class Watchdog:
         heartbeat: Callable[[], float],
         on_dead: Callable[[], None],
         on_recover: Optional[Callable[[], None]] = None,
-        flight=None,
-        postmortem_daemons: tuple = (),
     ) -> WatchedTarget:
         """Watch an arbitrary heartbeat; fire ``on_dead`` on stall."""
         if name in self.targets:
             raise ConfigError(f"already watching {name!r}")
         tgt = WatchedTarget(name=name, heartbeat=heartbeat,
-                            on_dead=on_dead, on_recover=on_recover,
-                            flight=flight,
-                            postmortem_daemons=tuple(postmortem_daemons))
+                            on_dead=on_dead, on_recover=on_recover)
         self.targets[name] = tgt
         return tgt
 
@@ -139,7 +131,11 @@ class Watchdog:
         producer on the owner is promoted with ``activate_standby``; on
         recovery they are demoted so the primary's data is not stored
         twice.  Promotions surface in the owner's telemetry as
-        ``watchdog.promotions`` (exported by ``ldmsd_self``).
+        ``watchdog.promotions`` (exported by ``ldmsd_self``).  The
+        owner's span ring logs every check, promotion and recovery, and
+        a promotion freezes both daemons' rings into a postmortem kept
+        in :attr:`postmortems`: the dead primary's ring still holds
+        what it was doing before the stall.
         """
         if standby_producers is None:
             standby_producers = tuple(
@@ -153,29 +149,37 @@ class Watchdog:
             )
         promotions = standby_owner.obs.counter("watchdog.promotions")
         demotions = standby_owner.obs.counter("watchdog.demotions")
+        log = standby_owner.spans.record_event
+        now = self.env.now
 
         def heartbeat() -> float:
+            log(now(), "watchdog", "check", tgt.missed, 1 if tgt.dead else 0)
             return max(
                 (p.stats.last_update_ts for p in primary.producers.values()),
                 default=0.0,
             )
 
         def on_dead() -> None:
+            t = now()
+            log(t, "watchdog", "promote", tgt.missed)
             for n in names:
                 if n in standby_owner.producers:
                     standby_owner.activate_standby(n)
                     promotions.inc()
+            self.postmortems.append(postmortem(
+                f"watchdog_promotion:{primary.name}", t,
+                (primary, standby_owner)))
 
         def on_recover() -> None:
+            log(now(), "watchdog", "recovered")
             for n in names:
                 prod = standby_owner.producers.get(n)
                 if prod is not None:
                     prod.deactivate()
                     demotions.inc()
 
-        return self.watch(primary.name, heartbeat, on_dead, on_recover,
-                          flight=standby_owner.flight,
-                          postmortem_daemons=(primary, standby_owner))
+        tgt = self.watch(primary.name, heartbeat, on_dead, on_recover)
+        return tgt
 
     # ------------------------------------------------------------------
     # the check loop
@@ -199,10 +203,6 @@ class Watchdog:
         now = self.env.now()
         for tgt in self.targets.values():
             hb = tgt.heartbeat()
-            fl = tgt.flight
-            if fl is not None:
-                fl.record(now, "watchdog", "check", tgt.missed,
-                          1 if tgt.dead else 0)
             if tgt.last is None:
                 # Baseline: the first check only records where the
                 # heartbeat stands; stalls are counted from here.
@@ -217,8 +217,6 @@ class Watchdog:
                     self.events.append(
                         WatchdogEvent(time=now, target=tgt.name, kind="recovered")
                     )
-                    if fl is not None:
-                        fl.record(now, "watchdog", "recovered")
                     if tgt.on_recover is not None:
                         tgt.on_recover()
                 continue
@@ -230,13 +228,4 @@ class Watchdog:
                     WatchdogEvent(time=now, target=tgt.name, kind="dead",
                                   missed=tgt.missed)
                 )
-                if fl is not None:
-                    fl.record(now, "watchdog", "promote", tgt.missed)
                 tgt.on_dead()
-                if tgt.postmortem_daemons:
-                    # Freeze the involved daemons' last moments — the
-                    # dump's whole point is that the dead primary's ring
-                    # still holds what it was doing before the stall.
-                    flightmod.postmortem(
-                        f"watchdog_promotion:{tgt.name}", now,
-                        tgt.postmortem_daemons)

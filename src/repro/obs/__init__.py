@@ -6,15 +6,16 @@ visible and bounded (CPU %, memory footprint, fan-in latency — §IV-E,
 
 * :mod:`repro.obs.registry` — per-daemon counters and fixed-bucket
   latency histograms;
-* :mod:`repro.obs.spans` — the span ring: exemplar update transactions
-  (one in 16) and the hops they cross, as causal chains and Chrome
-  ``trace_event`` JSON;
-* :mod:`repro.obs.flight` — the flight recorder behind postmortem dumps;
+* :mod:`repro.obs.spans` — the span ring, one per daemon: exemplar
+  update transactions (one in 16) and the hops they cross, as causal
+  chains and Chrome ``trace_event`` JSON, and the rare daemon events
+  (connects, watchdog checks, crashes) a postmortem dump freezes;
 * :mod:`repro.obs.freshness` — per-producer completeness, staleness
   and lag on an aggregator;
-* :mod:`repro.obs.selfmetrics` — the ``ldmsd_self`` metric-set schema
-  that exports all of it as a first-class set an aggregator collects
-  over the normal transport.
+
+and :mod:`repro.obs.selfmetrics`, the ``ldmsd_self`` metric-set schema
+that exports all three as a first-class set an aggregator collects
+over the normal transport.
 
 Every daemon runs all of it; there is no off switch.  Surfaces:
 ``Ldmsd.stats()`` (registry snapshot), the ``stats``/``prof`` control
@@ -22,7 +23,6 @@ verbs, ``ldms_ls -v``, ``repro-top``, and the ``ldmsd_self`` sampler
 plugin.
 """
 
-from repro.obs.flight import FlightRecorder, postmortem, postmortems
 from repro.obs.freshness import FreshnessTracker, ProducerFreshness
 from repro.obs.registry import (
     DEFAULT_LATENCY_EDGES,
@@ -37,6 +37,7 @@ from repro.obs.spans import (
     UpdateSpan,
     causal_chains,
     chrome_trace_events,
+    postmortem,
     validate_chrome_trace,
 )
 
@@ -57,7 +58,5 @@ __all__ = [
     "validate_chrome_trace",
     "FreshnessTracker",
     "ProducerFreshness",
-    "FlightRecorder",
     "postmortem",
-    "postmortems",
 ]

@@ -141,7 +141,8 @@ class Histogram:
 
     @property
     def buckets(self) -> list[int]:
-        """Per-bucket counts as of the last fold (all zero before it)."""
+        """Per-bucket counts of every observation so far."""
+        self._fold()
         return self._buckets or [0] * (len(self.edges) + 1)
 
     def observe(self, value: float) -> None:

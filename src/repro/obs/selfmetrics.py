@@ -53,8 +53,8 @@ _COUNTER_NAMES = (
     # Observability plane (PR 7): aggregator freshness tracking —
     # delivered/expected transactions across all tracked producers,
     # fleet completeness in permille (0.901 → 901), stale-producer
-    # count and worst staleness in ms — plus flight-recorder and span
-    # activity.  On a sampler-only daemon the freshness row is the
+    # count and worst staleness in ms — plus the span ring's event and
+    # span totals.  On a sampler-only daemon the freshness row is the
     # identity (0 producers, completeness 1000).
     "freshness_producers",
     "freshness_delivered",
@@ -140,7 +140,7 @@ def collect(daemon: "Ldmsd") -> list[int]:
         fleet["producers"], fleet["delivered"], fleet["expected"],
         fleet["missed"], int(fleet["completeness"] * 1000.0 + 0.5),
         fleet["stale_producers"], int(fleet["max_staleness"] * 1000.0),
-        daemon.flight.total, daemon.spans.total,
+        daemon.spans.events_total, daemon.spans.total,
         *owned[6:],
         sum(getattr(s, "multi_component_rejected", 0) for s in stores),
         daemon.refused_connections(),

@@ -1,10 +1,13 @@
-"""Distributed spans: the exemplar record of the observability plane.
+"""The span ring: each daemon's one record of what it did lately.
 
-Each daemon owns a :class:`SpanRecorder`: one bounded ring of the hops
-exemplar transactions crossed (sampler transaction → serve-side RDMA
-read → aggregator fetch/validate → store flush, paper Fig. 2).  The
-recorder also picks the exemplars: every update transaction consumes a
-trace id, the first is always sampled, then one in ``sample_every``.
+Each daemon owns a :class:`SpanRecorder`: one bounded ring holding the
+hops exemplar transactions crossed (sampler transaction → serve-side
+RDMA read → aggregator fetch/validate → store flush, paper Fig. 2) and
+the rare events the daemon logs (start and shutdown, peer connect and
+close, watchdog checks, promotions and recoveries, injected crashes).
+The recorder also picks the exemplars: every update transaction
+consumes a trace id, the first is always sampled, then one in
+``sample_every``.
 An exemplar's :class:`UpdateSpan` is opened at issue and closed at
 whatever terminal status the transaction reaches, stored or not.  Its
 trace context (``trace_id``, parent span id, hop number — see
@@ -16,9 +19,17 @@ as Chrome ``trace_event`` JSON (load in ``chrome://tracing`` or
 Perfetto), timestamped off the daemon clock — simulated seconds under
 the DES, so a trace replay is byte-identical for a given seed.
 
+When a daemon dies the question is "what was it doing just before":
+:func:`postmortem` freezes the events in the rings of the daemons
+involved into one JSON-serializable document.  Whoever triggers a dump
+(the watchdog on a promotion, the fault injector on a crash) keeps it;
+no module keeps daemons or dumps.
+
 Cost discipline: an unsampled transaction costs an id increment and a
 modulo; everything else sits behind the exemplar handle's
-``is not None``, so the per-update hot path stays allocation-free.
+``is not None``, so the per-update hot path stays allocation-free.  An
+event is one tuple and one list append, and none is logged per update
+or per flush.
 """
 
 from __future__ import annotations
@@ -31,12 +42,14 @@ __all__ = [
     "HOP_UPDATE",
     "HOP_STORE",
     "HOP_NAMES",
+    "EVENT_FIELDS",
     "Span",
     "SpanRecorder",
     "UPDATE_STATUSES",
     "UpdateSpan",
     "causal_chains",
     "chrome_trace_events",
+    "postmortem",
 ]
 
 #: Hop numbering of the paper's Fig. 2 pipeline, source → sink.  The
@@ -52,6 +65,10 @@ HOP_NAMES = ("sample", "serve", "update", "store")
 #: Terminal statuses of an exemplar's update span (exactly one each).
 UPDATE_STATUSES = ("stored", "stale", "torn", "failed", "schema_refresh",
                    "store_error")
+
+#: An event in the ring is a plain tuple of these scalars.  Categories
+#: in use: ``daemon``, ``conn``, ``watchdog``, ``fault``.
+EVENT_FIELDS = ("t", "category", "event", "a", "b")
 
 
 class Span:
@@ -98,30 +115,33 @@ class UpdateSpan(Span):
 
 
 class SpanRecorder:
-    """Per-daemon bounded ring of spans, the span-id allocator and the
-    exemplar selector.
+    """Per-daemon bounded ring of spans and events, the span-id
+    allocator and the exemplar selector.
 
-    Span ids only need to be unique *within* a daemon (a chain edge is
+    Spans and event tuples share one ``ring`` and its one bound; the
+    ``spans`` and ``events`` views read it apart.  Span ids only need
+    to be unique *within* a daemon (a chain edge is
     the (daemon, span_id) pair named by the wire context), so each
     recorder allocates from its own counter — no cross-daemon
     coordination, which keeps DES determinism trivial.  Set
     ``sample_every=1`` to trace every update transaction.
     """
 
-    __slots__ = ("daemon", "spans", "total", "sample_every",
-                 "_next_id", "_next_span", "_next_aux", "_ring")
+    __slots__ = ("daemon", "ring", "total", "events_total", "sample_every",
+                 "_next_id", "_next_span", "_next_aux", "_size")
 
     def __init__(self, daemon: str, ring: int = 512, sample_every: int = 16):
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.daemon = daemon
         self.sample_every = sample_every
-        self._ring = ring
-        #: Recorded spans, oldest first, at most ``ring`` (a front-
-        #: trimmed list like the flight recorder's: every sampler holds
-        #: one ``serve_lookup`` span).
-        self.spans: list[Span] = []
+        self._size = ring
+        #: Spans and events, oldest first, at most ``ring`` of them (a
+        #: front-trimmed list, not a deque: every daemon logs its start
+        #: and every sampler holds one ``serve_lookup`` span).
+        self.ring: list = []
         self.total = 0  # spans ever recorded (the ring overwrites)
+        self.events_total = 0  # events ever recorded
         self._next_id = 1  # the next update transaction's trace id
         self._next_span = 1
         # Auxiliary trace ids (lookup RTT traces) live far above the
@@ -166,17 +186,60 @@ class SpanRecorder:
         self._append(Span(trace_id, span_id, parent_span, hop, name, t0, t1))
 
     def _append(self, span: Span) -> None:
-        spans = self.spans
-        spans.append(span)
-        if len(spans) > self._ring:
-            del spans[0]
+        ring = self.ring
+        ring.append(span)
+        if len(ring) > self._size:
+            del ring[0]
         self.total += 1
+
+    def record_event(self, t: float, category: str, event: str,
+                     a=0, b=0) -> None:
+        """Log a rare daemon event (never one per update or flush)."""
+        ring = self.ring
+        ring.append((t, category, event, a, b))
+        if len(ring) > self._size:
+            del ring[0]
+        self.events_total += 1
+
+    @property
+    def spans(self) -> list[Span]:
+        """The spans in the ring, oldest first."""
+        return [s for s in self.ring if type(s) is not tuple]
+
+    @property
+    def events(self) -> list[tuple]:
+        """The events in the ring, oldest first, as
+        :data:`EVENT_FIELDS` tuples."""
+        return [e for e in self.ring if type(e) is tuple]
+
+    def window(self) -> tuple[float, float]:
+        """(oldest, newest) retained event times; (0, 0) when none."""
+        events = self.events
+        if not events:
+            return (0.0, 0.0)
+        return (events[0][0], events[-1][0])
 
     def updates(self, status: Optional[str] = None) -> list[UpdateSpan]:
         """Closed update spans in the ring, oldest first, optionally
         filtered by terminal status (the ``prof`` traces)."""
-        return [s for s in self.spans if isinstance(s, UpdateSpan)
+        return [s for s in self.ring if isinstance(s, UpdateSpan)
                 and (status is None or s.status == status)]
+
+
+def postmortem(reason: str, now: float, daemons: Iterable) -> dict:
+    """Freeze the events in ``daemons``' rings into one
+    JSON-serializable document: per daemon its event total, the window
+    its retained events cover and the events themselves."""
+    frozen = []
+    for d in daemons:
+        rec = d.spans
+        frozen.append({
+            "daemon": rec.daemon,
+            "total_events": rec.events_total,
+            "window": list(rec.window()),
+            "events": [dict(zip(EVENT_FIELDS, e)) for e in rec.events],
+        })
+    return {"reason": reason, "t": now, "daemons": frozen}
 
 
 def causal_chains(

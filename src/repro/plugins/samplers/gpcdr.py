@@ -19,6 +19,7 @@ from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.nodefs.gpcdr import GEMINI_DIRECTIONS, GPCDR_PATH
 from repro.plugins.samplers.parsers import parse_gpcdr
+from repro.util.errors import ConfigError
 
 __all__ = ["GpcdrSampler"]
 
@@ -38,6 +39,8 @@ class GpcdrSampler(SamplerPlugin):
     def config(self, instance: str, component_id: int = 0,
                path: str = GPCDR_PATH, **kwargs) -> None:
         super().config(instance, component_id, **kwargs)
+        if not self.daemon.fs.exists(path):
+            raise ConfigError(f"gpcdr: no {path}")
         self.path = path
         self.set = self.create_set(instance, "gpcdr",
                                    set_template(_METRICS, _TYPES))

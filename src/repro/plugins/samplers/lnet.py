@@ -7,6 +7,7 @@ from repro.core.metric import MetricType
 from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.plugins.samplers.parsers import LNET_FIELDS, parse_lnet_stats
+from repro.util.errors import ConfigError
 
 __all__ = ["LnetSampler"]
 
@@ -18,6 +19,8 @@ class LnetSampler(SamplerPlugin):
     def config(self, instance: str, component_id: int = 0,
                path: str = "/proc/sys/lnet/stats", **kwargs) -> None:
         super().config(instance, component_id, **kwargs)
+        if not self.daemon.fs.exists(path):
+            raise ConfigError(f"lnet: no {path}")
         self.path = path
         self.set = self.create_set(
             instance, "lnet", set_template(LNET_FIELDS, MetricType.U64))

@@ -6,6 +6,7 @@ from repro.core.metric import MetricType
 from repro.core.metric_set import set_template
 from repro.core.sampler import SamplerPlugin, register_sampler
 from repro.plugins.samplers.parsers import parse_nfs
+from repro.util.errors import ConfigError
 
 __all__ = ["NfsSampler"]
 
@@ -19,6 +20,8 @@ class NfsSampler(SamplerPlugin):
     def config(self, instance: str, component_id: int = 0,
                path: str = "/proc/net/rpc/nfs", **kwargs) -> None:
         super().config(instance, component_id, **kwargs)
+        if not self.daemon.fs.exists(path):
+            raise ConfigError(f"nfs: no {path}")
         self.path = path
         self.set = self.create_set(
             instance, "nfs", set_template(self.METRICS, MetricType.U64))

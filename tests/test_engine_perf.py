@@ -186,16 +186,15 @@ class TestGcPause:
             gc.enable()
 
 
-def test_repro_env_switches_are_exactly_the_documented_two():
-    """One implementation per hot path: the only ``REPRO_*`` variables
-    the source reads are modes (sanitizer, postmortem directory), each
-    named in the README — a revert switch cannot come back
-    undocumented."""
+def test_repro_env_switch_is_exactly_the_documented_one():
+    """One implementation per hot path: the only ``REPRO_*`` variable
+    the source reads is the sanitizer's mode, named in the README — a
+    revert switch cannot come back undocumented."""
     root = pathlib.Path(__file__).resolve().parent.parent
     found = set()
     for path in (root / "src").rglob("*.py"):
         found.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
-    assert found == {"REPRO_SANITIZE", "REPRO_POSTMORTEM_DIR"}
+    assert found == {"REPRO_SANITIZE"}
     readme = (root / "README.md").read_text()
     assert all(name in readme for name in found)
 

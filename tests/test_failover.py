@@ -123,6 +123,38 @@ class TestFailoverE2E:
             assert not passed({"run": replace(r, **bad),
                                "deterministic": True}), bad
 
+    def test_each_world_keeps_its_own_dumps(self):
+        """Two worlds in one process: each watchdog holds exactly the
+        promotion dump it made, and each victim's rings the crash at
+        its own ``kill_at``; nothing is shared between the worlds."""
+        worlds = []
+        for seed, kill_at in ((1, 10.0), (2, 14.0)):
+            m = blue_waters(8, seed=seed)
+            dep = m.deploy_ldms(interval=1.0, collect_interval=1.0,
+                                fanin=4, second_level=False, standby=True,
+                                store="memory")
+            wd = m.attach_watchdog(dep, check_interval=1.0, k=2)
+            victim = dep.level1[-1]
+            inj = m.fault_injector(dep)
+            inj.arm(FaultPlan().crash(victim.name, kill_at))
+            worlds.append((m, wd, inj, victim.name, kill_at))
+        for m, *_ in worlds:
+            m.run(until=30.0)
+        crash = {"category": "fault", "event": "crash", "a": 0, "b": 0}
+        for _m, wd, inj, victim, kill_at in worlds:
+            (promotion,) = wd.postmortems
+            assert promotion["reason"] == f"watchdog_promotion:{victim}"
+            (crashed,) = inj.postmortems
+            assert crashed["reason"] == f"fault_crash:{victim}"
+            for doc in (promotion, crashed):
+                entry = next(d for d in doc["daemons"]
+                             if d["daemon"] == victim)
+                assert [e for e in entry["events"]
+                        if e["category"] == "fault"] == [
+                            {"t": kill_at, **crash}]
+                lo, hi = entry["window"]
+                assert lo <= kill_at <= hi
+
     def test_same_seed_identical(self):
         a = run_failover(n_nodes=8, fanin=4, interval=1.0, k=2,
                          kill_at=15.0, duration=40.0, seed=7)

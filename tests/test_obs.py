@@ -66,6 +66,14 @@ class TestHistogram:
         assert h.count == 6  # property read folds the staging list
         assert h.buckets == [1, 2, 1, 2]
 
+    def test_buckets_read_alone_fold_first(self):
+        # ``buckets`` is the first and only read after the observes.
+        h = Histogram("h", edges=(1.0, 2.0))
+        h.observe(1.5)
+        assert h.buckets == [0, 1, 0]
+        h.observe(0.5)
+        assert h.buckets == [1, 1, 0]
+
     def test_exact_count_sum_min_max_mean(self):
         h = Histogram("h")
         for v in (1e-5, 3e-5, 2e-4):

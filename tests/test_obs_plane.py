@@ -2,10 +2,9 @@
 
 Wire-level trace context, span recording + Chrome export (span
 identity pinned on a healthy run), the freshness/completeness tracker,
-the always-on flight recorder with postmortem dumps, and the
-exemplar-sampling determinism contract
-(same seed => same traced transactions, sanitized or not, columnar or
-scalar reference).
+the flight-recorder events the span ring keeps for postmortem dumps,
+and the exemplar-sampling determinism contract (same seed => same
+traced transactions, sanitized or not, columnar or scalar reference).
 """
 
 import hashlib
@@ -19,8 +18,6 @@ import pytest
 import repro.plugins  # noqa: F401
 from repro.core import Ldmsd, SimEnv, wire
 from repro.core.control import ControlChannel
-from repro.obs import flight as flightmod
-from repro.obs.flight import FlightRecorder
 from repro.obs.freshness import FreshnessTracker
 from repro.obs.spans import (
     HOP_NAMES,
@@ -33,6 +30,7 @@ from repro.obs.spans import (
     UpdateSpan,
     causal_chains,
     chrome_trace_events,
+    postmortem,
     validate_chrome_trace,
 )
 from repro.sim.engine import Engine
@@ -151,54 +149,63 @@ class TestFreshness:
 
 
 class TestFlightRecorder:
+    """The flight-recorder events live in the daemon's span ring."""
+
     def test_ring_bounded(self):
-        fl = FlightRecorder("d", ring=3)
+        r = SpanRecorder("d", ring=3)
         for i in range(5):
-            fl.record(float(i), "daemon", "tick", i)
-        assert fl.total == 5 and len(fl.events) == 3
-        assert [e[3] for e in fl.events] == [2, 3, 4]
+            r.record_event(float(i), "daemon", "tick", i)
+        assert r.events_total == 5 and len(r.events) == 3
+        assert [e[3] for e in r.events] == [2, 3, 4]
+        assert r.total == 0 and r.spans == []
 
     def test_window_covers_retained_events(self):
-        fl = FlightRecorder("d", ring=8)
+        r = SpanRecorder("d", ring=8)
         for i in range(4):
-            fl.record(float(i), "conn", "up", i)
-        lo, hi = fl.window()
-        assert (lo, hi) == (0.0, 3.0)
+            r.record_event(float(i), "conn", "up", i)
+        r.record(1, r.alloc(), 0, HOP_UPDATE, "update", 9.0, 9.5)
+        assert r.window() == (0.0, 3.0)  # spans do not widen it
+
+    def test_events_and_spans_share_one_bound(self):
+        r = SpanRecorder("d", ring=6)
+        for i in range(5):
+            r.record(1, r.alloc(), 0, HOP_UPDATE, "update", float(i), 9.0)
+            r.record_event(float(i), "conn", "peer_connect", i)
+        assert len(r.ring) == 6
+        assert r.total == 5 and r.events_total == 5
+        assert [s.t0 for s in r.spans] == [2.0, 3.0, 4.0]
+        assert [e[3] for e in r.events] == [2, 3, 4]
+        assert r.window() == (2.0, 4.0)
+
+    def test_span_readers_skip_events(self):
+        r = SpanRecorder("agg", sample_every=1)
+        r.record_event(0.5, "daemon", "start")
+        span = r.start("p", "p/s", 1.0)
+        r.finish(span, "stored", 2.0)
+        r.record_event(2.5, "conn", "peer_close")
+        assert r.updates() == [span] and r.spans == [span]
+        doc = chrome_trace_events([r])
+        assert [e["ph"] for e in doc["traceEvents"]] == ["M", "X"]
+        assert list(causal_chains([r])) == [span.trace_id]
 
     def test_postmortem_dump_structure(self):
-        flightmod.reset_postmortems()
         eng = Engine()
         env = SimEnv(eng)
         d = Ldmsd("pm0", env=env,
                   transports={"rdma": SimTransport(SimFabric(eng), "rdma",
                                                    node_id="pm0")})
-        d.flight.record(1.0, "fault", "crash")
-        doc = flightmod.postmortem("test_reason", 1.0, (d,))
-        assert doc["reason"] == "test_reason"
-        assert flightmod.postmortems[-1] is doc
-        rec = next(r for r in doc["daemons"] if r["daemon"] == "pm0")
-        assert any(e["category"] == "fault" and e["event"] == "crash"
-                   for e in rec["events"])
-        lo, hi = rec["window"]
-        assert lo <= 1.0 <= hi
-        flightmod.reset_postmortems()
-        assert not flightmod.postmortems
-
-    def test_postmortem_dir_env_writes_file(self, tmp_path, monkeypatch):
-        flightmod.reset_postmortems()
-        monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
-        fl = FlightRecorder("solo")
-        fl.record(0.5, "watchdog", "promote")
-
-        class _Carrier:
-            name = "solo"
-            flight = fl
-        flightmod.postmortem("watchdog_promotion:solo", 1.0, (_Carrier(),))
-        files = list(tmp_path.iterdir())
-        assert files, "postmortem dump file not written"
-        doc = json.loads(files[0].read_text())
-        assert doc["reason"] == "watchdog_promotion:solo"
-        flightmod.reset_postmortems()
+        d.spans.record_event(1.0, "fault", "crash")
+        doc = postmortem("test_reason", 1.0, (d,))
+        assert doc["reason"] == "test_reason" and doc["t"] == 1.0
+        (rec,) = doc["daemons"]
+        assert set(rec) == {"daemon", "total_events", "window", "events"}
+        assert rec["daemon"] == "pm0" and rec["total_events"] == 2
+        assert rec["events"] == [
+            {"t": 0.0, "category": "daemon", "event": "start", "a": 0, "b": 0},
+            {"t": 1.0, "category": "fault", "event": "crash", "a": 0, "b": 0},
+        ]
+        assert rec["window"] == [0.0, 1.0]
+        assert json.loads(json.dumps(doc)) == doc
 
 
 # ---------------------------------------------------------------------------

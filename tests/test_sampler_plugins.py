@@ -6,6 +6,7 @@ import repro.plugins  # noqa: F401
 from repro.core import Ldmsd, SimEnv
 from repro.core.sampler import default_sample_cost
 from repro.nodefs import GpcdrModel, HostModel, HostProfile
+from repro.nodefs.fs import SynthFS
 from repro.sim.engine import Engine
 from repro.transport.simfabric import SimFabric, SimTransport
 from repro.util.errors import ConfigError
@@ -227,6 +228,32 @@ class TestSyntheticSampler:
                              num_metrics=500)
         assert big.sample_cost > small.sample_cost
         assert small.sample_cost == pytest.approx(default_sample_cost(10))
+
+
+class TestMissingSourceFile:
+    """A sampler whose file the host lacks is refused at config, before
+    any set exists, as ``lustre`` and ``infiniband`` refuse theirs."""
+
+    @pytest.mark.parametrize("plugin", ["nfs", "lnet", "gpcdr"])
+    def test_refused_at_config(self, plugin):
+        eng = Engine()
+        d = Ldmsd("n", env=SimEnv(eng), fs=SynthFS(),
+                  transports={"rdma": SimTransport(SimFabric(eng), "rdma")})
+        used = d.arena.used
+        with pytest.raises(ConfigError, match=plugin):
+            d.load_sampler(plugin, instance=f"n/{plugin}", component_id=1)
+        assert d.get_set(f"n/{plugin}") is None
+        assert d.arena.used == used
+
+    @pytest.mark.parametrize("plugin", ["nfs", "lnet"])
+    def test_refused_when_the_profile_has_none(self, plugin):
+        eng = Engine()
+        host = HostModel("n", clock=lambda: 0.0,
+                         profile=HostProfile(nfs=False, lnet=False))
+        d = Ldmsd("n", env=SimEnv(eng), fs=host.fs,
+                  transports={"rdma": SimTransport(SimFabric(eng), "rdma")})
+        with pytest.raises(ConfigError):
+            d.load_sampler(plugin, instance=f"n/{plugin}", component_id=1)
 
 
 class TestPluginLifecycle:
