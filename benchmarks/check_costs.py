@@ -19,7 +19,10 @@ gates, and the totals equal what those gates measure:
   cohort sweep's finish (``LINES_PER_COHORT_MEMBER``);
 * ``flush_batch.rows1`` / ``.rows2`` — a non-exemplar store flush of one
   and of two rows at 32 producers (``FLUSH_CALLS_PER_*``);
-* ``torn_update`` — one torn update's completion (``TORN_UPDATE_CALLS``).
+* ``torn_update`` — one torn update's completion (``TORN_UPDATE_CALLS``);
+* ``self_read`` — one ``ldmsd_self`` sample on the knee aggregator (256
+  producers, after one steady interval): a read of the daemon's health
+  at fan-in scale.
 
 A change that moves a count shows as a diff of the committed
 ``BENCH_costs.json``: the module whose row moved is the layer it
@@ -177,10 +180,23 @@ def torn_update() -> dict:
     return {"torn_update": _table(count)}
 
 
+def self_read(n: int = 256) -> dict:
+    _samplers, agg = audit.build(n)
+    plugin = agg.load_sampler("ldmsd_self", instance="agg/self",
+                              component_id=n + 1)
+    now = agg.env.engine.now
+    plugin.do_sample(now)  # the first sample folds what the run staged
+
+    def count(events, per):
+        return audit.count_events(lambda: plugin.do_sample(now), events,
+                                  repro_only=True, per_module=per)
+    return {"self_read": _table(count)}
+
+
 def measure() -> dict:
     units = {"stored_set": stored_set(), **sampler_ticks(),
              "cohort_member": cohort_member(), **flush_batches(),
-             **torn_update()}
+             **torn_update(), **self_read()}
     return {"python": "%d.%d" % sys.version_info[:2], "units": units}
 
 

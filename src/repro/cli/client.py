@@ -3,8 +3,9 @@
 The transport API is callback-driven (``on_message``, completion
 functions); the CLIs are sequential.  :class:`SyncClient` bridges the
 two with a per-call :class:`threading.Event`, giving ``ldms-ls-repro``
-and ``repro-top`` a plain ``request``/``read_region`` interface over a
-live :class:`~repro.transport.sock.SockTransport` endpoint.
+and ``repro-top`` a plain ``request``/``read_region`` interface (and
+``dir``/``fetch`` on top of it) over a live
+:class:`~repro.transport.sock.SockTransport` endpoint.
 
 Because the sock transport consumes the daemon's HELLO inside its
 reader loop (the frame never reaches ``on_message``), the endpoint's
@@ -19,6 +20,8 @@ from __future__ import annotations
 import threading
 
 from repro.core import wire
+from repro.core.memory import Arena
+from repro.core.metric_set import MetricSet, SetInfo
 from repro.transport.sock import SockTransport
 
 __all__ = ["SyncClient"]
@@ -67,6 +70,26 @@ class SyncClient:
         if not done.wait(self.timeout):
             raise TimeoutError("region read timed out")
         return holder.get("data")
+
+    def dir(self) -> list[SetInfo]:
+        """The peer's published sets (one DIR round-trip)."""
+        reply = self.request(wire.encode_frame(wire.MsgType.DIR_REQ, 1))
+        return wire.unpack_dir_reply(reply.payload)
+
+    def fetch(self, info: SetInfo) -> MetricSet | str:
+        """A local mirror of ``info``'s set, looked up and read, or
+        which of the two failed."""
+        reply = self.request(wire.encode_frame(
+            wire.MsgType.LOOKUP_REQ, 2, wire.pack_lookup_req(info.name)))
+        status, region_id, meta = wire.unpack_lookup_reply(reply.payload)
+        if status != wire.E_OK:
+            return "lookup failed"
+        mirror = MetricSet.from_meta(meta, Arena(info.total_size * 2 + 4096))
+        data = self.read_region(region_id)
+        if data is None:
+            return "read failed"
+        mirror.apply_data(data)
+        return mirror
 
     def query(self, schema: str, t0: float, t1: float, level: int = 0,
               comp_id: int = 0, max_records: int = 0):

@@ -19,9 +19,6 @@ import sys
 
 from repro import obs
 from repro.cli.client import SyncClient
-from repro.core import wire
-from repro.core.memory import Arena
-from repro.core.metric_set import MetricSet
 
 __all__ = ["main"]
 
@@ -42,8 +39,7 @@ def main(argv: list[str] | None = None) -> int:
 
     client = SyncClient(args.host, args.port)
     try:
-        reply = client.request(wire.encode_frame(wire.MsgType.DIR_REQ, 1))
-        infos = wire.unpack_dir_reply(reply.payload)
+        infos = client.dir()
         if not infos:
             print("(no metric sets)")
             return 0
@@ -52,20 +48,10 @@ def main(argv: list[str] | None = None) -> int:
                   f"meta={info.meta_size}B data={info.data_size}B")
             if not args.long:
                 continue
-            lreply = client.request(
-                wire.encode_frame(wire.MsgType.LOOKUP_REQ, 2,
-                                  wire.pack_lookup_req(info.name))
-            )
-            status, region_id, meta = wire.unpack_lookup_reply(lreply.payload)
-            if status != wire.E_OK:
-                print("  (lookup failed)")
+            mirror = client.fetch(info)
+            if isinstance(mirror, str):
+                print(f"  ({mirror})")
                 continue
-            mirror = MetricSet.from_meta(meta, Arena(info.total_size * 2 + 4096))
-            data = client.read_region(region_id)
-            if data is None:
-                print("  (read failed)")
-                continue
-            mirror.apply_data(data)
             flag = "consistent" if mirror.is_consistent else "INCONSISTENT"
             line = f"  ts={mirror.timestamp:.6f} dgn={mirror.dgn} [{flag}]"
             if args.verbose:

@@ -4,8 +4,9 @@ Polls a daemon (usually the top aggregator, which republishes every
 ``ldmsd_self`` set it collects from the tree) and renders one row per
 daemon: sample/update/store rates, collection completeness and
 staleness from the freshness tracker, p95 pipeline latencies, and the
-arena/coalescing fast-path counters.  Rates are deltas between polls;
-the first frame shows cumulative totals.
+arena/coalescing fast-path counters.  Rates are deltas of count
+columns between polls; the first frame shows cumulative totals, and so
+does a count that fell (its daemon restarted and counts from 0 again).
 
     repro-top --host 127.0.0.1 --port 10411
     repro-top --host 127.0.0.1 --port 10411 --once
@@ -17,9 +18,6 @@ import argparse
 import sys
 
 from repro.cli.client import SyncClient
-from repro.core import wire
-from repro.core.memory import Arena
-from repro.core.metric_set import MetricSet
 from repro.obs import SELF_SCHEMA
 from repro.util import timeutil
 
@@ -29,52 +27,42 @@ _HEADER = (f"{'daemon':<20} {'samp/s':>8} {'upd/s':>8} {'stor/s':>8} "
            f"{'compl%':>7} {'stale':>5} {'lag_ms':>7} {'upd_p95':>8} "
            f"{'coalesce':>9} {'arena':>9} {'spans':>7}")
 
-#: Counters rendered as per-second rates between polls.
+#: Count columns (``COUNT_COLUMNS``) rendered as per-second rates.
 _RATED = ("samples", "updates_completed", "updates_stored")
 
 
 def collect_fleet(client: SyncClient) -> dict[str, dict[str, int]]:
     """One poll: every ``ldmsd_self`` set visible on the peer, as
     ``{set_name: {metric: value}}``."""
-    reply = client.request(wire.encode_frame(wire.MsgType.DIR_REQ, 1))
     fleet: dict[str, dict[str, int]] = {}
-    for info in wire.unpack_dir_reply(reply.payload):
-        if info.schema != SELF_SCHEMA:
-            continue
-        lreply = client.request(
-            wire.encode_frame(wire.MsgType.LOOKUP_REQ, 2,
-                              wire.pack_lookup_req(info.name)))
-        status, region_id, meta = wire.unpack_lookup_reply(lreply.payload)
-        if status != wire.E_OK:
-            continue
-        mirror = MetricSet.from_meta(meta, Arena(info.total_size * 2 + 4096))
-        data = client.read_region(region_id)
-        if data is None:
-            continue
-        mirror.apply_data(data)
-        fleet[info.name] = mirror.as_dict()
+    for info in client.dir():
+        if info.schema == SELF_SCHEMA:
+            mirror = client.fetch(info)
+            if not isinstance(mirror, str):
+                fleet[info.name] = mirror.as_dict()
     return fleet
 
 
 def render_fleet(fleet: dict[str, dict[str, int]],
                  prev: dict[str, dict[str, int]] | None,
                  dt: float) -> list[str]:
-    """Format one frame.  ``prev``/``dt`` turn counters into rates;
-    with ``prev=None`` (first poll) cumulative totals are shown."""
+    """Format one frame.  ``prev``/``dt`` turn counts into rates; with
+    ``prev=None`` (first poll), or for a count below its previous value
+    (a restart), the cumulative value is shown."""
     lines = [_HEADER]
     for name in sorted(fleet):
         v = fleet[name]
         last = prev.get(name) if prev else None
 
         def rate(key: str) -> str:
-            if last is None or dt <= 0:
+            if last is None or dt <= 0 or v[key] < last[key]:
                 return str(v[key])
             return f"{(v[key] - last[key]) / dt:8.1f}"
 
-        daemon = name.rsplit("/", 1)[0] if "/" in name else name
+        samples, updates, stored = map(rate, _RATED)
+        daemon = name.rsplit("/", 1)[0]
         lines.append(
-            f"{daemon:<20} {rate('samples'):>8} "
-            f"{rate('updates_completed'):>8} {rate('updates_stored'):>8} "
+            f"{daemon:<20} {samples:>8} {updates:>8} {stored:>8} "
             f"{v['completeness_permille'] / 10:7.1f} "
             f"{v['stale_producers']:>5} {v['max_staleness_ms']:>7} "
             f"{v['update_us_p95']:>8} {v['updates_coalesced']:>9} "

@@ -419,7 +419,7 @@ class Producer:
     def _on_close(self) -> None:
         with self.daemon.lock:
             if self.endpoint is not None:
-                self.daemon._retire_endpoint(self.endpoint)
+                self.daemon._retire(self.endpoint)
             self.endpoint = None
             self._pending_lookups.clear()
             self._drop_mirrors()

@@ -42,6 +42,7 @@ handled command is itself timed into the ``control.latency`` histogram.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -177,13 +178,7 @@ class ControlChannel:
     def _cmd_term(self, attrs) -> str:
         """``term name=<inst>``: stop and destroy a sampler instance."""
         (name,) = self._need(attrs, "name")
-        plugin = self.daemon.sampler_plugins().get(name)
-        if plugin is None:
-            raise ConfigError(f"no sampler instance {name!r}")
-        if name in self.daemon._schedules:
-            self.daemon.stop_sampler(name)
-        plugin.term()
-        del self.daemon._plugins[name]
+        self.daemon.term_sampler(name)
         return f"terminated {name}"
 
     def _cmd_listen(self, attrs) -> str:
@@ -272,19 +267,8 @@ class ControlChannel:
 
     def _cmd_dir(self, attrs) -> str:
         """``dir``: JSON directory of published sets (name/schema/sizes)."""
-        infos = self.daemon.dir_info()
-        return json.dumps(
-            [
-                {
-                    "name": i.name,
-                    "schema": i.schema,
-                    "card": i.card,
-                    "meta_size": i.meta_size,
-                    "data_size": i.data_size,
-                }
-                for i in infos
-            ]
-        )
+        return json.dumps([dataclasses.asdict(i)
+                           for i in self.daemon.dir_info()])
 
     def _cmd_stats(self, attrs) -> str:
         """``stats``: JSON operational counters + obs registry snapshot."""
@@ -303,36 +287,30 @@ class ControlChannel:
             return json.dumps(chrome_trace_events([d.spans]))
         if "export" in attrs:
             raise ConfigError(f"unknown export format {attrs['export']!r}")
-        with d.lock:  # the dumps fold what the daemon's threads stage
-            now = d.env.now()
+        with d.lock:  # the reads fold what the daemon's threads stage
+            h = d.health()
             return json.dumps(
                 {
                     "name": d.name,
                     "histograms": d.obs.dump_histograms(),
                     "traces": [s.as_dict() for s in d.spans.updates()],
                     "arena": {
-                        "sweeps": d.obs.counter("arena.sweeps").value,
-                        "rows_vectorized":
-                            d.obs.counter("arena.rows_vectorized").value,
-                        "fallback_sets":
-                            d.obs.counter("arena.fallback_sets").value,
-                        # Schema-stable: zeroed, not None/omitted, when the
-                        # columnar plane is off (no arena in this env).
-                        "pool": (d.set_pool.stats()
-                                 if d.set_pool is not None
-                                 else {"arenas": 0, "blocks": 0, "rows": 0}),
+                        "sweeps": h["arena.sweeps"],
+                        "rows_vectorized": h["arena.rows_vectorized"],
+                        "fallback_sets": h["arena.fallback_sets"],
+                        "pool": d.set_pool_stats(),
                     },
-                    "freshness": d.freshness.snapshot(now),
+                    "freshness": d.freshness.snapshot(d.env.now()),
                     "flight": {
-                        "total": d.spans.events_total,
+                        "total": h["flight_events"],
                         "window": d.spans.window(),
                         "events": len(d.spans.events),
                     },
                     "spans": {
-                        "total": d.spans.total,
+                        "total": h["spans_recorded"],
                         "retained": len(d.spans.spans),
                     },
-                    "xprt_refused_connections": d.refused_connections(),
+                    "xprt_refused_connections": h["xprt_refused_connections"],
                 }
             )
 

@@ -25,11 +25,12 @@ from __future__ import annotations
 import dataclasses
 import threading
 from functools import partial
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, NamedTuple, Optional
 
 from repro.core import sanitize, wire
-from repro.core.aggregator import Dialer, Producer, ProducerConfig
+from repro.core.aggregator import Dialer, Producer, ProducerConfig, UpdateStats
 from repro.core.env import Env, RealEnv, SimEnv, WorkerPool
 from repro.core.memory import Arena
 from repro.core.metric_set import MetricSet, SetInfo, SetTemplate
@@ -85,12 +86,22 @@ _OBS_HISTOGRAMS = (
 _NO_ENTRIES: Any = MappingProxyType({})
 _NO_STORES: Any = ()
 _NO_FRESHNESS = FreshnessTracker()
-#: Endpoint fields behind the daemon's ``transport.*`` counts.
-_ENDPOINT_COUNTS = (("transport.frames_rx", "frames_received"),
-                    ("transport.bytes_rx", "bytes_received"),
-                    ("transport.rdma_reads", "rdma_reads"),
-                    ("transport.rdma_bytes", "rdma_bytes_read"))
-#: Producer ``UpdateStats`` fields behind the daemon's ``update.*`` counts.
+#: The daemon's ``transport.*`` counts, and the endpoint fields behind
+#: them read as one row.
+_ENDPOINT_COUNTS = ("transport.frames_rx", "transport.bytes_rx",
+                    "transport.rdma_reads", "transport.rdma_bytes")
+_ENDPOINT_ROW = attrgetter("frames_received", "bytes_received", "rdma_reads",
+                           "rdma_bytes_read")
+#: Every count field of a producer's ``UpdateStats``, read as one row
+#: (:meth:`Ldmsd.update_totals`).
+_UPDATE_FIELDS = tuple(f.name for f in dataclasses.fields(UpdateStats)
+                       if f.type == "int")
+_UPDATE_ROW = attrgetter(*_UPDATE_FIELDS)
+#: Store fields summed in the daemon's count table, read as one row.
+_STORE_COUNTS = ("records_stored", "records_failed", "records_dropped",
+                 "multi_component_rejected")
+_STORE_ROW = attrgetter(*_STORE_COUNTS)
+#: The ``UpdateStats`` totals the registry lists as ``update.*`` counts.
 _UPDATE_COUNTS = (("update.failed", "updates_failed"),
                   ("update.skipped_busy", "skipped_busy"),
                   ("update.skipped_inconsistent", "skipped_inconsistent"),
@@ -278,7 +289,7 @@ class Ldmsd:
     DERIVED_COUNTS = frozenset((
         "sampler.samples", "arena.rows_vectorized", "serve.dir_req",
         "serve.lookup_req", "serve.query_req", "store.flush_rows_batched",
-        *(name for name, _ in _ENDPOINT_COUNTS + _UPDATE_COUNTS)))
+        *_ENDPOINT_COUNTS, *(name for name, _ in _UPDATE_COUNTS)))
 
     def __init__(
         self,
@@ -324,7 +335,7 @@ class Ldmsd:
         self._vec_cost: Optional[float] = None
         self._e2e_staged: list[float] = _NO_STORES  # a list from add_store
         self._served_dirs = self._served_lookups = self._served_queries = 0
-        self._retired: dict[str, int] = _NO_ENTRIES
+        self._retired: dict[attrgetter, tuple] = _NO_ENTRIES
         #: Observability plane: the span ring (exemplar update
         #: transactions and the hops they cross, feeding ``prof`` traces
         #: and Chrome trace export, and the rare events postmortem dumps
@@ -531,6 +542,16 @@ class Ldmsd:
                 raise ConfigError(f"sampler {instance!r} is not started")
             handle.cancel()
 
+    def term_sampler(self, instance: str) -> None:
+        """Stop a sampler instance if it is started, delete its sets and
+        unload it.  What it sampled stays counted."""
+        with self.lock:
+            plugin = self._require_plugin(instance)
+            if instance in self._schedules:
+                self.stop_sampler(instance)
+            plugin.term()
+            del self._plugins[instance]
+
     def sampler_plugins(self) -> dict[str, SamplerPlugin]:
         return dict(self._plugins)
 
@@ -637,7 +658,7 @@ class Ldmsd:
     def _drop_served(self, endpoint: Endpoint,
                      dialer: Optional[Dialer]) -> None:
         with self.lock:
-            self._retire_endpoint(endpoint)
+            self._retire(endpoint)
             if endpoint in self._served_endpoints:
                 self._served_endpoints.remove(endpoint)
                 self.spans.record_event(self.env.now(), "conn", "peer_close",
@@ -937,7 +958,7 @@ class Ldmsd:
                 raise ConfigError(f"no producer {name!r}")
             del self.producers[name]
             prod.stop()
-            self._retire(_UPDATE_COUNTS, prod.stats)
+            self._retire(prod.stats, _UPDATE_ROW)
 
     def activate_standby(self, name: str) -> None:
         """Promote a standby producer (driven by an external watchdog)."""
@@ -1164,63 +1185,88 @@ class Ldmsd:
         can hold, mutate, or serialize it without racing live counters
         (``vars(p.stats)`` would hand out the live ``__dict__``).
         """
+        from repro.query.engine import QueryEngine
+
         with self.lock:
+            h = self.health()
             return {
                 "name": self.name,
-                "sets": len(self._sets),
-                "arena_used": self.arena.used,
-                "arena_peak": self.arena.peak_used,
-                "arena_size": self.arena.size,
-                # Bytes of arena backing actually allocated (<= used).
-                "arena_committed": self.arena.committed,
-                "plugins": len(self._plugins),
-                "producers": {
-                    name: dataclasses.asdict(p.stats)
-                    for name, p in self.producers.items()
-                },
-                "records_delivered": self.records_delivered,
-                # Schema-stable for pollers: the arena keys are always
-                # present — zeroed, not dropped, when the columnar plane
-                # is off (no arena in this environment).
-                "set_pool": (self.set_pool.stats()
-                             if self.set_pool is not None
-                             else {"arenas": 0, "blocks": 0, "rows": 0}),
+                **{key: h[key] for key in (
+                    "sets", "arena_used", "arena_peak", "arena_size",
+                    "arena_committed", "plugins")},
+                "producers": {name: dataclasses.asdict(p.stats)
+                              for name, p in self.producers.items()},
+                "records_delivered": h["records_delivered"],
+                "set_pool": self.set_pool_stats(),
                 "freshness": self.freshness.fleet(self.env.now()),
                 # Schema-stable like set_pool: zeroed when the serving
                 # tier is not enabled on this daemon.
                 "query": (self.query_engine.stats()
                           if self.query_engine is not None
-                          else {"requests": 0, "cache_hits": 0,
-                                "lru_hits": 0, "cache_misses": 0,
-                                "rows_served": 0, "lru_entries": 0,
-                                "hot_containers": 0}),
-                "xprt_refused_connections": self.refused_connections(),
-                "stores": [
-                    {
-                        "plugin": s.plugin_name,
-                        "records": s.records_stored,
-                        "failed": s.records_failed,
-                        "dropped": s.records_dropped,
-                        "bytes_written": s.bytes_written(),
-                    }
-                    for s in self.stores
-                ],
+                          else dict.fromkeys(QueryEngine.STATS_KEYS, 0)),
+                "xprt_refused_connections": h["xprt_refused_connections"],
+                "stores": [{"plugin": s.plugin_name, "records": s.records_stored,
+                            "failed": s.records_failed,
+                            "dropped": s.records_dropped,
+                            "bytes_written": s.bytes_written()}
+                           for s in self.stores],
                 "obs": self.obs.snapshot(),
             }
+
+    def set_pool_stats(self) -> dict:
+        """The environment's set-pool ``stats()``: zeroed, not omitted,
+        with no pool (schema-stable for pollers)."""
+        pool = self.set_pool
+        return (pool.stats() if pool is not None
+                else {"arenas": 0, "blocks": 0, "rows": 0})
+
+    def health(self) -> dict:
+        """The daemon's count table, read once (caller holds the lock):
+        the registry's counts by name (:meth:`Telemetry.reading`, 0 for a
+        name nobody bound), every ``UpdateStats`` total by field name,
+        and the daemon's own counts and gauges.  ``stats()``, ``prof``
+        and ``ldmsd_self`` project it; reading it binds nothing."""
+        table = self.obs.reading()
+        table.update(self.update_totals())
+        table.update(zip(_STORE_COUNTS, self._totals(_STORE_ROW, self.stores)))
+        # The freshness fleet over armed producers, in integer units.
+        fleet = self.freshness.fleet(self.env.now())
+        fleet["completeness_permille"] = int(
+            fleet.pop("completeness") * 1000.0 + 0.5)
+        fleet["max_staleness_ms"] = int(fleet.pop("max_staleness") * 1000.0)
+        table.update({f"freshness.{k}": v for k, v in fleet.items()})
+        table.update({
+            "sets": len(self._sets),
+            "plugins": len(self._plugins),
+            "producers": len(self.producers),
+            "stores": len(self.stores),
+            "arena_used": self.arena.used,
+            "arena_peak": self.arena.peak_used,
+            "arena_size": self.arena.size,
+            "arena_committed": self.arena.committed,  # backed bytes, <= used
+            "records_delivered": self.records_delivered,
+            "timer_fastpath_ticks": self.env.timer_fastpath_ticks(),
+            "flight_events": self.spans.events_total,
+            "spans_recorded": self.spans.total,
+            # Connects refused at a transport's ``max_connections`` wall.
+            "xprt_refused_connections": sum([
+                getattr(x, "refused_connections", 0)
+                for x in self.transports.values()]),
+        })
+        return table
 
     def derived_counts(self) -> dict:
         """The registry's derived counts: fold this daemon's bulk
         observations into its histograms, then read every count that
         pipeline state already keeps — plugins' samples (the
-        ``sample.duration`` observations), cohort rows, served
-        requests, stores' rows, endpoints' frames and bytes, producers'
-        update outcomes — adding what closed endpoints and removed
-        producers left in ``_retired``."""
+        ``sample.duration`` observations), cohort rows, served requests,
+        stores' rows, endpoints' frames and bytes and producers' update
+        outcomes (closed and removed ones' kept in ``_retired``)."""
         if self._vec_backlog:
             self._observe_cohort_rows()
         if self._e2e_staged:
             self._observe_staged()
-        h, retired = self._h_sample, self._retired
+        h = self._h_sample
         out = {
             "sampler.samples": h.observed if h is not None else 0,
             "arena.rows_vectorized": self._vec_observed,
@@ -1230,36 +1276,37 @@ class Ldmsd:
             "store.flush_rows_batched": sum([
                 s.records_stored + s.records_failed for s in self.stores]),
         }
-        prods = self.producers.values()
         eps = self._served_endpoints + [
-            p.endpoint for p in prods if p.endpoint is not None]
-        for pairs, objs, listed in (
-                (_ENDPOINT_COUNTS, eps, eps),
-                (_UPDATE_COUNTS, [p.stats for p in prods],
-                 self.producers is not _NO_ENTRIES)):
-            if listed or pairs[0][0] in retired:
-                for name, field in pairs:
-                    out[name] = retired.get(name, 0) + sum(
-                        [getattr(o, field) for o in objs])
+            p.endpoint for p in self.producers.values()
+            if p.endpoint is not None]
+        out.update(zip(_ENDPOINT_COUNTS, self._totals(_ENDPOINT_ROW, eps)))
+        totals = self.update_totals()
+        if totals:
+            for name, field in _UPDATE_COUNTS:
+                out[name] = totals[field]
         return out
 
-    def _retire_endpoint(self, endpoint: Endpoint) -> None:
-        self._retire(_ENDPOINT_COUNTS, endpoint)
+    def update_totals(self) -> dict:
+        """Each ``UpdateStats`` count field summed over this daemon's
+        producers, removed ones included (empty before the first)."""
+        return dict(zip(_UPDATE_FIELDS, self._totals(
+            _UPDATE_ROW, [p.stats for p in self.producers.values()])))
 
-    def _retire(self, pairs: tuple, obj) -> None:
-        """Keep what a closed endpoint or a removed producer's stats
-        add to the derived ``pairs`` counts once it is gone."""
-        retired = self._retired
-        if retired is _NO_ENTRIES:
-            retired = self._retired = {}
-        for name, field in pairs:
-            retired[name] = retired.get(name, 0) + getattr(obj, field)
+    def _totals(self, row: attrgetter, objs: list) -> list[int]:
+        """Per-field sums of ``row`` over ``objs`` and what closed or
+        removed ones left (``_retire``); empty when there were none."""
+        rows = list(map(row, objs))
+        kept = self._retired.get(row)
+        if kept is not None:
+            rows.append(kept)
+        return list(map(sum, zip(*rows)))
 
-    def refused_connections(self) -> int:
-        """Connections refused at a transport's ``max_connections`` wall,
-        summed over the transports that count them."""
-        return sum(getattr(x, "refused_connections", 0)
-                   for x in self.transports.values())
+    def _retire(self, obj, row: attrgetter = _ENDPOINT_ROW) -> None:
+        """Keep what ``row`` of a closed endpoint (the default) or of a
+        removed producer's stats adds to the totals once it is gone."""
+        if self._retired is _NO_ENTRIES:
+            self._retired = {}
+        self._retired[row] = tuple(self._totals(row, [obj]))
 
     def shutdown(self) -> None:
         if self._shutdown:
@@ -1272,7 +1319,7 @@ class Ldmsd:
             self._schedules.clear()
             for prod in list(self.producers.values()):
                 prod.stop()
-                self._retire(_UPDATE_COUNTS, prod.stats)
+                self._retire(prod.stats, _UPDATE_ROW)
             self.producers = _NO_ENTRIES
             for dialer in self._advertisements.values():
                 dialer.stop()

@@ -33,8 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["SetArenaPool", "ArenaBlock", "SampleCohort", "CohortScheduler"]
 
-# Data-chunk header geometry (mirrors repro.core.metric_set).
-_MGN_OFF = 0
+# Data-chunk header geometry (mirrors repro.core.metric_set; the MGN
+# is the first four bytes).
 _DGN_OFF = 4
 _CONSISTENT_OFF = 12
 _TS_OFF = 16
@@ -56,9 +56,9 @@ class ArenaBlock:
     row-major slice stays contiguous).
     """
 
-    __slots__ = ("arena", "index", "block", "capacity", "data_size", "mgn",
-                 "dgn", "flags", "ts", "values_mat", "n_values", "_free",
-                 "_next", "flat")
+    __slots__ = ("arena", "index", "block", "capacity", "data_size", "dgn",
+                 "flags", "ts", "values_mat", "n_values", "_free", "_next",
+                 "flat")
 
     def __init__(self, arena: "_SetArena", capacity: int):
         self.arena = arena
@@ -69,7 +69,6 @@ class ArenaBlock:
         #: Flat view of ``block`` made by the first MetricSet backed here
         #: (raw views belong to the set layer); data chunks are its slices.
         self.flat: Optional[memoryview] = None
-        self.mgn = block[:, _MGN_OFF:_MGN_OFF + 4].view("<u4")[:, 0]
         self.dgn = block[:, _DGN_OFF:_DGN_OFF + 8].view("<u8")[:, 0]
         self.flags = block[:, _CONSISTENT_OFF]
         self.ts = block[:, _TS_OFF:_TS_OFF + 8].view("<f8")[:, 0]

@@ -118,6 +118,8 @@ class StorePlugin:
     """
 
     plugin_name: str = "abstract"
+    #: Records refused for spanning several component ids (SOS counts them).
+    multi_component_rejected = 0
 
     def __init__(self) -> None:
         self.policy = StorePolicy()

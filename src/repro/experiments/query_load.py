@@ -174,11 +174,7 @@ def run_query_load(
         per_class = {kind: class_stats(kind) for kind in _CLASSES}
         alerts = sum(getattr(c, "alerts", 0) for c in clients)
         hq = agg.obs.histogram("serve.query")
-        requests = agg.obs.counter("query.requests").value
-        hits = agg.obs.counter("query.cache_hits").value
-        lru_hits = agg.obs.counter("query.lru_hits").value
-        misses = agg.obs.counter("query.cache_misses").value
-        rows_served = agg.obs.counter("query.rows_served").value
+        served = agg.query_engine.stats()
         records_stored = store.records_stored
         serve_p50, serve_p95, serve_p99 = (
             _us(hq.quantile(q)) for q in (0.50, 0.95, 0.99))
@@ -194,13 +190,14 @@ def run_query_load(
         evaluator=per_class["evaluator"],
         scanner=per_class["scanner"],
         alerts_fired=alerts,
-        query_requests=requests,
-        cache_hits=hits,
-        lru_hits=lru_hits,
-        cache_misses=misses,
-        rows_served=rows_served,
+        query_requests=served["requests"],
+        cache_hits=served["cache_hits"],
+        lru_hits=served["lru_hits"],
+        cache_misses=served["cache_misses"],
+        rows_served=served["rows_served"],
         cache_hit_permille=(
-            int(hits * 1000 / requests + 0.5) if requests else 0),
+            int(served["cache_hits"] * 1000 / served["requests"] + 0.5)
+            if served["requests"] else 0),
         serve_us_p50=serve_p50,
         serve_us_p95=serve_p95,
         serve_us_p99=serve_p99,

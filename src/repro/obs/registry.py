@@ -17,7 +17,9 @@ control handling.  Instruments are deliberately primitive:
 Each thing is counted once.  An *owned* counter is a :class:`Counter`,
 kept for rare events (errors, overruns, faults, refusals).  A *derived*
 count is read when a surface asks, from state the pipeline keeps anyway
-(the owner's ``derived_counts()``): no object, no dict entry.  Bulk
+(the owner's ``derived_counts()``): no object, no dict entry.  A read
+binds nothing: :meth:`Telemetry.reading` and :meth:`Telemetry.summary`
+read 0 and a zeroed summary for a name nobody bound.  Bulk
 observations (:meth:`Histogram.observe_n` / ``observe_many``) fold
 exactly as one ``observe`` per value would.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from collections import defaultdict
 from functools import reduce
 from itertools import repeat
 from operator import add
@@ -275,6 +278,10 @@ class Histogram:
         return out
 
 
+#: What :meth:`Telemetry.summary` reads for a histogram nobody bound.
+_ZERO_SUMMARY = Histogram("").summary()
+
+
 class Telemetry:
     """A named-instrument registry owned by one daemon.
 
@@ -339,20 +346,27 @@ class Telemetry:
         return h
 
     # ------------------------------------------------------------------
-    # surfaces
+    # surfaces: every read binds nothing
     # ------------------------------------------------------------------
-    def counters(self) -> dict:
-        """Every counter's value by name, sorted: declared, derived and
-        owned (derived after the owner's bulk observations are folded)."""
-        cvals = dict.fromkeys(self._declared_counters, 0)
+    def reading(self) -> defaultdict:
+        """Every listed count by name — declared, derived (after the
+        owner's bulk observations are folded) and owned — and 0 for a
+        name nobody bound."""
+        cvals = defaultdict(int, dict.fromkeys(self._declared_counters, 0))
         cvals.update(self._derived())
         cvals.update((n, c.value) for n, c in self._counters.items())
-        return dict(sorted(cvals.items()))
+        return cvals
+
+    def summary(self, name: str) -> dict:
+        """Histogram ``name``'s summary, zeroed for a name nobody bound."""
+        h = self._histograms.get(name)
+        return h.summary() if h is not None else dict(_ZERO_SUMMARY)
 
     def snapshot(self) -> dict:
-        """Deep, detached, JSON-serializable registry snapshot."""
+        """Deep, detached, JSON-serializable registry snapshot: the
+        listed counts (:meth:`reading`) and histograms, sorted by name."""
         return {
-            "counters": self.counters(),
+            "counters": dict(sorted(self.reading().items())),
             "histograms": {
                 n: h.summary() for n, h in self._listed_histograms()},
         }

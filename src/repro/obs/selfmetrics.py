@@ -4,10 +4,11 @@ Real LDMS exports the daemon's own counters as a first-class metric set
 so an aggregator collects a sampler's health exactly the way it
 collects ``meminfo`` — over the normal transport, validated by the
 normal DGN/consistent rules, stored through the normal store path.
-This module defines that schema once: the fixed metric-name tuple, the
-``collect()`` function that snapshots a live daemon into a value row,
-and the ``render()`` helper ``ldms_ls -v`` uses to pretty-print a
-collected set.
+This module defines that schema once: one table names each column, the
+key it reads in the daemon's count table (``Ldmsd.health()``) and
+whether it is a count (never falls) or a gauge; ``collect()`` projects
+one reading of a live daemon into a value row, and ``render()`` is the
+helper ``ldms_ls -v`` uses to pretty-print a collected set.
 
 All metrics are U64.  Latency quantiles come from the daemon's
 telemetry histograms and are exported in integer microseconds
@@ -17,81 +18,86 @@ telemetry histograms and are exported in integer microseconds
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ldmsd import Ldmsd
 
-__all__ = ["SELF_SCHEMA", "SELF_METRIC_NAMES", "collect", "render"]
+__all__ = ["SELF_SCHEMA", "SELF_METRIC_NAMES", "COUNT_COLUMNS", "collect",
+           "render"]
 
 SELF_SCHEMA = "ldmsd_self"
+COUNT, GAUGE = True, False
 
-#: (metric prefix, telemetry histogram name) pairs exported as quantiles.
-_HISTOGRAMS = (
-    ("sample", "sample.duration"),
-    ("lookup", "lookup.rtt"),
-    ("update", "update.rtt"),
-    ("store_flush", "store.flush"),
-    ("sample_to_store", "pipeline.sample_to_store"),
-    ("query", "serve.query"),
-)
-_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
-
-_COUNTER_NAMES = (
-    "sets", "plugins", "producers", "stores",
-    "arena_used", "arena_peak", "arena_size",
-    "samples",
-    "lookups_sent", "lookups_failed", "lookups_timed_out", "sets_pruned",
-    "updates_issued", "updates_completed", "updates_failed",
-    "skipped_stale", "skipped_inconsistent", "skipped_busy",
-    "schema_refreshes", "updates_stored",
-    "records_delivered", "records_stored", "store_errors", "store_dropped",
-    "set_create_failed", "sanitizer_violations", "watchdog_promotions",
-    "faults_injected",
-    "updates_coalesced", "flush_rows_batched", "timer_fastpath_ticks",
-    "arena_sweeps", "arena_rows_vectorized", "arena_fallback_sets",
-    # Observability plane (PR 7): aggregator freshness tracking —
-    # delivered/expected transactions across all tracked producers,
-    # fleet completeness in permille (0.901 → 901), stale-producer
-    # count and worst staleness in ms — plus the span ring's event and
-    # span totals.  On a sampler-only daemon the freshness row is the
-    # identity (0 producers, completeness 1000).
-    "freshness_producers",
-    "freshness_delivered",
-    "freshness_expected",
-    "freshness_missed",
-    "completeness_permille",
-    "stale_producers",
-    "max_staleness_ms",
-    "flight_events",
-    "spans_recorded",
-    # Serving tier (PR 9): query requests served, hot/LRU cache
-    # outcomes, rows returned, and SOS records rejected for spanning
+#: (column, count or gauge[, key in ``Ldmsd.health()`` if not the
+#: column's own name]), in schema order.
+_COLUMNS = (
+    ("sets", GAUGE), ("plugins", GAUGE), ("producers", GAUGE),
+    ("stores", GAUGE), ("arena_used", GAUGE), ("arena_peak", GAUGE),
+    ("arena_size", GAUGE), ("samples", COUNT, "sampler.samples"),
+    # Every producer's ``UpdateStats``, removed producers included.
+    ("lookups_sent", COUNT), ("lookups_failed", COUNT),
+    ("lookups_timed_out", COUNT), ("sets_pruned", COUNT),
+    ("updates_issued", COUNT), ("updates_completed", COUNT),
+    ("updates_failed", COUNT, "update.failed"),
+    ("skipped_stale", COUNT, "update.skipped_stale"),
+    ("skipped_inconsistent", COUNT, "update.skipped_inconsistent"),
+    ("skipped_busy", COUNT, "update.skipped_busy"),
+    ("schema_refreshes", COUNT), ("updates_stored", COUNT, "stored"),
+    ("records_delivered", COUNT), ("records_stored", COUNT),
+    ("store_errors", COUNT, "records_failed"),
+    ("store_dropped", COUNT, "records_dropped"),
+    ("set_create_failed", COUNT, "set.create_failed"),
+    ("sanitizer_violations", COUNT, "sanitizer.violations"),
+    ("watchdog_promotions", COUNT, "watchdog.promotions"),
+    ("faults_injected", COUNT, "faults.injected"),
+    ("updates_coalesced", COUNT),
+    ("flush_rows_batched", COUNT, "store.flush_rows_batched"),
+    ("timer_fastpath_ticks", COUNT),
+    ("arena_sweeps", COUNT, "arena.sweeps"),
+    ("arena_rows_vectorized", COUNT, "arena.rows_vectorized"),
+    ("arena_fallback_sets", COUNT, "arena.fallback_sets"),
+    # Observability plane (PR 7): the freshness fleet over armed
+    # producers (the identity on a sampler-only daemon: 0 producers,
+    # 1000 ‰), then the span ring's event and span totals.
+    ("freshness_producers", GAUGE, "freshness.producers"),
+    ("freshness_delivered", GAUGE, "freshness.delivered"),
+    ("freshness_expected", GAUGE, "freshness.expected"),
+    ("freshness_missed", GAUGE, "freshness.missed"),
+    ("completeness_permille", GAUGE, "freshness.completeness_permille"),
+    ("stale_producers", GAUGE, "freshness.stale_producers"),
+    ("max_staleness_ms", GAUGE, "freshness.max_staleness_ms"),
+    ("flight_events", COUNT), ("spans_recorded", COUNT),
+    # Serving tier (PR 9), and SOS records rejected for spanning
     # multiple component ids (the store's one-u32-slot contract).
-    "query_requests",
-    "query_cache_hits",
-    "query_cache_misses",
-    "query_rows_served",
-    "store_multi_component_rejected",
-    # Connections refused at the transport's ``max_connections`` wall
-    # (§IV-A fan-in bound), summed over this daemon's transports:
-    # producers past capacity are dark, not slow.
-    "xprt_refused_connections",
+    ("query_requests", COUNT, "query.requests"),
+    ("query_cache_hits", COUNT, "query.cache_hits"),
+    ("query_cache_misses", COUNT, "query.cache_misses"),
+    ("query_rows_served", COUNT, "query.rows_served"),
+    ("store_multi_component_rejected", COUNT, "multi_component_rejected"),
+    # Connects refused at a transport's ``max_connections`` (§IV-A).
+    ("xprt_refused_connections", COUNT),
 )
-
-
-def _histogram_metric_names() -> tuple[str, ...]:
-    names = []
-    for prefix, _ in _HISTOGRAMS:
-        for qname, _ in _QUANTILES:
-            names.append(f"{prefix}_us_{qname}")
-        names.append(f"{prefix}_us_max")
-        names.append(f"{prefix}_count")
-    return tuple(names)
-
+#: (column prefix, histogram): p50/p95/p99/max in µs (gauges), count.
+_HISTOGRAMS = (
+    ("sample", "sample.duration"), ("lookup", "lookup.rtt"),
+    ("update", "update.rtt"), ("store_flush", "store.flush"),
+    ("sample_to_store", "pipeline.sample_to_store"), ("query", "serve.query"),
+)
+_LATENCY_COLUMNS = tuple(
+    (f"{prefix}_{suffix}", suffix == "count") for prefix, _ in _HISTOGRAMS
+    for suffix in ("us_p50", "us_p95", "us_p99", "us_max", "count"))
 
 #: The frozen schema, in descriptor order.
-SELF_METRIC_NAMES: tuple[str, ...] = _COUNTER_NAMES + _histogram_metric_names()
+SELF_METRIC_NAMES: tuple[str, ...] = tuple(
+    column[0] for column in _COLUMNS + _LATENCY_COLUMNS)
+#: The columns that never fall: rates are taken of these only.
+COUNT_COLUMNS = frozenset(
+    column[0] for column in _COLUMNS + _LATENCY_COLUMNS if column[1])
+
+_read_columns = itemgetter(*(column[2] if len(column) > 2 else column[0]
+                             for column in _COLUMNS))
 
 
 def _us(seconds: float) -> int:
@@ -99,65 +105,21 @@ def _us(seconds: float) -> int:
 
 
 def collect(daemon: "Ldmsd") -> list[int]:
-    """Snapshot ``daemon`` into a value row matching SELF_METRIC_NAMES.
-
-    Called from the ``ldmsd_self`` plugin's ``do_sample`` under the
-    daemon lock; reads live fields directly instead of ``stats()`` to
-    avoid building a throwaway dict per sample.
-    """
-    prods = list(daemon.producers.values())
-    stores = daemon.stores
-
-    def psum(*fields: str) -> list[int]:
-        return [sum(getattr(p.stats, f) for p in prods) for f in fields]
-
-    # Folds the daemon's bulk observations, then reads derived counts;
-    # owned counters bind as they are read (the listed schema).
-    derived = daemon.derived_counts()
-    owned = [daemon.obs.counter(name).value for name in (
-        "set.create_failed", "sanitizer.violations", "watchdog.promotions",
-        "faults.injected", "arena.sweeps", "arena.fallback_sets",
-        "query.requests", "query.cache_hits", "query.cache_misses",
-        "query.rows_served")]
-    fleet = daemon.freshness.fleet(daemon.env.now())
-    values = [
-        len(daemon._sets), len(daemon._plugins), len(prods), len(stores),
-        daemon.arena.used, daemon.arena.peak_used, daemon.arena.size,
-        sum(p.samples_taken for p in daemon._plugins.values()),
-        *psum("lookups_sent", "lookups_failed", "lookups_timed_out",
-              "sets_pruned", "updates_issued", "updates_completed",
-              "updates_failed", "skipped_stale", "skipped_inconsistent",
-              "skipped_busy", "schema_refreshes", "stored"),
-        daemon.records_delivered,
-        sum(s.records_stored for s in stores),
-        sum(s.records_failed for s in stores),
-        sum(s.records_dropped for s in stores),
-        *owned[:4],
-        *psum("updates_coalesced"),
-        derived["store.flush_rows_batched"],
-        daemon.env.timer_fastpath_ticks(),
-        owned[4], derived["arena.rows_vectorized"], owned[5],
-        fleet["producers"], fleet["delivered"], fleet["expected"],
-        fleet["missed"], int(fleet["completeness"] * 1000.0 + 0.5),
-        fleet["stale_producers"], int(fleet["max_staleness"] * 1000.0),
-        daemon.spans.events_total, daemon.spans.total,
-        *owned[6:],
-        sum(getattr(s, "multi_component_rejected", 0) for s in stores),
-        daemon.refused_connections(),
-    ]
+    """Snapshot ``daemon`` into a value row matching SELF_METRIC_NAMES:
+    one reading of its count table, projected, then each latency
+    histogram's summary.  Called from the ``ldmsd_self`` plugin's
+    ``do_sample`` under the daemon lock; binds nothing."""
+    values = list(_read_columns(daemon.health()))
     for _, hname in _HISTOGRAMS:
-        h = daemon.obs.histogram(hname)
-        for _, q in _QUANTILES:
-            values.append(_us(h.quantile(q)))
-        values.append(_us(h.max if h.count else 0.0))
-        values.append(h.count)
+        s = daemon.obs.summary(hname)
+        values += (_us(s["p50"]), _us(s["p95"]), _us(s["p99"]),
+                   _us(s["max"]), s["count"])
     return values
 
 
-def render(values: dict[str, int | float], indent: str = "    ") -> str:
+def render(v: dict[str, int | float], indent: str = "    ") -> str:
     """Human-readable pipeline-health block for one collected
-    ``ldmsd_self`` row (``ldms_ls -v``)."""
-    v = values
+    ``ldmsd_self`` row ``v`` (``ldms_ls -v``)."""
 
     def lat(prefix: str) -> str:
         if not v.get(f"{prefix}_count"):

@@ -4,9 +4,10 @@ Real LDMS daemons publish their self-metrics the same way they publish
 ``meminfo`` — as an ordinary metric set — so an aggregator pulls a
 sampler daemon's health over the normal transport, validates it with
 the normal MGN/DGN rules, and persists it through the normal store
-path.  The schema (59 U64 metrics: operational counters plus
-p50/p95/p99/max latency quantiles in microseconds for every pipeline
-stage) is defined once in :mod:`repro.obs.selfmetrics`.
+path.  The schema (79 U64 metrics: the daemon's counts and gauges, each
+read from one key of its count table, plus p50/p95/p99/max latencies in
+microseconds and a count for every pipeline stage) is defined once in
+:mod:`repro.obs.selfmetrics`.
 
 The set is sampled like any other plugin — ``begin_transaction`` /
 bulk ``set_values`` / ``end_transaction`` — so a fetch landing inside
@@ -37,5 +38,5 @@ class LdmsdSelfSampler(SamplerPlugin):
             instance, SELF_SCHEMA, set_template(SELF_METRIC_NAMES, MetricType.U64))
 
     def do_sample(self, now: float) -> None:
-        # One registry snapshot -> one compiled whole-row pack.
+        # One reading of the count table -> one compiled whole-row pack.
         self.set.set_values(collect(self.daemon))

@@ -256,13 +256,12 @@ class QueryEngine:
                            truncated=truncated, source="scan")
 
     # -- introspection ------------------------------------------------------
+    #: ``stats()`` keys, listed zeroed by a daemon with no query tier.
+    STATS_KEYS = ("requests", "cache_hits", "lru_hits", "cache_misses",
+                  "rows_served", "lru_entries", "hot_containers")
+
     def stats(self) -> dict:
-        return {
-            "requests": self._c_requests.value,
-            "cache_hits": self._c_hits.value,
-            "lru_hits": self._c_lru.value,
-            "cache_misses": self._c_misses.value,
-            "rows_served": self._c_rows.value,
-            "lru_entries": len(self._lru),
-            "hot_containers": len(self._hot),
-        }
+        return dict(zip(self.STATS_KEYS, (
+            self._c_requests.value, self._c_hits.value, self._c_lru.value,
+            self._c_misses.value, self._c_rows.value, len(self._lru),
+            len(self._hot))))

@@ -103,6 +103,32 @@ class TestControlVerbs:
         assert d.get_set("n0/s") is None
         eng.run(until=3.0)  # no crash from orphan timer
 
+    def test_term_leaves_nothing_behind_and_keeps_its_samples(self, channel):
+        from repro.obs.selfmetrics import SELF_METRIC_NAMES, collect
+
+        eng, d, ch = channel
+        ch.handle("load name=synthetic")
+        ch.handle("load name=ldmsd_self")
+        ch.handle("config name=synthetic instance=n0/s component_id=1")
+        ch.handle("config name=ldmsd_self instance=n0/self component_id=1")
+        ch.handle("start name=n0/s interval=500000")
+        eng.run(until=3.2)
+
+        def samples():
+            return dict(zip(SELF_METRIC_NAMES, collect(d)))["samples"]
+
+        before = samples()
+        assert before >= 6
+        assert ch.handle("term name=n0/s") == "0 terminated n0/s"
+        assert "n0/s" not in d.sampler_plugins()
+        assert "n0/s" not in d._schedules
+        assert d.set_names() == ["n0/self"]
+        assert samples() == before
+        eng.run(until=5.0)  # no firing of the terminated instance
+        assert samples() == before
+        assert d.stats()["obs"]["counters"]["sampler.samples"] == before
+        assert ch.handle("term name=n0/s").startswith("E no sampler instance")
+
     def test_dir_json(self, channel):
         _, d, ch = channel
         ch.handle("load name=synthetic")

@@ -81,10 +81,7 @@ class TestDeadAndSlowTargets:
         eng.run(until=5.0)
 
         def remove():
-            s0.stop_sampler("s0/syn")
-            plug = s0.sampler_plugins()["s0/syn"]
-            plug.term()
-            del s0._plugins["s0/syn"]
+            s0.term_sampler("s0/syn")
 
         eng.call_later(0.5, remove)  # at t=5.5 (relative to now=5.0)
         eng.run(until=10.0)

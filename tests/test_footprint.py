@@ -216,7 +216,7 @@ def test_python_calls_per_set_up_do_not_grow_with_metrics():
 #: ``set_value``.
 CALLS_PER_TICK = {
     "bw_custom": 862, "ethernet": 86, "gpcdr": 258, "infiniband": 46,
-    "jobid": 9, "ldmsd_self": 228, "lnet": 36, "loadavg": 20,
+    "jobid": 9, "ldmsd_self": 85, "lnet": 36, "loadavg": 20,
     "lustre": 58, "meminfo": 124, "nfs": 46, "procstat": 400,
     "synthetic": 7,
 }
@@ -438,3 +438,33 @@ class TestRoleScopedInstruments:
         assert list(d.producers) == ["n0"] and len(d.stores) == 1
         assert d._conn_pool is not None and d._flush_pool is None
         assert set(IDLE_COUNTERS) < set(d.stats()["obs"]["counters"])
+
+    def test_reading_every_surface_binds_nothing(self):
+        from repro.core.control import ControlChannel
+
+        eng, d = self._daemon()
+        agg = Ldmsd("agg", env=d.env, transports={
+            "sock": SimTransport(d.transports["sock"].fabric, "sock",
+                                 node_id="agg")})
+        d.load_sampler("synthetic", instance="d0/syn", component_id=1,
+                       num_metrics=10)
+        d.start_sampler("d0/syn", interval=1.0)  # a cohort member
+        d.load_sampler("synthetic", instance="d0/rnd", component_id=1,
+                       num_metrics=4, pattern="random")
+        d.start_sampler("d0/rnd", interval=1.0)  # scalar firings
+        d.listen("sock", "d0:411")
+        agg.add_store("memory")
+        agg.add_producer("d0", "sock", "d0:411", interval=1.0)
+        selves = [x.load_sampler("ldmsd_self", instance=f"{x.name}/self",
+                                 component_id=9) for x in (d, agg)]
+        channels = [ControlChannel(x) for x in (d, agg)]
+        eng.run(until=3.5)
+        roles = [_bound(x) for x in (d, agg)]
+        for x, ctl, self_plugin in zip((d, agg), channels, selves):
+            x.stats()
+            assert ctl.handle("prof").startswith("0 ")
+            assert ctl.handle("stats").startswith("0 ")
+            for t in (4.0, 5.0, 6.0):
+                self_plugin.do_sample(t)
+        assert [_bound(x) for x in (d, agg)] == roles
+        assert {"query.requests", "lookup.rtt"}.isdisjoint(roles[0])

@@ -427,6 +427,20 @@ class TestReproTopRender:
         lines2 = render_fleet(second, first, 2.0)
         assert "25.0" in lines2[1]  # (150-100)/2 samples/s
 
+    def test_a_count_that_falls_shows_its_value_not_a_negative_rate(self):
+        from repro.cli.repro_top_cli import _RATED, render_fleet
+        from repro.obs.selfmetrics import COUNT_COLUMNS
+        assert set(_RATED) <= COUNT_COLUMNS
+        before = {"n0/self": self._row(samples=400, updates_completed=90,
+                                       updates_stored=80)}
+        # Restarted: samples and stores count from 0 again.
+        after = {"n0/self": self._row(samples=6, updates_completed=110,
+                                      updates_stored=3)}
+        line = render_fleet(after, before, 2.0)[1]
+        assert "-" not in line
+        samp, upd, stor = line.split()[1:4]
+        assert (samp, upd, stor) == ("6", "10.0", "3")
+
     def test_empty_fleet_hint(self):
         from repro.cli.repro_top_cli import render_fleet
         lines = render_fleet({}, None, 0.0)
